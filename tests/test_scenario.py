@@ -2,6 +2,7 @@
 manifest round trip."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 import yaml
@@ -234,6 +235,22 @@ experiment: {kind: compare_modes, sweeps: 1}
         rows = (tmp_path / "out" / "compare_summary.csv").read_text().splitlines()
         for row in rows[1:]:
             assert row.split(",")[2] == ""
+
+    def test_sphere_compare_golden_summary(self, tmp_path):
+        # the worked comparison from the README, pinned to 1e-9 relative
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / \
+            "sphere_compare.yaml"
+        rc = main([str(scenario), "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        rows = (tmp_path / "compare_summary.csv").read_text().splitlines()
+        assert rows[0] == "mode,mean_dbsm,std_dbsm,uwb_std_lt_nb_std"
+        summary = {r.split(",")[0]: r.split(",")[1:] for r in rows[1:]}
+        golden = {"nb": (-22.70801851, 1.3417769744),
+                  "uwb": (-30.004299561, 0.0454228549578)}
+        for mode, (mean, std) in golden.items():
+            assert float(summary[mode][0]) == pytest.approx(mean, rel=1e-9)
+            assert float(summary[mode][1]) == pytest.approx(std, rel=1e-9)
+            assert summary[mode][2] == "true"
 
 
 class TestCliEntry:
