@@ -2,12 +2,11 @@
 impulse imaging radar, from waveform synthesis through a cluttered
 channel to range profiling and cross-section estimation."""
 
-from .codes import (CodeKind, HopSequence, PnSequence, gen_gold, gen_hops,
-                    gen_mseq, manual_sequence, periodic_autocorrelation,
-                    periodic_crosscorrelation, PREFERRED_PAIRS)
+from .codes import (CodeKind, PnSequence, gen_gold, gen_mseq, manual_sequence,
+                    periodic_autocorrelation, periodic_crosscorrelation,
+                    PREFERRED_PAIRS)
 from .waveform import (Mode, RadarParams, SampleStream, SPEED_OF_LIGHT,
-                       combine_iq, ds_uwb_train, fhss_synthesize,
-                       gate_pulse, gaussian_monocycle, nb_params,
+                       ds_uwb_train, gate_pulse, gaussian_monocycle, nb_params,
                        qpsk_baseband, spread, uwb_params)
 from .channel import (Interferer, InterfererKind, Pol, Scatterer, Scene,
                       TargetModel, add_interferer, gen_clutter,

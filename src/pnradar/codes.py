@@ -1,15 +1,13 @@
-"""Pseudo-noise and hopping sequence generation.
+"""Pseudo-noise sequence generation.
 
-m-sequences come from a Fibonacci LFSR driven by a primitive polynomial,
-Gold codes from the chip-wise product of a preferred pair, and hop
-sequences from regrouped PN bits.  All generators are pure functions of
-their arguments; sequences are bipolar (+1/-1) with the global bit
-mapping 0 -> +1, 1 -> -1.
+m-sequences come from a Fibonacci LFSR driven by a primitive polynomial
+and Gold codes from the chip-wise product of a preferred pair.  All
+generators are pure functions of their arguments; sequences are bipolar
+(+1/-1) with the global bit mapping 0 -> +1, 1 -> -1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -95,34 +93,6 @@ class PnSequence:
     @property
     def length(self) -> int:
         return int(self.chips.size)
-
-    @property
-    def bits(self) -> np.ndarray:
-        """Binary view of the chips under the 0 -> +1, 1 -> -1 mapping."""
-        return ((1 - self.chips.astype(np.int64)) // 2).astype(np.uint8)
-
-
-@dataclass(frozen=True)
-class HopSequence:
-    """Channel index schedule for frequency hopping."""
-
-    channel_indices: np.ndarray
-    num_channels: int
-    dwell_chips: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.channel_indices, dtype=np.int64)
-        if self.num_channels < 2:
-            raise ValueError("num_channels must be >= 2")
-        if self.dwell_chips < 1:
-            raise ValueError("dwell_chips must be >= 1")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_channels):
-            raise ValueError("channel index out of [0, num_channels)")
-        idx.flags.writeable = False
-        object.__setattr__(self, "channel_indices", idx)
-
-    def __len__(self) -> int:
-        return int(self.channel_indices.size)
 
 
 def _normalize_taps(taps) -> tuple[int, ...]:
@@ -212,27 +182,6 @@ def manual_sequence(chips) -> PnSequence:
     """Wrap user-supplied bipolar chips without primitivity guarantees."""
     return PnSequence(chips=np.asarray(chips), kind=CodeKind.MANUAL,
                       generator={}, verified_primitive=False)
-
-
-def gen_hops(pn: PnSequence, num_channels: int, dwell_chips: int = 1) -> HopSequence:
-    """Derive a hop schedule by regrouping PN bits into channel indices.
-
-    Groups of ceil(log2(num_channels)) consecutive bits form integers
-    (MSB first) reduced modulo ``num_channels``; the trailing partial
-    group is dropped.
-    """
-    if num_channels < 2:
-        raise ValueError("num_channels must be >= 2")
-    if dwell_chips < 1:
-        raise ValueError("dwell_chips must be >= 1")
-    bits_per_hop = max(1, math.ceil(math.log2(num_channels)))
-    bits = pn.bits
-    n_hops = bits.size // bits_per_hop
-    grouped = bits[: n_hops * bits_per_hop].reshape(n_hops, bits_per_hop)
-    weights = (1 << np.arange(bits_per_hop - 1, -1, -1)).astype(np.int64)
-    indices = (grouped.astype(np.int64) @ weights) % num_channels
-    return HopSequence(channel_indices=indices, num_channels=num_channels,
-                       dwell_chips=dwell_chips)
 
 
 def periodic_autocorrelation(pn: PnSequence) -> np.ndarray:

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .codes import HopSequence, PnSequence
+from .codes import PnSequence, bits_to_bipolar
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -73,13 +73,6 @@ class SampleStream:
 
     def with_samples(self, samples: np.ndarray) -> "SampleStream":
         return SampleStream(samples, self.sample_rate, self.carrier_hz, self.t0)
-
-
-def _require_compatible(a: SampleStream, b: SampleStream) -> None:
-    if a.sample_rate != b.sample_rate:
-        raise ValueError(f"sample rates differ: {a.sample_rate} vs {b.sample_rate}")
-    if len(a) != len(b):
-        raise ValueError(f"stream lengths differ: {len(a)} vs {len(b)}")
 
 
 @dataclass(frozen=True)
@@ -168,16 +161,11 @@ def uwb_params(monocycle_width_s: float = 0.33e-9, pri_s: float = 100e-9,
                        sample_rate_hz=sample_rate_hz)
 
 
-def bipolar(bit: int) -> int:
-    """Global bit mapping: 0 -> +1, 1 -> -1."""
-    return 1 - 2 * int(bit)
-
-
 def spread(data_bits, pn: PnSequence, chips_per_bit: int) -> np.ndarray:
     """Spread data bits over the PN sequence.
 
     The code runs continuously across bits: chip j of bit m is
-    bipolar(bit_m) * pn[(m*chips_per_bit + j) mod N].
+    bits_to_bipolar(bit_m) * pn[(m*chips_per_bit + j) mod N].
     """
     bits = np.asarray(data_bits, dtype=np.int64)
     if bits.size == 0:
@@ -188,7 +176,7 @@ def spread(data_bits, pn: PnSequence, chips_per_bit: int) -> np.ndarray:
         raise ValueError(f"chips_per_bit must lie in [1, {pn.length}]")
     n_chips = bits.size * chips_per_bit
     code = pn.chips[np.arange(n_chips) % pn.length].astype(np.int8)
-    symbols = (1 - 2 * bits).astype(np.int8)
+    symbols = bits_to_bipolar(bits)
     return (np.repeat(symbols, chips_per_bit) * code).astype(np.int8)
 
 
@@ -205,12 +193,6 @@ def qpsk_baseband(i_chips, q_chips, params: RadarParams) -> SampleStream:
     symbols = (i + 1j * q) / np.sqrt(2.0)
     samples = np.repeat(symbols, params.samples_per_chip)
     return SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
-
-
-def combine_iq(i_mod: SampleStream, q_mod: SampleStream) -> SampleStream:
-    """Element-wise combiner; preserves the carrier tag of the first input."""
-    _require_compatible(i_mod, q_mod)
-    return i_mod.with_samples(i_mod.samples + q_mod.samples)
 
 
 def _pulse_mask(n: int, fs: float, t0: float, pri_s: float, width_s: float) -> np.ndarray:
@@ -249,59 +231,18 @@ def gaussian_monocycle(params: RadarParams) -> SampleStream:
     return SampleStream(samples, fs, params.carrier_hz, t0=-half / fs)
 
 
-def ds_uwb_train(code: PnSequence, params: RadarParams,
-                 coding: str = "polarity") -> SampleStream:
-    """One monocycle per PRI slot, direct-sequence coded.
-
-    ``polarity`` multiplies each pulse by the chip sign (default);
-    ``ppm`` instead delays pulses of -1 chips by one monocycle width.
-    The train spans code.length PRIs.
-    """
-    if coding not in ("polarity", "ppm"):
-        raise ValueError(f"unknown coding {coding!r}")
+def ds_uwb_train(code: PnSequence, params: RadarParams) -> SampleStream:
+    """One monocycle per PRI slot, polarity-coded: each pulse is
+    multiplied by its chip sign.  The train spans code.length PRIs."""
     fs = params.sample_rate_hz
     support = params.monocycle_support_s
-    ppm_shift = params.monocycle_width_s if coding == "ppm" else 0.0
-    if params.pri_s < support + ppm_shift:
+    if params.pri_s < support:
         raise ValueError(
             f"pri_s {params.pri_s:g} shorter than the monocycle support {support:g}")
     pulse = gaussian_monocycle(params).samples.real
     pri_samples = int(round(params.pri_s * fs))
     out = np.zeros(code.length * pri_samples, dtype=np.complex128)
-    shift_samples = int(round(ppm_shift * fs))
     for m, chip in enumerate(code.chips):
         start = m * pri_samples
-        if coding == "polarity":
-            out[start:start + pulse.size] += int(chip) * pulse
-        else:
-            if chip < 0:
-                start += shift_samples
-            out[start:start + pulse.size] += pulse
+        out[start:start + pulse.size] += int(chip) * pulse
     return SampleStream(out, fs, params.carrier_hz)
-
-
-def fhss_synthesize(s: SampleStream, hops: HopSequence,
-                    channel_spacing_hz: float,
-                    samples_per_chip: int = 1) -> SampleStream:
-    """Frequency-hop a stream: per dwell block, mix with exp(j*2*pi*f_k*t).
-
-    Channel k sits at (k - (num_channels-1)/2) * spacing so the hop set
-    is symmetric around the carrier.  Each dwell lasts
-    hops.dwell_chips * samples_per_chip samples.
-    """
-    offsets = (np.asarray(hops.channel_indices, dtype=np.float64)
-               - (hops.num_channels - 1) / 2.0) * channel_spacing_hz
-    if offsets.size and np.max(np.abs(offsets)) >= s.sample_rate / 2.0:
-        raise ValueError("hop offset exceeds the Nyquist band")
-    dwell_samples = hops.dwell_chips * int(samples_per_chip)
-    if dwell_samples < 1:
-        raise ValueError("dwell must span at least one sample")
-    n = len(s)
-    t = np.arange(n) / s.sample_rate
-    f = np.zeros(n)
-    for k, off in enumerate(offsets):
-        lo = k * dwell_samples
-        if lo >= n:
-            break
-        f[lo:lo + dwell_samples] = off
-    return s.with_samples(s.samples * np.exp(2j * np.pi * f * t))

@@ -4,7 +4,7 @@ correlation oracles, balance and determinism properties."""
 import numpy as np
 import pytest
 
-from pnradar import (CodeKind, PREFERRED_PAIRS, gen_gold, gen_hops, gen_mseq,
+from pnradar import (CodeKind, PREFERRED_PAIRS, gen_gold, gen_mseq,
                      manual_sequence)
 
 # One known-primitive tap set per degree for the brute-force sweeps.
@@ -125,31 +125,6 @@ class TestGold:
     def test_bad_shift_rejected(self):
         with pytest.raises(ValueError, match="shift"):
             gen_gold(*PREFERRED_PAIRS[5], shift=31)
-
-
-class TestHops:
-    def test_two_channels_are_pn_bits(self):
-        pn = gen_mseq([3, 1, 0], seed=0b001)
-        hops = gen_hops(pn, num_channels=2, dwell_chips=4)
-        assert np.array_equal(hops.channel_indices, pn.bits)
-
-    def test_indices_bounded(self):
-        pn = gen_mseq([3, 1, 0])
-        hops = gen_hops(pn, num_channels=4)
-        assert len(hops) == 3  # 7 bits grouped in pairs, remainder dropped
-        assert np.all(hops.channel_indices < 4)
-        assert np.all(hops.channel_indices >= 0)
-
-    def test_deterministic(self):
-        pn = gen_mseq([5, 2, 0])
-        a = gen_hops(pn, 8, 2)
-        b = gen_hops(pn, 8, 2)
-        assert np.array_equal(a.channel_indices, b.channel_indices)
-        assert (a.num_channels, a.dwell_chips) == (b.num_channels, b.dwell_chips)
-
-    def test_too_few_channels_rejected(self):
-        with pytest.raises(ValueError, match="num_channels"):
-            gen_hops(gen_mseq([3, 1, 0]), num_channels=1)
 
 
 class TestManual:

@@ -1,13 +1,12 @@
 """Waveform synthesis tests: spreading identities, QPSK normalization,
-pulse gating, monocycle shape/spectrum, coded pulse trains, hopping."""
+pulse gating, monocycle shape/spectrum, coded pulse trains."""
 
 import numpy as np
 import pytest
 
-from pnradar import (Mode, SampleStream, combine_iq,
-                     ds_uwb_train, fhss_synthesize, gate_pulse,
-                     gaussian_monocycle, gen_hops, gen_mseq, nb_params,
-                     qpsk_baseband, spread, uwb_params)
+from pnradar import (Mode, SampleStream, ds_uwb_train, gate_pulse,
+                     gaussian_monocycle, gen_mseq, nb_params, qpsk_baseband,
+                     spread, uwb_params)
 
 
 @pytest.fixture
@@ -72,42 +71,6 @@ class TestQpskBaseband:
     def test_length_mismatch_rejected(self, params):
         with pytest.raises(ValueError, match="differ"):
             qpsk_baseband([1, 1], [1], params)
-
-
-class TestCombine:
-    def _branches(self, params):
-        rng = np.random.default_rng(7)
-        chips_i = 1 - 2 * rng.integers(0, 2, 100)
-        chips_q = 1 - 2 * rng.integers(0, 2, 100)
-        spc = params.samples_per_chip
-        i_branch = SampleStream(np.repeat(chips_i / np.sqrt(2), spc),
-                                params.sample_rate_hz, params.carrier_hz)
-        q_branch = SampleStream(np.repeat(1j * chips_q / np.sqrt(2), spc),
-                                params.sample_rate_hz, params.carrier_hz)
-        return i_branch, q_branch
-
-    def test_additive_identity(self, params):
-        i_branch, _ = self._branches(params)
-        zeros = i_branch.with_samples(np.zeros(len(i_branch)))
-        assert np.array_equal(combine_iq(i_branch, zeros).samples,
-                              i_branch.samples)
-
-    def test_cancellation(self, params):
-        i_branch, _ = self._branches(params)
-        neg = i_branch.with_samples(-i_branch.samples)
-        assert np.all(combine_iq(i_branch, neg).samples == 0)
-
-    def test_orthogonal_power_adds(self, params):
-        i_branch, q_branch = self._branches(params)
-        combined = combine_iq(i_branch, q_branch)
-        assert combined.power == pytest.approx(
-            i_branch.power + q_branch.power, rel=1e-12)
-
-    def test_rate_mismatch_rejected(self, params):
-        i_branch, _ = self._branches(params)
-        other = SampleStream(i_branch.samples, i_branch.sample_rate * 2)
-        with pytest.raises(ValueError, match="rates"):
-            combine_iq(i_branch, other)
 
 
 class TestGatePulse:
@@ -205,12 +168,6 @@ class TestDsUwbTrain:
         with pytest.raises(ValueError, match="pri_s"):
             uwb_params(monocycle_width_s=0.33e-9, pri_s=1e-9)
 
-    def test_ppm_needs_room_for_the_shift(self):
-        from pnradar import manual_sequence
-        p = uwb_params(monocycle_width_s=0.33e-9, pri_s=1.4e-9)
-        with pytest.raises(ValueError, match="support"):
-            ds_uwb_train(manual_sequence([1, -1]), p, coding="ppm")
-
     def test_occupied_bandwidth_exceeds_1ghz(self):
         p = uwb_params()
         code = gen_mseq([5, 2, 0])
@@ -219,55 +176,6 @@ class TestDsUwbTrain:
         freqs = np.fft.rfftfreq(train.size, 1.0 / p.sample_rate_hz)
         above = freqs[spectrum >= spectrum.max() / 10.0]
         assert above.max() - above.min() > 1e9
-
-    def test_ppm_variant_shifts_negative_chips(self):
-        from pnradar import manual_sequence
-        p = uwb_params()
-        train = ds_uwb_train(manual_sequence([1, -1]), p, coding="ppm")
-        pri = int(round(p.pri_s * p.sample_rate_hz))
-        shift = int(round(p.monocycle_width_s * p.sample_rate_hz))
-        first = train.samples[:pri].real
-        second = train.samples[pri:2 * pri].real
-        assert np.argmax(np.abs(second)) == np.argmax(np.abs(first)) + shift
-
-    def test_unknown_coding_rejected(self):
-        from pnradar import manual_sequence
-        with pytest.raises(ValueError, match="coding"):
-            ds_uwb_train(manual_sequence([1, 1]), uwb_params(), coding="fancy")
-
-
-class TestFhss:
-    def _setup(self):
-        params = nb_params()
-        pn = gen_mseq([5, 2, 0])
-        hops = gen_hops(pn, num_channels=4, dwell_chips=8)
-        n = len(hops) * 8 * params.samples_per_chip
-        s = SampleStream(np.ones(n, dtype=complex), params.sample_rate_hz,
-                         params.carrier_hz)
-        return params, hops, s
-
-    def test_unit_modulus_preserved(self):
-        params, hops, s = self._setup()
-        out = fhss_synthesize(s, hops, 1e6, params.samples_per_chip)
-        assert np.allclose(np.abs(out.samples), np.abs(s.samples))
-
-    def test_dwell_block_count(self):
-        params, hops, s = self._setup()
-        out = fhss_synthesize(s, hops, 1e6, params.samples_per_chip)
-        # instantaneous frequency per dwell matches the hop schedule
-        dwell = hops.dwell_chips * params.samples_per_chip
-        phase = np.unwrap(np.angle(out.samples))
-        freqs = np.diff(phase) * s.sample_rate / (2 * np.pi)
-        expected = (hops.channel_indices - (hops.num_channels - 1) / 2) * 1e6
-        for k, f_k in enumerate(expected):
-            block = freqs[k * dwell: (k + 1) * dwell - 1]
-            assert np.allclose(block, f_k, atol=1.0)
-
-    def test_offset_beyond_nyquist_rejected(self):
-        params, hops, s = self._setup()
-        with pytest.raises(ValueError, match="Nyquist"):
-            fhss_synthesize(s, hops, s.sample_rate, params.samples_per_chip)
-
 
 class TestRadarParams:
     def test_wavelength(self):
