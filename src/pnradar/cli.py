@@ -106,12 +106,9 @@ def _calibration_for(scenario: Scenario, mode: Mode) -> Calibration:
                           scenario.rx_for(mode))
 
 
-def _series(scenario: Scenario, mode: Mode, cal: Calibration,
-            sweeps: int) -> list[RcsEstimate]:
-    pipeline = SweepPipeline(scenario.params_for(mode), scenario.pn,
-                             scenario.chips_per_bit, scenario.rx_for(mode))
-    return [pipeline.estimate(scenario.scene, cal, scenario.pol, sweep_index=k)
-            for k in range(sweeps)]
+def _pipeline(scenario: Scenario, mode: Mode) -> SweepPipeline:
+    return SweepPipeline(scenario.params_for(mode), scenario.pn,
+                         scenario.chips_per_bit, scenario.rx_for(mode))
 
 
 def _mean_std(dbsm: np.ndarray) -> tuple[str, str]:
@@ -127,7 +124,8 @@ def compare_modes(scenario: Scenario, out_dir: Path) -> list[Path]:
     stats = {}
     for mode, name in ((Mode.NB_DSSS, "nb"), (Mode.DS_UWB, "uwb")):
         cal = _calibration_for(scenario, mode)
-        estimates = _series(scenario, mode, cal, scenario.sweeps)
+        estimates = _pipeline(scenario, mode).series(
+            scenario.scene, cal, scenario.sweeps, scenario.pol)
         path = out_dir / f"compare_{name}.csv"
         write_series_csv(path, estimates)
         written.append(path)
@@ -160,42 +158,43 @@ def run(scenario: Scenario, quiet: bool = False) -> list[Path]:
 
     try:
         kind = scenario.experiment
+        mode = scenario.mode
         if kind is ExperimentKind.PROFILE:
-            pipeline = SweepPipeline(scenario.params, scenario.pn,
-                                     scenario.chips_per_bit, scenario.rx_config)
-            profile = pipeline.profile(scenario.scene, scenario.pol)
+            profile = _pipeline(scenario, mode).profile(scenario.scene,
+                                                        scenario.pol)
             path = out_dir / "profile.csv"
             write_profile_csv(path, profile)
             written.append(path)
         elif kind is ExperimentKind.CALIBRATE:
-            pipeline = SweepPipeline(scenario.params, scenario.pn,
-                                     scenario.chips_per_bit, scenario.rx_config)
-            profile = pipeline.profile(scenario.scene, scenario.pol)
+            profile = _pipeline(scenario, mode).profile(scenario.scene,
+                                                        scenario.pol)
             sigma_ref, range_ref = scenario.reference
             cal = calibrate(profile, sigma_ref, range_ref)
             path = out_dir / "calibration.csv"
             write_calibration_csv(path, cal)
             written.append(path)
         elif kind is ExperimentKind.RCS_SWEEP_SERIES:
-            cal = _calibration_for(scenario, scenario.mode)
-            estimates = _series(scenario, scenario.mode, cal, scenario.sweeps)
+            cal = _calibration_for(scenario, mode)
+            estimates = _pipeline(scenario, mode).series(
+                scenario.scene, cal, scenario.sweeps, scenario.pol)
             path = out_dir / "series.csv"
             write_series_csv(path, estimates)
             written.append(path)
         elif kind is ExperimentKind.POLARIMETRIC:
-            profiles = polarimetric_scan(scenario.scene, scenario.params,
+            profiles = polarimetric_scan(scenario.scene,
+                                         scenario.params_for(mode),
                                          scenario.pn, scenario.chips_per_bit,
-                                         scenario.rx_config)
+                                         scenario.rx_for(mode))
             for pol, profile in profiles.items():
                 path = out_dir / f"profile_{pol.value}.csv"
                 write_profile_csv(path, profile)
                 written.append(path)
         elif kind is ExperimentKind.SCAN_IMAGE:
-            cal = _calibration_for(scenario, scenario.mode)
-            image = scan_image(scenario.scene, scenario.params, cal,
+            cal = _calibration_for(scenario, mode)
+            image = scan_image(scenario.scene, scenario.params_for(mode), cal,
                                scenario.azimuth_step_deg,
                                scenario.beamwidth_deg, scenario.pn,
-                               scenario.chips_per_bit, scenario.rx_config,
+                               scenario.chips_per_bit, scenario.rx_for(mode),
                                az_span_deg=scenario.azimuth_span_deg,
                                pol=scenario.pol)
             path = out_dir / "image.csv"
@@ -237,26 +236,16 @@ def main(argv=None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-        overrides = {}
+        raw = scenario.raw
         if args.seed is not None:
-            overrides["seed"] = args.seed
+            raw["seed"] = args.seed
         if args.out is not None:
-            overrides.setdefault("output", {})["directory"] = args.out
+            raw["output"]["directory"] = args.out
         if args.experiment is not None:
-            overrides.setdefault("experiment", {})["kind"] = args.experiment
+            raw["experiment"]["kind"] = args.experiment
         if args.mode is not None:
-            overrides.setdefault("radar", {})["mode"] = args.mode
-        if overrides:
-            raw = scenario.raw
-            if "seed" in overrides:
-                raw["seed"] = overrides["seed"]
-            if "output" in overrides:
-                raw["output"]["directory"] = overrides["output"]["directory"]
-            if "experiment" in overrides:
-                raw["experiment"]["kind"] = overrides["experiment"]["kind"]
-            if "radar" in overrides:
-                raw["radar"]["mode"] = overrides["radar"]["mode"]
-            scenario = resolve_scenario(raw, source=scenario.source)
+            raw["radar"]["mode"] = args.mode
+        scenario = resolve_scenario(raw, source=scenario.source)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -364,6 +364,13 @@ class SweepPipeline:
                             window_bins=self.window_bins,
                             gate_m=cfg.gate_m, margin_bins=cfg.margin_bins)
 
+    def series(self, scene: Scene, cal: Calibration, m_sweeps: int,
+               pol: Pol = Pol.VV) -> list[RcsEstimate]:
+        """Estimate the cross section of a fixed scene over sweeps
+        0 .. m_sweeps-1."""
+        return [self.estimate(scene, cal, pol, sweep_index=k)
+                for k in range(m_sweeps)]
+
 
 def self_calibrate(params: RadarParams, pn: PnSequence,
                    sigma_ref_m2: float, range_ref_m: float,
@@ -390,8 +397,7 @@ def sweep_series(scene: Scene, params: RadarParams, cal: Calibration,
     if m_sweeps < 2:
         raise ValueError("a sweep series needs at least 2 sweeps")
     pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
-    return [pipeline.estimate(scene, cal, pol, sweep_index=k)
-            for k in range(m_sweeps)]
+    return pipeline.series(scene, cal, m_sweeps, pol)
 
 
 def polarimetric_scan(scene: Scene, params: RadarParams, pn: PnSequence,

@@ -20,7 +20,7 @@ from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
     TargetModel, gen_clutter
 from .codes import PnSequence, gen_gold, gen_mseq
 from .imaging import ReceiverConfig
-from .waveform import Mode, RadarParams
+from .waveform import Mode, RadarParams, nb_params, uwb_params
 
 
 class ScenarioError(ValueError):
@@ -89,9 +89,6 @@ class _F:
         if self.maximum is not None and value > self.maximum:
             raise ScenarioError(f"{path}: must be <= {self.maximum}, got {value}")
         return value
-
-    def materialize_default(self, path: str):
-        return self.default
 
 
 _POINT_SCHEMA = {
@@ -204,60 +201,25 @@ def _resolve_section(schema: dict, data, path: str) -> dict:
             out[key] = data.get(key)  # handled by the caller
         elif isinstance(spec, dict):
             out[key] = _resolve_section(spec, data.get(key), where)
+        elif key in data:
+            out[key] = spec.resolve(where, data[key])
+        elif spec.default is None and not spec.nullable:
+            raise ScenarioError(f"{where}: required field missing")
         else:
-            if key in data:
-                out[key] = spec.resolve(where, data[key])
-            else:
-                out[key] = spec.materialize_default(where)
+            out[key] = spec.default
     return out
 
 
-def _resolve_points(raw, path: str) -> list[dict]:
-    if raw is None or not isinstance(raw, list) or not raw:
-        raise ScenarioError(f"{path}: at least one target point is required")
-    points = []
-    for i, item in enumerate(raw):
-        where = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise ScenarioError(f"{where}: expected a mapping")
-        for key in item:
-            if key not in _POINT_SCHEMA:
-                raise ScenarioError(f"{where}.{key}: unknown key")
-        point = {}
-        for key, spec in _POINT_SCHEMA.items():
-            if key in item:
-                point[key] = spec.resolve(f"{where}.{key}", item[key])
-            elif spec.default is None:
-                raise ScenarioError(f"{where}.{key}: required field missing")
-            else:
-                point[key] = spec.default
-        points.append(point)
-    return points
-
-
-def _resolve_interferers(raw, path: str) -> list[dict]:
+def _resolve_list(raw, path: str, schema: dict, required: bool) -> list[dict]:
+    """Resolve a list of mappings, each against ``schema``."""
     if raw is None:
-        return []
+        raw = []
     if not isinstance(raw, list):
         raise ScenarioError(f"{path}: expected a list")
-    items = []
-    for i, item in enumerate(raw):
-        where = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise ScenarioError(f"{where}: expected a mapping")
-        for key in item:
-            if key not in _INTERFERER_SCHEMA:
-                raise ScenarioError(f"{where}.{key}: unknown key")
-        out = {}
-        for key, spec in _INTERFERER_SCHEMA.items():
-            if key in item:
-                out[key] = spec.resolve(f"{where}.{key}", item[key])
-            elif spec.default is None:
-                raise ScenarioError(f"{where}.{key}: required field missing")
-            else:
-                out[key] = spec.default
-        items.append(out)
-    return items
+    if required and not raw:
+        raise ScenarioError(f"{path}: at least one entry is required")
+    return [_resolve_section(schema, item, f"{path}[{i}]")
+            for i, item in enumerate(raw)]
 
 
 def _resolve_rx_overrides(raw, path: str, base: dict) -> dict:
@@ -302,14 +264,6 @@ class Scenario:
     reference: tuple[float, float] | None
     calibration_file: str | None
     out_dir: Path
-
-    @property
-    def params(self) -> RadarParams:
-        return self.params_nb if self.mode is Mode.NB_DSSS else self.params_uwb
-
-    @property
-    def rx_config(self) -> ReceiverConfig:
-        return self.rx_nb if self.mode is Mode.NB_DSSS else self.rx_uwb
 
     def rx_for(self, mode: Mode) -> ReceiverConfig:
         return self.rx_nb if mode is Mode.NB_DSSS else self.rx_uwb
@@ -366,44 +320,20 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
         # run manifest: the scenario sits under its own key, metadata beside it
         data = data["scenario"]
     cfg = _resolve_section(_SCHEMA, data, "")
-    cfg["scene"]["target"]["points"] = _resolve_points(
-        (data.get("scene") or {}).get("target", {}).get("points"),
-        "scene.target.points")
-    cfg["scene"]["interferers"] = _resolve_interferers(
-        (data.get("scene") or {}).get("interferers"), "scene.interferers")
+    target = cfg["scene"]["target"]
+    target["points"] = _resolve_list(target["points"], "scene.target.points",
+                                     _POINT_SCHEMA, required=True)
+    cfg["scene"]["interferers"] = _resolve_list(
+        cfg["scene"]["interferers"], "scene.interferers", _INTERFERER_SCHEMA,
+        required=False)
 
-    radar = cfg["radar"]
-    nb = radar["nb"]
-    if not (300e6 <= nb["carrier_hz"] <= 3000e6):
-        raise ScenarioError(
-            f"radar.nb.carrier_hz: carrier outside 300-3000 MHz "
-            f"(got {nb['carrier_hz']:g} Hz)")
-    if nb["pulse_width_s"] >= nb["pri_s"]:
-        raise ScenarioError(
-            f"radar.nb.pulse_width_s ({nb['pulse_width_s']:g} s) must be "
-            f"smaller than radar.nb.pri_s ({nb['pri_s']:g} s)")
-    uwb = radar["uwb"]
-    if uwb["sample_rate_hz"] < 10.0 / uwb["monocycle_width_s"]:
-        raise ScenarioError(
-            "radar.uwb.sample_rate_hz: monocycle would be undersampled")
-
-    params_nb = RadarParams(carrier_hz=nb["carrier_hz"],
-                            chip_rate_hz=nb["chip_rate_hz"],
-                            samples_per_chip=nb["samples_per_chip"],
-                            pulse_width_s=nb["pulse_width_s"],
-                            pri_s=nb["pri_s"], mode=Mode.NB_DSSS)
-    sigma_uwb = uwb["monocycle_width_s"] / 2.0
-    support = 8.0 * sigma_uwb
-    if support >= uwb["pri_s"]:
-        raise ScenarioError(
-            f"radar.uwb.pri_s ({uwb['pri_s']:g} s) must exceed the truncated "
-            f"monocycle support ({support:g} s)")
-    params_uwb = RadarParams(carrier_hz=0.0, chip_rate_hz=1.0 / uwb["pri_s"],
-                             samples_per_chip=2,
-                             pulse_width_s=support, pri_s=uwb["pri_s"],
-                             mode=Mode.DS_UWB,
-                             monocycle_width_s=uwb["monocycle_width_s"],
-                             sample_rate_hz=uwb["sample_rate_hz"])
+    params = {}
+    for name, build in (("nb", nb_params), ("uwb", uwb_params)):
+        try:
+            params[name] = build(**cfg["radar"][name])
+        except ValueError as exc:
+            raise ScenarioError(f"radar.{name}: {exc}") from exc
+    params_nb, params_uwb = params["nb"], params["uwb"]
 
     pn = _build_code(cfg["code"])
     if cfg["code"]["chips_per_bit"] > pn.length:
@@ -481,7 +411,7 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
             f"experiment.reference: required for the {kind.value} experiment "
             "(or provide experiment.calibration_file)")
 
-    mode = Mode.NB_DSSS if radar["mode"] == "nb" else Mode.DS_UWB
+    mode = Mode.NB_DSSS if cfg["radar"]["mode"] == "nb" else Mode.DS_UWB
     return Scenario(raw=cfg, source=source, seed=seed, mode=mode,
                     params_nb=params_nb, params_uwb=params_uwb, pn=pn,
                     chips_per_bit=cfg["code"]["chips_per_bit"], scene=scene,

@@ -97,7 +97,8 @@ class RadarParams:
         if self.mode is Mode.NB_DSSS:
             if not (NB_CARRIER_MIN_HZ <= self.carrier_hz <= NB_CARRIER_MAX_HZ):
                 raise ValueError(
-                    f"carrier_hz {self.carrier_hz:g} outside 300-3000 MHz band")
+                    f"carrier_hz: carrier outside 300-3000 MHz "
+                    f"(got {self.carrier_hz:g} Hz)")
             if self.chip_rate_hz <= 0:
                 raise ValueError("chip_rate_hz must be positive")
             if self.samples_per_chip < 2:
@@ -111,6 +112,14 @@ class RadarParams:
                 raise ValueError("monocycle_width_s must be positive")
             if not self.sample_rate_hz:
                 object.__setattr__(self, "sample_rate_hz", 100e9)
+            if self.sample_rate_hz < 10.0 / self.monocycle_width_s:
+                raise ValueError(
+                    f"sample_rate_hz {self.sample_rate_hz:g} undersamples a "
+                    f"{self.monocycle_width_s:g} s monocycle")
+            if not self.monocycle_support_s < self.pri_s:
+                raise ValueError(
+                    f"pri_s {self.pri_s:g} is not longer than the truncated "
+                    f"monocycle support {self.monocycle_support_s:g}")
         if self.pulse_width_s <= 0:
             raise ValueError("pulse_width_s must be positive")
         if not self.pulse_width_s < self.pri_s:
@@ -203,8 +212,6 @@ def _pulse_mask(n: int, fs: float, t0: float, pri_s: float, width_s: float) -> n
 
 def gate_pulse(s: SampleStream, params: RadarParams) -> SampleStream:
     """Chop a stream into pulses: samples inside [m*PRI, m*PRI + tau) pass."""
-    if not params.pulse_width_s < params.pri_s:
-        raise ValueError("pulse width must be shorter than the PRI")
     if s.duration < params.pri_s:
         raise ValueError("stream must cover at least one PRI")
     mask = _pulse_mask(len(s), s.sample_rate, s.t0, params.pri_s,
@@ -220,9 +227,6 @@ def gaussian_monocycle(params: RadarParams) -> SampleStream:
     """
     sigma = params.monocycle_sigma_s
     fs = params.sample_rate_hz
-    if fs < 10.0 / params.monocycle_width_s:
-        raise ValueError(
-            f"sample rate {fs:g} undersamples a {params.monocycle_width_s:g} s monocycle")
     half = int(round(MONOCYCLE_TRUNC_SIGMAS * sigma * fs))
     t = (np.arange(2 * half + 1) - half) / fs
     pulse = -t * np.exp(-t ** 2 / (2.0 * sigma ** 2))
@@ -235,10 +239,6 @@ def ds_uwb_train(code: PnSequence, params: RadarParams) -> SampleStream:
     """One monocycle per PRI slot, polarity-coded: each pulse is
     multiplied by its chip sign.  The train spans code.length PRIs."""
     fs = params.sample_rate_hz
-    support = params.monocycle_support_s
-    if params.pri_s < support:
-        raise ValueError(
-            f"pri_s {params.pri_s:g} shorter than the monocycle support {support:g}")
     pulse = gaussian_monocycle(params).samples.real
     pri_samples = int(round(params.pri_s * fs))
     out = np.zeros(code.length * pri_samples, dtype=np.complex128)

@@ -2,6 +2,7 @@
 manifest round trip."""
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -261,9 +262,23 @@ class TestCliEntry:
         assert (tmp_path / "out" / "profile.csv").exists()
 
     def test_exit_two_on_validation_failure(self, tmp_path, capsys):
-        path = _write(tmp_path, MINIMAL + "volume: 11\n")
-        assert main([str(path)]) == 2
-        assert "unknown key" in capsys.readouterr().err
+        cases = {
+            "unknown key": MINIMAL + "volume: 11\n",
+            "radar.uwb: sample_rate_hz 1e+10 undersamples": MINIMAL.replace(
+                "radar: {mode: uwb}",
+                "radar: {mode: uwb, uwb: {sample_rate_hz: 1.0e+10}}"),
+            "radar.uwb: pri_s 1e-09 is not longer than the truncated "
+            "monocycle support": MINIMAL.replace(
+                "radar: {mode: uwb}", "radar: {mode: uwb, uwb: {pri_s: 1.0e-9}}"),
+        }
+        for i, (message, text) in enumerate(cases.items()):
+            path = _write(tmp_path, text, f"case{i}.yaml")
+            with pytest.raises(ScenarioError, match=re.escape(message)):
+                load_scenario(path)
+            out = tmp_path / f"out{i}"
+            assert main([str(path), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()  # rejected before any synthesis
 
     def test_exit_three_on_model_error(self, tmp_path, capsys):
         text = SERIES + "receiver: {gate_min_m: 1.0, gate_max_m: 2.0}\n"
