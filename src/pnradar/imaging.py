@@ -14,6 +14,7 @@ section as their plain sum.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -464,20 +465,12 @@ def scan_image(scene: Scene, params: RadarParams, cal: Calibration,
                                       range_m=p.range_m,
                                       cross_range_m=p.cross_range_m,
                                       pol_matrix=p.pol_matrix))
-        if weighted:
-            pointed = Scene(target=TargetModel(points=tuple(weighted)),
-                            noise_psd=scene.noise_psd,
-                            direct_path_gain=scene.direct_path_gain,
-                            sweep_phase_jitter_rad=scene.sweep_phase_jitter_rad,
-                            rng_seed=scene.rng_seed)
-        else:
-            # keep a zero-strength placeholder so the row is noise only
-            pointed = Scene(target=TargetModel(points=(
-                Scatterer(sigma_m2=0.0, range_m=scene.all_points[0].range_m),)),
-                noise_psd=scene.noise_psd,
-                direct_path_gain=scene.direct_path_gain,
-                sweep_phase_jitter_rad=scene.sweep_phase_jitter_rad,
-                rng_seed=scene.rng_seed)
+        # clutter is already weighted into the target; a row with no point
+        # in the beam keeps a zero-strength placeholder
+        points = tuple(weighted) or (
+            Scatterer(sigma_m2=0.0, range_m=scene.all_points[0].range_m),)
+        pointed = dataclasses.replace(scene, target=TargetModel(points=points),
+                                      clutter=())
         prof = pipeline.profile(pointed, pol, sweep_index=row_idx)
         if ranges is None:
             ranges = prof.ranges_m

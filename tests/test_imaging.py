@@ -1,12 +1,14 @@
 """Imaging tests: closed-form cross-section models, profile formation,
 detection, calibration identities, estimator behaviour, sweeps, scans."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pnradar import (Calibration, Mode, NoDetections, Pol, RangeProfile,
+from pnradar import (Calibration, Interferer, Mode, NoDetections, Pol,
+                     RangeProfile,
                      ReceiverConfig, Scatterer, Scene, SweepPipeline,
                      TargetModel, calibrate, detect_scatterers, estimate_rcs,
                      gen_clutter, gen_mseq, matched_window_bins, nb_params,
@@ -412,3 +414,19 @@ class TestScanImage:
         with pytest.raises(ValueError, match="beamwidth"):
             self._image((Scatterer(sigma_m2=1e-3, range_m=10.0),),
                         step=3.0, bw=2.0)
+
+    def test_scene_interferers_reach_every_row(self, nb_setup):
+        params, pn, cfg, pipeline, cal = nb_setup
+        quiet = Scene(target=target((SIGMA_REF, R_REF)))
+        jammed = dataclasses.replace(
+            quiet, interferers=(Interferer(freq_hz=1.003e9, power_w=1.0),))
+        clean, noisy = (scan_image(scene, params, cal, 1.0, 2.0, pn,
+                                   rx_config=cfg, az_span_deg=2.0)
+                        for scene in (quiet, jammed))
+        for row_clean, row_noisy in zip(clean.power, noisy.power):
+            assert not np.array_equal(row_clean, row_noisy)
+        # the on-axis row is the jammed scene's own profile, calibrated
+        i0 = list(noisy.azimuths_deg).index(0.0)
+        prof = pipeline.profile(jammed, Pol.VV, sweep_index=i0)
+        assert np.array_equal(noisy.power[i0],
+                              cal.gain * prof.power * prof.ranges_m ** 4)
