@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except (ScenarioError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoDetections, ValueError, RuntimeError) as exc:
+    except (NoDetections, ValueError, RuntimeError, OSError) as exc:
         print(f"error [{scenario.experiment.value}]: {exc}", file=sys.stderr)
         return 3
     return 0

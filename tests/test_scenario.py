@@ -287,6 +287,16 @@ class TestCliEntry:
         assert rc == 3
         assert "no scatterer detected" in capsys.readouterr().err
 
+    def test_exit_three_on_unwritable_out(self, tmp_path, capsys):
+        path = _write(tmp_path, MINIMAL)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        rc = main([str(path), "--out", str(blocker / "sub"), "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [profile]: ")
+        assert "Traceback" not in err
+
     def test_mode_and_experiment_overrides(self, tmp_path):
         path = _write(tmp_path, MINIMAL)
         rc = main([str(path), "--out", str(tmp_path / "out"), "--quiet",
