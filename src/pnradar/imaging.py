@@ -14,9 +14,8 @@ section as their plain sum.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -469,8 +468,7 @@ def scan_image(scene: Scene, params: RadarParams, cal: Calibration,
         # in the beam keeps a zero-strength placeholder
         points = tuple(weighted) or (
             Scatterer(sigma_m2=0.0, range_m=scene.all_points[0].range_m),)
-        pointed = dataclasses.replace(scene, target=TargetModel(points=points),
-                                      clutter=())
+        pointed = replace(scene, target=TargetModel(points=points), clutter=())
         prof = pipeline.profile(pointed, pol, sweep_index=row_idx)
         if ranges is None:
             ranges = prof.ranges_m
