@@ -3,7 +3,6 @@ impulse imaging radar, from waveform synthesis through a cluttered
 channel to range profiling and cross-section estimation."""
 
 from .codes import (CodeKind, PnSequence, gen_gold, gen_mseq, manual_sequence,
-                    periodic_autocorrelation, periodic_crosscorrelation,
                     PREFERRED_PAIRS)
 from .waveform import (Mode, RadarParams, SampleStream, SPEED_OF_LIGHT,
                        ds_uwb_train, gate_pulse, gaussian_monocycle, nb_params,
@@ -11,13 +10,13 @@ from .waveform import (Mode, RadarParams, SampleStream, SPEED_OF_LIGHT,
 from .channel import (Interferer, InterfererKind, Pol, Scatterer, Scene,
                       TargetModel, add_interferer, gen_clutter,
                       identity_pol_matrix, propagate, scattering_amplitude)
-from .receiver import (CorrelationStream, despread, processing_gain,
-                       qpsk_demod, rx_gate, sample_hold, uwb_correlate)
+from .receiver import (despread, processing_gain, qpsk_demod, rx_gate,
+                       uwb_correlate)
 from .imaging import (Calibration, Detection, NoDetections, RangeProfile,
                       RcsEstimate, ReceiverConfig, ScanImage, SweepPipeline,
                       calibrate, detect_scatterers, estimate_rcs,
-                      make_waveform, matched_window_bins, polarimetric_scan,
-                      pulse_volume_depth, range_profile, rcs_nb, rcs_uwb,
-                      scan_image, self_calibrate, sweep_series)
+                      make_waveform, matched_window_bins, pulse_volume_depth,
+                      range_profile, rcs_nb, rcs_uwb, scan_image,
+                      self_calibrate)
 
 __version__ = "0.1.0"

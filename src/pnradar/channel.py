@@ -218,6 +218,17 @@ def add_interferer(s: SampleStream, freq_hz: float, power_w: float,
     return s.with_samples(s.samples + extra)
 
 
+def check_unambiguous_range(points: tuple[Scatterer, ...],
+                            params: RadarParams) -> None:
+    """Every scatterer must lie within the unambiguous range c*PRI/2."""
+    r_max = params.unambiguous_range_m
+    for k, p in enumerate(points):
+        if p.range_m > r_max:
+            raise ValueError(
+                f"scatterer {k} at {p.range_m:g} m exceeds the unambiguous "
+                f"range {r_max:g} m set by the PRI")
+
+
 def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
               sweep_index: int = 0) -> SampleStream:
     """Propagate a transmit stream through the scene for one sweep.
@@ -234,12 +245,7 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     fs = tx.sample_rate
     n = len(tx)
     points = scene.all_points
-    r_max = params.unambiguous_range_m
-    for k, p in enumerate(points):
-        if p.range_m > r_max:
-            raise ValueError(
-                f"scatterer {k} at {p.range_m:g} m exceeds the unambiguous "
-                f"range {r_max:g} m set by the PRI")
+    check_unambiguous_range(points, params)
 
     out = np.zeros(n, dtype=np.complex128)
     if scene.direct_path_gain:
@@ -272,4 +278,4 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         out += np.sqrt(sigma2 / 2.0) * noise
 
-    return SampleStream(out, fs, tx.carrier_hz, tx.t0)
+    return SampleStream(out, fs, tx.carrier_hz)

@@ -20,20 +20,17 @@ import numpy as np
 import yaml
 
 from . import __version__
+from .channel import Pol
 from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
                       ScanImage, SweepPipeline, calibrate, scan_image,
-                      polarimetric_scan, self_calibrate)
+                      self_calibrate)
 from .scenario import ExperimentKind, Scenario, ScenarioError, load_scenario, \
     resolve_scenario
 from .waveform import Mode
 
-_FMT = "%.12g"
-
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    return _FMT % x
+    return "%.12g" % x
 
 
 def _db(p: float, floor: float = 1e-30) -> float:
@@ -61,10 +58,9 @@ def write_series_csv(path: Path, estimates: list[RcsEstimate]) -> None:
 
 
 def write_image_csv(path: Path, image: ScanImage) -> None:
-    rows = []
-    for i, az in enumerate(image.azimuths_deg):
-        for j, rng_m in enumerate(image.ranges_m):
-            rows.append((_fmt(az), _fmt(rng_m), _fmt(_db(image.power[i, j]))))
+    rows = ((_fmt(az), _fmt(rng_m), _fmt(_db(p)))
+            for az, row in zip(image.azimuths_deg, image.power)
+            for rng_m, p in zip(image.ranges_m, row))
     _write_csv(path, "az_deg,range_m,power_db", rows)
 
 
@@ -181,20 +177,18 @@ def run(scenario: Scenario, quiet: bool = False) -> list[Path]:
             write_series_csv(path, estimates)
             written.append(path)
         elif kind is ExperimentKind.POLARIMETRIC:
-            profiles = polarimetric_scan(scenario.scene,
-                                         scenario.params_for(mode),
-                                         scenario.pn, scenario.chips_per_bit,
-                                         scenario.rx_for(mode))
-            for pol, profile in profiles.items():
+            # all four channels share sweep 0, hence the same noise and
+            # jitter draws; only the scattering-matrix entries differ
+            pipeline = _pipeline(scenario, mode)
+            for pol in Pol:
                 path = out_dir / f"profile_{pol.value}.csv"
-                write_profile_csv(path, profile)
+                write_profile_csv(path, pipeline.profile(scenario.scene, pol))
                 written.append(path)
         elif kind is ExperimentKind.SCAN_IMAGE:
             cal = _calibration_for(scenario, mode)
-            image = scan_image(scenario.scene, scenario.params_for(mode), cal,
+            image = scan_image(_pipeline(scenario, mode), scenario.scene, cal,
                                scenario.azimuth_step_deg,
-                               scenario.beamwidth_deg, scenario.pn,
-                               scenario.chips_per_bit, scenario.rx_for(mode),
+                               scenario.beamwidth_deg,
                                az_span_deg=scenario.azimuth_span_deg,
                                pol=scenario.pol)
             path = out_dir / "image.csv"

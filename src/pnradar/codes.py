@@ -183,19 +183,3 @@ def manual_sequence(chips) -> PnSequence:
     return PnSequence(chips=np.asarray(chips), kind=CodeKind.MANUAL,
                       generator={}, verified_primitive=False)
 
-
-def periodic_autocorrelation(pn: PnSequence) -> np.ndarray:
-    """Periodic (circular) autocorrelation for every lag 0..N-1."""
-    chips = pn.chips.astype(np.int64)
-    return np.array([int(np.dot(chips, np.roll(chips, lag)))
-                     for lag in range(chips.size)], dtype=np.int64)
-
-
-def periodic_crosscorrelation(a: PnSequence, b: PnSequence) -> np.ndarray:
-    """Periodic cross-correlation of two equal-length sequences."""
-    if a.length != b.length:
-        raise ValueError("sequences must have equal length")
-    ca = a.chips.astype(np.int64)
-    cb = b.chips.astype(np.int64)
-    return np.array([int(np.dot(ca, np.roll(cb, lag)))
-                     for lag in range(ca.size)], dtype=np.int64)

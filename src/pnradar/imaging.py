@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence
-from .receiver import CorrelationStream, rx_gate, uwb_correlate
+from .receiver import rx_gate, uwb_correlate
 from .waveform import (Mode, RadarParams, SampleStream, SPEED_OF_LIGHT,
                        gate_pulse, ds_uwb_train, qpsk_baseband, spread)
 
@@ -69,7 +69,6 @@ class Detection:
     range_m: float
     power: float
     value: complex
-    bin_index: int
 
 
 @dataclass(frozen=True)
@@ -135,24 +134,23 @@ def pulse_volume_depth(tau_s: float, c_m_per_s: float = SPEED_OF_LIGHT) -> float
     return c_m_per_s * tau_s
 
 
-def range_profile(c: CorrelationStream, params: RadarParams,
+def range_profile(values: np.ndarray, params: RadarParams,
                   blank_width_s: float = 0.0, max_range_m: float | None = None,
                   pol: Pol | None = None, sweep_index: int = 0) -> RangeProfile:
-    """Map correlation lags to two-way range.
+    """Map correlation lags (one per sample, from lag 0) to two-way range.
 
     Bins blanked by the receive gate (range < c*blank/2) are dropped, as
-    are negative lags and, optionally, ranges beyond ``max_range_m``.
+    are, optionally, ranges beyond ``max_range_m``.
     """
-    if len(c) == 0:
-        raise ValueError("correlation stream is empty")
-    lags = c.lags_s()
-    ranges = SPEED_OF_LIGHT * lags / 2.0
-    lo = SPEED_OF_LIGHT * blank_width_s / 2.0
-    keep = ranges >= max(lo, 0.0)
+    if len(values) == 0:
+        raise ValueError("correlation is empty")
+    lag_s = 1.0 / params.sample_rate_hz
+    ranges = SPEED_OF_LIGHT * (np.arange(len(values)) * lag_s) / 2.0
+    keep = ranges >= SPEED_OF_LIGHT * blank_width_s / 2.0
     if max_range_m is not None:
         keep &= ranges <= max_range_m
-    return RangeProfile(ranges_m=ranges[keep], values=c.values[keep],
-                        bin_width_m=SPEED_OF_LIGHT * c.lag_resolution_s / 2.0,
+    return RangeProfile(ranges_m=ranges[keep], values=values[keep],
+                        bin_width_m=SPEED_OF_LIGHT * lag_s / 2.0,
                         pol=pol, sweep_index=sweep_index)
 
 
@@ -197,8 +195,7 @@ def detect_scatterers(profile: RangeProfile, threshold_db_above_noise: float,
         weights = power[run]
         centroid = float(np.average(profile.ranges_m[run], weights=weights))
         detections.append(Detection(range_m=centroid, power=float(p),
-                                    value=complex(profile.values[i]),
-                                    bin_index=i))
+                                    value=complex(profile.values[i])))
         i = j + 1
     return detections
 
@@ -350,8 +347,8 @@ class SweepPipeline:
         cfg = self.rx_config
         if cfg.blank_width_s > 0:
             rx = rx_gate(rx, self.params, cfg.blank_width_s)
-        corr = uwb_correlate(rx, self.template)
-        return range_profile(corr, self.params, blank_width_s=cfg.blank_width_s,
+        return range_profile(uwb_correlate(rx, self.template), self.params,
+                             blank_width_s=cfg.blank_width_s,
                              max_range_m=cfg.max_range_m, pol=pol,
                              sweep_index=sweep_index)
 
@@ -366,8 +363,11 @@ class SweepPipeline:
 
     def series(self, scene: Scene, cal: Calibration, m_sweeps: int,
                pol: Pol = Pol.VV) -> list[RcsEstimate]:
-        """Estimate the cross section of a fixed scene over sweeps
-        0 .. m_sweeps-1."""
+        """Estimate the cross section over sweeps 0 .. m_sweeps-1.
+
+        Sweep k uses RNG streams derived from (scene seed, k), so phase
+        jitter and noise refresh per sweep while the scene stays fixed.
+        """
         return [self.estimate(scene, cal, pol, sweep_index=k)
                 for k in range(m_sweeps)]
 
@@ -382,36 +382,6 @@ def self_calibrate(params: RadarParams, pn: PnSequence,
     pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
     prof = pipeline.profile(reference)
     return calibrate(prof, sigma_ref_m2, range_ref_m)
-
-
-def sweep_series(scene: Scene, params: RadarParams, cal: Calibration,
-                 m_sweeps: int, pn: PnSequence,
-                 chips_per_bit: int | None = None,
-                 rx_config: ReceiverConfig | None = None,
-                 pol: Pol = Pol.VV) -> list[RcsEstimate]:
-    """Estimate the cross section over M independent sweeps.
-
-    Sweep k uses RNG streams derived from (scene seed, k), so phase
-    jitter and noise refresh per sweep while the scene stays fixed.
-    """
-    if m_sweeps < 2:
-        raise ValueError("a sweep series needs at least 2 sweeps")
-    pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
-    return pipeline.series(scene, cal, m_sweeps, pol)
-
-
-def polarimetric_scan(scene: Scene, params: RadarParams, pn: PnSequence,
-                      chips_per_bit: int | None = None,
-                      rx_config: ReceiverConfig | None = None,
-                      sweep_index: int = 0) -> dict[Pol, RangeProfile]:
-    """One profile per tx/rx polarization pair.
-
-    All four runs share the sweep index, hence identical noise and
-    jitter draws; only the scattering-matrix entries differ.
-    """
-    pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
-    return {pol: pipeline.profile(scene, pol, sweep_index)
-            for pol in (Pol.VV, Pol.HH, Pol.VH, Pol.HV)}
 
 
 @dataclass(frozen=True)
@@ -432,10 +402,8 @@ def _beam_weight(delta_deg: np.ndarray, beamwidth_deg: float) -> np.ndarray:
     return np.exp(-4.0 * np.log(2.0) * (delta_deg / beamwidth_deg) ** 2)
 
 
-def scan_image(scene: Scene, params: RadarParams, cal: Calibration,
+def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
                azimuth_step_deg: float, beamwidth_deg: float,
-               pn: PnSequence, chips_per_bit: int | None = None,
-               rx_config: ReceiverConfig | None = None,
                az_span_deg: float | None = None,
                pol: Pol = Pol.VV) -> ScanImage:
     """Mechanical azimuth raster: weight the scene by the beam, profile,
@@ -450,7 +418,6 @@ def scan_image(scene: Scene, params: RadarParams, cal: Calibration,
     n_steps = int(math.ceil(az_span_deg / azimuth_step_deg))
     azimuths = np.arange(-n_steps, n_steps + 1) * azimuth_step_deg
 
-    pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
     rows = []
     ranges = None
     for row_idx, az in enumerate(azimuths):

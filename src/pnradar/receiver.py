@@ -1,5 +1,5 @@
 """Receive chains: blanking gate, despreading, QPSK demodulation, and the
-sliding correlator with sample-and-hold pickoff.
+sliding correlator.
 
 Synchronization is genie-aided: chip, symbol and sweep timing are taken
 from the common simulation clock, which matches an instrument that
@@ -10,8 +10,6 @@ chip-lattice multiply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import signal
 
@@ -19,37 +17,9 @@ from .codes import PnSequence
 from .waveform import RadarParams, SampleStream, _pulse_mask
 
 
-@dataclass(frozen=True)
-class CorrelationStream:
-    """Sliding-correlator output; one complex value per lag bin."""
-
-    values: np.ndarray
-    lag_resolution_s: float
-    t0_s: float = 0.0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 1:
-            raise ValueError("values must be 1-D")
-        if not self.lag_resolution_s > 0:
-            raise ValueError("lag_resolution_s must be positive")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    def lags_s(self) -> np.ndarray:
-        return self.t0_s + np.arange(self.values.size) * self.lag_resolution_s
-
-
-def rx_gate(s: SampleStream, params: RadarParams,
-            blank_width_s: float) -> SampleStream:
-    """Blank the receiver while the transmitter fires.
-
-    Samples inside [m*PRI, m*PRI + blank) are zeroed; the gate must cover
-    at least the transmit pulse and re-open within every PRI.
-    """
+def check_blank_width(params: RadarParams, blank_width_s: float) -> None:
+    """The receive gate must cover the transmit pulse and re-open within
+    every PRI."""
     if blank_width_s < params.pulse_width_s:
         raise ValueError(
             f"blank width {blank_width_s:g} s is shorter than the transmit "
@@ -58,7 +28,14 @@ def rx_gate(s: SampleStream, params: RadarParams,
         raise ValueError(
             f"blank width {blank_width_s:g} s covers the whole PRI "
             f"{params.pri_s:g} s; the receiver would never open")
-    mask = _pulse_mask(len(s), s.sample_rate, s.t0, params.pri_s, blank_width_s)
+
+
+def rx_gate(s: SampleStream, params: RadarParams,
+            blank_width_s: float) -> SampleStream:
+    """Blank the receiver while the transmitter fires: samples inside
+    [m*PRI, m*PRI + blank) are zeroed (see check_blank_width)."""
+    check_blank_width(params, blank_width_s)
+    mask = _pulse_mask(len(s), s.sample_rate, params.pri_s, blank_width_s)
     return s.with_samples(np.where(mask, 0.0, s.samples))
 
 
@@ -96,9 +73,10 @@ def qpsk_demod(s: SampleStream, params: RadarParams,
     return i_bits, q_bits
 
 
-def uwb_correlate(rx: SampleStream, template: SampleStream) -> CorrelationStream:
+def uwb_correlate(rx: SampleStream, template: SampleStream) -> np.ndarray:
     """Sliding inner product <rx[n+k], template[k]> over all full overlaps.
 
+    Returns one complex value per lag of one sample, starting at lag 0.
     The template is conjugated, so a matched template yields the complex
     echo amplitude at the peak lag.  FFT evaluation is used; it matches
     the direct form to floating-point accuracy.
@@ -109,25 +87,8 @@ def uwb_correlate(rx: SampleStream, template: SampleStream) -> CorrelationStream
             f"stream ({len(rx)} samples)")
     if template.sample_rate != rx.sample_rate:
         raise ValueError("rx and template sample rates differ")
-    values = signal.correlate(rx.samples, template.samples, mode="valid",
-                              method="fft")
-    return CorrelationStream(values=values, lag_resolution_s=1.0 / rx.sample_rate,
-                             t0_s=rx.t0 - template.t0)
-
-
-def sample_hold(c: CorrelationStream, gate_times_s) -> np.ndarray:
-    """Pick correlation values at the gate instants (nearest lag bin)."""
-    out = np.empty(len(gate_times_s), dtype=np.complex128)
-    span = (len(c) - 1) * c.lag_resolution_s
-    for i, t in enumerate(gate_times_s):
-        offset = t - c.t0_s
-        if offset < -c.lag_resolution_s / 2 or offset > span + c.lag_resolution_s / 2:
-            raise ValueError(
-                f"gate at {t:g} s lies outside the correlation span "
-                f"[{c.t0_s:g}, {c.t0_s + span:g}] s")
-        idx = int(np.clip(round(offset / c.lag_resolution_s), 0, len(c) - 1))
-        out[i] = c.values[idx]
-    return out
+    return signal.correlate(rx.samples, template.samples, mode="valid",
+                            method="fft")
 
 
 def processing_gain(pn: PnSequence, chips_per_bit: int) -> float:

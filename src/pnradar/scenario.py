@@ -17,9 +17,10 @@ import numpy as np
 import yaml
 
 from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
-    TargetModel, gen_clutter
+    TargetModel, check_unambiguous_range, gen_clutter
 from .codes import PnSequence, gen_gold, gen_mseq
 from .imaging import ReceiverConfig
+from .receiver import check_blank_width
 from .waveform import Mode, RadarParams, nb_params, uwb_params
 
 
@@ -343,14 +344,14 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
 
     seed = cfg["seed"]
     clut_cfg = cfg["scene"]["clutter"]
-    if clut_cfg["seed"] is None:
-        clut_cfg["seed"] = seed
+    # a null clutter seed stays null so that --seed redraws the clutter too
+    clutter_seed = seed if clut_cfg["seed"] is None else clut_cfg["seed"]
     if clut_cfg["range_max_m"] < clut_cfg["range_min_m"]:
         raise ScenarioError(
             "scene.clutter.range_max_m must be >= scene.clutter.range_min_m")
     clutter = gen_clutter((clut_cfg["range_min_m"], clut_cfg["range_max_m"]),
                           clut_cfg["count"], clut_cfg["mean_sigma_m2"],
-                          clut_cfg["seed"]) if clut_cfg["count"] else ()
+                          clutter_seed) if clut_cfg["count"] else ()
 
     try:
         points = tuple(
@@ -411,28 +412,46 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
             f"experiment.reference: required for the {kind.value} experiment "
             "(or provide experiment.calibration_file)")
 
-    mode = Mode.NB_DSSS if cfg["radar"]["mode"] == "nb" else Mode.DS_UWB
-    return Scenario(raw=cfg, source=source, seed=seed, mode=mode,
-                    params_nb=params_nb, params_uwb=params_uwb, pn=pn,
-                    chips_per_bit=cfg["code"]["chips_per_bit"], scene=scene,
-                    rx_nb=rx_nb, rx_uwb=rx_uwb, experiment=kind,
-                    sweeps=exp["sweeps"], pol=Pol(exp["polarization"]),
-                    azimuth_step_deg=exp["azimuth_step_deg"],
-                    beamwidth_deg=exp["beamwidth_deg"],
-                    azimuth_span_deg=exp["azimuth_span_deg"],
-                    reference=reference,
-                    calibration_file=exp["calibration_file"],
-                    out_dir=Path(cfg["output"]["directory"]))
+    mode = Mode(cfg["radar"]["mode"])
+    scenario = Scenario(
+        raw=cfg, source=source, seed=seed, mode=mode, params_nb=params_nb,
+        params_uwb=params_uwb, pn=pn,
+        chips_per_bit=cfg["code"]["chips_per_bit"], scene=scene, rx_nb=rx_nb,
+        rx_uwb=rx_uwb, experiment=kind, sweeps=exp["sweeps"],
+        pol=Pol(exp["polarization"]),
+        azimuth_step_deg=exp["azimuth_step_deg"],
+        beamwidth_deg=exp["beamwidth_deg"],
+        azimuth_span_deg=exp["azimuth_span_deg"], reference=reference,
+        calibration_file=exp["calibration_file"],
+        out_dir=Path(cfg["output"]["directory"]))
+
+    # rules the sweep chain enforces, checked here for the chains this
+    # experiment runs so that a violation exits before any synthesis
+    chains = list(Mode) if kind is ExperimentKind.COMPARE_MODES else [mode]
+    for chain in chains:
+        params = scenario.params_for(chain)
+        blank = scenario.rx_for(chain).blank_width_s
+        try:
+            if blank > 0:
+                check_blank_width(params, blank)
+        except ValueError as exc:
+            raise ScenarioError(f"receiver.blank_width_s ({chain.value} "
+                                f"chain): {exc}") from exc
+        try:
+            check_unambiguous_range(scene.all_points, params)
+        except ValueError as exc:
+            raise ScenarioError(f"scene ({chain.value} chain): {exc}") from exc
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario (or run-manifest) file."""
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
     try:
         with open(path, "r") as fh:
             data = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ScenarioError(f"{path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

@@ -32,16 +32,14 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class SampleStream:
-    """Uniformly sampled complex baseband signal.
-
-    ``carrier_hz`` tags the center frequency the baseband represents;
-    ``t0`` is the absolute time of the first sample.
+    """Uniformly sampled complex baseband signal; the first sample is at
+    time 0.  ``carrier_hz`` tags the center frequency the baseband
+    represents.
     """
 
     samples: np.ndarray
     sample_rate: float  # Hz
     carrier_hz: float = 0.0
-    t0: float = 0.0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
@@ -68,11 +66,8 @@ class SampleStream:
             return 0.0
         return float(np.mean(np.abs(self.samples) ** 2))
 
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.sample_rate
-
     def with_samples(self, samples: np.ndarray) -> "SampleStream":
-        return SampleStream(samples, self.sample_rate, self.carrier_hz, self.t0)
+        return SampleStream(samples, self.sample_rate, self.carrier_hz)
 
 
 @dataclass(frozen=True)
@@ -204,9 +199,9 @@ def qpsk_baseband(i_chips, q_chips, params: RadarParams) -> SampleStream:
     return SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
 
 
-def _pulse_mask(n: int, fs: float, t0: float, pri_s: float, width_s: float) -> np.ndarray:
+def _pulse_mask(n: int, fs: float, pri_s: float, width_s: float) -> np.ndarray:
     """True for samples whose time falls in [m*PRI, m*PRI + width)."""
-    t = t0 + np.arange(n) / fs
+    t = np.arange(n) / fs
     return np.mod(t, pri_s) < width_s
 
 
@@ -214,7 +209,7 @@ def gate_pulse(s: SampleStream, params: RadarParams) -> SampleStream:
     """Chop a stream into pulses: samples inside [m*PRI, m*PRI + tau) pass."""
     if s.duration < params.pri_s:
         raise ValueError("stream must cover at least one PRI")
-    mask = _pulse_mask(len(s), s.sample_rate, s.t0, params.pri_s,
+    mask = _pulse_mask(len(s), s.sample_rate, params.pri_s,
                        params.pulse_width_s)
     return s.with_samples(np.where(mask, s.samples, 0.0))
 
@@ -232,7 +227,7 @@ def gaussian_monocycle(params: RadarParams) -> SampleStream:
     pulse = -t * np.exp(-t ** 2 / (2.0 * sigma ** 2))
     peak = sigma * np.exp(-0.5)  # extrema at t = +/-sigma
     samples = (pulse / peak).astype(np.complex128)
-    return SampleStream(samples, fs, params.carrier_hz, t0=-half / fs)
+    return SampleStream(samples, fs, params.carrier_hz)
 
 
 def ds_uwb_train(code: PnSequence, params: RadarParams) -> SampleStream:

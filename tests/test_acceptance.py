@@ -20,7 +20,7 @@ from pnradar import (InterfererKind, PREFERRED_PAIRS, Pol, ReceiverConfig,
                      make_waveform, matched_window_bins, nb_params,
                      processing_gain, propagate, pulse_volume_depth,
                      qpsk_baseband, qpsk_demod, rcs_nb, rcs_uwb, rx_gate,
-                     self_calibrate, spread, sweep_series, uwb_correlate,
+                     self_calibrate, spread, uwb_correlate,
                      uwb_params)
 from pnradar.cli import main
 
@@ -183,16 +183,16 @@ def test_05_sweep_to_sweep_stability():
         upn = gen_mseq([5, 2, 0])
         ucfg = ReceiverConfig(max_range_m=14.0, gate_m=(9.5, 10.5))
         ucal = self_calibrate(uparams, upn, sigma_ref, r_sphere, rx_config=ucfg)
-        u_series = sweep_series(scene_with(noise_for(uparams, upn)),
-                                uparams, ucal, 100, upn, rx_config=ucfg)
+        u_series = SweepPipeline(uparams, upn, rx_config=ucfg).series(
+            scene_with(noise_for(uparams, upn)), ucal, 100)
         u_dbsm = np.array([e.dbsm for e in u_series])
 
         nparams = nb_params()
         npn = gen_mseq([7, 1, 0])
         ncfg = ReceiverConfig(max_range_m=100.0)
         ncal = self_calibrate(nparams, npn, sigma_ref, r_sphere, rx_config=ncfg)
-        n_series = sweep_series(scene_with(noise_for(nparams, npn)),
-                                nparams, ncal, 100, npn, rx_config=ncfg)
+        n_series = SweepPipeline(nparams, npn, rx_config=ncfg).series(
+            scene_with(noise_for(nparams, npn)), ncal, 100)
         n_dbsm = np.array([e.dbsm for e in n_series])
 
         assert len(u_series) == len(n_series) == 100
@@ -231,8 +231,8 @@ def test_07_direct_path_suppression():
             Scatterer(sigma_m2=0.0, range_m=10.0),)), direct_path_gain=0.5)
         rx = propagate(tx, scene, params, Pol.VV)
         gated = rx_gate(rx, params, blank_width_s=params.pulse_width_s)
-        raw_profile = np.abs(uwb_correlate(rx, template).values) ** 2
-        gated_profile = np.abs(uwb_correlate(gated, template).values) ** 2
+        raw_profile = np.abs(uwb_correlate(rx, template)) ** 2
+        gated_profile = np.abs(uwb_correlate(gated, template)) ** 2
         assert raw_profile.sum() > 0
         assert gated_profile.sum() <= 1e-12 * raw_profile.sum()
 

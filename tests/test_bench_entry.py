@@ -1,0 +1,29 @@
+"""The benchmark's set-up entry point still runs against this package.
+
+``bench/child.py setup`` loads each workload's scenario and calls
+``self_calibrate`` and ``SweepPipeline`` by position, as the benchmark
+does; a signature change that breaks it fails here.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ["scenarios/sphere_compare.yaml",
+             "bench/scenarios/nb_dense_series.yaml",
+             "bench/scenarios/uwb_scan.yaml"]
+
+
+@pytest.mark.parametrize("scenario", WORKLOADS)
+def test_child_setup_runs(scenario, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), "setup",
+         str(ROOT / scenario), "2026", str(tmp_path / "out")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["setup_s"] > 0

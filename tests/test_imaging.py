@@ -12,9 +12,8 @@ from pnradar import (Calibration, Interferer, Mode, NoDetections, Pol,
                      ReceiverConfig, Scatterer, Scene, SweepPipeline,
                      TargetModel, calibrate, detect_scatterers, estimate_rcs,
                      gen_clutter, gen_mseq, matched_window_bins, nb_params,
-                     polarimetric_scan, pulse_volume_depth, rcs_nb, rcs_uwb,
-                     scan_image, self_calibrate, sweep_series, uwb_params,
-                     SPEED_OF_LIGHT)
+                     pulse_volume_depth, rcs_nb, rcs_uwb, scan_image,
+                     self_calibrate, uwb_params, SPEED_OF_LIGHT)
 
 SIGMA_REF = 1e-3  # -30 dBsm reference sphere
 R_REF = 10.0
@@ -294,19 +293,19 @@ class TestEstimateRcs:
 
 class TestSweepSeries:
     def test_deterministic_without_noise_or_jitter(self, uwb_setup):
-        params, pn, cfg, _, cal = uwb_setup
+        _, _, _, pipeline, cal = uwb_setup
         scene = Scene(target=target((SIGMA_REF, R_REF)))
-        series = sweep_series(scene, params, cal, 5, pn, rx_config=cfg)
+        series = pipeline.series(scene, cal, 5)
         sigmas = {e.sigma_m2 for e in series}
         assert len(series) == 5
         assert len(sigmas) == 1
 
     def test_jitter_makes_nb_series_fluctuate(self, nb_setup):
-        params, pn, cfg, _, cal = nb_setup
+        _, _, _, pipeline, cal = nb_setup
         scene = Scene(target=target((SIGMA_REF, R_REF)),
                       clutter=gen_clutter((2.0, 8.0), 6, 1e-2, seed=8),
                       sweep_phase_jitter_rad=0.3, rng_seed=21)
-        series = sweep_series(scene, params, cal, 8, pn, rx_config=cfg)
+        series = pipeline.series(scene, cal, 8)
         dbsm = np.array([e.dbsm for e in series])
         assert dbsm.std() > 0
 
@@ -320,32 +319,31 @@ class TestSweepSeries:
         scene = Scene(target=target((SIGMA_REF, R_REF)), clutter=clutter,
                       noise_psd=1e-19, sweep_phase_jitter_rad=0.3,
                       rng_seed=2026)
-        u_dbsm = np.array([e.dbsm for e in sweep_series(
-            scene, uparams, ucal, 12, upn, rx_config=ucfg)])
+        u_dbsm = np.array([e.dbsm for e in SweepPipeline(
+            uparams, upn, rx_config=ucfg).series(scene, ucal, 12)])
 
         nparams = nb_params()
         npn = gen_mseq([7, 1, 0])
         ncfg = ReceiverConfig(max_range_m=100.0)
         ncal = self_calibrate(nparams, npn, SIGMA_REF, R_REF, rx_config=ncfg)
-        n_dbsm = np.array([e.dbsm for e in sweep_series(
-            scene, nparams, ncal, 12, npn, rx_config=ncfg)])
+        n_dbsm = np.array([e.dbsm for e in SweepPipeline(
+            nparams, npn, rx_config=ncfg).series(scene, ncal, 12)])
 
         assert n_dbsm.std() > u_dbsm.std()
         assert abs(u_dbsm.mean() - (-30.0)) < 1.0
 
-    def test_series_needs_two_sweeps(self, uwb_setup):
-        params, pn, cfg, _, cal = uwb_setup
-        with pytest.raises(ValueError, match="2 sweeps"):
-            sweep_series(Scene(target=target((SIGMA_REF, R_REF))),
-                         params, cal, 1, pn, rx_config=cfg)
+
+def polarimetric(pipeline, scene):
+    """One profile per tx/rx polarization pair, all at sweep 0."""
+    return {pol: pipeline.profile(scene, pol) for pol in Pol}
 
 
 class TestPolarimetricScan:
     def test_copolar_identity_matrix(self, uwb_setup):
-        params, pn, cfg, _, _ = uwb_setup
+        pipeline = uwb_setup[3]
         scene = Scene(target=target((SIGMA_REF, R_REF)), noise_psd=1e-19,
                       rng_seed=31)
-        profiles = polarimetric_scan(scene, params, pn, rx_config=cfg)
+        profiles = polarimetric(pipeline, scene)
         assert np.array_equal(profiles[Pol.VV].values, profiles[Pol.HH].values)
         assert np.array_equal(profiles[Pol.VH].values, profiles[Pol.HV].values)
         # cross-pol channels carry noise only: no echo energy above it
@@ -353,24 +351,24 @@ class TestPolarimetricScan:
                 > 100 * profiles[Pol.VH].power.max())
 
     def test_pure_cross_polarizer(self, uwb_setup):
-        params, pn, cfg, _, _ = uwb_setup
+        pipeline = uwb_setup[3]
         mat = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         scene = Scene(target=TargetModel(points=(
             Scatterer(sigma_m2=SIGMA_REF, range_m=R_REF, pol_matrix=mat),)))
-        profiles = polarimetric_scan(scene, params, pn, rx_config=cfg)
+        profiles = polarimetric(pipeline, scene)
         assert profiles[Pol.VH].power.max() > 0
         assert profiles[Pol.VV].power.max() == 0
 
     def test_swapping_offdiagonals_swaps_channels(self, uwb_setup):
-        params, pn, cfg, _, _ = uwb_setup
+        pipeline = uwb_setup[3]
         mat_a = np.array([[0.0, 1.0], [0.3, 0.0]], dtype=complex)
         mat_b = np.array([[0.0, 0.3], [1.0, 0.0]], dtype=complex)
         scene_a = Scene(target=TargetModel(points=(
             Scatterer(SIGMA_REF, R_REF, 0.0, mat_a),)), rng_seed=5)
         scene_b = Scene(target=TargetModel(points=(
             Scatterer(SIGMA_REF, R_REF, 0.0, mat_b),)), rng_seed=5)
-        prof_a = polarimetric_scan(scene_a, params, pn, rx_config=cfg)
-        prof_b = polarimetric_scan(scene_b, params, pn, rx_config=cfg)
+        prof_a = polarimetric(pipeline, scene_a)
+        prof_b = polarimetric(pipeline, scene_b)
         assert np.array_equal(prof_a[Pol.VH].values, prof_b[Pol.HV].values)
         assert np.array_equal(prof_a[Pol.HV].values, prof_b[Pol.VH].values)
 
@@ -382,8 +380,8 @@ class TestScanImage:
         cfg = ReceiverConfig(max_range_m=14.0)
         cal = self_calibrate(params, pn, SIGMA_REF, R_REF, rx_config=cfg)
         scene = Scene(target=TargetModel(points=points))
-        return scan_image(scene, params, cal, step, bw, pn, rx_config=cfg,
-                          az_span_deg=span)
+        return scan_image(SweepPipeline(params, pn, rx_config=cfg), scene, cal,
+                          step, bw, az_span_deg=span)
 
     def test_on_axis_point_peaks_at_zero_azimuth(self):
         image = self._image((Scatterer(sigma_m2=1e-3, range_m=10.0),))
@@ -416,12 +414,12 @@ class TestScanImage:
                         step=3.0, bw=2.0)
 
     def test_scene_interferers_reach_every_row(self, nb_setup):
-        params, pn, cfg, pipeline, cal = nb_setup
+        _, _, _, pipeline, cal = nb_setup
         quiet = Scene(target=target((SIGMA_REF, R_REF)))
         jammed = dataclasses.replace(
             quiet, interferers=(Interferer(freq_hz=1.003e9, power_w=1.0),))
-        clean, noisy = (scan_image(scene, params, cal, 1.0, 2.0, pn,
-                                   rx_config=cfg, az_span_deg=2.0)
+        clean, noisy = (scan_image(pipeline, scene, cal, 1.0, 2.0,
+                                   az_span_deg=2.0)
                         for scene in (quiet, jammed))
         for row_clean, row_noisy in zip(clean.power, noisy.power):
             assert not np.array_equal(row_clean, row_noisy)

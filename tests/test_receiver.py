@@ -1,5 +1,5 @@
 """Receive-chain tests: blanking, despreading round trips and processing
-gain, QPSK demodulation under noise, sliding correlation, sample/hold."""
+gain, QPSK demodulation under noise, sliding correlation."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from pnradar import (InterfererKind, PREFERRED_PAIRS, Pol, SampleStream,
                      Scatterer, Scene, TargetModel, add_interferer, despread,
                      gate_pulse, gaussian_monocycle, gen_gold, gen_mseq,
                      nb_params, processing_gain, propagate, qpsk_baseband,
-                     qpsk_demod, rx_gate, sample_hold, spread, uwb_correlate,
-                     uwb_params)
+                     qpsk_demod, rx_gate, spread, uwb_correlate, uwb_params)
 
 
 def _symbol_stream(bits_i, bits_q, pn, params, cpb):
@@ -188,14 +187,14 @@ class TestUwbCorrelate:
         rx[delay:delay + len(pulse)] = pulse.samples
         corr = uwb_correlate(SampleStream(rx, params.sample_rate_hz),
                              pulse.with_samples(pulse.samples))
-        assert int(np.argmax(np.abs(corr.values))) == delay
+        assert int(np.argmax(np.abs(corr))) == delay
 
     def test_zero_input_zero_output(self):
         params = uwb_params()
         pulse = gaussian_monocycle(params)
         rx = SampleStream(np.zeros(4000, dtype=complex), params.sample_rate_hz)
         corr = uwb_correlate(rx, pulse)
-        assert np.all(corr.values == 0)
+        assert np.all(corr == 0)
 
     def test_two_pulse_amplitude_ratio(self):
         params = uwb_params()
@@ -208,7 +207,7 @@ class TestUwbCorrelate:
         corr = uwb_correlate(
             SampleStream(rx, params.sample_rate_hz),
             SampleStream(pulse, params.sample_rate_hz))
-        mags = np.abs(corr.values)
+        mags = np.abs(corr)
         assert abs(mags[d1] / mags[d2] - a1 / a2) / (a1 / a2) < 0.01
 
     def test_template_longer_than_rx_rejected(self):
@@ -224,7 +223,7 @@ class TestUwbCorrelate:
         t_s = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         rx = SampleStream(rx_s, 1e6)
         template = SampleStream(t_s, 1e6)
-        corr = uwb_correlate(rx, template).values
+        corr = uwb_correlate(rx, template)
         direct = np.array([np.sum(rx_s[n:n + 40] * np.conj(t_s))
                            for n in range(261)])
         assert np.max(np.abs(corr - direct)) <= 1e-9 * np.max(np.abs(direct))
@@ -236,8 +235,8 @@ class TestUwbCorrelate:
         pad = 63
         a_pad = np.concatenate([np.zeros(pad), a, np.zeros(pad)])
         b_pad = np.concatenate([np.zeros(pad), b, np.zeros(pad)])
-        c_ab = uwb_correlate(SampleStream(a_pad, 1.0), SampleStream(b, 1.0)).values
-        c_ba = uwb_correlate(SampleStream(b_pad, 1.0), SampleStream(a, 1.0)).values
+        c_ab = uwb_correlate(SampleStream(a_pad, 1.0), SampleStream(b, 1.0))
+        c_ba = uwb_correlate(SampleStream(b_pad, 1.0), SampleStream(a, 1.0))
         assert np.max(np.abs(c_ab - np.conj(c_ba[::-1]))) <= \
             1e-9 * np.max(np.abs(c_ab))
 
@@ -258,40 +257,12 @@ class TestUwbCorrelate:
                                     + 1j * rng.standard_normal(3000))
             corr = uwb_correlate(SampleStream(noisy, params.sample_rate_hz),
                                  template)
-            peak_vals.append(corr.values[delay])
+            peak_vals.append(corr[delay])
             raw_vals.append(noisy[raw_bin])
         def snr(values):
             values = np.array(values)
             return np.abs(values.mean()) ** 2 / values.var()
         assert snr(peak_vals) >= snr(raw_vals)
-
-
-class TestSampleHold:
-    def _corr(self):
-        values = np.zeros(100, dtype=complex)
-        values[37] = 3 + 4j
-        from pnradar import CorrelationStream
-        return CorrelationStream(values=values, lag_resolution_s=1e-9)
-
-    def test_gate_at_peak(self):
-        c = self._corr()
-        out = sample_hold(c, [37e-9])
-        assert out[0] == 3 + 4j
-
-    def test_empty_gate_list(self):
-        assert sample_hold(self._corr(), []).size == 0
-
-    def test_uniform_grid_is_decimation(self):
-        rng = np.random.default_rng(8)
-        values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        from pnradar import CorrelationStream
-        c = CorrelationStream(values=values, lag_resolution_s=1e-9)
-        gates = np.arange(0, 64, 8) * 1e-9
-        assert np.array_equal(sample_hold(c, gates), values[::8])
-
-    def test_out_of_span_gate_named(self):
-        with pytest.raises(ValueError, match="2e-07"):
-            sample_hold(self._corr(), [2e-7])
 
 
 class TestProcessingGain:

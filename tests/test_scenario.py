@@ -42,6 +42,18 @@ def _write(tmp_path, text, name="scenario.yaml"):
     return path
 
 
+def _assert_rejected_before_synthesis(tmp_path, capsys, cases):
+    """Each (message, text) case fails to load, exits 2 and writes nothing."""
+    for i, (message, text) in enumerate(cases.items()):
+        path = _write(tmp_path, text, f"case{i}.yaml")
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(path)
+        out = tmp_path / f"out{i}"
+        assert main([str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # rejected before any synthesis
+
+
 def _hashes(paths):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in paths if p.suffix == ".csv"}
@@ -271,14 +283,7 @@ class TestCliEntry:
             "monocycle support": MINIMAL.replace(
                 "radar: {mode: uwb}", "radar: {mode: uwb, uwb: {pri_s: 1.0e-9}}"),
         }
-        for i, (message, text) in enumerate(cases.items()):
-            path = _write(tmp_path, text, f"case{i}.yaml")
-            with pytest.raises(ScenarioError, match=re.escape(message)):
-                load_scenario(path)
-            out = tmp_path / f"out{i}"
-            assert main([str(path), "--out", str(out)]) == 2
-            assert message in capsys.readouterr().err
-            assert not out.exists()  # rejected before any synthesis
+        _assert_rejected_before_synthesis(tmp_path, capsys, cases)
 
     def test_exit_three_on_model_error(self, tmp_path, capsys):
         text = SERIES + "receiver: {gate_min_m: 1.0, gate_max_m: 2.0}\n"
@@ -310,3 +315,54 @@ class TestCliEntry:
 
     def test_missing_file_reports_validation_error(self, tmp_path):
         assert main([str(tmp_path / "nope.yaml")]) == 2
+
+    def test_directory_as_scenario_exits_two(self, tmp_path, capsys):
+        with pytest.raises(ScenarioError, match=re.escape(str(tmp_path))):
+            load_scenario(tmp_path)
+        assert main([str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_seed_flag_redraws_default_clutter(self, tmp_path):
+        path = _write(tmp_path, "seed: 5\n" + MINIMAL + "  clutter: {count: 5}\n")
+        profiles = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"out{seed}"
+            assert main([str(path), "--out", str(out), "--quiet",
+                         "--seed", seed]) == 0
+            manifest = yaml.safe_load((out / "run_manifest.yaml").read_text())
+            assert manifest["seed"] == int(seed)
+            assert manifest["scenario"]["scene"]["clutter"]["seed"] is None
+            profiles.append((out / "profile.csv").read_bytes())
+        # no noise or jitter: the profiles differ only through the clutter
+        assert profiles[0] != profiles[1]
+
+    def test_blank_width_checked_for_the_chains_run(self, tmp_path, capsys):
+        nb = MINIMAL.replace("{mode: uwb}", "{mode: nb}")
+        cases = {
+            "receiver.blank_width_s (nb chain): blank width 1e-06 s is "
+            "shorter than the transmit pulse":
+                nb + "receiver: {blank_width_s: 1.0e-6}\n",
+            "receiver.blank_width_s (nb chain): blank width 0.0001 s covers "
+            "the whole PRI": nb + "receiver: {blank_width_s: 1.0e-4}\n",
+            # compare_modes runs both chains; 2 ns is too short for nb
+            "receiver.blank_width_s (nb chain): blank width 2e-09 s":
+                MINIMAL + "receiver: {blank_width_s: 2.0e-9}\n"
+                "experiment: {kind: compare_modes}\n",
+        }
+        _assert_rejected_before_synthesis(tmp_path, capsys, cases)
+        # a uwb-only run is not held to the nb pulse width
+        text = MINIMAL + "receiver: {blank_width_s: 2.0e-9}\n"
+        load_scenario(_write(tmp_path, text, "uwb_only.yaml"))
+
+    def test_scatterer_beyond_unambiguous_range_exits_two(self, tmp_path,
+                                                          capsys):
+        # c*PRI/2 is 15 m for the 100 ns uwb PRI
+        far = MINIMAL.replace("range_m: 10.0", "range_m: 20.0")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "scene (uwb chain): scatterer 0 at 20 m exceeds the unambiguous "
+            "range": far})
+        # the nb chain's 100 us PRI reaches 15 km
+        load_scenario(_write(tmp_path, far.replace("{mode: uwb}", "{mode: nb}"),
+                             "nb.yaml"))
