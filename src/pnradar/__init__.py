@@ -4,9 +4,10 @@ channel to range profiling and cross-section estimation."""
 
 from .codes import (CodeKind, PnSequence, gen_gold, gen_mseq, manual_sequence,
                     PREFERRED_PAIRS)
-from .waveform import (Mode, RadarParams, SampleStream, SPEED_OF_LIGHT,
-                       ds_uwb_train, gate_pulse, gaussian_monocycle, nb_params,
-                       qpsk_baseband, spread, uwb_params)
+from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
+                       SPEED_OF_LIGHT, ds_uwb_train, gate_pulse,
+                       gaussian_monocycle, nb_params, qpsk_baseband, spread,
+                       uwb_params, uwb_pulse_train)
 from .channel import (Interferer, InterfererKind, Pol, Scatterer, Scene,
                       TargetModel, add_interferer, gen_clutter,
                       identity_pol_matrix, propagate, scattering_amplitude)

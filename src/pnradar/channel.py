@@ -237,8 +237,9 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     sqrt(sigma) * S_pq / R^2 (absolute link constants are absorbed by
     calibration), rotated by the two-way carrier phase, and perturbed by
     a per-point phase drawn fresh every sweep when jitter is enabled.
-    Delays round to the nearest sample.  Direct-path leakage, external
-    interferers and thermal noise are added on top.
+    Delays round to the nearest sample, and each echo is added only over
+    the nonzero samples of tx.  Direct-path leakage, external interferers
+    and thermal noise are added on top.
     """
     if tx.duration < params.pri_s:
         raise ValueError("transmit stream must cover at least one PRI")
@@ -257,6 +258,8 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     else:
         jitter = np.zeros(len(points))
 
+    support = np.flatnonzero(tx.samples != 0)
+    active = tx.samples[support]
     for k, p in enumerate(points):
         amp = scattering_amplitude(p, pol)
         if amp == 0:
@@ -265,8 +268,8 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
         d = int(round(delay_s * fs))
         phase = -2.0 * np.pi * params.carrier_hz * delay_s + jitter[k]
         a = amp / p.range_m ** 2 * np.exp(1j * phase)
-        if d < n:
-            out[d:] += a * tx.samples[: n - d]
+        m = int(np.searchsorted(support, n - d))
+        out[support[:m] + d] += a * active[:m]
 
     for i, itf in enumerate(scene.interferers):
         rng = _rng(scene.rng_seed, sweep_index, _RNG_INTERFERER, i)
@@ -275,7 +278,9 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     if scene.noise_psd > 0:
         rng = _rng(scene.rng_seed, sweep_index, _RNG_NOISE)
         sigma2 = scene.noise_psd * fs
-        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        out += np.sqrt(sigma2 / 2.0) * noise
+        scale = np.sqrt(sigma2 / 2.0)
+        # the real rail is drawn first, then the imaginary one
+        out.real += scale * rng.standard_normal(n)
+        out.imag += scale * rng.standard_normal(n)
 
     return SampleStream(out, fs, tx.carrier_hz)

@@ -24,8 +24,11 @@ from .channel import Pol
 from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
                       ScanImage, SweepPipeline, calibrate, scan_image,
                       self_calibrate)
-from .scenario import ExperimentKind, Scenario, ScenarioError, load_scenario, \
-    resolve_scenario
+# resolve_scenario is unused here since main resolves once, inside
+# load_scenario; it stays a name of this module because the benchmark's
+# span wrappers (bench/spans.py) look it up here.
+from .scenario import (ExperimentKind, Scenario, ScenarioError, load_scenario,
+                       resolve_scenario)  # noqa: F401
 from .waveform import Mode
 
 
@@ -70,18 +73,6 @@ def write_calibration_csv(path: Path, cal: Calibration) -> None:
                  _fmt(cal.reference_range_m))])
 
 
-def read_calibration_csv(path: str | Path) -> Calibration:
-    path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"calibration file not found: {path}")
-    lines = path.read_text().strip().splitlines()
-    if len(lines) < 2 or lines[0] != "gain,reference_sigma_m2,reference_range_m":
-        raise ScenarioError(f"{path}: not a calibration file")
-    gain, sigma, rng_m = (float(v) for v in lines[1].split(","))
-    return Calibration(gain=gain, reference_sigma_m2=sigma,
-                       reference_range_m=rng_m)
-
-
 def _write_manifest(path: Path, scenario: Scenario) -> None:
     manifest = {
         "tool_version": __version__,
@@ -93,18 +84,20 @@ def _write_manifest(path: Path, scenario: Scenario) -> None:
         yaml.safe_dump(manifest, fh, sort_keys=True)
 
 
-def _calibration_for(scenario: Scenario, mode: Mode) -> Calibration:
-    if scenario.calibration_file is not None:
-        return read_calibration_csv(scenario.calibration_file)
-    sigma_ref, range_ref = scenario.reference
-    return self_calibrate(scenario.params_for(mode), scenario.pn,
-                          sigma_ref, range_ref, scenario.chips_per_bit,
-                          scenario.rx_for(mode))
-
-
 def _pipeline(scenario: Scenario, mode: Mode) -> SweepPipeline:
     return SweepPipeline(scenario.params_for(mode), scenario.pn,
                          scenario.chips_per_bit, scenario.rx_for(mode))
+
+
+def _calibration_for(scenario: Scenario,
+                     pipeline: SweepPipeline) -> Calibration:
+    """The scenario's calibration file, or a self-calibration on the
+    experiment's own pipeline."""
+    if scenario.calibration is not None:
+        return scenario.calibration
+    sigma_ref, range_ref = scenario.reference
+    return self_calibrate(pipeline.params, scenario.pn, sigma_ref, range_ref,
+                          pipeline=pipeline)
 
 
 def _mean_std(dbsm: np.ndarray) -> tuple[str, str]:
@@ -119,9 +112,10 @@ def compare_modes(scenario: Scenario, out_dir: Path) -> list[Path]:
     written = []
     stats = {}
     for mode, name in ((Mode.NB_DSSS, "nb"), (Mode.DS_UWB, "uwb")):
-        cal = _calibration_for(scenario, mode)
-        estimates = _pipeline(scenario, mode).series(
-            scenario.scene, cal, scenario.sweeps, scenario.pol)
+        pipeline = _pipeline(scenario, mode)
+        estimates = pipeline.series(
+            scenario.scene, _calibration_for(scenario, pipeline),
+            scenario.sweeps, scenario.pol)
         path = out_dir / f"compare_{name}.csv"
         write_series_csv(path, estimates)
         written.append(path)
@@ -170,9 +164,10 @@ def run(scenario: Scenario, quiet: bool = False) -> list[Path]:
             write_calibration_csv(path, cal)
             written.append(path)
         elif kind is ExperimentKind.RCS_SWEEP_SERIES:
-            cal = _calibration_for(scenario, mode)
-            estimates = _pipeline(scenario, mode).series(
-                scenario.scene, cal, scenario.sweeps, scenario.pol)
+            pipeline = _pipeline(scenario, mode)
+            estimates = pipeline.series(
+                scenario.scene, _calibration_for(scenario, pipeline),
+                scenario.sweeps, scenario.pol)
             path = out_dir / "series.csv"
             write_series_csv(path, estimates)
             written.append(path)
@@ -185,8 +180,9 @@ def run(scenario: Scenario, quiet: bool = False) -> list[Path]:
                 write_profile_csv(path, pipeline.profile(scenario.scene, pol))
                 written.append(path)
         elif kind is ExperimentKind.SCAN_IMAGE:
-            cal = _calibration_for(scenario, mode)
-            image = scan_image(_pipeline(scenario, mode), scenario.scene, cal,
+            pipeline = _pipeline(scenario, mode)
+            image = scan_image(pipeline, scenario.scene,
+                               _calibration_for(scenario, pipeline),
                                scenario.azimuth_step_deg,
                                scenario.beamwidth_deg,
                                az_span_deg=scenario.azimuth_span_deg,
@@ -228,18 +224,11 @@ def main(argv=None) -> int:
                         help="suppress progress output")
     args = parser.parse_args(argv)
 
+    flags = {"seed": args.seed, "output.directory": args.out,
+             "experiment.kind": args.experiment, "radar.mode": args.mode}
     try:
-        scenario = load_scenario(args.scenario)
-        raw = scenario.raw
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.out is not None:
-            raw["output"]["directory"] = args.out
-        if args.experiment is not None:
-            raw["experiment"]["kind"] = args.experiment
-        if args.mode is not None:
-            raw["radar"]["mode"] = args.mode
-        scenario = resolve_scenario(raw, source=scenario.source)
+        scenario = load_scenario(args.scenario, {
+            path: value for path, value in flags.items() if value is not None})
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

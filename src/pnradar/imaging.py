@@ -18,12 +18,14 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d
 
 from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence
 from .receiver import rx_gate, uwb_correlate
-from .waveform import (Mode, RadarParams, SampleStream, SPEED_OF_LIGHT,
-                       gate_pulse, ds_uwb_train, qpsk_baseband, spread)
+from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
+                       SPEED_OF_LIGHT, gate_pulse, ds_uwb_train, qpsk_baseband,
+                       spread, uwb_pulse_train)
 
 
 class NoDetections(RuntimeError):
@@ -134,22 +136,34 @@ def pulse_volume_depth(tau_s: float, c_m_per_s: float = SPEED_OF_LIGHT) -> float
     return c_m_per_s * tau_s
 
 
-def range_profile(values: np.ndarray, params: RadarParams,
-                  blank_width_s: float = 0.0, max_range_m: float | None = None,
-                  pol: Pol | None = None, sweep_index: int = 0) -> RangeProfile:
-    """Map correlation lags (one per sample, from lag 0) to two-way range.
+def _lag_ranges_m(lags: range, params: RadarParams) -> np.ndarray:
+    """Two-way range of correlation lags of one sample each."""
+    return SPEED_OF_LIGHT * (np.arange(lags.start, lags.stop)
+                             * (1.0 / params.sample_rate_hz)) / 2.0
 
-    Bins blanked by the receive gate (range < c*blank/2) are dropped, as
-    are, optionally, ranges beyond ``max_range_m``.
+
+def kept_lags(params: RadarParams, n_lags: int, blank_width_s: float,
+              max_range_m: float) -> range:
+    """The lags, out of 0 .. n_lags-1, that a range profile keeps.
+
+    Lags blanked by the receive gate (range < c*blank/2) are dropped, as
+    are ranges beyond ``max_range_m``; the rest is one contiguous window.
     """
-    if len(values) == 0:
-        raise ValueError("correlation is empty")
+    ranges = _lag_ranges_m(range(n_lags), params)
+    keep = ((ranges >= SPEED_OF_LIGHT * blank_width_s / 2.0)
+            & (ranges <= max_range_m))
+    idx = np.flatnonzero(keep)
+    return range(idx[0], idx[-1] + 1) if idx.size else range(0)
+
+
+def range_profile(values: np.ndarray, params: RadarParams, lags: range,
+                  pol: Pol | None = None, sweep_index: int = 0) -> RangeProfile:
+    """Map correlation values at ``lags`` (see kept_lags) to two-way range."""
+    if len(values) != len(lags):
+        raise ValueError(
+            f"{len(values)} correlation values for {len(lags)} lags")
     lag_s = 1.0 / params.sample_rate_hz
-    ranges = SPEED_OF_LIGHT * (np.arange(len(values)) * lag_s) / 2.0
-    keep = ranges >= SPEED_OF_LIGHT * blank_width_s / 2.0
-    if max_range_m is not None:
-        keep &= ranges <= max_range_m
-    return RangeProfile(ranges_m=ranges[keep], values=values[keep],
+    return RangeProfile(ranges_m=_lag_ranges_m(lags, params), values=values,
                         bin_width_m=SPEED_OF_LIGHT * lag_s / 2.0,
                         pol=pol, sweep_index=sweep_index)
 
@@ -174,29 +188,23 @@ def detect_scatterers(profile: RangeProfile, threshold_db_above_noise: float,
     floor = max(float(np.median(power)), float(power.max()) * 1e-18)
     thr = floor * 10.0 ** (threshold_db_above_noise / 10.0)
     w = max(1, int(window_bins))
-    detections: list[Detection] = []
-    i = 0
-    while i < n:
-        p = power[i]
-        if p <= thr or p <= 0.0:
-            i += 1
-            continue
-        lo = max(0, i - w)
-        hi = min(n, i + w + 1)
-        win = power[lo:hi]
-        if p < win.max() or (lo + int(np.argmax(win))) != i:
-            i += 1
-            continue
-        # merge the run of adjacent equal-power bins
-        j = i
-        while j + 1 < n and power[j + 1] == p:
-            j += 1
+    # trailing[k] is the maximum of padded[k-w+1 .. k]: the w bins left of
+    # bin i end at padded index i+w-1, the w bins right of it at i+2w.
+    padded = np.concatenate([np.full(w, -np.inf), power, np.full(w, -np.inf)])
+    trailing = maximum_filter1d(padded, size=w, origin=(w - 1) // 2)
+    left = trailing[w - 1:w - 1 + n]
+    right = trailing[2 * w:2 * w + n]
+    starts = np.flatnonzero((power > thr) & (power > 0.0)
+                            & (left < power) & (right <= power))
+    # a detection spans its run of adjacent equal-power bins
+    changes = np.flatnonzero(power[1:] != power[:-1])
+    ends = np.append(changes, n - 1)[np.searchsorted(changes, starts)]
+    detections = []
+    for i, j in zip(starts.tolist(), ends.tolist()):
         run = slice(i, j + 1)
-        weights = power[run]
-        centroid = float(np.average(profile.ranges_m[run], weights=weights))
-        detections.append(Detection(range_m=centroid, power=float(p),
+        centroid = float(np.average(profile.ranges_m[run], weights=power[run]))
+        detections.append(Detection(range_m=centroid, power=float(power[i]),
                                     value=complex(profile.values[i])))
-        i = j + 1
     return detections
 
 
@@ -293,13 +301,14 @@ def matched_window_bins(params: RadarParams) -> int:
 
 def make_waveform(params: RadarParams, pn: PnSequence,
                   chips_per_bit: int | None = None
-                  ) -> tuple[SampleStream, SampleStream]:
+                  ) -> tuple[SampleStream, PulseTrain]:
     """Build (active transmit stream, matched-filter template).
 
     Narrowband: spread all-zero data over the code, hold on I and Q,
-    gate to one pulse per PRI; the template is the pulse span.
-    Wideband: the full polarity-coded monocycle train is both the
-    transmission and the template (trailing silence trimmed).
+    gate to one pulse per PRI; the template is the pulse span, a train
+    of one chip.  Wideband: the transmission is the polarity-coded
+    monocycle train and the template is the same train, described as
+    monocycle, chips and PRI (trailing silence trimmed).
     """
     fs = params.sample_rate_hz
     if params.mode is Mode.NB_DSSS:
@@ -312,33 +321,33 @@ def make_waveform(params: RadarParams, pn: PnSequence,
         samples = stream.samples[:n_pri]
         active = gate_pulse(SampleStream(samples, fs, params.carrier_hz), params)
         n_pulse = int(round(params.pulse_width_s * fs))
-        template = SampleStream(active.samples[:n_pulse], fs, params.carrier_hz)
-        return active, template
-    train = ds_uwb_train(pn, params)
-    nz = np.nonzero(train.samples)[0]
-    template = SampleStream(train.samples[: nz[-1] + 1], fs, params.carrier_hz)
-    return train, template
+        pulse = SampleStream(active.samples[:n_pulse], fs, params.carrier_hz)
+        return active, PulseTrain(pulse)
+    return ds_uwb_train(pn, params), uwb_pulse_train(pn, params)
 
 
 class SweepPipeline:
     """Precomputed transmit/template pair for repeated sweeps.
 
     One instance owns the waveform for a given (params, code) pair and
-    runs the propagate / gate / correlate / profile chain per sweep.
+    runs the propagate / gate / correlate / profile chain per sweep.  The
+    correlator computes only the lags the profile keeps.
     """
 
     def __init__(self, params: RadarParams, pn: PnSequence,
                  chips_per_bit: int | None = None,
                  rx_config: ReceiverConfig | None = None):
         self.params = params
-        self.rx_config = rx_config or ReceiverConfig()
+        self.rx_config = cfg = rx_config or ReceiverConfig()
         active, template = make_waveform(params, pn, chips_per_bit)
-        tail = int(math.ceil(2.0 * self.rx_config.max_range_m
+        tail = int(math.ceil(2.0 * cfg.max_range_m
                              / SPEED_OF_LIGHT * params.sample_rate_hz)) + 1
         samples = np.concatenate(
             [active.samples, np.zeros(tail, dtype=np.complex128)])
         self.tx = SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
         self.template = template
+        self.lags = kept_lags(params, len(self.tx) - len(template) + 1,
+                              cfg.blank_width_s, cfg.max_range_m)
         self.window_bins = matched_window_bins(params)
 
     def profile(self, scene: Scene, pol: Pol = Pol.VV,
@@ -347,9 +356,8 @@ class SweepPipeline:
         cfg = self.rx_config
         if cfg.blank_width_s > 0:
             rx = rx_gate(rx, self.params, cfg.blank_width_s)
-        return range_profile(uwb_correlate(rx, self.template), self.params,
-                             blank_width_s=cfg.blank_width_s,
-                             max_range_m=cfg.max_range_m, pol=pol,
+        return range_profile(uwb_correlate(rx, self.template, self.lags),
+                             self.params, self.lags, pol=pol,
                              sweep_index=sweep_index)
 
     def estimate(self, scene: Scene, cal: Calibration, pol: Pol = Pol.VV,
@@ -375,13 +383,20 @@ class SweepPipeline:
 def self_calibrate(params: RadarParams, pn: PnSequence,
                    sigma_ref_m2: float, range_ref_m: float,
                    chips_per_bit: int | None = None,
-                   rx_config: ReceiverConfig | None = None) -> Calibration:
-    """Calibrate against a clean reference sphere (no clutter, no noise)."""
+                   rx_config: ReceiverConfig | None = None, *,
+                   pipeline: SweepPipeline | None = None) -> Calibration:
+    """Calibrate against a clean reference sphere (no clutter, no noise).
+
+    Pass the experiment's own ``pipeline`` to reuse its waveform; it must
+    have been built for ``params``.
+    """
+    if pipeline is None:
+        pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
+    elif pipeline.params != params:
+        raise ValueError("pipeline was built for other radar parameters")
     reference = Scene(target=TargetModel(points=(
         Scatterer(sigma_m2=sigma_ref_m2, range_m=range_ref_m),)))
-    pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
-    prof = pipeline.profile(reference)
-    return calibrate(prof, sigma_ref_m2, range_ref_m)
+    return calibrate(pipeline.profile(reference), sigma_ref_m2, range_ref_m)
 
 
 @dataclass(frozen=True)

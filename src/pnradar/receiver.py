@@ -1,5 +1,5 @@
 """Receive chains: blanking gate, despreading, QPSK demodulation, and the
-sliding correlator.
+despread-then-pulse sliding correlator.
 
 Synchronization is genie-aided: chip, symbol and sweep timing are taken
 from the common simulation clock, which matches an instrument that
@@ -11,10 +11,9 @@ chip-lattice multiply.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
 
 from .codes import PnSequence
-from .waveform import RadarParams, SampleStream, _pulse_mask
+from .waveform import PulseTrain, RadarParams, SampleStream, _pulse_mask
 
 
 def check_blank_width(params: RadarParams, blank_width_s: float) -> None:
@@ -73,13 +72,16 @@ def qpsk_demod(s: SampleStream, params: RadarParams,
     return i_bits, q_bits
 
 
-def uwb_correlate(rx: SampleStream, template: SampleStream) -> np.ndarray:
-    """Sliding inner product <rx[n+k], template[k]> over all full overlaps.
+def uwb_correlate(rx: SampleStream, template: PulseTrain,
+                  lags: range | None = None) -> np.ndarray:
+    """Sliding inner product <rx[n+k], template[k]> for each lag n in
+    ``lags`` (default: every full overlap, from lag 0).
 
-    Returns one complex value per lag of one sample, starting at lag 0.
-    The template is conjugated, so a matched template yields the complex
-    echo amplitude at the peak lag.  FFT evaluation is used; it matches
-    the direct form to floating-point accuracy.
+    The correlator follows the train's structure: it first despreads the
+    lag window over the chip lattice, z = sum_j chips[j] *
+    rx[j*period + n0 : ...], and then matches z against the single pulse.
+    The pulse is conjugated, so a matched template yields the complex
+    echo amplitude at the peak lag.
     """
     if len(template) > len(rx):
         raise ValueError(
@@ -87,8 +89,21 @@ def uwb_correlate(rx: SampleStream, template: SampleStream) -> np.ndarray:
             f"stream ({len(rx)} samples)")
     if template.sample_rate != rx.sample_rate:
         raise ValueError("rx and template sample rates differ")
-    return signal.correlate(rx.samples, template.samples, mode="valid",
-                            method="fft")
+    n_lags = len(rx) - len(template) + 1
+    if lags is None:
+        lags = range(n_lags)
+    if lags.step != 1 or (lags and not 0 <= lags.start < lags.stop <= n_lags):
+        raise ValueError(
+            f"lags {lags} must be a contiguous window of [0, {n_lags})")
+    if not lags:
+        return np.zeros(0, dtype=np.complex128)
+    pulse = template.pulse.samples
+    width = len(lags) + pulse.size - 1
+    z = np.zeros(width, dtype=np.complex128)
+    for j, chip in enumerate(template.chips):
+        start = lags.start + j * template.period
+        z += chip * rx.samples[start:start + width]
+    return np.correlate(z, pulse, mode="valid")
 
 
 def processing_gain(pn: PnSequence, chips_per_bit: int) -> float:

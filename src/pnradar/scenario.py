@@ -19,7 +19,7 @@ import yaml
 from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
     TargetModel, check_unambiguous_range, gen_clutter
 from .codes import PnSequence, gen_gold, gen_mseq
-from .imaging import ReceiverConfig
+from .imaging import Calibration, ReceiverConfig
 from .receiver import check_blank_width
 from .waveform import Mode, RadarParams, nb_params, uwb_params
 
@@ -263,7 +263,7 @@ class Scenario:
     beamwidth_deg: float
     azimuth_span_deg: float | None
     reference: tuple[float, float] | None
-    calibration_file: str | None
+    calibration: Calibration | None  # read from experiment.calibration_file
     out_dir: Path
 
     def rx_for(self, mode: Mode) -> ReceiverConfig:
@@ -403,14 +403,19 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
     if ref_cfg["sigma_m2"] is not None:
         reference = (ref_cfg["sigma_m2"], ref_cfg["range_m"])
 
-    needs_cal = kind in (ExperimentKind.RCS_SWEEP_SERIES,
-                         ExperimentKind.SCAN_IMAGE,
-                         ExperimentKind.COMPARE_MODES,
-                         ExperimentKind.CALIBRATE)
-    if needs_cal and reference is None and exp["calibration_file"] is None:
+    consumes_cal = kind in (ExperimentKind.RCS_SWEEP_SERIES,
+                            ExperimentKind.SCAN_IMAGE,
+                            ExperimentKind.COMPARE_MODES)
+    if reference is None and kind is ExperimentKind.CALIBRATE:
+        raise ScenarioError(
+            "experiment.reference: required for the calibrate experiment")
+    if consumes_cal and reference is None and exp["calibration_file"] is None:
         raise ScenarioError(
             f"experiment.reference: required for the {kind.value} experiment "
             "(or provide experiment.calibration_file)")
+    calibration = None
+    if consumes_cal and exp["calibration_file"] is not None:
+        calibration = read_calibration_csv(exp["calibration_file"])
 
     mode = Mode(cfg["radar"]["mode"])
     scenario = Scenario(
@@ -422,7 +427,7 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
         azimuth_step_deg=exp["azimuth_step_deg"],
         beamwidth_deg=exp["beamwidth_deg"],
         azimuth_span_deg=exp["azimuth_span_deg"], reference=reference,
-        calibration_file=exp["calibration_file"],
+        calibration=calibration,
         out_dir=Path(cfg["output"]["directory"]))
 
     # rules the sweep chain enforces, checked here for the chains this
@@ -444,8 +449,43 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
     return scenario
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario (or run-manifest) file."""
+def read_calibration_csv(path: str | Path) -> Calibration:
+    """Read a calibration written by the calibrate experiment."""
+    path = Path(path)
+    where = f"experiment.calibration_file: {path}"
+    try:
+        lines = path.read_text().strip().splitlines()
+    except OSError as exc:
+        raise ScenarioError(f"{where}: {exc.strerror}") from exc
+    if len(lines) < 2 or lines[0] != "gain,reference_sigma_m2,reference_range_m":
+        raise ScenarioError(f"{where}: not a calibration file")
+    try:
+        gain, sigma, rng_m = (float(v) for v in lines[1].split(","))
+        return Calibration(gain=gain, reference_sigma_m2=sigma,
+                           reference_range_m=rng_m)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _set_path(data: dict, dotted: str, value) -> None:
+    """Write ``value`` at a dotted key path, creating missing sections."""
+    *parents, leaf = dotted.split(".")
+    for key in parents:
+        if data.get(key) is None:
+            data[key] = {}
+        data = data[key]
+        if not isinstance(data, dict):
+            raise ScenarioError(f"{key}: expected a mapping")
+    data[leaf] = value
+
+
+def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
+    """Parse and validate a scenario (or run-manifest) file.
+
+    ``overrides`` maps dotted field paths (``"radar.mode"``) to values
+    that replace the file's before the one validation pass, so the file
+    need only be valid for the run they select.
+    """
     path = Path(path)
     try:
         with open(path, "r") as fh:
@@ -463,4 +503,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: file is empty")
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
+    if overrides:
+        body = data.get("scenario", data)  # a run manifest nests the scenario
+        if not isinstance(body, dict):
+            raise ScenarioError(f"{path}: scenario must be a mapping")
+        for dotted, value in overrides.items():
+            _set_path(body, dotted, value)
     return resolve_scenario(data, source=str(path))

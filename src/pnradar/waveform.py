@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,10 +200,17 @@ def qpsk_baseband(i_chips, q_chips, params: RadarParams) -> SampleStream:
     return SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
 
 
+@lru_cache(maxsize=8)
 def _pulse_mask(n: int, fs: float, pri_s: float, width_s: float) -> np.ndarray:
-    """True for samples whose time falls in [m*PRI, m*PRI + width)."""
+    """True for samples whose time falls in [m*PRI, m*PRI + width).
+
+    Memoized: a pipeline gates every sweep with the same mask, so the
+    returned array is read-only.
+    """
     t = np.arange(n) / fs
-    return np.mod(t, pri_s) < width_s
+    mask = np.mod(t, pri_s) < width_s
+    mask.flags.writeable = False
+    return mask
 
 
 def gate_pulse(s: SampleStream, params: RadarParams) -> SampleStream:
@@ -230,14 +238,60 @@ def gaussian_monocycle(params: RadarParams) -> SampleStream:
     return SampleStream(samples, fs, params.carrier_hz)
 
 
-def ds_uwb_train(code: PnSequence, params: RadarParams) -> SampleStream:
+@dataclass(frozen=True)
+class PulseTrain:
+    """One pulse shape repeated every ``period`` samples, copy j weighted
+    by the real chip ``chips[j]``: sum_j chips[j] * pulse[n - j*period].
+
+    A single pulse is a train of one chip.  The train ends with the last
+    pulse, so ``len(train)`` is (chips - 1) * period + len(pulse).
+    """
+
+    pulse: SampleStream
+    chips: np.ndarray = field(default_factory=lambda: np.ones(1))
+    period: int = 1
+
+    def __post_init__(self):
+        chips = np.array(self.chips, dtype=np.float64)
+        if chips.ndim != 1 or chips.size == 0:
+            raise ValueError("chips must be a nonempty 1-D array")
+        if len(self.pulse) == 0:
+            raise ValueError("pulse must be nonempty")
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1 sample, got {self.period}")
+        chips.flags.writeable = False
+        object.__setattr__(self, "chips", chips)
+
+    def __len__(self) -> int:
+        return (self.chips.size - 1) * self.period + len(self.pulse)
+
+    @property
+    def sample_rate(self) -> float:
+        return self.pulse.sample_rate
+
+    def samples(self, n: int | None = None) -> np.ndarray:
+        """The train as n samples (default: len(self)), zero-padded."""
+        n = len(self) if n is None else n
+        if n < len(self):
+            raise ValueError(f"{n} samples cannot hold a train of {len(self)}")
+        pulse = self.pulse.samples
+        out = np.zeros(n, dtype=np.complex128)
+        for j, chip in enumerate(self.chips):
+            start = j * self.period
+            out[start:start + pulse.size] += chip * pulse
+        return out
+
+
+def uwb_pulse_train(code: PnSequence, params: RadarParams) -> PulseTrain:
     """One monocycle per PRI slot, polarity-coded: each pulse is
-    multiplied by its chip sign.  The train spans code.length PRIs."""
-    fs = params.sample_rate_hz
-    pulse = gaussian_monocycle(params).samples.real
-    pri_samples = int(round(params.pri_s * fs))
-    out = np.zeros(code.length * pri_samples, dtype=np.complex128)
-    for m, chip in enumerate(code.chips):
-        start = m * pri_samples
-        out[start:start + pulse.size] += int(chip) * pulse
-    return SampleStream(out, fs, params.carrier_hz)
+    multiplied by its chip sign."""
+    return PulseTrain(gaussian_monocycle(params), code.chips,
+                      int(round(params.pri_s * params.sample_rate_hz)))
+
+
+def ds_uwb_train(code: PnSequence, params: RadarParams) -> SampleStream:
+    """The polarity-coded monocycle train (see uwb_pulse_train) as a
+    stream spanning code.length PRIs."""
+    train = uwb_pulse_train(code, params)
+    return SampleStream(train.samples(code.length * train.period),
+                        params.sample_rate_hz, params.carrier_hz)

@@ -176,7 +176,7 @@ def test_05_sweep_to_sweep_stability():
         def noise_for(params, pn):
             # sphere echo 40 dB above the matched-filter noise floor
             amp = math.sqrt(sigma_ref) / r_sphere ** 2
-            energy = float(np.sum(np.abs(make_waveform(params, pn)[1].samples) ** 2))
+            energy = float(np.sum(np.abs(make_waveform(params, pn)[1].samples()) ** 2))
             return amp * amp * energy / (1e4 * params.sample_rate_hz)
 
         uparams = uwb_params()

@@ -78,6 +78,29 @@ class TestGenClutter:
 
 
 class TestPropagate:
+    def test_echoes_match_dense_delayed_copies(self):
+        # echoes are added over the nonzero samples of tx only; the skipped
+        # terms are a*0, so the result equals the dense sum exactly
+        params = nb_params()
+        rng = np.random.default_rng(6)
+        n = int(round(params.pri_s * params.sample_rate_hz))
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        samples[rng.random(n) < 0.7] = 0.0
+        tx = SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
+        points = tuple(Scatterer(sigma_m2=s, range_m=r) for s, r in
+                       ((1.0, 30.0), (0.5, 31.0), (2.0, 700.0), (1.5, 2000.0)))
+        scene = Scene(target=TargetModel(points=points))
+        rx = propagate(tx, scene, params, Pol.VV)
+        dense = np.zeros(n, dtype=complex)
+        for p in points:
+            delay_s = 2.0 * p.range_m / SPEED_OF_LIGHT
+            d = int(round(delay_s * params.sample_rate_hz))
+            phase = -2.0 * np.pi * params.carrier_hz * delay_s
+            a = (scattering_amplitude(p, Pol.VV) / p.range_m ** 2
+                 * np.exp(1j * phase))
+            dense[d:] += a * samples[:n - d]
+        assert np.array_equal(rx.samples, dense)
+
     def test_zero_strength_scene_silent(self):
         params = nb_params()
         tx = _noise_stream(params, seed=1)

@@ -6,14 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import signal
 
-from pnradar import (Calibration, Interferer, Mode, NoDetections, Pol,
-                     RangeProfile,
+from pnradar import (Calibration, Detection, Interferer, Mode, NoDetections,
+                     Pol, RangeProfile,
                      ReceiverConfig, Scatterer, Scene, SweepPipeline,
                      TargetModel, calibrate, detect_scatterers, estimate_rcs,
                      gen_clutter, gen_mseq, matched_window_bins, nb_params,
-                     pulse_volume_depth, rcs_nb, rcs_uwb, scan_image,
-                     self_calibrate, uwb_params, SPEED_OF_LIGHT)
+                     propagate, pulse_volume_depth, rcs_nb, rcs_uwb,
+                     rx_gate, scan_image, self_calibrate, uwb_params,
+                     SPEED_OF_LIGHT)
 
 SIGMA_REF = 1e-3  # -30 dBsm reference sphere
 R_REF = 10.0
@@ -176,6 +179,106 @@ class TestRangeProfileAndDetection:
         prof = pipeline.profile(Scene(target=target((SIGMA_REF, R_REF))))
         with pytest.raises(ValueError, match="threshold"):
             detect_scatterers(prof, 0.0)
+
+
+def _detect_oracle(profile, threshold_db, window_bins):
+    """Bin-by-bin reference for detect_scatterers: scan left to right,
+    keep a bin that is the first maximum of its window, and merge the run
+    of equal-power bins that follows it."""
+    power = profile.power
+    n = power.size
+    if n == 0:
+        return []
+    floor = max(float(np.median(power)), float(power.max()) * 1e-18)
+    thr = floor * 10.0 ** (threshold_db / 10.0)
+    w = max(1, int(window_bins))
+    detections = []
+    i = 0
+    while i < n:
+        p = power[i]
+        if p <= thr or p <= 0.0:
+            i += 1
+            continue
+        lo = max(0, i - w)
+        hi = min(n, i + w + 1)
+        win = power[lo:hi]
+        if p < win.max() or (lo + int(np.argmax(win))) != i:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and power[j + 1] == p:
+            j += 1
+        run = slice(i, j + 1)
+        centroid = float(np.average(profile.ranges_m[run], weights=power[run]))
+        detections.append(Detection(range_m=centroid, power=float(p),
+                                    value=complex(profile.values[i])))
+        i = j + 1
+    return detections
+
+
+@st.composite
+def _plateau_profile(draw):
+    """Profiles from a few power levels, so that ties, plateaus and peaks
+    at the edges are common."""
+    levels = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 30.0, 100.0, 1e4]),
+                           min_size=1, max_size=400))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(levels),
+                          max_size=len(levels)))
+    values = np.sqrt(levels) * np.array(signs)  # equal levels, equal power
+    start = draw(st.floats(0.5, 20.0))
+    ranges = start + np.arange(len(levels)) * 0.0015
+    return RangeProfile(ranges_m=ranges, values=values, bin_width_m=0.0015)
+
+
+class TestDetectOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_plateau_profile(), st.integers(1, 300),
+           st.sampled_from([0.5, 3.0, 10.0]))
+    def test_matches_bin_by_bin_scan(self, profile, window, threshold_db):
+        assert detect_scatterers(profile, threshold_db, window) == \
+            _detect_oracle(profile, threshold_db, window)
+
+    def test_noisy_uwb_sweep_matches(self, uwb_setup):
+        params, _, cfg, pipeline, _ = uwb_setup
+        scene = Scene(target=target((SIGMA_REF, R_REF), (2e-3, 6.0)),
+                      noise_psd=1e-19, sweep_phase_jitter_rad=0.3, rng_seed=4)
+        w = matched_window_bins(params)
+        for k in range(3):
+            prof = pipeline.profile(scene, sweep_index=k)
+            dets = detect_scatterers(prof, cfg.threshold_db, w)
+            assert dets and dets == _detect_oracle(prof, cfg.threshold_db, w)
+
+
+class TestKeptLags:
+    """The pipeline correlates exactly the lags its profile keeps."""
+
+    @pytest.mark.parametrize("mode", ["uwb", "nb", "uwb_blanked"])
+    def test_profile_bins_are_the_kept_lags(self, mode):
+        if mode == "nb":
+            params, pn = nb_params(), gen_mseq([7, 1, 0])
+            cfg = ReceiverConfig(blank_width_s=12e-6, max_range_m=3000.0)
+        else:
+            params, pn = uwb_params(), gen_mseq([3, 1, 0])
+            blank = 2e-9 if mode == "uwb_blanked" else 0.0
+            cfg = ReceiverConfig(blank_width_s=blank, max_range_m=14.0)
+        pipeline = SweepPipeline(params, pn, rx_config=cfg)
+        scene = Scene(target=target((SIGMA_REF, 9.0)), noise_psd=1e-19,
+                      direct_path_gain=0.5, rng_seed=8)
+        prof = pipeline.profile(scene, sweep_index=2)
+
+        rx = propagate(pipeline.tx, scene, params, Pol.VV, 2)
+        if cfg.blank_width_s:
+            rx = rx_gate(rx, params, cfg.blank_width_s)
+        full = signal.correlate(rx.samples, pipeline.template.samples(),
+                                mode="valid", method="fft")
+        lag_s = 1.0 / params.sample_rate_hz
+        ranges = SPEED_OF_LIGHT * (np.arange(full.size) * lag_s) / 2.0
+        keep = ((ranges >= SPEED_OF_LIGHT * cfg.blank_width_s / 2.0)
+                & (ranges <= cfg.max_range_m))
+        assert len(pipeline.lags) == len(prof) == int(keep.sum())
+        assert np.array_equal(prof.ranges_m, ranges[keep])
+        np.testing.assert_allclose(prof.values, full[keep], rtol=0,
+                                   atol=1e-9 * np.abs(full).max())
 
 
 class TestCalibration:

@@ -3,10 +3,12 @@ gain, QPSK demodulation under noise, sliding correlation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import signal
 from scipy.special import erfc
 
-from pnradar import (InterfererKind, PREFERRED_PAIRS, Pol, SampleStream,
-                     Scatterer, Scene, TargetModel, add_interferer, despread,
+from pnradar import (InterfererKind, PREFERRED_PAIRS, Pol, PulseTrain,
+                     SampleStream, Scatterer, Scene, TargetModel, add_interferer, despread,
                      gate_pulse, gaussian_monocycle, gen_gold, gen_mseq,
                      nb_params, processing_gain, propagate, qpsk_baseband,
                      qpsk_demod, rx_gate, spread, uwb_correlate, uwb_params)
@@ -186,14 +188,14 @@ class TestUwbCorrelate:
         rx = np.zeros(len(pulse) + 2000, dtype=complex)
         rx[delay:delay + len(pulse)] = pulse.samples
         corr = uwb_correlate(SampleStream(rx, params.sample_rate_hz),
-                             pulse.with_samples(pulse.samples))
+                             PulseTrain(pulse))
         assert int(np.argmax(np.abs(corr))) == delay
 
     def test_zero_input_zero_output(self):
         params = uwb_params()
         pulse = gaussian_monocycle(params)
         rx = SampleStream(np.zeros(4000, dtype=complex), params.sample_rate_hz)
-        corr = uwb_correlate(rx, pulse)
+        corr = uwb_correlate(rx, PulseTrain(pulse))
         assert np.all(corr == 0)
 
     def test_two_pulse_amplitude_ratio(self):
@@ -206,7 +208,7 @@ class TestUwbCorrelate:
         rx[d2:d2 + pulse.size] += a2 * pulse
         corr = uwb_correlate(
             SampleStream(rx, params.sample_rate_hz),
-            SampleStream(pulse, params.sample_rate_hz))
+            PulseTrain(SampleStream(pulse, params.sample_rate_hz)))
         mags = np.abs(corr)
         assert abs(mags[d1] / mags[d2] - a1 / a2) / (a1 / a2) < 0.01
 
@@ -215,14 +217,14 @@ class TestUwbCorrelate:
         short = SampleStream(np.ones(4, dtype=complex), params.sample_rate_hz)
         long = SampleStream(np.ones(8, dtype=complex), params.sample_rate_hz)
         with pytest.raises(ValueError, match="longer"):
-            uwb_correlate(short, long)
+            uwb_correlate(short, PulseTrain(long))
 
-    def test_fft_matches_direct_form(self):
+    def test_matches_direct_form(self):
         rng = np.random.default_rng(6)
         rx_s = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         t_s = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         rx = SampleStream(rx_s, 1e6)
-        template = SampleStream(t_s, 1e6)
+        template = PulseTrain(SampleStream(t_s, 1e6))
         corr = uwb_correlate(rx, template)
         direct = np.array([np.sum(rx_s[n:n + 40] * np.conj(t_s))
                            for n in range(261)])
@@ -235,8 +237,10 @@ class TestUwbCorrelate:
         pad = 63
         a_pad = np.concatenate([np.zeros(pad), a, np.zeros(pad)])
         b_pad = np.concatenate([np.zeros(pad), b, np.zeros(pad)])
-        c_ab = uwb_correlate(SampleStream(a_pad, 1.0), SampleStream(b, 1.0))
-        c_ba = uwb_correlate(SampleStream(b_pad, 1.0), SampleStream(a, 1.0))
+        c_ab = uwb_correlate(SampleStream(a_pad, 1.0),
+                             PulseTrain(SampleStream(b, 1.0)))
+        c_ba = uwb_correlate(SampleStream(b_pad, 1.0),
+                             PulseTrain(SampleStream(a, 1.0)))
         assert np.max(np.abs(c_ab - np.conj(c_ba[::-1]))) <= \
             1e-9 * np.max(np.abs(c_ab))
 
@@ -248,7 +252,8 @@ class TestUwbCorrelate:
         delay = 400
         clean = np.zeros(3000, dtype=complex)
         clean[delay:delay + pulse.size] = 0.05 * pulse
-        template = SampleStream(pulse.astype(complex), params.sample_rate_hz)
+        template = PulseTrain(SampleStream(pulse.astype(complex),
+                                           params.sample_rate_hz))
         peak_vals, raw_vals = [], []
         raw_bin = delay + int(np.argmax(np.abs(pulse)))
         for seed in range(100):
@@ -263,6 +268,61 @@ class TestUwbCorrelate:
             values = np.array(values)
             return np.abs(values.mean()) ** 2 / values.var()
         assert snr(peak_vals) >= snr(raw_vals)
+
+
+@st.composite
+def _correlator_case(draw):
+    """A random pulse train, a received stream (optionally gated) and a
+    lag window of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_pulse = draw(st.integers(1, 24))
+    n_chips = draw(st.integers(1, 8))
+    period = draw(st.integers(1, 40))  # may be shorter than the pulse
+    pulse = rng.standard_normal(n_pulse) + 1j * rng.standard_normal(n_pulse)
+    chips = rng.choice([-1.0, 1.0], n_chips) * draw(
+        st.sampled_from([1.0, 0.5, 3.0]))
+    train = PulseTrain(SampleStream(pulse, 1.0), chips, period)
+    n = len(train) + draw(st.integers(0, 60))
+    rx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    gate = draw(st.integers(0, 10))
+    if gate:  # receive blanking: zero the first `gate` samples of each slot
+        rx[np.arange(n) % (gate + period) < gate] = 0.0
+    n_lags = n - len(train) + 1
+    lo = draw(st.integers(0, n_lags - 1))
+    hi = draw(st.integers(lo, n_lags))
+    return SampleStream(rx, 1.0), train, range(lo, hi)
+
+
+class TestPulseTrainCorrelator:
+    """The despread-then-pulse correlator against an FFT correlation with
+    the expanded template."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_correlator_case())
+    def test_matches_fft_oracle(self, case):
+        rx, train, lags = case
+        full = signal.correlate(rx.samples, train.samples(), mode="valid",
+                                method="fft")
+        got = uwb_correlate(rx, train, lags)
+        assert got.shape == (len(lags),)
+        scale = np.linalg.norm(rx.samples) * np.linalg.norm(train.samples())
+        np.testing.assert_allclose(got, full[lags.start:lags.stop], rtol=0,
+                                   atol=1e-12 * scale)
+
+    def test_default_lags_are_every_full_overlap(self):
+        rng = np.random.default_rng(3)
+        train = PulseTrain(SampleStream(rng.standard_normal(5), 1.0),
+                           [1.0, -1.0, 1.0], 7)
+        rx = SampleStream(rng.standard_normal(60), 1.0)
+        assert len(uwb_correlate(rx, train)) == 60 - len(train) + 1
+
+    def test_lag_window_outside_the_overlaps_rejected(self):
+        train = PulseTrain(SampleStream(np.ones(4), 1.0))
+        rx = SampleStream(np.ones(10), 1.0)
+        for lags in (range(0, 8), range(-1, 3), range(0, 6, 2)):
+            with pytest.raises(ValueError, match="lags"):
+                uwb_correlate(rx, train, lags)
+        assert uwb_correlate(rx, train, range(3, 3)).size == 0
 
 
 class TestProcessingGain:

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from pnradar import Mode
-from pnradar.cli import main, read_calibration_csv, run
+from pnradar import Mode, imaging
+from pnradar.cli import main, run
 from pnradar.scenario import (ExperimentKind, ScenarioError, load_scenario,
-                              resolve_scenario)
+                              read_calibration_csv, resolve_scenario)
 
 MINIMAL = """
 radar: {mode: uwb}
@@ -249,6 +249,24 @@ experiment: {kind: compare_modes, sweeps: 1}
         for row in rows[1:]:
             assert row.split(",")[2] == ""
 
+    def test_waveform_built_once_per_chain(self, tmp_path, monkeypatch):
+        # calibration runs on the experiment's own pipeline
+        built = []
+        make_waveform = imaging.make_waveform
+
+        def counting(params, *args, **kwargs):
+            built.append(params.mode.value)
+            return make_waveform(params, *args, **kwargs)
+
+        monkeypatch.setattr(imaging, "make_waveform", counting)
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / \
+            "sphere_compare.yaml"
+        data = yaml.safe_load(scenario.read_text())
+        data["experiment"]["sweeps"] = 2
+        path = _write(tmp_path, yaml.safe_dump(data))
+        assert main([str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert built == ["nb", "uwb"]
+
     def test_sphere_compare_golden_summary(self, tmp_path):
         # the worked comparison from the README, pinned to 1e-9 relative
         scenario = Path(__file__).resolve().parents[1] / "scenarios" / \
@@ -366,3 +384,38 @@ class TestCliEntry:
         # the nb chain's 100 us PRI reaches 15 km
         load_scenario(_write(tmp_path, far.replace("{mode: uwb}", "{mode: nb}"),
                              "nb.yaml"))
+
+    def test_flags_apply_before_validation(self, tmp_path, capsys):
+        # each file is invalid as written but valid for the run the flags
+        # select, so it must not exit 2
+        one_sweep = SERIES.replace("sweeps: 4", "sweeps: 1")
+        far = MINIMAL.replace("range_m: 10.0", "range_m: 20.0")
+        for i, (text, flags) in enumerate((
+                (one_sweep, ["--experiment", "profile"]),
+                (far, ["--mode", "nb"]))):
+            path = _write(tmp_path, text, f"case{i}.yaml")
+            out = tmp_path / f"out{i}"
+            assert main([str(path), "--out", str(out), "--quiet"]) == 2
+            capsys.readouterr()
+            assert main([str(path), "--out", str(out), "--quiet"] + flags) == 0
+            assert (out / "profile.csv").exists()
+
+    def test_unreadable_calibration_file_exits_two(self, tmp_path, capsys):
+        cal_dir = tmp_path / "a_directory"
+        cal_dir.mkdir()
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            f"experiment.calibration_file: {cal_dir}: Is a directory":
+                SERIES + f"  calibration_file: {cal_dir}\n",
+            "experiment.calibration_file: " f"{tmp_path / 'missing.csv'}":
+                SERIES + f"  calibration_file: {tmp_path / 'missing.csv'}\n",
+        })
+
+    def test_calibrate_needs_a_reference(self, tmp_path, capsys):
+        # two points give no default reference; a calibration file does not
+        # stand in for one when the run writes a calibration
+        text = MINIMAL + (
+            "      - {sigma_m2: 1.0e-3, range_m: 12.0}\n"
+            "experiment: {kind: calibrate, calibration_file: unused.csv}\n")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "experiment.reference: required for the calibrate experiment":
+                text})

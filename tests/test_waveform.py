@@ -4,9 +4,10 @@ pulse gating, monocycle shape/spectrum, coded pulse trains."""
 import numpy as np
 import pytest
 
-from pnradar import (Mode, SampleStream, ds_uwb_train, gate_pulse,
-                     gaussian_monocycle, gen_mseq, nb_params, qpsk_baseband,
-                     spread, uwb_params)
+from pnradar import (Mode, PulseTrain, SampleStream, ds_uwb_train,
+                     gate_pulse, gaussian_monocycle, gen_mseq, nb_params,
+                     qpsk_baseband, spread, uwb_params, uwb_pulse_train)
+from pnradar.waveform import _pulse_mask
 
 
 @pytest.fixture
@@ -103,6 +104,46 @@ class TestGatePulse:
         gated = gate_pulse(s, p)
         passed = gated.samples != 0
         assert np.array_equal(gated.samples[passed], s.samples[passed])
+
+
+class TestPulseMask:
+    def test_memoized_read_only_and_unchanged(self):
+        args = (319341, 100e9, 100e-9, 2e-9)
+        mask = _pulse_mask(*args)
+        assert _pulse_mask(*args) is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = False
+        t = np.arange(args[0]) / args[1]
+        assert np.array_equal(mask, np.mod(t, args[2]) < args[3])
+
+
+class TestPulseTrain:
+    def test_expansion_sums_weighted_shifted_pulses(self):
+        pulse = SampleStream(np.array([1.0, 2.0, 3.0]), 1.0)
+        train = PulseTrain(pulse, [1.0, -1.0, 2.0], period=2)
+        assert len(train) == 7
+        assert np.array_equal(train.samples(),
+                              [1.0, 2.0, 3.0 - 1.0, -2.0, -3.0 + 2.0, 4.0, 6.0])
+        assert np.array_equal(train.samples(9)[7:], [0.0, 0.0])
+
+    def test_invalid_trains_rejected(self):
+        pulse = SampleStream(np.ones(3), 1.0)
+        with pytest.raises(ValueError, match="chips"):
+            PulseTrain(pulse, [])
+        with pytest.raises(ValueError, match="period"):
+            PulseTrain(pulse, [1.0, 1.0], period=0)
+        with pytest.raises(ValueError, match="cannot hold"):
+            PulseTrain(pulse, [1.0, 1.0], period=4).samples(6)
+
+    def test_uwb_train_is_the_transmitted_train(self):
+        p = uwb_params()
+        code = gen_mseq([3, 1, 0])
+        train = uwb_pulse_train(code, p)
+        tx = ds_uwb_train(code, p).samples
+        nz = np.flatnonzero(tx)
+        assert len(train) == nz[-1] + 1
+        assert np.array_equal(train.samples(tx.size), tx)
 
 
 class TestMonocycle:
