@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,6 +184,19 @@ def gen_clutter(extent_m: tuple[float, float], count: int,
     return tuple(points)
 
 
+@lru_cache(maxsize=8)
+def _tone(df: float, n: int, fs: float) -> np.ndarray:
+    """exp(2j*pi*df*t) over n samples at rate fs.
+
+    Memoized: every sweep of a scene adds the same carrier-offset tone
+    per interferer, so the returned array is read-only.
+    """
+    t = np.arange(n) / fs
+    tone = np.exp(2j * np.pi * df * t)
+    tone.flags.writeable = False
+    return tone
+
+
 def _interferer_samples(itf: Interferer, n: int, fs: float, carrier_hz: float,
                         rng, symbol_rate_hz: float = 1e6) -> np.ndarray:
     """Baseband samples of one interferer at its carrier offset."""
@@ -194,8 +208,7 @@ def _interferer_samples(itf: Interferer, n: int, fs: float, carrier_hz: float,
     if itf.power_w == 0.0:
         return np.zeros(n, dtype=np.complex128)
     amp = np.sqrt(itf.power_w)
-    t = np.arange(n) / fs
-    tone = np.exp(2j * np.pi * df * t)
+    tone = _tone(df, n, fs)
     if itf.kind is InterfererKind.CW:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         return amp * np.exp(1j * phase) * tone
@@ -218,15 +231,50 @@ def add_interferer(s: SampleStream, freq_hz: float, power_w: float,
     return s.with_samples(s.samples + extra)
 
 
+def _check_ranges(ranges: np.ndarray, params: RadarParams) -> None:
+    r_max = params.unambiguous_range_m
+    far = np.flatnonzero(ranges > r_max)
+    if far.size:
+        k = int(far[0])
+        raise ValueError(
+            f"scatterer {k} at {ranges[k]:g} m exceeds the unambiguous "
+            f"range {r_max:g} m set by the PRI")
+
+
 def check_unambiguous_range(points: tuple[Scatterer, ...],
                             params: RadarParams) -> None:
     """Every scatterer must lie within the unambiguous range c*PRI/2."""
-    r_max = params.unambiguous_range_m
-    for k, p in enumerate(points):
-        if p.range_m > r_max:
-            raise ValueError(
-                f"scatterer {k} at {p.range_m:g} m exceeds the unambiguous "
-                f"range {r_max:g} m set by the PRI")
+    _check_ranges(np.array([p.range_m for p in points], dtype=np.float64),
+                  params)
+
+
+def _echoes(points: tuple[Scatterer, ...], ranges: np.ndarray, pol: Pol,
+            params: RadarParams, fs: float,
+            jitter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample delay and complex amplitude of every point's echo:
+    round(2R/c * fs) and sqrt(sigma) * S_pq / R^2 * exp(j(-2*pi*f_c*tau
+    + jitter)).
+
+    Each amplitude rounds exactly as the scalar expression
+    ``scattering_amplitude(p, pol) / R**2 * np.exp(1j * phase)``: R**2
+    goes through libm pow (``float_power``), the division by R**2 is
+    taken part by part, and the complex product is written out, because
+    numpy's vectorized complex multiply rounds differently from its
+    scalar one.
+    """
+    r, c = _POL_INDEX[pol]
+    s_pq = np.array([p.pol_matrix[r, c] for p in points], dtype=np.complex128)
+    root = np.sqrt(np.array([p.sigma_m2 for p in points], dtype=np.float64))
+    r2 = np.float_power(ranges, 2.0)
+    re = root * s_pq.real / r2
+    im = root * s_pq.imag / r2
+    delay_s = 2.0 * ranges / SPEED_OF_LIGHT
+    rot = np.exp(1j * (-2.0 * np.pi * params.carrier_hz * delay_s + jitter))
+    a = np.empty(len(points), dtype=np.complex128)
+    a.real = re * rot.real - im * rot.imag
+    a.imag = re * rot.imag + im * rot.real
+    # np.rint rounds half to even, as round() does
+    return np.rint(delay_s * fs).astype(np.int64), a
 
 
 def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
@@ -237,8 +285,11 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     sqrt(sigma) * S_pq / R^2 (absolute link constants are absorbed by
     calibration), rotated by the two-way carrier phase, and perturbed by
     a per-point phase drawn fresh every sweep when jitter is enabled.
-    Delays round to the nearest sample, and each echo is added only over
-    the nonzero samples of tx.  Direct-path leakage, external interferers
+    Delays round to the nearest sample (half to even).  The amplitudes
+    of points that share a delay are summed in point order, and each
+    distinct delay adds one scaled copy of tx, over its nonzero samples
+    only, in order of first appearance; points of zero scattering
+    amplitude are skipped.  Direct-path leakage, external interferers
     and thermal noise are added on top.
     """
     if tx.duration < params.pri_s:
@@ -246,7 +297,8 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     fs = tx.sample_rate
     n = len(tx)
     points = scene.all_points
-    check_unambiguous_range(points, params)
+    ranges = np.array([p.range_m for p in points], dtype=np.float64)
+    _check_ranges(ranges, params)
 
     out = np.zeros(n, dtype=np.complex128)
     if scene.direct_path_gain:
@@ -258,18 +310,18 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     else:
         jitter = np.zeros(len(points))
 
+    delays, a = _echoes(points, ranges, pol, params, fs, jitter)
+    live = np.flatnonzero(a)
+    distinct, first, which = np.unique(delays[live], return_index=True,
+                                       return_inverse=True)
+    h = np.zeros(distinct.size, dtype=np.complex128)
+    np.add.at(h, which, a[live])
     support = np.flatnonzero(tx.samples != 0)
     active = tx.samples[support]
-    for k, p in enumerate(points):
-        amp = scattering_amplitude(p, pol)
-        if amp == 0:
-            continue
-        delay_s = 2.0 * p.range_m / SPEED_OF_LIGHT
-        d = int(round(delay_s * fs))
-        phase = -2.0 * np.pi * params.carrier_hz * delay_s + jitter[k]
-        a = amp / p.range_m ** 2 * np.exp(1j * phase)
+    for j in np.argsort(first):
+        d = int(distinct[j])
         m = int(np.searchsorted(support, n - d))
-        out[support[:m] + d] += a * active[:m]
+        out[support[:m] + d] += h[j] * active[:m]
 
     for i, itf in enumerate(scene.interferers):
         rng = _rng(scene.rng_seed, sweep_index, _RNG_INTERFERER, i)

@@ -61,9 +61,12 @@ def write_series_csv(path: Path, estimates: list[RcsEstimate]) -> None:
 
 
 def write_image_csv(path: Path, image: ScanImage) -> None:
-    rows = ((_fmt(az), _fmt(rng_m), _fmt(_db(p)))
-            for az, row in zip(image.azimuths_deg, image.power)
-            for rng_m, p in zip(image.ranges_m, row))
+    # every row shares the range column: format it once per image
+    ranges = [_fmt(r) for r in image.ranges_m.tolist()]
+    rows = ((az, rng_m, _fmt(_db(p)))
+            for az, row in zip(map(_fmt, image.azimuths_deg.tolist()),
+                               image.power)
+            for rng_m, p in zip(ranges, row.tolist()))
     _write_csv(path, "az_deg,range_m,power_db", rows)
 
 

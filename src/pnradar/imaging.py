@@ -142,16 +142,13 @@ def _lag_ranges_m(lags: range, params: RadarParams) -> np.ndarray:
                              * (1.0 / params.sample_rate_hz)) / 2.0
 
 
-def kept_lags(params: RadarParams, n_lags: int, blank_width_s: float,
-              max_range_m: float) -> range:
-    """The lags, out of 0 .. n_lags-1, that a range profile keeps.
-
-    Lags blanked by the receive gate (range < c*blank/2) are dropped, as
-    are ranges beyond ``max_range_m``; the rest is one contiguous window.
-    """
+def kept_lags(params: RadarParams, n_lags: int,
+              window_m: tuple[float, float]) -> range:
+    """The lags, out of 0 .. n_lags-1, whose ranges fall in ``window_m``
+    (see ReceiverConfig.range_window_m); they form one contiguous run."""
+    near, far = window_m
     ranges = _lag_ranges_m(range(n_lags), params)
-    keep = ((ranges >= SPEED_OF_LIGHT * blank_width_s / 2.0)
-            & (ranges <= max_range_m))
+    keep = (ranges >= near) & (ranges <= far)
     idx = np.flatnonzero(keep)
     return range(idx[0], idx[-1] + 1) if idx.size else range(0)
 
@@ -290,6 +287,12 @@ class ReceiverConfig:
     gate_m: tuple[float, float] | None = None
     margin_bins: int = 2
 
+    @property
+    def range_window_m(self) -> tuple[float, float]:
+        """The two-way ranges a profile keeps: from the end of the receive
+        blank, c*blank/2, to max_range_m."""
+        return SPEED_OF_LIGHT * self.blank_width_s / 2.0, self.max_range_m
+
 
 def matched_window_bins(params: RadarParams) -> int:
     """Peak-suppression window: the matched-filter mainlobe/sidelobe span."""
@@ -347,7 +350,7 @@ class SweepPipeline:
         self.tx = SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
         self.template = template
         self.lags = kept_lags(params, len(self.tx) - len(template) + 1,
-                              cfg.blank_width_s, cfg.max_range_m)
+                              cfg.range_window_m)
         self.window_bins = matched_window_bins(params)
 
     def profile(self, scene: Scene, pol: Pol = Pol.VV,

@@ -413,6 +413,11 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
         raise ScenarioError(
             f"experiment.reference: required for the {kind.value} experiment "
             "(or provide experiment.calibration_file)")
+    if kind is ExperimentKind.COMPARE_MODES \
+            and exp["calibration_file"] is not None:
+        raise ScenarioError(
+            "experiment.calibration_file: compare_modes runs the nb and uwb "
+            "chains, and one calibration file cannot calibrate two waveforms")
     calibration = None
     if consumes_cal and exp["calibration_file"] is not None:
         calibration = read_calibration_csv(exp["calibration_file"])
@@ -432,10 +437,16 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
 
     # rules the sweep chain enforces, checked here for the chains this
     # experiment runs so that a violation exits before any synthesis
+    self_calibrates = kind is ExperimentKind.CALIBRATE or (
+        consumes_cal and calibration is None)
+    calibrates_on = reference[1] if self_calibrates else None
+    gated = kind in (ExperimentKind.RCS_SWEEP_SERIES,
+                     ExperimentKind.COMPARE_MODES)
     chains = list(Mode) if kind is ExperimentKind.COMPARE_MODES else [mode]
     for chain in chains:
         params = scenario.params_for(chain)
-        blank = scenario.rx_for(chain).blank_width_s
+        rx_cfg = scenario.rx_for(chain)
+        blank = rx_cfg.blank_width_s
         try:
             if blank > 0:
                 check_blank_width(params, blank)
@@ -446,7 +457,32 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
             check_unambiguous_range(scene.all_points, params)
         except ValueError as exc:
             raise ScenarioError(f"scene ({chain.value} chain): {exc}") from exc
+        _check_kept_window(chain, rx_cfg, calibrates_on, gated)
     return scenario
+
+
+def _check_kept_window(chain: Mode, rx_cfg: ReceiverConfig,
+                       reference_m: float | None, gated: bool) -> None:
+    """The range window a profile keeps must reach the reference the run
+    calibrates on and the gate it estimates in."""
+    needed = []
+    if reference_m is not None:
+        needed.append((f"the calibration reference at {reference_m:g} m",
+                       reference_m, reference_m))
+    if gated and rx_cfg.gate_m is not None:
+        lo, hi = rx_cfg.gate_m
+        needed.append((f"the gate [{lo:g}, {hi:g}] m", lo, hi))
+    near, far = rx_cfg.range_window_m
+    for what, lo, hi in needed:
+        if hi < near:
+            where = "receiver.blank_width_s"
+        elif lo > far:
+            where = "receiver.max_range_m"
+        else:
+            continue
+        raise ScenarioError(
+            f"{where} ({chain.value} chain): the kept range window "
+            f"[{near:g}, {far:g}] m excludes {what}")
 
 
 def read_calibration_csv(path: str | Path) -> Calibration:

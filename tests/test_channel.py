@@ -3,11 +3,14 @@ physics (delay, superposition, linearity, determinism), interference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnradar import (Interferer, InterfererKind, Pol, SampleStream, Scatterer,
-                     Scene, TargetModel, add_interferer, gen_clutter,
-                     identity_pol_matrix, nb_params, propagate,
-                     scattering_amplitude, SPEED_OF_LIGHT)
+                     Scene, TargetModel, add_interferer, gen_clutter, gen_mseq,
+                     identity_pol_matrix, make_waveform, nb_params, propagate,
+                     scattering_amplitude, uwb_params, SPEED_OF_LIGHT)
+from pnradar.channel import (_RNG_INTERFERER, _RNG_NOISE, _RNG_PHASE,
+                             _interferer_samples, _rng, _tone)
 
 
 def _tone_stream(params, n_pri=1):
@@ -227,6 +230,158 @@ class TestPropagate:
         scene = _single_point_scene(sigma=0.0, direct_path_gain=0.25)
         rx = propagate(tx, scene, params, Pol.VV)
         assert np.allclose(rx.samples, 0.25 * tx.samples)
+
+
+def _propagate_oracle(tx, scene, params, pol, sweep_index=0):
+    """Reference propagation: one shifted add of tx per scatterer, in point
+    order, with the same RNG streams and the same impairments."""
+    fs = tx.sample_rate
+    n = len(tx)
+    points = scene.all_points
+    out = np.zeros(n, dtype=np.complex128)
+    if scene.direct_path_gain:
+        out += scene.direct_path_gain * tx.samples
+    if scene.sweep_phase_jitter_rad > 0 and points:
+        rng = _rng(scene.rng_seed, sweep_index, _RNG_PHASE)
+        jitter = rng.normal(0.0, scene.sweep_phase_jitter_rad, size=len(points))
+    else:
+        jitter = np.zeros(len(points))
+    support = np.flatnonzero(tx.samples != 0)
+    active = tx.samples[support]
+    for k, p in enumerate(points):
+        amp = scattering_amplitude(p, pol)
+        if amp == 0:
+            continue
+        delay_s = 2.0 * p.range_m / SPEED_OF_LIGHT
+        d = int(round(delay_s * fs))
+        phase = -2.0 * np.pi * params.carrier_hz * delay_s + jitter[k]
+        a = amp / p.range_m ** 2 * np.exp(1j * phase)
+        m = int(np.searchsorted(support, n - d))
+        out[support[:m] + d] += a * active[:m]
+    for i, itf in enumerate(scene.interferers):
+        rng = _rng(scene.rng_seed, sweep_index, _RNG_INTERFERER, i)
+        out += _interferer_samples(itf, n, fs, tx.carrier_hz, rng)
+    if scene.noise_psd > 0:
+        rng = _rng(scene.rng_seed, sweep_index, _RNG_NOISE)
+        scale = np.sqrt(scene.noise_psd * fs / 2.0)
+        out.real += scale * rng.standard_normal(n)
+        out.imag += scale * rng.standard_normal(n)
+    return SampleStream(out, fs, tx.carrier_hz)
+
+
+def _oracle_streams():
+    """(params, tx) pairs: the NB pulse, a 7-chip UWB train (its last echoes
+    run past the stream end) and a sparse random NB stream with support up
+    to its last sample, so that every echo is truncated."""
+    pn = gen_mseq([3, 1, 0])
+    nb, uwb = nb_params(), uwb_params()
+    rng = np.random.default_rng(21)
+    n = int(round(nb.pri_s * nb.sample_rate_hz))
+    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    samples[rng.random(n) < 0.8] = 0.0
+    return [(nb, make_waveform(nb, pn)[0]), (uwb, make_waveform(uwb, pn)[0]),
+            (nb, SampleStream(samples, nb.sample_rate_hz, nb.carrier_hz))]
+
+
+_STREAMS = _oracle_streams()
+_DEPOLARIZING = np.array([[1.0, 0.3j], [0.3j, -0.8]], dtype=complex)
+
+
+@st.composite
+def _oracle_case(draw):
+    params, tx = draw(st.sampled_from(_STREAMS))
+    fs = tx.sample_rate
+    max_delay = int(params.unambiguous_range_m * 2.0 / SPEED_OF_LIGHT * fs)
+    # a few delays near the start and the end of the window, so that
+    # points share them often
+    delay = st.one_of(st.integers(1, 3),
+                      st.integers(max_delay - 2, max_delay),
+                      st.integers(1, max_delay))
+    points = []
+    for _ in range(draw(st.integers(1, 10))):
+        d = draw(delay)
+        frac = draw(st.floats(-0.45, 0.45))
+        range_m = min((d + frac) * SPEED_OF_LIGHT / (2.0 * fs),
+                      params.unambiguous_range_m)
+        # one point in five has zero cross section
+        sigma = draw(st.floats(1e-6, 10.0)) if draw(st.integers(0, 4)) \
+            else 0.0
+        mat = draw(st.sampled_from(["identity", "phase", "depolarizing"]))
+        if mat == "identity":
+            pol_matrix = identity_pol_matrix()
+        elif mat == "phase":
+            pol_matrix = (np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+                          * np.ones((2, 2)))
+        else:
+            pol_matrix = _DEPOLARIZING
+        points.append(Scatterer(sigma_m2=sigma, range_m=range_m,
+                                pol_matrix=pol_matrix))
+    interferers = ()
+    if draw(st.booleans()):
+        interferers = (
+            Interferer(freq_hz=tx.carrier_hz + 1e6, power_w=1e-9),
+            Interferer(freq_hz=tx.carrier_hz - 2e6, power_w=1e-9,
+                       kind=InterfererKind.QPSK_MODULATED))
+    scene = Scene(
+        target=TargetModel(points=tuple(points[:1])),
+        clutter=tuple(points[1:]), interferers=interferers,
+        noise_psd=draw(st.sampled_from([0.0, 1e-19])),
+        direct_path_gain=draw(st.sampled_from([0.0, 0.25])),
+        sweep_phase_jitter_rad=draw(st.sampled_from([0.0, 0.3])),
+        rng_seed=draw(st.integers(0, 2**32)))
+    return params, tx, scene, draw(st.sampled_from(list(Pol))), \
+        draw(st.integers(0, 50))
+
+
+class TestPropagateOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_oracle_case())
+    def test_matches_per_point_loop(self, case):
+        params, tx, scene, pol, sweep = case
+        rx = propagate(tx, scene, params, pol, sweep).samples
+        ref = _propagate_oracle(tx, scene, params, pol, sweep).samples
+        fs = tx.sample_rate
+        live = [p for p in scene.all_points
+                if scattering_amplitude(p, pol) != 0]
+        delays = [int(round(2.0 * p.range_m / SPEED_OF_LIGHT * fs))
+                  for p in live]
+        if len(set(delays)) == len(delays):
+            # one point per delay: the same adds in the same order
+            assert np.array_equal(rx, ref)
+            return
+        # shared delays are summed first, which reassociates the echo sums;
+        # samples added before or after them round at most an ulp apart
+        sum_a = sum(abs(scattering_amplitude(p, pol)) / p.range_m ** 2
+                    for p in live)
+        max_tx = np.max(np.abs(tx.samples))
+        tol = 1e-12 * ((scene.direct_path_gain + sum_a) * max_tx
+                       + np.max(np.abs(ref)))
+        assert np.max(np.abs(rx - ref)) <= tol
+
+    def test_half_sample_delays_round_to_even(self):
+        # 2R/c*fs is exactly 2.5, 4.5, 6.5 and 8.5 samples for these ranges
+        params, tx = _STREAMS[2]
+        fs = tx.sample_rate
+        ranges = [(k + 0.5) * SPEED_OF_LIGHT / (2.0 * fs) for k in (2, 4, 6, 8)]
+        assert [2.0 * r / SPEED_OF_LIGHT * fs for r in ranges] == \
+            [2.5, 4.5, 6.5, 8.5]
+        scene = Scene(target=TargetModel(points=tuple(
+            Scatterer(sigma_m2=1.0, range_m=r) for r in ranges)))
+        rx = propagate(tx, scene, params, Pol.VV).samples
+        assert np.array_equal(
+            rx, _propagate_oracle(tx, scene, params, Pol.VV).samples)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(-39e6, 39e6), st.integers(1, 5000),
+           st.sampled_from([80e6, 100e9]))
+    def test_tone_is_read_only_and_exact(self, df, n, fs):
+        tone = _tone(df, n, fs)
+        assert not tone.flags.writeable
+        with pytest.raises(ValueError):
+            tone[0] = 0.0
+        t = np.arange(n) / fs
+        assert tone.tobytes() == np.exp(2j * np.pi * df * t).tobytes()
+        assert _tone(df, n, fs) is tone
 
 
 class TestAddInterferer:

@@ -284,6 +284,33 @@ experiment: {kind: compare_modes, sweeps: 1}
             assert summary[mode][2] == "true"
 
 
+class TestDenseSeries:
+    # the benchmark's dense narrowband series (401 points on 5 sample
+    # delays), cut to 40 sweeps; values recorded before echoes were summed
+    # per delay, pinned to 1e-9 relative
+    GOLDEN_DBSM = [
+        -19.7994082455, -16.7758080937, -18.4436422682, -16.4678536646,
+        -16.3932108936, -18.2395038869, -15.948468342, -17.1018555867,
+        -16.5342731882, -17.0385937545, -16.6783560446, -15.0611436908,
+        -15.7400051789, -16.1243439874, -16.245851685, -15.1495226756,
+        -14.2193861262, -14.9589562977, -18.422135139, -16.7204976547,
+        -14.6425154291, -19.1365621183, -14.3502209891, -15.2175651399,
+        -14.7968084563, -18.5720226733, -16.3668940116, -18.182435667,
+        -15.834087233, -15.4122316583, -15.5953818788, -21.3730795423,
+        -15.339510804, -14.9920186784, -16.1275140121, -16.858493235,
+        -16.0719456743, -15.4713071028, -16.0413657266, -18.5373473508]
+
+    def test_nb_dense_series_golden(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / \
+            "nb_dense_series.yaml"
+        scenario = load_scenario(path, {"experiment.sweeps": 40,
+                                        "output.directory": str(tmp_path)})
+        run(scenario, quiet=True)
+        rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
+        dbsm = [float(r.split(",")[3]) for r in rows]
+        assert dbsm == pytest.approx(self.GOLDEN_DBSM, rel=1e-9)
+
+
 class TestCliEntry:
     def test_exit_zero_on_success(self, tmp_path, capsys):
         path = _write(tmp_path, MINIMAL)
@@ -409,6 +436,51 @@ class TestCliEntry:
             "experiment.calibration_file: " f"{tmp_path / 'missing.csv'}":
                 SERIES + f"  calibration_file: {tmp_path / 'missing.csv'}\n",
         })
+
+    def test_kept_window_reaches_reference_and_gate(self, tmp_path, capsys):
+        nb = MINIMAL.replace("{mode: uwb}", "{mode: nb}")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "receiver.max_range_m (nb chain): the kept range window [0, 5] m "
+            "excludes the calibration reference at 10 m":
+                nb + "receiver: {max_range_m: 5.0}\n"
+                "experiment: {kind: rcs_sweep_series}\n",
+            "receiver.max_range_m (uwb chain): the kept range window [0, 12] "
+            "m excludes the gate [12.5, 13] m":
+                SERIES + "receiver: {max_range_m: 12.0, gate_min_m: 12.5, "
+                "gate_max_m: 13.0}\n",
+            # compare_modes runs both chains; only the uwb window is cut
+            "receiver.max_range_m (uwb chain): the kept range window [0, 8] m "
+            "excludes the calibration reference at 10 m":
+                MINIMAL + "receiver: {uwb: {max_range_m: 8.0}}\n"
+                "experiment: {kind: compare_modes}\n",
+            "receiver.blank_width_s (uwb chain): the kept range window "
+            "[11.9917, 13.4907] m excludes the calibration reference at 10 m":
+                MINIMAL + "receiver: {blank_width_s: 8.0e-8}\n"
+                "experiment: {kind: scan_image}\n",
+            # clutter drawn past c*PRI/2 is caught with the scene's points
+            "scene (uwb chain): scatterer":
+                MINIMAL + "  clutter: {count: 20, range_max_m: 40.0}\n",
+        })
+        # a profile neither calibrates nor gates
+        load_scenario(_write(tmp_path, nb + "receiver: {max_range_m: 5.0}\n",
+                             "profile.yaml"))
+
+    def test_compare_modes_rejects_one_calibration_file(self, tmp_path,
+                                                         capsys):
+        # an nb calibration would be applied to the uwb chain as well
+        cal_text = MINIMAL.replace("{mode: uwb}", "{mode: nb}") + (
+            "code: {taps: [5, 2, 0], chips_per_bit: 31}\n"
+            "experiment: {kind: calibrate}\n"
+            f"output: {{directory: {tmp_path / 'cal'}}}\n")
+        run(load_scenario(_write(tmp_path, cal_text, "cal.yaml")), quiet=True)
+        compare = MINIMAL + (
+            "code: {taps: [5, 2, 0], chips_per_bit: 31}\n"
+            "experiment: {kind: compare_modes, sweeps: 2, "
+            f"calibration_file: {tmp_path / 'cal' / 'calibration.csv'}}}\n")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "experiment.calibration_file: compare_modes runs the nb and uwb "
+            "chains, and one calibration file cannot calibrate two "
+            "waveforms": compare})
 
     def test_calibrate_needs_a_reference(self, tmp_path, capsys):
         # two points give no default reference; a calibration file does not
