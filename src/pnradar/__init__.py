@@ -2,8 +2,13 @@
 impulse imaging radar, from waveform synthesis through a cluttered
 channel to range profiling and cross-section estimation."""
 
-from .codes import (CodeKind, PnSequence, gen_gold, gen_mseq, manual_sequence,
-                    PREFERRED_PAIRS)
+# numpy loads numpy.random, and numpy.ma (which np.median and np.unique
+# use), on first use; loading them with the package keeps that import
+# time out of a run's first sweep.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
+from .codes import CodeKind, PnSequence, gen_gold, gen_mseq, PREFERRED_PAIRS
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
                        SPEED_OF_LIGHT, ds_uwb_train, gate_pulse,
                        gaussian_monocycle, nb_params, qpsk_baseband, spread,

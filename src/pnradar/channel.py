@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class Scatterer:
 
 @dataclass(frozen=True)
 class TargetModel:
-    """Target as a set of scattering centers; extent is the range spread."""
+    """Target as a set of scattering centers."""
 
     points: tuple[Scatterer, ...]
 
@@ -89,19 +89,6 @@ class TargetModel:
         if not pts:
             raise ValueError("target must contain at least one point")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def extent_m(self) -> float:
-        ranges = [p.range_m for p in self.points]
-        return max(ranges) - min(ranges)
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([p.sigma_m2 for p in self.points])
-
-    @property
-    def ranges(self) -> np.ndarray:
-        return np.array([p.range_m for p in self.points])
 
 
 class InterfererKind(Enum):
@@ -145,6 +132,21 @@ class Scene:
     @property
     def all_points(self) -> tuple[Scatterer, ...]:
         return self.target.points + self.clutter
+
+    @cached_property
+    def point_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(range, sqrt(sigma), 2x2 scattering matrix) of every point, in
+        all_points order.  Built once: a series propagates the same scene
+        every sweep, so the arrays are read-only."""
+        points = self.all_points
+        arrays = (np.array([p.range_m for p in points], dtype=np.float64),
+                  np.sqrt(np.array([p.sigma_m2 for p in points],
+                                   dtype=np.float64)),
+                  np.array([p.pol_matrix for p in points],
+                           dtype=np.complex128).reshape(-1, 2, 2))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def _rng(seed: int, sweep_index: int, purpose: int, extra: int | None = None):
@@ -248,8 +250,7 @@ def check_unambiguous_range(points: tuple[Scatterer, ...],
                   params)
 
 
-def _echoes(points: tuple[Scatterer, ...], ranges: np.ndarray, pol: Pol,
-            params: RadarParams, fs: float,
+def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
             jitter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample delay and complex amplitude of every point's echo:
     round(2R/c * fs) and sqrt(sigma) * S_pq / R^2 * exp(j(-2*pi*f_c*tau
@@ -262,15 +263,15 @@ def _echoes(points: tuple[Scatterer, ...], ranges: np.ndarray, pol: Pol,
     numpy's vectorized complex multiply rounds differently from its
     scalar one.
     """
+    ranges, root, pol_matrices = scene.point_arrays
     r, c = _POL_INDEX[pol]
-    s_pq = np.array([p.pol_matrix[r, c] for p in points], dtype=np.complex128)
-    root = np.sqrt(np.array([p.sigma_m2 for p in points], dtype=np.float64))
+    s_pq = pol_matrices[:, r, c]
     r2 = np.float_power(ranges, 2.0)
     re = root * s_pq.real / r2
     im = root * s_pq.imag / r2
     delay_s = 2.0 * ranges / SPEED_OF_LIGHT
     rot = np.exp(1j * (-2.0 * np.pi * params.carrier_hz * delay_s + jitter))
-    a = np.empty(len(points), dtype=np.complex128)
+    a = np.empty(ranges.size, dtype=np.complex128)
     a.real = re * rot.real - im * rot.imag
     a.imag = re * rot.imag + im * rot.real
     # np.rint rounds half to even, as round() does
@@ -296,28 +297,29 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
         raise ValueError("transmit stream must cover at least one PRI")
     fs = tx.sample_rate
     n = len(tx)
-    points = scene.all_points
-    ranges = np.array([p.range_m for p in points], dtype=np.float64)
+    ranges = scene.point_arrays[0]
     _check_ranges(ranges, params)
+    n_points = ranges.size
 
+    # tx is zero off its support: direct path and echoes are added there only
+    support = tx.support
+    active = tx.samples[support]
     out = np.zeros(n, dtype=np.complex128)
     if scene.direct_path_gain:
-        out += scene.direct_path_gain * tx.samples
+        out[support] += scene.direct_path_gain * active
 
-    if scene.sweep_phase_jitter_rad > 0 and points:
+    if scene.sweep_phase_jitter_rad > 0 and n_points:
         rng = _rng(scene.rng_seed, sweep_index, _RNG_PHASE)
-        jitter = rng.normal(0.0, scene.sweep_phase_jitter_rad, size=len(points))
+        jitter = rng.normal(0.0, scene.sweep_phase_jitter_rad, size=n_points)
     else:
-        jitter = np.zeros(len(points))
+        jitter = np.zeros(n_points)
 
-    delays, a = _echoes(points, ranges, pol, params, fs, jitter)
+    delays, a = _echoes(scene, pol, params, fs, jitter)
     live = np.flatnonzero(a)
     distinct, first, which = np.unique(delays[live], return_index=True,
                                        return_inverse=True)
     h = np.zeros(distinct.size, dtype=np.complex128)
     np.add.at(h, which, a[live])
-    support = np.flatnonzero(tx.samples != 0)
-    active = tx.samples[support]
     for j in np.argsort(first):
         d = int(distinct[j])
         m = int(np.searchsorted(support, n - d))
@@ -331,8 +333,13 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
         rng = _rng(scene.rng_seed, sweep_index, _RNG_NOISE)
         sigma2 = scene.noise_psd * fs
         scale = np.sqrt(sigma2 / 2.0)
-        # the real rail is drawn first, then the imaginary one
-        out.real += scale * rng.standard_normal(n)
-        out.imag += scale * rng.standard_normal(n)
+        # the real rail is drawn first, then the imaginary one, into one
+        # buffer scaled in place
+        z = rng.standard_normal(n)
+        z *= scale
+        out.real += z
+        rng.standard_normal(out=z)
+        z *= scale
+        out.imag += z
 
     return SampleStream(out, fs, tx.carrier_hz)

@@ -23,7 +23,7 @@ from . import __version__
 from .channel import Pol
 from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
                       ScanImage, SweepPipeline, calibrate, scan_image,
-                      self_calibrate)
+                      self_calibrate, sweep_samples)
 # resolve_scenario is unused here since main resolves once, inside
 # load_scenario; it stays a name of this module because the benchmark's
 # span wrappers (bench/spans.py) look it up here.
@@ -61,13 +61,18 @@ def write_series_csv(path: Path, estimates: list[RcsEstimate]) -> None:
 
 
 def write_image_csv(path: Path, image: ScanImage) -> None:
-    # every row shares the range column: format it once per image
-    ranges = [_fmt(r) for r in image.ranges_m.tolist()]
-    rows = ((az, rng_m, _fmt(_db(p)))
-            for az, row in zip(map(_fmt, image.azimuths_deg.tolist()),
-                               image.power)
-            for rng_m, p in zip(ranges, row.tolist()))
-    _write_csv(path, "az_deg,range_m,power_db", rows)
+    # Every row shares the range column, so it is baked into one line
+    # template per image; "\0" marks where each row's azimuth goes.  dB
+    # goes through math.log10, as _db does: np.log10 may differ from libm
+    # in the last bit, and the printed digits with it.
+    template = "".join("\0," + _fmt(r) + ",%.12g\n"
+                       for r in image.ranges_m.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("az_deg,range_m,power_db\n")
+        for az, row in zip(image.azimuths_deg.tolist(), image.power):
+            db = [10.0 * math.log10(p)
+                  for p in np.maximum(row, 1e-30).tolist()]
+            fh.write(template.replace("\0", _fmt(az)) % tuple(db))
 
 
 def write_calibration_csv(path: Path, cal: Calibration) -> None:
@@ -243,6 +248,16 @@ def main(argv=None) -> int:
         return 2
     except (NoDetections, ValueError, RuntimeError, OSError) as exc:
         print(f"error [{scenario.experiment.value}]: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        sizes = []
+        for m in scenario.chains:
+            n = sweep_samples(scenario.params_for(m), scenario.pn,
+                              scenario.rx_for(m).max_range_m)
+            sizes.append(f"the {m.value} sweep stream holds {n:,} complex "
+                         f"samples ({n * 16 / 2 ** 20:,.0f} MiB)")
+        print(f"error [{scenario.experiment.value}]: out of memory: "
+              + "; ".join(sizes), file=sys.stderr)
         return 3
     return 0
 

@@ -17,37 +17,7 @@ import numpy as np
 class CodeKind(Enum):
     MSEQUENCE = "msequence"
     GOLD = "gold"
-    MANUAL = "manual"
 
-
-# Known primitive polynomials, degrees 2..24, as exponent sets.
-# One standard maximal-length tap set per degree plus the preferred
-# pairs used for Gold code generation.
-_PRIMITIVE_TAPS: dict[int, tuple[frozenset[int], ...]] = {
-    2: (frozenset({2, 1, 0}),),
-    3: (frozenset({3, 1, 0}),),
-    4: (frozenset({4, 1, 0}),),
-    5: (frozenset({5, 2, 0}), frozenset({5, 4, 3, 2, 0}), frozenset({5, 3, 0})),
-    6: (frozenset({6, 1, 0}), frozenset({6, 5, 2, 1, 0})),
-    7: (frozenset({7, 1, 0}), frozenset({7, 3, 0}), frozenset({7, 3, 2, 1, 0})),
-    8: (frozenset({8, 4, 3, 2, 0}), frozenset({8, 6, 5, 3, 0})),
-    9: (frozenset({9, 4, 0}), frozenset({9, 6, 4, 3, 0})),
-    10: (frozenset({10, 3, 0}), frozenset({10, 8, 3, 2, 0})),
-    11: (frozenset({11, 2, 0}), frozenset({11, 8, 5, 2, 0})),
-    12: (frozenset({12, 6, 4, 1, 0}),),
-    13: (frozenset({13, 4, 3, 1, 0}),),
-    14: (frozenset({14, 10, 6, 1, 0}),),
-    15: (frozenset({15, 1, 0}),),
-    16: (frozenset({16, 12, 3, 1, 0}),),
-    17: (frozenset({17, 3, 0}),),
-    18: (frozenset({18, 7, 0}),),
-    19: (frozenset({19, 5, 2, 1, 0}),),
-    20: (frozenset({20, 3, 0}),),
-    21: (frozenset({21, 2, 0}),),
-    22: (frozenset({22, 1, 0}),),
-    23: (frozenset({23, 5, 0}),),
-    24: (frozenset({24, 7, 2, 1, 0}),),
-}
 
 # Preferred polynomial pairs for three-valued Gold cross-correlation.
 PREFERRED_PAIRS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
@@ -68,15 +38,12 @@ class PnSequence:
     """Bipolar chip sequence plus the generator that produced it.
 
     ``chips`` is a read-only int8 array of +1/-1 values.  ``generator``
-    records taps/seeds for reproducibility; ``verified_primitive`` is
-    False when the tap set is not in the built-in table (the sequence is
-    still generated, but maximal length is not guaranteed).
+    records taps/seeds for reproducibility.
     """
 
     chips: np.ndarray
     kind: CodeKind
     generator: dict = field(default_factory=dict)
-    verified_primitive: bool = True
 
     def __post_init__(self):
         chips = np.asarray(self.chips, dtype=np.int8)
@@ -144,13 +111,11 @@ def gen_mseq(taps, seed: int = 1) -> PnSequence:
     seed = int(seed)
     if not (0 < seed < 2 ** degree):
         raise ValueError(f"seed must be a nonzero {degree}-bit state, got {seed}")
-    verified = frozenset(exps) in _PRIMITIVE_TAPS.get(degree, ())
     bits = _lfsr_bits(exps, seed, 2 ** degree - 1)
     return PnSequence(
         chips=bits_to_bipolar(bits),
         kind=CodeKind.MSEQUENCE,
         generator={"taps": list(exps), "seed": seed},
-        verified_primitive=verified,
     )
 
 
@@ -174,12 +139,4 @@ def gen_gold(taps_a, taps_b, shift: int = 0) -> PnSequence:
         chips=chips,
         kind=CodeKind.GOLD,
         generator={"taps_a": list(exps_a), "taps_b": list(exps_b), "shift": shift},
-        verified_primitive=seq_a.verified_primitive and seq_b.verified_primitive,
     )
-
-
-def manual_sequence(chips) -> PnSequence:
-    """Wrap user-supplied bipolar chips without primitivity guarantees."""
-    return PnSequence(chips=np.asarray(chips), kind=CodeKind.MANUAL,
-                      generator={}, verified_primitive=False)
-

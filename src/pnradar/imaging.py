@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence
@@ -165,6 +164,18 @@ def range_profile(values: np.ndarray, params: RadarParams, lags: range,
                         pol=pol, sweep_index=sweep_index)
 
 
+def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
+    """out[k] = max(x[k .. k+w-1]) for k = 0 .. len(x)-w, by doubling:
+    after the pass of span s each entry is the maximum of 2s samples, and
+    two overlapping windows of the largest power of two cover w.  max is
+    exact, so the result holds the same floats as any other order."""
+    m, span = x, 1
+    while 2 * span <= w:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    return np.maximum(m[:m.size - (w - span)], m[w - span:])
+
+
 def detect_scatterers(profile: RangeProfile, threshold_db_above_noise: float,
                       window_bins: int = 1) -> list[Detection]:
     """Pick local maxima more than the threshold above the noise median.
@@ -184,13 +195,14 @@ def detect_scatterers(profile: RangeProfile, threshold_db_above_noise: float,
     # 300 dB down) from masquerading as scatterers.
     floor = max(float(np.median(power)), float(power.max()) * 1e-18)
     thr = floor * 10.0 ** (threshold_db_above_noise / 10.0)
-    w = max(1, int(window_bins))
-    # trailing[k] is the maximum of padded[k-w+1 .. k]: the w bins left of
-    # bin i end at padded index i+w-1, the w bins right of it at i+2w.
+    # past n bins a window holds only padding, so clipping w changes nothing
+    w = min(max(1, int(window_bins)), n)
+    # peak[k] is the maximum of padded[k .. k+w-1]: the w bins left of bin i
+    # start at padded index i, the w bins right of it at i+w+1.
     padded = np.concatenate([np.full(w, -np.inf), power, np.full(w, -np.inf)])
-    trailing = maximum_filter1d(padded, size=w, origin=(w - 1) // 2)
-    left = trailing[w - 1:w - 1 + n]
-    right = trailing[2 * w:2 * w + n]
+    peak = _sliding_max(padded, w)
+    left = peak[:n]
+    right = peak[w + 1:]
     starts = np.flatnonzero((power > thr) & (power > 0.0)
                             & (left < power) & (right <= power))
     # a detection spans its run of adjacent equal-power bins
@@ -329,6 +341,18 @@ def make_waveform(params: RadarParams, pn: PnSequence,
     return ds_uwb_train(pn, params), uwb_pulse_train(pn, params)
 
 
+def sweep_samples(params: RadarParams, pn: PnSequence,
+                  max_range_m: float) -> int:
+    """Length of one sweep stream: the active transmission (one PRI for
+    the narrowband pulse, one PRI per chip for the wideband train) plus
+    the echo tail out to max_range_m."""
+    fs = params.sample_rate_hz
+    period = int(round(params.pri_s * fs))
+    n_active = period * pn.length if params.mode is Mode.DS_UWB else period
+    tail = int(math.ceil(2.0 * max_range_m / SPEED_OF_LIGHT * fs)) + 1
+    return n_active + tail
+
+
 class SweepPipeline:
     """Precomputed transmit/template pair for repeated sweeps.
 
@@ -343,10 +367,9 @@ class SweepPipeline:
         self.params = params
         self.rx_config = cfg = rx_config or ReceiverConfig()
         active, template = make_waveform(params, pn, chips_per_bit)
-        tail = int(math.ceil(2.0 * cfg.max_range_m
-                             / SPEED_OF_LIGHT * params.sample_rate_hz)) + 1
-        samples = np.concatenate(
-            [active.samples, np.zeros(tail, dtype=np.complex128)])
+        samples = np.zeros(sweep_samples(params, pn, cfg.max_range_m),
+                           dtype=np.complex128)
+        samples[:len(active)] = active.samples
         self.tx = SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
         self.template = template
         self.lags = kept_lags(params, len(self.tx) - len(template) + 1,

@@ -272,6 +272,13 @@ class Scenario:
     def params_for(self, mode: Mode) -> RadarParams:
         return self.params_nb if mode is Mode.NB_DSSS else self.params_uwb
 
+    @property
+    def chains(self) -> list[Mode]:
+        """The modes the experiment runs: both for compare_modes."""
+        if self.experiment is ExperimentKind.COMPARE_MODES:
+            return list(Mode)
+        return [self.mode]
+
 
 def _build_code(cfg: dict) -> PnSequence:
     family = cfg["family"]
@@ -442,8 +449,7 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
     calibrates_on = reference[1] if self_calibrates else None
     gated = kind in (ExperimentKind.RCS_SWEEP_SERIES,
                      ExperimentKind.COMPARE_MODES)
-    chains = list(Mode) if kind is ExperimentKind.COMPARE_MODES else [mode]
-    for chain in chains:
+    for chain in scenario.chains:
         params = scenario.params_for(chain)
         rx_cfg = scenario.rx_for(chain)
         blank = rx_cfg.blank_width_s

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,6 +59,14 @@ class SampleStream:
     @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Indices of the nonzero samples, computed once: the samples are
+        read-only, and so is the result."""
+        idx = np.flatnonzero(self.samples != 0)
+        idx.flags.writeable = False
+        return idx
 
     @property
     def power(self) -> float:

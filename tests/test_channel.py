@@ -1,6 +1,9 @@
 """Channel tests: scattering amplitudes, clutter statistics, propagation
 physics (delay, superposition, linearity, determinism), interference."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +191,27 @@ class TestPropagate:
         a = propagate(tx, scene, params, Pol.VV, sweep_index=3)
         b = propagate(tx, scene, params, Pol.VV, sweep_index=3)
         assert a.samples.tobytes() == b.samples.tobytes()
+
+    def test_scene_arrays_built_once_per_scene(self):
+        params = uwb_params()
+        tx = make_waveform(params, gen_mseq([3, 1, 0]))[0]
+        depolarizing = np.array([[1.0, 0.3j], [0.5j, -0.8]])
+        scene = _single_point_scene(
+            sigma=4.0, range_m=3.0, noise_psd=1e-19, rng_seed=5,
+            clutter=(Scatterer(sigma_m2=0.5, range_m=6.0,
+                               pol_matrix=depolarizing),))
+        ranges, root, mats = scene.point_arrays
+        assert scene.point_arrays[0] is ranges
+        assert not any(a.flags.writeable for a in (ranges, root, mats))
+        assert ranges.tolist() == [3.0, 6.0]
+        assert root.tolist() == [2.0, math.sqrt(0.5)]
+        assert np.array_equal(mats[1], depolarizing)
+        # a scene propagated before, in another polarization, gives the
+        # same sweep as a fresh copy of it
+        for pol in Pol:
+            warm = propagate(tx, scene, params, pol, 2).samples
+            cold = propagate(tx, dataclasses.replace(scene), params, pol, 2)
+            assert warm.tobytes() == cold.samples.tobytes()
 
     def test_distinct_sweeps_differ(self):
         params = nb_params()

@@ -4,8 +4,7 @@ correlation oracles, balance and determinism properties."""
 import numpy as np
 import pytest
 
-from pnradar import (CodeKind, PREFERRED_PAIRS, gen_gold, gen_mseq,
-                     manual_sequence)
+from pnradar import CodeKind, PREFERRED_PAIRS, PnSequence, gen_gold, gen_mseq
 
 # One known-primitive tap set per degree for the brute-force sweeps.
 TAPS_BY_DEGREE = {
@@ -74,12 +73,6 @@ class TestMSequence:
         with pytest.raises(ValueError, match="degree"):
             gen_mseq([25, 3, 0])
 
-    def test_unverified_taps_flagged(self):
-        # x^4 + x^3 + x^2 + x + 1 is not primitive; generated but flagged
-        seq = gen_mseq([4, 3, 2, 1, 0])
-        assert seq.verified_primitive is False
-        assert gen_mseq([4, 1, 0]).verified_primitive is True
-
     def test_kind_and_generator_metadata(self):
         seq = gen_mseq([5, 2, 0], seed=3)
         assert seq.kind is CodeKind.MSEQUENCE
@@ -127,12 +120,7 @@ class TestGold:
             gen_gold(*PREFERRED_PAIRS[5], shift=31)
 
 
-class TestManual:
-    def test_manual_wraps_chips(self):
-        seq = manual_sequence([1, -1, 1, 1])
-        assert seq.kind is CodeKind.MANUAL
-        assert seq.verified_primitive is False
-
+class TestPnSequence:
     def test_non_bipolar_rejected(self):
         with pytest.raises(ValueError, match="bipolar"):
-            manual_sequence([1, 0, -1])
+            PnSequence(chips=[1, 0, -1], kind=CodeKind.MSEQUENCE)

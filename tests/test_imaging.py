@@ -13,10 +13,12 @@ from pnradar import (Calibration, Detection, Interferer, Mode, NoDetections,
                      Pol, RangeProfile,
                      ReceiverConfig, Scatterer, Scene, SweepPipeline,
                      TargetModel, calibrate, detect_scatterers, estimate_rcs,
-                     gen_clutter, gen_mseq, matched_window_bins, nb_params,
+                     gen_clutter, gen_mseq, make_waveform,
+                     matched_window_bins, nb_params,
                      propagate, pulse_volume_depth, rcs_nb, rcs_uwb,
                      rx_gate, scan_image, self_calibrate, uwb_params,
                      SPEED_OF_LIGHT)
+from pnradar.imaging import sweep_samples
 
 SIGMA_REF = 1e-3  # -30 dBsm reference sphere
 R_REF = 10.0
@@ -89,10 +91,6 @@ class TestClosedFormModels:
             shifted = target(*((s, r + lam) for s, r in pts))
             tol = 1e-12 * max(1.0, rcs_uwb(model))
             assert abs(rcs_nb(model, lam) - rcs_nb(shifted, lam)) <= tol
-
-    def test_extent(self):
-        model = target((1.0, 5.0), (1.0, 8.5), (1.0, 6.0))
-        assert model.extent_m == pytest.approx(3.5)
 
 
 class TestPulseVolumeDepth:
@@ -232,7 +230,7 @@ def _plateau_profile(draw):
 
 class TestDetectOracle:
     @settings(max_examples=400, deadline=None)
-    @given(_plateau_profile(), st.integers(1, 300),
+    @given(_plateau_profile(), st.integers(1, 2000),
            st.sampled_from([0.5, 3.0, 10.0]))
     def test_matches_bin_by_bin_scan(self, profile, window, threshold_db):
         assert detect_scatterers(profile, threshold_db, window) == \
@@ -279,6 +277,26 @@ class TestKeptLags:
         assert np.array_equal(prof.ranges_m, ranges[keep])
         np.testing.assert_allclose(prof.values, full[keep], rtol=0,
                                    atol=1e-9 * np.abs(full).max())
+
+
+class TestSweepSamples:
+    @pytest.mark.parametrize("mode", ["nb", "uwb"])
+    def test_active_transmission_plus_echo_tail(self, mode):
+        if mode == "nb":
+            params, pn = nb_params(), gen_mseq([7, 1, 0])
+            cfg = ReceiverConfig(max_range_m=3000.0)
+        else:
+            params, pn = uwb_params(), gen_mseq([3, 1, 0])
+            cfg = ReceiverConfig(max_range_m=14.0)
+        pipeline = SweepPipeline(params, pn, rx_config=cfg)
+        active = make_waveform(params, pn)[0]
+        tail = math.ceil(2.0 * cfg.max_range_m / SPEED_OF_LIGHT
+                         * params.sample_rate_hz) + 1
+        assert len(pipeline.tx) == len(active) + tail == \
+            sweep_samples(params, pn, cfg.max_range_m)
+        assert np.array_equal(pipeline.tx.samples[:len(active)],
+                              active.samples)
+        assert not pipeline.tx.samples[len(active):].any()
 
 
 class TestCalibration:

@@ -2,14 +2,21 @@
 manifest round trip."""
 
 import hashlib
+import json
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from pnradar import Mode, imaging
-from pnradar.cli import main, run
+import pnradar
+from pnradar import Mode, ScanImage, imaging
+from pnradar.cli import main, run, write_image_csv
 from pnradar.scenario import (ExperimentKind, ScenarioError, load_scenario,
                               read_calibration_csv, resolve_scenario)
 
@@ -52,6 +59,20 @@ def _assert_rejected_before_synthesis(tmp_path, capsys, cases):
         assert main([str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()  # rejected before any synthesis
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_child(script, *args, timeout=300):
+    """Run a Python snippet in a fresh interpreter that imports pnradar
+    from the tree under test, one BLAS thread so its address space stays
+    small."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(pnradar.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def _hashes(paths):
@@ -491,3 +512,60 @@ class TestCliEntry:
         _assert_rejected_before_synthesis(tmp_path, capsys, {
             "experiment.reference: required for the calibrate experiment":
                 text})
+
+    def test_out_of_memory_exits_three(self, tmp_path):
+        # a 31-chip train at 10 THz needs 31.9 M samples (487 MiB) per
+        # stream; under a 1 GiB address-space limit it cannot be built
+        path = _write(tmp_path, MINIMAL.replace(
+            "radar: {mode: uwb}",
+            "radar: {mode: uwb, uwb: {sample_rate_hz: 1.0e+13}}\n"
+            "code: {family: msequence, taps: [5, 2, 0], chips_per_bit: 31}"))
+        proc = _run_child(
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from pnradar.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n",
+            path, "--out", tmp_path / "out", "--quiet")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith(
+            "error [profile]: out of memory: the uwb sweep stream holds "
+            "31,900,001 complex samples (487 MiB)")
+        assert "Traceback" not in proc.stderr
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+
+class TestNumpyOnlyRuntime:
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        data = yaml.safe_load((ROOT / "scenarios" / "sphere_compare.yaml")
+                              .read_text())
+        data["experiment"]["sweeps"] = 2
+        path = _write(tmp_path, yaml.safe_dump(data))
+        proc = _run_child(
+            "import json, sys\n"
+            "from pnradar.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules\n"
+            "                             if m.split('.')[0] == 'scipy')]))\n",
+            path, "--out", tmp_path / "out", "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, []]
+        assert (tmp_path / "out" / "compare_summary.csv").exists()
+
+    def test_image_csv_matches_value_by_value_format(self, tmp_path):
+        # the row template prints what "%.12g" of each field and
+        # 10*log10(max(p, 1e-30)) print, zeros and denormals included
+        rng = np.random.default_rng(3)
+        power = rng.exponential(1.0, (4, 300)) * 10.0 ** rng.integers(
+            -40, 10, (4, 300))
+        power[0, :3] = [0.0, 1e-30, 5e-324]
+        image = ScanImage(azimuths_deg=np.array([-1.5, -0.5, 0.5, 1.5]),
+                          ranges_m=np.linspace(0.3, 1.0 / 3.0 + 2.0, 300),
+                          power=power)
+        path = tmp_path / "image.csv"
+        write_image_csv(path, image)
+        expected = ["az_deg,range_m,power_db"] + [
+            "%.12g,%.12g,%.12g" % (az, r, 10.0 * math.log10(max(p, 1e-30)))
+            for az, row in zip(image.azimuths_deg.tolist(),
+                               image.power.tolist())
+            for r, p in zip(image.ranges_m.tolist(), row)]
+        assert path.read_text().splitlines() == expected

@@ -4,9 +4,10 @@ pulse gating, monocycle shape/spectrum, coded pulse trains."""
 import numpy as np
 import pytest
 
-from pnradar import (Mode, PulseTrain, SampleStream, ds_uwb_train,
-                     gate_pulse, gaussian_monocycle, gen_mseq, nb_params,
-                     qpsk_baseband, spread, uwb_params, uwb_pulse_train)
+from pnradar import (CodeKind, Mode, PnSequence, PulseTrain, SampleStream,
+                     ds_uwb_train, gate_pulse, gaussian_monocycle, gen_mseq,
+                     nb_params, qpsk_baseband, spread, uwb_params,
+                     uwb_pulse_train)
 from pnradar.waveform import _pulse_mask
 
 
@@ -106,6 +107,14 @@ class TestGatePulse:
         assert np.array_equal(gated.samples[passed], s.samples[passed])
 
 
+class TestSampleStream:
+    def test_support_is_cached_read_only_nonzero_indices(self):
+        s = SampleStream(np.array([0.0, 1.0, 0.0, -0.0, 2j, 0.0]), 1.0)
+        assert np.array_equal(s.support, [1, 4])
+        assert s.support is s.support
+        assert not s.support.flags.writeable
+
+
 class TestPulseMask:
     def test_memoized_read_only_and_unchanged(self):
         args = (319341, 100e9, 100e-9, 2e-9)
@@ -179,18 +188,17 @@ class TestMonocycle:
 class TestDsUwbTrain:
     def test_all_positive_code_identical_pulses(self):
         p = uwb_params()
-        code = gen_mseq([2, 1, 0])  # chips -1,+1,+1 -> use manual all-ones
-        from pnradar import manual_sequence
-        train = ds_uwb_train(manual_sequence([1, 1, 1]), p)
+        code = PnSequence(chips=[1, 1, 1], kind=CodeKind.MSEQUENCE)
+        train = ds_uwb_train(code, p)
         pri = int(round(p.pri_s * p.sample_rate_hz))
         slots = train.samples.reshape(3, pri)
         assert np.array_equal(slots[0], slots[1])
         assert np.array_equal(slots[1], slots[2])
 
     def test_polarity_flip(self):
-        from pnradar import manual_sequence
         p = uwb_params()
-        train = ds_uwb_train(manual_sequence([1, -1]), p)
+        code = PnSequence(chips=[1, -1], kind=CodeKind.MSEQUENCE)
+        train = ds_uwb_train(code, p)
         pri = int(round(p.pri_s * p.sample_rate_hz))
         assert np.array_equal(train.samples[pri:2 * pri],
                               -train.samples[:pri])
