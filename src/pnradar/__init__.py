@@ -2,10 +2,8 @@
 impulse imaging radar, from waveform synthesis through a cluttered
 channel to range profiling and cross-section estimation."""
 
-# numpy loads numpy.random, and numpy.ma (which np.median and np.unique
-# use), on first use; loading them with the package keeps that import
-# time out of a run's first sweep.
-import numpy.ma  # noqa: F401
+# numpy loads numpy.random on first use; loading it with the package
+# keeps that import time out of a run's first sweep.
 import numpy.random  # noqa: F401
 
 from .codes import CodeKind, PnSequence, gen_gold, gen_mseq, PREFERRED_PAIRS

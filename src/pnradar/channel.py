@@ -24,6 +24,9 @@ _RNG_INTERFERER = 3
 
 _POL_TOL = 1e-9
 
+# Noise is drawn this many samples at a time into one scratch array.
+_NOISE_CHUNK = 1 << 14
+
 
 class Pol(Enum):
     VV = "vv"
@@ -279,7 +282,8 @@ def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
 
 
 def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
-              sweep_index: int = 0) -> SampleStream:
+              sweep_index: int = 0, out: np.ndarray | None = None
+              ) -> SampleStream:
     """Propagate a transmit stream through the scene for one sweep.
 
     Each scattering center contributes a delayed copy of tx scaled by
@@ -292,11 +296,21 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     only, in order of first appearance; points of zero scattering
     amplitude are skipped.  Direct-path leakage, external interferers
     and thermal noise are added on top.
+
+    ``out``, a writable complex array of len(tx), is overwritten with the
+    received samples and the returned stream is a read-only view of it,
+    so a caller can reuse one buffer for every sweep.
     """
     if tx.duration < params.pri_s:
         raise ValueError("transmit stream must cover at least one PRI")
     fs = tx.sample_rate
     n = len(tx)
+    if out is None:
+        out = np.zeros(n, dtype=np.complex128)
+    elif out.shape != (n,) or out.dtype != np.complex128:
+        raise ValueError(f"out must be a complex128 array of {n} samples")
+    else:
+        out.fill(0.0)
     ranges = scene.point_arrays[0]
     _check_ranges(ranges, params)
     n_points = ranges.size
@@ -304,7 +318,6 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     # tx is zero off its support: direct path and echoes are added there only
     support = tx.support
     active = tx.samples[support]
-    out = np.zeros(n, dtype=np.complex128)
     if scene.direct_path_gain:
         out[support] += scene.direct_path_gain * active
 
@@ -333,13 +346,15 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
         rng = _rng(scene.rng_seed, sweep_index, _RNG_NOISE)
         sigma2 = scene.noise_psd * fs
         scale = np.sqrt(sigma2 / 2.0)
-        # the real rail is drawn first, then the imaginary one, into one
-        # buffer scaled in place
-        z = rng.standard_normal(n)
-        z *= scale
-        out.real += z
-        rng.standard_normal(out=z)
-        z *= scale
-        out.imag += z
+        # the real rail is drawn first, then the imaginary one, a chunk at
+        # a time; a generator's draws continue across calls, so the chunks
+        # hold exactly the values of one whole-rail draw
+        z = np.empty(min(n, _NOISE_CHUNK))
+        for rail in (out.real, out.imag):
+            for start in range(0, n, z.size):
+                part = z[:min(z.size, n - start)]
+                rng.standard_normal(out=part)
+                part *= scale
+                rail[start:start + part.size] += part
 
-    return SampleStream(out, fs, tx.carrier_hz)
+    return SampleStream(out[:], fs, tx.carrier_hz)

@@ -15,6 +15,9 @@ section as their plain sum.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,9 +25,20 @@ import numpy as np
 from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence
 from .receiver import rx_gate, uwb_correlate
+# ds_uwb_train is unused here since make_waveform builds the stream from
+# its template; it stays a name of this module because the benchmark's
+# span wrappers (bench/spans.py) look it up here.
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
-                       SPEED_OF_LIGHT, gate_pulse, ds_uwb_train, qpsk_baseband,
-                       spread, uwb_pulse_train)
+                       SPEED_OF_LIGHT, gate_pulse, ds_uwb_train,  # noqa: F401
+                       qpsk_baseband, spread, uwb_pulse_train)
+
+# Sweeps run on a thread pool only when a sweep's stream holds at least
+# this many samples, so that numpy work that releases the GIL (the noise
+# draw and the whole-stream adds) dominates a sweep.  Measured on 2 CPUs:
+# pooling the 319,341-sample UWB sweeps took the sphere_compare benchmark
+# from 0.80 to 0.49 s (medians of 10 runs each), while pooling the
+# 8,055-sample NB sweeps made nb_dense_series 11% slower (0.64 -> 0.71 s).
+_POOL_MIN_SAMPLES = 1 << 16
 
 
 class NoDetections(RuntimeError):
@@ -164,6 +178,18 @@ def range_profile(values: np.ndarray, params: RadarParams, lags: range,
                         pol=pol, sweep_index=sweep_index)
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a nonempty 1-D array, from one np.partition: the
+    middle element for odd n, (a + b) / 2.0 of the two middle elements
+    for even n, which is how np.median rounds.  np.median itself loads
+    numpy.ma."""
+    h = x.size // 2
+    if x.size % 2:
+        return float(np.partition(x, h)[h])
+    part = np.partition(x, (h - 1, h))
+    return (float(part[h - 1]) + float(part[h])) / 2.0
+
+
 def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
     """out[k] = max(x[k .. k+w-1]) for k = 0 .. len(x)-w, by doubling:
     after the pass of span s each entry is the maximum of 2s samples, and
@@ -193,7 +219,7 @@ def detect_scatterers(profile: RangeProfile, threshold_db_above_noise: float,
         return []
     # Relative floor keeps float round-off in noiseless profiles (about
     # 300 dB down) from masquerading as scatterers.
-    floor = max(float(np.median(power)), float(power.max()) * 1e-18)
+    floor = max(_median(power), float(power.max()) * 1e-18)
     thr = floor * 10.0 ** (threshold_db_above_noise / 10.0)
     # past n bins a window holds only padding, so clipping w changes nothing
     w = min(max(1, int(window_bins)), n)
@@ -234,7 +260,7 @@ def calibrate(profile: RangeProfile, sigma_ref_m2: float,
         raise ValueError("reference profile is empty")
     peak_idx = int(np.argmax(power))
     peak = float(power[peak_idx])
-    floor = float(np.median(power))
+    floor = _median(power)
     if peak <= 0 or (floor > 0 and peak < 10.0 * floor):
         raise ValueError(
             "reference peak is not detectable (needs >= 10 dB above the "
@@ -314,16 +340,26 @@ def matched_window_bins(params: RadarParams) -> int:
     return max(1, 2 * int(round(params.pulse_width_s * fs)))
 
 
+def _active_samples(params: RadarParams, pn: PnSequence) -> int:
+    """Length of the active transmission: one PRI for the narrowband
+    pulse, one PRI per chip for the wideband train."""
+    period = int(round(params.pri_s * params.sample_rate_hz))
+    return period * pn.length if params.mode is Mode.DS_UWB else period
+
+
 def make_waveform(params: RadarParams, pn: PnSequence,
-                  chips_per_bit: int | None = None
+                  chips_per_bit: int | None = None,
+                  n_samples: int | None = None
                   ) -> tuple[SampleStream, PulseTrain]:
-    """Build (active transmit stream, matched-filter template).
+    """Build (transmit stream, matched-filter template).
 
     Narrowband: spread all-zero data over the code, hold on I and Q,
     gate to one pulse per PRI; the template is the pulse span, a train
     of one chip.  Wideband: the transmission is the polarity-coded
     monocycle train and the template is the same train, described as
-    monocycle, chips and PRI (trailing silence trimmed).
+    monocycle, chips and PRI (trailing silence trimmed).  The transmit
+    stream is the template's train written straight into n_samples
+    zeros (default: the active transmission).
     """
     fs = params.sample_rate_hz
     if params.mode is Mode.NB_DSSS:
@@ -336,21 +372,30 @@ def make_waveform(params: RadarParams, pn: PnSequence,
         samples = stream.samples[:n_pri]
         active = gate_pulse(SampleStream(samples, fs, params.carrier_hz), params)
         n_pulse = int(round(params.pulse_width_s * fs))
-        pulse = SampleStream(active.samples[:n_pulse], fs, params.carrier_hz)
-        return active, PulseTrain(pulse)
-    return ds_uwb_train(pn, params), uwb_pulse_train(pn, params)
+        template = PulseTrain(SampleStream(active.samples[:n_pulse], fs,
+                                           params.carrier_hz))
+    else:
+        template = uwb_pulse_train(pn, params)
+    if n_samples is None:
+        n_samples = _active_samples(params, pn)
+    tx = SampleStream(template.samples(n_samples), fs, params.carrier_hz)
+    return tx, template
 
 
 def sweep_samples(params: RadarParams, pn: PnSequence,
                   max_range_m: float) -> int:
-    """Length of one sweep stream: the active transmission (one PRI for
-    the narrowband pulse, one PRI per chip for the wideband train) plus
-    the echo tail out to max_range_m."""
-    fs = params.sample_rate_hz
-    period = int(round(params.pri_s * fs))
-    n_active = period * pn.length if params.mode is Mode.DS_UWB else period
-    tail = int(math.ceil(2.0 * max_range_m / SPEED_OF_LIGHT * fs)) + 1
-    return n_active + tail
+    """Length of one sweep stream: the active transmission plus the echo
+    tail out to max_range_m."""
+    tail = int(math.ceil(2.0 * max_range_m / SPEED_OF_LIGHT
+                         * params.sample_rate_hz)) + 1
+    return _active_samples(params, pn) + tail
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class SweepPipeline:
@@ -366,30 +411,35 @@ class SweepPipeline:
                  rx_config: ReceiverConfig | None = None):
         self.params = params
         self.rx_config = cfg = rx_config or ReceiverConfig()
-        active, template = make_waveform(params, pn, chips_per_bit)
-        samples = np.zeros(sweep_samples(params, pn, cfg.max_range_m),
-                           dtype=np.complex128)
-        samples[:len(active)] = active.samples
-        self.tx = SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
-        self.template = template
-        self.lags = kept_lags(params, len(self.tx) - len(template) + 1,
+        self.tx, self.template = make_waveform(
+            params, pn, chips_per_bit,
+            sweep_samples(params, pn, cfg.max_range_m))
+        self.lags = kept_lags(params, len(self.tx) - len(self.template) + 1,
                               cfg.range_window_m)
         self.window_bins = matched_window_bins(params)
 
-    def profile(self, scene: Scene, pol: Pol = Pol.VV,
-                sweep_index: int = 0) -> RangeProfile:
-        rx = propagate(self.tx, scene, self.params, pol, sweep_index)
+    def profile(self, scene: Scene, pol: Pol = Pol.VV, sweep_index: int = 0,
+                out: np.ndarray | None = None) -> RangeProfile:
+        """Range profile of one sweep.  The received stream is built and
+        blanked in ``out``, a writable complex array of len(self.tx) that
+        the caller may reuse (the profile keeps no reference to it), or
+        in a fresh buffer."""
+        if out is None:
+            out = np.empty(len(self.tx), dtype=np.complex128)
+        rx = propagate(self.tx, scene, self.params, pol, sweep_index, out=out)
         cfg = self.rx_config
         if cfg.blank_width_s > 0:
-            rx = rx_gate(rx, self.params, cfg.blank_width_s)
+            rx = rx_gate(rx, self.params, cfg.blank_width_s, out=out)
         return range_profile(uwb_correlate(rx, self.template, self.lags),
                              self.params, self.lags, pol=pol,
                              sweep_index=sweep_index)
 
     def estimate(self, scene: Scene, cal: Calibration, pol: Pol = Pol.VV,
-                 sweep_index: int = 0) -> RcsEstimate:
+                 sweep_index: int = 0,
+                 out: np.ndarray | None = None) -> RcsEstimate:
+        """Calibrated cross section of one sweep (``out`` as in profile)."""
         cfg = self.rx_config
-        prof = self.profile(scene, pol, sweep_index)
+        prof = self.profile(scene, pol, sweep_index, out=out)
         return estimate_rcs(prof, cal, self.params.mode,
                             threshold_db=cfg.threshold_db,
                             window_bins=self.window_bins,
@@ -402,8 +452,39 @@ class SweepPipeline:
         Sweep k uses RNG streams derived from (scene seed, k), so phase
         jitter and noise refresh per sweep while the scene stays fixed.
         """
-        return [self.estimate(scene, cal, pol, sweep_index=k)
-                for k in range(m_sweeps)]
+        return self._each_sweep(
+            lambda k, rx: self.estimate(scene, cal, pol, sweep_index=k,
+                                        out=rx), m_sweeps)
+
+    def _each_sweep(self, sweep, count: int) -> list:
+        """[sweep(k, rx) for k in range(count)], in sweep order, where rx
+        is a receive buffer that the running thread reuses for every sweep
+        it runs; the buffers are freed on return.
+
+        Long streams (see _POOL_MIN_SAMPLES) run on a thread pool sized to
+        the usable CPUs.  Every sweep draws from its own RNG streams, so
+        the results do not depend on the number of workers.  The first
+        failing sweep in sweep order raises, as in a serial loop, and the
+        sweeps not yet started are cancelled.
+        """
+        n = len(self.tx)
+        local = threading.local()
+
+        def run(k):
+            rx = getattr(local, "rx", None)
+            if rx is None:
+                rx = local.rx = np.empty(n, dtype=np.complex128)
+            return sweep(k, rx)
+
+        workers = min(_usable_cpus(), count) if n >= _POOL_MIN_SAMPLES else 1
+        if workers <= 1:
+            return [run(k) for k in range(count)]
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            futures = [pool.submit(run, k) for k in range(count)]
+            return [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def self_calibrate(params: RadarParams, pn: PnSequence,
@@ -459,11 +540,15 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
     n_steps = int(math.ceil(az_span_deg / azimuth_step_deg))
     azimuths = np.arange(-n_steps, n_steps + 1) * azimuth_step_deg
 
-    rows = []
-    ranges = None
-    for row_idx, az in enumerate(azimuths):
+    points = scene.all_points
+    ranges = _lag_ranges_m(pipeline.lags, pipeline.params)
+    r4 = ranges ** 4
+    power = np.empty((azimuths.size, ranges.size))
+
+    def row(row_idx, rx):
+        az = azimuths[row_idx]
         weighted = []
-        for p in scene.all_points:
+        for p in points:
             w = float(_beam_weight(
                 np.array(math.degrees(p.azimuth_rad) - az), beamwidth_deg))
             if w < 1e-8:
@@ -474,12 +559,12 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
                                       pol_matrix=p.pol_matrix))
         # clutter is already weighted into the target; a row with no point
         # in the beam keeps a zero-strength placeholder
-        points = tuple(weighted) or (
-            Scatterer(sigma_m2=0.0, range_m=scene.all_points[0].range_m),)
-        pointed = replace(scene, target=TargetModel(points=points), clutter=())
-        prof = pipeline.profile(pointed, pol, sweep_index=row_idx)
-        if ranges is None:
-            ranges = prof.ranges_m
-        rows.append(cal.gain * prof.power * prof.ranges_m ** 4)
-    return ScanImage(azimuths_deg=azimuths, ranges_m=ranges,
-                     power=np.vstack(rows))
+        row_points = tuple(weighted) or (
+            Scatterer(sigma_m2=0.0, range_m=points[0].range_m),)
+        pointed = replace(scene, target=TargetModel(points=row_points),
+                          clutter=())
+        prof = pipeline.profile(pointed, pol, sweep_index=row_idx, out=rx)
+        power[row_idx] = cal.gain * prof.power * r4
+
+    pipeline._each_sweep(row, azimuths.size)
+    return ScanImage(azimuths_deg=azimuths, ranges_m=ranges, power=power)

@@ -48,7 +48,11 @@ class SampleStream:
             raise ValueError("samples must be 1-D")
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if samples.size and not np.all(np.isfinite(samples.view(np.float64))):
+        # min and max propagate NaN and reach +-inf, so they test every
+        # part without a temporary array as long as the stream
+        parts = samples.view(np.float64)
+        if parts.size and not (np.isfinite(parts.min())
+                               and np.isfinite(parts.max())):
             raise ValueError("samples must be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)

@@ -12,8 +12,8 @@ from pnradar import (Interferer, InterfererKind, Pol, SampleStream, Scatterer,
                      Scene, TargetModel, add_interferer, gen_clutter, gen_mseq,
                      identity_pol_matrix, make_waveform, nb_params, propagate,
                      scattering_amplitude, uwb_params, SPEED_OF_LIGHT)
-from pnradar.channel import (_RNG_INTERFERER, _RNG_NOISE, _RNG_PHASE,
-                             _interferer_samples, _rng, _tone)
+from pnradar.channel import (_NOISE_CHUNK, _RNG_INTERFERER, _RNG_NOISE,
+                             _RNG_PHASE, _interferer_samples, _rng, _tone)
 
 
 def _tone_stream(params, n_pri=1):
@@ -406,6 +406,56 @@ class TestPropagateOracle:
         t = np.arange(n) / fs
         assert tone.tobytes() == np.exp(2j * np.pi * df * t).tobytes()
         assert _tone(df, n, fs) is tone
+
+
+class TestPropagateBuffers:
+    @pytest.mark.parametrize("n", [10_000, _NOISE_CHUNK, 2 * _NOISE_CHUNK,
+                                   3 * _NOISE_CHUNK + 7])
+    def test_chunked_noise_equals_whole_rail_draw(self, n):
+        params = uwb_params()
+        fs = params.sample_rate_hz
+        tx = SampleStream(np.ones(n, dtype=complex), fs)
+        scene = _single_point_scene(sigma=0.0, range_m=1.0, noise_psd=1e-19,
+                                    rng_seed=31)
+        rx = propagate(tx, scene, params, Pol.VV, sweep_index=4).samples
+        # the expression propagate used before drawing in chunks
+        rng = _rng(31, 4, _RNG_NOISE)
+        scale = np.sqrt(1e-19 * fs / 2.0)
+        expected = np.zeros(n, dtype=np.complex128)
+        z = rng.standard_normal(n)
+        z *= scale
+        expected.real += z
+        rng.standard_normal(out=z)
+        z *= scale
+        expected.imag += z
+        assert rx.tobytes() == expected.tobytes()
+
+    def test_reused_buffer_gives_the_fresh_result(self):
+        params = nb_params()
+        tx = make_waveform(params, gen_mseq([3, 1, 0]),
+                           n_samples=9000)[0]
+        scene = _single_point_scene(
+            sigma=1e-3, range_m=10.0, noise_psd=1e-19, direct_path_gain=0.5,
+            sweep_phase_jitter_rad=0.3, rng_seed=3,
+            interferers=(Interferer(freq_hz=params.carrier_hz + 1e6,
+                                    power_w=1e-9),))
+        buf = np.full(len(tx), 7.0 + 7.0j)
+        for sweep in (0, 1):
+            fresh = propagate(tx, scene, params, Pol.VV, sweep)
+            reused = propagate(tx, scene, params, Pol.VV, sweep, out=buf)
+            assert reused.samples.tobytes() == fresh.samples.tobytes()
+            assert np.shares_memory(reused.samples, buf)
+            assert not reused.samples.flags.writeable
+            assert buf.flags.writeable
+
+    def test_buffer_must_match_the_stream(self):
+        params = nb_params()
+        tx = make_waveform(params, gen_mseq([3, 1, 0]))[0]
+        scene = _single_point_scene(range_m=10.0)
+        for buf in (np.zeros(len(tx) - 1, dtype=complex),
+                    np.zeros(len(tx), dtype=np.complex64)):
+            with pytest.raises(ValueError, match="out must be"):
+                propagate(tx, scene, params, Pol.VV, out=buf)
 
 
 class TestAddInterferer:

@@ -3,6 +3,9 @@ detection, calibration identities, estimator behaviour, sweeps, scans."""
 
 import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +21,10 @@ from pnradar import (Calibration, Detection, Interferer, Mode, NoDetections,
                      propagate, pulse_volume_depth, rcs_nb, rcs_uwb,
                      rx_gate, scan_image, self_calibrate, uwb_params,
                      SPEED_OF_LIGHT)
-from pnradar.imaging import sweep_samples
+from pnradar import imaging
+from pnradar.channel import _tone
+from pnradar.imaging import _median, sweep_samples
+from pnradar.waveform import _pulse_mask
 
 SIGMA_REF = 1e-3  # -30 dBsm reference sphere
 R_REF = 10.0
@@ -299,6 +305,27 @@ class TestSweepSamples:
         assert not pipeline.tx.samples[len(active):].any()
 
 
+class TestMedian:
+    """_median is np.median without numpy.ma."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from([54, 9139, 9340]), st.integers(1, 400)),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_np_median(self, n, seed, ties):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.exponential(1.0, n), 1) if ties else \
+            rng.exponential(1.0, n) * 10.0 ** rng.integers(-30, 5, n)
+        before = x.copy()
+        assert _median(x) == float(np.median(x))
+        assert np.array_equal(x, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=60))
+    def test_matches_np_median_on_drawn_values(self, values):
+        x = np.array(values)
+        assert _median(x) == float(np.median(x))
+
+
 class TestCalibration:
     def test_identity_uwb(self, uwb_setup):
         params, _, cfg, pipeline, cal = uwb_setup
@@ -452,6 +479,118 @@ class TestSweepSeries:
 
         assert n_dbsm.std() > u_dbsm.std()
         assert abs(u_dbsm.mean() - (-30.0)) < 1.0
+
+
+def _force_workers(monkeypatch, workers):
+    """Run every series and scan on a pool of exactly ``workers`` threads,
+    whatever the stream length and the CPU count."""
+    monkeypatch.setattr(imaging, "_POOL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(imaging, "_usable_cpus", lambda: workers)
+
+
+class TestSweepPool:
+    """Series and scans give the same arrays for any number of workers."""
+
+    @pytest.mark.parametrize("chain", ["nb", "uwb"])
+    def test_series_independent_of_worker_count(self, chain, nb_setup,
+                                                uwb_setup, monkeypatch):
+        _, _, _, pipeline, cal = nb_setup if chain == "nb" else uwb_setup
+        scene = Scene(target=target((SIGMA_REF, R_REF)),
+                      clutter=gen_clutter((2.0, 8.0), 6, 1e-2, seed=8),
+                      interferers=(Interferer(freq_hz=1.003e9,
+                                              power_w=1e-12),),
+                      noise_psd=1e-19, direct_path_gain=0.5,
+                      sweep_phase_jitter_rad=0.3, rng_seed=2026)
+        runs = {}
+        for workers in (1, 3):
+            _force_workers(monkeypatch, workers)
+            runs[workers] = [(e.sweep_index, e.sigma_m2)
+                             for e in pipeline.series(scene, cal, 7)]
+        assert runs[1] == runs[3]
+        assert [k for k, _ in runs[3]] == list(range(7))
+
+    def test_scan_image_independent_of_worker_count(self, monkeypatch):
+        params, pn = uwb_params(), gen_mseq([3, 1, 0])
+        cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
+        pipeline = SweepPipeline(params, pn, rx_config=cfg)
+        cal = self_calibrate(params, pn, SIGMA_REF, R_REF, pipeline=pipeline)
+        scene = Scene(target=TargetModel(points=(
+            Scatterer(sigma_m2=1e-3, range_m=10.0),
+            Scatterer(sigma_m2=1e-3, range_m=10.5, cross_range_m=0.6))),
+            noise_psd=1e-20, direct_path_gain=0.5,
+            sweep_phase_jitter_rad=0.3, rng_seed=5)
+        images = {}
+        for workers in (1, 3):
+            _force_workers(monkeypatch, workers)
+            images[workers] = scan_image(pipeline, scene, cal, 1.0, 2.0,
+                                         az_span_deg=4.0)
+        assert np.array_equal(images[1].azimuths_deg, images[3].azimuths_deg)
+        assert np.array_equal(images[1].ranges_m, images[3].ranges_m)
+        assert np.array_equal(images[1].power, images[3].power)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_sweep_raises_and_the_rest_are_cancelled(
+            self, workers, nb_setup, monkeypatch):
+        _, _, _, pipeline, cal = nb_setup
+        count = 40
+        started = []
+        estimate_rcs = imaging.estimate_rcs
+
+        def failing(profile, *args, **kwargs):
+            k = profile.sweep_index
+            started.append(k)
+            if k in (3, 5):
+                raise NoDetections(f"sweep {k}")
+            if k > 3:
+                time.sleep(0.2)  # sweeps after the failure are slow
+            return estimate_rcs(profile, *args, **kwargs)
+
+        monkeypatch.setattr(imaging, "estimate_rcs", failing)
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(NoDetections, match="^sweep 3$"):
+            pipeline.series(Scene(target=target((SIGMA_REF, R_REF))), cal,
+                            count)
+        assert sorted(started)[:4] == [0, 1, 2, 3]
+        # the serial loop stops at the failure; the pool cancels what has
+        # not started, so far fewer than all sweeps run
+        if workers == 1:
+            assert len(started) == 4
+        else:
+            assert len(started) < count
+
+    def test_stress_more_workers_than_cpus(self, monkeypatch):
+        # the lazily built shared state (transmit support, scene arrays,
+        # tone and mask caches, image rows) is built and written under
+        # contention; a lost or torn update would change the image
+        params, pn = uwb_params(), gen_mseq([3, 1, 0])
+        cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
+        cal = Calibration(gain=1.0, reference_sigma_m2=SIGMA_REF,
+                          reference_range_m=R_REF)
+        scene = Scene(target=target((SIGMA_REF, R_REF)),
+                      interferers=(Interferer(freq_hz=1e9, power_w=1e-12),),
+                      noise_psd=1e-20, direct_path_gain=0.5,
+                      sweep_phase_jitter_rad=0.3, rng_seed=9)
+
+        def image(workers):
+            _tone.cache_clear()
+            _pulse_mask.cache_clear()
+            _force_workers(monkeypatch, workers)
+            return scan_image(SweepPipeline(params, pn, rx_config=cfg),
+                              scene, cal, 0.5, 2.0, az_span_deg=3.0).power
+
+        serial = image(1)
+        result = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: result.setdefault("power", image(8)))
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert np.array_equal(result["power"], serial)
 
 
 def polarimetric(pipeline, scene):

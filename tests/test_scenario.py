@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,27 @@ class TestCliEntry:
         assert rc == 3
         assert "no scatterer detected" in capsys.readouterr().err
 
+    def test_memory_error_in_a_pool_worker_exits_three(self, tmp_path,
+                                                        capsys, monkeypatch):
+        propagate = imaging.propagate
+
+        def failing(tx, scene, params, pol, sweep_index=0, out=None):
+            if sweep_index == 2:
+                assert threading.current_thread() is not \
+                    threading.main_thread()
+                raise MemoryError
+            return propagate(tx, scene, params, pol, sweep_index, out=out)
+
+        monkeypatch.setattr(imaging, "propagate", failing)
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
+        path = _write(tmp_path, SERIES)
+        rc = main([str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [rcs_sweep_series]: out of memory: "
+                              "the uwb sweep stream holds ")
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_exit_three_on_unwritable_out(self, tmp_path, capsys):
         path = _write(tmp_path, MINIMAL)
         blocker = tmp_path / "blocker"
@@ -545,10 +567,12 @@ class TestNumpyOnlyRuntime:
             "from pnradar.cli import main\n"
             "rc = main(sys.argv[1:])\n"
             "print(json.dumps([rc, sorted(m for m in sys.modules\n"
-            "                             if m.split('.')[0] == 'scipy')]))\n",
+            "                             if m.split('.')[0] == 'scipy'),\n"
+            "                  'numpy.ma' in sys.modules]))\n",
             path, "--out", tmp_path / "out", "--quiet")
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0, []]
+        # no scipy, and no numpy.ma (np.median loads it)
+        assert json.loads(proc.stdout) == [0, [], False]
         assert (tmp_path / "out" / "compare_summary.csv").exists()
 
     def test_image_csv_matches_value_by_value_format(self, tmp_path):

@@ -244,3 +244,14 @@ class TestRadarParams:
     def test_stream_requires_finite_samples(self):
         with pytest.raises(ValueError, match="finite"):
             SampleStream(np.array([np.nan + 0j]), 1.0)
+
+    @pytest.mark.parametrize("bad", [
+        complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+        complex(0.0, -np.inf), complex(-np.inf, np.inf)])
+    def test_stream_rejects_any_non_finite_part(self, bad):
+        samples = np.full(1000, -2.0 + 3.0j)
+        samples[617] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SampleStream(samples, 1.0)
+        samples[617] = np.finfo(np.float64).max * (1 - 1j)
+        assert len(SampleStream(samples, 1.0)) == 1000
