@@ -299,7 +299,8 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
 
     ``out``, a writable complex array of len(tx), is overwritten with the
     received samples and the returned stream is a read-only view of it,
-    so a caller can reuse one buffer for every sweep.
+    so a caller can reuse one buffer for every sweep; the stream is valid
+    only until the buffer is written again.
     """
     if tx.duration < params.pri_s:
         raise ValueError("transmit stream must cover at least one PRI")

@@ -25,12 +25,9 @@ import numpy as np
 from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence
 from .receiver import rx_gate, uwb_correlate
-# ds_uwb_train is unused here since make_waveform builds the stream from
-# its template; it stays a name of this module because the benchmark's
-# span wrappers (bench/spans.py) look it up here.
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
-                       SPEED_OF_LIGHT, gate_pulse, ds_uwb_train,  # noqa: F401
-                       qpsk_baseband, spread, uwb_pulse_train)
+                       SPEED_OF_LIGHT, gate_pulse, qpsk_baseband, spread,
+                       uwb_pulse_train)
 
 # Sweeps run on a thread pool only when a sweep's stream holds at least
 # this many samples, so that numpy work that releases the GIL (the noise
@@ -39,6 +36,13 @@ from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
 # from 0.80 to 0.49 s (medians of 10 runs each), while pooling the
 # 8,055-sample NB sweeps made nb_dense_series 11% slower (0.64 -> 0.71 s).
 _POOL_MIN_SAMPLES = 1 << 16
+
+# At most this many sweeps run at once.  Each one in flight holds its own
+# receive buffer (5.1 MB for a UWB sweep) plus its whole-stream
+# temporaries, so peak memory grows with the width; the gains above and
+# the peak RSS they cost (53.1 -> 55.4 MB on sphere_compare, 60.1 -> 61.1
+# MB on uwb_scan) were measured at 2 workers, and wider pools are not.
+_MAX_POOL_WORKERS = 2
 
 
 class NoDetections(RuntimeError):
@@ -462,7 +466,7 @@ class SweepPipeline:
         it runs; the buffers are freed on return.
 
         Long streams (see _POOL_MIN_SAMPLES) run on a thread pool sized to
-        the usable CPUs.  Every sweep draws from its own RNG streams, so
+        the usable CPUs, at most _MAX_POOL_WORKERS.  Every sweep draws from its own RNG streams, so
         the results do not depend on the number of workers.  The first
         failing sweep in sweep order raises, as in a serial loop, and the
         sweeps not yet started are cancelled.
@@ -476,7 +480,8 @@ class SweepPipeline:
                 rx = local.rx = np.empty(n, dtype=np.complex128)
             return sweep(k, rx)
 
-        workers = min(_usable_cpus(), count) if n >= _POOL_MIN_SAMPLES else 1
+        workers = (min(_MAX_POOL_WORKERS, _usable_cpus(), count)
+                   if n >= _POOL_MIN_SAMPLES else 1)
         if workers <= 1:
             return [run(k) for k in range(count)]
         pool = ThreadPoolExecutor(max_workers=workers)

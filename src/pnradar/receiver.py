@@ -35,8 +35,9 @@ def rx_gate(s: SampleStream, params: RadarParams, blank_width_s: float,
     [m*PRI, m*PRI + blank) are zeroed (see check_blank_width).
 
     ``out``, the writable buffer that s views (see channel.propagate), is
-    blanked in place and the returned stream is a read-only view of it;
-    without it the gated samples are a copy.
+    blanked in place, so s changes too, and the returned stream is a
+    read-only view of it, valid until the buffer is written again; without
+    it the gated samples are a copy.
     """
     check_blank_width(params, blank_width_s)
     mask = _pulse_mask(len(s), s.sample_rate, params.pri_s, blank_width_s)

@@ -36,6 +36,11 @@ class SampleStream:
     """Uniformly sampled complex baseband signal; the first sample is at
     time 0.  ``carrier_hz`` tags the center frequency the baseband
     represents.
+
+    The samples are read-only through the stream.  A stream that
+    channel.propagate or receiver.rx_gate builds on a caller's ``out``
+    buffer views that buffer, so it, and its ``support`` once computed,
+    is valid only until the caller writes the buffer again.
     """
 
     samples: np.ndarray

@@ -485,6 +485,7 @@ def _force_workers(monkeypatch, workers):
     """Run every series and scan on a pool of exactly ``workers`` threads,
     whatever the stream length and the CPU count."""
     monkeypatch.setattr(imaging, "_POOL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(imaging, "_MAX_POOL_WORKERS", workers)
     monkeypatch.setattr(imaging, "_usable_cpus", lambda: workers)
 
 
@@ -527,6 +528,24 @@ class TestSweepPool:
         assert np.array_equal(images[1].azimuths_deg, images[3].azimuths_deg)
         assert np.array_equal(images[1].ranges_m, images[3].ranges_m)
         assert np.array_equal(images[1].power, images[3].power)
+
+    def test_pool_width_is_capped_whatever_the_cpu_count(self, nb_setup,
+                                                          monkeypatch):
+        _, _, _, pipeline, cal = nb_setup
+        widths = []
+
+        class Recording(imaging.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(imaging, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(imaging, "_POOL_MIN_SAMPLES", 0)
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 16)
+        scene = Scene(target=target((SIGMA_REF, R_REF)))
+        pipeline.series(scene, cal, 6)
+        pipeline.series(scene, cal, 1)
+        assert widths == [imaging._MAX_POOL_WORKERS] == [2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failing_sweep_raises_and_the_rest_are_cancelled(
