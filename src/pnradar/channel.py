@@ -236,7 +236,8 @@ def add_interferer(s: SampleStream, freq_hz: float, power_w: float,
     return s.with_samples(s.samples + extra)
 
 
-def _check_ranges(ranges: np.ndarray, params: RadarParams) -> None:
+def check_unambiguous_range(ranges: np.ndarray, params: RadarParams) -> None:
+    """Every scatterer range must lie within the unambiguous range c*PRI/2."""
     r_max = params.unambiguous_range_m
     far = np.flatnonzero(ranges > r_max)
     if far.size:
@@ -244,13 +245,6 @@ def _check_ranges(ranges: np.ndarray, params: RadarParams) -> None:
         raise ValueError(
             f"scatterer {k} at {ranges[k]:g} m exceeds the unambiguous "
             f"range {r_max:g} m set by the PRI")
-
-
-def check_unambiguous_range(points: tuple[Scatterer, ...],
-                            params: RadarParams) -> None:
-    """Every scatterer must lie within the unambiguous range c*PRI/2."""
-    _check_ranges(np.array([p.range_m for p in points], dtype=np.float64),
-                  params)
 
 
 def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
@@ -313,7 +307,7 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     else:
         out.fill(0.0)
     ranges = scene.point_arrays[0]
-    _check_ranges(ranges, params)
+    check_unambiguous_range(ranges, params)
     n_points = ranges.size
 
     # tx is zero off its support: direct path and echoes are added there only

@@ -24,11 +24,7 @@ from .channel import Pol
 from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
                       ScanImage, SweepPipeline, calibrate, scan_image,
                       self_calibrate, sweep_samples)
-# resolve_scenario is unused here since main resolves once, inside
-# load_scenario; it stays a name of this module because the benchmark's
-# span wrappers (bench/spans.py) look it up here.
-from .scenario import (ExperimentKind, Scenario, ScenarioError, load_scenario,
-                       resolve_scenario)  # noqa: F401
+from .scenario import ExperimentKind, Scenario, ScenarioError, load_scenario
 from .waveform import Mode
 
 

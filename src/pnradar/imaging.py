@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -60,7 +59,6 @@ class RangeProfile:
     ranges_m: np.ndarray
     values: np.ndarray
     bin_width_m: float
-    pol: Pol | None = None
     sweep_index: int = 0
 
     def __post_init__(self):
@@ -171,7 +169,7 @@ def kept_lags(params: RadarParams, n_lags: int,
 
 
 def range_profile(values: np.ndarray, params: RadarParams, lags: range,
-                  pol: Pol | None = None, sweep_index: int = 0) -> RangeProfile:
+                  sweep_index: int = 0) -> RangeProfile:
     """Map correlation values at ``lags`` (see kept_lags) to two-way range."""
     if len(values) != len(lags):
         raise ValueError(
@@ -179,7 +177,7 @@ def range_profile(values: np.ndarray, params: RadarParams, lags: range,
     lag_s = 1.0 / params.sample_rate_hz
     return RangeProfile(ranges_m=_lag_ranges_m(lags, params), values=values,
                         bin_width_m=SPEED_OF_LIGHT * lag_s / 2.0,
-                        pol=pol, sweep_index=sweep_index)
+                        sweep_index=sweep_index)
 
 
 def _median(x: np.ndarray) -> float:
@@ -422,28 +420,23 @@ class SweepPipeline:
                               cfg.range_window_m)
         self.window_bins = matched_window_bins(params)
 
-    def profile(self, scene: Scene, pol: Pol = Pol.VV, sweep_index: int = 0,
-                out: np.ndarray | None = None) -> RangeProfile:
+    def profile(self, scene: Scene, pol: Pol = Pol.VV,
+                sweep_index: int = 0) -> RangeProfile:
         """Range profile of one sweep.  The received stream is built and
-        blanked in ``out``, a writable complex array of len(self.tx) that
-        the caller may reuse (the profile keeps no reference to it), or
-        in a fresh buffer."""
-        if out is None:
-            out = np.empty(len(self.tx), dtype=np.complex128)
+        blanked in one buffer of its own, freed when the sweep returns."""
+        out = np.empty(len(self.tx), dtype=np.complex128)
         rx = propagate(self.tx, scene, self.params, pol, sweep_index, out=out)
         cfg = self.rx_config
         if cfg.blank_width_s > 0:
             rx = rx_gate(rx, self.params, cfg.blank_width_s, out=out)
         return range_profile(uwb_correlate(rx, self.template, self.lags),
-                             self.params, self.lags, pol=pol,
-                             sweep_index=sweep_index)
+                             self.params, self.lags, sweep_index=sweep_index)
 
     def estimate(self, scene: Scene, cal: Calibration, pol: Pol = Pol.VV,
-                 sweep_index: int = 0,
-                 out: np.ndarray | None = None) -> RcsEstimate:
-        """Calibrated cross section of one sweep (``out`` as in profile)."""
+                 sweep_index: int = 0) -> RcsEstimate:
+        """Calibrated cross section of one sweep."""
         cfg = self.rx_config
-        prof = self.profile(scene, pol, sweep_index, out=out)
+        prof = self.profile(scene, pol, sweep_index)
         return estimate_rcs(prof, cal, self.params.mode,
                             threshold_db=cfg.threshold_db,
                             window_bins=self.window_bins,
@@ -457,36 +450,25 @@ class SweepPipeline:
         jitter and noise refresh per sweep while the scene stays fixed.
         """
         return self._each_sweep(
-            lambda k, rx: self.estimate(scene, cal, pol, sweep_index=k,
-                                        out=rx), m_sweeps)
+            lambda k: self.estimate(scene, cal, pol, sweep_index=k), m_sweeps)
 
     def _each_sweep(self, sweep, count: int) -> list:
-        """[sweep(k, rx) for k in range(count)], in sweep order, where rx
-        is a receive buffer that the running thread reuses for every sweep
-        it runs; the buffers are freed on return.
+        """[sweep(k) for k in range(count)], in sweep order.
 
         Long streams (see _POOL_MIN_SAMPLES) run on a thread pool sized to
-        the usable CPUs, at most _MAX_POOL_WORKERS.  Every sweep draws from its own RNG streams, so
-        the results do not depend on the number of workers.  The first
-        failing sweep in sweep order raises, as in a serial loop, and the
-        sweeps not yet started are cancelled.
+        the usable CPUs, at most _MAX_POOL_WORKERS; each sweep in flight
+        holds its own receive buffer.  Every sweep draws from its own RNG
+        streams, so the results do not depend on the number of workers.
+        The first failing sweep in sweep order raises, as in a serial
+        loop, and the sweeps not yet started are cancelled.
         """
-        n = len(self.tx)
-        local = threading.local()
-
-        def run(k):
-            rx = getattr(local, "rx", None)
-            if rx is None:
-                rx = local.rx = np.empty(n, dtype=np.complex128)
-            return sweep(k, rx)
-
         workers = (min(_MAX_POOL_WORKERS, _usable_cpus(), count)
-                   if n >= _POOL_MIN_SAMPLES else 1)
+                   if len(self.tx) >= _POOL_MIN_SAMPLES else 1)
         if workers <= 1:
-            return [run(k) for k in range(count)]
+            return [sweep(k) for k in range(count)]
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            futures = [pool.submit(run, k) for k in range(count)]
+            futures = [pool.submit(sweep, k) for k in range(count)]
             return [f.result() for f in futures]
         finally:
             pool.shutdown(cancel_futures=True)
@@ -550,7 +532,7 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
     r4 = ranges ** 4
     power = np.empty((azimuths.size, ranges.size))
 
-    def row(row_idx, rx):
+    def row(row_idx):
         az = azimuths[row_idx]
         weighted = []
         for p in points:
@@ -568,7 +550,7 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
             Scatterer(sigma_m2=0.0, range_m=points[0].range_m),)
         pointed = replace(scene, target=TargetModel(points=row_points),
                           clutter=())
-        prof = pipeline.profile(pointed, pol, sweep_index=row_idx, out=rx)
+        prof = pipeline.profile(pointed, pol, sweep_index=row_idx)
         power[row_idx] = cal.gain * prof.power * r4
 
     pipeline._each_sweep(row, azimuths.size)

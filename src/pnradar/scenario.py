@@ -460,7 +460,7 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioError(f"receiver.blank_width_s ({chain.value} "
                                 f"chain): {exc}") from exc
         try:
-            check_unambiguous_range(scene.all_points, params)
+            check_unambiguous_range(scene.point_arrays[0], params)
         except ValueError as exc:
             raise ScenarioError(f"scene ({chain.value} chain): {exc}") from exc
         _check_kept_window(chain, rx_cfg, calibrates_on, gated)

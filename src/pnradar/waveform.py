@@ -305,10 +305,3 @@ def uwb_pulse_train(code: PnSequence, params: RadarParams) -> PulseTrain:
     return PulseTrain(gaussian_monocycle(params), code.chips,
                       int(round(params.pri_s * params.sample_rate_hz)))
 
-
-def ds_uwb_train(code: PnSequence, params: RadarParams) -> SampleStream:
-    """The polarity-coded monocycle train (see uwb_pulse_train) as a
-    stream spanning code.length PRIs."""
-    train = uwb_pulse_train(code, params)
-    return SampleStream(train.samples(code.length * train.period),
-                        params.sample_rate_hz, params.carrier_hz)

@@ -2,7 +2,9 @@
 
 ``bench/child.py setup`` loads each workload's scenario and calls
 ``self_calibrate`` and ``SweepPipeline`` by position, as the benchmark
-does; a signature change that breaks it fails here.
+does; a signature change that breaks it fails here.  The benchmark's span
+targets are also pinned, so a rename that would silently zero a per-layer
+metric fails here instead.
 """
 
 import json
@@ -27,3 +29,17 @@ def test_child_setup_runs(scenario, tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["setup_s"] > 0
+
+
+def test_span_targets_absent_only_as_known():
+    # installs the wrappers in a fresh interpreter, so this process keeps
+    # the unwrapped functions
+    script = ("import json, sys; sys.path[:0] = sys.argv[1:]; import spans; "
+              "t = spans.Tracer(); t.install(); print(json.dumps(t.absent))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "bench"), str(ROOT / "src")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    absent = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(absent) == {"pnradar.cli.resolve_scenario",
+                           "pnradar.imaging.ds_uwb_train"}

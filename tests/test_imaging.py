@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -610,6 +611,34 @@ class TestSweepPool:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert np.array_equal(result["power"], serial)
+
+    @pytest.mark.parametrize("run", ["series", "scan"])
+    def test_two_workers_hold_under_three_receive_streams(self, run,
+                                                          monkeypatch):
+        # each sweep in flight holds one receive stream; noise drawn a
+        # chunk at a time and blanking in place keep every other
+        # whole-stream temporary short-lived (a whole-rail noise draw or a
+        # blanked copy measured 3.2 to 4.2 streams)
+        params, pn = uwb_params(), gen_mseq([5, 2, 0])
+        cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
+        pipeline = SweepPipeline(params, pn, rx_config=cfg)
+        cal = self_calibrate(params, pn, SIGMA_REF, R_REF, pipeline=pipeline)
+        scene = Scene(target=TargetModel(points=(
+            Scatterer(sigma_m2=1e-3, range_m=10.0),
+            Scatterer(sigma_m2=1e-3, range_m=10.5, cross_range_m=0.6))),
+            noise_psd=1e-20, direct_path_gain=0.5, rng_seed=7)
+        assert len(pipeline.tx) >= imaging._POOL_MIN_SAMPLES
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            if run == "series":
+                pipeline.series(scene, cal, 6)
+            else:
+                scan_image(pipeline, scene, cal, 1.0, 2.0, az_span_deg=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * len(pipeline.tx) * 16
 
 
 def polarimetric(pipeline, scene):

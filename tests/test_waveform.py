@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pnradar import (CodeKind, Mode, PnSequence, PulseTrain, SampleStream,
-                     ds_uwb_train, gate_pulse, gaussian_monocycle, gen_mseq,
+                     gate_pulse, gaussian_monocycle, gen_mseq, make_waveform,
                      nb_params, qpsk_baseband, spread, uwb_params,
                      uwb_pulse_train)
 from pnradar.waveform import _pulse_mask
@@ -149,7 +149,7 @@ class TestPulseTrain:
         p = uwb_params()
         code = gen_mseq([3, 1, 0])
         train = uwb_pulse_train(code, p)
-        tx = ds_uwb_train(code, p).samples
+        tx = make_waveform(p, code)[0].samples
         nz = np.flatnonzero(tx)
         assert len(train) == nz[-1] + 1
         assert np.array_equal(train.samples(tx.size), tx)
@@ -185,28 +185,33 @@ class TestMonocycle:
         assert spectrum[0] / spectrum.max() < 1e-3
 
 
+def coded_train(code, p):
+    """The polarity-coded monocycle train over code.length PRIs."""
+    train = uwb_pulse_train(code, p)
+    return train.samples(code.length * train.period)
+
+
 class TestDsUwbTrain:
     def test_all_positive_code_identical_pulses(self):
         p = uwb_params()
         code = PnSequence(chips=[1, 1, 1], kind=CodeKind.MSEQUENCE)
-        train = ds_uwb_train(code, p)
+        train = coded_train(code, p)
         pri = int(round(p.pri_s * p.sample_rate_hz))
-        slots = train.samples.reshape(3, pri)
+        slots = train.reshape(3, pri)
         assert np.array_equal(slots[0], slots[1])
         assert np.array_equal(slots[1], slots[2])
 
     def test_polarity_flip(self):
         p = uwb_params()
         code = PnSequence(chips=[1, -1], kind=CodeKind.MSEQUENCE)
-        train = ds_uwb_train(code, p)
+        train = coded_train(code, p)
         pri = int(round(p.pri_s * p.sample_rate_hz))
-        assert np.array_equal(train.samples[pri:2 * pri],
-                              -train.samples[:pri])
+        assert np.array_equal(train[pri:2 * pri], -train[:pri])
 
     def test_matched_correlation_peak(self):
         p = uwb_params()
         code = gen_mseq([4, 1, 0])
-        train = ds_uwb_train(code, p).samples.real
+        train = coded_train(code, p).real
         pulse = gaussian_monocycle(p).samples.real
         peak = float(np.dot(train, train))  # zero-lag correlation
         pulse_energy = float(np.dot(pulse, pulse))
@@ -220,7 +225,7 @@ class TestDsUwbTrain:
     def test_occupied_bandwidth_exceeds_1ghz(self):
         p = uwb_params()
         code = gen_mseq([5, 2, 0])
-        train = ds_uwb_train(code, p).samples.real
+        train = coded_train(code, p).real
         spectrum = np.abs(np.fft.rfft(train)) ** 2
         freqs = np.fft.rfftfreq(train.size, 1.0 / p.sample_rate_hz)
         above = freqs[spectrum >= spectrum.max() / 10.0]
