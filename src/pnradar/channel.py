@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,6 +152,13 @@ class Scene:
             a.flags.writeable = False
         return arrays
 
+    @cached_property
+    def _echo_memo(self) -> dict:
+        """Echo geometry by (pol, sample rate, carrier), filled by
+        _echo_geometry.  Not a field, so equality, repr and
+        dataclasses.replace do not see it."""
+        return {}
+
 
 def _rng(seed: int, sweep_index: int, purpose: int, extra: int | None = None):
     key = [int(seed) & 0xFFFFFFFFFFFFFFFF, int(sweep_index), purpose]
@@ -203,26 +211,31 @@ def _tone(df: float, n: int, fs: float) -> np.ndarray:
 
 
 def _interferer_samples(itf: Interferer, n: int, fs: float, carrier_hz: float,
-                        rng, symbol_rate_hz: float = 1e6) -> np.ndarray:
-    """Baseband samples of one interferer at its carrier offset."""
+                        rng, symbol_rate_hz: float = 1e6,
+                        stop: int | None = None) -> np.ndarray:
+    """Baseband samples of one interferer at its carrier offset: the
+    first ``stop`` (default all) of the n samples of a stream."""
     df = itf.freq_hz - carrier_hz
     if abs(df) >= fs / 2.0:
         raise ValueError(
             f"interferer at {itf.freq_hz:g} Hz is outside the Nyquist band "
             f"around {carrier_hz:g} Hz (fs {fs:g})")
+    if stop is None:
+        stop = n
     if itf.power_w == 0.0:
-        return np.zeros(n, dtype=np.complex128)
+        return np.zeros(stop, dtype=np.complex128)
     amp = np.sqrt(itf.power_w)
-    tone = _tone(df, n, fs)
+    tone = _tone(df, n, fs)[:stop]
     if itf.kind is InterfererKind.CW:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         return amp * np.exp(1j * phase) * tone
-    # random QPSK stream, rectangular chips at the symbol rate
+    # random QPSK stream, rectangular chips at the symbol rate; the symbols
+    # of all n samples are drawn, as a whole-stream call draws them
     sps = max(1, int(round(fs / symbol_rate_hz)))
     n_sym = -(-n // sps)
     points = (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0))
-    symbols = points[rng.integers(0, 4, size=n_sym)]
-    chips = np.repeat(symbols, sps)[:n]
+    draws = rng.integers(0, 4, size=n_sym)[:-(-stop // sps)]
+    chips = np.repeat(points[draws], sps)[:stop]
     return amp * chips * tone
 
 
@@ -247,11 +260,65 @@ def check_unambiguous_range(ranges: np.ndarray, params: RadarParams) -> None:
             f"range {r_max:g} m set by the PRI")
 
 
+class _EchoGeometry(NamedTuple):
+    """What a scene's echoes keep from sweep to sweep, for the points of
+    nonzero scattering amplitude (``live``, indices into all_points):
+    sqrt(sigma) * S_pq / R^2 by parts, the two-way carrier phase
+    -2*pi*f_c*tau, and the distinct sample delays round(tau * fs) in
+    order of first appearance, with ``which`` the delay of each point."""
+
+    live: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    phase: np.ndarray
+    delays: tuple[int, ...]
+    which: np.ndarray
+
+
+def _echo_geometry(scene: Scene, pol: Pol, fs: float,
+                   carrier_hz: float) -> _EchoGeometry:
+    """The scene's echo geometry, built once per (pol, fs, carrier).
+
+    Two threads may both build a missing entry; they build equal arrays,
+    so either one may stay.
+    """
+    key = (pol, fs, carrier_hz)
+    geometry = scene._echo_memo.get(key)
+    if geometry is not None:
+        return geometry
+    ranges, root, pol_matrices = scene.point_arrays
+    r, c = _POL_INDEX[pol]
+    s_pq = pol_matrices[:, r, c]
+    r2 = np.float_power(ranges, 2.0)
+    re = root * s_pq.real / r2
+    im = root * s_pq.imag / r2
+    # points of zero amplitude add nothing; a unit rotation keeps the
+    # others nonzero
+    live = np.flatnonzero((re != 0.0) | (im != 0.0))
+    delay_s = 2.0 * ranges[live] / SPEED_OF_LIGHT
+    # np.rint rounds half to even, as round() does
+    distinct, first, which = np.unique(
+        np.rint(delay_s * fs).astype(np.int64), return_index=True,
+        return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    geometry = _EchoGeometry(live, re[live], im[live],
+                             -2.0 * np.pi * carrier_hz * delay_s,
+                             tuple(distinct[order].tolist()), rank[which])
+    for a in (geometry.live, geometry.re, geometry.im, geometry.phase,
+              geometry.which):
+        a.flags.writeable = False
+    scene._echo_memo[key] = geometry
+    return geometry
+
+
 def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
-            jitter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample delay and complex amplitude of every point's echo:
-    round(2R/c * fs) and sqrt(sigma) * S_pq / R^2 * exp(j(-2*pi*f_c*tau
-    + jitter)).
+            jitter: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The distinct sample delays of the scene's echoes, in order of first
+    appearance, and the summed complex amplitude at each: the amplitudes
+    sqrt(sigma) * S_pq / R^2 * exp(j(-2*pi*f_c*tau + jitter)) of the
+    points that share a delay, added in point order.
 
     Each amplitude rounds exactly as the scalar expression
     ``scattering_amplitude(p, pol) / R**2 * np.exp(1j * phase)``: R**2
@@ -260,19 +327,14 @@ def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
     numpy's vectorized complex multiply rounds differently from its
     scalar one.
     """
-    ranges, root, pol_matrices = scene.point_arrays
-    r, c = _POL_INDEX[pol]
-    s_pq = pol_matrices[:, r, c]
-    r2 = np.float_power(ranges, 2.0)
-    re = root * s_pq.real / r2
-    im = root * s_pq.imag / r2
-    delay_s = 2.0 * ranges / SPEED_OF_LIGHT
-    rot = np.exp(1j * (-2.0 * np.pi * params.carrier_hz * delay_s + jitter))
-    a = np.empty(ranges.size, dtype=np.complex128)
-    a.real = re * rot.real - im * rot.imag
-    a.imag = re * rot.imag + im * rot.real
-    # np.rint rounds half to even, as round() does
-    return np.rint(delay_s * fs).astype(np.int64), a
+    g = _echo_geometry(scene, pol, fs, params.carrier_hz)
+    rot = np.exp(1j * (g.phase + jitter[g.live]))
+    a = np.empty(g.live.size, dtype=np.complex128)
+    a.real = g.re * rot.real - g.im * rot.imag
+    a.imag = g.re * rot.imag + g.im * rot.real
+    h = np.zeros(len(g.delays), dtype=np.complex128)
+    np.add.at(h, g.which, a)
+    return g.delays, h
 
 
 def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
@@ -291,10 +353,14 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     amplitude are skipped.  Direct-path leakage, external interferers
     and thermal noise are added on top.
 
-    ``out``, a writable complex array of len(tx), is overwritten with the
-    received samples and the returned stream is a read-only view of it,
-    so a caller can reuse one buffer for every sweep; the stream is valid
-    only until the buffer is written again.
+    ``out``, a writable complex array of at most len(tx) samples, is
+    overwritten with the first len(out) samples of the received stream,
+    bit for bit those of a whole-stream call, and the returned stream is
+    a read-only view of it: a caller can build only the samples it reads,
+    and reuse one buffer for every sweep; the stream is valid only until
+    the buffer is written again.  The noise's imaginary rail follows its
+    whole real rail in one RNG stream, so the real rail is still drawn
+    over len(tx) samples.
     """
     if tx.duration < params.pri_s:
         raise ValueError("transmit stream must cover at least one PRI")
@@ -302,16 +368,18 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     n = len(tx)
     if out is None:
         out = np.zeros(n, dtype=np.complex128)
-    elif out.shape != (n,) or out.dtype != np.complex128:
-        raise ValueError(f"out must be a complex128 array of {n} samples")
+    elif out.ndim != 1 or out.size > n or out.dtype != np.complex128:
+        raise ValueError(
+            f"out must be a complex128 array of at most {n} samples")
     else:
         out.fill(0.0)
+    m = out.size
     ranges = scene.point_arrays[0]
     check_unambiguous_range(ranges, params)
     n_points = ranges.size
 
     # tx is zero off its support: direct path and echoes are added there only
-    support = tx.support
+    support = tx.support[:np.searchsorted(tx.support, m)]
     active = tx.samples[support]
     if scene.direct_path_gain:
         out[support] += scene.direct_path_gain * active
@@ -322,20 +390,14 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     else:
         jitter = np.zeros(n_points)
 
-    delays, a = _echoes(scene, pol, params, fs, jitter)
-    live = np.flatnonzero(a)
-    distinct, first, which = np.unique(delays[live], return_index=True,
-                                       return_inverse=True)
-    h = np.zeros(distinct.size, dtype=np.complex128)
-    np.add.at(h, which, a[live])
-    for j in np.argsort(first):
-        d = int(distinct[j])
-        m = int(np.searchsorted(support, n - d))
-        out[support[:m] + d] += h[j] * active[:m]
+    delays, h = _echoes(scene, pol, params, fs, jitter)
+    for d, h_d in zip(delays, h):
+        k = int(np.searchsorted(support, m - d))
+        out[support[:k] + d] += h_d * active[:k]
 
     for i, itf in enumerate(scene.interferers):
         rng = _rng(scene.rng_seed, sweep_index, _RNG_INTERFERER, i)
-        out += _interferer_samples(itf, n, fs, tx.carrier_hz, rng)
+        out += _interferer_samples(itf, n, fs, tx.carrier_hz, rng, stop=m)
 
     if scene.noise_psd > 0:
         rng = _rng(scene.rng_seed, sweep_index, _RNG_NOISE)
@@ -343,13 +405,16 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
         scale = np.sqrt(sigma2 / 2.0)
         # the real rail is drawn first, then the imaginary one, a chunk at
         # a time; a generator's draws continue across calls, so the chunks
-        # hold exactly the values of one whole-rail draw
+        # hold exactly the values of one whole-rail draw.  Only the first m
+        # samples of each rail are added, and the imaginary rail is drawn
+        # no further.
         z = np.empty(min(n, _NOISE_CHUNK))
-        for rail in (out.real, out.imag):
-            for start in range(0, n, z.size):
-                part = z[:min(z.size, n - start)]
+        for rail, stop in ((out.real, n), (out.imag, m)):
+            for start in range(0, stop, z.size):
+                part = z[:min(z.size, stop - start)]
                 rng.standard_normal(out=part)
-                part *= scale
-                rail[start:start + part.size] += part
+                kept = part[:max(0, m - start)]
+                kept *= scale
+                rail[start:start + kept.size] += kept
 
     return SampleStream(out[:], fs, tx.carrier_hz)

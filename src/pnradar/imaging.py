@@ -37,10 +37,11 @@ from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
 _POOL_MIN_SAMPLES = 1 << 16
 
 # At most this many sweeps run at once.  Each one in flight holds its own
-# receive buffer (5.1 MB for a UWB sweep) plus its whole-stream
-# temporaries, so peak memory grows with the width; the gains above and
-# the peak RSS they cost (53.1 -> 55.4 MB on sphere_compare, 60.1 -> 61.1
-# MB on uwb_scan) were measured at 2 workers, and wider pools are not.
+# receive buffer (the read prefix, about 4.95 MB for a UWB sweep) plus its
+# whole-stream temporaries, so peak memory grows with the width; the gains
+# above and the peak RSS they cost (53.1 -> 55.4 MB on sphere_compare,
+# 60.1 -> 61.1 MB on uwb_scan) were measured at 2 workers, and wider pools
+# are not.
 _MAX_POOL_WORKERS = 2
 
 
@@ -296,7 +297,8 @@ def estimate_rcs(profile: RangeProfile, cal: Calibration, mode: Mode,
         gated = detections
     if not gated:
         where = f" in gate [{gate_m[0]:g}, {gate_m[1]:g}] m" if gate_m else ""
-        raise NoDetections(f"no scatterer detected{where}")
+        raise NoDetections(f"{mode.value} sweep {profile.sweep_index}: "
+                           f"no scatterer detected{where}")
     margin = margin_bins * profile.bin_width_m
     w_lo = min(d.range_m for d in gated) - margin
     w_hi = max(d.range_m for d in gated) + margin
@@ -418,13 +420,18 @@ class SweepPipeline:
             sweep_samples(params, pn, cfg.max_range_m))
         self.lags = kept_lags(params, len(self.tx) - len(self.template) + 1,
                               cfg.range_window_m)
+        # the correlator reads the received stream up to the last kept
+        # lag's overlap with the template, and nothing past it (an empty
+        # window still needs one template length)
+        self.read_samples = max(self.lags.stop, 1) + len(self.template) - 1
         self.window_bins = matched_window_bins(params)
 
     def profile(self, scene: Scene, pol: Pol = Pol.VV,
                 sweep_index: int = 0) -> RangeProfile:
-        """Range profile of one sweep.  The received stream is built and
-        blanked in one buffer of its own, freed when the sweep returns."""
-        out = np.empty(len(self.tx), dtype=np.complex128)
+        """Range profile of one sweep.  Only the first read_samples of the
+        received stream are built, and blanked, in one buffer of their
+        own, freed when the sweep returns."""
+        out = np.empty(self.read_samples, dtype=np.complex128)
         rx = propagate(self.tx, scene, self.params, pol, sweep_index, out=out)
         cfg = self.rx_config
         if cfg.blank_width_s > 0:

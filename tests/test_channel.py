@@ -452,10 +452,83 @@ class TestPropagateBuffers:
         params = nb_params()
         tx = make_waveform(params, gen_mseq([3, 1, 0]))[0]
         scene = _single_point_scene(range_m=10.0)
-        for buf in (np.zeros(len(tx) - 1, dtype=complex),
-                    np.zeros(len(tx), dtype=np.complex64)):
+        for buf in (np.zeros(len(tx) + 1, dtype=complex),
+                    np.zeros(len(tx), dtype=np.complex64),
+                    np.zeros((2, len(tx) // 2), dtype=complex)):
             with pytest.raises(ValueError, match="out must be"):
                 propagate(tx, scene, params, Pol.VV, out=buf)
+        # a shorter buffer holds the first samples of the stream
+        buf = np.zeros(len(tx) - 1, dtype=complex)
+        rx = propagate(tx, scene, params, Pol.VV, out=buf)
+        assert len(rx) == len(tx) - 1 and np.shares_memory(rx.samples, buf)
+        full = propagate(tx, scene, params, Pol.VV).samples
+        assert rx.samples.tobytes() == full[:-1].tobytes()
+
+
+def _prefix_lengths(n):
+    """Prefix lengths in [1, n], weighted toward the noise chunk
+    boundaries and the ends of the stream."""
+    edges = [1, 2, n - 1, n] + [k * _NOISE_CHUNK + e
+                                for k in range(1, n // _NOISE_CHUNK + 1)
+                                for e in (-1, 0, 1)]
+    return st.one_of(st.sampled_from([e for e in edges if 1 <= e <= n]),
+                     st.integers(1, n))
+
+
+def _support_edges(tx):
+    """Prefix lengths at and around the first and last nonzero sample."""
+    n = len(tx)
+    lo, hi = int(tx.support[0]), int(tx.support[-1])
+    return st.sampled_from([m for m in (lo, lo + 1, lo + 2, hi, hi + 1,
+                                        hi + 2) if 1 <= m <= n])
+
+
+class TestPropagatePrefix:
+    @settings(max_examples=200, deadline=None)
+    @given(_oracle_case(), st.data())
+    def test_prefix_equals_the_whole_stream_cut(self, case, data):
+        params, tx, scene, pol, sweep = case
+        m = data.draw(st.one_of(_prefix_lengths(len(tx)),
+                                _support_edges(tx)))
+        prefix = propagate(tx, scene, params, pol, sweep,
+                           out=np.empty(m, dtype=complex)).samples
+        full = propagate(tx, scene, params, pol, sweep).samples
+        assert prefix.tobytes() == full[:m].tobytes()
+
+
+class TestEchoGeometryMemo:
+    def test_one_scene_across_chains_and_pols(self):
+        pn = gen_mseq([3, 1, 0])
+        depolarizing = np.array([[1.0, 0.3j], [0.5j, -0.8]])
+        scene = _single_point_scene(
+            sigma=1e-3, range_m=10.0, noise_psd=1e-19,
+            sweep_phase_jitter_rad=0.3, rng_seed=12,
+            clutter=gen_clutter((2.0, 8.0), 30, 1e-4, seed=4)
+            + (Scatterer(sigma_m2=2e-3, range_m=6.0,
+                         pol_matrix=depolarizing),))
+        cases = [(params, make_waveform(params, pn)[0], pol)
+                 for params in (nb_params(), uwb_params()) for pol in Pol]
+        order = np.random.default_rng(1).permutation(2 * len(cases))
+        for k in order:
+            params, tx, pol = cases[k % len(cases)]
+            warm = propagate(tx, scene, params, pol, 3).samples
+            cold = propagate(tx, dataclasses.replace(scene), params, pol, 3)
+            assert warm.tobytes() == cold.samples.tobytes()
+        assert len(scene._echo_memo) == len(cases)
+        assert scene == dataclasses.replace(scene)
+        assert repr(scene) == repr(dataclasses.replace(scene))
+
+    def test_memo_is_read_only(self):
+        params = nb_params()
+        tx = make_waveform(params, gen_mseq([3, 1, 0]))[0]
+        scene = _single_point_scene(range_m=10.0)
+        propagate(tx, scene, params, Pol.VV)
+        (geometry,) = scene._echo_memo.values()
+        assert geometry.delays == (int(round(20.0 / SPEED_OF_LIGHT
+                                             * params.sample_rate_hz)),)
+        assert not any(a.flags.writeable for a in (
+            geometry.live, geometry.re, geometry.im, geometry.phase,
+            geometry.which))
 
 
 class TestAddInterferer:

@@ -13,15 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import signal
 
-from pnradar import (Calibration, Detection, Interferer, Mode, NoDetections,
-                     Pol, RangeProfile,
+from pnradar import (Calibration, Detection, Interferer, InterfererKind, Mode,
+                     NoDetections, Pol, RangeProfile,
                      ReceiverConfig, Scatterer, Scene, SweepPipeline,
                      TargetModel, calibrate, detect_scatterers, estimate_rcs,
                      gen_clutter, gen_mseq, make_waveform,
                      matched_window_bins, nb_params,
                      propagate, pulse_volume_depth, rcs_nb, rcs_uwb,
-                     rx_gate, scan_image, self_calibrate, uwb_params,
-                     SPEED_OF_LIGHT)
+                     rx_gate, scan_image, self_calibrate, uwb_correlate,
+                     uwb_params, SPEED_OF_LIGHT)
 from pnradar import imaging
 from pnradar.channel import _tone
 from pnradar.imaging import _median, sweep_samples
@@ -284,6 +284,50 @@ class TestKeptLags:
         assert np.array_equal(prof.ranges_m, ranges[keep])
         np.testing.assert_allclose(prof.values, full[keep], rtol=0,
                                    atol=1e-9 * np.abs(full).max())
+
+
+class TestReadPrefix:
+    """A sweep builds only the received samples its correlator reads."""
+
+    @pytest.mark.parametrize("mode", ["nb", "uwb_blanked"])
+    def test_profile_matches_the_full_stream(self, mode, monkeypatch):
+        if mode == "nb":
+            params, pn = nb_params(), gen_mseq([7, 1, 0])
+            cfg = ReceiverConfig(max_range_m=100.0)
+            clutter = gen_clutter((2.0, 8.0), 40, 5e-4, seed=6)
+        else:
+            params, pn = uwb_params(), gen_mseq([3, 1, 0])
+            cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
+            clutter = gen_clutter((9.0, 11.0), 10, 1e-4, seed=6)
+        pipeline = SweepPipeline(params, pn, rx_config=cfg)
+        scene = Scene(
+            target=target((SIGMA_REF, 10.0)), clutter=clutter,
+            interferers=(
+                Interferer(freq_hz=params.carrier_hz + 3e6, power_w=1e-9),
+                Interferer(freq_hz=params.carrier_hz - 1e7, power_w=1e-9,
+                           kind=InterfererKind.QPSK_MODULATED)),
+            noise_psd=1e-19, direct_path_gain=0.5,
+            sweep_phase_jitter_rad=0.3, rng_seed=17)
+        lengths = []
+
+        def recording(tx, scene, params, pol, sweep_index=0, out=None):
+            lengths.append(len(out))
+            return propagate(tx, scene, params, pol, sweep_index, out=out)
+
+        monkeypatch.setattr(imaging, "propagate", recording)
+        for sweep in (0, 5):
+            prof = pipeline.profile(scene, Pol.HH, sweep_index=sweep)
+            rx = propagate(pipeline.tx, scene, params, Pol.HH, sweep)
+            if cfg.blank_width_s:
+                rx = rx_gate(rx, params, cfg.blank_width_s)
+            ref = uwb_correlate(rx, pipeline.template, pipeline.lags)
+            assert prof.values.tobytes() == ref.tobytes()
+        read = pipeline.lags.stop + len(pipeline.template) - 1
+        assert lengths == [read, read] and pipeline.read_samples == read
+        assert read < len(pipeline.tx)
+        if mode == "nb":
+            assert (len(pipeline.lags), read, len(pipeline.tx)) == \
+                (54, 853, 8055)
 
 
 class TestSweepSamples:

@@ -357,7 +357,11 @@ class TestCliEntry:
         path = _write(tmp_path, text)
         rc = main([str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 3
-        assert "no scatterer detected" in capsys.readouterr().err
+        # the message names the chain and the first sweep that failed
+        found = re.match(r"error \[rcs_sweep_series\]: uwb sweep (\d+): no "
+                         r"scatterer detected in gate \[1, 2\] m$",
+                         capsys.readouterr().err)
+        assert found and int(found[1]) in range(4)
 
     def test_memory_error_in_a_pool_worker_exits_three(self, tmp_path,
                                                         capsys, monkeypatch):
