@@ -32,8 +32,13 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def _db(p: float, floor: float = 1e-30) -> float:
-    return 10.0 * math.log10(max(p, floor))
+# A power_db cell is "%.12g" of 10*log10(max(p, _DB_FLOOR)), computed with
+# math.log10; _db_text is the one place that rule is spelled out.
+_DB_FLOOR = 1e-30
+
+
+def _db_text(p: float) -> str:
+    return _fmt(10.0 * math.log10(max(p, _DB_FLOOR)))
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -45,7 +50,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def write_profile_csv(path: Path, profile: RangeProfile) -> None:
     power = profile.power
-    rows = ((_fmt(r), _fmt(p), _fmt(_db(p)))
+    rows = ((_fmt(r), _fmt(p), _db_text(p))
             for r, p in zip(profile.ranges_m, power))
     _write_csv(path, "range_m,power_linear,power_db", rows)
 
@@ -56,19 +61,102 @@ def write_series_csv(path: Path, estimates: list[RcsEstimate]) -> None:
     _write_csv(path, "sweep,mode,sigma_m2,dbsm", rows)
 
 
+def _text_rows(texts: list[bytes]) -> np.ndarray:
+    """The texts as the rows of a uint8 matrix, NUL-padded to the longest."""
+    rows = np.array(texts, dtype=bytes)
+    return rows.view(np.uint8).reshape(len(texts), rows.itemsize)
+
+
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """Each 4-digit group 0000..9999 as its 4 ASCII bytes in one uint32.
+
+    Returns the fraction table, indexed by ``group + 10_000 * is_last``
+    (trailing zeros of a last group become NUL), and the integer table
+    (leading zeros become NUL).
+    """
+    group = np.arange(10_000, dtype=np.int16)[:, None]
+    place = 10 ** np.arange(3, -1, -1, dtype=np.int16)
+    chars = (group // place % 10 + ord("0")).astype(np.uint8)
+    words = np.stack([chars, chars * (group % (10 * place) != 0),
+                      chars * (group >= place)]).view(np.uint32)[..., 0]
+    return words[:2].ravel(), words[2]
+
+
+# Per decimal exponent e of |dB| (0..3): the scale that gives |dB| 12
+# integer digits, and the shift that puts its units digit at 10^11.
+_MANTISSA_SCALE = 10.0 ** (11 - np.arange(4))
+_UNITS_SHIFT = 10 ** np.arange(4, dtype=np.int64)
+_TIE_WINDOW = 2e-3
+
+
+def _put_db_text(field: np.ndarray, power: np.ndarray,
+                 words: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write each power's power_db text into its row of ``field``, an
+    (n, 18) uint8 array: the row's bytes, NULs dropped, are the text.
+
+    The vector layout is sign | 4 integer digits | "." | 11 fraction
+    digits as 4+4+3, with leading integer and trailing fraction zeros as
+    NUL: "%.12g"'s fixed notation for 1 <= |dB| < 10^4.
+    """
+    frac_words, int_words = words
+    db = np.log10(np.maximum(power, _DB_FLOOR))
+    db *= 10.0
+    mag = np.abs(db)
+    e = (mag >= 10.0).view(np.int8) + (mag >= 100.0).view(np.int8)
+    e += (mag >= 1000.0).view(np.int8)
+    mant = mag * _MANTISSA_SCALE[e]
+    digits = np.rint(mant)
+    # "%.12g" rounds the exact value of the math.log10 dB to 12 digits: it
+    # rounds that value times the scale to an integer.  np.log10 is within
+    # 1 ulp of log10 (numpy's accuracy tests) and libm's within 2 (glibc's
+    # bound), so with the products by 10 and by the scale, mant is within
+    # 4.5 * 2^-52 * 10^12 = 1.0e-3 of that value, and a mant more than
+    # _TIE_WINDOW = 2e-3 from a half-integer rounds to the same integer.
+    # Where the two logs straddle a decade, both round to the decade, or
+    # mant rounds up to 10^12.  Near-ties, carries into 10^12, |dB| < 1
+    # (no fixed 12-digit layout here), nan and inf print exactly.
+    with np.errstate(invalid="ignore"):  # inf - inf where dB is infinite
+        exact = np.abs(mant - digits) > 0.5 - _TIE_WINDOW
+    exact |= ~(mag >= 1.0)
+    exact |= ~(digits < 1e12)
+    digits[exact] = 1e11  # any valid value; overwritten below
+    units, frac = np.divmod(digits.astype(np.int64) * _UNITS_SHIFT[e],
+                            10 ** 11)
+    f1, rest = np.divmod(frac, 10 ** 7)
+    f2, f3 = np.divmod(rest, 1000)
+    np.multiply(db < 0, ord("-"), out=field[:, 0], casting="unsafe")
+    np.multiply(frac != 0, ord("."), out=field[:, 5], casting="unsafe")
+    int_w, f1_w, f2_w, f3_w = (field[:, k:k + 4].view(np.uint32)[:, 0]
+                               for k in (1, 6, 10, 14))
+    int_w[:] = int_words[units]
+    f1_w[:] = frac_words[f1 + 10_000 * (rest == 0)]
+    f2_w[:] = frac_words[f2 + 10_000 * (f3 == 0)]
+    f3_w[:] = frac_words[f3 * 10 + 10_000]  # 3 digits: a last group "ddd0"
+    cells = np.flatnonzero(exact)
+    if cells.size:
+        field[cells] = _text_rows([_db_text(p).encode().ljust(18, b"\0")
+                                   for p in power[cells].tolist()])
+
+
 def write_image_csv(path: Path, image: ScanImage) -> None:
-    # Every row shares the range column, so it is baked into one line
-    # template per image; "\0" marks where each row's azimuth goes.  dB
-    # goes through math.log10, as _db does: np.log10 may differ from libm
-    # in the last bit, and the printed digits with it.
-    template = "".join("\0," + _fmt(r) + ",%.12g\n"
-                       for r in image.ranges_m.tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("az_deg,range_m,power_db\n")
-        for az, row in zip(image.azimuths_deg.tolist(), image.power):
-            db = [10.0 * math.log10(p)
-                  for p in np.maximum(row, 1e-30).tolist()]
-            fh.write(template.replace("\0", _fmt(az)) % tuple(db))
+    # Each line is a fixed-width record of NUL-padded fields, one per range
+    # cell: "az," | "range," | power_db | "\n".  The range fields are set
+    # once per image and the az field once per row; a row's NULs are
+    # dropped as it is written.
+    words = _digit_words()
+    azs = _text_rows([b"%.12g," % a for a in image.azimuths_deg.tolist()])
+    ranges = _text_rows([b"%.12g," % r for r in image.ranges_m.tolist()])
+    az_end = azs.shape[1]
+    db_at = az_end + ranges.shape[1]
+    rec = np.zeros((len(ranges), db_at + 19), np.uint8)
+    rec[:, az_end:db_at] = ranges
+    rec[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(b"az_deg,range_m,power_db\n")
+        for az, row in zip(azs, image.power):
+            rec[:, :az_end] = az
+            _put_db_text(rec[:, db_at:-1], row, words)
+            fh.write(rec.tobytes().translate(None, b"\0"))
 
 
 def write_calibration_csv(path: Path, cal: Calibration) -> None:

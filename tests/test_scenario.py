@@ -9,11 +9,14 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pnradar
 from pnradar import Mode, ScanImage, imaging
@@ -74,6 +77,38 @@ def _run_child(script, *args, timeout=300):
     return subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           env=env, capture_output=True, text=True,
                           timeout=timeout)
+
+
+def _image_lines(image):
+    """image.csv's lines, each field formatted by itself."""
+    return ["az_deg,range_m,power_db"] + [
+        "%.12g,%.12g,%.12g" % (az, r, 10.0 * math.log10(max(p, 1e-30)))
+        for az, row in zip(image.azimuths_deg.tolist(), image.power.tolist())
+        for r, p in zip(image.ranges_m.tolist(), row)]
+
+
+SCAN_5_ROWS = """
+seed: 2026
+radar: {mode: uwb}
+code: {family: msequence, taps: [5, 2, 0], chips_per_bit: 31}
+scene:
+  target:
+    points:
+      - {sigma_m2: 1.0e-3, range_m: 10.0, cross_range_m: 0.0}
+      - {sigma_m2: 1.0e-3, range_m: 10.5, cross_range_m: 0.6}
+      - {sigma_m2: 1.0e-3, range_m: 9.5, cross_range_m: -0.6}
+      - {sigma_m2: 5.0e-4, range_m: 12.0, cross_range_m: 1.0}
+  noise_psd_w_per_hz: 1.0e-20
+  direct_path_gain: 0.5
+  sweep_phase_jitter_rad: 0.3
+receiver: {blank_width_s: 2.0e-9, max_range_m: 14.0}
+experiment:
+  kind: scan_image
+  azimuth_step_deg: 0.5
+  beamwidth_deg: 2.0
+  azimuth_span_deg: 1.0
+  reference: {sigma_m2: 1.0e-3, range_m: 10.0}
+"""
 
 
 def _hashes(paths):
@@ -580,20 +615,88 @@ class TestNumpyOnlyRuntime:
         assert (tmp_path / "out" / "compare_summary.csv").exists()
 
     def test_image_csv_matches_value_by_value_format(self, tmp_path):
-        # the row template prints what "%.12g" of each field and
-        # 10*log10(max(p, 1e-30)) print, zeros and denormals included
+        # every cell prints what "%.12g" of each field and
+        # 10*log10(max(p, 1e-30)) print, on cells chosen to trip a
+        # vectorized formatter: zeros, denormals, nan and inf, exact
+        # decades, 12th-digit ties, |dB| < 1, and powers whose np.log10
+        # and math.log10 differ in the last bit
         rng = np.random.default_rng(3)
-        power = rng.exponential(1.0, (4, 300)) * 10.0 ** rng.integers(
-            -40, 10, (4, 300))
-        power[0, :3] = [0.0, 1e-30, 5e-324]
-        image = ScanImage(azimuths_deg=np.array([-1.5, -0.5, 0.5, 1.5]),
-                          ranges_m=np.linspace(0.3, 1.0 / 3.0 + 2.0, 300),
+        random = rng.exponential(1.0, 600) * 10.0 ** rng.integers(-40, 10, 600)
+        special = [0.0, 1e-30, 5e-324, math.nan, math.inf, 1e-31, 1.0,
+                   1.7976931348623157e308]
+        decades = [10.0 ** k for k in range(-30, 309)]
+        # dB = +-(m + 0.5) * 10^(e - 11): 13 digits ending in 5; e = 3
+        # only up to 3000 dB, below float64's largest power
+        tie_db = [sign * (m + 0.5) * 10.0 ** (e - 11) for sign, m, e in zip(
+            [*rng.choice([-1, 1], 200), *[1] * 20],
+            [*rng.integers(10 ** 11, 10 ** 12, 200),
+             *rng.integers(10 ** 11, 3 * 10 ** 11, 20)],
+            [*rng.integers(0, 3, 200), *[3] * 20])]
+        ties = [10.0 ** (db / 10.0) for db in tie_db]
+        # within 64 ulps of a tie, np.log10 and math.log10 can round the
+        # 12th digit apart: these cells must take the exact path
+        near_ties = np.multiply.outer(
+            ties, 1.0 + np.arange(-64, 65) * 2.0 ** -52).ravel().tolist()
+        flips = [p for p, db in zip(near_ties,
+                                    (10.0 * np.log10(near_ties)).tolist())
+                 if "%.12g" % db != "%.12g" % (10.0 * math.log10(p))]
+        assert len(flips) >= 5
+        near_unity = [*rng.uniform(0.75, 1.3, 100),
+                      *(1.0 + np.arange(-20, 21) * 2.0 ** -52)]
+        draw = np.exp(rng.uniform(-69.0, 0.0, 4000))
+        log_differs = [p for p in draw.tolist()
+                       if float(np.log10(p)) != math.log10(p)][:40]
+        assert len(log_differs) == 40
+        edges = decades + ties
+        cells = np.concatenate([
+            random, special, edges, np.nextafter(edges, 0.0),
+            np.nextafter(edges, math.inf), flips, near_unity, log_differs])
+        power = np.resize(cells, (6, -(-cells.size // 6)))
+        image = ScanImage(azimuths_deg=np.linspace(-2.5, 2.5, 6),
+                          ranges_m=np.linspace(0.3, 1.0 / 3.0 + 2.0,
+                                               power.shape[1]),
                           power=power)
         path = tmp_path / "image.csv"
         write_image_csv(path, image)
-        expected = ["az_deg,range_m,power_db"] + [
-            "%.12g,%.12g,%.12g" % (az, r, 10.0 * math.log10(max(p, 1e-30)))
-            for az, row in zip(image.azimuths_deg.tolist(),
-                               image.power.tolist())
-            for r, p in zip(image.ranges_m.tolist(), row)]
-        assert path.read_text().splitlines() == expected
+        assert path.read_text().splitlines() == _image_lines(image)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   min_side=0, max_side=40),
+                      elements=st.one_of(st.floats(min_value=0.0),
+                                         st.just(math.nan))))
+    def test_image_csv_matches_format_on_drawn_powers(self, tmp_path_factory,
+                                                       power):
+        image = ScanImage(azimuths_deg=np.arange(power.shape[0]) - 0.5,
+                          ranges_m=np.arange(power.shape[1]) * 0.15,
+                          power=power)
+        path = tmp_path_factory.mktemp("image") / "image.csv"
+        write_image_csv(path, image)
+        assert path.read_text().splitlines() == _image_lines(image)
+
+    def test_image_csv_memory_is_bounded_by_a_row(self, tmp_path):
+        # uwb_scan's image size; a byte matrix of the whole image (about
+        # 16 MB) or a list of its lines would break the bound
+        rng = np.random.default_rng(5)
+        power = rng.exponential(1e-9, (45, 9139))
+        image = ScanImage(azimuths_deg=np.arange(-11.0, 11.5, 0.5),
+                          ranges_m=np.linspace(0.3, 14.0, 9139), power=power)
+        tracemalloc.start()
+        try:
+            write_image_csv(tmp_path / "image.csv", image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_scan_image_csv_digest_is_pinned(self, tmp_path):
+        # uwb_scan's geometry over 5 rows; the digest was recorded before
+        # the vectorized image writer (numpy 2.4.6, x86-64).  A change here
+        # with the value-by-value tests still passing is a change upstream
+        # of the writer.
+        path = _write(tmp_path, SCAN_5_ROWS)
+        assert main([str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        csv = tmp_path / "out" / "image.csv"
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "efd5ab0841c665110cd807059a52c33adc5693524a7b4154bdc30b37b729ae04")
