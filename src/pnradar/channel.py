@@ -28,6 +28,9 @@ _POL_TOL = 1e-9
 # Noise is drawn this many samples at a time into one scratch array.
 _NOISE_CHUNK = 1 << 14
 
+# A QPSK interferer keys a new symbol at this rate.
+_QPSK_SYMBOL_RATE_HZ = 1e6
+
 
 class Pol(Enum):
     VV = "vv"
@@ -210,16 +213,22 @@ def _tone(df: float, n: int, fs: float) -> np.ndarray:
     return tone
 
 
+def check_interferer_band(freq_hz: float, carrier_hz: float,
+                          fs: float) -> None:
+    """An interferer must lie within the Nyquist band carrier +- fs/2 of
+    the stream that receives it."""
+    if abs(freq_hz - carrier_hz) >= fs / 2.0:
+        raise ValueError(
+            f"interferer at {freq_hz:g} Hz is outside the Nyquist band "
+            f"around {carrier_hz:g} Hz (fs {fs:g})")
+
+
 def _interferer_samples(itf: Interferer, n: int, fs: float, carrier_hz: float,
-                        rng, symbol_rate_hz: float = 1e6,
-                        stop: int | None = None) -> np.ndarray:
+                        rng, stop: int | None = None) -> np.ndarray:
     """Baseband samples of one interferer at its carrier offset: the
     first ``stop`` (default all) of the n samples of a stream."""
+    check_interferer_band(itf.freq_hz, carrier_hz, fs)
     df = itf.freq_hz - carrier_hz
-    if abs(df) >= fs / 2.0:
-        raise ValueError(
-            f"interferer at {itf.freq_hz:g} Hz is outside the Nyquist band "
-            f"around {carrier_hz:g} Hz (fs {fs:g})")
     if stop is None:
         stop = n
     if itf.power_w == 0.0:
@@ -231,7 +240,7 @@ def _interferer_samples(itf: Interferer, n: int, fs: float, carrier_hz: float,
         return amp * np.exp(1j * phase) * tone
     # random QPSK stream, rectangular chips at the symbol rate; the symbols
     # of all n samples are drawn, as a whole-stream call draws them
-    sps = max(1, int(round(fs / symbol_rate_hz)))
+    sps = max(1, int(round(fs / _QPSK_SYMBOL_RATE_HZ)))
     n_sym = -(-n // sps)
     points = (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0))
     draws = rng.integers(0, 4, size=n_sym)[:-(-stop // sps)]

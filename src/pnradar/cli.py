@@ -165,6 +165,10 @@ def write_calibration_csv(path: Path, cal: Calibration) -> None:
                  _fmt(cal.reference_range_m))])
 
 
+def write_summary_csv(path: Path, rows) -> None:
+    _write_csv(path, "mode,mean_dbsm,std_dbsm,uwb_std_lt_nb_std", rows)
+
+
 def _write_manifest(path: Path, scenario: Scenario) -> None:
     manifest = {
         "tool_version": __version__,
@@ -192,37 +196,59 @@ def _calibration_for(scenario: Scenario,
                           pipeline=pipeline)
 
 
-def _mean_std(dbsm: np.ndarray) -> tuple[str, str]:
-    mean = _fmt(float(np.mean(dbsm)))
-    std = _fmt(float(np.std(dbsm))) if dbsm.size > 1 else ""
-    return mean, std
+def _series(scenario: Scenario, pipeline: SweepPipeline) -> list[RcsEstimate]:
+    """The calibrated cross section of each sweep on one chain."""
+    return pipeline.series(scenario.scene,
+                           _calibration_for(scenario, pipeline),
+                           scenario.sweeps, scenario.pol)
 
 
-def compare_modes(scenario: Scenario, out_dir: Path) -> list[Path]:
-    """Run both chains on the identical scene and seed; emit per-sweep
-    series plus a summary stating whether the wideband series is steadier."""
-    written = []
-    stats = {}
-    for mode, name in ((Mode.NB_DSSS, "nb"), (Mode.DS_UWB, "uwb")):
-        pipeline = _pipeline(scenario, mode)
-        estimates = pipeline.series(
-            scenario.scene, _calibration_for(scenario, pipeline),
-            scenario.sweeps, scenario.pol)
-        path = out_dir / f"compare_{name}.csv"
-        write_series_csv(path, estimates)
-        written.append(path)
-        stats[name] = np.array([e.dbsm for e in estimates])
-    nb_std = float(np.std(stats["nb"])) if scenario.sweeps > 1 else None
-    uwb_std = float(np.std(stats["uwb"])) if scenario.sweeps > 1 else None
-    verdict = "" if nb_std is None else str(uwb_std < nb_std).lower()
-    rows = []
-    for name in ("nb", "uwb"):
-        mean, std = _mean_std(stats[name])
-        rows.append((name, mean, std, verdict))
-    path = out_dir / "compare_summary.csv"
-    _write_csv(path, "mode,mean_dbsm,std_dbsm,uwb_std_lt_nb_std", rows)
-    written.append(path)
-    return written
+def compare_modes(scenario: Scenario):
+    """Run every chain on the identical scene and seed; yield each chain's
+    per-sweep series, then a summary stating whether the wideband series
+    is steadier."""
+    rows, std = [], {}
+    for mode in scenario.chains:
+        estimates = _series(scenario, _pipeline(scenario, mode))
+        yield f"compare_{mode.value}.csv", write_series_csv, estimates
+        dbsm = np.array([e.dbsm for e in estimates])
+        std[mode] = float(np.std(dbsm))
+        rows.append((mode.value, _fmt(float(np.mean(dbsm))),
+                     _fmt(std[mode]) if scenario.sweeps > 1 else ""))
+    verdict = (str(std[Mode.DS_UWB] < std[Mode.NB_DSSS]).lower()
+               if scenario.sweeps > 1 else "")
+    yield ("compare_summary.csv", write_summary_csv,
+           [row + (verdict,) for row in rows])
+
+
+def _artifacts(scenario: Scenario):
+    """Yield (file name, writer, data) for each artifact of the experiment,
+    computing each just before it is written."""
+    kind = scenario.experiment
+    if kind is ExperimentKind.COMPARE_MODES:
+        yield from compare_modes(scenario)
+        return
+    pipeline = _pipeline(scenario, scenario.mode)
+    if kind is ExperimentKind.PROFILE:
+        yield ("profile.csv", write_profile_csv,
+               pipeline.profile(scenario.scene, scenario.pol))
+    elif kind is ExperimentKind.CALIBRATE:
+        profile = pipeline.profile(scenario.scene, scenario.pol)
+        yield ("calibration.csv", write_calibration_csv,
+               calibrate(profile, *scenario.reference))
+    elif kind is ExperimentKind.RCS_SWEEP_SERIES:
+        yield "series.csv", write_series_csv, _series(scenario, pipeline)
+    elif kind is ExperimentKind.POLARIMETRIC:
+        # all four channels share sweep 0, hence the same noise and
+        # jitter draws; only the scattering-matrix entries differ
+        for pol in Pol:
+            yield (f"profile_{pol.value}.csv", write_profile_csv,
+                   pipeline.profile(scenario.scene, pol))
+    elif kind is ExperimentKind.SCAN_IMAGE:
+        yield "image.csv", write_image_csv, scan_image(
+            pipeline, scenario.scene, _calibration_for(scenario, pipeline),
+            scenario.azimuth_step_deg, scenario.beamwidth_deg,
+            az_span_deg=scenario.azimuth_span_deg, pol=scenario.pol)
 
 
 def run(scenario: Scenario, quiet: bool = False) -> list[Path]:
@@ -233,60 +259,12 @@ def run(scenario: Scenario, quiet: bool = False) -> list[Path]:
     out_dir = scenario.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    def log(msg: str) -> None:
-        if not quiet:
-            print(msg)
-
     try:
-        kind = scenario.experiment
-        mode = scenario.mode
-        if kind is ExperimentKind.PROFILE:
-            profile = _pipeline(scenario, mode).profile(scenario.scene,
-                                                        scenario.pol)
-            path = out_dir / "profile.csv"
-            write_profile_csv(path, profile)
-            written.append(path)
-        elif kind is ExperimentKind.CALIBRATE:
-            profile = _pipeline(scenario, mode).profile(scenario.scene,
-                                                        scenario.pol)
-            sigma_ref, range_ref = scenario.reference
-            cal = calibrate(profile, sigma_ref, range_ref)
-            path = out_dir / "calibration.csv"
-            write_calibration_csv(path, cal)
-            written.append(path)
-        elif kind is ExperimentKind.RCS_SWEEP_SERIES:
-            pipeline = _pipeline(scenario, mode)
-            estimates = pipeline.series(
-                scenario.scene, _calibration_for(scenario, pipeline),
-                scenario.sweeps, scenario.pol)
-            path = out_dir / "series.csv"
-            write_series_csv(path, estimates)
-            written.append(path)
-        elif kind is ExperimentKind.POLARIMETRIC:
-            # all four channels share sweep 0, hence the same noise and
-            # jitter draws; only the scattering-matrix entries differ
-            pipeline = _pipeline(scenario, mode)
-            for pol in Pol:
-                path = out_dir / f"profile_{pol.value}.csv"
-                write_profile_csv(path, pipeline.profile(scenario.scene, pol))
-                written.append(path)
-        elif kind is ExperimentKind.SCAN_IMAGE:
-            pipeline = _pipeline(scenario, mode)
-            image = scan_image(pipeline, scenario.scene,
-                               _calibration_for(scenario, pipeline),
-                               scenario.azimuth_step_deg,
-                               scenario.beamwidth_deg,
-                               az_span_deg=scenario.azimuth_span_deg,
-                               pol=scenario.pol)
-            path = out_dir / "image.csv"
-            write_image_csv(path, image)
-            written.append(path)
-        elif kind is ExperimentKind.COMPARE_MODES:
-            written.extend(compare_modes(scenario, out_dir))
-        manifest = out_dir / "run_manifest.yaml"
-        _write_manifest(manifest, scenario)
-        written.append(manifest)
+        for name, write, data in _artifacts(scenario):
+            written.append(out_dir / name)
+            write(written[-1], data)
+        written.append(out_dir / "run_manifest.yaml")
+        _write_manifest(written[-1], scenario)
     except Exception:
         for path in written:
             try:
@@ -294,8 +272,9 @@ def run(scenario: Scenario, quiet: bool = False) -> list[Path]:
             except OSError:
                 pass
         raise
-    for path in written:
-        log(f"wrote {path}")
+    if not quiet:
+        for path in written:
+            print(f"wrote {path}")
     return written
 
 
@@ -327,9 +306,6 @@ def main(argv=None) -> int:
 
     try:
         run(scenario, quiet=args.quiet)
-    except (ScenarioError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NoDetections, ValueError, RuntimeError, OSError) as exc:
         print(f"error [{scenario.experiment.value}]: {exc}", file=sys.stderr)
         return 3

@@ -9,6 +9,7 @@ returned scenario so no hidden default exists downstream.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 import yaml
 
 from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
-    TargetModel, check_unambiguous_range, gen_clutter
+    TargetModel, check_interferer_band, check_unambiguous_range, gen_clutter
 from .codes import PnSequence, gen_gold, gen_mseq
 from .imaging import Calibration, ReceiverConfig
 from .receiver import check_blank_width
@@ -42,12 +43,11 @@ class ExperimentKind(Enum):
 class _F:
     """Leaf field: type, default, bounds, choices."""
 
-    def __init__(self, default, kind, minimum=None, maximum=None,
-                 choices=None, nullable=False, exclusive_min=False):
+    def __init__(self, default, kind, minimum=None, choices=None,
+                 nullable=False, exclusive_min=False):
         self.default = default
         self.kind = kind
         self.minimum = minimum
-        self.maximum = maximum
         self.choices = choices
         self.nullable = nullable
         self.exclusive_min = exclusive_min
@@ -87,9 +87,26 @@ class _F:
                 raise ScenarioError(f"{path}: must be > {self.minimum}, got {value}")
             if not self.exclusive_min and value < self.minimum:
                 raise ScenarioError(f"{path}: must be >= {self.minimum}, got {value}")
-        if self.maximum is not None and value > self.maximum:
-            raise ScenarioError(f"{path}: must be <= {self.maximum}, got {value}")
         return value
+
+
+class _List:
+    """List field: each entry a mapping resolved against ``schema``; an
+    absent or null list is empty."""
+
+    def __init__(self, schema: dict, required: bool = False):
+        self.schema = schema
+        self.required = required
+
+    def resolve(self, path: str, value) -> list[dict]:
+        if value is None:
+            value = []
+        if not isinstance(value, list):
+            raise ScenarioError(f"{path}: expected a list")
+        if self.required and not value:
+            raise ScenarioError(f"{path}: at least one entry is required")
+        return [_resolve_section(self.schema, item, f"{path}[{i}]")
+                for i, item in enumerate(value)]
 
 
 _POINT_SCHEMA = {
@@ -108,8 +125,17 @@ _INTERFERER_SCHEMA = {
     "kind": _F("cw", "str", choices={"cw", "qpsk"}),
 }
 
-_RX_OVERRIDE_KEYS = ("blank_width_s", "threshold_db", "max_range_m",
-                     "gate_min_m", "gate_max_m", "margin_bins")
+# receiver.nb and receiver.uwb share the receiver section's fields, so a
+# field one of them leaves out takes the receiver section's value.
+_RX_SCHEMA = {
+    "blank_width_s": _F(0.0, "float", minimum=0.0),
+    "threshold_db": _F(10.0, "float", minimum=0.0, exclusive_min=True),
+    "max_range_m": _F(None, "float", nullable=True, minimum=0.0,
+                      exclusive_min=True),
+    "gate_min_m": _F(None, "float", nullable=True, minimum=0.0),
+    "gate_max_m": _F(None, "float", nullable=True, minimum=0.0),
+    "margin_bins": _F(2, "int", minimum=0),
+}
 
 _SCHEMA = {
     "seed": _F(0, "int", minimum=0),
@@ -139,7 +165,7 @@ _SCHEMA = {
         "chips_per_bit": _F(127, "int", minimum=1),
     },
     "scene": {
-        "target": {"points": None},  # handled specially
+        "target": {"points": _List(_POINT_SCHEMA, required=True)},
         "clutter": {
             "count": _F(0, "int", minimum=0),
             "range_min_m": _F(2.0, "float", minimum=0.0, exclusive_min=True),
@@ -147,22 +173,12 @@ _SCHEMA = {
             "mean_sigma_m2": _F(0.01, "float", minimum=0.0),
             "seed": _F(None, "int", nullable=True, minimum=0),
         },
-        "interferers": None,  # handled specially
+        "interferers": _List(_INTERFERER_SCHEMA),
         "noise_psd_w_per_hz": _F(0.0, "float", minimum=0.0),
         "direct_path_gain": _F(0.0, "float", minimum=0.0),
         "sweep_phase_jitter_rad": _F(0.0, "float", minimum=0.0),
     },
-    "receiver": {
-        "blank_width_s": _F(0.0, "float", minimum=0.0),
-        "threshold_db": _F(10.0, "float", minimum=0.0, exclusive_min=True),
-        "max_range_m": _F(None, "float", nullable=True, minimum=0.0,
-                          exclusive_min=True),
-        "gate_min_m": _F(None, "float", nullable=True, minimum=0.0),
-        "gate_max_m": _F(None, "float", nullable=True, minimum=0.0),
-        "margin_bins": _F(2, "int", minimum=0),
-        "nb": None,   # optional per-mode overrides, handled specially
-        "uwb": None,
-    },
+    "receiver": {**_RX_SCHEMA, "nb": _RX_SCHEMA, "uwb": _RX_SCHEMA},
     "experiment": {
         "kind": _F("profile", "str",
                    choices={k.value for k in ExperimentKind}),
@@ -186,7 +202,10 @@ _SCHEMA = {
 }
 
 
-def _resolve_section(schema: dict, data, path: str) -> dict:
+def _resolve_section(schema: dict, data, path: str,
+                     inherited: dict | None = None) -> dict:
+    """Resolve ``data`` against ``schema``.  A key that ``data`` leaves out
+    takes its ``inherited`` value, else the schema default."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -198,44 +217,18 @@ def _resolve_section(schema: dict, data, path: str) -> dict:
             raise ScenarioError(f"{where}: unknown key")
     for key, spec in schema.items():
         where = f"{path}.{key}" if path else key
-        if spec is None:
-            out[key] = data.get(key)  # handled by the caller
-        elif isinstance(spec, dict):
-            out[key] = _resolve_section(spec, data.get(key), where)
-        elif key in data:
-            out[key] = spec.resolve(where, data[key])
+        if isinstance(spec, dict):
+            # a subsection inherits the fields it shares with this section
+            shared = {k: v for k, v in out.items() if spec.get(k) is schema[k]}
+            out[key] = _resolve_section(spec, data.get(key), where, shared)
+        elif key in data or isinstance(spec, _List):
+            out[key] = spec.resolve(where, data.get(key))
+        elif inherited and key in inherited:
+            out[key] = inherited[key]
         elif spec.default is None and not spec.nullable:
             raise ScenarioError(f"{where}: required field missing")
         else:
             out[key] = spec.default
-    return out
-
-
-def _resolve_list(raw, path: str, schema: dict, required: bool) -> list[dict]:
-    """Resolve a list of mappings, each against ``schema``."""
-    if raw is None:
-        raw = []
-    if not isinstance(raw, list):
-        raise ScenarioError(f"{path}: expected a list")
-    if required and not raw:
-        raise ScenarioError(f"{path}: at least one entry is required")
-    return [_resolve_section(schema, item, f"{path}[{i}]")
-            for i, item in enumerate(raw)]
-
-
-def _resolve_rx_overrides(raw, path: str, base: dict) -> dict:
-    out = {k: base[k] for k in _RX_OVERRIDE_KEYS}
-    if raw is None:
-        return out
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: expected a mapping")
-    section = {k: v for k, v in _SCHEMA["receiver"].items()
-               if k in _RX_OVERRIDE_KEYS}
-    for key in raw:
-        if key not in section:
-            raise ScenarioError(f"{path}.{key}: unknown key")
-    for key, value in raw.items():
-        out[key] = section[key].resolve(f"{path}.{key}", value)
     return out
 
 
@@ -246,16 +239,13 @@ class Scenario:
     """Fully validated run description with constructed domain objects."""
 
     raw: dict
-    source: str
     seed: int
     mode: Mode
-    params_nb: RadarParams
-    params_uwb: RadarParams
+    params: dict[Mode, RadarParams]  # one entry per chain
+    receivers: dict[Mode, ReceiverConfig]  # one entry per chain
     pn: PnSequence
     chips_per_bit: int
     scene: Scene
-    rx_nb: ReceiverConfig
-    rx_uwb: ReceiverConfig
     experiment: ExperimentKind
     sweeps: int
     pol: Pol
@@ -267,10 +257,10 @@ class Scenario:
     out_dir: Path
 
     def rx_for(self, mode: Mode) -> ReceiverConfig:
-        return self.rx_nb if mode is Mode.NB_DSSS else self.rx_uwb
+        return self.receivers[mode]
 
     def params_for(self, mode: Mode) -> RadarParams:
-        return self.params_nb if mode is Mode.NB_DSSS else self.params_uwb
+        return self.params[mode]
 
     @property
     def chains(self) -> list[Mode]:
@@ -280,19 +270,23 @@ class Scenario:
         return [self.mode]
 
 
-def _build_code(cfg: dict) -> PnSequence:
-    family = cfg["family"]
+@contextmanager
+def _naming(where: str):
+    """Re-raise a model's ValueError as a ScenarioError naming ``where``."""
     try:
-        if family == "gold":
-            if cfg["taps_b"] is None:
-                raise ScenarioError(
-                    "code.taps_b: required for the gold family")
+        yield
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _build_code(cfg: dict) -> PnSequence:
+    gold = cfg["family"] == "gold"
+    if gold and cfg["taps_b"] is None:
+        raise ScenarioError("code.taps_b: required for the gold family")
+    with _naming("code"):
+        if gold:
             return gen_gold(cfg["taps"], cfg["taps_b"], cfg["gold_shift"])
         return gen_mseq(cfg["taps"], cfg["seed_state"])
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"code: {exc}") from exc
 
 
 def _pol_matrix(point: dict) -> np.ndarray:
@@ -301,6 +295,8 @@ def _pol_matrix(point: dict) -> np.ndarray:
 
 
 def _build_rx_config(resolved: dict, params: RadarParams) -> ReceiverConfig:
+    """The chain's receiver; a null max_range_m is set to the chain's
+    default in ``resolved``, so the manifest carries the window used."""
     gate = None
     if (resolved["gate_min_m"] is None) != (resolved["gate_max_m"] is None):
         raise ScenarioError(
@@ -310,38 +306,23 @@ def _build_rx_config(resolved: dict, params: RadarParams) -> ReceiverConfig:
             raise ScenarioError(
                 "receiver.gate_max_m must exceed receiver.gate_min_m")
         gate = (resolved["gate_min_m"], resolved["gate_max_m"])
-    max_range = resolved["max_range_m"]
-    if max_range is None:
-        if params.mode is Mode.NB_DSSS:
-            max_range = 100.0
-        else:
-            max_range = 0.9 * params.unambiguous_range_m
+    if resolved["max_range_m"] is None:
+        resolved["max_range_m"] = (100.0 if params.mode is Mode.NB_DSSS
+                                   else 0.9 * params.unambiguous_range_m)
     return ReceiverConfig(blank_width_s=resolved["blank_width_s"],
                           threshold_db=resolved["threshold_db"],
-                          max_range_m=max_range, gate_m=gate,
+                          max_range_m=resolved["max_range_m"], gate_m=gate,
                           margin_bins=resolved["margin_bins"])
 
 
-def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
-    """Validate a raw mapping and construct every domain object."""
-    if isinstance(data, dict) and "scenario" in data:
-        # run manifest: the scenario sits under its own key, metadata beside it
-        data = data["scenario"]
+def resolve_scenario(data: dict) -> Scenario:
+    """Validate a raw scenario mapping and construct every domain object."""
     cfg = _resolve_section(_SCHEMA, data, "")
-    target = cfg["scene"]["target"]
-    target["points"] = _resolve_list(target["points"], "scene.target.points",
-                                     _POINT_SCHEMA, required=True)
-    cfg["scene"]["interferers"] = _resolve_list(
-        cfg["scene"]["interferers"], "scene.interferers", _INTERFERER_SCHEMA,
-        required=False)
 
     params = {}
-    for name, build in (("nb", nb_params), ("uwb", uwb_params)):
-        try:
-            params[name] = build(**cfg["radar"][name])
-        except ValueError as exc:
-            raise ScenarioError(f"radar.{name}: {exc}") from exc
-    params_nb, params_uwb = params["nb"], params["uwb"]
+    for mode, build in ((Mode.NB_DSSS, nb_params), (Mode.DS_UWB, uwb_params)):
+        with _naming(f"radar.{mode.value}"):
+            params[mode] = build(**cfg["radar"][mode.value])
 
     pn = _build_code(cfg["code"])
     if cfg["code"]["chips_per_bit"] > pn.length:
@@ -360,7 +341,7 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
                           clut_cfg["count"], clut_cfg["mean_sigma_m2"],
                           clutter_seed) if clut_cfg["count"] else ()
 
-    try:
+    with _naming("scene"):
         points = tuple(
             Scatterer(sigma_m2=p["sigma_m2"], range_m=p["range_m"],
                       cross_range_m=p["cross_range_m"],
@@ -377,21 +358,13 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
                       direct_path_gain=cfg["scene"]["direct_path_gain"],
                       sweep_phase_jitter_rad=cfg["scene"]["sweep_phase_jitter_rad"],
                       rng_seed=seed)
-    except ValueError as exc:
-        raise ScenarioError(f"scene: {exc}") from exc
 
-    rx = cfg["receiver"]
-    base = {k: rx[k] for k in _RX_OVERRIDE_KEYS}
-    rx["nb"] = _resolve_rx_overrides(rx.get("nb"), "receiver.nb", base)
-    rx["uwb"] = _resolve_rx_overrides(rx.get("uwb"), "receiver.uwb", base)
-    rx_nb = _build_rx_config(rx["nb"], params_nb)
-    rx_uwb = _build_rx_config(rx["uwb"], params_uwb)
-    rx["nb"]["max_range_m"] = rx_nb.max_range_m
-    rx["uwb"]["max_range_m"] = rx_uwb.max_range_m
+    receivers = {mode: _build_rx_config(cfg["receiver"][mode.value],
+                                        params[mode]) for mode in Mode}
 
     exp = cfg["experiment"]
     kind = ExperimentKind(exp["kind"])
-    if kind in (ExperimentKind.RCS_SWEEP_SERIES,) and exp["sweeps"] < 2:
+    if kind is ExperimentKind.RCS_SWEEP_SERIES and exp["sweeps"] < 2:
         raise ScenarioError(
             "experiment.sweeps: a sweep series needs at least 2 sweeps")
     if exp["azimuth_step_deg"] > exp["beamwidth_deg"]:
@@ -429,12 +402,10 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
     if consumes_cal and exp["calibration_file"] is not None:
         calibration = read_calibration_csv(exp["calibration_file"])
 
-    mode = Mode(cfg["radar"]["mode"])
     scenario = Scenario(
-        raw=cfg, source=source, seed=seed, mode=mode, params_nb=params_nb,
-        params_uwb=params_uwb, pn=pn,
-        chips_per_bit=cfg["code"]["chips_per_bit"], scene=scene, rx_nb=rx_nb,
-        rx_uwb=rx_uwb, experiment=kind, sweeps=exp["sweeps"],
+        raw=cfg, seed=seed, mode=Mode(cfg["radar"]["mode"]), params=params,
+        receivers=receivers, pn=pn, chips_per_bit=cfg["code"]["chips_per_bit"],
+        scene=scene, experiment=kind, sweeps=exp["sweeps"],
         pol=Pol(exp["polarization"]),
         azimuth_step_deg=exp["azimuth_step_deg"],
         beamwidth_deg=exp["beamwidth_deg"],
@@ -450,19 +421,17 @@ def resolve_scenario(data: dict, source: str = "<dict>") -> Scenario:
     gated = kind in (ExperimentKind.RCS_SWEEP_SERIES,
                      ExperimentKind.COMPARE_MODES)
     for chain in scenario.chains:
-        params = scenario.params_for(chain)
-        rx_cfg = scenario.rx_for(chain)
-        blank = rx_cfg.blank_width_s
-        try:
-            if blank > 0:
-                check_blank_width(params, blank)
-        except ValueError as exc:
-            raise ScenarioError(f"receiver.blank_width_s ({chain.value} "
-                                f"chain): {exc}") from exc
-        try:
-            check_unambiguous_range(scene.point_arrays[0], params)
-        except ValueError as exc:
-            raise ScenarioError(f"scene ({chain.value} chain): {exc}") from exc
+        chain_params, rx_cfg = params[chain], receivers[chain]
+        where = f"({chain.value} chain)"
+        if rx_cfg.blank_width_s > 0:
+            with _naming(f"receiver.blank_width_s {where}"):
+                check_blank_width(chain_params, rx_cfg.blank_width_s)
+        with _naming(f"scene {where}"):
+            check_unambiguous_range(scene.point_arrays[0], chain_params)
+        for i, itf in enumerate(interferers):
+            with _naming(f"scene.interferers[{i}] {where}"):
+                check_interferer_band(itf.freq_hz, chain_params.carrier_hz,
+                                      chain_params.sample_rate_hz)
         _check_kept_window(chain, rx_cfg, calibrates_on, gated)
     return scenario
 
@@ -545,10 +514,9 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
         raise ScenarioError(f"{path}: file is empty")
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
-    if overrides:
-        body = data.get("scenario", data)  # a run manifest nests the scenario
-        if not isinstance(body, dict):
-            raise ScenarioError(f"{path}: scenario must be a mapping")
-        for dotted, value in overrides.items():
-            _set_path(body, dotted, value)
-    return resolve_scenario(data, source=str(path))
+    data = data.get("scenario", data)  # a run manifest nests the scenario
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{path}: scenario must be a mapping")
+    for dotted, value in (overrides or {}).items():
+        _set_path(data, dotted, value)
+    return resolve_scenario(data)

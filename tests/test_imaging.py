@@ -350,6 +350,19 @@ class TestSweepSamples:
         assert not pipeline.tx.samples[len(active):].any()
 
 
+class TestChipsPerBit:
+    def test_nb_waveform_does_not_depend_on_chips_per_bit(self):
+        # the data is all zeros and the code runs on across bits, so every
+        # spreading factor sends the code repeated
+        params, pn = nb_params(), gen_mseq([5, 2, 0])
+        (tx, template), *others = (make_waveform(params, pn, cpb)
+                                   for cpb in (1, 7, 31))
+        for other_tx, other_template in others:
+            assert other_tx.samples.tobytes() == tx.samples.tobytes()
+            assert other_template.samples().tobytes() == \
+                template.samples().tobytes()
+
+
 class TestMedian:
     """_median is np.median without numpy.ma."""
 

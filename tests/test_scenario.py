@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pnradar
-from pnradar import Mode, ScanImage, imaging
-from pnradar.cli import main, run, write_image_csv
+from pnradar import Mode, NoDetections, ScanImage, imaging
+from pnradar.cli import _write_manifest, main, run, write_image_csv
 from pnradar.scenario import (ExperimentKind, ScenarioError, load_scenario,
                               read_calibration_csv, resolve_scenario)
 
@@ -192,6 +192,28 @@ class TestLoadScenario:
         scenario = load_scenario(_write(tmp_path, text))
         assert scenario.scene.target.points[0].range_m == 10.0
 
+    def test_list_and_override_errors_name_the_field(self, tmp_path, capsys):
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "scene.target.points: at least one entry": MINIMAL.replace(
+                "    points:\n      - {sigma_m2: 1.0e-3, range_m: 10.0}\n",
+                "    points: []\n"),
+            "scene.interferers: expected a list":
+                MINIMAL + "  interferers: {}\n",
+            "receiver.uwb: expected a mapping": MINIMAL + "receiver: {uwb: 3}\n",
+            "receiver.nb.foo: unknown key":
+                MINIMAL + "receiver: {nb: {foo: 1}}\n",
+            "receiver.uwb.margin_bins: must be >= 0":
+                MINIMAL + "receiver: {uwb: {margin_bins: -1}}\n",
+        })
+
+    def test_receiver_override_keeps_the_other_base_keys(self, tmp_path):
+        text = MINIMAL + ("receiver:\n  blank_width_s: 2.0e-9\n"
+                          "  uwb: {max_range_m: 14.0}\n")
+        scenario = load_scenario(_write(tmp_path, text))
+        rx = scenario.rx_for(Mode.DS_UWB)
+        assert (rx.blank_width_s, rx.max_range_m) == (2.0e-9, 14.0)
+        assert scenario.raw["receiver"]["uwb"]["blank_width_s"] == 2.0e-9
+
 
 class TestRunExperiments:
     def test_profile_run_writes_artifacts(self, tmp_path):
@@ -232,6 +254,16 @@ class TestRunExperiments:
         h2 = _hashes(run(replay2, quiet=True))
         assert h1 == h2
 
+    @pytest.mark.parametrize(
+        "path", sorted(ROOT.glob("scenarios/*.yaml"))
+        + sorted(ROOT.glob("bench/scenarios/*.yaml")), ids=lambda p: p.name)
+    def test_bundled_scenario_manifest_replays_to_raw(self, path, tmp_path):
+        # per-mode receiver overrides and interferers included
+        scenario = load_scenario(path)
+        manifest = tmp_path / "run_manifest.yaml"
+        _write_manifest(manifest, scenario)
+        assert load_scenario(manifest).raw == scenario.raw
+
     def test_calibrate_then_consume_calibration_file(self, tmp_path):
         # calibration is waveform-specific: use the same code as the series
         cal_text = MINIMAL + (
@@ -269,6 +301,16 @@ class TestRunExperiments:
         with pytest.raises(Exception):
             run(scenario, quiet=True)
         assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_failed_chain_removes_the_chain_run_before_it(self, tmp_path):
+        # the nb series is written, then the uwb gate holds nothing
+        text = SERIES.replace("rcs_sweep_series", "compare_modes") + (
+            "receiver: {uwb: {gate_min_m: 1.0, gate_max_m: 2.0}}\n"
+            f"output: {{directory: {tmp_path / 'out'}}}\n")
+        scenario = load_scenario(_write(tmp_path, text))
+        with pytest.raises(NoDetections, match="uwb sweep"):
+            run(scenario, quiet=True)
+        assert not list((tmp_path / "out").iterdir())
 
 
 class TestCompareModes:
@@ -493,6 +535,21 @@ class TestCliEntry:
         # the nb chain's 100 us PRI reaches 15 km
         load_scenario(_write(tmp_path, far.replace("{mode: uwb}", "{mode: nb}"),
                              "nb.yaml"))
+
+    def test_interferer_outside_the_nyquist_band_exits_two(self, tmp_path,
+                                                           capsys):
+        # 2 GHz is 1 GHz off the nb carrier, whose band is +- 40 MHz
+        itf = MINIMAL + "  interferers: [{freq_hz: 2.0e+9, power_w: 1.0e-9}]\n"
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "scene.interferers[0] (nb chain): interferer at 2e+09 Hz is "
+            "outside the Nyquist band around 1e+09 Hz (fs 8e+07)":
+                itf.replace("{mode: uwb}", "{mode: nb}"),
+            # compare_modes runs both chains
+            "scene.interferers[0] (nb chain): interferer at 2e+09 Hz":
+                itf + "experiment: {kind: compare_modes}\n",
+        })
+        # the carrierless uwb chain samples at 100 GHz
+        load_scenario(_write(tmp_path, itf, "uwb_only.yaml"))
 
     def test_flags_apply_before_validation(self, tmp_path, capsys):
         # each file is invalid as written but valid for the run the flags
