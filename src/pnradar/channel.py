@@ -347,7 +347,7 @@ def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
 
 
 def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
-              sweep_index: int = 0, out: np.ndarray | None = None
+              sweep_index: int = 0, n_samples: int | None = None
               ) -> SampleStream:
     """Propagate a transmit stream through the scene for one sweep.
 
@@ -362,27 +362,20 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     amplitude are skipped.  Direct-path leakage, external interferers
     and thermal noise are added on top.
 
-    ``out``, a writable complex array of at most len(tx) samples, is
-    overwritten with the first len(out) samples of the received stream,
-    bit for bit those of a whole-stream call, and the returned stream is
-    a read-only view of it: a caller can build only the samples it reads,
-    and reuse one buffer for every sweep; the stream is valid only until
-    the buffer is written again.  The noise's imaginary rail follows its
-    whole real rail in one RNG stream, so the real rail is still drawn
-    over len(tx) samples.
+    Only the first ``n_samples`` (default len(tx)) of the received stream
+    are built, bit for bit those of a whole-stream call, so a caller can
+    build only the samples it reads.  The noise's imaginary rail follows
+    its whole real rail in one RNG stream, so the real rail is still
+    drawn over len(tx) samples.
     """
     if tx.duration < params.pri_s:
         raise ValueError("transmit stream must cover at least one PRI")
     fs = tx.sample_rate
     n = len(tx)
-    if out is None:
-        out = np.zeros(n, dtype=np.complex128)
-    elif out.ndim != 1 or out.size > n or out.dtype != np.complex128:
-        raise ValueError(
-            f"out must be a complex128 array of at most {n} samples")
-    else:
-        out.fill(0.0)
-    m = out.size
+    m = n if n_samples is None else n_samples
+    if not 1 <= m <= n:
+        raise ValueError(f"n_samples must lie in [1, {n}], got {m}")
+    out = np.zeros(m, dtype=np.complex128)
     ranges = scene.point_arrays[0]
     check_unambiguous_range(ranges, params)
     n_points = ranges.size
@@ -426,4 +419,4 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
                 kept *= scale
                 rail[start:start + kept.size] += kept
 
-    return SampleStream(out[:], fs, tx.carrier_hz)
+    return SampleStream(out, fs, tx.carrier_hz)

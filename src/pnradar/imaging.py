@@ -23,10 +23,10 @@ import numpy as np
 
 from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence
-from .receiver import rx_gate, uwb_correlate
+from .receiver import check_blank_width, rx_gate, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
-                       SPEED_OF_LIGHT, gate_pulse, qpsk_baseband, spread,
-                       uwb_pulse_train)
+                       SPEED_OF_LIGHT, _pulse_mask, gate_pulse, qpsk_baseband,
+                       spread, uwb_pulse_train)
 
 # Sweeps run on a thread pool only when a sweep's stream holds at least
 # this many samples, so that numpy work that releases the GIL (the noise
@@ -37,7 +37,7 @@ from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
 _POOL_MIN_SAMPLES = 1 << 16
 
 # At most this many sweeps run at once.  Each one in flight holds its own
-# receive buffer (the read prefix, about 4.95 MB for a UWB sweep) plus its
+# receive stream (the read prefix, about 4.95 MB for a UWB sweep) plus its
 # whole-stream temporaries, so peak memory grows with the width; the gains
 # above and the peak RSS they cost (53.1 -> 55.4 MB on sphere_compare,
 # 60.1 -> 61.1 MB on uwb_scan) were measured at 2 workers, and wider pools
@@ -119,8 +119,10 @@ class Calibration:
     reference_range_m: float
 
     def __post_init__(self):
-        if not self.gain > 0:
-            raise ValueError("calibration gain must be positive")
+        for name, value in vars(self).items():
+            if not 0 < value < math.inf:
+                raise ValueError(f"calibration {name} must be finite and "
+                                 f"positive, got {value}")
 
 
 def rcs_nb(target: TargetModel, wavelength_m: float) -> float:
@@ -407,7 +409,8 @@ class SweepPipeline:
 
     One instance owns the waveform for a given (params, code) pair and
     runs the propagate / gate / correlate / profile chain per sweep.  The
-    correlator computes only the lags the profile keeps.
+    correlator computes only the lags the profile keeps, and the receive
+    blank is applied only when it zeroes a sample the correlator reads.
     """
 
     def __init__(self, params: RadarParams, pn: PnSequence,
@@ -425,17 +428,27 @@ class SweepPipeline:
         # window still needs one template length)
         self.read_samples = max(self.lags.stop, 1) + len(self.template) - 1
         self.window_bins = matched_window_bins(params)
+        # for chip j the correlator reads one lag window plus a pulse from
+        # lags.start + j*period (see uwb_correlate)
+        self.blank_is_read = False
+        if cfg.blank_width_s > 0:
+            check_blank_width(params, cfg.blank_width_s)
+            mask = _pulse_mask(self.read_samples, params.sample_rate_hz,
+                               params.pri_s, cfg.blank_width_s)
+            train = self.template
+            width = len(self.lags) + len(train.pulse) - 1
+            starts = self.lags.start + train.period * np.arange(train.chips.size)
+            self.blank_is_read = bool(self.lags) and any(
+                mask[start:start + width].any() for start in starts)
 
     def profile(self, scene: Scene, pol: Pol = Pol.VV,
                 sweep_index: int = 0) -> RangeProfile:
-        """Range profile of one sweep.  Only the first read_samples of the
-        received stream are built, and blanked, in one buffer of their
-        own, freed when the sweep returns."""
-        out = np.empty(self.read_samples, dtype=np.complex128)
-        rx = propagate(self.tx, scene, self.params, pol, sweep_index, out=out)
-        cfg = self.rx_config
-        if cfg.blank_width_s > 0:
-            rx = rx_gate(rx, self.params, cfg.blank_width_s, out=out)
+        """Range profile of one sweep, from the first read_samples of the
+        received stream, blanked when blank_is_read."""
+        rx = propagate(self.tx, scene, self.params, pol, sweep_index,
+                       n_samples=self.read_samples)
+        if self.blank_is_read:
+            rx = rx_gate(rx, self.params, self.rx_config.blank_width_s)
         return range_profile(uwb_correlate(rx, self.template, self.lags),
                              self.params, self.lags, sweep_index=sweep_index)
 
@@ -464,7 +477,7 @@ class SweepPipeline:
 
         Long streams (see _POOL_MIN_SAMPLES) run on a thread pool sized to
         the usable CPUs, at most _MAX_POOL_WORKERS; each sweep in flight
-        holds its own receive buffer.  Every sweep draws from its own RNG
+        holds its own receive stream.  Every sweep draws from its own RNG
         streams, so the results do not depend on the number of workers.
         The first failing sweep in sweep order raises, as in a serial
         loop, and the sweeps not yet started are cancelled.

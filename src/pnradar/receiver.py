@@ -29,24 +29,13 @@ def check_blank_width(params: RadarParams, blank_width_s: float) -> None:
             f"{params.pri_s:g} s; the receiver would never open")
 
 
-def rx_gate(s: SampleStream, params: RadarParams, blank_width_s: float,
-            out: np.ndarray | None = None) -> SampleStream:
+def rx_gate(s: SampleStream, params: RadarParams,
+            blank_width_s: float) -> SampleStream:
     """Blank the receiver while the transmitter fires: samples inside
-    [m*PRI, m*PRI + blank) are zeroed (see check_blank_width).
-
-    ``out``, the writable buffer that s views (see channel.propagate), is
-    blanked in place, so s changes too, and the returned stream is a
-    read-only view of it, valid until the buffer is written again; without
-    it the gated samples are a copy.
-    """
+    [m*PRI, m*PRI + blank) are zeroed (see check_blank_width)."""
     check_blank_width(params, blank_width_s)
     mask = _pulse_mask(len(s), s.sample_rate, params.pri_s, blank_width_s)
-    if out is None:
-        return s.with_samples(np.where(mask, 0.0, s.samples))
-    if out.shape != (len(s),) or not np.may_share_memory(out, s.samples):
-        raise ValueError("out must be the buffer that the stream views")
-    np.copyto(out, 0.0, where=mask)
-    return s.with_samples(out[:])
+    return s.with_samples(np.where(mask, 0.0, s.samples))
 
 
 def despread(s: SampleStream, pn: PnSequence, params: RadarParams,

@@ -67,6 +67,8 @@ class _F:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ScenarioError(f"{path}: expected a number, got {value!r}")
             value = float(value)
+            if not np.isfinite(value):
+                raise ScenarioError(f"{path}: must be finite, got {value}")
         elif self.kind == "int":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ScenarioError(f"{path}: expected an integer, got {value!r}")
@@ -294,18 +296,22 @@ def _pol_matrix(point: dict) -> np.ndarray:
                      [point["pol_hv"], point["pol_hh"]]], dtype=np.complex128)
 
 
+def _gate(section: dict, where: str) -> tuple[float, float] | None:
+    """The estimation gate a receiver section sets, if any; a broken gate
+    rule is reported against ``where``, the section's path."""
+    lo, hi = section["gate_min_m"], section["gate_max_m"]
+    if (lo is None) != (hi is None):
+        raise ScenarioError(
+            f"{where}.gate_min_m and {where}.gate_max_m must be set together")
+    if lo is not None and hi <= lo:
+        raise ScenarioError(f"{where}.gate_max_m must exceed {where}.gate_min_m")
+    return None if lo is None else (lo, hi)
+
+
 def _build_rx_config(resolved: dict, params: RadarParams) -> ReceiverConfig:
     """The chain's receiver; a null max_range_m is set to the chain's
     default in ``resolved``, so the manifest carries the window used."""
-    gate = None
-    if (resolved["gate_min_m"] is None) != (resolved["gate_max_m"] is None):
-        raise ScenarioError(
-            "receiver.gate_min_m and receiver.gate_max_m must be set together")
-    if resolved["gate_min_m"] is not None:
-        if resolved["gate_max_m"] <= resolved["gate_min_m"]:
-            raise ScenarioError(
-                "receiver.gate_max_m must exceed receiver.gate_min_m")
-        gate = (resolved["gate_min_m"], resolved["gate_max_m"])
+    gate = _gate(resolved, f"receiver.{params.mode.value}")
     if resolved["max_range_m"] is None:
         resolved["max_range_m"] = (100.0 if params.mode is Mode.NB_DSSS
                                    else 0.9 * params.unambiguous_range_m)
@@ -359,6 +365,7 @@ def resolve_scenario(data: dict) -> Scenario:
                       sweep_phase_jitter_rad=cfg["scene"]["sweep_phase_jitter_rad"],
                       rng_seed=seed)
 
+    _gate(cfg["receiver"], "receiver")
     receivers = {mode: _build_rx_config(cfg["receiver"][mode.value],
                                         params[mode]) for mode in Mode}
 

@@ -7,10 +7,11 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from scipy import signal
 
 from pnradar import (Calibration, Detection, Interferer, InterfererKind, Mode,
@@ -310,9 +311,9 @@ class TestReadPrefix:
             sweep_phase_jitter_rad=0.3, rng_seed=17)
         lengths = []
 
-        def recording(tx, scene, params, pol, sweep_index=0, out=None):
-            lengths.append(len(out))
-            return propagate(tx, scene, params, pol, sweep_index, out=out)
+        def recording(tx, scene, params, pol, sweep_index=0, n_samples=None):
+            lengths.append(n_samples)
+            return propagate(tx, scene, params, pol, sweep_index, n_samples)
 
         monkeypatch.setattr(imaging, "propagate", recording)
         for sweep in (0, 5):
@@ -328,6 +329,74 @@ class TestReadPrefix:
         if mode == "nb":
             assert (len(pipeline.lags), read, len(pipeline.tx)) == \
                 (54, 853, 8055)
+
+
+def _flip_lag(params):
+    """The first last-kept lag from which the correlator, reading one
+    pulse past it, reaches the first sample of the next PRI."""
+    pulse = make_waveform(params, gen_mseq([3, 1, 0]))[1].pulse
+    return round(params.pri_s * params.sample_rate_hz) - len(pulse) + 1
+
+
+def _blanked(params, blank, lag):
+    """The radar and a receiver whose last kept lag is ``lag``."""
+    far = SPEED_OF_LIGHT * (lag * (1.0 / params.sample_rate_hz)) / 2.0
+    return params, ReceiverConfig(blank_width_s=blank, max_range_m=far)
+
+
+@st.composite
+def _blanked_receiver(draw):
+    """A radar and a blanked receiver whose kept window runs from just past
+    c*blank/2 to as far as 1.1 * c*PRI/2.  The last kept lag is drawn near
+    either end or near _flip_lag."""
+    params = draw(st.sampled_from([uwb_params(), nb_params()]))
+    if params.mode is Mode.DS_UWB:
+        blank = draw(st.floats(2e-9, 5e-9))
+    else:
+        blank = draw(st.floats(params.pulse_width_s, 2 * params.pulse_width_s))
+    fs = params.sample_rate_hz
+    first, last = int(blank * fs) + 2, int(1.1 * params.pri_s * fs)
+    flip = _flip_lag(params)
+    lag = draw(st.one_of(st.integers(first, last),
+                         st.integers(0, last - first).map(lambda k: last - k),
+                         st.integers(flip - 2, flip + 2)))
+    return _blanked(params, blank, lag)
+
+
+class TestBlankDecision:
+    @settings(max_examples=40, deadline=None)
+    @given(_blanked_receiver(), st.integers(0, 3))
+    @example(_blanked(uwb_params(), 2e-9, _flip_lag(uwb_params()) - 1), 0)
+    @example(_blanked(uwb_params(), 2e-9, _flip_lag(uwb_params())), 0)
+    @example(_blanked(nb_params(), 1.2e-5, _flip_lag(nb_params()) - 1), 0)
+    @example(_blanked(nb_params(), 1.2e-5, _flip_lag(nb_params())), 0)
+    def test_profile_matches_the_whole_stream_chain(self, case, sweep):
+        params, cfg = case
+        pipeline = SweepPipeline(params, gen_mseq([3, 1, 0]), rx_config=cfg)
+        event(f"{params.mode.value} blank "
+              f"{'read' if pipeline.blank_is_read else 'skipped'}")
+        # noise leaves no received sample zero
+        scene = Scene(target=target((SIGMA_REF, 10.0)), noise_psd=1e-19,
+                      direct_path_gain=0.5, sweep_phase_jitter_rad=0.3,
+                      rng_seed=9)
+        with mock.patch.object(imaging, "rx_gate", wraps=rx_gate) as gate:
+            prof = pipeline.profile(scene, sweep_index=sweep)
+        assert gate.call_count == pipeline.blank_is_read
+        rx = propagate(pipeline.tx, scene, params, Pol.VV, sweep)
+        ref = uwb_correlate(rx_gate(rx, params, cfg.blank_width_s),
+                            pipeline.template, pipeline.lags)
+        assert prof.values.tobytes() == ref.tobytes()
+        # the blank is read exactly when zeroing it changes the correlation
+        ungated = uwb_correlate(rx, pipeline.template, pipeline.lags)
+        assert pipeline.blank_is_read == (ungated.tobytes() != ref.tobytes())
+
+    def test_invalid_blank_fails_when_built(self):
+        # a blank that lets leakage pass fails before the first sweep, even
+        # where the correlator would not read it
+        with pytest.raises(ValueError, match="shorter than the transmit"):
+            SweepPipeline(uwb_params(), gen_mseq([3, 1, 0]),
+                          rx_config=ReceiverConfig(blank_width_s=1e-10,
+                                                   max_range_m=14.0))
 
 
 class TestSweepSamples:
@@ -673,9 +742,10 @@ class TestSweepPool:
     def test_two_workers_hold_under_three_receive_streams(self, run,
                                                           monkeypatch):
         # each sweep in flight holds one receive stream; noise drawn a
-        # chunk at a time and blanking in place keep every other
-        # whole-stream temporary short-lived (a whole-rail noise draw or a
-        # blanked copy measured 3.2 to 4.2 streams)
+        # chunk at a time keeps every other whole-stream temporary
+        # short-lived, and this blank reaches no correlator read, so no
+        # blanked copy is made (a whole-rail noise draw or a blanked copy
+        # measured 3.2 to 4.2 streams)
         params, pn = uwb_params(), gen_mseq([5, 2, 0])
         cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
         pipeline = SweepPipeline(params, pn, rx_config=cfg)

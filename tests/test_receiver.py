@@ -70,25 +70,6 @@ class TestRxGate:
         twice = rx_gate(once, params, 12e-6)
         assert np.array_equal(once.samples, twice.samples)
 
-    def test_in_place_matches_copy(self):
-        # blanking the stream's own buffer writes the same samples (zeros
-        # are 0+0j) as the copying gate
-        params = nb_params()
-        rng = np.random.default_rng(3)
-        n = int(round(2.5 * params.pri_s * params.sample_rate_hz))
-        raw = -rng.standard_normal(n) - 1j * rng.standard_normal(n)
-        expected = rx_gate(SampleStream(raw, params.sample_rate_hz),
-                           params, 12e-6).samples
-        buf = raw.copy()
-        gated = rx_gate(SampleStream(buf[:], params.sample_rate_hz), params,
-                        12e-6, out=buf)
-        assert gated.samples.tobytes() == expected.tobytes()
-        assert np.shares_memory(gated.samples, buf)
-        assert not gated.samples.flags.writeable
-        with pytest.raises(ValueError, match="buffer that the stream views"):
-            rx_gate(SampleStream(raw, params.sample_rate_hz), params, 12e-6,
-                    out=np.zeros(n, dtype=complex))
-
 
 class TestDespread:
     def test_noiseless_round_trip_bit_exact(self):

@@ -174,6 +174,47 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="gate"):
             load_scenario(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("message, receiver", [
+        ("receiver.gate_min_m and receiver.gate_max_m must be set together",
+         "{gate_min_m: 9.0}"),
+        # an nb run builds the uwb receiver too
+        ("receiver.uwb.gate_min_m and receiver.uwb.gate_max_m must be set "
+         "together", "{uwb: {gate_min_m: 9.0}}"),
+        ("receiver.nb.gate_max_m must exceed receiver.nb.gate_min_m",
+         "{nb: {gate_min_m: 9.0, gate_max_m: 8.0}}"),
+    ], ids=["base", "uwb_unpaired", "nb_reversed"])
+    def test_gate_rules_name_the_section_that_breaks_them(
+            self, tmp_path, capsys, message, receiver):
+        nb = MINIMAL.replace("{mode: uwb}", "{mode: nb}")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            message: nb + f"receiver: {receiver}\n"})
+
+    @pytest.mark.parametrize("field, text", [
+        ("scene.noise_psd_w_per_hz", "  noise_psd_w_per_hz: .nan\n"),
+        ("scene.noise_psd_w_per_hz", "  noise_psd_w_per_hz: .inf\n"),
+        ("scene.target.points[1].sigma_m2",
+         "      - {sigma_m2: .inf, range_m: 12.0}\n"),
+    ], ids=["nan_noise", "inf_noise", "inf_sigma"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, field, text):
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            f"{field}: must be finite": MINIMAL + text})
+
+    def test_non_finite_calibration_file_rejected(self, tmp_path, capsys):
+        cal = tmp_path / "calibration.csv"
+        cal.write_text("gain,reference_sigma_m2,reference_range_m\n"
+                       "inf,nan,-5\n")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            f"experiment.calibration_file: {cal}: calibration gain must be "
+            "finite and positive": SERIES + f"  calibration_file: {cal}\n"})
+
+    def test_readme_example_resolves(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme[readme.index("### Scenario format"):]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        scenario = resolve_scenario(yaml.safe_load(block))
+        assert scenario.experiment is ExperimentKind.RCS_SWEEP_SERIES
+        assert scenario.rx_for(Mode.DS_UWB).gate_m == (9.5, 10.5)
+
     def test_interferer_validation(self, tmp_path):
         text = MINIMAL + (
             "scene2: {}\n")
@@ -444,12 +485,12 @@ class TestCliEntry:
                                                         capsys, monkeypatch):
         propagate = imaging.propagate
 
-        def failing(tx, scene, params, pol, sweep_index=0, out=None):
+        def failing(tx, scene, params, pol, sweep_index=0, n_samples=None):
             if sweep_index == 2:
                 assert threading.current_thread() is not \
                     threading.main_thread()
                 raise MemoryError
-            return propagate(tx, scene, params, pol, sweep_index, out=out)
+            return propagate(tx, scene, params, pol, sweep_index, n_samples)
 
         monkeypatch.setattr(imaging, "propagate", failing)
         monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
