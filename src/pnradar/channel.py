@@ -368,7 +368,7 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     its whole real rail in one RNG stream, so the real rail is still
     drawn over len(tx) samples.
     """
-    if tx.duration < params.pri_s:
+    if len(tx) < params.pri_samples:
         raise ValueError("transmit stream must cover at least one PRI")
     fs = tx.sample_rate
     n = len(tx)

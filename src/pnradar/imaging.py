@@ -25,7 +25,7 @@ from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence
 from .receiver import check_blank_width, rx_gate, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
-                       SPEED_OF_LIGHT, _pulse_mask, gate_pulse, qpsk_baseband,
+                       SPEED_OF_LIGHT, gate_pulse, qpsk_baseband,
                        spread, uwb_pulse_train)
 
 # Sweeps run on a thread pool only when a sweep's stream holds at least
@@ -340,17 +340,16 @@ class ReceiverConfig:
 
 def matched_window_bins(params: RadarParams) -> int:
     """Peak-suppression window: the matched-filter mainlobe/sidelobe span."""
-    fs = params.sample_rate_hz
     if params.mode is Mode.DS_UWB:
-        return max(1, 2 * int(round(params.monocycle_support_s * fs)))
-    return max(1, 2 * int(round(params.pulse_width_s * fs)))
+        return max(1, 2 * params.to_samples(params.monocycle_support_s))
+    return max(1, 2 * params.to_samples(params.pulse_width_s))
 
 
 def _active_samples(params: RadarParams, pn: PnSequence) -> int:
     """Length of the active transmission: one PRI for the narrowband
     pulse, one PRI per chip for the wideband train."""
-    period = int(round(params.pri_s * params.sample_rate_hz))
-    return period * pn.length if params.mode is Mode.DS_UWB else period
+    chips = pn.length if params.mode is Mode.DS_UWB else 1
+    return params.pri_samples * chips
 
 
 def make_waveform(params: RadarParams, pn: PnSequence,
@@ -374,12 +373,10 @@ def make_waveform(params: RadarParams, pn: PnSequence,
         n_bits = math.ceil(n_chips / cpb)
         chips = spread(np.zeros(n_bits, dtype=np.int64), pn, cpb)
         stream = qpsk_baseband(chips, chips, params)
-        n_pri = int(round(params.pri_s * fs))
-        samples = stream.samples[:n_pri]
+        samples = stream.samples[:params.pri_samples]
         active = gate_pulse(SampleStream(samples, fs, params.carrier_hz), params)
-        n_pulse = int(round(params.pulse_width_s * fs))
-        template = PulseTrain(SampleStream(active.samples[:n_pulse], fs,
-                                           params.carrier_hz))
+        template = PulseTrain(SampleStream(
+            active.samples[:params.pulse_samples], fs, params.carrier_hz))
     else:
         template = uwb_pulse_train(pn, params)
     if n_samples is None:
@@ -428,18 +425,16 @@ class SweepPipeline:
         # window still needs one template length)
         self.read_samples = max(self.lags.stop, 1) + len(self.template) - 1
         self.window_bins = matched_window_bins(params)
-        # for chip j the correlator reads one lag window plus a pulse from
-        # lags.start + j*period (see uwb_correlate)
+        # the blank heads every PRI slot and chip j reads chip 0's window
+        # shifted by j slots (see uwb_correlate), so chip 0 decides
         self.blank_is_read = False
         if cfg.blank_width_s > 0:
             check_blank_width(params, cfg.blank_width_s)
-            mask = _pulse_mask(self.read_samples, params.sample_rate_hz,
-                               params.pri_s, cfg.blank_width_s)
-            train = self.template
-            width = len(self.lags) + len(train.pulse) - 1
-            starts = self.lags.start + train.period * np.arange(train.chips.size)
-            self.blank_is_read = bool(self.lags) and any(
-                mask[start:start + width].any() for start in starts)
+            into = self.lags.start % params.pri_samples
+            width = len(self.lags) + len(self.template.pulse) - 1
+            self.blank_is_read = bool(self.lags) and (
+                into < params.to_samples(cfg.blank_width_s)
+                or into + width > params.pri_samples)
 
     def profile(self, scene: Scene, pol: Pol = Pol.VV,
                 sweep_index: int = 0) -> RangeProfile:

@@ -13,17 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import PnSequence
-from .waveform import PulseTrain, RadarParams, SampleStream, _pulse_mask
+from .waveform import PulseTrain, RadarParams, SampleStream, slot_heads
 
 
 def check_blank_width(params: RadarParams, blank_width_s: float) -> None:
-    """The receive gate must cover the transmit pulse and re-open within
-    every PRI."""
-    if blank_width_s < params.pulse_width_s:
+    """The blank must cover the transmit pulse and re-open in every PRI."""
+    blank = params.to_samples(blank_width_s)
+    if blank < params.pulse_samples:
         raise ValueError(
             f"blank width {blank_width_s:g} s is shorter than the transmit "
-            f"pulse {params.pulse_width_s:g} s; leakage would pass")
-    if blank_width_s >= params.pri_s:
+            f"pulse {params.pulse_samples / params.sample_rate_hz:g} s; "
+            f"leakage would pass")
+    if blank >= params.pri_samples:
         raise ValueError(
             f"blank width {blank_width_s:g} s covers the whole PRI "
             f"{params.pri_s:g} s; the receiver would never open")
@@ -31,10 +32,10 @@ def check_blank_width(params: RadarParams, blank_width_s: float) -> None:
 
 def rx_gate(s: SampleStream, params: RadarParams,
             blank_width_s: float) -> SampleStream:
-    """Blank the receiver while the transmitter fires: samples inside
-    [m*PRI, m*PRI + blank) are zeroed (see check_blank_width)."""
+    """Blank the receiver while the transmitter fires: zero the first
+    to_samples(blank) samples of each PRI slot (see check_blank_width)."""
     check_blank_width(params, blank_width_s)
-    mask = _pulse_mask(len(s), s.sample_rate, params.pri_s, blank_width_s)
+    mask = slot_heads(len(s), params, params.to_samples(blank_width_s))
     return s.with_samples(np.where(mask, 0.0, s.samples))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class SampleStream:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -155,6 +151,22 @@ class RadarParams:
     def unambiguous_range_m(self) -> float:
         return SPEED_OF_LIGHT * self.pri_s / 2.0
 
+    def to_samples(self, seconds: float) -> int:
+        """A duration as a whole number of samples, rounded half to even."""
+        return int(round(seconds * self.sample_rate_hz))
+
+    @property
+    def pri_samples(self) -> int:
+        """Samples per PRI slot: pulse m is sent from sample m*pri_samples."""
+        return self.to_samples(self.pri_s)
+
+    @property
+    def pulse_samples(self) -> int:
+        """Samples of one transmit pulse: the +/-4 sigma monocycle or NB gate."""
+        if self.mode is Mode.DS_UWB:
+            return 2 * self.to_samples(self.monocycle_support_s / 2.0) + 1
+        return self.to_samples(self.pulse_width_s)
+
 
 def nb_params(carrier_hz: float = 1e9, chip_rate_hz: float = 10e6,
               samples_per_chip: int = 8, pulse_width_s: float = 10e-6,
@@ -212,25 +224,17 @@ def qpsk_baseband(i_chips, q_chips, params: RadarParams) -> SampleStream:
     return SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
 
 
-@lru_cache(maxsize=8)
-def _pulse_mask(n: int, fs: float, pri_s: float, width_s: float) -> np.ndarray:
-    """True for samples whose time falls in [m*PRI, m*PRI + width).
-
-    Memoized: a pipeline gates every sweep with the same mask, so the
-    returned array is read-only.
-    """
-    t = np.arange(n) / fs
-    mask = np.mod(t, pri_s) < width_s
-    mask.flags.writeable = False
-    return mask
+def slot_heads(n: int, params: RadarParams, width: int) -> np.ndarray:
+    """True for the first ``width`` samples of each pri_samples slot of an
+    n-sample stream, where the transmitter sends its pulses."""
+    return np.resize(np.arange(params.pri_samples) < width, n)
 
 
 def gate_pulse(s: SampleStream, params: RadarParams) -> SampleStream:
-    """Chop a stream into pulses: samples inside [m*PRI, m*PRI + tau) pass."""
-    if s.duration < params.pri_s:
+    """Chop a stream into pulses: the first pulse_samples of each slot pass."""
+    if len(s) < params.pri_samples:
         raise ValueError("stream must cover at least one PRI")
-    mask = _pulse_mask(len(s), s.sample_rate, params.pri_s,
-                       params.pulse_width_s)
+    mask = slot_heads(len(s), params, params.pulse_samples)
     return s.with_samples(np.where(mask, s.samples, 0.0))
 
 
@@ -242,7 +246,7 @@ def gaussian_monocycle(params: RadarParams) -> SampleStream:
     """
     sigma = params.monocycle_sigma_s
     fs = params.sample_rate_hz
-    half = int(round(MONOCYCLE_TRUNC_SIGMAS * sigma * fs))
+    half = params.pulse_samples // 2
     t = (np.arange(2 * half + 1) - half) / fs
     pulse = -t * np.exp(-t ** 2 / (2.0 * sigma ** 2))
     peak = sigma * np.exp(-0.5)  # extrema at t = +/-sigma
@@ -298,5 +302,5 @@ def uwb_pulse_train(code: PnSequence, params: RadarParams) -> PulseTrain:
     """One monocycle per PRI slot, polarity-coded: each pulse is
     multiplied by its chip sign."""
     return PulseTrain(gaussian_monocycle(params), code.chips,
-                      int(round(params.pri_s * params.sample_rate_hz)))
+                      params.pri_samples)
 

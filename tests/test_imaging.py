@@ -1,12 +1,14 @@
 """Imaging tests: closed-form cross-section models, profile formation,
 detection, calibration identities, estimator behaviour, sweeps, scans."""
 
+import bisect
 import dataclasses
 import math
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,7 +28,6 @@ from pnradar import (Calibration, Detection, Interferer, InterfererKind, Mode,
 from pnradar import imaging
 from pnradar.channel import _tone
 from pnradar.imaging import _median, sweep_samples
-from pnradar.waveform import _pulse_mask
 
 SIGMA_REF = 1e-3  # -30 dBsm reference sphere
 R_REF = 10.0
@@ -335,7 +336,7 @@ def _flip_lag(params):
     """The first last-kept lag from which the correlator, reading one
     pulse past it, reaches the first sample of the next PRI."""
     pulse = make_waveform(params, gen_mseq([3, 1, 0]))[1].pulse
-    return round(params.pri_s * params.sample_rate_hz) - len(pulse) + 1
+    return params.pri_samples - len(pulse) + 1
 
 
 def _blanked(params, blank, lag):
@@ -345,11 +346,27 @@ def _blanked(params, blank, lag):
 
 
 @st.composite
+def _radar(draw):
+    """A default radar, or one whose PRI, within 50 samples of the
+    default, is often a fractional number of samples (half a sample,
+    rounding half to even, included)."""
+    make = draw(st.sampled_from([uwb_params, nb_params]))
+    default = make()
+    if draw(st.booleans()):
+        return default
+    fs = default.sample_rate_hz
+    whole = default.pri_samples + draw(st.integers(-50, 50))
+    frac = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75])
+                | st.floats(0.0, 1.0, exclude_max=True))
+    return make(pri_s=(whole + frac) / fs)
+
+
+@st.composite
 def _blanked_receiver(draw):
-    """A radar and a blanked receiver whose kept window runs from just past
-    c*blank/2 to as far as 1.1 * c*PRI/2.  The last kept lag is drawn near
-    either end or near _flip_lag."""
-    params = draw(st.sampled_from([uwb_params(), nb_params()]))
+    """A radar (see _radar) and a blanked receiver whose kept window runs
+    from just past c*blank/2 to as far as 1.1 * c*PRI/2.  The last kept lag
+    is drawn near either end or near _flip_lag."""
+    params = draw(_radar())
     if params.mode is Mode.DS_UWB:
         blank = draw(st.floats(2e-9, 5e-9))
     else:
@@ -370,6 +387,8 @@ class TestBlankDecision:
     @example(_blanked(uwb_params(), 2e-9, _flip_lag(uwb_params())), 0)
     @example(_blanked(nb_params(), 1.2e-5, _flip_lag(nb_params()) - 1), 0)
     @example(_blanked(nb_params(), 1.2e-5, _flip_lag(nb_params())), 0)
+    @example(_blanked(uwb_params(pri_s=1.00005e-7), 2e-9,
+                      _flip_lag(uwb_params(pri_s=1.00005e-7))), 0)
     def test_profile_matches_the_whole_stream_chain(self, case, sweep):
         params, cfg = case
         pipeline = SweepPipeline(params, gen_mseq([3, 1, 0]), rx_config=cfg)
@@ -389,6 +408,43 @@ class TestBlankDecision:
         # the blank is read exactly when zeroing it changes the correlation
         ungated = uwb_correlate(rx, pipeline.template, pipeline.lags)
         assert pipeline.blank_is_read == (ungated.tobytes() != ref.tobytes())
+
+    @settings(max_examples=30, deadline=None)
+    @given(_radar(), st.sampled_from([[3, 1, 0], [5, 2, 0]]),
+           st.integers(0, 100), st.floats(-0.49, 0.49))
+    # the 2 ns blank of the default chain, over 31 PRI slots: a float time
+    # mask, t mod PRI < blank, misses the first sample of slot 21
+    @example(uwb_params(), [5, 2, 0], 67, 0.0)
+    @example(uwb_params(pri_s=1.00005e-7), [5, 2, 0], 67, 0.0)
+    # a blank of exactly one monocycle, 133 samples
+    @example(uwb_params(), [5, 2, 0], 0, 0.0)
+    def test_no_leakage_survives_the_blank(self, params, taps, extra, frac):
+        tx, template = make_waveform(params, gen_mseq(taps))
+        blank = (len(template.pulse) + extra + frac) / params.sample_rate_hz
+        leakage = Scene(target=target((0.0, 1.0)), direct_path_gain=0.5)
+        rx = propagate(tx, leakage, params, Pol.VV)
+        assert rx.samples.any()
+        assert not rx_gate(rx, params, blank).samples.any()
+
+    @pytest.mark.parametrize("params, blank, unit_m, claim", [
+        (uwb_params(), 2e-9, 1.0, "about {:.1f} m for the default DS-UWB "
+                                  "chain"),
+        (nb_params(), 1e-5, 1e3, "{:.1f} km for the narrowband one")])
+    def test_readme_gives_the_range_where_the_blank_is_read(
+            self, params, blank, unit_m, claim):
+        # the smallest max_range_m whose kept lags read the blank; the
+        # decision does not depend on the code length
+        def read(lag):
+            cfg = _blanked(params, blank, lag)[1]
+            return SweepPipeline(params, gen_mseq([3, 1, 0]),
+                                 rx_config=cfg).blank_is_read
+
+        lags = range(params.to_samples(blank) + 2, params.pri_samples + 1)
+        first = lags[bisect.bisect_left(lags, True, key=read)]
+        assert first == _flip_lag(params)
+        far_m = _blanked(params, blank, first)[1].max_range_m
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert claim.format(far_m / unit_m) in " ".join(readme.split())
 
     def test_invalid_blank_fails_when_built(self):
         # a blank that lets leakage pass fails before the first sweep, even
@@ -706,7 +762,7 @@ class TestSweepPool:
 
     def test_stress_more_workers_than_cpus(self, monkeypatch):
         # the lazily built shared state (transmit support, scene arrays,
-        # tone and mask caches, image rows) is built and written under
+        # tone cache, image rows) is built and written under
         # contention; a lost or torn update would change the image
         params, pn = uwb_params(), gen_mseq([3, 1, 0])
         cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
@@ -719,7 +775,6 @@ class TestSweepPool:
 
         def image(workers):
             _tone.cache_clear()
-            _pulse_mask.cache_clear()
             _force_workers(monkeypatch, workers)
             return scan_image(SweepPipeline(params, pn, rx_config=cfg),
                               scene, cal, 0.5, 2.0, az_span_deg=3.0).power

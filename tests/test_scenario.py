@@ -47,6 +47,23 @@ experiment:
 """
 
 
+# direct-path leakage and a blanked receiver whose kept lags read the blank
+# (past about 14.8 m), gated where nothing scatters
+LEAKY = """
+seed: 1
+radar: {mode: uwb}
+code: {family: msequence, taps: [5, 2, 0], chips_per_bit: 31}
+scene:
+  target: {points: [{sigma_m2: 1.0e-3, range_m: 10.0}]}
+  direct_path_gain: 0.5
+receiver: {blank_width_s: 2.0e-9, max_range_m: 14.95, gate_min_m: 14.5, gate_max_m: 14.95}
+experiment:
+  kind: rcs_sweep_series
+  sweeps: 2
+  reference: {sigma_m2: 1.0e-3, range_m: 10.0}
+"""
+
+
 def _write(tmp_path, text, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(text)
@@ -480,6 +497,41 @@ class TestCliEntry:
                          r"scatterer detected in gate \[1, 2\] m$",
                          capsys.readouterr().err)
         assert found and int(found[1]) in range(4)
+
+    @pytest.mark.parametrize("radar", [
+        "{mode: uwb}",
+        # 10,000.5 samples per PRI
+        "{mode: uwb, uwb: {pri_s: 1.00005e-7}}"])
+    def test_blanked_leakage_is_not_a_target(self, tmp_path, capsys, radar):
+        # the gate holds nothing, so leakage that passed the blank would be
+        # reported there as a cross section
+        path = _write(tmp_path, LEAKY.replace("{mode: uwb}", radar))
+        rc = main([str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error [rcs_sweep_series]: uwb sweep 0: no scatterer detected "
+            "in gate [14.5, 14.95] m\n")
+        assert not (tmp_path / "out" / "series.csv").exists()
+
+    def test_blank_shorter_than_the_monocycle_exits_two(self, tmp_path,
+                                                        capsys):
+        # the monocycle spans 133 samples, one more than pulse_width_s * fs
+        text = LEAKY.replace(
+            "blank_width_s: 2.0e-9, max_range_m: 14.95, gate_min_m: 14.5, "
+            "gate_max_m: 14.95", "blank_width_s: 1.32e-9, max_range_m: 14.0, "
+            "gate_min_m: 0.15, gate_max_m: 1.0")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "receiver.blank_width_s (uwb chain): blank width 1.32e-09 s is "
+            "shorter than the transmit pulse 1.33e-09 s": text})
+
+    def test_nb_pri_of_a_fractional_sample_count_runs(self, tmp_path):
+        # 8,000.04 samples per PRI: the pulse and the stream cover 8,000
+        text = MINIMAL.replace("{mode: uwb}",
+                               "{mode: nb, nb: {pri_s: 1.000005e-4}}")
+        path = _write(tmp_path, text)
+        rc = main([str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 0
+        assert (tmp_path / "out" / "profile.csv").exists()
 
     def test_memory_error_in_a_pool_worker_exits_three(self, tmp_path,
                                                         capsys, monkeypatch):

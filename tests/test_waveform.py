@@ -8,7 +8,6 @@ from pnradar import (CodeKind, Mode, PnSequence, PulseTrain, SampleStream,
                      gate_pulse, gaussian_monocycle, gen_mseq, make_waveform,
                      nb_params, qpsk_baseband, spread, uwb_params,
                      uwb_pulse_train)
-from pnradar.waveform import _pulse_mask
 
 
 @pytest.fixture
@@ -113,18 +112,6 @@ class TestSampleStream:
         assert np.array_equal(s.support, [1, 4])
         assert s.support is s.support
         assert not s.support.flags.writeable
-
-
-class TestPulseMask:
-    def test_memoized_read_only_and_unchanged(self):
-        args = (319341, 100e9, 100e-9, 2e-9)
-        mask = _pulse_mask(*args)
-        assert _pulse_mask(*args) is mask
-        assert not mask.flags.writeable
-        with pytest.raises(ValueError):
-            mask[0] = False
-        t = np.arange(args[0]) / args[1]
-        assert np.array_equal(mask, np.mod(t, args[2]) < args[3])
 
 
 class TestPulseTrain:
