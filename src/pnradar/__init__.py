@@ -8,9 +8,8 @@ import numpy.random  # noqa: F401
 
 from .codes import CodeKind, PnSequence, gen_gold, gen_mseq, PREFERRED_PAIRS
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
-                       SPEED_OF_LIGHT, gate_pulse, gaussian_monocycle,
-                       nb_params, qpsk_baseband, spread, uwb_params,
-                       uwb_pulse_train)
+                       SPEED_OF_LIGHT, gaussian_monocycle, nb_params,
+                       qpsk_baseband, spread, uwb_params, uwb_pulse_train)
 from .channel import (Interferer, InterfererKind, Pol, Scatterer, Scene,
                       TargetModel, add_interferer, gen_clutter,
                       identity_pol_matrix, propagate, scattering_amplitude)

@@ -368,9 +368,15 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     its whole real rail in one RNG stream, so the real rail is still
     drawn over len(tx) samples.
     """
+    if (tx.sample_rate, tx.carrier_hz) != (params.sample_rate_hz,
+                                           params.carrier_hz):
+        raise ValueError(
+            f"tx sampled at {tx.sample_rate:g} Hz on carrier "
+            f"{tx.carrier_hz:g} Hz, but the chain runs at "
+            f"{params.sample_rate_hz:g} Hz on {params.carrier_hz:g} Hz")
     if len(tx) < params.pri_samples:
         raise ValueError("transmit stream must cover at least one PRI")
-    fs = tx.sample_rate
+    fs = params.sample_rate_hz
     n = len(tx)
     m = n if n_samples is None else n_samples
     if not 1 <= m <= n:
@@ -399,7 +405,8 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
 
     for i, itf in enumerate(scene.interferers):
         rng = _rng(scene.rng_seed, sweep_index, _RNG_INTERFERER, i)
-        out += _interferer_samples(itf, n, fs, tx.carrier_hz, rng, stop=m)
+        out += _interferer_samples(itf, n, fs, params.carrier_hz, rng,
+                                   stop=m)
 
     if scene.noise_psd > 0:
         rng = _rng(scene.rng_seed, sweep_index, _RNG_NOISE)
@@ -419,4 +426,4 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
                 kept *= scale
                 rail[start:start + kept.size] += kept
 
-    return SampleStream(out, fs, tx.carrier_hz)
+    return SampleStream(out, fs, params.carrier_hz)

@@ -25,8 +25,8 @@ from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence
 from .receiver import check_blank_width, rx_gate, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
-                       SPEED_OF_LIGHT, gate_pulse, qpsk_baseband,
-                       spread, uwb_pulse_train)
+                       SPEED_OF_LIGHT, qpsk_baseband, spread,
+                       uwb_pulse_train)
 
 # Sweeps run on a thread pool only when a sweep's stream holds at least
 # this many samples, so that numpy work that releases the GIL (the noise
@@ -91,11 +91,7 @@ class Detection:
 
 @dataclass(frozen=True)
 class RcsEstimate:
-    """Calibrated cross section with its logarithmic form.
-
-    Measured estimates are non-negative; the narrowband closed-form
-    model may be negative, in which case dbsm reports the magnitude.
-    """
+    """Calibrated cross section with its logarithmic form."""
 
     sigma_m2: float
     mode: Mode
@@ -103,10 +99,11 @@ class RcsEstimate:
     dbsm: float = field(init=False)
 
     def __post_init__(self):
-        if self.mode is Mode.DS_UWB and self.sigma_m2 < 0:
-            raise ValueError("wideband cross section cannot be negative")
-        mag = abs(self.sigma_m2)
-        value = 10.0 * math.log10(mag) if mag > 0 else -math.inf
+        if self.sigma_m2 < 0:
+            raise ValueError(f"{self.mode.value} cross section cannot be "
+                             f"negative, got {self.sigma_m2:g}")
+        value = (10.0 * math.log10(self.sigma_m2) if self.sigma_m2 > 0
+                 else -math.inf)
         object.__setattr__(self, "dbsm", value)
 
 
@@ -340,9 +337,7 @@ class ReceiverConfig:
 
 def matched_window_bins(params: RadarParams) -> int:
     """Peak-suppression window: the matched-filter mainlobe/sidelobe span."""
-    if params.mode is Mode.DS_UWB:
-        return max(1, 2 * params.to_samples(params.monocycle_support_s))
-    return max(1, 2 * params.to_samples(params.pulse_width_s))
+    return 2 * params.pulse_samples
 
 
 def _active_samples(params: RadarParams, pn: PnSequence) -> int:
@@ -358,9 +353,9 @@ def make_waveform(params: RadarParams, pn: PnSequence,
                   ) -> tuple[SampleStream, PulseTrain]:
     """Build (transmit stream, matched-filter template).
 
-    Narrowband: spread all-zero data over the code, hold on I and Q,
-    gate to one pulse per PRI; the template is the pulse span, a train
-    of one chip.  Wideband: the transmission is the polarity-coded
+    Narrowband: spread all-zero data over the code and hold it on I and
+    Q for pulse_samples; that pulse is the template, a train of one
+    chip.  Wideband: the transmission is the polarity-coded
     monocycle train and the template is the same train, described as
     monocycle, chips and PRI (trailing silence trimmed).  The transmit
     stream is the template's train written straight into n_samples
@@ -369,14 +364,12 @@ def make_waveform(params: RadarParams, pn: PnSequence,
     fs = params.sample_rate_hz
     if params.mode is Mode.NB_DSSS:
         cpb = chips_per_bit or pn.length
-        n_chips = math.ceil(params.pri_s * params.chip_rate_hz)
-        n_bits = math.ceil(n_chips / cpb)
-        chips = spread(np.zeros(n_bits, dtype=np.int64), pn, cpb)
+        n_chips = math.ceil(params.pulse_samples / params.samples_per_chip)
+        chips = spread(np.zeros(math.ceil(n_chips / cpb), dtype=np.int64),
+                       pn, cpb)
         stream = qpsk_baseband(chips, chips, params)
-        samples = stream.samples[:params.pri_samples]
-        active = gate_pulse(SampleStream(samples, fs, params.carrier_hz), params)
-        template = PulseTrain(SampleStream(
-            active.samples[:params.pulse_samples], fs, params.carrier_hz))
+        template = PulseTrain(
+            stream.with_samples(stream.samples[:params.pulse_samples]))
     else:
         template = uwb_pulse_train(pn, params)
     if n_samples is None:

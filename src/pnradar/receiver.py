@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import PnSequence
-from .waveform import PulseTrain, RadarParams, SampleStream, slot_heads
+from .waveform import PulseTrain, RadarParams, SampleStream
 
 
 def check_blank_width(params: RadarParams, blank_width_s: float) -> None:
@@ -35,8 +35,9 @@ def rx_gate(s: SampleStream, params: RadarParams,
     """Blank the receiver while the transmitter fires: zero the first
     to_samples(blank) samples of each PRI slot (see check_blank_width)."""
     check_blank_width(params, blank_width_s)
-    mask = slot_heads(len(s), params, params.to_samples(blank_width_s))
-    return s.with_samples(np.where(mask, 0.0, s.samples))
+    # one slot's pattern, tiled over the stream
+    slot = np.arange(params.pri_samples) < params.to_samples(blank_width_s)
+    return s.with_samples(np.where(np.resize(slot, len(s)), 0.0, s.samples))
 
 
 def despread(s: SampleStream, pn: PnSequence, params: RadarParams,

@@ -445,8 +445,13 @@ def resolve_scenario(data: dict) -> Scenario:
 
 def _check_kept_window(chain: Mode, rx_cfg: ReceiverConfig,
                        reference_m: float | None, gated: bool) -> None:
-    """The range window a profile keeps must reach the reference the run
-    calibrates on and the gate it estimates in."""
+    """The range window a profile keeps must be nonempty and reach the
+    reference the run calibrates on and the gate it estimates in."""
+    near, far = rx_cfg.range_window_m
+    if far < near:
+        raise ScenarioError(
+            f"receiver.max_range_m ({chain.value} chain): the kept range "
+            f"window [{near:g}, {far:g}] m is empty")
     needed = []
     if reference_m is not None:
         needed.append((f"the calibration reference at {reference_m:g} m",
@@ -454,7 +459,6 @@ def _check_kept_window(chain: Mode, rx_cfg: ReceiverConfig,
     if gated and rx_cfg.gate_m is not None:
         lo, hi = rx_cfg.gate_m
         needed.append((f"the gate [{lo:g}, {hi:g}] m", lo, hi))
-    near, far = rx_cfg.range_window_m
     for what, lo, hi in needed:
         if hi < near:
             where = "receiver.blank_width_s"

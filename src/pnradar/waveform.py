@@ -2,8 +2,8 @@
 
 Everything is complex baseband: RF and IF carriers exist only as a
 frequency tag on the stream plus explicit phase rotations applied in the
-channel.  The narrowband chain builds a spread QPSK stream chopped into
-pulses; the wideband chain builds a polarity-coded train of Gaussian
+channel.  The narrowband chain sends one pulse of spread QPSK per
+PRI; the wideband chain builds a polarity-coded train of Gaussian
 monocycles.
 """
 
@@ -85,13 +85,14 @@ class RadarParams:
 
     For NB_DSSS the sample rate derives from chip_rate_hz *
     samples_per_chip; for DS_UWB it must be given (or defaults to
-    100 GHz, resolving a 0.33 ns monocycle with >30 samples).
+    100 GHz, resolving a 0.33 ns monocycle with >30 samples), and the
+    three NB fields are None.
     """
 
     carrier_hz: float
-    chip_rate_hz: float
-    samples_per_chip: int
-    pulse_width_s: float
+    chip_rate_hz: float | None
+    samples_per_chip: int | None
+    pulse_width_s: float | None
     pri_s: float
     mode: Mode
     monocycle_width_s: float = 0.33e-9
@@ -120,16 +121,14 @@ class RadarParams:
                 raise ValueError(
                     f"sample_rate_hz {self.sample_rate_hz:g} undersamples a "
                     f"{self.monocycle_width_s:g} s monocycle")
-            if not self.monocycle_support_s < self.pri_s:
-                raise ValueError(
-                    f"pri_s {self.pri_s:g} is not longer than the truncated "
-                    f"monocycle support {self.monocycle_support_s:g}")
-        if self.pulse_width_s <= 0:
-            raise ValueError("pulse_width_s must be positive")
-        if not self.pulse_width_s < self.pri_s:
-            raise ValueError(
-                f"pulse_width_s ({self.pulse_width_s:g}) must be shorter than "
-                f"pri_s ({self.pri_s:g})")
+        pulse, slot = self.pulse_samples, self.pri_samples
+        if not 0 < pulse < slot:
+            what = (f"pri_s {self.pri_s:g} is not longer than the truncated "
+                    f"monocycle support {self.monocycle_support_s:g}"
+                    if self.mode is Mode.DS_UWB else
+                    f"pulse_width_s ({self.pulse_width_s:g}) must span at "
+                    f"least one sample and fewer than pri_s ({self.pri_s:g})")
+            raise ValueError(f"{what}: {pulse} pulse samples, {slot} per PRI")
 
     @property
     def wavelength_m(self) -> float:
@@ -162,7 +161,8 @@ class RadarParams:
 
     @property
     def pulse_samples(self) -> int:
-        """Samples of one transmit pulse: the +/-4 sigma monocycle or NB gate."""
+        """Samples of one transmit pulse: the +/-4 sigma monocycle or the
+        NB pulse.  Every pulse rule compares it with pri_samples."""
         if self.mode is Mode.DS_UWB:
             return 2 * self.to_samples(self.monocycle_support_s / 2.0) + 1
         return self.to_samples(self.pulse_width_s)
@@ -182,10 +182,8 @@ def uwb_params(monocycle_width_s: float = 0.33e-9, pri_s: float = 100e-9,
                sample_rate_hz: float = 100e9,
                carrier_hz: float = 0.0) -> RadarParams:
     """Default impulse-radio parameter set (carrierless)."""
-    sigma = monocycle_width_s / 2.0
-    support = 2.0 * MONOCYCLE_TRUNC_SIGMAS * sigma
-    return RadarParams(carrier_hz=carrier_hz, chip_rate_hz=1.0 / pri_s,
-                       samples_per_chip=2, pulse_width_s=support, pri_s=pri_s,
+    return RadarParams(carrier_hz=carrier_hz, chip_rate_hz=None,
+                       samples_per_chip=None, pulse_width_s=None, pri_s=pri_s,
                        mode=Mode.DS_UWB, monocycle_width_s=monocycle_width_s,
                        sample_rate_hz=sample_rate_hz)
 
@@ -222,20 +220,6 @@ def qpsk_baseband(i_chips, q_chips, params: RadarParams) -> SampleStream:
     symbols = (i + 1j * q) / np.sqrt(2.0)
     samples = np.repeat(symbols, params.samples_per_chip)
     return SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
-
-
-def slot_heads(n: int, params: RadarParams, width: int) -> np.ndarray:
-    """True for the first ``width`` samples of each pri_samples slot of an
-    n-sample stream, where the transmitter sends its pulses."""
-    return np.resize(np.arange(params.pri_samples) < width, n)
-
-
-def gate_pulse(s: SampleStream, params: RadarParams) -> SampleStream:
-    """Chop a stream into pulses: the first pulse_samples of each slot pass."""
-    if len(s) < params.pri_samples:
-        raise ValueError("stream must cover at least one PRI")
-    mask = slot_heads(len(s), params, params.pulse_samples)
-    return s.with_samples(np.where(mask, s.samples, 0.0))
 
 
 def gaussian_monocycle(params: RadarParams) -> SampleStream:

@@ -152,6 +152,18 @@ class TestPropagate:
         with pytest.raises(ValueError, match="PRI"):
             propagate(short, _single_point_scene(), params, Pol.VV)
 
+    def test_stream_must_match_the_chain(self):
+        # a 100 GHz carrierless stream on the 80 MHz, 1 GHz nb chain, and
+        # an nb stream tagged with another carrier
+        uwb_tx = make_waveform(uwb_params(), gen_mseq([5, 2, 0]))[0]
+        params = nb_params()
+        off_carrier = SampleStream(_tone_stream(params).samples,
+                                   params.sample_rate_hz, 2e9)
+        for tx in (uwb_tx, off_carrier):
+            with pytest.raises(ValueError, match="but the chain runs at "
+                               "8e[+]07 Hz on 1e[+]09 Hz"):
+                propagate(tx, _single_point_scene(), params, Pol.VV)
+
     def test_linearity(self):
         params = nb_params()
         s = _noise_stream(params, seed=4)

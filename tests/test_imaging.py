@@ -17,7 +17,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from scipy import signal
 
 from pnradar import (Calibration, Detection, Interferer, InterfererKind, Mode,
-                     NoDetections, Pol, RangeProfile,
+                     NoDetections, Pol, RangeProfile, RcsEstimate,
                      ReceiverConfig, Scatterer, Scene, SweepPipeline,
                      TargetModel, calibrate, detect_scatterers, estimate_rcs,
                      gen_clutter, gen_mseq, make_waveform,
@@ -100,6 +100,15 @@ class TestClosedFormModels:
             shifted = target(*((s, r + lam) for s, r in pts))
             tol = 1e-12 * max(1.0, rcs_uwb(model))
             assert abs(rcs_nb(model, lam) - rcs_nb(shifted, lam)) <= tol
+
+
+class TestRcsEstimate:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_negative_cross_section_rejected(self, mode):
+        with pytest.raises(ValueError, match="cannot be negative"):
+            RcsEstimate(sigma_m2=-1e-3, mode=mode)
+        assert RcsEstimate(sigma_m2=0.0, mode=mode).dbsm == -math.inf
+        assert RcsEstimate(sigma_m2=1e-3, mode=mode).dbsm == pytest.approx(-30)
 
 
 class TestPulseVolumeDepth:

@@ -9,7 +9,7 @@ from scipy.special import erfc
 
 from pnradar import (InterfererKind, PREFERRED_PAIRS, Pol, PulseTrain,
                      SampleStream, Scatterer, Scene, TargetModel, add_interferer, despread,
-                     gate_pulse, gaussian_monocycle, gen_gold, gen_mseq,
+                     gaussian_monocycle, gen_gold, gen_mseq,
                      nb_params, processing_gain, propagate, qpsk_baseband,
                      qpsk_demod, rx_gate, spread, uwb_correlate, uwb_params)
 
@@ -28,10 +28,12 @@ def _integrate(stream, params, cpb):
 class TestRxGate:
     def test_leakage_fully_blanked(self):
         params = nb_params()
-        n = int(round(2 * params.pri_s * params.sample_rate_hz))
         rng = np.random.default_rng(0)
-        raw = SampleStream(rng.standard_normal(n) + 0j, params.sample_rate_hz)
-        tx = gate_pulse(raw, params)
+        # one pulse at the head of each of two PRI slots
+        pulse = np.zeros(params.pri_samples, dtype=complex)
+        pulse[:params.pulse_samples] = rng.standard_normal(params.pulse_samples)
+        tx = SampleStream(np.tile(pulse, 2), params.sample_rate_hz,
+                          params.carrier_hz)
         scene = Scene(target=TargetModel(points=(
             Scatterer(sigma_m2=0.0, range_m=10.0),)), direct_path_gain=0.5)
         rx = propagate(tx, scene, params, Pol.VV)

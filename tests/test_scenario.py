@@ -484,6 +484,17 @@ class TestCliEntry:
             "radar.uwb: pri_s 1e-09 is not longer than the truncated "
             "monocycle support": MINIMAL.replace(
                 "radar: {mode: uwb}", "radar: {mode: uwb, uwb: {pri_s: 1.0e-9}}"),
+            # the pulse rules compare samples: 800 of 800 fills the slot
+            "radar.nb: pulse_width_s (1e-05) must span at least one sample "
+            "and fewer than pri_s (1e-05): 800 pulse samples, 800 per PRI":
+                MINIMAL.replace("{mode: uwb}", "{mode: nb, nb: {pulse_width_s: "
+                                "1.0e-5, pri_s: 1.000001e-5}}"),
+            # under half a sample each; the point lies within c*PRI/2
+            "radar.nb: pulse_width_s (1e-09) must span at least one sample "
+            "and fewer than pri_s (5e-09): 0 pulse samples, 0 per PRI":
+                MINIMAL.replace("{mode: uwb}", "{mode: nb, nb: {pri_s: 5.0e-9, "
+                                "pulse_width_s: 1.0e-9}}").replace(
+                    "range_m: 10.0", "range_m: 0.5"),
         }
         _assert_rejected_before_synthesis(tmp_path, capsys, cases)
 
@@ -693,6 +704,14 @@ class TestCliEntry:
             "scene (uwb chain): scatterer":
                 MINIMAL + "  clutter: {count: 20, range_max_m: 40.0}\n",
         })
+        # the blank ends at c*blank/2 = 0.3 m, past max_range_m, for runs
+        # that neither calibrate nor gate too
+        for kind in ("profile", "polarimetric"):
+            _assert_rejected_before_synthesis(tmp_path, capsys, {
+                "receiver.max_range_m (uwb chain): the kept range window "
+                "[0.299792, 0.2] m is empty": MINIMAL + "receiver: "
+                "{blank_width_s: 2.0e-9, max_range_m: 0.2}\n"
+                f"experiment: {{kind: {kind}}}\n"})
         # a profile neither calibrates nor gates
         load_scenario(_write(tmp_path, nb + "receiver: {max_range_m: 5.0}\n",
                              "profile.yaml"))

@@ -1,13 +1,15 @@
 """Waveform synthesis tests: spreading identities, QPSK normalization,
-pulse gating, monocycle shape/spectrum, coded pulse trains."""
+pulse rules, monocycle shape/spectrum, coded pulse trains."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pnradar import (CodeKind, Mode, PnSequence, PulseTrain, SampleStream,
-                     gate_pulse, gaussian_monocycle, gen_mseq, make_waveform,
-                     nb_params, qpsk_baseband, spread, uwb_params,
-                     uwb_pulse_train)
+                     SweepPipeline, gaussian_monocycle, gen_mseq,
+                     make_waveform, nb_params, qpsk_baseband, spread,
+                     uwb_params, uwb_pulse_train)
+from pnradar.receiver import check_blank_width
 
 
 @pytest.fixture
@@ -75,35 +77,61 @@ class TestQpskBaseband:
 
 
 class TestGatePulse:
-    def test_half_duty_cycle(self):
-        p = nb_params(pulse_width_s=50e-6, pri_s=100e-6)
-        n = int(round(2 * p.pri_s * p.sample_rate_hz))
-        s = SampleStream(np.ones(n, dtype=complex), p.sample_rate_hz)
-        gated = gate_pulse(s, p)
-        nonzero = int(np.count_nonzero(gated.samples))
-        assert abs(nonzero - n // 2) <= 2  # one sample per edge, two PRIs
-
     def test_full_pri_pulse_rejected(self):
         with pytest.raises(ValueError, match="pri"):
             nb_params(pulse_width_s=100e-6, pri_s=100e-6)
 
-    def test_idempotent(self):
-        p = nb_params()
-        rng = np.random.default_rng(3)
-        n = int(round(p.pri_s * p.sample_rate_hz))
-        s = SampleStream(rng.standard_normal(n) + 0j, p.sample_rate_hz)
-        once = gate_pulse(s, p)
-        twice = gate_pulse(once, p)
-        assert np.array_equal(once.samples, twice.samples)
 
-    def test_gating_preserves_passed_values(self):
-        p = nb_params()
-        rng = np.random.default_rng(4)
-        n = int(round(p.pri_s * p.sample_rate_hz))
-        s = SampleStream(rng.standard_normal(n) + 0j, p.sample_rate_hz)
-        gated = gate_pulse(s, p)
-        passed = gated.samples != 0
-        assert np.array_equal(gated.samples[passed], s.samples[passed])
+NB_FS = nb_params().sample_rate_hz  # 80 MHz
+UWB_FS = uwb_params().sample_rate_hz  # 100 GHz
+
+
+@st.composite
+def _pulse_and_pri(draw):
+    """A chain, as (mode, pulse or monocycle width, PRI), drawn near the
+    edge of its pulse rule.  NB widths and PRIs lie within a sample of a
+    whole number of samples; a UWB PRI lies within a few samples of the
+    monocycle's 2*round(2w*fs)+1."""
+    near = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        pulse = draw(st.integers(0, 12)) + draw(near)
+        pri = pulse + draw(st.integers(-2, 2)) + draw(near)
+        return Mode.NB_DSSS, pulse / NB_FS, pri / NB_FS
+    width = draw(st.floats(0.1e-9, 0.5e-9))
+    pulse = 2 * round(2.0 * width * UWB_FS) + 1
+    pri = pulse + draw(st.integers(-2, 2)) + draw(near)
+    return Mode.DS_UWB, width, pri / UWB_FS
+
+
+class TestPulseGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(_pulse_and_pri())
+    # an NB pulse that rounds to its whole 800-sample slot
+    @example((Mode.NB_DSSS, 1.0e-5, 1.000001e-5))
+    # an NB PRI and pulse of under half a sample
+    @example((Mode.NB_DSSS, 1.0e-9, 5.0e-9))
+    # the default 133-sample monocycle in a 133-sample slot
+    @example((Mode.DS_UWB, 0.33e-9, 1.33e-9))
+    def test_accepted_exactly_when_the_pulse_fits_its_slot(self, chain):
+        mode, width, pri = chain
+        if mode is Mode.NB_DSSS:
+            fs = NB_FS
+            pulse = round(width * fs)
+            build = lambda: nb_params(pulse_width_s=width, pri_s=pri)
+        else:
+            fs = UWB_FS
+            pulse = 2 * round(2.0 * width * fs) + 1
+            build = lambda: uwb_params(monocycle_width_s=width, pri_s=pri)
+        slot = round(pri * fs)
+        if not 0 < pulse < slot:
+            with pytest.raises(ValueError, match="pri_s"):
+                build()
+            return
+        params = build()
+        assert (params.pulse_samples, params.pri_samples) == (pulse, slot)
+        pipeline = SweepPipeline(params, gen_mseq([3, 1, 0]))
+        assert len(pipeline.template.pulse) == pulse
+        check_blank_width(params, pulse / fs)
 
 
 class TestSampleStream:
