@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence
-from .receiver import check_blank_width, rx_gate, uwb_correlate
+from .receiver import check_blank_width, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
                        SPEED_OF_LIGHT, qpsk_baseband, spread,
                        uwb_pulse_train)
@@ -355,7 +355,7 @@ def make_waveform(params: RadarParams, pn: PnSequence,
 
     Narrowband: spread all-zero data over the code and hold it on I and
     Q for pulse_samples; that pulse is the template, a train of one
-    chip.  Wideband: the transmission is the polarity-coded
+    chip per PRI.  Wideband: the transmission is the polarity-coded
     monocycle train and the template is the same train, described as
     monocycle, chips and PRI (trailing silence trimmed).  The transmit
     stream is the template's train written straight into n_samples
@@ -368,8 +368,8 @@ def make_waveform(params: RadarParams, pn: PnSequence,
         chips = spread(np.zeros(math.ceil(n_chips / cpb), dtype=np.int64),
                        pn, cpb)
         stream = qpsk_baseband(chips, chips, params)
-        template = PulseTrain(
-            stream.with_samples(stream.samples[:params.pulse_samples]))
+        pulse = stream.with_samples(stream.samples[:params.pulse_samples])
+        template = PulseTrain(pulse, period=params.pri_samples)
     else:
         template = uwb_pulse_train(pn, params)
     if n_samples is None:
@@ -398,9 +398,9 @@ class SweepPipeline:
     """Precomputed transmit/template pair for repeated sweeps.
 
     One instance owns the waveform for a given (params, code) pair and
-    runs the propagate / gate / correlate / profile chain per sweep.  The
-    correlator computes only the lags the profile keeps, and the receive
-    blank is applied only when it zeroes a sample the correlator reads.
+    runs the propagate / correlate / profile chain per sweep.  The
+    correlator computes only the lags the profile keeps and blanks the
+    samples it reads.
     """
 
     def __init__(self, params: RadarParams, pn: PnSequence,
@@ -418,27 +418,17 @@ class SweepPipeline:
         # window still needs one template length)
         self.read_samples = max(self.lags.stop, 1) + len(self.template) - 1
         self.window_bins = matched_window_bins(params)
-        # the blank heads every PRI slot and chip j reads chip 0's window
-        # shifted by j slots (see uwb_correlate), so chip 0 decides
-        self.blank_is_read = False
-        if cfg.blank_width_s > 0:
-            check_blank_width(params, cfg.blank_width_s)
-            into = self.lags.start % params.pri_samples
-            width = len(self.lags) + len(self.template.pulse) - 1
-            self.blank_is_read = bool(self.lags) and (
-                into < params.to_samples(cfg.blank_width_s)
-                or into + width > params.pri_samples)
+        self.blank_samples = check_blank_width(params, cfg.blank_width_s)
 
     def profile(self, scene: Scene, pol: Pol = Pol.VV,
                 sweep_index: int = 0) -> RangeProfile:
         """Range profile of one sweep, from the first read_samples of the
-        received stream, blanked when blank_is_read."""
+        received stream."""
         rx = propagate(self.tx, scene, self.params, pol, sweep_index,
                        n_samples=self.read_samples)
-        if self.blank_is_read:
-            rx = rx_gate(rx, self.params, self.rx_config.blank_width_s)
-        return range_profile(uwb_correlate(rx, self.template, self.lags),
-                             self.params, self.lags, sweep_index=sweep_index)
+        return range_profile(
+            uwb_correlate(rx, self.template, self.lags, self.blank_samples),
+            self.params, self.lags, sweep_index=sweep_index)
 
     def estimate(self, scene: Scene, cal: Calibration, pol: Pol = Pol.VV,
                  sweep_index: int = 0) -> RcsEstimate:

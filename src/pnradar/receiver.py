@@ -16,10 +16,10 @@ from .codes import PnSequence
 from .waveform import PulseTrain, RadarParams, SampleStream
 
 
-def check_blank_width(params: RadarParams, blank_width_s: float) -> None:
-    """The blank must cover the transmit pulse and re-open in every PRI."""
+def check_blank_width(params: RadarParams, blank_width_s: float) -> int:
+    """The blank in samples: 0, or one covering the pulse but not the PRI."""
     blank = params.to_samples(blank_width_s)
-    if blank < params.pulse_samples:
+    if blank_width_s != 0 and blank < params.pulse_samples:
         raise ValueError(
             f"blank width {blank_width_s:g} s is shorter than the transmit "
             f"pulse {params.pulse_samples / params.sample_rate_hz:g} s; "
@@ -28,16 +28,23 @@ def check_blank_width(params: RadarParams, blank_width_s: float) -> None:
         raise ValueError(
             f"blank width {blank_width_s:g} s covers the whole PRI "
             f"{params.pri_s:g} s; the receiver would never open")
+    return blank
+
+
+def _slot_heads(start: int, n: int, period: int, blank: int) -> np.ndarray:
+    """Mask of the samples start .. start+n-1 the receive blank zeroes:
+    the first ``blank`` samples of each ``period``-sample slot."""
+    slot = np.arange(period) < blank
+    return np.resize(np.roll(slot, -start), n)
 
 
 def rx_gate(s: SampleStream, params: RadarParams,
             blank_width_s: float) -> SampleStream:
     """Blank the receiver while the transmitter fires: zero the first
     to_samples(blank) samples of each PRI slot (see check_blank_width)."""
-    check_blank_width(params, blank_width_s)
-    # one slot's pattern, tiled over the stream
-    slot = np.arange(params.pri_samples) < params.to_samples(blank_width_s)
-    return s.with_samples(np.where(np.resize(slot, len(s)), 0.0, s.samples))
+    blanked = _slot_heads(0, len(s), params.pri_samples,
+                          check_blank_width(params, blank_width_s))
+    return s.with_samples(np.where(blanked, 0.0, s.samples))
 
 
 def despread(s: SampleStream, pn: PnSequence, params: RadarParams,
@@ -75,13 +82,16 @@ def qpsk_demod(s: SampleStream, params: RadarParams,
 
 
 def uwb_correlate(rx: SampleStream, template: PulseTrain,
-                  lags: range | None = None) -> np.ndarray:
+                  lags: range | None = None,
+                  blank_samples: int = 0) -> np.ndarray:
     """Sliding inner product <rx[n+k], template[k]> for each lag n in
-    ``lags`` (default: every full overlap, from lag 0).
+    ``lags`` (default: every full overlap, from lag 0), with the first
+    ``blank_samples`` of each ``template.period``-sample slot of rx zeroed.
 
     The correlator follows the train's structure: it first despreads the
     lag window over the chip lattice, z = sum_j chips[j] *
-    rx[j*period + n0 : ...], and then matches z against the single pulse.
+    rx[j*period + n0 : ...], zeroes the blanked positions of z (the same
+    in every chip's window), and then matches z against the single pulse.
     The pulse is conjugated, so a matched template yields the complex
     echo amplitude at the peak lag.
     """
@@ -97,6 +107,9 @@ def uwb_correlate(rx: SampleStream, template: PulseTrain,
     if lags.step != 1 or (lags and not 0 <= lags.start < lags.stop <= n_lags):
         raise ValueError(
             f"lags {lags} must be a contiguous window of [0, {n_lags})")
+    if not 0 <= blank_samples < template.period:
+        raise ValueError(f"blank of {blank_samples} samples must be shorter "
+                         f"than the {template.period}-sample slot")
     if not lags:
         return np.zeros(0, dtype=np.complex128)
     pulse = template.pulse.samples
@@ -105,6 +118,8 @@ def uwb_correlate(rx: SampleStream, template: PulseTrain,
     for j, chip in enumerate(template.chips):
         start = lags.start + j * template.period
         z += chip * rx.samples[start:start + width]
+    if blank_samples:
+        z[_slot_heads(lags.start, width, template.period, blank_samples)] = 0.0
     return np.correlate(z, pulse, mode="valid")
 
 

@@ -20,7 +20,7 @@ import yaml
 from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
     TargetModel, check_interferer_band, check_unambiguous_range, gen_clutter
 from .codes import PnSequence, gen_gold, gen_mseq
-from .imaging import Calibration, ReceiverConfig
+from .imaging import Calibration, ReceiverConfig, kept_lags
 from .receiver import check_blank_width
 from .waveform import Mode, RadarParams, nb_params, uwb_params
 
@@ -243,8 +243,8 @@ class Scenario:
     raw: dict
     seed: int
     mode: Mode
-    params: dict[Mode, RadarParams]  # one entry per chain
-    receivers: dict[Mode, ReceiverConfig]  # one entry per chain
+    params: dict[Mode, RadarParams]  # one entry per chain the run uses
+    receivers: dict[Mode, ReceiverConfig]  # one entry per chain the run uses
     pn: PnSequence
     chips_per_bit: int
     scene: Scene
@@ -267,9 +267,7 @@ class Scenario:
     @property
     def chains(self) -> list[Mode]:
         """The modes the experiment runs: both for compare_modes."""
-        if self.experiment is ExperimentKind.COMPARE_MODES:
-            return list(Mode)
-        return [self.mode]
+        return list(self.params)
 
 
 @contextmanager
@@ -325,11 +323,6 @@ def resolve_scenario(data: dict) -> Scenario:
     """Validate a raw scenario mapping and construct every domain object."""
     cfg = _resolve_section(_SCHEMA, data, "")
 
-    params = {}
-    for mode, build in ((Mode.NB_DSSS, nb_params), (Mode.DS_UWB, uwb_params)):
-        with _naming(f"radar.{mode.value}"):
-            params[mode] = build(**cfg["radar"][mode.value])
-
     pn = _build_code(cfg["code"])
     if cfg["code"]["chips_per_bit"] > pn.length:
         raise ScenarioError(
@@ -366,15 +359,14 @@ def resolve_scenario(data: dict) -> Scenario:
                       rng_seed=seed)
 
     _gate(cfg["receiver"], "receiver")
-    receivers = {mode: _build_rx_config(cfg["receiver"][mode.value],
-                                        params[mode]) for mode in Mode}
 
     exp = cfg["experiment"]
     kind = ExperimentKind(exp["kind"])
     if kind is ExperimentKind.RCS_SWEEP_SERIES and exp["sweeps"] < 2:
         raise ScenarioError(
             "experiment.sweeps: a sweep series needs at least 2 sweeps")
-    if exp["azimuth_step_deg"] > exp["beamwidth_deg"]:
+    if kind is ExperimentKind.SCAN_IMAGE \
+            and exp["azimuth_step_deg"] > exp["beamwidth_deg"]:
         raise ScenarioError(
             "experiment.azimuth_step_deg must not exceed experiment.beamwidth_deg")
 
@@ -409,49 +401,52 @@ def resolve_scenario(data: dict) -> Scenario:
     if consumes_cal and exp["calibration_file"] is not None:
         calibration = read_calibration_csv(exp["calibration_file"])
 
-    scenario = Scenario(
-        raw=cfg, seed=seed, mode=Mode(cfg["radar"]["mode"]), params=params,
-        receivers=receivers, pn=pn, chips_per_bit=cfg["code"]["chips_per_bit"],
-        scene=scene, experiment=kind, sweeps=exp["sweeps"],
-        pol=Pol(exp["polarization"]),
-        azimuth_step_deg=exp["azimuth_step_deg"],
-        beamwidth_deg=exp["beamwidth_deg"],
-        azimuth_span_deg=exp["azimuth_span_deg"], reference=reference,
-        calibration=calibration,
-        out_dir=Path(cfg["output"]["directory"]))
-
-    # rules the sweep chain enforces, checked here for the chains this
-    # experiment runs so that a violation exits before any synthesis
+    # build the chains the run uses; check their sweeps' rules before synthesis
+    mode = Mode(cfg["radar"]["mode"])
+    chains = list(Mode) if kind is ExperimentKind.COMPARE_MODES else [mode]
     self_calibrates = kind is ExperimentKind.CALIBRATE or (
         consumes_cal and calibration is None)
     calibrates_on = reference[1] if self_calibrates else None
     gated = kind in (ExperimentKind.RCS_SWEEP_SERIES,
                      ExperimentKind.COMPARE_MODES)
-    for chain in scenario.chains:
-        chain_params, rx_cfg = params[chain], receivers[chain]
+    params, receivers = {}, {}
+    for chain in chains:
+        with _naming(f"radar.{chain.value}"):
+            build = nb_params if chain is Mode.NB_DSSS else uwb_params
+            params[chain] = chain_params = build(**cfg["radar"][chain.value])
+        receivers[chain] = rx_cfg = _build_rx_config(
+            cfg["receiver"][chain.value], chain_params)
         where = f"({chain.value} chain)"
-        if rx_cfg.blank_width_s > 0:
-            with _naming(f"receiver.blank_width_s {where}"):
-                check_blank_width(chain_params, rx_cfg.blank_width_s)
+        with _naming(f"receiver.blank_width_s {where}"):
+            check_blank_width(chain_params, rx_cfg.blank_width_s)
         with _naming(f"scene {where}"):
             check_unambiguous_range(scene.point_arrays[0], chain_params)
         for i, itf in enumerate(interferers):
             with _naming(f"scene.interferers[{i}] {where}"):
                 check_interferer_band(itf.freq_hz, chain_params.carrier_hz,
                                       chain_params.sample_rate_hz)
-        _check_kept_window(chain, rx_cfg, calibrates_on, gated)
-    return scenario
+        _check_kept_window(chain_params, rx_cfg, calibrates_on, gated)
+
+    return Scenario(
+        raw=cfg, seed=seed, mode=mode, params=params, receivers=receivers,
+        pn=pn, chips_per_bit=cfg["code"]["chips_per_bit"], scene=scene,
+        experiment=kind, sweeps=exp["sweeps"], pol=Pol(exp["polarization"]),
+        azimuth_step_deg=exp["azimuth_step_deg"],
+        beamwidth_deg=exp["beamwidth_deg"],
+        azimuth_span_deg=exp["azimuth_span_deg"], reference=reference,
+        calibration=calibration, out_dir=Path(cfg["output"]["directory"]))
 
 
-def _check_kept_window(chain: Mode, rx_cfg: ReceiverConfig,
+def _check_kept_window(params: RadarParams, rx_cfg: ReceiverConfig,
                        reference_m: float | None, gated: bool) -> None:
-    """The range window a profile keeps must be nonempty and reach the
+    """The range window a profile keeps must hold a range bin and reach the
     reference the run calibrates on and the gate it estimates in."""
     near, far = rx_cfg.range_window_m
-    if far < near:
+    # the blank is shorter than a PRI, so the first lag past it is too
+    if not kept_lags(params, params.pri_samples + 1, (near, far)):
         raise ScenarioError(
-            f"receiver.max_range_m ({chain.value} chain): the kept range "
-            f"window [{near:g}, {far:g}] m is empty")
+            f"receiver.max_range_m ({params.mode.value} chain): the kept "
+            f"range window [{near:g}, {far:g}] m is empty")
     needed = []
     if reference_m is not None:
         needed.append((f"the calibration reference at {reference_m:g} m",
@@ -467,7 +462,7 @@ def _check_kept_window(chain: Mode, rx_cfg: ReceiverConfig,
         else:
             continue
         raise ScenarioError(
-            f"{where} ({chain.value} chain): the kept range window "
+            f"{where} ({params.mode.value} chain): the kept range window "
             f"[{near:g}, {far:g}] m excludes {what}")
 
 

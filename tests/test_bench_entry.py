@@ -43,4 +43,5 @@ def test_span_targets_absent_only_as_known():
     absent = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(absent) == {"pnradar.cli.resolve_scenario",
                            "pnradar.imaging.ds_uwb_train",
-                           "pnradar.imaging.gate_pulse"}
+                           "pnradar.imaging.gate_pulse",
+                           "pnradar.imaging.rx_gate"}

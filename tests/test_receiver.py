@@ -47,6 +47,13 @@ class TestRxGate:
         with pytest.raises(ValueError, match="shorter than the transmit"):
             rx_gate(s, params, blank_width_s=params.pulse_width_s / 2)
 
+    def test_zero_width_blanks_nothing(self):
+        params = nb_params()
+        s = SampleStream(np.ones(8000, dtype=complex), params.sample_rate_hz)
+        assert np.array_equal(rx_gate(s, params, 0.0).samples, s.samples)
+        with pytest.raises(ValueError, match="shorter than the transmit"):
+            rx_gate(s, params, blank_width_s=-params.pulse_width_s)
+
     def test_blank_covering_pri_rejected(self):
         params = nb_params()
         s = SampleStream(np.ones(8000, dtype=complex), params.sample_rate_hz)
@@ -310,6 +317,24 @@ class TestPulseTrainCorrelator:
         scale = np.linalg.norm(rx.samples) * np.linalg.norm(train.samples())
         np.testing.assert_allclose(got, full[lags.start:lags.stop], rtol=0,
                                    atol=1e-12 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_correlator_case(), st.data())
+    def test_blank_equals_blanking_the_stream_first(self, case, data):
+        rx, train, lags = case
+        blank = data.draw(st.integers(0, train.period - 1))
+        blanked = rx.samples.copy()
+        blanked[np.arange(len(rx)) % train.period < blank] = 0.0
+        want = uwb_correlate(rx.with_samples(blanked), train, lags)
+        got = uwb_correlate(rx, train, lags, blank_samples=blank)
+        assert got.tobytes() == want.tobytes()
+
+    def test_blank_of_a_whole_slot_rejected(self):
+        train = PulseTrain(SampleStream(np.ones(4), 1.0), [1.0, -1.0], 5)
+        rx = SampleStream(np.ones(20), 1.0)
+        for blank in (-1, 5, 6):
+            with pytest.raises(ValueError, match="5-sample slot"):
+                uwb_correlate(rx, train, blank_samples=blank)
 
     def test_default_lags_are_every_full_overlap(self):
         rng = np.random.default_rng(3)

@@ -191,20 +191,19 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="gate"):
             load_scenario(_write(tmp_path, text))
 
-    @pytest.mark.parametrize("message, receiver", [
+    @pytest.mark.parametrize("message, mode, receiver", [
         ("receiver.gate_min_m and receiver.gate_max_m must be set together",
-         "{gate_min_m: 9.0}"),
-        # an nb run builds the uwb receiver too
+         "nb", "{gate_min_m: 9.0}"),
         ("receiver.uwb.gate_min_m and receiver.uwb.gate_max_m must be set "
-         "together", "{uwb: {gate_min_m: 9.0}}"),
+         "together", "uwb", "{uwb: {gate_min_m: 9.0}}"),
         ("receiver.nb.gate_max_m must exceed receiver.nb.gate_min_m",
-         "{nb: {gate_min_m: 9.0, gate_max_m: 8.0}}"),
+         "nb", "{nb: {gate_min_m: 9.0, gate_max_m: 8.0}}"),
     ], ids=["base", "uwb_unpaired", "nb_reversed"])
     def test_gate_rules_name_the_section_that_breaks_them(
-            self, tmp_path, capsys, message, receiver):
-        nb = MINIMAL.replace("{mode: uwb}", "{mode: nb}")
+            self, tmp_path, capsys, message, mode, receiver):
+        text = MINIMAL.replace("{mode: uwb}", f"{{mode: {mode}}}")
         _assert_rejected_before_synthesis(tmp_path, capsys, {
-            message: nb + f"receiver: {receiver}\n"})
+            message: text + f"receiver: {receiver}\n"})
 
     @pytest.mark.parametrize("field, text", [
         ("scene.noise_psd_w_per_hz", "  noise_psd_w_per_hz: .nan\n"),
@@ -655,6 +654,48 @@ class TestCliEntry:
         # the carrierless uwb chain samples at 100 GHz
         load_scenario(_write(tmp_path, itf, "uwb_only.yaml"))
 
+    def test_only_the_chains_run_are_built(self, tmp_path, capsys):
+        # an nb pulse longer than the nb PRI is no fault of a uwb run
+        text = MINIMAL.replace("{mode: uwb}",
+                               "{mode: uwb, nb: {pulse_width_s: 2.0e-4}}")
+        message = ("radar.nb: pulse_width_s (0.0002) must span at least one "
+                   "sample and fewer than pri_s (0.0001)")
+        path = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([str(path), "--out", str(out), "--quiet"]) == 0
+        manifest = yaml.safe_load((out / "run_manifest.yaml").read_text())
+        receiver = manifest["scenario"]["receiver"]
+        assert receiver["nb"]["max_range_m"] is None
+        assert receiver["uwb"]["max_range_m"] > 0
+        nb_out = tmp_path / "nb_out"
+        assert main([str(path), "--out", str(nb_out), "--mode", "nb"]) == 2
+        assert message in capsys.readouterr().err
+        assert not nb_out.exists()
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            message: text + "experiment: {kind: compare_modes}\n"})
+
+    def test_azimuth_step_checked_only_for_scan_image(self, tmp_path, capsys):
+        wide = ("experiment: {kind: %s, azimuth_step_deg: 3.0, "
+                "beamwidth_deg: 2.0}\n")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "experiment.azimuth_step_deg must not exceed "
+            "experiment.beamwidth_deg": MINIMAL + wide % "scan_image"})
+        path = _write(tmp_path, MINIMAL + wide % "profile", "profile.yaml")
+        assert main([str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+
+    def test_kept_window_without_a_range_bin_exits_two(self, tmp_path,
+                                                       capsys):
+        # c*blank/2 is 1843.7236167 m, just past lag 984 at
+        # 1843.72361669999 m, and lag 985 lies at 1845.6 m
+        nb = (MINIMAL.replace("{mode: uwb}", "{mode: nb}")
+              + "receiver: {blank_width_s: 1.23e-5, max_range_m: 1844.5}\n")
+        for kind in ("profile", "polarimetric"):
+            _assert_rejected_before_synthesis(tmp_path, capsys, {
+                "receiver.max_range_m (nb chain): the kept range window "
+                "[1843.72, 1844.5] m is empty":
+                    nb + f"experiment: {{kind: {kind}}}\n"})
+
     def test_flags_apply_before_validation(self, tmp_path, capsys):
         # each file is invalid as written but valid for the run the flags
         # select, so it must not exit 2
@@ -857,6 +898,29 @@ class TestNumpyOnlyRuntime:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    def test_blank_read_profile_digest_is_pinned(self, tmp_path):
+        # the kept lags run past about 14.8 m, where the correlator reads
+        # the blank that heads the next PRI; the digest was recorded when
+        # the pipeline blanked the whole read prefix before correlating
+        # (numpy 2.4.6, x86-64)
+        path = _write(tmp_path, """
+seed: 1
+radar: {mode: uwb}
+code: {family: msequence, taps: [5, 2, 0], chips_per_bit: 31}
+scene:
+  target: {points: [{sigma_m2: 1.0e-3, range_m: 10.0}]}
+  noise_psd_w_per_hz: 1.0e-19
+  direct_path_gain: 0.5
+receiver: {blank_width_s: 2.0e-9, max_range_m: 14.95}
+experiment: {kind: profile}
+""")
+        assert main([str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        csv = (tmp_path / "out" / "profile.csv").read_bytes()
+        assert csv.count(b"\n") == 9774
+        assert hashlib.sha256(csv).hexdigest() == (
+            "882fca43631daa63e37d859f1005fd6322da1015412efdd3b59612e4115f9b9f")
 
     def test_scan_image_csv_digest_is_pinned(self, tmp_path):
         # uwb_scan's geometry over 5 rows; the digest was recorded before
