@@ -23,8 +23,9 @@ from . import __version__
 from .channel import Pol
 from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
                       ScanImage, SweepPipeline, calibrate, scan_image,
-                      self_calibrate, sweep_samples)
-from .scenario import ExperimentKind, Scenario, ScenarioError, load_scenario
+                      self_calibrate)
+from .scenario import (ExperimentKind, OutOfMemory, Scenario, ScenarioError,
+                       load_scenario)
 from .waveform import Mode
 
 
@@ -180,19 +181,13 @@ def _write_manifest(path: Path, scenario: Scenario) -> None:
         yaml.safe_dump(manifest, fh, sort_keys=True)
 
 
-def _pipeline(scenario: Scenario, mode: Mode) -> SweepPipeline:
-    return SweepPipeline(scenario.params_for(mode), scenario.pn,
-                         scenario.chips_per_bit, scenario.rx_for(mode))
-
-
 def _calibration_for(scenario: Scenario,
                      pipeline: SweepPipeline) -> Calibration:
     """The scenario's calibration file, or a self-calibration on the
     experiment's own pipeline."""
     if scenario.calibration is not None:
         return scenario.calibration
-    sigma_ref, range_ref = scenario.reference
-    return self_calibrate(pipeline.params, scenario.pn, sigma_ref, range_ref,
+    return self_calibrate(pipeline.params, scenario.pn, *scenario.reference,
                           pipeline=pipeline)
 
 
@@ -208,8 +203,8 @@ def compare_modes(scenario: Scenario):
     per-sweep series, then a summary stating whether the wideband series
     is steadier."""
     rows, std = [], {}
-    for mode in scenario.chains:
-        estimates = _series(scenario, _pipeline(scenario, mode))
+    for mode, pipeline in scenario.pipelines.items():
+        estimates = _series(scenario, pipeline)
         yield f"compare_{mode.value}.csv", write_series_csv, estimates
         dbsm = np.array([e.dbsm for e in estimates])
         std[mode] = float(np.std(dbsm))
@@ -228,7 +223,7 @@ def _artifacts(scenario: Scenario):
     if kind is ExperimentKind.COMPARE_MODES:
         yield from compare_modes(scenario)
         return
-    pipeline = _pipeline(scenario, scenario.mode)
+    pipeline = scenario.pipelines[scenario.mode]
     if kind is ExperimentKind.PROFILE:
         yield ("profile.csv", write_profile_csv,
                pipeline.profile(scenario.scene, scenario.pol))
@@ -303,6 +298,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OutOfMemory as exc:  # while building the pipelines
+        print(f"error [{exc.kind.value}]: {exc}", file=sys.stderr)
+        return 3
 
     try:
         run(scenario, quiet=args.quiet)
@@ -310,14 +308,9 @@ def main(argv=None) -> int:
         print(f"error [{scenario.experiment.value}]: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        sizes = []
-        for m in scenario.chains:
-            n = sweep_samples(scenario.params_for(m), scenario.pn,
-                              scenario.rx_for(m).max_range_m)
-            sizes.append(f"the {m.value} sweep stream holds {n:,} complex "
-                         f"samples ({n * 16 / 2 ** 20:,.0f} MiB)")
-        print(f"error [{scenario.experiment.value}]: out of memory: "
-              + "; ".join(sizes), file=sys.stderr)
+        error = OutOfMemory(scenario.experiment, {
+            mode: len(p.tx) for mode, p in scenario.pipelines.items()})
+        print(f"error [{scenario.experiment.value}]: {error}", file=sys.stderr)
         return 3
     return 0
 

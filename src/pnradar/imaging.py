@@ -157,23 +157,10 @@ def _lag_ranges_m(lags: range, params: RadarParams) -> np.ndarray:
                              * (1.0 / params.sample_rate_hz)) / 2.0
 
 
-def kept_lags(params: RadarParams, n_lags: int,
-              window_m: tuple[float, float]) -> range:
-    """The lags, out of 0 .. n_lags-1, whose ranges fall in ``window_m``
-    (see ReceiverConfig.range_window_m); they form one contiguous run."""
-    near, far = window_m
-    ranges = _lag_ranges_m(range(n_lags), params)
-    keep = (ranges >= near) & (ranges <= far)
-    idx = np.flatnonzero(keep)
-    return range(idx[0], idx[-1] + 1) if idx.size else range(0)
-
-
 def range_profile(values: np.ndarray, params: RadarParams, lags: range,
                   sweep_index: int = 0) -> RangeProfile:
-    """Map correlation values at ``lags`` (see kept_lags) to two-way range."""
-    if len(values) != len(lags):
-        raise ValueError(
-            f"{len(values)} correlation values for {len(lags)} lags")
+    """Map correlation values at ``lags`` (see SweepPipeline.lags) to
+    two-way range; RangeProfile checks that they pair up."""
     lag_s = 1.0 / params.sample_rate_hz
     return RangeProfile(ranges_m=_lag_ranges_m(lags, params), values=values,
                         bin_width_m=SPEED_OF_LIGHT * lag_s / 2.0,
@@ -289,11 +276,8 @@ def estimate_rcs(profile: RangeProfile, cal: Calibration, mode: Mode,
     calibrated individually and added.
     """
     detections = detect_scatterers(profile, threshold_db, window_bins)
-    if gate_m is not None:
-        lo, hi = gate_m
-        gated = [d for d in detections if lo <= d.range_m <= hi]
-    else:
-        gated = detections
+    gated = [d for d in detections
+             if gate_m is None or gate_m[0] <= d.range_m <= gate_m[1]]
     if not gated:
         where = f" in gate [{gate_m[0]:g}, {gate_m[1]:g}] m" if gate_m else ""
         raise NoDetections(f"{mode.value} sweep {profile.sweep_index}: "
@@ -408,17 +392,23 @@ class SweepPipeline:
                  rx_config: ReceiverConfig | None = None):
         self.params = params
         self.rx_config = cfg = rx_config or ReceiverConfig()
+        # checked before the streams are allocated
+        self.blank_samples = check_blank_width(params, cfg.blank_width_s)
         self.tx, self.template = make_waveform(
             params, pn, chips_per_bit,
             sweep_samples(params, pn, cfg.max_range_m))
-        self.lags = kept_lags(params, len(self.tx) - len(self.template) + 1,
-                              cfg.range_window_m)
+        # the lags whose ranges fall in the kept window form one run
+        near, far = cfg.range_window_m
+        ranges = _lag_ranges_m(
+            range(len(self.tx) - len(self.template) + 1), params)
+        kept = np.flatnonzero((ranges >= near) & (ranges <= far))
+        self.lags = range(kept[0], kept[-1] + 1) if kept.size else range(0)
+        self.ranges_m = ranges[self.lags.start:self.lags.stop]  # increasing
         # the correlator reads the received stream up to the last kept
         # lag's overlap with the template, and nothing past it (an empty
         # window still needs one template length)
         self.read_samples = max(self.lags.stop, 1) + len(self.template) - 1
         self.window_bins = matched_window_bins(params)
-        self.blank_samples = check_blank_width(params, cfg.blank_width_s)
 
     def profile(self, scene: Scene, pol: Pol = Pol.VV,
                 sweep_index: int = 0) -> RangeProfile:
@@ -526,7 +516,7 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
     azimuths = np.arange(-n_steps, n_steps + 1) * azimuth_step_deg
 
     points = scene.all_points
-    ranges = _lag_ranges_m(pipeline.lags, pipeline.params)
+    ranges = pipeline.ranges_m
     r4 = ranges ** 4
     power = np.empty((azimuths.size, ranges.size))
 
@@ -538,10 +528,7 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
                 np.array(math.degrees(p.azimuth_rad) - az), beamwidth_deg))
             if w < 1e-8:
                 continue
-            weighted.append(Scatterer(sigma_m2=p.sigma_m2 * w * w,
-                                      range_m=p.range_m,
-                                      cross_range_m=p.cross_range_m,
-                                      pol_matrix=p.pol_matrix))
+            weighted.append(replace(p, sigma_m2=p.sigma_m2 * w * w))
         # clutter is already weighted into the target; a row with no point
         # in the beam keeps a zero-strength placeholder
         row_points = tuple(weighted) or (

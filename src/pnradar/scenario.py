@@ -20,8 +20,8 @@ import yaml
 from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
     TargetModel, check_interferer_band, check_unambiguous_range, gen_clutter
 from .codes import PnSequence, gen_gold, gen_mseq
-from .imaging import Calibration, ReceiverConfig, kept_lags
-from .receiver import check_blank_width
+from .imaging import Calibration, ReceiverConfig, SweepPipeline, \
+    sweep_samples
 from .waveform import Mode, RadarParams, nb_params, uwb_params
 
 
@@ -36,6 +36,16 @@ class ExperimentKind(Enum):
     SCAN_IMAGE = "scan_image"
     CALIBRATE = "calibrate"
     COMPARE_MODES = "compare_modes"
+
+
+class OutOfMemory(MemoryError):
+    """Memory ran out; the message gives each chain's sweep stream length."""
+
+    def __init__(self, kind: ExperimentKind, streams: dict[Mode, int]):
+        super().__init__("out of memory: " + "; ".join(
+            f"the {mode.value} sweep stream holds {n:,} complex samples "
+            f"({n * 16 / 2 ** 20:,.0f} MiB)" for mode, n in streams.items()))
+        self.kind = kind
 
 
 # --- schema -----------------------------------------------------------------
@@ -243,8 +253,7 @@ class Scenario:
     raw: dict
     seed: int
     mode: Mode
-    params: dict[Mode, RadarParams]  # one entry per chain the run uses
-    receivers: dict[Mode, ReceiverConfig]  # one entry per chain the run uses
+    pipelines: dict[Mode, SweepPipeline]  # one per chain the run uses
     pn: PnSequence
     chips_per_bit: int
     scene: Scene
@@ -259,15 +268,10 @@ class Scenario:
     out_dir: Path
 
     def rx_for(self, mode: Mode) -> ReceiverConfig:
-        return self.receivers[mode]
+        return self.pipelines[mode].rx_config
 
     def params_for(self, mode: Mode) -> RadarParams:
-        return self.params[mode]
-
-    @property
-    def chains(self) -> list[Mode]:
-        """The modes the experiment runs: both for compare_modes."""
-        return list(self.params)
+        return self.pipelines[mode].params
 
 
 @contextmanager
@@ -378,9 +382,8 @@ def resolve_scenario(data: dict) -> Scenario:
         # default reference: the scene's single target point
         ref_cfg["sigma_m2"] = points[0].sigma_m2
         ref_cfg["range_m"] = points[0].range_m
-    reference = None
-    if ref_cfg["sigma_m2"] is not None:
-        reference = (ref_cfg["sigma_m2"], ref_cfg["range_m"])
+    reference = (None if ref_cfg["sigma_m2"] is None
+                 else (ref_cfg["sigma_m2"], ref_cfg["range_m"]))
 
     consumes_cal = kind in (ExperimentKind.RCS_SWEEP_SERIES,
                             ExperimentKind.SCAN_IMAGE,
@@ -401,34 +404,45 @@ def resolve_scenario(data: dict) -> Scenario:
     if consumes_cal and exp["calibration_file"] is not None:
         calibration = read_calibration_csv(exp["calibration_file"])
 
-    # build the chains the run uses; check their sweeps' rules before synthesis
+    # check each chain the run uses, then build its pipeline and check the
+    # window that pipeline keeps, all before synthesis
     mode = Mode(cfg["radar"]["mode"])
-    chains = list(Mode) if kind is ExperimentKind.COMPARE_MODES else [mode]
+    chains = {}
+    for chain in (list(Mode) if kind is ExperimentKind.COMPARE_MODES
+                  else [mode]):
+        with _naming(f"radar.{chain.value}"):
+            build = nb_params if chain is Mode.NB_DSSS else uwb_params
+            params = build(**cfg["radar"][chain.value])
+        chains[chain] = params, _build_rx_config(cfg["receiver"][chain.value],
+                                                 params)
+        where = f"({chain.value} chain)"
+        with _naming(f"scene {where}"):
+            check_unambiguous_range(scene.point_arrays[0], params)
+        for i, itf in enumerate(interferers):
+            with _naming(f"scene.interferers[{i}] {where}"):
+                check_interferer_band(itf.freq_hz, params.carrier_hz,
+                                      params.sample_rate_hz)
     self_calibrates = kind is ExperimentKind.CALIBRATE or (
         consumes_cal and calibration is None)
     calibrates_on = reference[1] if self_calibrates else None
     gated = kind in (ExperimentKind.RCS_SWEEP_SERIES,
                      ExperimentKind.COMPARE_MODES)
-    params, receivers = {}, {}
-    for chain in chains:
-        with _naming(f"radar.{chain.value}"):
-            build = nb_params if chain is Mode.NB_DSSS else uwb_params
-            params[chain] = chain_params = build(**cfg["radar"][chain.value])
-        receivers[chain] = rx_cfg = _build_rx_config(
-            cfg["receiver"][chain.value], chain_params)
-        where = f"({chain.value} chain)"
-        with _naming(f"receiver.blank_width_s {where}"):
-            check_blank_width(chain_params, rx_cfg.blank_width_s)
-        with _naming(f"scene {where}"):
-            check_unambiguous_range(scene.point_arrays[0], chain_params)
-        for i, itf in enumerate(interferers):
-            with _naming(f"scene.interferers[{i}] {where}"):
-                check_interferer_band(itf.freq_hz, chain_params.carrier_hz,
-                                      chain_params.sample_rate_hz)
-        _check_kept_window(chain_params, rx_cfg, calibrates_on, gated)
+    streams = {chain: sweep_samples(params, pn, rx_cfg.max_range_m)
+               for chain, (params, rx_cfg) in chains.items()}
+    pipelines = {}
+    try:
+        if max(streams.values()) * 16 > np.iinfo(np.intp).max:
+            raise MemoryError  # numpy would raise ValueError for this size
+        for chain, (params, rx_cfg) in chains.items():
+            with _naming(f"receiver.blank_width_s ({chain.value} chain)"):
+                pipelines[chain] = SweepPipeline(
+                    params, pn, cfg["code"]["chips_per_bit"], rx_cfg)
+            _check_kept_window(pipelines[chain], calibrates_on, gated)
+    except MemoryError:
+        raise OutOfMemory(kind, streams) from None
 
     return Scenario(
-        raw=cfg, seed=seed, mode=mode, params=params, receivers=receivers,
+        raw=cfg, seed=seed, mode=mode, pipelines=pipelines,
         pn=pn, chips_per_bit=cfg["code"]["chips_per_bit"], scene=scene,
         experiment=kind, sweeps=exp["sweeps"], pol=Pol(exp["polarization"]),
         azimuth_step_deg=exp["azimuth_step_deg"],
@@ -437,33 +451,38 @@ def resolve_scenario(data: dict) -> Scenario:
         calibration=calibration, out_dir=Path(cfg["output"]["directory"]))
 
 
-def _check_kept_window(params: RadarParams, rx_cfg: ReceiverConfig,
-                       reference_m: float | None, gated: bool) -> None:
-    """The range window a profile keeps must hold a range bin and reach the
-    reference the run calibrates on and the gate it estimates in."""
-    near, far = rx_cfg.range_window_m
-    # the blank is shorter than a PRI, so the first lag past it is too
-    if not kept_lags(params, params.pri_samples + 1, (near, far)):
-        raise ScenarioError(
-            f"receiver.max_range_m ({params.mode.value} chain): the kept "
-            f"range window [{near:g}, {far:g}] m is empty")
-    needed = []
-    if reference_m is not None:
-        needed.append((f"the calibration reference at {reference_m:g} m",
-                       reference_m, reference_m))
-    if gated and rx_cfg.gate_m is not None:
-        lo, hi = rx_cfg.gate_m
-        needed.append((f"the gate [{lo:g}, {hi:g}] m", lo, hi))
-    for what, lo, hi in needed:
-        if hi < near:
-            where = "receiver.blank_width_s"
-        elif lo > far:
-            where = "receiver.max_range_m"
-        else:
-            continue
-        raise ScenarioError(
-            f"{where} ({params.mode.value} chain): the kept range window "
-            f"[{near:g}, {far:g}] m excludes {what}")
+def _check_kept_window(pipeline: SweepPipeline, reference_m: float | None,
+                       gated: bool) -> None:
+    """The range window a pipeline keeps must hold a range bin and reach
+    the reference the run calibrates on; the gate the run estimates in
+    must hold one of its bins."""
+    chain = f"({pipeline.params.mode.value} chain)"
+    near, far = pipeline.rx_config.range_window_m
+    window = f"the kept range window [{near:g}, {far:g}] m"
+    if not pipeline.lags:
+        raise ScenarioError(f"receiver.max_range_m {chain}: {window} is empty")
+    gate = pipeline.rx_config.gate_m if gated else None
+    needed = {} if reference_m is None else {
+        f"the calibration reference at {reference_m:g} m": (reference_m,
+                                                            reference_m)}
+    if gate is not None:
+        needed[f"the gate [{gate[0]:g}, {gate[1]:g}] m"] = gate
+    for what, (lo, hi) in needed.items():
+        if hi < near or lo > far:
+            where = "blank_width_s" if hi < near else "max_range_m"
+            raise ScenarioError(
+                f"receiver.{where} {chain}: {window} excludes {what}")
+    if gate is not None:
+        # the first kept bin at or past the gate's near edge
+        ranges = pipeline.ranges_m
+        i = int(np.searchsorted(ranges, gate[0]))
+        if i == ranges.size or ranges[i] > gate[1]:
+            nearest = " and ".join(f"{r:.7g}"
+                                   for r in ranges[max(i - 1, 0):i + 1])
+            raise ScenarioError(
+                f"receiver.gate_min_m {chain}: the gate [{gate[0]:g}, "
+                f"{gate[1]:g}] m holds no range bin; the nearest bins lie "
+                f"at {nearest} m")
 
 
 def read_calibration_csv(path: str | Path) -> Calibration:

@@ -423,6 +423,20 @@ experiment: {kind: compare_modes, sweeps: 1}
         assert main([str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
         assert built == ["nb", "uwb"]
 
+    @pytest.mark.parametrize("jitter, verdict", [(0.0, "false"),
+                                                  (0.3, "true")])
+    def test_verdict_needs_phase_jitter(self, tmp_path, jitter, verdict):
+        # sphere_compare's scene at 5 sweeps: without jitter the nb series
+        # is steadier than the noise-limited uwb series (std about 3e-5
+        # against 0.04 dB at seed 2026); at 0.3 rad the nb std is about 0.9
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / \
+            "sphere_compare.yaml"
+        run(load_scenario(scenario, {
+            "experiment.sweeps": 5, "scene.sweep_phase_jitter_rad": jitter,
+            "output.directory": str(tmp_path)}), quiet=True)
+        rows = (tmp_path / "compare_summary.csv").read_text().splitlines()
+        assert [r.split(",")[3] for r in rows[1:]] == [verdict, verdict]
+
     def test_sphere_compare_golden_summary(self, tmp_path):
         # the worked comparison from the README, pinned to 1e-9 relative
         scenario = Path(__file__).resolve().parents[1] / "scenarios" / \
@@ -654,7 +668,16 @@ class TestCliEntry:
         # the carrierless uwb chain samples at 100 GHz
         load_scenario(_write(tmp_path, itf, "uwb_only.yaml"))
 
-    def test_only_the_chains_run_are_built(self, tmp_path, capsys):
+    def test_only_the_chains_run_are_built(self, tmp_path, capsys,
+                                           monkeypatch):
+        built = []
+        init = imaging.SweepPipeline.__init__
+
+        def counting(pipeline, params, *args, **kwargs):
+            built.append(params.mode.value)
+            init(pipeline, params, *args, **kwargs)
+
+        monkeypatch.setattr(imaging.SweepPipeline, "__init__", counting)
         # an nb pulse longer than the nb PRI is no fault of a uwb run
         text = MINIMAL.replace("{mode: uwb}",
                                "{mode: uwb, nb: {pulse_width_s: 2.0e-4}}")
@@ -663,6 +686,8 @@ class TestCliEntry:
         path = _write(tmp_path, text)
         out = tmp_path / "out"
         assert main([str(path), "--out", str(out), "--quiet"]) == 0
+        # each chain run is built once, at load, and the run reuses it
+        assert built == ["uwb"]
         manifest = yaml.safe_load((out / "run_manifest.yaml").read_text())
         receiver = manifest["scenario"]["receiver"]
         assert receiver["nb"]["max_range_m"] is None
@@ -673,6 +698,12 @@ class TestCliEntry:
         assert not nb_out.exists()
         _assert_rejected_before_synthesis(tmp_path, capsys, {
             message: text + "experiment: {kind: compare_modes}\n"})
+        built.clear()
+        compare = MINIMAL + ("code: {taps: [5, 2, 0], chips_per_bit: 31}\n"
+                             "experiment: {kind: compare_modes, sweeps: 2}\n")
+        assert main([str(_write(tmp_path, compare, "compare.yaml")), "--out",
+                     str(tmp_path / "compare"), "--quiet"]) == 0
+        assert built == ["nb", "uwb"]
 
     def test_azimuth_step_checked_only_for_scan_image(self, tmp_path, capsys):
         wide = ("experiment: {kind: %s, azimuth_step_deg: 3.0, "
@@ -695,6 +726,30 @@ class TestCliEntry:
                 "receiver.max_range_m (nb chain): the kept range window "
                 "[1843.72, 1844.5] m is empty":
                     nb + f"experiment: {{kind: {kind}}}\n"})
+
+    def test_gate_without_a_range_bin_exits_two(self, tmp_path, capsys):
+        # the gate lies inside the kept window, between the bins at
+        # 9.999577 and 10.00108 m, 1.5 mm apart
+        gate = "receiver: {gate_min_m: %s, gate_max_m: %s}\n"
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "receiver.gate_min_m (uwb chain): the gate [10.0001, 10.0002] m "
+            "holds no range bin; the nearest bins lie at 9.999577 and "
+            "10.00108 m": SERIES + gate % (10.0001, 10.0002),
+            # compare_modes runs both chains; the nb bins are 1.87 m apart
+            "receiver.gate_min_m (nb chain): the gate [10.0001, 10.0002] m "
+            "holds no range bin; the nearest bins lie at 9.368514 and "
+            "11.24222 m": SERIES.replace("rcs_sweep_series",
+                                         "compare_modes")
+            + "receiver: {nb: {gate_min_m: 10.0001, gate_max_m: 10.0002}}\n",
+        })
+        # a gate that holds one bin, the one the sphere peaks in, runs
+        path = _write(tmp_path, SERIES + gate % (9.9995, 10.0001), "one.yaml")
+        pipeline = load_scenario(path).pipelines[Mode.DS_UWB]
+        ranges = pipeline.ranges_m
+        assert np.count_nonzero((ranges >= 9.9995) & (ranges <= 10.0001)) == 1
+        out = tmp_path / "one"
+        assert main([str(path), "--out", str(out), "--quiet"]) == 0
+        assert len((out / "series.csv").read_text().splitlines()) == 5
 
     def test_flags_apply_before_validation(self, tmp_path, capsys):
         # each file is invalid as written but valid for the run the flags
@@ -803,6 +858,54 @@ class TestCliEntry:
             "31,900,001 complex samples (487 MiB)")
         assert "Traceback" not in proc.stderr
         assert not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("text, chains", [
+        (SERIES, ["uwb"]),
+        # compare_modes names both chains, though only uwb failed
+        (SERIES.replace("rcs_sweep_series", "compare_modes"), ["nb", "uwb"])])
+    def test_memory_error_while_loading_exits_three(self, tmp_path, capsys,
+                                                     monkeypatch, text,
+                                                     chains):
+        make_waveform = imaging.make_waveform
+
+        def failing(params, *args, **kwargs):
+            if params.mode is Mode.DS_UWB:
+                raise MemoryError
+            return make_waveform(params, *args, **kwargs)
+
+        monkeypatch.setattr(imaging, "make_waveform", failing)
+        kind = yaml.safe_load(text)["experiment"]["kind"]
+        rc = main([str(_write(tmp_path, text)), "--out",
+                   str(tmp_path / "out"), "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error \[{kind}\]: out of memory: " + "; ".join(
+                rf"the {c} sweep stream holds [\d,]+ complex samples "
+                rf"\([\d,]+ MiB\)" for c in chains) + "\n", err), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("max_range, streams", [
+        # cannot be allocated, let alone under a 1 GiB address-space limit
+        ("1.0e+9", "667,128,500,398 complex samples (10,179,573 MiB)"),
+        # past the largest array numpy can index, which it reports as a
+        # ValueError
+        ("1.0e+20", "66,712,819,039,630,411,479,793 complex samples "
+                    "(1,017,956,833,490,454,272 MiB)")])
+    def test_huge_max_range_exits_three_while_loading(self, tmp_path,
+                                                      max_range, streams):
+        path = _write(tmp_path,
+                      SERIES + f"receiver: {{max_range_m: {max_range}}}\n")
+        proc = _run_child(
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from pnradar.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n",
+            path, "--out", tmp_path / "out", "--quiet")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == ("error [rcs_sweep_series]: out of memory: "
+                               f"the uwb sweep stream holds {streams}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestNumpyOnlyRuntime:
