@@ -170,10 +170,12 @@ def _rng(seed: int, sweep_index: int, purpose: int, extra: int | None = None):
     return np.random.default_rng(key)
 
 
-def scattering_amplitude(point: Scatterer, pol: Pol) -> complex:
-    """Complex scattered amplitude sqrt(sigma) * S_pq for a tx/rx pair."""
-    r, c = _POL_INDEX[pol]
-    return complex(np.sqrt(point.sigma_m2) * point.pol_matrix[r, c])
+def sweep_range(sweep_index: int | range) -> range:
+    """The sweeps a call covers: a range as given, an int as the block of
+    one."""
+    if isinstance(sweep_index, range):
+        return sweep_index
+    return range(sweep_index, sweep_index + 1)
 
 
 def gen_clutter(extent_m: tuple[float, float], count: int,
@@ -224,28 +226,31 @@ def check_interferer_band(freq_hz: float, carrier_hz: float,
 
 
 def _interferer_samples(itf: Interferer, n: int, fs: float, carrier_hz: float,
-                        rng, stop: int | None = None) -> np.ndarray:
-    """Baseband samples of one interferer at its carrier offset: the
-    first ``stop`` (default all) of the n samples of a stream."""
+                        rngs, stop: int | None = None) -> np.ndarray:
+    """Baseband samples of one interferer at its carrier offset, one row
+    per generator in ``rngs``: the first ``stop`` (default all) of the n
+    samples of a stream, from that row's own draws."""
     check_interferer_band(itf.freq_hz, carrier_hz, fs)
     df = itf.freq_hz - carrier_hz
     if stop is None:
         stop = n
     if itf.power_w == 0.0:
-        return np.zeros(stop, dtype=np.complex128)
+        return np.zeros((len(rngs), stop), dtype=np.complex128)
     amp = np.sqrt(itf.power_w)
     tone = _tone(df, n, fs)[:stop]
     if itf.kind is InterfererKind.CW:
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        return amp * np.exp(1j * phase) * tone
+        coef = np.array([amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                         for rng in rngs], dtype=np.complex128)
+        return coef[:, None] * tone[None, :]
     # random QPSK stream, rectangular chips at the symbol rate; the symbols
     # of all n samples are drawn, as a whole-stream call draws them
     sps = max(1, int(round(fs / _QPSK_SYMBOL_RATE_HZ)))
     n_sym = -(-n // sps)
     points = (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0))
-    draws = rng.integers(0, 4, size=n_sym)[:-(-stop // sps)]
-    chips = np.repeat(points[draws], sps)[:stop]
-    return amp * chips * tone
+    draws = np.array([rng.integers(0, 4, size=n_sym)[:-(-stop // sps)]
+                      for rng in rngs], dtype=np.int64)
+    chips = np.repeat(points[draws], sps, axis=1)[:, :stop]
+    return amp * chips * tone[None, :]
 
 
 def add_interferer(s: SampleStream, freq_hz: float, power_w: float,
@@ -254,7 +259,8 @@ def add_interferer(s: SampleStream, freq_hz: float, power_w: float,
     """Add a CW tone or a random-QPSK emitter at an absolute frequency."""
     itf = Interferer(freq_hz=freq_hz, power_w=power_w, kind=kind)
     rng = np.random.default_rng(int(seed))
-    extra = _interferer_samples(itf, len(s), s.sample_rate, s.carrier_hz, rng)
+    extra = _interferer_samples(itf, len(s), s.sample_rate, s.carrier_hz,
+                                [rng])[0]
     return s.with_samples(s.samples + extra)
 
 
@@ -325,31 +331,34 @@ def _echo_geometry(scene: Scene, pol: Pol, fs: float,
 def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
             jitter: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """The distinct sample delays of the scene's echoes, in order of first
-    appearance, and the summed complex amplitude at each: the amplitudes
+    appearance, and for each row of ``jitter`` (one sweep's per-point
+    phases) the summed complex amplitude at each delay: the amplitudes
     sqrt(sigma) * S_pq / R^2 * exp(j(-2*pi*f_c*tau + jitter)) of the
     points that share a delay, added in point order.
 
-    Each amplitude rounds exactly as the scalar expression
-    ``scattering_amplitude(p, pol) / R**2 * np.exp(1j * phase)``: R**2
-    goes through libm pow (``float_power``), the division by R**2 is
-    taken part by part, and the complex product is written out, because
-    numpy's vectorized complex multiply rounds differently from its
-    scalar one.
+    Each amplitude rounds exactly as the one-point expression
+    ``complex(sqrt(sigma) * S_pq) / R**2 * np.exp(1j * phase)`` in Python
+    scalars: R**2 goes through libm pow (``float_power``), the division by
+    R**2 is taken part by part, and the complex product is written out,
+    because numpy's complex multiply rounds differently from Python's.
+    Every step is elementwise, so a row's amplitudes do not depend on the
+    other rows.
     """
     g = _echo_geometry(scene, pol, fs, params.carrier_hz)
-    rot = np.exp(1j * (g.phase + jitter[g.live]))
-    a = np.empty(g.live.size, dtype=np.complex128)
+    rot = np.exp(1j * (g.phase + jitter[:, g.live]))
+    a = np.empty(rot.shape, dtype=np.complex128)
     a.real = g.re * rot.real - g.im * rot.imag
     a.imag = g.re * rot.imag + g.im * rot.real
-    h = np.zeros(len(g.delays), dtype=np.complex128)
-    np.add.at(h, g.which, a)
+    h = np.zeros((jitter.shape[0], len(g.delays)), dtype=np.complex128)
+    np.add.at(h, (slice(None), g.which), a)
     return g.delays, h
 
 
 def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
-              sweep_index: int = 0, n_samples: int | None = None
-              ) -> SampleStream:
-    """Propagate a transmit stream through the scene for one sweep.
+              sweep_index: int | range = 0, n_samples: int | None = None
+              ) -> SampleStream | np.ndarray:
+    """Propagate a transmit stream through the scene for one sweep, or for
+    a block of sweeps.
 
     Each scattering center contributes a delayed copy of tx scaled by
     sqrt(sigma) * S_pq / R^2 (absolute link constants are absorbed by
@@ -360,13 +369,23 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     distinct delay adds one scaled copy of tx, over its nonzero samples
     only, in order of first appearance; points of zero scattering
     amplitude are skipped.  Direct-path leakage, external interferers
-    and thermal noise are added on top.
+    and thermal noise are added on top, in that order.
 
     Only the first ``n_samples`` (default len(tx)) of the received stream
     are built, bit for bit those of a whole-stream call, so a caller can
     build only the samples it reads.  The noise's imaginary rail follows
     its whole real rail in one RNG stream, so the real rail is still
     drawn over len(tx) samples.
+
+    An int ``sweep_index`` returns that sweep's stream.  A range of sweep
+    indices returns a block: a (len(range), n_samples) array whose row r
+    holds, bit for bit, the samples of sweep ``sweep_index[r]``.  Every
+    row makes its own draws from its own RNG streams and each term is
+    added elementwise, so a row does not depend on the others; one sweep
+    is the block of one.  (Complex products are taken out of place, on
+    operands of equal dimension: numpy rounds a lone broadcast or
+    in-place complex product through its scalar loop, which differs in
+    the last bit from the vector loop every other product takes.)
     """
     if (tx.sample_rate, tx.carrier_hz) != (params.sample_rate_hz,
                                            params.carrier_hz):
@@ -381,49 +400,67 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     m = n if n_samples is None else n_samples
     if not 1 <= m <= n:
         raise ValueError(f"n_samples must lie in [1, {n}], got {m}")
-    out = np.zeros(m, dtype=np.complex128)
+    sweeps = sweep_range(sweep_index)
+    rows = len(sweeps)
+    if not rows:
+        raise ValueError("a block needs at least one sweep")
+    out = np.zeros((rows, m), dtype=np.complex128)
     ranges = scene.point_arrays[0]
     check_unambiguous_range(ranges, params)
     n_points = ranges.size
 
-    # tx is zero off its support: direct path and echoes are added there only
+    # tx is zero off its support: direct path and echoes are added there
+    # only, in place through a slice where the support is one run (the NB
+    # pulse), which numpy adds faster than through an index array
     support = tx.support[:np.searchsorted(tx.support, m)]
     active = tx.samples[support]
-    if scene.direct_path_gain:
-        out[support] += scene.direct_path_gain * active
+    one_run = support.size and support[-1] - support[0] + 1 == support.size
 
+    def delayed(k: int, d: int):
+        """The first k samples of the support, delayed by d samples."""
+        return (slice(support[0] + d, support[0] + d + k) if one_run
+                else support[:k] + d)
+
+    if scene.direct_path_gain:
+        out[:, delayed(support.size, 0)] += scene.direct_path_gain * active
+
+    jitter = np.zeros((rows, n_points))
     if scene.sweep_phase_jitter_rad > 0 and n_points:
-        rng = _rng(scene.rng_seed, sweep_index, _RNG_PHASE)
-        jitter = rng.normal(0.0, scene.sweep_phase_jitter_rad, size=n_points)
-    else:
-        jitter = np.zeros(n_points)
+        for row, k in zip(jitter, sweeps):
+            rng = _rng(scene.rng_seed, k, _RNG_PHASE)
+            row[:] = rng.normal(0.0, scene.sweep_phase_jitter_rad,
+                                size=n_points)
 
     delays, h = _echoes(scene, pol, params, fs, jitter)
-    for d, h_d in zip(delays, h):
+    for j, d in enumerate(delays):
         k = int(np.searchsorted(support, m - d))
-        out[support[:k] + d] += h_d * active[:k]
+        out[:, delayed(k, d)] += h[:, j, None] * active[None, :k]
 
     for i, itf in enumerate(scene.interferers):
-        rng = _rng(scene.rng_seed, sweep_index, _RNG_INTERFERER, i)
-        out += _interferer_samples(itf, n, fs, params.carrier_hz, rng,
+        rngs = [_rng(scene.rng_seed, k, _RNG_INTERFERER, i) for k in sweeps]
+        out += _interferer_samples(itf, n, fs, params.carrier_hz, rngs,
                                    stop=m)
 
     if scene.noise_psd > 0:
-        rng = _rng(scene.rng_seed, sweep_index, _RNG_NOISE)
+        rngs = [_rng(scene.rng_seed, k, _RNG_NOISE) for k in sweeps]
         sigma2 = scene.noise_psd * fs
         scale = np.sqrt(sigma2 / 2.0)
-        # the real rail is drawn first, then the imaginary one, a chunk at
-        # a time; a generator's draws continue across calls, so the chunks
-        # hold exactly the values of one whole-rail draw.  Only the first m
-        # samples of each rail are added, and the imaginary rail is drawn
-        # no further.
-        z = np.empty(min(n, _NOISE_CHUNK))
+        # each row's real rail is drawn first, then its imaginary one, a
+        # chunk at a time; a generator's draws continue across calls, so
+        # the chunks hold exactly the values of one whole-rail draw.  Only
+        # the first m samples of each rail are added, and the imaginary
+        # rail is drawn no further.  The scratch holds _NOISE_CHUNK draws
+        # in all, whatever the number of rows.
+        z = np.empty((rows, min(n, max(1, _NOISE_CHUNK // rows))))
         for rail, stop in ((out.real, n), (out.imag, m)):
-            for start in range(0, stop, z.size):
-                part = z[:min(z.size, stop - start)]
-                rng.standard_normal(out=part)
-                kept = part[:max(0, m - start)]
+            for start in range(0, stop, z.shape[1]):
+                part = z[:, :min(z.shape[1], stop - start)]
+                for rng, draws in zip(rngs, part):
+                    rng.standard_normal(out=draws)
+                kept = part[:, :max(0, m - start)]
                 kept *= scale
-                rail[start:start + kept.size] += kept
+                rail[:, start:start + kept.shape[1]] += kept
 
-    return SampleStream(out, fs, params.carrier_hz)
+    if isinstance(sweep_index, range):
+        return out
+    return SampleStream(out[0], fs, params.carrier_hz)

@@ -21,27 +21,39 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import Pol, Scatterer, Scene, TargetModel, propagate
+from .channel import (Pol, Scatterer, Scene, TargetModel, propagate,
+                      sweep_range)
 from .codes import PnSequence
-from .receiver import check_blank_width, uwb_correlate
+from .receiver import check_blank_width, despread_window, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
                        SPEED_OF_LIGHT, qpsk_baseband, spread,
                        uwb_pulse_train)
 
-# Sweeps run on a thread pool only when a sweep's stream holds at least
-# this many samples, so that numpy work that releases the GIL (the noise
-# draw and the whole-stream adds) dominates a sweep.  Measured on 2 CPUs:
-# pooling the 319,341-sample UWB sweeps took the sphere_compare benchmark
-# from 0.80 to 0.49 s (medians of 10 runs each), while pooling the
-# 8,055-sample NB sweeps made nb_dense_series 11% slower (0.64 -> 0.71 s).
-_POOL_MIN_SAMPLES = 1 << 16
+# Sweeps run in blocks of consecutive sweeps: one propagate, one despread
+# and one detection per block, on arrays with one row per sweep, so that
+# numpy's per-call cost, which dominates a short sweep, is paid once per
+# block.  A block holds as many sweeps as fit this many read samples, and
+# at least one: 9 narrowband sweeps of 853 read samples, or one DS-UWB
+# sweep of 309,472.  Measured on 2 CPUs (minimum of 6 in-process runs),
+# the 600 sweeps of the nb_dense_series benchmark took 0.416 s one at a
+# time and 0.285 s in blocks of 9; blocks of 4, 19 and 38 sweeps took
+# 0.295, 0.307 and 0.311 s, and the larger blocks raised a run's peak RSS
+# from 40.3-40.5 MB to 40.7-41.0 and 42.0-42.1 MB.
+_BLOCK_SAMPLES = 1 << 13
 
-# At most this many sweeps run at once.  Each one in flight holds its own
-# receive stream (the read prefix, about 4.95 MB for a UWB sweep) plus its
-# whole-stream temporaries, so peak memory grows with the width; the gains
-# above and the peak RSS they cost (53.1 -> 55.4 MB on sphere_compare,
-# 60.1 -> 61.1 MB on uwb_scan) were measured at 2 workers, and wider pools
-# are not.
+# A sweep that fills a block alone runs on a thread pool of at most this
+# many workers, so that numpy work that releases the GIL (the noise draw and
+# the whole-stream adds) overlaps.  Measured on 2 CPUs: pooling the UWB
+# sweeps took the sphere_compare benchmark from 0.80 to 0.49 s (medians of
+# 10 runs each), and 200 NB sweeps of 6,137 read samples (max_range_m
+# 10 km) from 0.62 to 0.41 s, while the 853-sample nb_dense_series sweeps,
+# pooled one at a time, took 0.83-0.86 s for the whole run against
+# 0.32-0.36 s in serial blocks of 9, so blocks of several sweeps run one
+# after another.  Each sweep in flight holds its own receive stream (the
+# read prefix, about 4.95 MB for a UWB sweep) plus its whole-stream
+# temporaries, so peak memory grows with the width; the UWB gain and the
+# peak RSS it cost (53.1 -> 55.4 MB on sphere_compare, 60.1 -> 61.1 MB on
+# uwb_scan) were measured at 2 workers, and wider pools are not.
 _MAX_POOL_WORKERS = 2
 
 
@@ -67,9 +79,13 @@ class RangeProfile:
         values = np.asarray(self.values, dtype=np.complex128)
         if ranges.shape != values.shape:
             raise ValueError("ranges and values must have equal length")
-        if ranges.size and np.any(np.diff(ranges) <= 0):
-            raise ValueError("ranges must be strictly increasing")
-        ranges.flags.writeable = False
+        # read-only ranges are shared as they are: a profile freezes its
+        # ranges once checked, and a pipeline's profiles share its own
+        # ranges_m, increasing by construction
+        if ranges.flags.writeable:
+            if ranges.size and np.any(np.diff(ranges) <= 0):
+                raise ValueError("ranges must be strictly increasing")
+            ranges.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "ranges_m", ranges)
         object.__setattr__(self, "values", values)
@@ -157,38 +173,92 @@ def _lag_ranges_m(lags: range, params: RadarParams) -> np.ndarray:
                              * (1.0 / params.sample_rate_hz)) / 2.0
 
 
+def _bin_width_m(params: RadarParams) -> float:
+    """Two-way range of one lag."""
+    return SPEED_OF_LIGHT * (1.0 / params.sample_rate_hz) / 2.0
+
+
 def range_profile(values: np.ndarray, params: RadarParams, lags: range,
                   sweep_index: int = 0) -> RangeProfile:
     """Map correlation values at ``lags`` (see SweepPipeline.lags) to
     two-way range; RangeProfile checks that they pair up."""
-    lag_s = 1.0 / params.sample_rate_hz
     return RangeProfile(ranges_m=_lag_ranges_m(lags, params), values=values,
-                        bin_width_m=SPEED_OF_LIGHT * lag_s / 2.0,
+                        bin_width_m=_bin_width_m(params),
                         sweep_index=sweep_index)
 
 
-def _median(x: np.ndarray) -> float:
-    """np.median of a nonempty 1-D array, from one np.partition: the
-    middle element for odd n, (a + b) / 2.0 of the two middle elements
-    for even n, which is how np.median rounds.  np.median itself loads
-    numpy.ma."""
-    h = x.size // 2
-    if x.size % 2:
-        return float(np.partition(x, h)[h])
-    part = np.partition(x, (h - 1, h))
-    return (float(part[h - 1]) + float(part[h])) / 2.0
+def _median(x: np.ndarray) -> np.ndarray:
+    """np.median along the last axis of a nonempty array, from one
+    np.partition: the middle element for odd n, (a + b) / 2.0 of the two
+    middle elements for even n, which is how np.median rounds.  np.median
+    itself loads numpy.ma."""
+    n = x.shape[-1]
+    h = n // 2
+    if n % 2:
+        return np.partition(x, h, axis=-1)[..., h]
+    part = np.partition(x, (h - 1, h), axis=-1)
+    return (part[..., h - 1] + part[..., h]) / 2.0
 
 
 def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
-    """out[k] = max(x[k .. k+w-1]) for k = 0 .. len(x)-w, by doubling:
-    after the pass of span s each entry is the maximum of 2s samples, and
-    two overlapping windows of the largest power of two cover w.  max is
-    exact, so the result holds the same floats as any other order."""
+    """out[..., k] = max(x[..., k .. k+w-1]) for k = 0 .. n-w along the
+    last axis, by doubling: after the pass of span s each entry is the
+    maximum of 2s samples, and two overlapping windows of the largest
+    power of two cover w.  max is exact, so the result holds the same
+    floats as any other order."""
     m, span = x, 1
     while 2 * span <= w:
-        m = np.maximum(m[:-span], m[span:])
+        m = np.maximum(m[..., :-span], m[..., span:])
         span *= 2
-    return np.maximum(m[:m.size - (w - span)], m[w - span:])
+    return np.maximum(m[..., :m.shape[-1] - (w - span)], m[..., w - span:])
+
+
+def _centroid(ranges: np.ndarray, weights: np.ndarray) -> float:
+    """np.average(ranges, weights=weights) of 1-D float arrays with a
+    positive weight sum: the same floats, without its argument checks."""
+    return float((ranges * weights).sum() / weights.sum())
+
+
+def _detect_rows(values: np.ndarray, ranges_m: np.ndarray,
+                 threshold_db_above_noise: float,
+                 window_bins: int = 1) -> list[list[Detection]]:
+    """detect_scatterers on a block of profiles that share ``ranges_m``,
+    one profile's complex values per row of ``values``.  The median, the
+    window maxima and the candidate mask are computed for all rows at
+    once, each row from its own bins; runs and centroids row by row."""
+    if threshold_db_above_noise <= 0:
+        raise ValueError("threshold must be positive (dB above noise)")
+    power = np.abs(values) ** 2
+    rows, n = power.shape
+    if n == 0:
+        return [[] for _ in range(rows)]
+    # Relative floor keeps float round-off in noiseless profiles (about
+    # 300 dB down) from masquerading as scatterers.
+    floor = np.maximum(_median(power), power.max(axis=1) * 1e-18)
+    thr = floor * 10.0 ** (threshold_db_above_noise / 10.0)
+    # past n bins a window holds only padding, so clipping w changes nothing
+    w = min(max(1, int(window_bins)), n)
+    # peak[:, k] is the maximum of padded[:, k .. k+w-1]: the w bins left of
+    # bin i start at padded index i, the w bins right of it at i+w+1.
+    padded = np.full((rows, n + 2 * w), -np.inf)
+    padded[:, w:w + n] = power
+    peak = _sliding_max(padded, w)
+    candidates = ((power > thr[:, None]) & (power > 0.0)
+                  & (peak[:, :n] < power) & (peak[:, w + 1:] <= power))
+    changed = power[:, 1:] != power[:, :-1]
+    detections = []
+    for p, v, found, step in zip(power, values, candidates, changed):
+        starts = np.flatnonzero(found)
+        # a detection spans its run of adjacent equal-power bins
+        changes = np.flatnonzero(step)
+        ends = np.append(changes, n - 1)[np.searchsorted(changes, starts)]
+        row = []
+        for i, j in zip(starts.tolist(), ends.tolist()):
+            run = slice(i, j + 1)
+            row.append(Detection(range_m=_centroid(ranges_m[run], p[run]),
+                                 power=float(p[i]), value=complex(v[i])))
+        detections.append(row)
+    return detections
 
 
 def detect_scatterers(profile: RangeProfile, threshold_db_above_noise: float,
@@ -198,38 +268,11 @@ def detect_scatterers(profile: RangeProfile, threshold_db_above_noise: float,
     A bin qualifies when it holds the window maximum over +/-window_bins
     neighbours; among equal-power bins the smaller range wins, and runs
     of equal-power adjacent bins merge into one detection at their
-    power-weighted centroid.
+    power-weighted centroid.  One profile is the block of one of
+    _detect_rows.
     """
-    if threshold_db_above_noise <= 0:
-        raise ValueError("threshold must be positive (dB above noise)")
-    power = profile.power
-    n = power.size
-    if n == 0:
-        return []
-    # Relative floor keeps float round-off in noiseless profiles (about
-    # 300 dB down) from masquerading as scatterers.
-    floor = max(_median(power), float(power.max()) * 1e-18)
-    thr = floor * 10.0 ** (threshold_db_above_noise / 10.0)
-    # past n bins a window holds only padding, so clipping w changes nothing
-    w = min(max(1, int(window_bins)), n)
-    # peak[k] is the maximum of padded[k .. k+w-1]: the w bins left of bin i
-    # start at padded index i, the w bins right of it at i+w+1.
-    padded = np.concatenate([np.full(w, -np.inf), power, np.full(w, -np.inf)])
-    peak = _sliding_max(padded, w)
-    left = peak[:n]
-    right = peak[w + 1:]
-    starts = np.flatnonzero((power > thr) & (power > 0.0)
-                            & (left < power) & (right <= power))
-    # a detection spans its run of adjacent equal-power bins
-    changes = np.flatnonzero(power[1:] != power[:-1])
-    ends = np.append(changes, n - 1)[np.searchsorted(changes, starts)]
-    detections = []
-    for i, j in zip(starts.tolist(), ends.tolist()):
-        run = slice(i, j + 1)
-        centroid = float(np.average(profile.ranges_m[run], weights=power[run]))
-        detections.append(Detection(range_m=centroid, power=float(power[i]),
-                                    value=complex(profile.values[i])))
-    return detections
+    return _detect_rows(profile.values[None], profile.ranges_m,
+                        threshold_db_above_noise, window_bins)[0]
 
 
 def calibrate(profile: RangeProfile, sigma_ref_m2: float,
@@ -264,50 +307,12 @@ def calibrate(profile: RangeProfile, sigma_ref_m2: float,
                        reference_range_m=range_ref_m)
 
 
-def estimate_rcs(profile: RangeProfile, cal: Calibration, mode: Mode,
-                 threshold_db: float = 10.0, window_bins: int = 1,
-                 gate_m: tuple[float, float] | None = None,
-                 margin_bins: int = 2) -> RcsEstimate:
-    """Convert detected peaks into a calibrated cross section.
-
-    Narrowband: the complex peak values inside the target window are
-    summed coherently and the resulting power is calibrated once at the
-    power-weighted window range.  Wideband: per-peak powers are
-    calibrated individually and added.
-    """
-    detections = detect_scatterers(profile, threshold_db, window_bins)
-    gated = [d for d in detections
-             if gate_m is None or gate_m[0] <= d.range_m <= gate_m[1]]
-    if not gated:
-        where = f" in gate [{gate_m[0]:g}, {gate_m[1]:g}] m" if gate_m else ""
-        raise NoDetections(f"{mode.value} sweep {profile.sweep_index}: "
-                           f"no scatterer detected{where}")
-    margin = margin_bins * profile.bin_width_m
-    w_lo = min(d.range_m for d in gated) - margin
-    w_hi = max(d.range_m for d in gated) + margin
-    peaks = [d for d in detections if w_lo <= d.range_m <= w_hi]
-    if mode is Mode.DS_UWB:
-        sigma = math.fsum(cal.gain * d.power * d.range_m ** 4 for d in peaks)
-    else:
-        z = sum(d.value for d in peaks)
-        weights = np.array([d.power for d in peaks])
-        ranges = np.array([d.range_m for d in peaks])
-        r_mean = float(np.average(ranges, weights=weights))
-        sigma = cal.gain * abs(z) ** 2 * r_mean ** 4
-    return RcsEstimate(sigma_m2=sigma, mode=mode,
-                       sweep_index=profile.sweep_index)
-
-
-# ---------------------------------------------------------------------------
-# measurement pipeline
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class ReceiverConfig:
     """Detection and gating settings shared by the experiment drivers."""
 
     blank_width_s: float = 0.0
-    threshold_db: float = 10.0
+    threshold_db: float = 10.0  # also estimate_rcs's and the scenario's
     max_range_m: float = 20.0
     gate_m: tuple[float, float] | None = None
     margin_bins: int = 2
@@ -318,6 +323,52 @@ class ReceiverConfig:
         blank, c*blank/2, to max_range_m."""
         return SPEED_OF_LIGHT * self.blank_width_s / 2.0, self.max_range_m
 
+
+def estimate_rcs(profile: RangeProfile, cal: Calibration, mode: Mode,
+                 threshold_db: float = ReceiverConfig.threshold_db,
+                 window_bins: int = 1,
+                 gate_m: tuple[float, float] | None = None,
+                 margin_bins: int = 2) -> RcsEstimate:
+    """Convert detected peaks into a calibrated cross section.
+
+    Narrowband: the complex peak values inside the target window are
+    summed coherently and the resulting power is calibrated once at the
+    power-weighted window range.  Wideband: per-peak powers are
+    calibrated individually and added.
+    """
+    return _rcs(detect_scatterers(profile, threshold_db, window_bins), cal,
+                mode, profile.sweep_index, profile.bin_width_m, gate_m,
+                margin_bins)
+
+
+def _rcs(detections: list[Detection], cal: Calibration, mode: Mode,
+         sweep_index: int, bin_width_m: float,
+         gate_m: tuple[float, float] | None,
+         margin_bins: int) -> RcsEstimate:
+    """estimate_rcs of one sweep from its detections."""
+    gated = [d for d in detections
+             if gate_m is None or gate_m[0] <= d.range_m <= gate_m[1]]
+    if not gated:
+        where = f" in gate [{gate_m[0]:g}, {gate_m[1]:g}] m" if gate_m else ""
+        raise NoDetections(f"{mode.value} sweep {sweep_index}: "
+                           f"no scatterer detected{where}")
+    margin = margin_bins * bin_width_m
+    w_lo = min(d.range_m for d in gated) - margin
+    w_hi = max(d.range_m for d in gated) + margin
+    peaks = [d for d in detections if w_lo <= d.range_m <= w_hi]
+    if mode is Mode.DS_UWB:
+        sigma = math.fsum(cal.gain * d.power * d.range_m ** 4 for d in peaks)
+    else:
+        z = sum(d.value for d in peaks)
+        r_mean = _centroid(np.array([d.range_m for d in peaks]),
+                           np.array([d.power for d in peaks]))
+        sigma = cal.gain * abs(z) ** 2 * r_mean ** 4
+    return RcsEstimate(sigma_m2=sigma, mode=mode, sweep_index=sweep_index)
+
+
+# ---------------------------------------------------------------------------
+# measurement pipeline
+# ---------------------------------------------------------------------------
 
 def matched_window_bins(params: RadarParams) -> int:
     """Peak-suppression window: the matched-filter mainlobe/sidelobe span."""
@@ -382,8 +433,8 @@ class SweepPipeline:
     """Precomputed transmit/template pair for repeated sweeps.
 
     One instance owns the waveform for a given (params, code) pair and
-    runs the propagate / correlate / profile chain per sweep.  The
-    correlator computes only the lags the profile keeps and blanks the
+    runs the propagate / correlate / profile chain on blocks of sweeps.
+    The correlator computes only the lags the profile keeps and blanks the
     samples it reads.
     """
 
@@ -403,32 +454,65 @@ class SweepPipeline:
             range(len(self.tx) - len(self.template) + 1), params)
         kept = np.flatnonzero((ranges >= near) & (ranges <= far))
         self.lags = range(kept[0], kept[-1] + 1) if kept.size else range(0)
-        self.ranges_m = ranges[self.lags.start:self.lags.stop]  # increasing
+        # increasing, and shared read-only by every profile
+        self.ranges_m = ranges[self.lags.start:self.lags.stop]
+        self.ranges_m.flags.writeable = False
+        self.bin_width_m = _bin_width_m(params)
         # the correlator reads the received stream up to the last kept
         # lag's overlap with the template, and nothing past it (an empty
         # window still needs one template length)
         self.read_samples = max(self.lags.stop, 1) + len(self.template) - 1
         self.window_bins = matched_window_bins(params)
+        # the despread window is matched against the lone pulse
+        self._pulse = PulseTrain(self.template.pulse)
+
+    @property
+    def block_rows(self) -> int:
+        """Sweeps per block: as many as fit _BLOCK_SAMPLES read samples,
+        and at least one."""
+        return max(1, _BLOCK_SAMPLES // self.read_samples)
+
+    def _values(self, scene: Scene, pol: Pol, sweeps: range) -> np.ndarray:
+        """Profile values of a block of sweeps, one row per sweep: one
+        propagate of the first read_samples of the received streams and
+        one despread for the block, then one pulse match per row."""
+        rx = propagate(self.tx, scene, self.params, pol, sweeps,
+                       n_samples=self.read_samples)
+        windows = despread_window(rx, self.template, self.lags,
+                                  self.blank_samples)
+        fs = self.params.sample_rate_hz
+        values = np.empty((len(sweeps), len(self.lags)), dtype=np.complex128)
+        for row, window in zip(values, windows):
+            row[:] = uwb_correlate(SampleStream(window, fs), self._pulse)
+        values.flags.writeable = False
+        return values
 
     def profile(self, scene: Scene, pol: Pol = Pol.VV,
-                sweep_index: int = 0) -> RangeProfile:
-        """Range profile of one sweep, from the first read_samples of the
-        received stream."""
-        rx = propagate(self.tx, scene, self.params, pol, sweep_index,
-                       n_samples=self.read_samples)
-        return range_profile(
-            uwb_correlate(rx, self.template, self.lags, self.blank_samples),
-            self.params, self.lags, sweep_index=sweep_index)
+                sweep_index: int | range = 0
+                ) -> RangeProfile | list[RangeProfile]:
+        """Range profile of one sweep, or a list of them for a range of
+        sweeps; one sweep is the block of one."""
+        sweeps = sweep_range(sweep_index)
+        profiles = [RangeProfile(ranges_m=self.ranges_m, values=row,
+                                 bin_width_m=self.bin_width_m, sweep_index=k)
+                    for k, row in zip(sweeps,
+                                      self._values(scene, pol, sweeps))]
+        return profiles if isinstance(sweep_index, range) else profiles[0]
 
     def estimate(self, scene: Scene, cal: Calibration, pol: Pol = Pol.VV,
-                 sweep_index: int = 0) -> RcsEstimate:
-        """Calibrated cross section of one sweep."""
+                 sweep_index: int | range = 0
+                 ) -> RcsEstimate | list[RcsEstimate]:
+        """Calibrated cross section of one sweep, or a list of them for a
+        range of sweeps; one sweep is the block of one.  The sweeps of a
+        block are detected together and estimated in sweep order."""
         cfg = self.rx_config
-        prof = self.profile(scene, pol, sweep_index)
-        return estimate_rcs(prof, cal, self.params.mode,
-                            threshold_db=cfg.threshold_db,
-                            window_bins=self.window_bins,
-                            gate_m=cfg.gate_m, margin_bins=cfg.margin_bins)
+        sweeps = sweep_range(sweep_index)
+        found = _detect_rows(self._values(scene, pol, sweeps), self.ranges_m,
+                             cfg.threshold_db, self.window_bins)
+        estimates = [_rcs(detections, cal, self.params.mode, k,
+                          self.bin_width_m, cfg.gate_m, cfg.margin_bins)
+                     for k, detections in zip(sweeps, found)]
+        return estimates if isinstance(sweep_index, range) else estimates[0]
 
     def series(self, scene: Scene, cal: Calibration, m_sweeps: int,
                pol: Pol = Pol.VV) -> list[RcsEstimate]:
@@ -437,27 +521,33 @@ class SweepPipeline:
         Sweep k uses RNG streams derived from (scene seed, k), so phase
         jitter and noise refresh per sweep while the scene stays fixed.
         """
-        return self._each_sweep(
-            lambda k: self.estimate(scene, cal, pol, sweep_index=k), m_sweeps)
+        return self._each_block(
+            lambda sweeps: self.estimate(scene, cal, pol, sweeps), m_sweeps)
 
-    def _each_sweep(self, sweep, count: int) -> list:
-        """[sweep(k) for k in range(count)], in sweep order.
+    def _each_block(self, run, count: int) -> list:
+        """run(sweeps) over consecutive blocks of block_rows sweeps that
+        cover sweeps 0 .. count-1; the lists it returns, joined in sweep
+        order.
 
-        Long streams (see _POOL_MIN_SAMPLES) run on a thread pool sized to
-        the usable CPUs, at most _MAX_POOL_WORKERS; each sweep in flight
-        holds its own receive stream.  Every sweep draws from its own RNG
-        streams, so the results do not depend on the number of workers.
-        The first failing sweep in sweep order raises, as in a serial
-        loop, and the sweeps not yet started are cancelled.
+        Blocks of one sweep (every DS-UWB sweep) run on a thread pool sized
+        to the usable CPUs, at most _MAX_POOL_WORKERS; each sweep in flight
+        holds its own receive stream.  Blocks of several sweeps run one
+        after another.  Every sweep draws from its own RNG streams, so the
+        results depend neither on the number of workers nor on the block
+        size.  The first failing sweep in sweep order raises, as in a
+        serial loop, and the blocks not yet started are cancelled.
         """
+        rows = self.block_rows
+        blocks = [range(k, min(k + rows, count))
+                  for k in range(0, count, rows)]
         workers = (min(_MAX_POOL_WORKERS, _usable_cpus(), count)
-                   if len(self.tx) >= _POOL_MIN_SAMPLES else 1)
+                   if rows == 1 else 1)
         if workers <= 1:
-            return [sweep(k) for k in range(count)]
+            return [x for block in blocks for x in run(block)]
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            futures = [pool.submit(sweep, k) for k in range(count)]
-            return [f.result() for f in futures]
+            futures = [pool.submit(run, block) for block in blocks]
+            return [x for f in futures for x in f.result()]
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -538,5 +628,5 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
         prof = pipeline.profile(pointed, pol, sweep_index=row_idx)
         power[row_idx] = cal.gain * prof.power * r4
 
-    pipeline._each_sweep(row, azimuths.size)
+    pipeline._each_block(lambda rows: [row(k) for k in rows], azimuths.size)
     return ScanImage(azimuths_deg=azimuths, ranges_m=ranges, power=power)

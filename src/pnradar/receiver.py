@@ -81,6 +81,29 @@ def qpsk_demod(s: SampleStream, params: RadarParams,
     return i_bits, q_bits
 
 
+def despread_window(rx: np.ndarray, template: PulseTrain, lags: range,
+                    blank_samples: int = 0) -> np.ndarray:
+    """The lag window of each received stream, despread over the train's
+    chip lattice: z = sum_j chips[j] * rx[..., j*period + lags.start : ...]
+    over len(lags) + len(pulse) - 1 samples, with the first
+    ``blank_samples`` of each ``template.period``-sample slot of rx zeroed
+    (the same positions in every chip's window).
+
+    ``rx`` holds one stream, or a block of streams with one per row;
+    each row is despread alone, elementwise.  The caller checks that the
+    window lies inside rx (see uwb_correlate).
+    """
+    width = len(lags) + len(template.pulse) - 1
+    z = np.zeros(rx.shape[:-1] + (width,), dtype=np.complex128)
+    for j, chip in enumerate(template.chips):
+        start = lags.start + j * template.period
+        z += chip * rx[..., start:start + width]
+    if blank_samples:
+        z[..., _slot_heads(lags.start, width, template.period,
+                           blank_samples)] = 0.0
+    return z
+
+
 def uwb_correlate(rx: SampleStream, template: PulseTrain,
                   lags: range | None = None,
                   blank_samples: int = 0) -> np.ndarray:
@@ -89,11 +112,9 @@ def uwb_correlate(rx: SampleStream, template: PulseTrain,
     ``blank_samples`` of each ``template.period``-sample slot of rx zeroed.
 
     The correlator follows the train's structure: it first despreads the
-    lag window over the chip lattice, z = sum_j chips[j] *
-    rx[j*period + n0 : ...], zeroes the blanked positions of z (the same
-    in every chip's window), and then matches z against the single pulse.
-    The pulse is conjugated, so a matched template yields the complex
-    echo amplitude at the peak lag.
+    lag window over the chip lattice (despread_window), and then matches
+    that window against the single pulse.  The pulse is conjugated, so a
+    matched template yields the complex echo amplitude at the peak lag.
     """
     if len(template) > len(rx):
         raise ValueError(
@@ -112,15 +133,8 @@ def uwb_correlate(rx: SampleStream, template: PulseTrain,
                          f"than the {template.period}-sample slot")
     if not lags:
         return np.zeros(0, dtype=np.complex128)
-    pulse = template.pulse.samples
-    width = len(lags) + pulse.size - 1
-    z = np.zeros(width, dtype=np.complex128)
-    for j, chip in enumerate(template.chips):
-        start = lags.start + j * template.period
-        z += chip * rx.samples[start:start + width]
-    if blank_samples:
-        z[_slot_heads(lags.start, width, template.period, blank_samples)] = 0.0
-    return np.correlate(z, pulse, mode="valid")
+    z = despread_window(rx.samples, template, lags, blank_samples)
+    return np.correlate(z, template.pulse.samples, mode="valid")
 
 
 def processing_gain(pn: PnSequence, chips_per_bit: int) -> float:

@@ -141,7 +141,8 @@ _INTERFERER_SCHEMA = {
 # field one of them leaves out takes the receiver section's value.
 _RX_SCHEMA = {
     "blank_width_s": _F(0.0, "float", minimum=0.0),
-    "threshold_db": _F(10.0, "float", minimum=0.0, exclusive_min=True),
+    "threshold_db": _F(ReceiverConfig.threshold_db, "float", minimum=0.0,
+                       exclusive_min=True),
     "max_range_m": _F(None, "float", nullable=True, minimum=0.0,
                       exclusive_min=True),
     "gate_min_m": _F(None, "float", nullable=True, minimum=0.0),

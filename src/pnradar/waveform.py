@@ -68,13 +68,6 @@ class SampleStream:
         idx.flags.writeable = False
         return idx
 
-    @property
-    def power(self) -> float:
-        """Mean |s|^2 over the stream."""
-        if not self.samples.size:
-            return 0.0
-        return float(np.mean(np.abs(self.samples) ** 2))
-
     def with_samples(self, samples: np.ndarray) -> "SampleStream":
         return SampleStream(samples, self.sample_rate, self.carrier_hz)
 

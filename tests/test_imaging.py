@@ -24,7 +24,7 @@ from pnradar import (Calibration, Detection, Interferer, InterfererKind, Mode,
                      uwb_params, SPEED_OF_LIGHT)
 from pnradar import imaging
 from pnradar.channel import _tone
-from pnradar.imaging import _median, sweep_samples
+from pnradar.imaging import _detect_rows, _median, sweep_samples
 
 SIGMA_REF = 1e-3  # -30 dBsm reference sphere
 R_REF = 10.0
@@ -243,6 +243,20 @@ def _plateau_profile(draw):
     return RangeProfile(ranges_m=ranges, values=values, bin_width_m=0.0015)
 
 
+@st.composite
+def _plateau_block(draw):
+    """Rows over one shared range axis, each drawn from a few power levels
+    as in _plateau_profile, so that ties, plateaus and edge peaks are
+    common."""
+    n = draw(st.integers(1, 300))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.choice([0.0, 1.0, 2.0, 30.0, 100.0, 1e4], size=(rows, n))
+    values = np.sqrt(levels) * rng.choice([1.0, -1.0], size=(rows, n))
+    start = draw(st.floats(0.5, 20.0))
+    return values.astype(complex), start + np.arange(n) * 0.0015
+
+
 class TestDetectOracle:
     @settings(max_examples=400, deadline=None)
     @given(_plateau_profile(), st.integers(1, 2000),
@@ -250,6 +264,21 @@ class TestDetectOracle:
     def test_matches_bin_by_bin_scan(self, profile, window, threshold_db):
         assert detect_scatterers(profile, threshold_db, window) == \
             _detect_oracle(profile, threshold_db, window)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_plateau_block(), st.integers(1, 400),
+           st.sampled_from([0.5, 3.0, 10.0]))
+    def test_block_matches_each_row_alone(self, block, window, threshold_db):
+        values, ranges = block
+        found = _detect_rows(values, ranges, threshold_db, window)
+        assert len(found) == len(values)
+        for row, detections in zip(values, found):
+            profile = RangeProfile(ranges_m=ranges.copy(), values=row,
+                                   bin_width_m=0.0015)
+            assert detections == detect_scatterers(profile, threshold_db,
+                                                   window)
+            assert detections == _detect_oracle(profile, threshold_db,
+                                                window)
 
     def test_noisy_uwb_sweep_matches(self, uwb_setup):
         params, _, cfg, pipeline, _ = uwb_setup
@@ -646,16 +675,56 @@ class TestSweepSeries:
         assert abs(u_dbsm.mean() - (-30.0)) < 1.0
 
 
+class TestSweepBlocks:
+    """A series runs in blocks of block_rows sweeps; any cut of the sweeps
+    into blocks gives each sweep's own estimate."""
+
+    @pytest.fixture(scope="class")
+    def busy_scene(self):
+        return Scene(target=target((SIGMA_REF, R_REF)),
+                     clutter=gen_clutter((2.0, 8.0), 40, 5e-4, seed=3),
+                     interferers=(
+                         Interferer(freq_hz=1.003e9, power_w=1e-12),
+                         Interferer(freq_hz=0.99e9, power_w=1e-12,
+                                    kind=InterfererKind.QPSK_MODULATED)),
+                     noise_psd=1e-19, direct_path_gain=0.5,
+                     sweep_phase_jitter_rad=0.3, rng_seed=2026)
+
+    def test_series_across_block_boundaries(self, nb_setup, busy_scene):
+        _, _, _, pipeline, cal = nb_setup
+        rows = pipeline.block_rows
+        assert rows == 9  # 853 read samples per sweep
+        one_by_one = [pipeline.estimate(busy_scene, cal, sweep_index=k)
+                      for k in range(2 * rows + 1)]
+        for count in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+            assert pipeline.series(busy_scene, cal, count) == \
+                one_by_one[:count]
+
+    def test_a_range_of_sweeps_is_their_list(self, nb_setup, busy_scene):
+        _, _, _, pipeline, cal = nb_setup
+        sweeps = range(4, 8)
+        profiles = pipeline.profile(busy_scene, Pol.HH, sweeps)
+        estimates = pipeline.estimate(busy_scene, cal, Pol.HH, sweeps)
+        for k, prof, est in zip(sweeps, profiles, estimates):
+            alone = pipeline.profile(busy_scene, Pol.HH, sweep_index=k)
+            assert prof.sweep_index == k
+            assert prof.values.tobytes() == alone.values.tobytes()
+            assert prof.ranges_m is pipeline.ranges_m
+            assert est == pipeline.estimate(busy_scene, cal, Pol.HH, k)
+
+
 def _force_workers(monkeypatch, workers):
-    """Run every series and scan on a pool of exactly ``workers`` threads,
-    whatever the stream length and the CPU count."""
-    monkeypatch.setattr(imaging, "_POOL_MIN_SAMPLES", 0)
+    """Run every series and scan as blocks of one sweep on a pool of
+    exactly ``workers`` threads, whatever the stream length and the CPU
+    count."""
+    monkeypatch.setattr(imaging, "_BLOCK_SAMPLES", 0)
     monkeypatch.setattr(imaging, "_MAX_POOL_WORKERS", workers)
     monkeypatch.setattr(imaging, "_usable_cpus", lambda: workers)
 
 
 class TestSweepPool:
-    """Series and scans give the same arrays for any number of workers."""
+    """Series and scans give the same arrays for any number of workers and
+    any block size."""
 
     @pytest.mark.parametrize("chain", ["nb", "uwb"])
     def test_series_independent_of_worker_count(self, chain, nb_setup,
@@ -667,12 +736,14 @@ class TestSweepPool:
                                               power_w=1e-12),),
                       noise_psd=1e-19, direct_path_gain=0.5,
                       sweep_phase_jitter_rad=0.3, rng_seed=2026)
-        runs = {}
+        # the default blocks: several NB sweeps run together, one UWB sweep
+        runs = {0: [(e.sweep_index, e.sigma_m2)
+                    for e in pipeline.series(scene, cal, 7)]}
         for workers in (1, 3):
             _force_workers(monkeypatch, workers)
             runs[workers] = [(e.sweep_index, e.sigma_m2)
                              for e in pipeline.series(scene, cal, 7)]
-        assert runs[1] == runs[3]
+        assert runs[0] == runs[1] == runs[3]
         assert [k for k, _ in runs[3]] == list(range(7))
 
     def test_scan_image_independent_of_worker_count(self, monkeypatch):
@@ -705,7 +776,7 @@ class TestSweepPool:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(imaging, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(imaging, "_POOL_MIN_SAMPLES", 0)
+        monkeypatch.setattr(imaging, "_BLOCK_SAMPLES", 0)
         monkeypatch.setattr(imaging, "_usable_cpus", lambda: 16)
         scene = Scene(target=target((SIGMA_REF, R_REF)))
         pipeline.series(scene, cal, 6)
@@ -715,28 +786,32 @@ class TestSweepPool:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failing_sweep_raises_and_the_rest_are_cancelled(
             self, workers, nb_setup, monkeypatch):
+        # one worker runs the NB chain's own blocks of several sweeps, the
+        # failing sweep inside the first; two run blocks of one sweep
         _, _, _, pipeline, cal = nb_setup
         count = 40
         started = []
-        estimate_rcs = imaging.estimate_rcs
+        rcs = imaging._rcs
 
-        def failing(profile, *args, **kwargs):
-            k = profile.sweep_index
+        def failing(detections, cal, mode, k, *args):
             started.append(k)
             if k in (3, 5):
                 raise NoDetections(f"sweep {k}")
             if k > 3:
                 time.sleep(0.2)  # sweeps after the failure are slow
-            return estimate_rcs(profile, *args, **kwargs)
+            return rcs(detections, cal, mode, k, *args)
 
-        monkeypatch.setattr(imaging, "estimate_rcs", failing)
-        _force_workers(monkeypatch, workers)
+        monkeypatch.setattr(imaging, "_rcs", failing)
+        if workers == 1:
+            assert pipeline.block_rows > 4
+        else:
+            _force_workers(monkeypatch, workers)
         with pytest.raises(NoDetections, match="^sweep 3$"):
             pipeline.series(Scene(target=target((SIGMA_REF, R_REF))), cal,
                             count)
         assert sorted(started)[:4] == [0, 1, 2, 3]
-        # the serial loop stops at the failure; the pool cancels what has
-        # not started, so far fewer than all sweeps run
+        # the serial loop stops at the failure, inside its block; the pool
+        # cancels what has not started, so far fewer than all sweeps run
         if workers == 1:
             assert len(started) == 4
         else:
@@ -791,7 +866,7 @@ class TestSweepPool:
             Scatterer(sigma_m2=1e-3, range_m=10.0),
             Scatterer(sigma_m2=1e-3, range_m=10.5, cross_range_m=0.6))),
             noise_psd=1e-20, direct_path_gain=0.5, rng_seed=7)
-        assert len(pipeline.tx) >= imaging._POOL_MIN_SAMPLES
+        assert pipeline.block_rows == 1  # a UWB sweep is pooled alone
         monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
         tracemalloc.start()
         try:
