@@ -15,6 +15,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .waveform import RadarParams, SampleStream, SPEED_OF_LIGHT
 
@@ -22,6 +23,14 @@ from .waveform import RadarParams, SampleStream, SPEED_OF_LIGHT
 _RNG_PHASE = 1
 _RNG_NOISE = 2
 _RNG_INTERFERER = 3
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4
+# 32-bit words, the constants of its hash and of its mix, and the shift
+# both use.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 _POL_TOL = 1e-9
 
@@ -163,11 +172,127 @@ class Scene:
         return {}
 
 
-def _rng(seed: int, sweep_index: int, purpose: int, extra: int | None = None):
-    key = [int(seed) & 0xFFFFFFFFFFFFFFFF, int(sweep_index), purpose]
-    if extra is not None:
-        key.append(extra)
-    return np.random.default_rng(key)
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The constant SeedSequence's hash holds before each of its calls,
+    init * mult**p mod 2**32 for p = 0 .. calls; call p xors its word with
+    entry p and multiplies it by entry p + 1."""
+    c = np.array([init * pow(mult, p, 1 << 32) % (1 << 32)
+                  for p in range(calls + 1)], dtype=np.uint32)
+    c.flags.writeable = False
+    return c
+
+
+# Calls 0-3 hash the first 4 entropy words into the pool, calls 4-15 mix
+# its words pairwise, and call 4w + d hashes entropy word w >= 4 into pool
+# word d.  Pool word s is hashed into word d != s by call
+# 4 + 3s + d - (d > s); row s of the pair tables holds those calls'
+# constants by d (its column s, call 0, is not used).
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_PAIR_CALL = np.array([[4 + 3 * s + d - (d > s) if d != s else 0
+                        for d in range(4)] for s in range(4)])
+_PAIR_XOR, _PAIR_MUL = _HASH_A[_PAIR_CALL], _HASH_A[_PAIR_CALL + 1]
+_PAIR_XOR.flags.writeable = _PAIR_MUL.flags.writeable = False
+# the output stage's hash, one call per 32-bit output word
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of words ``v`` by calls of the given
+    constants, elementwise."""
+    v = v ^ xor
+    v *= mul
+    v ^= v >> _XSHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    r = x * _MIX_MULT_L
+    r -= y * _MIX_MULT_R
+    r ^= r >> _XSHIFT
+    return r
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for the
+    key of each row of ``entropy``: its uint32 words, zero-padded to at
+    least 4 (a shorter key hashes as the padded one).  Every step is
+    numpy's uint32 arithmetic, applied to all rows at once."""
+    n_words = entropy.shape[1]
+    a = (_HASH_A if n_words == 4
+         else _hash_constants(_INIT_A, _MULT_A, 4 * n_words))
+    pool = _hashmix(entropy[:, :4], a[:4], a[1:5])
+    for s in range(4):
+        # word s is not mixed into itself; the others read it as it stands
+        mixed = _mix(pool, _hashmix(pool[:, s, None], _PAIR_XOR[s],
+                                    _PAIR_MUL[s]))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    for w in range(4, n_words):
+        p = 4 * w
+        pool = _mix(pool, _hashmix(entropy[:, w, None], a[p:p + 4],
+                                   a[p + 1:p + 5]))
+    # 8 output words cycle through the pool; each uint64 is a pair of
+    # them, low word first
+    out = _hashmix(np.concatenate((pool, pool), axis=1), _HASH_B[:-1],
+                   _HASH_B[1:]).astype(np.uint64)
+    return out[:, 0::2] | (out[:, 1::2] << 32)
+
+
+def _key_words(n: int) -> list[int]:
+    """A key entry as SeedSequence reads it: 32-bit words, least
+    significant first; 0 is the one word [0]."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _stream_state(seed: int, sweeps: range,
+                  tags: list[tuple[int, ...]]) -> np.ndarray:
+    """The PCG64 state words of every stream of a block, shape
+    (len(tags), len(sweeps), 4): row [t, r] is
+    ``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for the
+    key [seed mod 2**64, sweeps[r], *tags[t]].  Keys of equal word count
+    share one pass."""
+    head = _key_words(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    tails = [[w for t in tag for w in _key_words(t)] for tag in tags]
+    keys = [head + _key_words(k) + tail for tail in tails for k in sweeps]
+    rows_by_width: dict[int, list[int]] = {}
+    for r, key in enumerate(keys):
+        rows_by_width.setdefault(max(4, len(key)), []).append(r)
+    state = np.empty((len(keys), 4), dtype=np.uint64)
+    for width, rows in rows_by_width.items():
+        entropy = np.array([keys[r] + [0] * (width - len(keys[r]))
+                            for r in rows], dtype=np.uint32)
+        state[rows] = _seed_state(entropy)
+    return state.reshape(len(tags), len(sweeps), 4)
+
+
+class _State(ISeedSequence):
+    """Hands a bit generator state words already derived: PCG64 asks its
+    seed sequence for generate_state(4, np.uint64) and nothing else."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _stream_rngs(seed: int, sweeps: range, tags: list[tuple[int, ...]]
+                 ) -> dict[tuple[int, ...], list[np.random.Generator]]:
+    """For each tag, (purpose,) or (purpose, interferer index), the
+    generator of each sweep k of ``sweeps``: it draws exactly as
+    ``np.random.default_rng([seed mod 2**64, k, *tag])``.  All of them are
+    seeded from one _stream_state call, which reads only constant tables,
+    so concurrent calls are safe."""
+    state = _stream_state(seed, sweeps, tags)
+    return {tag: [np.random.Generator(np.random.PCG64(_State(words)))
+                  for words in row]
+            for tag, row in zip(tags, state)}
 
 
 def sweep_range(sweep_index: int | range) -> range:
@@ -230,12 +355,9 @@ def _interferer_samples(itf: Interferer, n: int, fs: float, carrier_hz: float,
     """Baseband samples of one interferer at its carrier offset, one row
     per generator in ``rngs``: the first ``stop`` (default all) of the n
     samples of a stream, from that row's own draws."""
-    check_interferer_band(itf.freq_hz, carrier_hz, fs)
     df = itf.freq_hz - carrier_hz
     if stop is None:
         stop = n
-    if itf.power_w == 0.0:
-        return np.zeros((len(rngs), stop), dtype=np.complex128)
     amp = np.sqrt(itf.power_w)
     tone = _tone(df, n, fs)[:stop]
     if itf.kind is InterfererKind.CW:
@@ -258,6 +380,7 @@ def add_interferer(s: SampleStream, freq_hz: float, power_w: float,
                    seed: int = 0) -> SampleStream:
     """Add a CW tone or a random-QPSK emitter at an absolute frequency."""
     itf = Interferer(freq_hz=freq_hz, power_w=power_w, kind=kind)
+    check_interferer_band(freq_hz, s.carrier_hz, s.sample_rate)
     rng = np.random.default_rng(int(seed))
     extra = _interferer_samples(itf, len(s), s.sample_rate, s.carrier_hz,
                                 [rng])[0]
@@ -371,6 +494,15 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     amplitude are skipped.  Direct-path leakage, external interferers
     and thermal noise are added on top, in that order.
 
+    Sweep k's phase jitter, interferer i and noise each draw from their
+    own RNG stream, the generator
+    ``np.random.default_rng([rng_seed mod 2**64, k, purpose(, i)])`` with
+    purpose 1 = phase, 2 = noise and 3 = interferer.  A call seeds all
+    the streams of its sweeps in one pass that reproduces numpy's
+    SeedSequence word for word, so the draws are those of the
+    default_rng calls.  An interferer of zero power draws nothing and
+    adds nothing.
+
     Only the first ``n_samples`` (default len(tx)) of the received stream
     are built, bit for bit those of a whole-stream call, so a caller can
     build only the samples it reads.  The noise's imaginary rail follows
@@ -407,7 +539,16 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     out = np.zeros((rows, m), dtype=np.complex128)
     ranges = scene.point_arrays[0]
     check_unambiguous_range(ranges, params)
+    for itf in scene.interferers:
+        check_interferer_band(itf.freq_hz, params.carrier_hz, fs)
     n_points = ranges.size
+    jittered = scene.sweep_phase_jitter_rad > 0 and n_points
+    # a silent interferer draws nothing and adds nothing
+    emitting = [i for i, itf in enumerate(scene.interferers) if itf.power_w]
+    tags = ([(_RNG_PHASE,)] if jittered else []) \
+        + [(_RNG_INTERFERER, i) for i in emitting] \
+        + ([(_RNG_NOISE,)] if scene.noise_psd > 0 else [])
+    rngs = _stream_rngs(scene.rng_seed, sweeps, tags)
 
     # tx is zero off its support: direct path and echoes are added there
     # only, in place through a slice where the support is one run (the NB
@@ -425,9 +566,8 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
         out[:, delayed(support.size, 0)] += scene.direct_path_gain * active
 
     jitter = np.zeros((rows, n_points))
-    if scene.sweep_phase_jitter_rad > 0 and n_points:
-        for row, k in zip(jitter, sweeps):
-            rng = _rng(scene.rng_seed, k, _RNG_PHASE)
+    if jittered:
+        for row, rng in zip(jitter, rngs[_RNG_PHASE,]):
             row[:] = rng.normal(0.0, scene.sweep_phase_jitter_rad,
                                 size=n_points)
 
@@ -436,13 +576,12 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
         k = int(np.searchsorted(support, m - d))
         out[:, delayed(k, d)] += h[:, j, None] * active[None, :k]
 
-    for i, itf in enumerate(scene.interferers):
-        rngs = [_rng(scene.rng_seed, k, _RNG_INTERFERER, i) for k in sweeps]
-        out += _interferer_samples(itf, n, fs, params.carrier_hz, rngs,
-                                   stop=m)
+    for i in emitting:
+        out += _interferer_samples(scene.interferers[i], n, fs,
+                                   params.carrier_hz,
+                                   rngs[_RNG_INTERFERER, i], stop=m)
 
     if scene.noise_psd > 0:
-        rngs = [_rng(scene.rng_seed, k, _RNG_NOISE) for k in sweeps]
         sigma2 = scene.noise_psd * fs
         scale = np.sqrt(sigma2 / 2.0)
         # each row's real rail is drawn first, then its imaginary one, a
@@ -455,7 +594,7 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
         for rail, stop in ((out.real, n), (out.imag, m)):
             for start in range(0, stop, z.shape[1]):
                 part = z[:, :min(z.shape[1], stop - start)]
-                for rng, draws in zip(rngs, part):
+                for rng, draws in zip(rngs[_RNG_NOISE,], part):
                     rng.standard_normal(out=draws)
                 kept = part[:, :max(0, m - start)]
                 kept *= scale

@@ -12,9 +12,12 @@ from pnradar import (Interferer, InterfererKind, Pol, SampleStream, Scatterer,
                      Scene, TargetModel, add_interferer, gen_clutter, gen_mseq,
                      identity_pol_matrix, make_waveform, nb_params, propagate,
                      uwb_params, SPEED_OF_LIGHT)
+from pnradar import channel
 from pnradar.channel import (_NOISE_CHUNK, _POL_INDEX, _RNG_INTERFERER,
-                             _RNG_NOISE, _RNG_PHASE, _interferer_samples, _rng,
-                             _tone)
+                             _RNG_NOISE, _RNG_PHASE, _interferer_samples,
+                             _stream_rngs, _stream_state, _tone)
+
+_U64 = 2**64 - 1
 
 
 def scattering_amplitude(point, pol):
@@ -297,15 +300,17 @@ class TestPropagate:
 
 def _propagate_oracle(tx, scene, params, pol, sweep_index=0):
     """Reference propagation: one shifted add of tx per scatterer, in point
-    order, with the same RNG streams and the same impairments."""
+    order, with the same impairments, each drawn from a generator numpy
+    seeds itself from the stream's key."""
     fs = tx.sample_rate
     n = len(tx)
     points = scene.all_points
+    seed = scene.rng_seed & _U64
     out = np.zeros(n, dtype=np.complex128)
     if scene.direct_path_gain:
         out += scene.direct_path_gain * tx.samples
     if scene.sweep_phase_jitter_rad > 0 and points:
-        rng = _rng(scene.rng_seed, sweep_index, _RNG_PHASE)
+        rng = np.random.default_rng([seed, sweep_index, _RNG_PHASE])
         jitter = rng.normal(0.0, scene.sweep_phase_jitter_rad, size=len(points))
     else:
         jitter = np.zeros(len(points))
@@ -322,10 +327,10 @@ def _propagate_oracle(tx, scene, params, pol, sweep_index=0):
         m = int(np.searchsorted(support, n - d))
         out[support[:m] + d] += a * active[:m]
     for i, itf in enumerate(scene.interferers):
-        rng = _rng(scene.rng_seed, sweep_index, _RNG_INTERFERER, i)
+        rng = np.random.default_rng([seed, sweep_index, _RNG_INTERFERER, i])
         out += _interferer_samples(itf, n, fs, tx.carrier_hz, [rng])[0]
     if scene.noise_psd > 0:
-        rng = _rng(scene.rng_seed, sweep_index, _RNG_NOISE)
+        rng = np.random.default_rng([seed, sweep_index, _RNG_NOISE])
         scale = np.sqrt(scene.noise_psd * fs / 2.0)
         out.real += scale * rng.standard_normal(n)
         out.imag += scale * rng.standard_normal(n)
@@ -391,9 +396,13 @@ def _oracle_case(draw):
         noise_psd=draw(st.sampled_from([0.0, 1e-19])),
         direct_path_gain=draw(st.sampled_from([0.0, 0.25])),
         sweep_phase_jitter_rad=draw(st.sampled_from([0.0, 0.3])),
-        rng_seed=draw(st.integers(0, 2**32)))
-    return params, tx, scene, draw(st.sampled_from(list(Pol))), \
-        draw(st.integers(0, 50))
+        rng_seed=draw(st.integers(0, _U64)))
+    # sweeps of one 32-bit word, of two (and blocks across the boundary)
+    # and of three
+    sweep = draw(st.one_of(st.integers(0, 50),
+                           st.integers(2**32 - 3, 2**32 + 3),
+                           st.integers(2**32, 2**66)))
+    return params, tx, scene, draw(st.sampled_from(list(Pol))), sweep
 
 
 class TestPropagateOracle:
@@ -458,7 +467,7 @@ class TestPropagateBuffers:
                                     rng_seed=31)
         rx = propagate(tx, scene, params, Pol.VV, sweep_index=4).samples
         # the expression propagate used before drawing in chunks
-        rng = _rng(31, 4, _RNG_NOISE)
+        rng = np.random.default_rng([31, 4, _RNG_NOISE])
         scale = np.sqrt(1e-19 * fs / 2.0)
         expected = np.zeros(n, dtype=np.complex128)
         z = rng.standard_normal(n)
@@ -540,6 +549,107 @@ class TestPropagateBlock:
         params, tx = _STREAMS[0]
         with pytest.raises(ValueError, match="at least one sweep"):
             propagate(tx, _single_point_scene(), params, Pol.VV, range(3, 3))
+
+
+_PURPOSES = (_RNG_PHASE, _RNG_NOISE, _RNG_INTERFERER)
+
+
+@st.composite
+def _stream_block(draw):
+    """(seed, sweeps, tags): seeds over [0, 2**64) with the word-count
+    edges, negative seeds, sweeps from 0 to past 2**64 (blocks across
+    2**32 included), and every purpose with and without an interferer
+    index."""
+    seed = draw(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, _U64]),
+                          st.integers(0, _U64), st.integers(-2**70, -1)))
+    first = draw(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]),
+                           st.integers(0, 100),
+                           st.integers(2**32 - 12, 2**32 + 12),
+                           st.integers(0, 2**70)))
+    sweeps = range(first, first + draw(st.integers(1, 12)))
+    tag = st.one_of(st.tuples(st.sampled_from(_PURPOSES)),
+                    st.tuples(st.sampled_from(_PURPOSES),
+                              st.one_of(st.integers(0, 3),
+                                        st.integers(0, 2**40))))
+    tags = draw(st.lists(tag, min_size=1, max_size=4, unique=True))
+    return seed, sweeps, tags
+
+
+class TestStreamSeeding:
+    """A block's streams are seeded in one pass that must reproduce numpy's
+    SeedSequence and default_rng for every key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stream_block())
+    def test_state_equals_seed_sequence(self, block):
+        seed, sweeps, tags = block
+        state = _stream_state(seed, sweeps, tags)
+        assert state.shape == (len(tags), len(sweeps), 4)
+        assert state.dtype == np.uint64
+        for t, tag in enumerate(tags):
+            for r, k in enumerate(sweeps):
+                key = [seed & _U64, k, *tag]
+                expected = np.random.SeedSequence(key).generate_state(
+                    4, np.uint64)
+                assert state[t, r].tolist() == expected.tolist(), key
+
+    @settings(max_examples=100, deadline=None)
+    @given(_stream_block())
+    def test_draws_equal_default_rng(self, block):
+        seed, sweeps, tags = block
+        rngs = _stream_rngs(seed, sweeps, tags)
+        assert list(rngs) == tags
+        for tag in tags:
+            assert len(rngs[tag]) == len(sweeps)
+            # the first and the last row of each stream
+            for r in {0, len(sweeps) - 1}:
+                ref = np.random.default_rng([seed & _U64, sweeps[r], *tag])
+                rng = rngs[tag][r]
+                assert rng.integers(0, 2**63, size=3).tolist() == \
+                    ref.integers(0, 2**63, size=3).tolist()
+                assert rng.standard_normal(4).tobytes() == \
+                    ref.standard_normal(4).tobytes()
+
+    def test_negative_sweep_rejected_as_numpy_does(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.default_rng([0, -1, _RNG_NOISE])
+        with pytest.raises(ValueError, match="non-negative"):
+            _stream_state(0, range(-1, 1), [(_RNG_NOISE,)])
+        # a sweep that draws nothing is not keyed
+        params, tx = _STREAMS[0]
+        clean = _single_point_scene(range_m=10.0)
+        assert propagate(tx, clean, params, Pol.VV, -1).samples.tobytes() \
+            == propagate(tx, clean, params, Pol.VV, 0).samples.tobytes()
+        with pytest.raises(ValueError, match="non-negative"):
+            propagate(tx, dataclasses.replace(clean, noise_psd=1e-19),
+                      params, Pol.VV, -1)
+
+    def test_silent_interferer_draws_and_adds_nothing(self, monkeypatch):
+        params, tx = _STREAMS[0]
+        cw = Interferer(freq_hz=tx.carrier_hz + 1e6, power_w=1e-9)
+        silent = Interferer(freq_hz=tx.carrier_hz - 2e6, power_w=0.0,
+                            kind=InterfererKind.QPSK_MODULATED)
+        base = _single_point_scene(range_m=10.0, noise_psd=1e-19,
+                                   sweep_phase_jitter_rad=0.3, rng_seed=8,
+                                   interferers=(cw,))
+        with_silent = dataclasses.replace(base, interferers=(cw, silent))
+        seeded = []
+
+        def recording(seed, sweeps, tags):
+            seeded.extend(tags)
+            return _stream_rngs(seed, sweeps, tags)
+
+        monkeypatch.setattr(channel, "_stream_rngs", recording)
+        block = propagate(tx, with_silent, params, Pol.VV, range(2, 5))
+        assert (_RNG_INTERFERER, 1) not in seeded
+        assert (_RNG_INTERFERER, 0) in seeded
+        expected = propagate(tx, base, params, Pol.VV, range(2, 5))
+        assert block.tobytes() == expected.tobytes()
+        # a silent emitter outside the band is still rejected
+        far = dataclasses.replace(silent, freq_hz=tx.carrier_hz + 1e9)
+        with pytest.raises(ValueError, match="Nyquist"):
+            propagate(tx, dataclasses.replace(base, interferers=(cw, far)),
+                      params, Pol.VV)
 
 
 class TestEchoGeometryMemo:

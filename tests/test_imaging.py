@@ -700,6 +700,21 @@ class TestSweepBlocks:
             assert pipeline.series(busy_scene, cal, count) == \
                 one_by_one[:count]
 
+    def test_series_seeds_no_stream_through_default_rng(
+            self, nb_setup, busy_scene, monkeypatch):
+        # a block seeds its jitter, interferer and noise streams in one
+        # pass; a series that went back to one default_rng (or
+        # SeedSequence) per stream fails here
+        _, _, _, pipeline, cal = nb_setup
+        expected = pipeline.series(busy_scene, cal, 20)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stream was seeded one key at a time")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert pipeline.series(busy_scene, cal, 20) == expected
+
     def test_a_range_of_sweeps_is_their_list(self, nb_setup, busy_scene):
         _, _, _, pipeline, cal = nb_setup
         sweeps = range(4, 8)
