@@ -24,21 +24,22 @@ import numpy as np
 from .channel import (Pol, Scatterer, Scene, TargetModel, propagate,
                       sweep_range)
 from .codes import PnSequence
-from .receiver import check_blank_width, despread_window, uwb_correlate
+from .receiver import check_blank_width, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
                        SPEED_OF_LIGHT, qpsk_baseband, spread,
                        uwb_pulse_train)
 
-# Sweeps run in blocks of consecutive sweeps: one propagate, one despread
-# and one detection per block, on arrays with one row per sweep, so that
-# numpy's per-call cost, which dominates a short sweep, is paid once per
-# block.  A block holds as many sweeps as fit this many read samples, and
-# at least one: 9 narrowband sweeps of 853 read samples, or one DS-UWB
-# sweep of 309,472.  Measured on 2 CPUs (minimum of 6 in-process runs),
-# the 600 sweeps of the nb_dense_series benchmark took 0.416 s one at a
-# time and 0.285 s in blocks of 9; blocks of 4, 19 and 38 sweeps took
-# 0.295, 0.307 and 0.311 s, and the larger blocks raised a run's peak RSS
-# from 40.3-40.5 MB to 40.7-41.0 and 42.0-42.1 MB.
+# Sweeps run in blocks of consecutive sweeps: one propagate and one
+# detection per block, on arrays with one row per sweep, so that numpy's
+# per-call cost, which dominates a short sweep, is paid once per block;
+# each sweep of a block is correlated on its own.  A block holds as many
+# sweeps as fit this many read samples, and at least one: 9 narrowband
+# sweeps of 853 read samples, or one DS-UWB sweep of 309,472.  Measured on
+# 2 CPUs (two sets of minima of 6 in-process runs), the 600 sweeps of the
+# nb_dense_series benchmark took 0.41-0.49 s one at a time, 0.23-0.31 s in
+# blocks of 9 and 0.26-0.32, 0.24-0.32 and 0.22-0.30 s in blocks of 4, 19
+# and 38; the larger blocks raised a run's peak RSS from 40.3-40.5 MB to
+# 40.7-41.0 and 42.0-42.1 MB.
 _BLOCK_SAMPLES = 1 << 13
 
 # A sweep that fills a block alone runs on a thread pool of at most this
@@ -79,13 +80,9 @@ class RangeProfile:
         values = np.asarray(self.values, dtype=np.complex128)
         if ranges.shape != values.shape:
             raise ValueError("ranges and values must have equal length")
-        # read-only ranges are shared as they are: a profile freezes its
-        # ranges once checked, and a pipeline's profiles share its own
-        # ranges_m, increasing by construction
-        if ranges.flags.writeable:
-            if ranges.size and np.any(np.diff(ranges) <= 0):
-                raise ValueError("ranges must be strictly increasing")
-            ranges.flags.writeable = False
+        if ranges.size and np.any(np.diff(ranges) <= 0):
+            raise ValueError("ranges must be strictly increasing")
+        ranges.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "ranges_m", ranges)
         object.__setattr__(self, "values", values)
@@ -463,8 +460,6 @@ class SweepPipeline:
         # window still needs one template length)
         self.read_samples = max(self.lags.stop, 1) + len(self.template) - 1
         self.window_bins = matched_window_bins(params)
-        # the despread window is matched against the lone pulse
-        self._pulse = PulseTrain(self.template.pulse)
 
     @property
     def block_rows(self) -> int:
@@ -474,16 +469,14 @@ class SweepPipeline:
 
     def _values(self, scene: Scene, pol: Pol, sweeps: range) -> np.ndarray:
         """Profile values of a block of sweeps, one row per sweep: one
-        propagate of the first read_samples of the received streams and
-        one despread for the block, then one pulse match per row."""
+        propagate of the block's read prefix, one uwb_correlate per sweep."""
         rx = propagate(self.tx, scene, self.params, pol, sweeps,
                        n_samples=self.read_samples)
-        windows = despread_window(rx, self.template, self.lags,
-                                  self.blank_samples)
         fs = self.params.sample_rate_hz
         values = np.empty((len(sweeps), len(self.lags)), dtype=np.complex128)
-        for row, window in zip(values, windows):
-            row[:] = uwb_correlate(SampleStream(window, fs), self._pulse)
+        for row, samples in zip(values, rx):
+            row[:] = uwb_correlate(SampleStream(samples, fs), self.template,
+                                   self.lags, self.blank_samples)
         values.flags.writeable = False
         return values
 

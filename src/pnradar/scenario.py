@@ -54,10 +54,11 @@ class _F:
     """Leaf field: type, default, bounds, choices."""
 
     def __init__(self, default, kind, minimum=None, choices=None,
-                 nullable=False, exclusive_min=False):
+                 nullable=False, exclusive_min=False, maximum=None):
         self.default = default
         self.kind = kind
         self.minimum = minimum
+        self.maximum = maximum
         self.choices = choices
         self.nullable = nullable
         self.exclusive_min = exclusive_min
@@ -99,6 +100,8 @@ class _F:
                 raise ScenarioError(f"{path}: must be > {self.minimum}, got {value}")
             if not self.exclusive_min and value < self.minimum:
                 raise ScenarioError(f"{path}: must be >= {self.minimum}, got {value}")
+        if self.maximum is not None and value > self.maximum:
+            raise ScenarioError(f"{path}: must be <= {self.maximum}, got {value}")
         return value
 
 
@@ -151,7 +154,7 @@ _RX_SCHEMA = {
 }
 
 _SCHEMA = {
-    "seed": _F(0, "int", minimum=0),
+    "seed": _F(0, "int", minimum=0, maximum=2 ** 64 - 1),
     "radar": {
         "mode": _F("nb", "str", choices={"nb", "uwb"}),
         "nb": {
@@ -516,6 +519,24 @@ def _set_path(data: dict, dotted: str, value) -> None:
     data[leaf] = value
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.safe_load's loader, but a key repeated in a mapping is an error."""
+
+    def construct_mapping(self, node, deep=False):
+        # a merge key's entries may be overridden; a list of the keys seen
+        # leaves an unhashable key to the base class's check
+        seen = []
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node, deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r}",
+                        key_node.start_mark)
+                seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     """Parse and validate a scenario (or run-manifest) file.
 
@@ -526,7 +547,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     path = Path(path)
     try:
         with open(path, "r") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:

@@ -187,6 +187,16 @@ class TestRangeProfileAndDetection:
         assert len(dets) == 1
         assert dets[0].range_m == pytest.approx((5.0 + 5.5) / 2)
 
+    def test_ranges_must_increase_even_when_read_only(self):
+        falling = np.array([3.0, 2.0, 1.0])
+        frozen = falling.copy()
+        frozen.flags.writeable = False
+        for ranges in (falling, frozen,
+                       np.broadcast_to(np.array(5.0), (3,))):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                RangeProfile(ranges_m=ranges, values=np.ones(3),
+                             bin_width_m=0.1)
+
     def test_threshold_must_be_positive(self, uwb_setup):
         _, _, _, pipeline, _ = uwb_setup
         prof = pipeline.profile(Scene(target=target((SIGMA_REF, R_REF))))
@@ -365,6 +375,52 @@ class TestReadPrefix:
         if mode == "nb":
             assert (len(pipeline.lags), read, len(pipeline.tx)) == \
                 (54, 853, 8055)
+
+
+class TestOneCorrelatorPerSweep:
+    """Each sweep is correlated by one uwb_correlate call over the
+    pipeline's own template, kept lags and blank; bench/spans.py times
+    the correlator through that name."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        calls = []
+
+        def recording(rx, template, lags=None, blank_samples=0):
+            values = uwb_correlate(rx, template, lags, blank_samples)
+            calls.append((len(rx), template, lags, blank_samples,
+                          len(values)))
+            return values
+
+        monkeypatch.setattr(imaging, "uwb_correlate", recording)
+        return calls
+
+    def _assert_each_sweep_once(self, calls, pipeline, sweeps):
+        assert len(calls) == sweeps
+        for n_rx, template, lags, blank, n_values in calls:
+            assert template is pipeline.template
+            assert (n_rx, lags, blank, n_values) == (
+                pipeline.read_samples, pipeline.lags,
+                pipeline.blank_samples, len(pipeline.lags))
+
+    def test_nb_series(self, nb_setup, monkeypatch):
+        _, _, _, pipeline, cal = nb_setup
+        scene = Scene(target=target((SIGMA_REF, R_REF)), noise_psd=1e-19,
+                      rng_seed=4)
+        calls = self._record(monkeypatch)
+        assert len(pipeline.series(scene, cal, 20)) == 20
+        assert pipeline.block_rows < 20  # several blocks
+        self._assert_each_sweep_once(calls, pipeline, 20)
+
+    def test_blanked_uwb_profile(self, monkeypatch):
+        pipeline = SweepPipeline(
+            uwb_params(), gen_mseq([3, 1, 0]),
+            rx_config=ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0))
+        assert pipeline.blank_samples > 0
+        calls = self._record(monkeypatch)
+        pipeline.profile(Scene(target=target((SIGMA_REF, R_REF)),
+                               direct_path_gain=0.5))
+        self._assert_each_sweep_once(calls, pipeline, 1)
 
 
 def _flip_lag(params):

@@ -223,6 +223,38 @@ class TestLoadScenario:
             f"experiment.calibration_file: {cal}: calibration gain must be "
             "finite and positive": SERIES + f"  calibration_file: {cal}\n"})
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        # safe_load would keep the last value, so the run would drop the
+        # first without a word
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "line 8, column 3: duplicate key 'noise_psd_w_per_hz'":
+                MINIMAL + "  noise_psd_w_per_hz: 1.0e-19\n"
+                          "  noise_psd_w_per_hz: 0.0\n",
+            "line 2, column 20: duplicate key 'mode'":
+                MINIMAL.replace("{mode: uwb}", "{mode: uwb, mode: nb}")})
+
+    def test_merged_keys_may_be_overridden(self, tmp_path):
+        text = MINIMAL.replace("- {sigma_m2", "- &p {sigma_m2") + \
+            "      - {<<: *p, range_m: 12.0}\n"
+        points = load_scenario(_write(tmp_path, text)).raw["scene"][
+            "target"]["points"]
+        assert [p["range_m"] for p in points] == [10.0, 12.0]
+
+    def test_seed_must_fit_64_bits(self, tmp_path, capsys):
+        # RNG streams key on the seed mod 2^64, so 2^64 would rerun seed 0
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            f"seed: must be <= {2 ** 64 - 1}, got {2 ** 64}":
+                f"seed: {2 ** 64}\n" + MINIMAL})
+        path = _write(tmp_path, MINIMAL)
+        out = tmp_path / "flag"
+        assert main([str(path), "--out", str(out), "--quiet",
+                     "--seed", str(2 ** 64)]) == 2
+        assert f"got {2 ** 64}" in capsys.readouterr().err
+        assert not out.exists()
+        assert load_scenario(path, {"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+        assert main([str(path), "--out", str(out), "--quiet",
+                     "--seed", str(2 ** 64 - 1)]) == 0
+
     def test_readme_example_resolves(self):
         readme = (ROOT / "README.md").read_text()
         section = readme[readme.index("### Scenario format"):]
