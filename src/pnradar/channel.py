@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .codes import read_only
 from .waveform import RadarParams, SampleStream, SPEED_OF_LIGHT
 
 # RNG purpose tags (third entry of the derived seed sequence).
@@ -73,10 +74,14 @@ class Scatterer:
     pol_matrix: np.ndarray = field(default_factory=identity_pol_matrix)
 
     def __post_init__(self):
-        if self.sigma_m2 < 0:
+        # each rule fails on NaN
+        if not self.sigma_m2 >= 0:
             raise ValueError(f"sigma_m2 must be >= 0, got {self.sigma_m2}")
-        if self.range_m <= 0:
+        if not self.range_m > 0:
             raise ValueError(f"range_m must be > 0, got {self.range_m}")
+        if not np.isfinite(self.cross_range_m):
+            raise ValueError(
+                f"cross_range_m must be finite, got {self.cross_range_m}")
         mat = np.asarray(self.pol_matrix, dtype=np.complex128)
         if mat.shape != (2, 2):
             raise ValueError("pol_matrix must be 2x2")
@@ -85,8 +90,7 @@ class Scatterer:
             raise ValueError("pol_matrix entries must not exceed unit magnitude")
         if abs(peak - 1.0) > _POL_TOL:
             raise ValueError("largest pol_matrix entry must be normalized to 1")
-        mat.flags.writeable = False
-        object.__setattr__(self, "pol_matrix", mat)
+        object.__setattr__(self, "pol_matrix", read_only(mat))
 
     @property
     def azimuth_rad(self) -> float:
@@ -119,7 +123,7 @@ class Interferer:
     kind: InterfererKind = InterfererKind.CW
 
     def __post_init__(self):
-        if self.power_w < 0:
+        if not self.power_w >= 0:
             raise ValueError("interferer power must be >= 0")
 
 
@@ -136,11 +140,11 @@ class Scene:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.noise_psd < 0:
+        if not self.noise_psd >= 0:
             raise ValueError("noise_psd must be >= 0")
-        if self.direct_path_gain < 0:
+        if not self.direct_path_gain >= 0:
             raise ValueError("direct_path_gain must be >= 0")
-        if self.sweep_phase_jitter_rad < 0:
+        if not self.sweep_phase_jitter_rad >= 0:
             raise ValueError("sweep_phase_jitter_rad must be >= 0")
         object.__setattr__(self, "clutter", tuple(self.clutter))
         object.__setattr__(self, "interferers", tuple(self.interferers))
@@ -295,14 +299,6 @@ def _stream_rngs(seed: int, sweeps: range, tags: list[tuple[int, ...]]
             for tag, row in zip(tags, state)}
 
 
-def sweep_range(sweep_index: int | range) -> range:
-    """The sweeps a call covers: a range as given, an int as the block of
-    one."""
-    if isinstance(sweep_index, range):
-        return sweep_index
-    return range(sweep_index, sweep_index + 1)
-
-
 def gen_clutter(extent_m: tuple[float, float], count: int,
                 mean_sigma_m2: float, seed: int) -> tuple[Scatterer, ...]:
     """Draw clutter points: uniform ranges over the window, exponential
@@ -344,7 +340,7 @@ def check_interferer_band(freq_hz: float, carrier_hz: float,
                           fs: float) -> None:
     """An interferer must lie within the Nyquist band carrier +- fs/2 of
     the stream that receives it."""
-    if abs(freq_hz - carrier_hz) >= fs / 2.0:
+    if not abs(freq_hz - carrier_hz) < fs / 2.0:
         raise ValueError(
             f"interferer at {freq_hz:g} Hz is outside the Nyquist band "
             f"around {carrier_hz:g} Hz (fs {fs:g})")
@@ -532,7 +528,8 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     m = n if n_samples is None else n_samples
     if not 1 <= m <= n:
         raise ValueError(f"n_samples must lie in [1, {n}], got {m}")
-    sweeps = sweep_range(sweep_index)
+    sweeps = (sweep_index if isinstance(sweep_index, range)
+              else range(sweep_index, sweep_index + 1))
     rows = len(sweeps)
     if not rows:
         raise ValueError("a block needs at least one sweep")

@@ -33,6 +33,16 @@ MIN_DEGREE = 2
 MAX_DEGREE = 24
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` read-only without a copy, as the value types hold arrays: a
+    read-only view of a writeable array, so that the caller's array stays
+    writeable, or ``a`` itself when it is read-only already."""
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class PnSequence:
     """Bipolar chip sequence plus the generator that produced it.
@@ -51,8 +61,7 @@ class PnSequence:
             raise ValueError("chips must be a nonempty 1-D sequence")
         if not np.all(np.abs(chips) == 1):
             raise ValueError("chips must be bipolar (+1/-1)")
-        chips.flags.writeable = False
-        object.__setattr__(self, "chips", chips)
+        object.__setattr__(self, "chips", read_only(chips))
 
     def __len__(self) -> int:
         return int(self.chips.size)

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (Pol, Scatterer, Scene, TargetModel, propagate,
-                      sweep_range)
-from .codes import PnSequence
+from .channel import Pol, Scatterer, Scene, TargetModel, propagate
+from .codes import PnSequence, read_only
 from .receiver import check_blank_width, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
                        SPEED_OF_LIGHT, qpsk_baseband, spread,
@@ -82,10 +81,8 @@ class RangeProfile:
             raise ValueError("ranges and values must have equal length")
         if ranges.size and np.any(np.diff(ranges) <= 0):
             raise ValueError("ranges must be strictly increasing")
-        ranges.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "ranges_m", ranges)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ranges_m", read_only(ranges))
+        object.__setattr__(self, "values", read_only(values))
 
     def __len__(self) -> int:
         return int(self.ranges_m.size)
@@ -112,7 +109,7 @@ class RcsEstimate:
     dbsm: float = field(init=False)
 
     def __post_init__(self):
-        if self.sigma_m2 < 0:
+        if not self.sigma_m2 >= 0:  # NaN fails too
             raise ValueError(f"{self.mode.value} cross section cannot be "
                              f"negative, got {self.sigma_m2:g}")
         value = (10.0 * math.log10(self.sigma_m2) if self.sigma_m2 > 0
@@ -306,10 +303,11 @@ def calibrate(profile: RangeProfile, sigma_ref_m2: float,
 
 @dataclass(frozen=True)
 class ReceiverConfig:
-    """Detection and gating settings shared by the experiment drivers."""
+    """Detection and gating settings shared by the experiment drivers; the
+    scenario schema and estimate_rcs take their defaults from here."""
 
     blank_width_s: float = 0.0
-    threshold_db: float = 10.0  # also estimate_rcs's and the scenario's
+    threshold_db: float = 10.0
     max_range_m: float = 20.0
     gate_m: tuple[float, float] | None = None
     margin_bins: int = 2
@@ -325,7 +323,7 @@ def estimate_rcs(profile: RangeProfile, cal: Calibration, mode: Mode,
                  threshold_db: float = ReceiverConfig.threshold_db,
                  window_bins: int = 1,
                  gate_m: tuple[float, float] | None = None,
-                 margin_bins: int = 2) -> RcsEstimate:
+                 margin_bins: int = ReceiverConfig.margin_bins) -> RcsEstimate:
     """Convert detected peaks into a calibrated cross section.
 
     Narrowband: the complex peak values inside the target window are
@@ -438,7 +436,7 @@ class SweepPipeline:
     def __init__(self, params: RadarParams, pn: PnSequence,
                  chips_per_bit: int | None = None,
                  rx_config: ReceiverConfig | None = None):
-        self.params = params
+        self.params, self.pn = params, pn
         self.rx_config = cfg = rx_config or ReceiverConfig()
         # checked before the streams are allocated
         self.blank_samples = check_blank_width(params, cfg.blank_width_s)
@@ -452,8 +450,7 @@ class SweepPipeline:
         kept = np.flatnonzero((ranges >= near) & (ranges <= far))
         self.lags = range(kept[0], kept[-1] + 1) if kept.size else range(0)
         # increasing, and shared read-only by every profile
-        self.ranges_m = ranges[self.lags.start:self.lags.stop]
-        self.ranges_m.flags.writeable = False
+        self.ranges_m = read_only(ranges[self.lags.start:self.lags.stop])
         self.bin_width_m = _bin_width_m(params)
         # the correlator reads the received stream up to the last kept
         # lag's overlap with the template, and nothing past it (an empty
@@ -481,31 +478,23 @@ class SweepPipeline:
         return values
 
     def profile(self, scene: Scene, pol: Pol = Pol.VV,
-                sweep_index: int | range = 0
-                ) -> RangeProfile | list[RangeProfile]:
-        """Range profile of one sweep, or a list of them for a range of
-        sweeps; one sweep is the block of one."""
-        sweeps = sweep_range(sweep_index)
-        profiles = [RangeProfile(ranges_m=self.ranges_m, values=row,
-                                 bin_width_m=self.bin_width_m, sweep_index=k)
-                    for k, row in zip(sweeps,
-                                      self._values(scene, pol, sweeps))]
-        return profiles if isinstance(sweep_index, range) else profiles[0]
+                sweep_index: int = 0) -> RangeProfile:
+        """Range profile of one sweep, the block of one."""
+        row = self._values(scene, pol, range(sweep_index, sweep_index + 1))[0]
+        return RangeProfile(ranges_m=self.ranges_m, values=row,
+                            bin_width_m=self.bin_width_m,
+                            sweep_index=sweep_index)
 
-    def estimate(self, scene: Scene, cal: Calibration, pol: Pol = Pol.VV,
-                 sweep_index: int | range = 0
-                 ) -> RcsEstimate | list[RcsEstimate]:
-        """Calibrated cross section of one sweep, or a list of them for a
-        range of sweeps; one sweep is the block of one.  The sweeps of a
-        block are detected together and estimated in sweep order."""
+    def estimate(self, scene: Scene, cal: Calibration, pol: Pol,
+                 sweeps: range) -> list[RcsEstimate]:
+        """Calibrated cross sections of a block of sweeps, in sweep order:
+        detected together, then estimated one sweep at a time."""
         cfg = self.rx_config
-        sweeps = sweep_range(sweep_index)
         found = _detect_rows(self._values(scene, pol, sweeps), self.ranges_m,
                              cfg.threshold_db, self.window_bins)
-        estimates = [_rcs(detections, cal, self.params.mode, k,
-                          self.bin_width_m, cfg.gate_m, cfg.margin_bins)
-                     for k, detections in zip(sweeps, found)]
-        return estimates if isinstance(sweep_index, range) else estimates[0]
+        return [_rcs(detections, cal, self.params.mode, k, self.bin_width_m,
+                     cfg.gate_m, cfg.margin_bins)
+                for k, detections in zip(sweeps, found)]
 
     def series(self, scene: Scene, cal: Calibration, m_sweeps: int,
                pol: Pol = Pol.VV) -> list[RcsEstimate]:
@@ -552,13 +541,18 @@ def self_calibrate(params: RadarParams, pn: PnSequence,
                    pipeline: SweepPipeline | None = None) -> Calibration:
     """Calibrate against a clean reference sphere (no clutter, no noise).
 
-    Pass the experiment's own ``pipeline`` to reuse its waveform; it must
-    have been built for ``params``.
+    Pass the experiment's own ``pipeline`` to reuse its waveform, receiver
+    settings and chips_per_bit; it must have been built for ``params`` and
+    a code of ``pn``'s chips.
     """
     if pipeline is None:
         pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
+    elif chips_per_bit is not None or rx_config is not None:
+        raise ValueError("pass chips_per_bit and rx_config to the pipeline")
     elif pipeline.params != params:
         raise ValueError("pipeline was built for other radar parameters")
+    elif not np.array_equal(pipeline.pn.chips, pn.chips):
+        raise ValueError("pipeline was built for another code")
     reference = Scene(target=TargetModel(points=(
         Scatterer(sigma_m2=sigma_ref_m2, range_m=range_ref_m),)))
     return calibrate(pipeline.profile(reference), sigma_ref_m2, range_ref_m)

@@ -143,14 +143,14 @@ _INTERFERER_SCHEMA = {
 # receiver.nb and receiver.uwb share the receiver section's fields, so a
 # field one of them leaves out takes the receiver section's value.
 _RX_SCHEMA = {
-    "blank_width_s": _F(0.0, "float", minimum=0.0),
+    "blank_width_s": _F(ReceiverConfig.blank_width_s, "float", minimum=0.0),
     "threshold_db": _F(ReceiverConfig.threshold_db, "float", minimum=0.0,
                        exclusive_min=True),
     "max_range_m": _F(None, "float", nullable=True, minimum=0.0,
                       exclusive_min=True),
     "gate_min_m": _F(None, "float", nullable=True, minimum=0.0),
     "gate_max_m": _F(None, "float", nullable=True, minimum=0.0),
-    "margin_bins": _F(2, "int", minimum=0),
+    "margin_bins": _F(ReceiverConfig.margin_bins, "int", minimum=0),
 }
 
 _SCHEMA = {

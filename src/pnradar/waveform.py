@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import PnSequence, bits_to_bipolar
+from .codes import PnSequence, bits_to_bipolar, read_only
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -54,8 +54,7 @@ class SampleStream:
         if parts.size and not (np.isfinite(parts.min())
                                and np.isfinite(parts.max())):
             raise ValueError("samples must be finite")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", read_only(samples))
 
     def __len__(self) -> int:
         return int(self.samples.size)

@@ -733,3 +733,35 @@ class TestAddInterferer:
         c = propagate(tx, scene, params, Pol.VV, sweep_index=2)
         assert a.samples.tobytes() == b.samples.tobytes()
         assert not np.array_equal(a.samples, c.samples)
+
+
+class TestModelRules:
+    """Every model rule fails on NaN: a rule written as ``x < 0`` lets NaN
+    through, to run as a noiseless or jitter-free scene or to fail later."""
+
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: _single_point_scene(noise_psd=math.nan),
+                     "noise_psd", id="noise_psd"),
+        pytest.param(lambda: _single_point_scene(direct_path_gain=math.nan),
+                     "direct_path_gain", id="direct_path_gain"),
+        pytest.param(lambda: _single_point_scene(
+                         sweep_phase_jitter_rad=math.nan),
+                     "sweep_phase_jitter_rad", id="jitter"),
+        pytest.param(lambda: Scatterer(sigma_m2=math.nan, range_m=5.0),
+                     "sigma_m2", id="sigma_m2"),
+        pytest.param(lambda: Scatterer(sigma_m2=1.0, range_m=math.nan),
+                     "range_m", id="range_m"),
+        pytest.param(lambda: Scatterer(sigma_m2=1.0, range_m=5.0,
+                                       cross_range_m=math.nan),
+                     "cross_range_m must be finite", id="cross_range_m"),
+        pytest.param(lambda: Scatterer(sigma_m2=1.0, range_m=5.0,
+                                       cross_range_m=-math.inf),
+                     "cross_range_m must be finite", id="cross_range_m_inf"),
+        pytest.param(lambda: Interferer(freq_hz=1e9, power_w=math.nan),
+                     "interferer power", id="power_w"),
+        pytest.param(lambda: channel.check_interferer_band(math.nan, 1e9, 4e6),
+                     "Nyquist", id="freq_hz"),
+    ])
+    def test_nan_is_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()

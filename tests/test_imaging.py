@@ -13,9 +13,10 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 from scipy import signal
 
-from pnradar import (Calibration, Detection, Interferer, InterfererKind, Mode,
-                     NoDetections, Pol, RangeProfile, RcsEstimate,
-                     ReceiverConfig, Scatterer, Scene, SweepPipeline,
+from pnradar import (Calibration, CodeKind, Detection, Interferer,
+                     InterfererKind, Mode, NoDetections, PnSequence, Pol,
+                     RangeProfile, RcsEstimate, ReceiverConfig, SampleStream,
+                     Scatterer, Scene, SweepPipeline,
                      TargetModel, calibrate, detect_scatterers, estimate_rcs,
                      gen_clutter, gen_mseq, make_waveform,
                      matched_window_bins, nb_params,
@@ -102,8 +103,9 @@ class TestClosedFormModels:
 class TestRcsEstimate:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_negative_cross_section_rejected(self, mode):
-        with pytest.raises(ValueError, match="cannot be negative"):
-            RcsEstimate(sigma_m2=-1e-3, mode=mode)
+        for sigma in (-1e-3, math.nan):
+            with pytest.raises(ValueError, match="cannot be negative"):
+                RcsEstimate(sigma_m2=sigma, mode=mode)
         assert RcsEstimate(sigma_m2=0.0, mode=mode).dbsm == -math.inf
         assert RcsEstimate(sigma_m2=1e-3, mode=mode).dbsm == pytest.approx(-30)
 
@@ -186,6 +188,20 @@ class TestRangeProfileAndDetection:
         dets = detect_scatterers(prof, 10.0)
         assert len(dets) == 1
         assert dets[0].range_m == pytest.approx((5.0 + 5.5) / 2)
+
+    def test_value_types_leave_the_callers_arrays_writeable(self):
+        x, v = np.ones(4, dtype=complex), np.ones(4, dtype=complex)
+        r = np.arange(4.0)
+        c = np.array([1, -1, 1], dtype=np.int8)
+        m = np.eye(2, dtype=complex)
+        prof = RangeProfile(ranges_m=r, values=v, bin_width_m=1.0)
+        held = (SampleStream(x, 1.0).samples, prof.ranges_m, prof.values,
+                PnSequence(c, CodeKind.MSEQUENCE).chips,
+                Scatterer(sigma_m2=1.0, range_m=5.0, pol_matrix=m).pol_matrix)
+        for mine, theirs in zip((x, r, v, c, m), held):
+            assert mine.flags.writeable
+            assert not theirs.flags.writeable
+            assert np.shares_memory(mine, theirs)  # no copy
 
     def test_ranges_must_increase_even_when_read_only(self):
         falling = np.array([3.0, 2.0, 1.0])
@@ -610,6 +626,20 @@ class TestCalibration:
         with pytest.raises(ValueError, match="gain"):
             Calibration(gain=0.0, reference_sigma_m2=1.0, reference_range_m=1.0)
 
+    def test_pipeline_brings_its_own_code_and_receiver(self, uwb_setup):
+        # a passed pipeline is the waveform calibrated, so another code's
+        # gain must not pass for pn's
+        params, pn, cfg, pipeline, cal = uwb_setup
+        other = SweepPipeline(params, gen_mseq([5, 2, 0]), rx_config=cfg)
+        with pytest.raises(ValueError, match="another code"):
+            self_calibrate(params, pn, SIGMA_REF, R_REF, pipeline=other)
+        for extra in ({"rx_config": cfg}, {"chips_per_bit": 1}):
+            with pytest.raises(ValueError, match="to the pipeline"):
+                self_calibrate(params, pn, SIGMA_REF, R_REF,
+                               pipeline=pipeline, **extra)
+        assert self_calibrate(params, gen_mseq([3, 1, 0]), SIGMA_REF, R_REF,
+                              pipeline=pipeline) == cal
+
 
 class TestEstimateRcs:
     def test_nb_two_point_interference_oscillates(self, nb_setup):
@@ -750,7 +780,8 @@ class TestSweepBlocks:
         _, _, _, pipeline, cal = nb_setup
         rows = pipeline.block_rows
         assert rows == 9  # 853 read samples per sweep
-        one_by_one = [pipeline.estimate(busy_scene, cal, sweep_index=k)
+        one_by_one = [pipeline.estimate(busy_scene, cal, Pol.VV,
+                                        range(k, k + 1))[0]
                       for k in range(2 * rows + 1)]
         for count in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
             assert pipeline.series(busy_scene, cal, count) == \
@@ -771,17 +802,19 @@ class TestSweepBlocks:
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         assert pipeline.series(busy_scene, cal, 20) == expected
 
-    def test_a_range_of_sweeps_is_their_list(self, nb_setup, busy_scene):
+    def test_a_block_is_its_blocks_of_one(self, nb_setup, busy_scene):
         _, _, _, pipeline, cal = nb_setup
         sweeps = range(4, 8)
-        profiles = pipeline.profile(busy_scene, Pol.HH, sweeps)
+        block = pipeline._values(busy_scene, Pol.HH, sweeps)
         estimates = pipeline.estimate(busy_scene, cal, Pol.HH, sweeps)
-        for k, prof, est in zip(sweeps, profiles, estimates):
-            alone = pipeline.profile(busy_scene, Pol.HH, sweep_index=k)
+        assert [e.sweep_index for e in estimates] == list(sweeps)
+        for k, row, est in zip(sweeps, block, estimates):
+            assert [est] == pipeline.estimate(busy_scene, cal, Pol.HH,
+                                              range(k, k + 1))
+            prof = pipeline.profile(busy_scene, Pol.HH, sweep_index=k)
             assert prof.sweep_index == k
-            assert prof.values.tobytes() == alone.values.tobytes()
+            assert prof.values.tobytes() == row.tobytes()
             assert prof.ranges_m is pipeline.ranges_m
-            assert est == pipeline.estimate(busy_scene, cal, Pol.HH, k)
 
 
 def _force_workers(monkeypatch, workers):
