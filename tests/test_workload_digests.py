@@ -1,0 +1,98 @@
+"""Byte identity of the benchmark workloads' artifacts.
+
+Runs ``cli.main`` on each benchmark workload at two seeds and compares the
+SHA-256 of every CSV it writes, and of its run manifest apart from
+``timestamp`` and ``output.directory``, with recorded values.  A change
+that must not move a single output byte keeps every digest; one that
+means to must record new ones and say why.
+
+The digests hold for numpy 2.4.6 on x86-64; another numpy or processor
+may round a last bit differently.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+import yaml
+
+from pnradar.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+WORKLOADS = {
+    "sphere_compare": "scenarios/sphere_compare.yaml",
+    "nb_dense_series": "bench/scenarios/nb_dense_series.yaml",
+    "uwb_scan": "bench/scenarios/uwb_scan.yaml",
+}
+
+# (workload, seed) -> {file name: SHA-256}
+DIGESTS = {
+    ("sphere_compare", 2026): {
+        "compare_nb.csv":
+            "4361cdcb1b89b6be86fc925f48b2a857f523deb64edbac732015772add6d3386",
+        "compare_summary.csv":
+            "3e2594e2557910904528bdf41e761dd44919a2e1527d456bfbfbf99599fcf254",
+        "compare_uwb.csv":
+            "d24fd6f8532168c0911b672cc6e48fab849678e5319e4522e00d1e778bae82d3",
+        "run_manifest.yaml":
+            "6494c96881159305993038c413a813445daae570d2a7f44e8fc8769fb0d6e436",
+    },
+    ("sphere_compare", 5150): {
+        "compare_nb.csv":
+            "ee32978935487b17bc71137f88c44d0beb5b4322edeb0f85e3e32149115933b3",
+        "compare_summary.csv":
+            "e4e38b7e6838a2294cf1d57a9d0d2705c091e2a32194a65905d40c2286ccef00",
+        "compare_uwb.csv":
+            "c66e54e1d8dbbb5e250ba0f71af5b5cacf4588e595ce84bf8e1b0f43de81fcf8",
+        "run_manifest.yaml":
+            "58182827cc1f214f2c2e5f5474894abdc338eb3085f8fbb98c6acff6abccff6d",
+    },
+    ("nb_dense_series", 2026): {
+        "series.csv":
+            "a8c40d9fac7dff5cd97bca48939c66900bbb807460a27c256ff04c7f5047f6b0",
+        "run_manifest.yaml":
+            "5cba6ca7ef58b96bf179f017b9be266b236b4864d36e3269ae02775289e8c2c7",
+    },
+    ("nb_dense_series", 5150): {
+        "series.csv":
+            "260d1e9126b9f32cad21c7c3b4e921d9b1bd845013fc4c8aafe7e579b955fa61",
+        "run_manifest.yaml":
+            "3da519b798ae7369283a4df7ce5274bd4a796062654a08b64dab19c5872b8e1e",
+    },
+    ("uwb_scan", 2026): {
+        "image.csv":
+            "2bb210da247e25177d598000fbd8a735911ab293e6f18e3773c64c44c89fac92",
+        "run_manifest.yaml":
+            "4392f42a88ef38387844d5eba0fb3d5983001919a0d55b33e3703bc3f61e84fe",
+    },
+    ("uwb_scan", 5150): {
+        "image.csv":
+            "7adbdd6c19be1542d1ba4dc3b96cf93ca0331f5f9ed923f2699a4ef0e06cd678",
+        "run_manifest.yaml":
+            "931ecb7c9d0531d9baa11f1e90c9f9dbc594e027b9977189cbf644ad7538fa67",
+    },
+}
+
+
+def _manifest_digest(path: Path) -> str:
+    manifest = yaml.safe_load(path.read_text())
+    del manifest["timestamp"]
+    del manifest["scenario"]["output"]["directory"]
+    return hashlib.sha256(
+        json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload, seed", sorted(DIGESTS))
+def test_workload_outputs_unchanged(tmp_path, workload, seed):
+    out = tmp_path / "out"
+    assert main([str(ROOT / WORKLOADS[workload]), "--seed", str(seed),
+                 "--out", str(out), "--quiet"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.glob("*.csv")}
+    got["run_manifest.yaml"] = _manifest_digest(out / "run_manifest.yaml")
+    assert sorted(got) == sorted(DIGESTS[workload, seed]), \
+        f"{workload} seed {seed}: files written"
+    for name, digest in DIGESTS[workload, seed].items():
+        assert got[name] == digest, f"{workload} seed {seed}: {name} changed"
