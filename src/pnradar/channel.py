@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .codes import read_only
+from .codes import check_field, read_only
 from .waveform import RadarParams, SampleStream, SPEED_OF_LIGHT
 
 # RNG purpose tags (third entry of the derived seed sequence).
@@ -74,14 +74,9 @@ class Scatterer:
     pol_matrix: np.ndarray = field(default_factory=identity_pol_matrix)
 
     def __post_init__(self):
-        # each rule fails on NaN
-        if not self.sigma_m2 >= 0:
-            raise ValueError(f"sigma_m2 must be >= 0, got {self.sigma_m2}")
-        if not self.range_m > 0:
-            raise ValueError(f"range_m must be > 0, got {self.range_m}")
-        if not np.isfinite(self.cross_range_m):
-            raise ValueError(
-                f"cross_range_m must be finite, got {self.cross_range_m}")
+        check_field("sigma_m2", self.sigma_m2, "finite and >= 0")
+        check_field("range_m", self.range_m, "> 0")
+        check_field("cross_range_m", self.cross_range_m, "finite")
         mat = np.asarray(self.pol_matrix, dtype=np.complex128)
         if mat.shape != (2, 2):
             raise ValueError("pol_matrix must be 2x2")
@@ -123,8 +118,8 @@ class Interferer:
     kind: InterfererKind = InterfererKind.CW
 
     def __post_init__(self):
-        if not self.power_w >= 0:
-            raise ValueError("interferer power must be >= 0")
+        check_field("freq_hz", self.freq_hz, "finite")
+        check_field("power_w", self.power_w, "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -140,12 +135,9 @@ class Scene:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.noise_psd >= 0:
-            raise ValueError("noise_psd must be >= 0")
-        if not self.direct_path_gain >= 0:
-            raise ValueError("direct_path_gain must be >= 0")
-        if not self.sweep_phase_jitter_rad >= 0:
-            raise ValueError("sweep_phase_jitter_rad must be >= 0")
+        for name in ("noise_psd", "direct_path_gain",
+                     "sweep_phase_jitter_rad"):
+            check_field(name, getattr(self, name), ">= 0")
         object.__setattr__(self, "clutter", tuple(self.clutter))
         object.__setattr__(self, "interferers", tuple(self.interferers))
 
@@ -303,24 +295,20 @@ def gen_clutter(extent_m: tuple[float, float], count: int,
                 mean_sigma_m2: float, seed: int) -> tuple[Scatterer, ...]:
     """Draw clutter points: uniform ranges over the window, exponential
     cross sections, uniform phase folded into the scattering matrix."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if mean_sigma_m2 < 0:
-        raise ValueError(f"mean_sigma_m2 must be >= 0, got {mean_sigma_m2}")
+    check_field("count", count, ">= 0")
+    check_field("mean_sigma_m2", mean_sigma_m2, "finite and >= 0")
     lo, hi = float(extent_m[0]), float(extent_m[1])
-    if not (0 < lo <= hi):
-        raise ValueError(f"invalid clutter range window ({lo}, {hi})")
+    if not 0 < lo <= hi < np.inf:  # NaN fails too
+        raise ValueError(f"extent_m must be (near, far) with "
+                         f"0 < near <= far, got {extent_m}")
     rng = np.random.default_rng(int(seed))
     ranges = rng.uniform(lo, hi, size=count)
     sigmas = rng.exponential(mean_sigma_m2, size=count) if mean_sigma_m2 > 0 \
         else np.zeros(count)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    points = []
-    for r, s, ph in zip(ranges, sigmas, phases):
-        mat = np.exp(1j * ph) * np.ones((2, 2), dtype=np.complex128)
-        points.append(Scatterer(sigma_m2=float(s), range_m=float(r),
-                                pol_matrix=mat))
-    return tuple(points)
+    return tuple(Scatterer(sigma_m2=float(s), range_m=float(r),
+                           pol_matrix=np.full((2, 2), np.exp(1j * ph)))
+                 for r, s, ph in zip(ranges, sigmas, phases))
 
 
 @lru_cache(maxsize=8)

@@ -8,6 +8,7 @@ generators are pure functions of their arguments; sequences are bipolar
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,6 +32,18 @@ PREFERRED_PAIRS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 
 MIN_DEGREE = 2
 MAX_DEGREE = 24
+
+
+def check_field(name: str, value, rule: str) -> None:
+    """Raise ValueError "<name> must be <rule>, got <value>" unless
+    ``value`` meets ``rule``, as the value types check their fields; NaN
+    meets none of the rules."""
+    holds = {"> 0": value > 0, ">= 0": value >= 0,
+             "finite": math.isfinite(value),
+             "finite and > 0": 0 < value < math.inf,
+             "finite and >= 0": 0 <= value < math.inf}[rule]
+    if not holds:
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

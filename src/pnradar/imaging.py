@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import Pol, Scatterer, Scene, TargetModel, propagate
-from .codes import PnSequence, read_only
+from .codes import PnSequence, check_field, read_only
 from .receiver import check_blank_width, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
                        SPEED_OF_LIGHT, qpsk_baseband, spread,
@@ -139,8 +139,7 @@ def rcs_nb(target: TargetModel, wavelength_m: float) -> float:
     zero or below.  Sums are evaluated with exact rounding so the
     wideband bound holds exactly.
     """
-    if wavelength_m <= 0:
-        raise ValueError("wavelength must be positive")
+    check_field("wavelength_m", wavelength_m, "> 0")
     return math.fsum(p.sigma_m2 * math.cos(2.0 * math.pi * p.range_m / wavelength_m)
                      for p in target.points)
 
@@ -156,8 +155,7 @@ def pulse_volume_depth(tau_s: float, c_m_per_s: float = SPEED_OF_LIGHT) -> float
     Pass c_m_per_s=3e8 for round textbook numbers (1 us -> 300 m,
     1 ns -> 0.3 m).
     """
-    if tau_s <= 0:
-        raise ValueError("tau_s must be positive")
+    check_field("tau_s", tau_s, "> 0")
     return c_m_per_s * tau_s
 
 
@@ -220,8 +218,7 @@ def _detect_rows(values: np.ndarray, ranges_m: np.ndarray,
     one profile's complex values per row of ``values``.  The median, the
     window maxima and the candidate mask are computed for all rows at
     once, each row from its own bins; runs and centroids row by row."""
-    if threshold_db_above_noise <= 0:
-        raise ValueError("threshold must be positive (dB above noise)")
+    check_field("threshold_db_above_noise", threshold_db_above_noise, "> 0")
     power = np.abs(values) ** 2
     rows, n = power.shape
     if n == 0:
@@ -277,10 +274,8 @@ def calibrate(profile: RangeProfile, sigma_ref_m2: float,
     so that estimating on the same profile returns the reference cross
     section exactly.
     """
-    if sigma_ref_m2 <= 0:
-        raise ValueError("reference cross section must be positive")
-    if range_ref_m <= 0:
-        raise ValueError("reference range must be positive")
+    check_field("sigma_ref_m2", sigma_ref_m2, "> 0")
+    check_field("range_ref_m", range_ref_m, "> 0")
     power = profile.power
     if power.size == 0:
         raise ValueError("reference profile is empty")
@@ -311,6 +306,20 @@ class ReceiverConfig:
     max_range_m: float = 20.0
     gate_m: tuple[float, float] | None = None
     margin_bins: int = 2
+
+    def __post_init__(self):
+        check_field("blank_width_s", self.blank_width_s, "finite and >= 0")
+        check_field("threshold_db", self.threshold_db, "> 0")
+        check_field("max_range_m", self.max_range_m, "finite and > 0")
+        if self.gate_m is not None:
+            lo, hi = self.gate_m
+            if not 0 <= lo < hi:  # NaN fails too
+                raise ValueError(f"gate_m must be (min, max) with "
+                                 f"0 <= min < max, got {self.gate_m}")
+        margin = self.margin_bins
+        if not (isinstance(margin, (int, np.integer)) and margin >= 0):
+            raise ValueError(
+                f"margin_bins must be an integer >= 0, got {margin}")
 
     @property
     def range_window_m(self) -> tuple[float, float]:
@@ -582,8 +591,7 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
                pol: Pol = Pol.VV) -> ScanImage:
     """Mechanical azimuth raster: weight the scene by the beam, profile,
     and stack rows into a calibrated image."""
-    if azimuth_step_deg <= 0:
-        raise ValueError("azimuth step must be positive")
+    check_field("azimuth_step_deg", azimuth_step_deg, "> 0")
     if azimuth_step_deg > beamwidth_deg:
         raise ValueError("azimuth step must not exceed the beamwidth")
     if az_span_deg is None:

@@ -2,14 +2,14 @@
 
 A scenario is one YAML file with sections mirroring the library modules
 (radar, code, scene, receiver, experiment, output).  Loading fails fast:
-parse errors carry line info, every field is checked against the schema,
-unknown keys are rejected, and all defaults are materialized into the
-returned scenario so no hidden default exists downstream.
+parse errors carry line info, every field's type is checked against the
+schema and its value rules by the model type it builds, unknown keys are
+rejected, and all defaults are materialized into the returned scenario
+so no hidden default exists downstream.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -124,9 +124,12 @@ class _List:
                 for i, item in enumerate(value)]
 
 
+# Types, defaults and paths.  A value rule belongs to the model type that
+# the field builds, which checks it at construction; the schema bounds only
+# the fields that no model owns.
 _POINT_SCHEMA = {
-    "sigma_m2": _F(None, "float", minimum=0.0),
-    "range_m": _F(None, "float", minimum=0.0, exclusive_min=True),
+    "sigma_m2": _F(None, "float"),
+    "range_m": _F(None, "float"),
     "cross_range_m": _F(0.0, "float"),
     "pol_vv": _F(1.0, "float"),
     "pol_hh": _F(1.0, "float"),
@@ -136,21 +139,19 @@ _POINT_SCHEMA = {
 
 _INTERFERER_SCHEMA = {
     "freq_hz": _F(None, "float"),
-    "power_w": _F(None, "float", minimum=0.0),
+    "power_w": _F(None, "float"),
     "kind": _F("cw", "str", choices={"cw", "qpsk"}),
 }
 
 # receiver.nb and receiver.uwb share the receiver section's fields, so a
 # field one of them leaves out takes the receiver section's value.
 _RX_SCHEMA = {
-    "blank_width_s": _F(ReceiverConfig.blank_width_s, "float", minimum=0.0),
-    "threshold_db": _F(ReceiverConfig.threshold_db, "float", minimum=0.0,
-                       exclusive_min=True),
-    "max_range_m": _F(None, "float", nullable=True, minimum=0.0,
-                      exclusive_min=True),
-    "gate_min_m": _F(None, "float", nullable=True, minimum=0.0),
-    "gate_max_m": _F(None, "float", nullable=True, minimum=0.0),
-    "margin_bins": _F(ReceiverConfig.margin_bins, "int", minimum=0),
+    "blank_width_s": _F(ReceiverConfig.blank_width_s, "float"),
+    "threshold_db": _F(ReceiverConfig.threshold_db, "float"),
+    "max_range_m": _F(None, "float", nullable=True),
+    "gate_min_m": _F(None, "float", nullable=True),
+    "gate_max_m": _F(None, "float", nullable=True),
+    "margin_bins": _F(ReceiverConfig.margin_bins, "int"),
 }
 
 _SCHEMA = {
@@ -159,40 +160,38 @@ _SCHEMA = {
         "mode": _F("nb", "str", choices={"nb", "uwb"}),
         "nb": {
             "carrier_hz": _F(1.0e9, "float"),
-            "chip_rate_hz": _F(10.0e6, "float", minimum=0.0, exclusive_min=True),
-            "samples_per_chip": _F(8, "int", minimum=2),
-            "pulse_width_s": _F(10.0e-6, "float", minimum=0.0, exclusive_min=True),
-            "pri_s": _F(100.0e-6, "float", minimum=0.0, exclusive_min=True),
+            "chip_rate_hz": _F(10.0e6, "float"),
+            "samples_per_chip": _F(8, "int"),
+            "pulse_width_s": _F(10.0e-6, "float"),
+            "pri_s": _F(100.0e-6, "float"),
         },
         "uwb": {
-            "monocycle_width_s": _F(0.33e-9, "float", minimum=0.0,
-                                    exclusive_min=True),
-            "pri_s": _F(100.0e-9, "float", minimum=0.0, exclusive_min=True),
-            "sample_rate_hz": _F(100.0e9, "float", minimum=0.0,
-                                 exclusive_min=True),
+            "monocycle_width_s": _F(0.33e-9, "float"),
+            "pri_s": _F(100.0e-9, "float"),
+            "sample_rate_hz": _F(100.0e9, "float"),
         },
     },
     "code": {
         "family": _F("msequence", "str", choices={"msequence", "gold"}),
         "taps": _F([7, 1, 0], "intlist"),
         "taps_b": _F(None, "intlist", nullable=True),
-        "gold_shift": _F(0, "int", minimum=0),
-        "seed_state": _F(1, "int", minimum=1),
+        "gold_shift": _F(0, "int"),
+        "seed_state": _F(1, "int"),
         "chips_per_bit": _F(127, "int", minimum=1),
     },
     "scene": {
         "target": {"points": _List(_POINT_SCHEMA, required=True)},
         "clutter": {
-            "count": _F(0, "int", minimum=0),
-            "range_min_m": _F(2.0, "float", minimum=0.0, exclusive_min=True),
-            "range_max_m": _F(8.0, "float", minimum=0.0, exclusive_min=True),
-            "mean_sigma_m2": _F(0.01, "float", minimum=0.0),
+            "count": _F(0, "int"),
+            "range_min_m": _F(2.0, "float"),
+            "range_max_m": _F(8.0, "float"),
+            "mean_sigma_m2": _F(0.01, "float"),
             "seed": _F(None, "int", nullable=True, minimum=0),
         },
         "interferers": _List(_INTERFERER_SCHEMA),
-        "noise_psd_w_per_hz": _F(0.0, "float", minimum=0.0),
-        "direct_path_gain": _F(0.0, "float", minimum=0.0),
-        "sweep_phase_jitter_rad": _F(0.0, "float", minimum=0.0),
+        "noise_psd_w_per_hz": _F(0.0, "float"),
+        "direct_path_gain": _F(0.0, "float"),
+        "sweep_phase_jitter_rad": _F(0.0, "float"),
     },
     "receiver": {**_RX_SCHEMA, "nb": _RX_SCHEMA, "uwb": _RX_SCHEMA},
     "experiment": {
@@ -278,53 +277,48 @@ class Scenario:
         return self.pipelines[mode].params
 
 
-@contextmanager
-def _naming(where: str):
-    """Re-raise a model's ValueError as a ScenarioError naming ``where``."""
+def _named(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError is re-raised as a
+    ScenarioError that starts with ``where``, the path of what it builds
+    or checks."""
     try:
-        yield
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _build_code(cfg: dict) -> PnSequence:
-    gold = cfg["family"] == "gold"
-    if gold and cfg["taps_b"] is None:
+    if cfg["family"] == "msequence":
+        return _named("code", gen_mseq, cfg["taps"], cfg["seed_state"])
+    if cfg["taps_b"] is None:
         raise ScenarioError("code.taps_b: required for the gold family")
-    with _naming("code"):
-        if gold:
-            return gen_gold(cfg["taps"], cfg["taps_b"], cfg["gold_shift"])
-        return gen_mseq(cfg["taps"], cfg["seed_state"])
-
-
-def _pol_matrix(point: dict) -> np.ndarray:
-    return np.array([[point["pol_vv"], point["pol_vh"]],
-                     [point["pol_hv"], point["pol_hh"]]], dtype=np.complex128)
+    return _named("code", gen_gold, cfg["taps"], cfg["taps_b"],
+                  cfg["gold_shift"])
 
 
 def _gate(section: dict, where: str) -> tuple[float, float] | None:
-    """The estimation gate a receiver section sets, if any; a broken gate
-    rule is reported against ``where``, the section's path."""
+    """The estimation gate a receiver section sets, if any; an unpaired
+    gate field is reported against ``where``, the section's path."""
     lo, hi = section["gate_min_m"], section["gate_max_m"]
     if (lo is None) != (hi is None):
         raise ScenarioError(
             f"{where}.gate_min_m and {where}.gate_max_m must be set together")
-    if lo is not None and hi <= lo:
-        raise ScenarioError(f"{where}.gate_max_m must exceed {where}.gate_min_m")
     return None if lo is None else (lo, hi)
 
 
 def _build_rx_config(resolved: dict, params: RadarParams) -> ReceiverConfig:
     """The chain's receiver; a null max_range_m is set to the chain's
     default in ``resolved``, so the manifest carries the window used."""
-    gate = _gate(resolved, f"receiver.{params.mode.value}")
+    where = f"receiver.{params.mode.value}"
+    gate = _gate(resolved, where)
     if resolved["max_range_m"] is None:
         resolved["max_range_m"] = (100.0 if params.mode is Mode.NB_DSSS
                                    else 0.9 * params.unambiguous_range_m)
-    return ReceiverConfig(blank_width_s=resolved["blank_width_s"],
-                          threshold_db=resolved["threshold_db"],
-                          max_range_m=resolved["max_range_m"], gate_m=gate,
-                          margin_bins=resolved["margin_bins"])
+    return _named(where, ReceiverConfig,
+                  blank_width_s=resolved["blank_width_s"],
+                  threshold_db=resolved["threshold_db"],
+                  max_range_m=resolved["max_range_m"], gate_m=gate,
+                  margin_bins=resolved["margin_bins"])
 
 
 def resolve_scenario(data: dict) -> Scenario:
@@ -338,33 +332,29 @@ def resolve_scenario(data: dict) -> Scenario:
             f"code length ({pn.length})")
 
     seed = cfg["seed"]
-    clut_cfg = cfg["scene"]["clutter"]
+    scene_cfg = cfg["scene"]
+    clut_cfg = scene_cfg["clutter"]
     # a null clutter seed stays null so that --seed redraws the clutter too
     clutter_seed = seed if clut_cfg["seed"] is None else clut_cfg["seed"]
-    if clut_cfg["range_max_m"] < clut_cfg["range_min_m"]:
-        raise ScenarioError(
-            "scene.clutter.range_max_m must be >= scene.clutter.range_min_m")
-    clutter = gen_clutter((clut_cfg["range_min_m"], clut_cfg["range_max_m"]),
-                          clut_cfg["count"], clut_cfg["mean_sigma_m2"],
-                          clutter_seed) if clut_cfg["count"] else ()
-
-    with _naming("scene"):
-        points = tuple(
-            Scatterer(sigma_m2=p["sigma_m2"], range_m=p["range_m"],
-                      cross_range_m=p["cross_range_m"],
-                      pol_matrix=_pol_matrix(p))
-            for p in cfg["scene"]["target"]["points"])
-        interferers = tuple(
-            Interferer(freq_hz=i["freq_hz"], power_w=i["power_w"],
-                       kind=InterfererKind.CW if i["kind"] == "cw"
-                       else InterfererKind.QPSK_MODULATED)
-            for i in cfg["scene"]["interferers"])
-        scene = Scene(target=TargetModel(points=points), clutter=clutter,
-                      interferers=interferers,
-                      noise_psd=cfg["scene"]["noise_psd_w_per_hz"],
-                      direct_path_gain=cfg["scene"]["direct_path_gain"],
-                      sweep_phase_jitter_rad=cfg["scene"]["sweep_phase_jitter_rad"],
-                      rng_seed=seed)
+    clutter = _named(
+        "scene.clutter", gen_clutter,
+        (clut_cfg["range_min_m"], clut_cfg["range_max_m"]), clut_cfg["count"],
+        clut_cfg["mean_sigma_m2"], clutter_seed)
+    points = tuple(
+        _named(f"scene.target.points[{i}]", Scatterer, p["sigma_m2"],
+               p["range_m"], p["cross_range_m"],
+               [[p["pol_vv"], p["pol_vh"]], [p["pol_hv"], p["pol_hh"]]])
+        for i, p in enumerate(scene_cfg["target"]["points"]))
+    interferers = tuple(
+        _named(f"scene.interferers[{i}]", Interferer, itf["freq_hz"],
+               itf["power_w"], InterfererKind(itf["kind"]))
+        for i, itf in enumerate(scene_cfg["interferers"]))
+    scene = _named("scene", Scene, TargetModel(points), clutter=clutter,
+                   interferers=interferers,
+                   noise_psd=scene_cfg["noise_psd_w_per_hz"],
+                   direct_path_gain=scene_cfg["direct_path_gain"],
+                   sweep_phase_jitter_rad=scene_cfg["sweep_phase_jitter_rad"],
+                   rng_seed=seed)
 
     _gate(cfg["receiver"], "receiver")
 
@@ -414,18 +404,16 @@ def resolve_scenario(data: dict) -> Scenario:
     chains = {}
     for chain in (list(Mode) if kind is ExperimentKind.COMPARE_MODES
                   else [mode]):
-        with _naming(f"radar.{chain.value}"):
-            build = nb_params if chain is Mode.NB_DSSS else uwb_params
-            params = build(**cfg["radar"][chain.value])
+        build = nb_params if chain is Mode.NB_DSSS else uwb_params
+        params = _named(f"radar.{chain.value}", build, **cfg["radar"][chain.value])
         chains[chain] = params, _build_rx_config(cfg["receiver"][chain.value],
                                                  params)
         where = f"({chain.value} chain)"
-        with _naming(f"scene {where}"):
-            check_unambiguous_range(scene.point_arrays[0], params)
+        _named(f"scene {where}", check_unambiguous_range,
+               scene.point_arrays[0], params)
         for i, itf in enumerate(interferers):
-            with _naming(f"scene.interferers[{i}] {where}"):
-                check_interferer_band(itf.freq_hz, params.carrier_hz,
-                                      params.sample_rate_hz)
+            _named(f"scene.interferers[{i}] {where}", check_interferer_band,
+                   itf.freq_hz, params.carrier_hz, params.sample_rate_hz)
     self_calibrates = kind is ExperimentKind.CALIBRATE or (
         consumes_cal and calibration is None)
     calibrates_on = reference[1] if self_calibrates else None
@@ -438,9 +426,9 @@ def resolve_scenario(data: dict) -> Scenario:
         if max(streams.values()) * 16 > np.iinfo(np.intp).max:
             raise MemoryError  # numpy would raise ValueError for this size
         for chain, (params, rx_cfg) in chains.items():
-            with _naming(f"receiver.blank_width_s ({chain.value} chain)"):
-                pipelines[chain] = SweepPipeline(
-                    params, pn, cfg["code"]["chips_per_bit"], rx_cfg)
+            pipelines[chain] = _named(
+                f"receiver.blank_width_s ({chain.value} chain)", SweepPipeline,
+                params, pn, cfg["code"]["chips_per_bit"], rx_cfg)
             _check_kept_window(pipelines[chain], calibrates_on, gated)
     except MemoryError:
         raise OutOfMemory(kind, streams) from None

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import PnSequence, bits_to_bipolar, read_only
+from .codes import PnSequence, bits_to_bipolar, check_field, read_only
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -46,8 +46,7 @@ class SampleStream:
         samples = np.asarray(self.samples, dtype=np.complex128)
         if samples.ndim != 1:
             raise ValueError("samples must be 1-D")
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        check_field("sample_rate", self.sample_rate, "> 0")
         # min and max propagate NaN and reach +-inf, so they test every
         # part without a temporary array as long as the stream
         parts = samples.view(np.float64)
@@ -76,9 +75,8 @@ class RadarParams:
     """Static radar configuration shared by both chains.
 
     For NB_DSSS the sample rate derives from chip_rate_hz *
-    samples_per_chip; for DS_UWB it must be given (or defaults to
-    100 GHz, resolving a 0.33 ns monocycle with >30 samples), and the
-    three NB fields are None.
+    samples_per_chip; for DS_UWB it must be given, and the three NB
+    fields are None.
     """
 
     carrier_hz: float
@@ -96,23 +94,26 @@ class RadarParams:
                 raise ValueError(
                     f"carrier_hz: carrier outside 300-3000 MHz "
                     f"(got {self.carrier_hz:g} Hz)")
-            if self.chip_rate_hz <= 0:
-                raise ValueError("chip_rate_hz must be positive")
+            check_field("chip_rate_hz", self.chip_rate_hz, "finite and > 0")
+            # the sample rule below checks the signs of the pulse and PRI
+            check_field("pulse_width_s", self.pulse_width_s, "finite")
             if self.samples_per_chip < 2:
-                raise ValueError("samples_per_chip must be >= 2")
+                raise ValueError(f"samples_per_chip must be >= 2, got "
+                                 f"{self.samples_per_chip}")
             fs = self.chip_rate_hz * self.samples_per_chip
             if self.sample_rate_hz and not np.isclose(self.sample_rate_hz, fs):
                 raise ValueError("sample_rate_hz inconsistent with chip rate")
             object.__setattr__(self, "sample_rate_hz", fs)
         else:
-            if self.monocycle_width_s <= 0:
-                raise ValueError("monocycle_width_s must be positive")
-            if not self.sample_rate_hz:
-                object.__setattr__(self, "sample_rate_hz", 100e9)
+            check_field("monocycle_width_s", self.monocycle_width_s,
+                        "finite and > 0")
+            check_field("sample_rate_hz", self.sample_rate_hz,
+                        "finite and > 0")
             if self.sample_rate_hz < 10.0 / self.monocycle_width_s:
                 raise ValueError(
                     f"sample_rate_hz {self.sample_rate_hz:g} undersamples a "
                     f"{self.monocycle_width_s:g} s monocycle")
+        check_field("pri_s", self.pri_s, "finite")
         pulse, slot = self.pulse_samples, self.pri_samples
         if not 0 < pulse < slot:
             what = (f"pri_s {self.pri_s:g} is not longer than the truncated "

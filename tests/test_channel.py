@@ -758,7 +758,16 @@ class TestModelRules:
                                        cross_range_m=-math.inf),
                      "cross_range_m must be finite", id="cross_range_m_inf"),
         pytest.param(lambda: Interferer(freq_hz=1e9, power_w=math.nan),
-                     "interferer power", id="power_w"),
+                     "power_w must be finite and >= 0", id="power_w"),
+        pytest.param(lambda: Interferer(freq_hz=math.nan, power_w=1e-9),
+                     "freq_hz must be finite",
+                     id="interferer_freq_hz"),
+        pytest.param(lambda: Scatterer(sigma_m2=math.inf, range_m=5.0),
+                     "sigma_m2 must be finite", id="sigma_m2_inf"),
+        pytest.param(lambda: gen_clutter((2.0, 8.0), 4, math.nan, seed=1),
+                     "mean_sigma_m2 must be finite", id="clutter_sigma"),
+        pytest.param(lambda: gen_clutter((2.0, math.nan), 4, 1e-2, seed=1),
+                     "extent_m", id="clutter_extent"),
         pytest.param(lambda: channel.check_interferer_band(math.nan, 1e9, 4e6),
                      "Nyquist", id="freq_hz"),
     ])

@@ -3,6 +3,7 @@ detection, calibration identities, estimator behaviour, sweeps, scans."""
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import time
@@ -110,6 +111,31 @@ class TestRcsEstimate:
         assert RcsEstimate(sigma_m2=1e-3, mode=mode).dbsm == pytest.approx(-30)
 
 
+class TestReceiverConfig:
+    @pytest.mark.parametrize("field, value, match", [
+        ("threshold_db", math.nan, "threshold_db must be > 0"),
+        ("threshold_db", 0.0, "threshold_db must be > 0"),
+        ("margin_bins", -3, "margin_bins must be an integer >= 0"),
+        ("margin_bins", 1.5, "margin_bins must be an integer >= 0"),
+        ("max_range_m", -1.0, "max_range_m must be finite and > 0"),
+        ("max_range_m", math.nan, "max_range_m must be finite and > 0"),
+        ("blank_width_s", math.nan, "blank_width_s must be finite and >= 0"),
+        ("blank_width_s", -1e-9, "blank_width_s must be finite and >= 0"),
+        ("gate_m", (5.0, 1.0), re.escape(
+            "gate_m must be (min, max) with 0 <= min < max, got (5.0, 1.0)")),
+        ("gate_m", (-1.0, 1.0), "gate_m"),
+        ("gate_m", (1.0, math.nan), "gate_m"),
+    ])
+    def test_fields_checked_at_construction(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            ReceiverConfig(**{field: value})
+
+    def test_edges_accepted(self):
+        cfg = ReceiverConfig(blank_width_s=0.0, gate_m=(0.0, 1e-9),
+                             margin_bins=np.int64(0))
+        assert cfg.gate_m == (0.0, 1e-9)
+
+
 class TestPulseVolumeDepth:
     def test_microsecond_pulse(self):
         assert pulse_volume_depth(1e-6, c_m_per_s=3e8) == 300.0
@@ -126,8 +152,9 @@ class TestPulseVolumeDepth:
         assert pulse_volume_depth(1e-6) == pytest.approx(299.792458)
 
     def test_nonpositive_tau_rejected(self):
-        with pytest.raises(ValueError):
-            pulse_volume_depth(0.0)
+        for tau in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tau_s must be > 0"):
+                pulse_volume_depth(tau)
 
 
 class TestRangeProfileAndDetection:
@@ -216,8 +243,9 @@ class TestRangeProfileAndDetection:
     def test_threshold_must_be_positive(self, uwb_setup):
         _, _, _, pipeline, _ = uwb_setup
         prof = pipeline.profile(Scene(target=target((SIGMA_REF, R_REF))))
-        with pytest.raises(ValueError, match="threshold"):
-            detect_scatterers(prof, 0.0)
+        for threshold_db in (0.0, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                detect_scatterers(prof, threshold_db)
 
 
 def _detect_oracle(profile, threshold_db, window_bins):
@@ -614,6 +642,16 @@ class TestCalibration:
         g1 = calibrate(prof, SIGMA_REF, R_REF).gain
         g2 = calibrate(prof, 2 * SIGMA_REF, R_REF).gain
         assert g2 == pytest.approx(2 * g1, rel=1e-12)
+
+    def test_nan_reference_rejected(self, uwb_setup):
+        _, _, _, pipeline, _ = uwb_setup
+        prof = pipeline.profile(Scene(target=target((SIGMA_REF, R_REF))))
+        with pytest.raises(ValueError, match="sigma_ref_m2 must be > 0"):
+            calibrate(prof, math.nan, R_REF)
+        with pytest.raises(ValueError, match="range_ref_m must be > 0"):
+            calibrate(prof, SIGMA_REF, math.nan)
+        with pytest.raises(ValueError, match="wavelength_m must be > 0"):
+            rcs_nb(target((SIGMA_REF, R_REF)), math.nan)
 
     def test_reference_below_noise_rejected(self, nb_setup):
         _, _, _, pipeline, _ = nb_setup
@@ -1063,6 +1101,9 @@ class TestScanImage:
         with pytest.raises(ValueError, match="beamwidth"):
             self._image((Scatterer(sigma_m2=1e-3, range_m=10.0),),
                         step=3.0, bw=2.0)
+        with pytest.raises(ValueError, match="azimuth_step_deg must be > 0"):
+            self._image((Scatterer(sigma_m2=1e-3, range_m=10.0),),
+                        step=math.nan)
 
     def test_scene_interferers_reach_every_row(self, nb_setup):
         _, _, _, pipeline, cal = nb_setup

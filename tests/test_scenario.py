@@ -21,7 +21,8 @@ from hypothesis.extra import numpy as hnp
 import pnradar
 from pnradar import Mode, NoDetections, ScanImage, imaging
 from pnradar.cli import _write_manifest, main, run, write_image_csv
-from pnradar.scenario import (ExperimentKind, ScenarioError, load_scenario,
+from pnradar.scenario import (_F, _List, _SCHEMA, ExperimentKind,
+                              ScenarioError, load_scenario,
                               read_calibration_csv, resolve_scenario)
 
 MINIMAL = """
@@ -68,6 +69,20 @@ def _write(tmp_path, text, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _minimal_with(settings, mode):
+    """MINIMAL in radar mode ``mode``, with each dotted field path of
+    ``settings`` set to its value."""
+    data = yaml.safe_load(MINIMAL)
+    data["radar"]["mode"] = mode
+    for dotted, value in settings.items():
+        *parents, leaf = dotted.split(".")
+        node = data
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+    return yaml.safe_dump(data)
 
 
 def _assert_rejected_before_synthesis(tmp_path, capsys, cases):
@@ -196,7 +211,8 @@ class TestLoadScenario:
          "nb", "{gate_min_m: 9.0}"),
         ("receiver.uwb.gate_min_m and receiver.uwb.gate_max_m must be set "
          "together", "uwb", "{uwb: {gate_min_m: 9.0}}"),
-        ("receiver.nb.gate_max_m must exceed receiver.nb.gate_min_m",
+        ("receiver.nb: gate_m must be (min, max) with 0 <= min < max, got "
+         "(9.0, 8.0)",
          "nb", "{nb: {gate_min_m: 9.0, gate_max_m: 8.0}}"),
     ], ids=["base", "uwb_unpaired", "nb_reversed"])
     def test_gate_rules_name_the_section_that_breaks_them(
@@ -291,7 +307,7 @@ class TestLoadScenario:
             "receiver.uwb: expected a mapping": MINIMAL + "receiver: {uwb: 3}\n",
             "receiver.nb.foo: unknown key":
                 MINIMAL + "receiver: {nb: {foo: 1}}\n",
-            "receiver.uwb.margin_bins: must be >= 0":
+            "receiver.uwb: margin_bins must be an integer >= 0, got -1":
                 MINIMAL + "receiver: {uwb: {margin_bins: -1}}\n",
         })
 
@@ -302,6 +318,127 @@ class TestLoadScenario:
         rx = scenario.rx_for(Mode.DS_UWB)
         assert (rx.blank_width_s, rx.max_range_m) == (2.0e-9, 14.0)
         assert scenario.raw["receiver"]["uwb"]["blank_width_s"] == 2.0e-9
+
+    def test_schema_bounds_only_the_fields_no_model_owns(self):
+        # any other field's value rule belongs to the model type it builds
+        no_owner = {"seed", "scene.clutter.seed", "code.chips_per_bit",
+                    "experiment.sweeps", "experiment.azimuth_step_deg",
+                    "experiment.beamwidth_deg", "experiment.azimuth_span_deg",
+                    "experiment.reference.sigma_m2",
+                    "experiment.reference.range_m"}
+
+        def bounded(schema, path):
+            for key, spec in schema.items():
+                where = f"{path}.{key}" if path else key
+                if isinstance(spec, dict):
+                    yield from bounded(spec, where)
+                elif isinstance(spec, _List):
+                    yield from bounded(spec.schema, f"{where}[]")
+                elif spec.minimum is not None or spec.maximum is not None:
+                    yield where
+
+        found = set(bounded(_SCHEMA, ""))
+        assert found <= no_owner, sorted(found - no_owner)
+
+    # One case per value rule the schema left to a model type, each value
+    # just outside the rule, on a chain the run uses: the message starts
+    # with the path of the object the field builds.
+    MODEL_RULES = [
+        ("scene.target.points[0].sigma_m2",
+         {"scene.target.points": [{"sigma_m2": -1e-12, "range_m": 10.0}]},
+         "uwb", "scene.target.points[0]: sigma_m2 must be finite and >= 0, "
+                "got -1e-12"),
+        ("scene.target.points[0].range_m",
+         {"scene.target.points": [{"sigma_m2": 1e-3, "range_m": 0.0}]},
+         "uwb", "scene.target.points[0]: range_m must be > 0, got 0.0"),
+        ("scene.interferers[0].power_w",
+         {"scene.interferers": [{"freq_hz": 1e9, "power_w": -1e-12}]},
+         "uwb", "scene.interferers[0]: power_w must be finite and >= 0, got "
+                "-1e-12"),
+        ("receiver.uwb.blank_width_s", {"receiver.uwb.blank_width_s": -1e-12},
+         "uwb", "receiver.uwb: blank_width_s must be finite and >= 0, got "
+                "-1e-12"),
+        ("receiver.uwb.threshold_db", {"receiver.uwb.threshold_db": 0.0},
+         "uwb", "receiver.uwb: threshold_db must be > 0, got 0.0"),
+        ("receiver.nb.max_range_m", {"receiver.nb.max_range_m": 0.0},
+         "nb", "receiver.nb: max_range_m must be finite and > 0, got 0.0"),
+        ("receiver.uwb.gate_min_m", {"receiver.uwb.gate_min_m": -1e-3,
+                                     "receiver.uwb.gate_max_m": 10.5},
+         "uwb", "receiver.uwb: gate_m must be (min, max) with "
+                "0 <= min < max, got (-0.001, 10.5)"),
+        ("receiver.uwb.gate_max_m", {"receiver.uwb.gate_min_m": 0.0,
+                                     "receiver.uwb.gate_max_m": -1e-3},
+         "uwb", "receiver.uwb: gate_m must be (min, max) with "
+                "0 <= min < max, got (0.0, -0.001)"),
+        ("receiver.nb.margin_bins", {"receiver.nb.margin_bins": -1},
+         "nb", "receiver.nb: margin_bins must be an integer >= 0, got -1"),
+        ("radar.nb.chip_rate_hz", {"radar.nb.chip_rate_hz": 0.0},
+         "nb", "radar.nb: chip_rate_hz must be finite and > 0, got 0.0"),
+        ("radar.nb.samples_per_chip", {"radar.nb.samples_per_chip": 1},
+         "nb", "radar.nb: samples_per_chip must be >= 2, got 1"),
+        ("radar.nb.pulse_width_s", {"radar.nb.pulse_width_s": 0.0},
+         "nb", "radar.nb: pulse_width_s (0) must span at least one sample"),
+        ("radar.nb.pri_s", {"radar.nb.pri_s": 0.0},
+         "nb", "radar.nb: pulse_width_s (1e-05) must span at least one "
+               "sample and fewer than pri_s (0)"),
+        ("radar.uwb.monocycle_width_s", {"radar.uwb.monocycle_width_s": 0.0},
+         "uwb", "radar.uwb: monocycle_width_s must be finite and > 0, got 0.0"),
+        ("radar.uwb.pri_s", {"radar.uwb.pri_s": 0.0},
+         "uwb", "radar.uwb: pri_s 0 is not longer than the truncated "
+                "monocycle support"),
+        ("radar.uwb.sample_rate_hz", {"radar.uwb.sample_rate_hz": 0.0},
+         "uwb", "radar.uwb: sample_rate_hz must be finite and > 0, got 0.0"),
+        ("code.gold_shift", {"code.family": "gold", "code.taps": [5, 2, 0],
+                             "code.taps_b": [5, 4, 3, 2, 0],
+                             "code.chips_per_bit": 31, "code.gold_shift": -1},
+         "uwb", "code: shift must lie in [0, 31), got -1"),
+        ("code.seed_state", {"code.seed_state": 0},
+         "uwb", "code: seed must be a nonzero 7-bit state, got 0"),
+        ("scene.clutter.count", {"scene.clutter.count": -1},
+         "uwb", "scene.clutter: count must be >= 0, got -1"),
+        ("scene.clutter.range_min_m", {"scene.clutter.range_min_m": 0.0},
+         "uwb", "scene.clutter: extent_m must be (near, far) with "
+                "0 < near <= far, got (0.0, 8.0)"),
+        ("scene.clutter.range_max_m", {"scene.clutter.range_max_m": 0.0},
+         "uwb", "scene.clutter: extent_m must be (near, far) with "
+                "0 < near <= far, got (2.0, 0.0)"),
+        ("scene.clutter.mean_sigma_m2",
+         {"scene.clutter.mean_sigma_m2": -1e-12},
+         "uwb", "scene.clutter: mean_sigma_m2 must be finite and >= 0, got "
+                "-1e-12"),
+        ("scene.noise_psd_w_per_hz", {"scene.noise_psd_w_per_hz": -1e-30},
+         "uwb", "scene: noise_psd must be >= 0, got -1e-30"),
+        ("scene.direct_path_gain", {"scene.direct_path_gain": -1e-12},
+         "uwb", "scene: direct_path_gain must be >= 0, got -1e-12"),
+        ("scene.sweep_phase_jitter_rad",
+         {"scene.sweep_phase_jitter_rad": -1e-12},
+         "uwb", "scene: sweep_phase_jitter_rad must be >= 0, got -1e-12"),
+    ]
+
+    @pytest.mark.parametrize("field, settings, mode, message", MODEL_RULES,
+                             ids=[case[0] for case in MODEL_RULES])
+    def test_model_rules_exit_two(self, tmp_path, capsys, field, settings,
+                                  mode, message):
+        assert field.startswith(message.split(": ")[0])
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            message: _minimal_with(settings, mode)})
+
+    def test_unused_chain_is_checked_by_type_only(self, tmp_path, capsys):
+        # a uwb profile builds neither the nb radar nor the nb receiver
+        text = _minimal_with({"radar.nb.chip_rate_hz": 0.0,
+                              "receiver.nb.margin_bins": -1}, "uwb")
+        path = _write(tmp_path, text)
+        assert main([str(path), "--out", str(tmp_path / "uwb"),
+                     "--quiet"]) == 0
+        nb_out = tmp_path / "nb"
+        assert main([str(path), "--out", str(nb_out), "--mode", "nb"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: radar.nb: chip_rate_hz must be finite and > 0")
+        assert not nb_out.exists()
+        # a value of the wrong type is rejected in any section
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "receiver.nb.margin_bins: expected an integer, got 'x'":
+                _minimal_with({"receiver.nb.margin_bins": "x"}, "uwb")})
 
 
 class TestRunExperiments:

@@ -261,6 +261,26 @@ class TestRadarParams:
         assert p.sample_rate_hz == 100e9
         assert p.monocycle_sigma_s == pytest.approx(0.165e-9)
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: nb_params(chip_rate_hz=np.nan), "chip_rate_hz must be finite"),
+        (lambda: nb_params(pulse_width_s=np.nan), "pulse_width_s must be finite"),
+        (lambda: nb_params(pri_s=np.inf), "pri_s must be finite"),
+        (lambda: uwb_params(monocycle_width_s=np.nan),
+         "monocycle_width_s must be finite"),
+        (lambda: uwb_params(sample_rate_hz=np.nan),
+         "sample_rate_hz must be finite"),
+        # zero once meant "use 100 GHz"
+        (lambda: uwb_params(sample_rate_hz=0.0), "sample_rate_hz must be "
+         "finite and > 0, got 0.0"),
+        (lambda: uwb_params(pri_s=np.nan), "pri_s must be finite"),
+    ], ids=["nb_chip_rate_nan", "nb_pulse_nan", "nb_pri_inf",
+            "uwb_monocycle_nan", "uwb_sample_rate_nan", "uwb_sample_rate_zero",
+            "uwb_pri_nan"])
+    def test_rates_and_durations_checked_at_construction(self, build, match):
+        # each would otherwise reach round() in the sample counts, or run
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_stream_requires_finite_samples(self):
         with pytest.raises(ValueError, match="finite"):
             SampleStream(np.array([np.nan + 0j]), 1.0)
