@@ -25,7 +25,7 @@ from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
                       ScanImage, SweepPipeline, calibrate, scan_image,
                       self_calibrate)
 from .scenario import (ExperimentKind, OutOfMemory, Scenario, ScenarioError,
-                       load_scenario)
+                       load_scenario, write_calibration_csv)
 from .waveform import Mode
 
 
@@ -160,12 +160,6 @@ def write_image_csv(path: Path, image: ScanImage) -> None:
             fh.write(rec.tobytes().translate(None, b"\0"))
 
 
-def write_calibration_csv(path: Path, cal: Calibration) -> None:
-    _write_csv(path, "gain,reference_sigma_m2,reference_range_m",
-               [(_fmt(cal.gain), _fmt(cal.reference_sigma_m2),
-                 _fmt(cal.reference_range_m))])
-
-
 def write_summary_csv(path: Path, rows) -> None:
     _write_csv(path, "mode,mean_dbsm,std_dbsm,uwb_std_lt_nb_std", rows)
 
@@ -242,8 +236,7 @@ def _artifacts(scenario: Scenario):
     elif kind is ExperimentKind.SCAN_IMAGE:
         yield "image.csv", write_image_csv, scan_image(
             pipeline, scenario.scene, _calibration_for(scenario, pipeline),
-            scenario.azimuth_step_deg, scenario.beamwidth_deg,
-            az_span_deg=scenario.azimuth_span_deg, pol=scenario.pol)
+            *scenario.scan, pol=scenario.pol)
 
 
 def run(scenario: Scenario, quiet: bool = False) -> list[Path]:

@@ -83,14 +83,20 @@ class PnSequence:
     def length(self) -> int:
         return int(self.chips.size)
 
+    def check_chips_per_bit(self, chips_per_bit: int) -> None:
+        """A bit spans 1 .. length chips, at most one period of the code."""
+        if not 1 <= chips_per_bit <= self.length:  # NaN fails too
+            raise ValueError(f"chips_per_bit must lie in [1, {self.length}], "
+                             f"got {chips_per_bit}")
+
 
 def _normalize_taps(taps) -> tuple[int, ...]:
     exps = sorted({int(e) for e in taps}, reverse=True)
+    if any(e < 0 for e in exps):
+        raise ValueError(f"taps {list(taps)} must be non-negative exponents")
     if len(exps) < 2 or exps[-1] != 0:
         raise ValueError(f"taps {list(taps)} must include the constant term 0 "
                          "and at least one higher exponent")
-    if any(e < 0 for e in exps):
-        raise ValueError("tap exponents must be non-negative")
     return tuple(exps)
 
 

@@ -401,8 +401,9 @@ def make_waveform(params: RadarParams, pn: PnSequence,
     zeros (default: the active transmission).
     """
     fs = params.sample_rate_hz
+    cpb = pn.length if chips_per_bit is None else chips_per_bit
+    pn.check_chips_per_bit(cpb)  # before cpb divides the chips
     if params.mode is Mode.NB_DSSS:
-        cpb = chips_per_bit or pn.length
         n_chips = math.ceil(params.pulse_samples / params.samples_per_chip)
         chips = spread(np.zeros(math.ceil(n_chips / cpb), dtype=np.int64),
                        pn, cpb)
@@ -580,6 +581,18 @@ class ScanImage:
             raise ValueError("image shape mismatch")
 
 
+def check_scan(azimuth_step_deg: float, beamwidth_deg: float,
+               azimuth_span_deg: float | None) -> None:
+    """Step, beamwidth and span (or None) finite and > 0, step <= beamwidth."""
+    check_field("azimuth_step_deg", azimuth_step_deg, "finite and > 0")
+    check_field("beamwidth_deg", beamwidth_deg, "finite and > 0")
+    if azimuth_step_deg > beamwidth_deg:
+        raise ValueError(f"azimuth_step_deg ({azimuth_step_deg:g}) must not "
+                         f"exceed beamwidth_deg ({beamwidth_deg:g})")
+    if azimuth_span_deg is not None:
+        check_field("azimuth_span_deg", azimuth_span_deg, "finite and > 0")
+
+
 def _beam_weight(delta_deg: np.ndarray, beamwidth_deg: float) -> np.ndarray:
     """Two-way amplitude weight of a Gaussian beam with the given -3 dB width."""
     return np.exp(-4.0 * np.log(2.0) * (delta_deg / beamwidth_deg) ** 2)
@@ -590,10 +603,8 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
                az_span_deg: float | None = None,
                pol: Pol = Pol.VV) -> ScanImage:
     """Mechanical azimuth raster: weight the scene by the beam, profile,
-    and stack rows into a calibrated image."""
-    check_field("azimuth_step_deg", azimuth_step_deg, "> 0")
-    if azimuth_step_deg > beamwidth_deg:
-        raise ValueError("azimuth step must not exceed the beamwidth")
+    and stack rows into a calibrated image (see check_scan)."""
+    check_scan(azimuth_step_deg, beamwidth_deg, az_span_deg)
     if az_span_deg is None:
         az_pts = [math.degrees(p.azimuth_rad) for p in scene.all_points]
         az_span_deg = max(abs(a) for a in az_pts) + 3.0 * beamwidth_deg

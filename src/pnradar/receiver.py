@@ -124,6 +124,5 @@ def uwb_correlate(rx: SampleStream, template: PulseTrain,
 
 def processing_gain(pn: PnSequence, chips_per_bit: int) -> float:
     """Despreading gain in dB: 10*log10(chips per bit)."""
-    if not (1 <= chips_per_bit <= pn.length):
-        raise ValueError(f"chips_per_bit must lie in [1, {pn.length}]")
+    pn.check_chips_per_bit(chips_per_bit)
     return 10.0 * np.log10(chips_per_bit)

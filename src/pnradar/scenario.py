@@ -3,14 +3,14 @@
 A scenario is one YAML file with sections mirroring the library modules
 (radar, code, scene, receiver, experiment, output).  Loading fails fast:
 parse errors carry line info, every field's type is checked against the
-schema and its value rules by the model type it builds, unknown keys are
-rejected, and all defaults are materialized into the returned scenario
-so no hidden default exists downstream.
+schema and its value rules by the model type or library check that uses
+it, unknown keys are rejected, and all defaults are materialized into
+the returned scenario so no hidden default exists downstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
     TargetModel, check_interferer_band, check_unambiguous_range, gen_clutter
 from .codes import PnSequence, gen_gold, gen_mseq
 from .imaging import Calibration, ReceiverConfig, SweepPipeline, \
-    sweep_samples
+    check_scan, sweep_samples
 from .waveform import Mode, RadarParams, nb_params, uwb_params
 
 
@@ -109,17 +109,14 @@ class _List:
     """List field: each entry a mapping resolved against ``schema``; an
     absent or null list is empty."""
 
-    def __init__(self, schema: dict, required: bool = False):
+    def __init__(self, schema: dict):
         self.schema = schema
-        self.required = required
 
     def resolve(self, path: str, value) -> list[dict]:
         if value is None:
             value = []
         if not isinstance(value, list):
             raise ScenarioError(f"{path}: expected a list")
-        if self.required and not value:
-            raise ScenarioError(f"{path}: at least one entry is required")
         return [_resolve_section(self.schema, item, f"{path}[{i}]")
                 for i, item in enumerate(value)]
 
@@ -177,10 +174,10 @@ _SCHEMA = {
         "taps_b": _F(None, "intlist", nullable=True),
         "gold_shift": _F(0, "int"),
         "seed_state": _F(1, "int"),
-        "chips_per_bit": _F(127, "int", minimum=1),
+        "chips_per_bit": _F(127, "int"),
     },
     "scene": {
-        "target": {"points": _List(_POINT_SCHEMA, required=True)},
+        "target": {"points": _List(_POINT_SCHEMA)},
         "clutter": {
             "count": _F(0, "int"),
             "range_min_m": _F(2.0, "float"),
@@ -199,10 +196,9 @@ _SCHEMA = {
                    choices={k.value for k in ExperimentKind}),
         "sweeps": _F(10, "int", minimum=1),
         "polarization": _F("vv", "str", choices={"vv", "hh", "vh", "hv"}),
-        "azimuth_step_deg": _F(1.0, "float", minimum=0.0, exclusive_min=True),
-        "beamwidth_deg": _F(2.0, "float", minimum=0.0, exclusive_min=True),
-        "azimuth_span_deg": _F(None, "float", nullable=True, minimum=0.0,
-                               exclusive_min=True),
+        "azimuth_step_deg": _F(1.0, "float"),
+        "beamwidth_deg": _F(2.0, "float"),
+        "azimuth_span_deg": _F(None, "float", nullable=True),
         "reference": {
             "sigma_m2": _F(None, "float", nullable=True, minimum=0.0,
                            exclusive_min=True),
@@ -263,9 +259,7 @@ class Scenario:
     experiment: ExperimentKind
     sweeps: int
     pol: Pol
-    azimuth_step_deg: float
-    beamwidth_deg: float
-    azimuth_span_deg: float | None
+    scan: tuple[float, float, float | None]  # step, beamwidth, span (deg)
     reference: tuple[float, float] | None
     calibration: Calibration | None  # read from experiment.calibration_file
     out_dir: Path
@@ -277,48 +271,40 @@ class Scenario:
         return self.pipelines[mode].params
 
 
-def _named(where: str, build, *args, **kwargs):
+def _named(where: str, build, *args, renamed: dict | None = None, **kwargs):
     """``build(*args, **kwargs)``; a ValueError is re-raised as a
     ScenarioError that starts with ``where``, the path of what it builds
-    or checks."""
+    or checks, with the parameter that leads it renamed by ``renamed``."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        param, *rest = str(exc).split(" ", 1)
+        text = " ".join([(renamed or {}).get(param, param), *rest])
+        raise ScenarioError(f"{where}: {text}") from exc
 
 
 def _build_code(cfg: dict) -> PnSequence:
     if cfg["family"] == "msequence":
-        return _named("code", gen_mseq, cfg["taps"], cfg["seed_state"])
+        return _named("code", gen_mseq, cfg["taps"], cfg["seed_state"],
+                      renamed={"seed": "seed_state"})
     if cfg["taps_b"] is None:
         raise ScenarioError("code.taps_b: required for the gold family")
     return _named("code", gen_gold, cfg["taps"], cfg["taps_b"],
-                  cfg["gold_shift"])
+                  cfg["gold_shift"], renamed={"shift": "gold_shift"})
 
 
-def _gate(section: dict, where: str) -> tuple[float, float] | None:
-    """The estimation gate a receiver section sets, if any; an unpaired
-    gate field is reported against ``where``, the section's path."""
+def _rx_config(section: dict, where: str) -> ReceiverConfig:
+    """The ReceiverConfig of the receiver section at ``where``, checked by
+    its rules; a null max_range_m keeps ReceiverConfig's default."""
     lo, hi = section["gate_min_m"], section["gate_max_m"]
     if (lo is None) != (hi is None):
         raise ScenarioError(
             f"{where}.gate_min_m and {where}.gate_max_m must be set together")
-    return None if lo is None else (lo, hi)
-
-
-def _build_rx_config(resolved: dict, params: RadarParams) -> ReceiverConfig:
-    """The chain's receiver; a null max_range_m is set to the chain's
-    default in ``resolved``, so the manifest carries the window used."""
-    where = f"receiver.{params.mode.value}"
-    gate = _gate(resolved, where)
-    if resolved["max_range_m"] is None:
-        resolved["max_range_m"] = (100.0 if params.mode is Mode.NB_DSSS
-                                   else 0.9 * params.unambiguous_range_m)
-    return _named(where, ReceiverConfig,
-                  blank_width_s=resolved["blank_width_s"],
-                  threshold_db=resolved["threshold_db"],
-                  max_range_m=resolved["max_range_m"], gate_m=gate,
-                  margin_bins=resolved["margin_bins"])
+    values = {key: section[key] for key in ("blank_width_s", "threshold_db",
+              "max_range_m", "margin_bins") if section[key] is not None}
+    return _named(where, ReceiverConfig, **values,
+                  gate_m=None if lo is None else (lo, hi),
+                  renamed={"gate_m": "(gate_min_m, gate_max_m)"})
 
 
 def resolve_scenario(data: dict) -> Scenario:
@@ -326,10 +312,7 @@ def resolve_scenario(data: dict) -> Scenario:
     cfg = _resolve_section(_SCHEMA, data, "")
 
     pn = _build_code(cfg["code"])
-    if cfg["code"]["chips_per_bit"] > pn.length:
-        raise ScenarioError(
-            f"code.chips_per_bit ({cfg['code']['chips_per_bit']}) exceeds the "
-            f"code length ({pn.length})")
+    _named("code", pn.check_chips_per_bit, cfg["code"]["chips_per_bit"])
 
     seed = cfg["seed"]
     scene_cfg = cfg["scene"]
@@ -339,43 +322,44 @@ def resolve_scenario(data: dict) -> Scenario:
     clutter = _named(
         "scene.clutter", gen_clutter,
         (clut_cfg["range_min_m"], clut_cfg["range_max_m"]), clut_cfg["count"],
-        clut_cfg["mean_sigma_m2"], clutter_seed)
-    points = tuple(
+        clut_cfg["mean_sigma_m2"], clutter_seed,
+        renamed={"extent_m": "(range_min_m, range_max_m)"})
+    target = _named("scene.target.points", TargetModel, tuple(
         _named(f"scene.target.points[{i}]", Scatterer, p["sigma_m2"],
                p["range_m"], p["cross_range_m"],
                [[p["pol_vv"], p["pol_vh"]], [p["pol_hv"], p["pol_hh"]]])
-        for i, p in enumerate(scene_cfg["target"]["points"]))
+        for i, p in enumerate(scene_cfg["target"]["points"])))
     interferers = tuple(
         _named(f"scene.interferers[{i}]", Interferer, itf["freq_hz"],
                itf["power_w"], InterfererKind(itf["kind"]))
         for i, itf in enumerate(scene_cfg["interferers"]))
-    scene = _named("scene", Scene, TargetModel(points), clutter=clutter,
+    scene = _named("scene", Scene, target, clutter=clutter,
                    interferers=interferers,
                    noise_psd=scene_cfg["noise_psd_w_per_hz"],
                    direct_path_gain=scene_cfg["direct_path_gain"],
                    sweep_phase_jitter_rad=scene_cfg["sweep_phase_jitter_rad"],
-                   rng_seed=seed)
-
-    _gate(cfg["receiver"], "receiver")
+                   rng_seed=seed, renamed={"noise_psd": "noise_psd_w_per_hz"})
+    # the shared section's own values, once; each chain inherits them
+    _rx_config(cfg["receiver"], "receiver")
 
     exp = cfg["experiment"]
     kind = ExperimentKind(exp["kind"])
     if kind is ExperimentKind.RCS_SWEEP_SERIES and exp["sweeps"] < 2:
         raise ScenarioError(
             "experiment.sweeps: a sweep series needs at least 2 sweeps")
-    if kind is ExperimentKind.SCAN_IMAGE \
-            and exp["azimuth_step_deg"] > exp["beamwidth_deg"]:
-        raise ScenarioError(
-            "experiment.azimuth_step_deg must not exceed experiment.beamwidth_deg")
+    scan = (exp["azimuth_step_deg"], exp["beamwidth_deg"],
+            exp["azimuth_span_deg"])
+    if kind is ExperimentKind.SCAN_IMAGE:
+        _named("experiment", check_scan, *scan)
 
     ref_cfg = exp["reference"]
     if (ref_cfg["sigma_m2"] is None) != (ref_cfg["range_m"] is None):
         raise ScenarioError(
             "experiment.reference: sigma_m2 and range_m must be set together")
-    if ref_cfg["sigma_m2"] is None and len(points) == 1:
+    if ref_cfg["sigma_m2"] is None and len(target.points) == 1:
         # default reference: the scene's single target point
-        ref_cfg["sigma_m2"] = points[0].sigma_m2
-        ref_cfg["range_m"] = points[0].range_m
+        ref_cfg["sigma_m2"] = target.points[0].sigma_m2
+        ref_cfg["range_m"] = target.points[0].range_m
     reference = (None if ref_cfg["sigma_m2"] is None
                  else (ref_cfg["sigma_m2"], ref_cfg["range_m"]))
 
@@ -406,8 +390,11 @@ def resolve_scenario(data: dict) -> Scenario:
                   else [mode]):
         build = nb_params if chain is Mode.NB_DSSS else uwb_params
         params = _named(f"radar.{chain.value}", build, **cfg["radar"][chain.value])
-        chains[chain] = params, _build_rx_config(cfg["receiver"][chain.value],
-                                                 params)
+        rx = cfg["receiver"][chain.value]
+        if rx["max_range_m"] is None:  # the manifest carries the window used
+            rx["max_range_m"] = (100.0 if chain is Mode.NB_DSSS
+                                 else 0.9 * params.unambiguous_range_m)
+        chains[chain] = params, _rx_config(rx, f"receiver.{chain.value}")
         where = f"({chain.value} chain)"
         _named(f"scene {where}", check_unambiguous_range,
                scene.point_arrays[0], params)
@@ -437,9 +424,7 @@ def resolve_scenario(data: dict) -> Scenario:
         raw=cfg, seed=seed, mode=mode, pipelines=pipelines,
         pn=pn, chips_per_bit=cfg["code"]["chips_per_bit"], scene=scene,
         experiment=kind, sweeps=exp["sweeps"], pol=Pol(exp["polarization"]),
-        azimuth_step_deg=exp["azimuth_step_deg"],
-        beamwidth_deg=exp["beamwidth_deg"],
-        azimuth_span_deg=exp["azimuth_span_deg"], reference=reference,
+        scan=scan, reference=reference,
         calibration=calibration, out_dir=Path(cfg["output"]["directory"]))
 
 
@@ -477,6 +462,13 @@ def _check_kept_window(pipeline: SweepPipeline, reference_m: float | None,
                 f"at {nearest} m")
 
 
+def write_calibration_csv(path: str | Path, cal: Calibration) -> None:
+    """Write ``cal`` as read_calibration_csv reads it: a header of
+    Calibration's field names and one row of their values as "%.12g"."""
+    Path(path).write_text(",".join(vars(cal)) + "\n" + ",".join(
+        "%.12g" % v for v in vars(cal).values()) + "\n", newline="")
+
+
 def read_calibration_csv(path: str | Path) -> Calibration:
     """Read a calibration written by the calibrate experiment."""
     path = Path(path)
@@ -485,12 +477,12 @@ def read_calibration_csv(path: str | Path) -> Calibration:
         lines = path.read_text().strip().splitlines()
     except OSError as exc:
         raise ScenarioError(f"{where}: {exc.strerror}") from exc
-    if len(lines) < 2 or lines[0] != "gain,reference_sigma_m2,reference_range_m":
+    names = [f.name for f in fields(Calibration)]
+    if len(lines) < 2 or lines[0] != ",".join(names):
         raise ScenarioError(f"{where}: not a calibration file")
     try:
-        gain, sigma, rng_m = (float(v) for v in lines[1].split(","))
-        return Calibration(gain=gain, reference_sigma_m2=sigma,
-                           reference_range_m=rng_m)
+        values = (float(v) for v in lines[1].split(","))
+        return Calibration(**dict(zip(names, values, strict=True)))
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 

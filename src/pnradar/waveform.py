@@ -192,8 +192,7 @@ def spread(data_bits, pn: PnSequence, chips_per_bit: int) -> np.ndarray:
         raise ValueError("data_bits must be nonempty")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("data_bits must be 0/1")
-    if not (1 <= chips_per_bit <= pn.length):
-        raise ValueError(f"chips_per_bit must lie in [1, {pn.length}]")
+    pn.check_chips_per_bit(chips_per_bit)
     n_chips = bits.size * chips_per_bit
     code = pn.chips[np.arange(n_chips) % pn.length].astype(np.int8)
     symbols = bits_to_bipolar(bits)

@@ -67,6 +67,13 @@ class TestMSequence:
         with pytest.raises(ValueError, match="seed"):
             gen_mseq([3, 1, 0], seed=0)
 
+    def test_negative_tap_rejected(self):
+        # the list holds the constant term, so it must not be reported
+        # missing
+        for taps in ([5, 2, 0, -1], [-1]):
+            with pytest.raises(ValueError, match="non-negative"):
+                gen_mseq(taps)
+
     def test_degree_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             gen_mseq([1, 0])

@@ -598,6 +598,16 @@ class TestChipsPerBit:
             assert other_template.samples().tobytes() == \
                 template.samples().tobytes()
 
+    @pytest.mark.parametrize("params", [nb_params(), uwb_params()],
+                             ids=["nb", "uwb"])
+    def test_out_of_range_is_rejected(self, params):
+        # 0 once stood for the code length
+        pn = gen_mseq([5, 2, 0])
+        for cpb in (0, 32):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"chips_per_bit must lie in [1, 31], got {cpb}")):
+                SweepPipeline(params, pn, cpb)
+
 
 class TestMedian:
     """_median is np.median without numpy.ma."""
@@ -1101,9 +1111,20 @@ class TestScanImage:
         with pytest.raises(ValueError, match="beamwidth"):
             self._image((Scatterer(sigma_m2=1e-3, range_m=10.0),),
                         step=3.0, bw=2.0)
-        with pytest.raises(ValueError, match="azimuth_step_deg must be > 0"):
+        with pytest.raises(ValueError,
+                           match="azimuth_step_deg must be finite and > 0"):
             self._image((Scatterer(sigma_m2=1e-3, range_m=10.0),),
                         step=math.nan)
+
+    @pytest.mark.parametrize("geometry, message", [
+        ({"bw": math.nan}, "beamwidth_deg must be finite and > 0, got nan"),
+        ({"span": math.nan}, "azimuth_span_deg must be finite and > 0, got nan"),
+        ({"span": -3.0}, "azimuth_span_deg must be finite and > 0, got -3.0"),
+        ({"step": math.inf}, "azimuth_step_deg must be finite and > 0"),
+    ], ids=["nan_beamwidth", "nan_span", "negative_span", "inf_step"])
+    def test_bad_geometry_names_the_field(self, geometry, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self._image((Scatterer(sigma_m2=1e-3, range_m=10.0),), **geometry)
 
     def test_scene_interferers_reach_every_row(self, nb_setup):
         _, _, _, pipeline, cal = nb_setup

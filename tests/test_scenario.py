@@ -21,9 +21,11 @@ from hypothesis.extra import numpy as hnp
 import pnradar
 from pnradar import Mode, NoDetections, ScanImage, imaging
 from pnradar.cli import _write_manifest, main, run, write_image_csv
+from pnradar.imaging import Calibration
 from pnradar.scenario import (_F, _List, _SCHEMA, ExperimentKind,
                               ScenarioError, load_scenario,
-                              read_calibration_csv, resolve_scenario)
+                              read_calibration_csv, resolve_scenario,
+                              write_calibration_csv)
 
 MINIMAL = """
 radar: {mode: uwb}
@@ -211,8 +213,8 @@ class TestLoadScenario:
          "nb", "{gate_min_m: 9.0}"),
         ("receiver.uwb.gate_min_m and receiver.uwb.gate_max_m must be set "
          "together", "uwb", "{uwb: {gate_min_m: 9.0}}"),
-        ("receiver.nb: gate_m must be (min, max) with 0 <= min < max, got "
-         "(9.0, 8.0)",
+        ("receiver.nb: (gate_min_m, gate_max_m) must be (min, max) with "
+         "0 <= min < max, got (9.0, 8.0)",
          "nb", "{nb: {gate_min_m: 9.0, gate_max_m: 8.0}}"),
     ], ids=["base", "uwb_unpaired", "nb_reversed"])
     def test_gate_rules_name_the_section_that_breaks_them(
@@ -299,9 +301,9 @@ class TestLoadScenario:
 
     def test_list_and_override_errors_name_the_field(self, tmp_path, capsys):
         _assert_rejected_before_synthesis(tmp_path, capsys, {
-            "scene.target.points: at least one entry": MINIMAL.replace(
-                "    points:\n      - {sigma_m2: 1.0e-3, range_m: 10.0}\n",
-                "    points: []\n"),
+            "scene.target.points: target must contain at least one point":
+                MINIMAL.replace("    points:\n      - {sigma_m2: 1.0e-3, "
+                                "range_m: 10.0}\n", "    points: []\n"),
             "scene.interferers: expected a list":
                 MINIMAL + "  interferers: {}\n",
             "receiver.uwb: expected a mapping": MINIMAL + "receiver: {uwb: 3}\n",
@@ -321,9 +323,8 @@ class TestLoadScenario:
 
     def test_schema_bounds_only_the_fields_no_model_owns(self):
         # any other field's value rule belongs to the model type it builds
-        no_owner = {"seed", "scene.clutter.seed", "code.chips_per_bit",
-                    "experiment.sweeps", "experiment.azimuth_step_deg",
-                    "experiment.beamwidth_deg", "experiment.azimuth_span_deg",
+        # or the library function that checks it
+        no_owner = {"seed", "scene.clutter.seed", "experiment.sweeps",
                     "experiment.reference.sigma_m2",
                     "experiment.reference.range_m"}
 
@@ -338,11 +339,12 @@ class TestLoadScenario:
                     yield where
 
         found = set(bounded(_SCHEMA, ""))
-        assert found <= no_owner, sorted(found - no_owner)
+        assert found == no_owner, sorted(found ^ no_owner)
 
-    # One case per value rule the schema left to a model type, each value
-    # just outside the rule, on a chain the run uses: the message starts
-    # with the path of the object the field builds.
+    # One case per value rule the schema left to a model type or a library
+    # check, each value just outside the rule, on a run that uses it: the
+    # message starts with the path of the object the field builds, or of
+    # the section it is checked under, and names the field.
     MODEL_RULES = [
         ("scene.target.points[0].sigma_m2",
          {"scene.target.points": [{"sigma_m2": -1e-12, "range_m": 10.0}]},
@@ -364,14 +366,28 @@ class TestLoadScenario:
          "nb", "receiver.nb: max_range_m must be finite and > 0, got 0.0"),
         ("receiver.uwb.gate_min_m", {"receiver.uwb.gate_min_m": -1e-3,
                                      "receiver.uwb.gate_max_m": 10.5},
-         "uwb", "receiver.uwb: gate_m must be (min, max) with "
-                "0 <= min < max, got (-0.001, 10.5)"),
+         "uwb", "receiver.uwb: (gate_min_m, gate_max_m) must be (min, max) "
+                "with 0 <= min < max, got (-0.001, 10.5)"),
         ("receiver.uwb.gate_max_m", {"receiver.uwb.gate_min_m": 0.0,
                                      "receiver.uwb.gate_max_m": -1e-3},
-         "uwb", "receiver.uwb: gate_m must be (min, max) with "
-                "0 <= min < max, got (0.0, -0.001)"),
+         "uwb", "receiver.uwb: (gate_min_m, gate_max_m) must be (min, max) "
+                "with 0 <= min < max, got (0.0, -0.001)"),
         ("receiver.nb.margin_bins", {"receiver.nb.margin_bins": -1},
          "nb", "receiver.nb: margin_bins must be an integer >= 0, got -1"),
+        # a value the shared section sets is checked there, once, even when
+        # every chain the run uses sets its own
+        ("receiver.margin_bins", {"receiver.margin_bins": -1},
+         "nb", "receiver: margin_bins must be an integer >= 0, got -1"),
+        ("receiver.margin_bins", {"receiver.margin_bins": -1,
+                                  "receiver.nb.margin_bins": 1},
+         "nb", "receiver: margin_bins must be an integer >= 0, got -1"),
+        ("receiver.max_range_m", {"receiver.max_range_m": 0.0,
+                                  "receiver.uwb.max_range_m": 12.0},
+         "uwb", "receiver: max_range_m must be finite and > 0, got 0.0"),
+        ("receiver.gate_max_m", {"receiver.gate_min_m": 9.0,
+                                 "receiver.gate_max_m": 8.0},
+         "uwb", "receiver: (gate_min_m, gate_max_m) must be (min, max) "
+                "with 0 <= min < max, got (9.0, 8.0)"),
         ("radar.nb.chip_rate_hz", {"radar.nb.chip_rate_hz": 0.0},
          "nb", "radar.nb: chip_rate_hz must be finite and > 0, got 0.0"),
         ("radar.nb.samples_per_chip", {"radar.nb.samples_per_chip": 1},
@@ -391,35 +407,64 @@ class TestLoadScenario:
         ("code.gold_shift", {"code.family": "gold", "code.taps": [5, 2, 0],
                              "code.taps_b": [5, 4, 3, 2, 0],
                              "code.chips_per_bit": 31, "code.gold_shift": -1},
-         "uwb", "code: shift must lie in [0, 31), got -1"),
+         "uwb", "code: gold_shift must lie in [0, 31), got -1"),
         ("code.seed_state", {"code.seed_state": 0},
-         "uwb", "code: seed must be a nonzero 7-bit state, got 0"),
+         "uwb", "code: seed_state must be a nonzero 7-bit state, got 0"),
+        ("code.taps", {"code.taps": [5, 2, 0, -1]},
+         "uwb", "code: taps [5, 2, 0, -1] must be non-negative exponents"),
+        # chips_per_bit lies in [1, code length], on every run
+        ("code.chips_per_bit", {"code.chips_per_bit": 0,
+                                "experiment.kind": "scan_image"},
+         "uwb", "code: chips_per_bit must lie in [1, 127], got 0"),
+        ("code.chips_per_bit", {"code.chips_per_bit": 128,
+                                "experiment.kind": "scan_image"},
+         "uwb", "code: chips_per_bit must lie in [1, 127], got 128"),
         ("scene.clutter.count", {"scene.clutter.count": -1},
          "uwb", "scene.clutter: count must be >= 0, got -1"),
         ("scene.clutter.range_min_m", {"scene.clutter.range_min_m": 0.0},
-         "uwb", "scene.clutter: extent_m must be (near, far) with "
-                "0 < near <= far, got (0.0, 8.0)"),
+         "uwb", "scene.clutter: (range_min_m, range_max_m) must be (near, "
+                "far) with 0 < near <= far, got (0.0, 8.0)"),
         ("scene.clutter.range_max_m", {"scene.clutter.range_max_m": 0.0},
-         "uwb", "scene.clutter: extent_m must be (near, far) with "
-                "0 < near <= far, got (2.0, 0.0)"),
+         "uwb", "scene.clutter: (range_min_m, range_max_m) must be (near, "
+                "far) with 0 < near <= far, got (2.0, 0.0)"),
         ("scene.clutter.mean_sigma_m2",
          {"scene.clutter.mean_sigma_m2": -1e-12},
          "uwb", "scene.clutter: mean_sigma_m2 must be finite and >= 0, got "
                 "-1e-12"),
         ("scene.noise_psd_w_per_hz", {"scene.noise_psd_w_per_hz": -1e-30},
-         "uwb", "scene: noise_psd must be >= 0, got -1e-30"),
+         "uwb", "scene: noise_psd_w_per_hz must be >= 0, got -1e-30"),
         ("scene.direct_path_gain", {"scene.direct_path_gain": -1e-12},
          "uwb", "scene: direct_path_gain must be >= 0, got -1e-12"),
         ("scene.sweep_phase_jitter_rad",
          {"scene.sweep_phase_jitter_rad": -1e-12},
          "uwb", "scene: sweep_phase_jitter_rad must be >= 0, got -1e-12"),
+        # the scan geometry, on scan_image runs only
+        ("experiment.azimuth_step_deg",
+         {"experiment.kind": "scan_image", "experiment.azimuth_step_deg": 0.0},
+         "uwb", "experiment: azimuth_step_deg must be finite and > 0, got 0.0"),
+        ("experiment.beamwidth_deg",
+         {"experiment.kind": "scan_image", "experiment.beamwidth_deg": 0.0},
+         "uwb", "experiment: beamwidth_deg must be finite and > 0, got 0.0"),
+        ("experiment.azimuth_step_deg",
+         {"experiment.kind": "scan_image", "experiment.azimuth_step_deg": 3.0},
+         "uwb", "experiment: azimuth_step_deg (3) must not exceed "
+                "beamwidth_deg (2)"),
+        ("experiment.azimuth_span_deg",
+         {"experiment.kind": "scan_image",
+          "experiment.azimuth_span_deg": -1e-12},
+         "uwb", "experiment: azimuth_span_deg must be finite and > 0, got "
+                "-1e-12"),
     ]
 
     @pytest.mark.parametrize("field, settings, mode, message", MODEL_RULES,
                              ids=[case[0] for case in MODEL_RULES])
     def test_model_rules_exit_two(self, tmp_path, capsys, field, settings,
                                   mode, message):
-        assert field.startswith(message.split(": ")[0])
+        # the message's path is the field's or a section above it, and the
+        # rule names the field the file sets
+        head, rule = message.split(": ", 1)
+        assert field == head or field.startswith((head + ".", head + "["))
+        assert field.rsplit(".", 1)[-1] in rule
         _assert_rejected_before_synthesis(tmp_path, capsys, {
             message: _minimal_with(settings, mode)})
 
@@ -509,6 +554,26 @@ class TestRunExperiments:
         rows = (tmp_path / "out" / "series.csv").read_text().splitlines()[1:]
         dbsm = [float(r.split(",")[3]) for r in rows]
         assert all(abs(v + 30.0) < 1.0 for v in dbsm)
+
+    def test_calibration_file_reads_back_equal(self, tmp_path):
+        # each value to 12 significant digits, as every CSV cell is written
+        path = tmp_path / "calibration.csv"
+        cal = Calibration(gain=3.0517578125e-05, reference_sigma_m2=1e-3,
+                          reference_range_m=10.0)
+        write_calibration_csv(path, cal)
+        assert path.read_bytes() == (b"gain,reference_sigma_m2,"
+                                     b"reference_range_m\n"
+                                     b"3.0517578125e-05,0.001,10\n")
+        assert read_calibration_csv(path) == cal
+        drawn = Calibration(gain=1 / 3, reference_sigma_m2=2 / 3,
+                            reference_range_m=10 / 3)
+        write_calibration_csv(path, drawn)
+        assert read_calibration_csv(path) == Calibration(
+            *(float("%.12g" % v) for v in (1 / 3, 2 / 3, 10 / 3)))
+        # a row of the wrong width is not a calibration
+        path.write_text("gain,reference_sigma_m2,reference_range_m\n1,2\n")
+        with pytest.raises(ScenarioError, match="calibration_file"):
+            read_calibration_csv(path)
 
     def test_polarimetric_run(self, tmp_path):
         text = MINIMAL + (
@@ -879,11 +944,15 @@ class TestCliEntry:
         wide = ("experiment: {kind: %s, azimuth_step_deg: 3.0, "
                 "beamwidth_deg: 2.0}\n")
         _assert_rejected_before_synthesis(tmp_path, capsys, {
-            "experiment.azimuth_step_deg must not exceed "
-            "experiment.beamwidth_deg": MINIMAL + wide % "scan_image"})
-        path = _write(tmp_path, MINIMAL + wide % "profile", "profile.yaml")
-        assert main([str(path), "--out", str(tmp_path / "out"),
-                     "--quiet"]) == 0
+            "experiment: azimuth_step_deg (3) must not exceed beamwidth_deg "
+            "(2)": MINIMAL + wide % "scan_image"})
+        # other runs check the scan fields by type only
+        for i, scan in enumerate((wide % "profile", (
+                "experiment: {azimuth_step_deg: 0.0, beamwidth_deg: -2.0, "
+                "azimuth_span_deg: -1.0}\n"))):
+            path = _write(tmp_path, MINIMAL + scan, f"profile{i}.yaml")
+            assert main([str(path), "--out", str(tmp_path / f"out{i}"),
+                         "--quiet"]) == 0
 
     def test_kept_window_without_a_range_bin_exits_two(self, tmp_path,
                                                        capsys):
