@@ -9,6 +9,7 @@ independent of evaluation order.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -80,7 +81,12 @@ class Scatterer:
         mat = np.asarray(self.pol_matrix, dtype=np.complex128)
         if mat.shape != (2, 2):
             raise ValueError("pol_matrix must be 2x2")
-        peak = np.max(np.abs(mat))
+        # four entries: Python's abs and max beat numpy's reductions, but
+        # max drops a NaN that is not first, so finiteness comes first
+        entries = [z for row in mat.tolist() for z in row]
+        if not all(map(cmath.isfinite, entries)):
+            raise ValueError("pol_matrix entries must be finite")
+        peak = max(map(abs, entries))
         if peak > 1.0 + _POL_TOL:
             raise ValueError("pol_matrix entries must not exceed unit magnitude")
         if abs(peak - 1.0) > _POL_TOL:
@@ -306,9 +312,12 @@ def gen_clutter(extent_m: tuple[float, float], count: int,
     sigmas = rng.exponential(mean_sigma_m2, size=count) if mean_sigma_m2 > 0 \
         else np.zeros(count)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return tuple(Scatterer(sigma_m2=float(s), range_m=float(r),
-                           pol_matrix=np.full((2, 2), np.exp(1j * ph)))
-                 for r, s, ph in zip(ranges, sigmas, phases))
+    # one read-only stack of matrices, each exp(1j * phase) in all four
+    # entries; each point holds a row of it
+    mats = np.repeat(np.exp(1j * phases), 4).reshape(count, 2, 2)
+    mats.flags.writeable = False
+    return tuple(Scatterer(sigma_m2=s, range_m=r, pol_matrix=m)
+                 for r, s, m in zip(ranges.tolist(), sigmas.tolist(), mats))
 
 
 @lru_cache(maxsize=8)

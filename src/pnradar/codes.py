@@ -34,15 +34,17 @@ MIN_DEGREE = 2
 MAX_DEGREE = 24
 
 
+_FIELD_RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+                "finite": math.isfinite,
+                "finite and > 0": lambda v: 0 < v < math.inf,
+                "finite and >= 0": lambda v: 0 <= v < math.inf}
+
+
 def check_field(name: str, value, rule: str) -> None:
     """Raise ValueError "<name> must be <rule>, got <value>" unless
     ``value`` meets ``rule``, as the value types check their fields; NaN
     meets none of the rules."""
-    holds = {"> 0": value > 0, ">= 0": value >= 0,
-             "finite": math.isfinite(value),
-             "finite and > 0": 0 < value < math.inf,
-             "finite and >= 0": 0 <= value < math.inf}[rule]
-    if not holds:
+    if not _FIELD_RULES[rule](value):
         raise ValueError(f"{name} must be {rule}, got {value}")
 
 
@@ -84,8 +86,12 @@ class PnSequence:
         return int(self.chips.size)
 
     def check_chips_per_bit(self, chips_per_bit: int) -> None:
-        """A bit spans 1 .. length chips, at most one period of the code."""
-        if not 1 <= chips_per_bit <= self.length:  # NaN fails too
+        """A bit spans a whole number of chips, 1 .. length, at most one
+        period of the code."""
+        if not isinstance(chips_per_bit, (int, np.integer)):
+            raise ValueError(
+                f"chips_per_bit must be an integer, got {chips_per_bit}")
+        if not 1 <= chips_per_bit <= self.length:
             raise ValueError(f"chips_per_bit must lie in [1, {self.length}], "
                              f"got {chips_per_bit}")
 

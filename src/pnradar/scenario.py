@@ -499,8 +499,13 @@ def _set_path(data: dict, dotted: str, value) -> None:
     data[leaf] = value
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """yaml.safe_load's loader, but a key repeated in a mapping is an error."""
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """yaml.safe_load's loader, but a key repeated in a mapping is an error.
+
+    It parses through libyaml where PyYAML ships it; the pure-Python
+    parser builds the same data and marks errors at the same line and
+    column, but for an unknown escape (README, "Scenario format").
+    """
 
     def construct_mapping(self, node, deep=False):
         # a merge key's entries may be overridden; a list of the keys seen

@@ -111,6 +111,32 @@ class TestGenClutter:
         with pytest.raises(ValueError, match="mean_sigma"):
             gen_clutter((2.0, 8.0), 4, -0.01, seed=1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(0, 500), near=st.floats(1e-3, 1e4),
+           width=st.floats(0.0, 1e4),
+           mean=st.one_of(st.just(0.0), st.floats(1e-12, 1e3)),
+           seed=st.integers(0, _U64))
+    def test_equals_per_point_construction(self, count, near, width, mean,
+                                           seed):
+        # the oracle draws as gen_clutter does, then builds each point's
+        # values and matrix one at a time
+        rng = np.random.default_rng(seed)
+        ranges = rng.uniform(near, near + width, size=count)
+        sigmas = rng.exponential(mean, size=count) if mean > 0 \
+            else np.zeros(count)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=count)
+        points = gen_clutter((near, near + width), count, mean, seed)
+        assert len(points) == count
+        assert all(type(p.range_m) is float and type(p.sigma_m2) is float
+                   and not p.pol_matrix.flags.writeable for p in points)
+        for attr, want in (
+                ("range_m", [float(r) for r in ranges]),
+                ("sigma_m2", [float(s) for s in sigmas]),
+                ("pol_matrix",
+                 [np.full((2, 2), np.exp(1j * ph)) for ph in phases])):
+            got = np.array([getattr(p, attr) for p in points])
+            assert got.tobytes() == np.array(want).tobytes(), attr
+
 
 class TestPropagate:
     def test_echoes_match_dense_delayed_copies(self):
@@ -770,6 +796,20 @@ class TestModelRules:
                      "extent_m", id="clutter_extent"),
         pytest.param(lambda: channel.check_interferer_band(math.nan, 1e9, 4e6),
                      "Nyquist", id="freq_hz"),
+        # Python's max drops a NaN that is not first
+        pytest.param(lambda: Scatterer(sigma_m2=1.0, range_m=5.0,
+                                       pol_matrix=[[math.nan, 0], [0, 1]]),
+                     "pol_matrix entries must be finite", id="pol_nan_first"),
+        pytest.param(lambda: Scatterer(sigma_m2=1.0, range_m=5.0,
+                                       pol_matrix=[[1, 0], [0, math.nan]]),
+                     "pol_matrix entries must be finite", id="pol_nan_last"),
+        pytest.param(lambda: Scatterer(sigma_m2=1.0, range_m=5.0,
+                                       pol_matrix=[[1, complex(0, math.nan)],
+                                                   [0, 1]]),
+                     "pol_matrix entries must be finite", id="pol_nan_imag"),
+        pytest.param(lambda: Scatterer(sigma_m2=1.0, range_m=5.0,
+                                       pol_matrix=[[1, 0], [0, -math.inf]]),
+                     "pol_matrix entries must be finite", id="pol_inf"),
     ])
     def test_nan_is_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):

@@ -1,10 +1,14 @@
 """Sequence generator tests: hand-enumerated LFSR states, brute-force
 correlation oracles, balance and determinism properties."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from pnradar import CodeKind, PREFERRED_PAIRS, PnSequence, gen_gold, gen_mseq
+from pnradar.codes import check_field
 
 # One known-primitive tap set per degree for the brute-force sweeps.
 TAPS_BY_DEGREE = {
@@ -131,3 +135,37 @@ class TestPnSequence:
     def test_non_bipolar_rejected(self):
         with pytest.raises(ValueError, match="bipolar"):
             PnSequence(chips=[1, 0, -1], kind=CodeKind.MSEQUENCE)
+
+    @pytest.mark.parametrize("cpb", [2.5, 3.0, math.nan, np.float64(2.0),
+                                     "3"])
+    def test_non_integer_chips_per_bit_rejected(self, cpb):
+        # a float passes the range check but cannot index the chips
+        with pytest.raises(ValueError, match=re.escape(
+                f"chips_per_bit must be an integer, got {cpb}")):
+            gen_mseq([3, 1, 0]).check_chips_per_bit(cpb)
+
+    def test_integer_chips_per_bit_accepted(self):
+        pn = gen_mseq([3, 1, 0])
+        for cpb in (1, 7, np.int64(3), np.uint8(7)):
+            pn.check_chips_per_bit(cpb)
+
+
+class TestCheckField:
+    """Each rule's message, and the values each rule lets through."""
+
+    @pytest.mark.parametrize("rule, good, bad", [
+        ("> 0", [1e-300, 1, math.inf], [0, -1.0, -math.inf, math.nan]),
+        (">= 0", [0, 0.0, 2, math.inf], [-1e-300, -1, -math.inf, math.nan]),
+        ("finite", [0, -1.5, 1e308], [math.inf, -math.inf, math.nan]),
+        ("finite and > 0", [1e-300, 5, 1e308],
+         [0, -1.0, math.inf, -math.inf, math.nan]),
+        ("finite and >= 0", [0, 0.0, 1e308],
+         [-1e-300, math.inf, -math.inf, math.nan]),
+    ])
+    def test_rule(self, rule, good, bad):
+        for value in good:
+            check_field("x_m", value, rule)
+        for value in bad:
+            with pytest.raises(ValueError) as info:
+                check_field("x_m", value, rule)
+            assert str(info.value) == f"x_m must be {rule}, got {value}"

@@ -608,6 +608,15 @@ class TestChipsPerBit:
                     f"chips_per_bit must lie in [1, 31], got {cpb}")):
                 SweepPipeline(params, pn, cpb)
 
+    @pytest.mark.parametrize("params", [nb_params(), uwb_params()],
+                             ids=["nb", "uwb"])
+    def test_non_integer_is_rejected(self, params):
+        # a float spreading factor cannot index the chips; the UWB chain
+        # never indexes them, so only the check stops it there
+        with pytest.raises(ValueError, match=re.escape(
+                "chips_per_bit must be an integer, got 2.5")):
+            SweepPipeline(params, gen_mseq([3, 1, 0]), 2.5)
+
 
 class TestMedian:
     """_median is np.median without numpy.ma."""

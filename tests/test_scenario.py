@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pnradar
-from pnradar import Mode, NoDetections, ScanImage, imaging
+from pnradar import Mode, NoDetections, ScanImage, cli, imaging
 from pnradar.cli import _write_manifest, main, run, write_image_csv
 from pnradar.imaging import Calibration
 from pnradar.scenario import (_F, _List, _SCHEMA, ExperimentKind,
+                              _UniqueKeyLoader,
                               ScenarioError, load_scenario,
                               read_calibration_csv, resolve_scenario,
                               write_calibration_csv)
@@ -111,6 +112,13 @@ def _run_child(script, *args, timeout=300):
     return subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           env=env, capture_output=True, text=True,
                           timeout=timeout)
+
+
+def _readme_example():
+    """The annotated scenario under the README's "Scenario format"."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("### Scenario format"):]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
 
 
 def _image_lines(image):
@@ -274,10 +282,7 @@ class TestLoadScenario:
                      "--seed", str(2 ** 64 - 1)]) == 0
 
     def test_readme_example_resolves(self):
-        readme = (ROOT / "README.md").read_text()
-        section = readme[readme.index("### Scenario format"):]
-        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
-        scenario = resolve_scenario(yaml.safe_load(block))
+        scenario = resolve_scenario(yaml.safe_load(_readme_example()))
         assert scenario.experiment is ExperimentKind.RCS_SWEEP_SERIES
         assert scenario.rx_for(Mode.DS_UWB).gate_m == (9.5, 10.5)
 
@@ -1275,3 +1280,125 @@ experiment: {kind: profile}
         csv = tmp_path / "out" / "image.csv"
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
             "efd5ab0841c665110cd807059a52c33adc5693524a7b4154bdc30b37b729ae04")
+
+
+BUNDLED = {p.stem: p for p in sorted([*(ROOT / "scenarios").glob("*.yaml"),
+                                      *(ROOT / "bench" / "scenarios")
+                                      .glob("*.yaml")])}
+# a relative directory: the manifest records it as given
+OUT_DIR = "runs/sweep set ü é 雷达"
+
+
+def _without_timestamp(manifest_text):
+    return [line for line in manifest_text.split("\n")
+            if not line.startswith("timestamp: ")]
+
+
+class TestYamlThroughLibyaml:
+    """Scenarios are parsed and manifests written through libyaml where
+    PyYAML ships it. PyYAML's pure-Python loader and emitter are the
+    oracle: the same data, the same marks, the same bytes."""
+
+    def test_libyaml_in_use_where_pyyaml_ships_it(self):
+        if yaml.__with_libyaml__:
+            assert issubclass(_UniqueKeyLoader, yaml.CSafeLoader)
+            assert cli._SafeDumper is yaml.CSafeDumper
+        else:
+            assert _UniqueKeyLoader.__bases__ == (yaml.SafeLoader,)
+            assert cli._SafeDumper is yaml.SafeDumper
+
+    @pytest.mark.parametrize("name", [*BUNDLED, "readme"])
+    def test_parses_to_the_pure_loaders_data(self, name):
+        text = _readme_example() if name == "readme" \
+            else BUNDLED[name].read_text()
+        # repr tells 1 from 1.0 and True, and keeps the key order
+        assert repr(yaml.load(text, Loader=_UniqueKeyLoader)) == \
+            repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("text", [
+        "a: b: c\n", "a: [1, 2\n", "a: {b: 1\n", "a: 'abc\n",
+        "a:\n\tb: 1\n", "a:\n  b: 1\n c: 2\n", "a:\n  - 1\n  b: 2\n",
+        "a: *x\n", "a: @x\n", "a: 1\n---\nb: 2\n", "a: !foo 1\n",
+        "? [1, 2]\n: 3\n", "%YAML 2.0\n---\na: 1\n"])
+    def test_errors_keep_their_line_and_column(self, text):
+        marks = []
+        for loader in (_UniqueKeyLoader, yaml.SafeLoader):
+            with pytest.raises(yaml.MarkedYAMLError) as info:
+                yaml.load(text, Loader=loader)
+            marks.append((info.value.problem_mark.line,
+                          info.value.problem_mark.column))
+        assert marks[0] == marks[1]
+
+    @staticmethod
+    def _write_and_expect(path, scenario):
+        """Write the scenario's manifest; return what was written and the
+        manifest it should hold, with the timestamp that was written."""
+        _write_manifest(path, scenario)
+        written = path.read_text()
+        return written, {"tool_version": pnradar.__version__,
+                         "seed": scenario.seed,
+                         "timestamp": yaml.safe_load(written)["timestamp"],
+                         "scenario": scenario.raw}
+
+    @pytest.mark.parametrize("name", [*BUNDLED, "readme"])
+    def test_manifest_bytes_equal_safe_dump(self, tmp_path, name):
+        path = BUNDLED.get(name) or _write(tmp_path, _readme_example())
+        written, manifest = self._write_and_expect(
+            tmp_path / "run_manifest.yaml",
+            load_scenario(path, {"seed": 2 ** 64 - 1,
+                                 "output.directory": OUT_DIR}))
+        assert written == yaml.safe_dump(manifest, sort_keys=True)
+        assert "seed: 18446744073709551615\n" in written
+        assert "\\xFC \\xE9 \\u96F7\\u8FBE" in written
+
+    @settings(max_examples=100, deadline=None)
+    @given(directory=st.text(max_size=60))
+    def test_manifest_reads_back_for_any_directory(self, tmp_path_factory,
+                                                   directory):
+        # libyaml folds a long double-quoted string only at a space, the
+        # pure emitter anywhere: where a line would pass column 80 the
+        # bytes may differ, the data may not
+        written, manifest = self._write_and_expect(
+            tmp_path_factory.getbasetemp() / "any_directory_manifest.yaml",
+            resolve_scenario(yaml.safe_load(MINIMAL)
+                             | {"output": {"directory": directory}}))
+        assert yaml.load(written, Loader=yaml.SafeLoader) == manifest
+        if all(len(line) <= 80 for line in written.split("\n")):
+            assert written == yaml.safe_dump(manifest, sort_keys=True)
+
+    def test_pure_fallback_reads_and_writes_the_same(self, tmp_path):
+        # a PyYAML built without libyaml: the same manifests, the same
+        # duplicate-key message
+        duplicate = _write(tmp_path, MINIMAL.replace("{mode: uwb}",
+                                                     "{mode: uwb, mode: nb}"))
+        names = sorted(BUNDLED)
+        proc = _run_child(
+            "import sys, yaml\n"
+            "from pathlib import Path\n"
+            "for name in ('CSafeLoader', 'CSafeDumper'):\n"
+            "    yaml.__dict__.pop(name, None)\n"
+            "from pnradar import cli, scenario\n"
+            "assert scenario._UniqueKeyLoader.__bases__ == "
+            "(yaml.SafeLoader,)\n"
+            "assert cli._SafeDumper is yaml.SafeDumper\n"
+            "out, duplicate, *paths = sys.argv[1:]\n"
+            "for path in paths:\n"
+            "    cli._write_manifest(Path(out) / Path(path).name,\n"
+            "        scenario.load_scenario(path, {'seed': 2 ** 64 - 1,\n"
+            f"            'output.directory': {OUT_DIR!r}}}))\n"
+            "try:\n"
+            "    scenario.load_scenario(duplicate)\n"
+            "except scenario.ScenarioError as exc:\n"
+            "    print(exc)\n",
+            tmp_path, duplicate, *(BUNDLED[n] for n in names))
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(duplicate)
+        assert proc.stdout == f"{info.value}\n"
+        for name in names:
+            scenario = load_scenario(BUNDLED[name], {
+                "seed": 2 ** 64 - 1, "output.directory": OUT_DIR})
+            _write_manifest(tmp_path / "c.yaml", scenario)
+            assert _without_timestamp(
+                (tmp_path / BUNDLED[name].name).read_text()) == \
+                _without_timestamp((tmp_path / "c.yaml").read_text())

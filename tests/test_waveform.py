@@ -47,7 +47,7 @@ class TestSpread:
             spread([], pn7, chips_per_bit=7)
 
     def test_chips_per_bit_bounds(self, pn7):
-        for cpb in (0, 8):
+        for cpb in (0, 8, 2.5):
             with pytest.raises(ValueError, match="chips_per_bit"):
                 spread([0], pn7, chips_per_bit=cpb)
 
