@@ -36,8 +36,13 @@ _XSHIFT = np.uint32(16)
 
 _POL_TOL = 1e-9
 
-# Noise is drawn this many samples at a time into one scratch array.
+# A sweep's noise, its real rail and then the read part of its imaginary
+# one, is drawn in one call when it fits this many samples, else this many
+# at a time.  A block's rows are drawn into a scratch of at most
+# _NOISE_SCRATCH samples (or of one row), which bounds what each block in
+# flight holds: 3 rows of 8,908 draws in nb_dense_series.
 _NOISE_CHUNK = 1 << 14
+_NOISE_SCRATCH = 1 << 15
 
 # A QPSK interferer keys a new symbol at this rate.
 _QPSK_SYMBOL_RATE_HZ = 1e6
@@ -364,8 +369,10 @@ def _interferer_samples(itf: Interferer, n: int, fs: float, carrier_hz: float,
     points = (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0))
     draws = np.array([rng.integers(0, 4, size=n_sym)[:-(-stop // sps)]
                       for rng in rngs], dtype=np.int64)
-    chips = np.repeat(points[draws], sps, axis=1)[:, :stop]
-    return amp * chips * tone[None, :]
+    # the repeated symbols are dropped once scaled, so that no more than
+    # two stream-sized products are held at once
+    chips = amp * np.repeat(points[draws], sps, axis=1)[:, :stop]
+    return chips * tone[None, :]
 
 
 def add_interferer(s: SampleStream, freq_hz: float, power_w: float,
@@ -578,21 +585,29 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     if scene.noise_psd > 0:
         sigma2 = scene.noise_psd * fs
         scale = np.sqrt(sigma2 / 2.0)
-        # each row's real rail is drawn first, then its imaginary one, a
-        # chunk at a time; a generator's draws continue across calls, so
-        # the chunks hold exactly the values of one whole-rail draw.  Only
-        # the first m samples of each rail are added, and the imaginary
-        # rail is drawn no further.  The scratch holds _NOISE_CHUNK draws
-        # in all, whatever the number of rows.
-        z = np.empty((rows, min(n, max(1, _NOISE_CHUNK // rows))))
-        for rail, stop in ((out.real, n), (out.imag, m)):
-            for start in range(0, stop, z.shape[1]):
-                part = z[:, :min(z.shape[1], stop - start)]
-                for rng, draws in zip(rngs[_RNG_NOISE,], part):
+        # each row's stream draws its whole real rail, then its imaginary
+        # one as far as m: draws 0 .. m-1 and n .. n+m-1 of n + m are
+        # added.  A row draws them in one call when they fit _NOISE_CHUNK,
+        # else _NOISE_CHUNK at a time; a generator's draws continue across
+        # calls, so the chunks hold exactly the values of one whole draw.
+        # Rows are drawn _NOISE_SCRATCH // width at a time, which bounds
+        # the scratch whatever the number of rows.
+        width = min(n + m, _NOISE_CHUNK)
+        group = max(1, _NOISE_SCRATCH // width)
+        z = np.empty((min(rows, group), width))
+        for first in range(0, rows, group):
+            gens = rngs[_RNG_NOISE,][first:first + group]
+            for start in range(0, n + m, width):
+                part = z[:len(gens), :min(width, n + m - start)]
+                for rng, draws in zip(gens, part):
                     rng.standard_normal(out=draws)
-                kept = part[:, :max(0, m - start)]
-                kept *= scale
-                rail[:, start:start + kept.shape[1]] += kept
+                stop = start + part.shape[1]
+                for rail, lo, hi in ((out.real, 0, m), (out.imag, n, n + m)):
+                    a, b = max(start, lo), min(stop, hi)
+                    if a < b:
+                        kept = part[:, a - start:b - start]
+                        kept *= scale
+                        rail[first:first + len(gens), a - lo:b - lo] += kept
 
     if isinstance(sweep_index, range):
         return out

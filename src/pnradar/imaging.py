@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -25,35 +26,36 @@ from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence, check_field, read_only
 from .receiver import check_blank_width, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
-                       SPEED_OF_LIGHT, qpsk_baseband, spread,
+                       SPEED_OF_LIGHT, check_finite, qpsk_baseband, spread,
                        uwb_pulse_train)
 
 # Sweeps run in blocks of consecutive sweeps: one propagate and one
 # detection per block, on arrays with one row per sweep, so that numpy's
 # per-call cost, which dominates a short sweep, is paid once per block;
 # each sweep of a block is correlated on its own.  A block holds as many
-# sweeps as fit this many read samples, and at least one: 9 narrowband
+# sweeps as fit this many read samples, and at least one: 19 narrowband
 # sweeps of 853 read samples, or one DS-UWB sweep of 309,472.  Measured on
-# 2 CPUs (two sets of minima of 6 in-process runs), the 600 sweeps of the
-# nb_dense_series benchmark took 0.41-0.49 s one at a time, 0.23-0.31 s in
-# blocks of 9 and 0.26-0.32, 0.24-0.32 and 0.22-0.30 s in blocks of 4, 19
-# and 38; the larger blocks raised a run's peak RSS from 40.3-40.5 MB to
-# 40.7-41.0 and 42.0-42.1 MB.
-_BLOCK_SAMPLES = 1 << 13
+# 2 CPUs with the blocks on two threads (two processes, each the median of
+# 10 interleaved runs), the 600 sweeps of the nb_dense_series benchmark
+# took 377-421, 277-356, 234-311 and 222-258 ms in blocks of 4, 9, 19 and
+# 38, and a run's peak RSS was 41.3, 41.8-42.3 and 43.4-44.3 MB in blocks
+# of 9, 19 and 38 (41.4 MB on one thread in blocks of 19): each block in
+# flight holds about 40 KB per sweep at its peak, so in blocks of 19 the
+# second thread adds under 1 MB.
+_BLOCK_SAMPLES = 1 << 14
 
-# A sweep that fills a block alone runs on a thread pool of at most this
-# many workers, so that numpy work that releases the GIL (the noise draw and
-# the whole-stream adds) overlaps.  Measured on 2 CPUs: pooling the UWB
-# sweeps took the sphere_compare benchmark from 0.80 to 0.49 s (medians of
-# 10 runs each), and 200 NB sweeps of 6,137 read samples (max_range_m
-# 10 km) from 0.62 to 0.41 s, while the 853-sample nb_dense_series sweeps,
-# pooled one at a time, took 0.83-0.86 s for the whole run against
-# 0.32-0.36 s in serial blocks of 9, so blocks of several sweeps run one
-# after another.  Each sweep in flight holds its own receive stream (the
-# read prefix, about 4.95 MB for a UWB sweep) plus its whole-stream
-# temporaries, so peak memory grows with the width; the UWB gain and the
-# peak RSS it cost (53.1 -> 55.4 MB on sphere_compare, 60.1 -> 61.1 MB on
-# uwb_scan) were measured at 2 workers, and wider pools are not.
+# The blocks run on at most this many threads, the calling thread and
+# _MAX_POOL_WORKERS - 1 helpers, so that numpy work that releases the GIL
+# (the noise draws above all) overlaps.  Measured on 2 CPUs: two threads
+# took the sphere_compare benchmark from 0.80 to 0.49 s (medians of 10
+# runs each), and the nb_dense_series series above from 257-331 to
+# 200-218 ms (medians of 10 interleaved runs in each of three processes);
+# in blocks of 9, two pool workers beside an idle calling thread ran as
+# fast at a peak RSS 0.6 MB higher.  Each block in flight holds its own receive streams (the
+# read prefix, about 4.95 MB for a UWB sweep) plus its temporaries, so
+# peak memory grows with the width; the UWB gain and the peak RSS it cost
+# (53.1 -> 55.4 MB on sphere_compare, 60.1 -> 61.1 MB on uwb_scan) were
+# measured at 2 threads, and wider pools are not.
 _MAX_POOL_WORKERS = 2
 
 
@@ -205,9 +207,15 @@ def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
     return np.maximum(m[..., :m.shape[-1] - (w - span)], m[..., w - span:])
 
 
-def _centroid(ranges: np.ndarray, weights: np.ndarray) -> float:
-    """np.average(ranges, weights=weights) of 1-D float arrays with a
-    positive weight sum: the same floats, without its argument checks."""
+def _centroid(ranges, weights) -> float:
+    """np.average(ranges, weights=weights) of nonempty 1-D float sequences
+    with a positive weight sum: the same float, without its argument
+    checks.  One weight is averaged in Python floats, by the same two
+    IEEE operations, r * w / w."""
+    if len(weights) == 1:
+        w = float(weights[0])
+        return float(ranges[0]) * w / w
+    ranges, weights = np.asarray(ranges), np.asarray(weights)
     return float((ranges * weights).sum() / weights.sum())
 
 
@@ -216,8 +224,9 @@ def _detect_rows(values: np.ndarray, ranges_m: np.ndarray,
                  window_bins: int = 1) -> list[list[Detection]]:
     """detect_scatterers on a block of profiles that share ``ranges_m``,
     one profile's complex values per row of ``values``.  The median, the
-    window maxima and the candidate mask are computed for all rows at
-    once, each row from its own bins; runs and centroids row by row."""
+    window maxima, the candidates and the ends of their runs are found
+    for all rows at once, each row from its own bins; then each
+    detection is built in row order."""
     check_field("threshold_db_above_noise", threshold_db_above_noise, "> 0")
     power = np.abs(values) ** 2
     rows, n = power.shape
@@ -236,19 +245,23 @@ def _detect_rows(values: np.ndarray, ranges_m: np.ndarray,
     peak = _sliding_max(padded, w)
     candidates = ((power > thr[:, None]) & (power > 0.0)
                   & (peak[:, :n] < power) & (peak[:, w + 1:] <= power))
-    changed = power[:, 1:] != power[:, :-1]
-    detections = []
-    for p, v, found, step in zip(power, values, candidates, changed):
-        starts = np.flatnonzero(found)
-        # a detection spans its run of adjacent equal-power bins
-        changes = np.flatnonzero(step)
-        ends = np.append(changes, n - 1)[np.searchsorted(changes, starts)]
-        row = []
-        for i, j in zip(starts.tolist(), ends.tolist()):
-            run = slice(i, j + 1)
-            row.append(Detection(range_m=_centroid(ranges_m[run], p[run]),
-                                 power=float(p[i]), value=complex(v[i])))
-        detections.append(row)
+    rows_of, starts = np.nonzero(candidates)
+    # a detection spans its run of adjacent equal-power bins: it ends at
+    # the first bin from its start whose right neighbour differs, or at
+    # the last bin of its row
+    last = np.ones((rows, n), dtype=bool)
+    np.not_equal(power[:, 1:], power[:, :-1], out=last[:, :-1])
+    last = np.flatnonzero(last)
+    at = rows_of * n + starts
+    ends = last[np.searchsorted(last, at)] - rows_of * n
+    detections = [[] for _ in range(rows)]
+    for r, i, j, p, v in zip(rows_of.tolist(), starts.tolist(), ends.tolist(),
+                             power.ravel()[at].tolist(),
+                             values.ravel()[at].tolist()):
+        run = slice(i, j + 1)
+        detections[r].append(Detection(
+            range_m=_centroid(ranges_m[run], power[r, run]), power=p,
+            value=v))
     return detections
 
 
@@ -364,8 +377,8 @@ def _rcs(detections: list[Detection], cal: Calibration, mode: Mode,
         sigma = math.fsum(cal.gain * d.power * d.range_m ** 4 for d in peaks)
     else:
         z = sum(d.value for d in peaks)
-        r_mean = _centroid(np.array([d.range_m for d in peaks]),
-                           np.array([d.power for d in peaks]))
+        r_mean = _centroid([d.range_m for d in peaks],
+                           [d.power for d in peaks])
         sigma = cal.gain * abs(z) ** 2 * r_mean ** 4
     return RcsEstimate(sigma_m2=sigma, mode=mode, sweep_index=sweep_index)
 
@@ -476,14 +489,15 @@ class SweepPipeline:
 
     def _values(self, scene: Scene, pol: Pol, sweeps: range) -> np.ndarray:
         """Profile values of a block of sweeps, one row per sweep: one
-        propagate of the block's read prefix, one uwb_correlate per sweep."""
+        propagate of the block's read prefix, checked finite as a whole,
+        and one uwb_correlate per sweep, over its row's samples."""
         rx = propagate(self.tx, scene, self.params, pol, sweeps,
                        n_samples=self.read_samples)
-        fs = self.params.sample_rate_hz
+        check_finite(rx)
         values = np.empty((len(sweeps), len(self.lags)), dtype=np.complex128)
         for row, samples in zip(values, rx):
-            row[:] = uwb_correlate(SampleStream(samples, fs), self.template,
-                                   self.lags, self.blank_samples)
+            row[:] = uwb_correlate(samples, self.template, self.lags,
+                                   self.blank_samples)
         values.flags.writeable = False
         return values
 
@@ -521,27 +535,53 @@ class SweepPipeline:
         cover sweeps 0 .. count-1; the lists it returns, joined in sweep
         order.
 
-        Blocks of one sweep (every DS-UWB sweep) run on a thread pool sized
-        to the usable CPUs, at most _MAX_POOL_WORKERS; each sweep in flight
-        holds its own receive stream.  Blocks of several sweeps run one
-        after another.  Every sweep draws from its own RNG streams, so the
-        results depend neither on the number of workers nor on the block
-        size.  The first failing sweep in sweep order raises, as in a
-        serial loop, and the blocks not yet started are cancelled.
+        The blocks run on as many threads as there are usable CPUs, at
+        most _MAX_POOL_WORKERS: the calling thread and a pool of helpers,
+        each taking the next block not yet taken, in sweep order.  Each
+        block in flight holds its own receive streams.  Every sweep draws
+        from its own RNG streams, so the results depend neither on the
+        number of threads nor on the block size.  The first failing sweep
+        in sweep order raises, as in a serial loop, and the blocks not yet
+        started are not run.
         """
         rows = self.block_rows
         blocks = [range(k, min(k + rows, count))
                   for k in range(0, count, rows)]
-        workers = (min(_MAX_POOL_WORKERS, _usable_cpus(), count)
-                   if rows == 1 else 1)
-        if workers <= 1:
+        threads = min(_MAX_POOL_WORKERS, _usable_cpus(), len(blocks))
+        if threads <= 1:
             return [x for block in blocks for x in run(block)]
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            futures = [pool.submit(run, block) for block in blocks]
-            return [x for f in futures for x in f.result()]
-        finally:
-            pool.shutdown(cancel_futures=True)
+        # per block, the list run returned or the exception it raised
+        results = [None] * len(blocks)
+        order = iter(range(len(blocks)))
+        take = threading.Lock()
+        stop = threading.Event()  # a block failed, or the caller left
+
+        def drain():
+            while not stop.is_set():
+                with take:
+                    i = next(order, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = run(blocks[i])
+                except BaseException as exc:  # re-raised below, in order
+                    results[i] = exc
+                    stop.set()
+
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            helpers = [pool.submit(drain) for _ in range(threads - 1)]
+            try:
+                drain()
+            finally:
+                stop.set()
+            for helper in helpers:
+                helper.result()
+        # blocks are taken in order, so every block before a failed one
+        # has run
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        return [x for result in results for x in result]
 
 
 def self_calibrate(params: RadarParams, pn: PnSequence,

@@ -81,12 +81,14 @@ def qpsk_demod(s: SampleStream, params: RadarParams,
     return i_bits, q_bits
 
 
-def uwb_correlate(rx: SampleStream, template: PulseTrain,
+def uwb_correlate(rx: SampleStream | np.ndarray, template: PulseTrain,
                   lags: range | None = None,
                   blank_samples: int = 0) -> np.ndarray:
     """Sliding inner product <rx[n+k], template[k]> for each lag n in
     ``lags`` (default: every full overlap, from lag 0), with the first
     ``blank_samples`` of each ``template.period``-sample slot of rx zeroed.
+    ``rx`` is a stream, or the samples of one at the template's rate, which
+    are taken as finite (a SweepPipeline checks its block of rows at once).
 
     The correlator follows the train's structure: it despreads the lag
     window over the chip lattice, z = sum_j chips[j] * rx[j*period +
@@ -98,8 +100,10 @@ def uwb_correlate(rx: SampleStream, template: PulseTrain,
         raise ValueError(
             f"template ({len(template)} samples) longer than the received "
             f"stream ({len(rx)} samples)")
-    if template.sample_rate != rx.sample_rate:
-        raise ValueError("rx and template sample rates differ")
+    if isinstance(rx, SampleStream):
+        if template.sample_rate != rx.sample_rate:
+            raise ValueError("rx and template sample rates differ")
+        rx = rx.samples
     n_lags = len(rx) - len(template) + 1
     if lags is None:
         lags = range(n_lags)
@@ -115,7 +119,7 @@ def uwb_correlate(rx: SampleStream, template: PulseTrain,
     z = np.zeros(width, dtype=np.complex128)
     for j, chip in enumerate(template.chips):
         start = lags.start + j * template.period
-        z += chip * rx.samples[start:start + width]
+        z += chip * rx[start:start + width]
     if blank_samples:
         z[_slot_heads(lags.start, width, template.period,
                       blank_samples)] = 0.0

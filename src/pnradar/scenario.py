@@ -10,6 +10,8 @@ the returned scenario so no hidden default exists downstream.
 
 from __future__ import annotations
 
+import codecs
+import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -522,6 +524,22 @@ class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return super().construct_mapping(node, deep)
 
 
+def _reader_mark(raw: bytes, exc: yaml.reader.ReaderError) -> tuple[int, int]:
+    """The line and column, from 1, of a reader error in the file ``raw``.
+    Its position counts characters of the decoded text where the
+    pure-Python reader found a character YAML does not allow, and bytes
+    of the file otherwise.  The file is UTF-16 after a UTF-16 byte-order
+    mark, and UTF-8 without one; a byte-order mark takes no column."""
+    codec = ("utf-16-le" if raw.startswith(codecs.BOM_UTF16_LE) else
+             "utf-16-be" if raw.startswith(codecs.BOM_UTF16_BE) else "utf-8")
+    if exc.encoding == "unicode":
+        text = raw.decode(codec, "replace")[:exc.position]
+    else:
+        text = raw[:exc.position].decode(codec, "replace")
+    lines = re.split("\r\n|[\n\r\x85\u2028\u2029]", text)
+    return len(lines), len(lines[-1].replace("\ufeff", "")) + 1
+
+
 def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     """Parse and validate a scenario (or run-manifest) file.
 
@@ -531,10 +549,18 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     """
     path = Path(path)
     try:
-        with open(path, "r") as fh:
-            data = yaml.load(fh, Loader=_UniqueKeyLoader)
+        # the parser decodes the bytes, as YAML reads them
+        raw = path.read_bytes()
+        data = yaml.load(raw, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror}") from exc
+    except yaml.reader.ReaderError as exc:
+        line, column = _reader_mark(raw, exc)
+        what = (f"unacceptable character #x{exc.character:04x}: "
+                if exc.character >= 0 else "")
+        raise ScenarioError(
+            f"parse error at line {line}, column {column}: "
+            f"{what}{exc.reason}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

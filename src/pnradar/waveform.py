@@ -31,6 +31,16 @@ class Mode(Enum):
     DS_UWB = "uwb"
 
 
+def check_finite(samples: np.ndarray) -> None:
+    """Raise unless both parts of every complex sample are finite.  min and
+    max propagate NaN and reach +-inf, so they test every part without a
+    temporary array as long as the samples."""
+    parts = samples.view(np.float64)
+    if parts.size and not (np.isfinite(parts.min())
+                           and np.isfinite(parts.max())):
+        raise ValueError("samples must be finite")
+
+
 @dataclass(frozen=True)
 class SampleStream:
     """Uniformly sampled complex baseband signal; the first sample is at
@@ -47,12 +57,7 @@ class SampleStream:
         if samples.ndim != 1:
             raise ValueError("samples must be 1-D")
         check_field("sample_rate", self.sample_rate, "> 0")
-        # min and max propagate NaN and reach +-inf, so they test every
-        # part without a temporary array as long as the stream
-        parts = samples.view(np.float64)
-        if parts.size and not (np.isfinite(parts.min())
-                               and np.isfinite(parts.max())):
-            raise ValueError("samples must be finite")
+        check_finite(samples)
         object.__setattr__(self, "samples", read_only(samples))
 
     def __len__(self) -> int:

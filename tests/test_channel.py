@@ -13,9 +13,10 @@ from pnradar import (Interferer, InterfererKind, Pol, SampleStream, Scatterer,
                      identity_pol_matrix, make_waveform, nb_params, propagate,
                      uwb_params, SPEED_OF_LIGHT)
 from pnradar import channel
-from pnradar.channel import (_NOISE_CHUNK, _POL_INDEX, _RNG_INTERFERER,
-                             _RNG_NOISE, _RNG_PHASE, _interferer_samples,
-                             _stream_rngs, _stream_state, _tone)
+from pnradar.channel import (_NOISE_CHUNK, _NOISE_SCRATCH, _POL_INDEX,
+                             _RNG_INTERFERER, _RNG_NOISE, _RNG_PHASE,
+                             _interferer_samples, _stream_rngs,
+                             _stream_state, _tone)
 
 _U64 = 2**64 - 1
 
@@ -503,6 +504,35 @@ class TestPropagateBuffers:
         z *= scale
         expected.imag += z
         assert rx.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [_NOISE_CHUNK - 10_001,
+                                   _NOISE_CHUNK - 10_000,
+                                   _NOISE_CHUNK - 9_999, 853],
+                             ids=["below", "at", "above", "nb"])
+    def test_block_rows_draw_real_then_imaginary_rail(self, m):
+        # n + m just below, at and above the one-call limit, on a block
+        # that spans more than one scratch's worth of rows
+        n = 10_000
+        params = uwb_params()
+        fs = params.sample_rate_hz
+        tx = SampleStream(np.ones(n, dtype=complex), fs)
+        scene = _single_point_scene(sigma=0.0, range_m=1.0, noise_psd=1e-19,
+                                    rng_seed=31)
+        sweeps = range(4, 18)
+        assert len(sweeps) > _NOISE_SCRATCH // min(n + m, _NOISE_CHUNK)
+        block = propagate(tx, scene, params, Pol.VV, sweeps, n_samples=m)
+        scale = np.sqrt(1e-19 * fs / 2.0)
+        for k, row in zip(sweeps, block):
+            # the whole real rail, then the imaginary one as far as m
+            rng = np.random.default_rng([31, k, _RNG_NOISE])
+            expected = np.zeros(m, dtype=np.complex128)
+            re = rng.standard_normal(n)[:m]
+            re *= scale
+            expected.real += re
+            im = rng.standard_normal(m)
+            im *= scale
+            expected.imag += im
+            assert row.tobytes() == expected.tobytes()
 
     def test_buffer_must_match_the_stream(self):
         params = nb_params()

@@ -345,6 +345,134 @@ class TestDetectOracle:
             assert dets and dets == _detect_oracle(prof, cfg.threshold_db, w)
 
 
+def _centroid_reference(ranges, weights):
+    """np.average's floats for any number of weights, in numpy: the
+    reference for imaging._centroid's one-weight case."""
+    return float((ranges * weights).sum() / weights.sum())
+
+
+def _detect_rows_reference(values, ranges_m, threshold_db, window_bins):
+    """Reference for imaging._detect_rows: the same floor, window maxima
+    and candidates, then each row's runs and centroids row by row, in
+    numpy."""
+    power = np.abs(values) ** 2
+    rows, n = power.shape
+    if n == 0:
+        return [[] for _ in range(rows)]
+    floor = np.maximum(_median(power), power.max(axis=1) * 1e-18)
+    thr = floor * 10.0 ** (threshold_db / 10.0)
+    w = min(max(1, int(window_bins)), n)
+    padded = np.full((rows, n + 2 * w), -np.inf)
+    padded[:, w:w + n] = power
+    peak = imaging._sliding_max(padded, w)
+    candidates = ((power > thr[:, None]) & (power > 0.0)
+                  & (peak[:, :n] < power) & (peak[:, w + 1:] <= power))
+    changed = power[:, 1:] != power[:, :-1]
+    detections = []
+    for p, v, found, step in zip(power, values, candidates, changed):
+        starts = np.flatnonzero(found)
+        changes = np.flatnonzero(step)
+        ends = np.append(changes, n - 1)[np.searchsorted(changes, starts)]
+        row = []
+        for i, j in zip(starts.tolist(), ends.tolist()):
+            run = slice(i, j + 1)
+            row.append(Detection(
+                range_m=_centroid_reference(ranges_m[run], p[run]),
+                power=float(p[i]), value=complex(v[i])))
+        detections.append(row)
+    return detections
+
+
+def _rcs_reference(detections, cal, mode, sweep_index, bin_width_m, gate_m,
+                   margin_bins):
+    """Reference for imaging._rcs: the narrowband centroid always in
+    numpy."""
+    gated = [d for d in detections
+             if gate_m is None or gate_m[0] <= d.range_m <= gate_m[1]]
+    if not gated:
+        where = f" in gate [{gate_m[0]:g}, {gate_m[1]:g}] m" if gate_m else ""
+        raise NoDetections(f"{mode.value} sweep {sweep_index}: "
+                           f"no scatterer detected{where}")
+    margin = margin_bins * bin_width_m
+    w_lo = min(d.range_m for d in gated) - margin
+    w_hi = max(d.range_m for d in gated) + margin
+    peaks = [d for d in detections if w_lo <= d.range_m <= w_hi]
+    if mode is Mode.DS_UWB:
+        sigma = math.fsum(cal.gain * d.power * d.range_m ** 4 for d in peaks)
+    else:
+        z = sum(d.value for d in peaks)
+        r_mean = _centroid_reference(np.array([d.range_m for d in peaks]),
+                                     np.array([d.power for d in peaks]))
+        sigma = cal.gain * abs(z) ** 2 * r_mean ** 4
+    return RcsEstimate(sigma_m2=sigma, mode=mode, sweep_index=sweep_index)
+
+
+def _bits(detections):
+    """Detections as the exact bits of their floats."""
+    return [(d.range_m.hex(), d.power.hex(), d.value.real.hex(),
+             d.value.imag.hex()) for d in detections]
+
+
+@st.composite
+def _detect_block(draw):
+    """Rows over one shared, irregular range axis.  Powers come from a few
+    levels, so that equal-power runs, several peaks and edge peaks are
+    common, or from levels scaled apart, so that single-bin centroids
+    round as r * p / p does; each value is a power's root times one of
+    1, -1, 1j, -1j, so equal levels give equal powers."""
+    n = draw(st.integers(1, 300))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.choice([0.0, 1.0, 2.0, 30.0, 100.0, 1e4], size=(rows, n))
+    if draw(st.booleans()):
+        levels = levels * rng.uniform(0.5, 1.5, size=(rows, n))
+    values = np.sqrt(levels) * rng.choice([1, -1, 1j, -1j], size=(rows, n))
+    start = draw(st.floats(0.5, 20.0))
+    ranges = start + np.cumsum(rng.uniform(1e-3, 1e-2, size=n))
+    return values.astype(complex), ranges
+
+
+class TestDetectAndEstimateReference:
+    """_detect_rows and _rcs give the bits of the references above,
+    NoDetections messages included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_detect_block(), st.integers(1, 400),
+           st.sampled_from([0.5, 3.0, 10.0]), st.sampled_from(list(Mode)),
+           st.integers(0, 3), st.data())
+    def test_matches_reference(self, block, window, threshold_db, mode,
+                               margin, data):
+        values, ranges = block
+        found = _detect_rows(values, ranges, threshold_db, window)
+        reference = _detect_rows_reference(values, ranges, threshold_db,
+                                           window)
+        assert [_bits(row) for row in found] == \
+            [_bits(row) for row in reference]
+        if any(len(row) > 1 for row in found):
+            event("several peaks in a row")
+        cal = Calibration(gain=data.draw(st.floats(1e-9, 1e3)),
+                          reference_sigma_m2=SIGMA_REF,
+                          reference_range_m=R_REF)
+        # gates with an edge on a bin's range, or anywhere near the axis
+        lo = data.draw(st.sampled_from(ranges.tolist())
+                       | st.floats(ranges[0] - 0.1, ranges[-1]))
+        gate = data.draw(st.none() | st.floats(1e-6, 0.3).map(
+            lambda width: (lo, lo + width)))
+        for k, detections in enumerate(found):
+            args = (cal, mode, k, 0.0015, gate, margin)
+            try:
+                want = _rcs_reference(detections, *args)
+            except NoDetections as exc:
+                event("no detection")
+                with pytest.raises(NoDetections) as got:
+                    imaging._rcs(detections, *args)
+                assert str(got.value) == str(exc)
+                continue
+            got = imaging._rcs(detections, *args)
+            assert (got.sigma_m2.hex(), got.mode, got.sweep_index) == \
+                (want.sigma_m2.hex(), want.mode, want.sweep_index)
+
+
 class TestKeptLags:
     """The pipeline correlates exactly the lags its profile keeps."""
 
@@ -836,7 +964,7 @@ class TestSweepBlocks:
     def test_series_across_block_boundaries(self, nb_setup, busy_scene):
         _, _, _, pipeline, cal = nb_setup
         rows = pipeline.block_rows
-        assert rows == 9  # 853 read samples per sweep
+        assert rows == 19  # 853 read samples per sweep
         one_by_one = [pipeline.estimate(busy_scene, cal, Pol.VV,
                                         range(k, k + 1))[0]
                       for k in range(2 * rows + 1)]
@@ -937,18 +1065,45 @@ class TestSweepPool:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(imaging, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(imaging, "_BLOCK_SAMPLES", 0)
         monkeypatch.setattr(imaging, "_usable_cpus", lambda: 16)
         scene = Scene(target=target((SIGMA_REF, R_REF)))
-        pipeline.series(scene, cal, 6)
-        pipeline.series(scene, cal, 1)
-        assert widths == [imaging._MAX_POOL_WORKERS] == [2]
+        pipeline.series(scene, cal, 6 * pipeline.block_rows)
+        pipeline.series(scene, cal, pipeline.block_rows)
+        # the calling thread runs blocks too, beside one helper; a single
+        # block runs on the caller alone
+        assert widths == [imaging._MAX_POOL_WORKERS - 1] == [1]
+
+    def test_one_usable_cpu_runs_the_blocks_serially(self, nb_setup,
+                                                    monkeypatch):
+        _, _, _, pipeline, cal = nb_setup
+        scene = Scene(target=target((SIGMA_REF, R_REF)), noise_psd=1e-19,
+                      sweep_phase_jitter_rad=0.3, rng_seed=5)
+        count = 4 * pipeline.block_rows + 1
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
+        pooled = [e.sigma_m2.hex() for e in pipeline.series(scene, cal, count)]
+        threads = set()
+        estimate = pipeline.estimate
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return estimate(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started on one CPU")
+
+        monkeypatch.setattr(pipeline, "estimate", recording)
+        monkeypatch.setattr(imaging, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 1)
+        serial = [e.sigma_m2.hex() for e in pipeline.series(scene, cal, count)]
+        assert serial == pooled
+        assert threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failing_sweep_raises_and_the_rest_are_cancelled(
             self, workers, nb_setup, monkeypatch):
-        # one worker runs the NB chain's own blocks of several sweeps, the
-        # failing sweep inside the first; two run blocks of one sweep
+        # one CPU runs the NB chain's own blocks of several sweeps one
+        # after another, the failing sweep inside the first; two run
+        # blocks of one sweep
         _, _, _, pipeline, cal = nb_setup
         count = 40
         started = []
@@ -965,6 +1120,7 @@ class TestSweepPool:
         monkeypatch.setattr(imaging, "_rcs", failing)
         if workers == 1:
             assert pipeline.block_rows > 4
+            monkeypatch.setattr(imaging, "_usable_cpus", lambda: 1)
         else:
             _force_workers(monkeypatch, workers)
         with pytest.raises(NoDetections, match="^sweep 3$"):
@@ -972,11 +1128,39 @@ class TestSweepPool:
                             count)
         assert sorted(started)[:4] == [0, 1, 2, 3]
         # the serial loop stops at the failure, inside its block; the pool
-        # cancels what has not started, so far fewer than all sweeps run
+        # starts no block after a failure, so far fewer than all sweeps run
         if workers == 1:
             assert len(started) == 4
         else:
             assert len(started) < count
+
+    def test_first_failing_sweep_in_pooled_blocks_raises(self, nb_setup,
+                                                         monkeypatch):
+        # NB blocks of several sweeps on two threads: the second block's
+        # sweep fails at once, the first block's only after its slow
+        # sweeps, yet the first in sweep order raises, and no block is
+        # started after a failure
+        _, _, _, pipeline, cal = nb_setup
+        rows, count = pipeline.block_rows, 3 * pipeline.block_rows
+        assert rows > 4
+        started = []
+        rcs = imaging._rcs
+
+        def failing(detections, cal, mode, k, *args):
+            started.append(k)
+            if k < 3:
+                time.sleep(0.1)
+            if k in (3, rows + 1):
+                raise NoDetections(f"sweep {k}")
+            return rcs(detections, cal, mode, k, *args)
+
+        monkeypatch.setattr(imaging, "_rcs", failing)
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
+        with pytest.raises(NoDetections, match="^sweep 3$"):
+            pipeline.series(Scene(target=target((SIGMA_REF, R_REF))), cal,
+                            count)
+        assert sorted(started)[:4] == [0, 1, 2, 3]
+        assert set(started) <= {0, 1, 2, 3, rows, rows + 1}
 
     def test_stress_more_workers_than_cpus(self, monkeypatch):
         # the lazily built shared state (transmit support, scene arrays,
@@ -1011,14 +1195,57 @@ class TestSweepPool:
         assert not worker.is_alive()
         assert np.array_equal(result["power"], serial)
 
+    def test_stress_nb_series_more_workers_than_cpus(self, monkeypatch):
+        # NB blocks of the default size on 8 threads: the tone cache, the
+        # scene's point arrays and echo memo and the transmit support are
+        # built under contention, and the estimates are gathered from
+        # every thread; a lost or torn update would change an estimate
+        params, pn = nb_params(), gen_mseq([7, 1, 0])
+        cfg = ReceiverConfig(max_range_m=100.0)
+        cal = Calibration(gain=1.0, reference_sigma_m2=SIGMA_REF,
+                          reference_range_m=R_REF)
+
+        def series(threads):
+            _tone.cache_clear()
+            monkeypatch.setattr(imaging, "_MAX_POOL_WORKERS", threads)
+            monkeypatch.setattr(imaging, "_usable_cpus", lambda: threads)
+            scene = Scene(
+                target=target((SIGMA_REF, R_REF)),
+                clutter=gen_clutter((2.0, 8.0), 40, 5e-4, seed=3),
+                interferers=(
+                    Interferer(freq_hz=1.003e9, power_w=1e-9),
+                    Interferer(freq_hz=0.99e9, power_w=1e-9,
+                               kind=InterfererKind.QPSK_MODULATED)),
+                noise_psd=1e-19, direct_path_gain=0.5,
+                sweep_phase_jitter_rad=0.3, rng_seed=2026)
+            pipeline = SweepPipeline(params, pn, rx_config=cfg)
+            assert pipeline.block_rows == 19
+            return [(e.sweep_index, e.sigma_m2)
+                    for e in pipeline.series(scene, cal, 3 * 8 * 9 + 4)]
+
+        serial = series(1)
+        result = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: result.setdefault("estimates", series(8)))
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert result["estimates"] == serial
+
     @pytest.mark.parametrize("run", ["series", "scan"])
     def test_two_workers_hold_under_three_receive_streams(self, run,
                                                           monkeypatch):
-        # each sweep in flight holds one receive stream; noise drawn a
-        # chunk at a time keeps every other whole-stream temporary
-        # short-lived, and this blank reaches no correlator read, so no
-        # blanked copy is made (a whole-rail noise draw or a blanked copy
-        # measured 3.2 to 4.2 streams)
+        # the calling thread and its one helper each hold the receive
+        # stream of the UWB sweep they run; a UWB sweep's noise, too long
+        # for one draw, is drawn a chunk at a time, which keeps every other
+        # whole-stream temporary short-lived, and this blank reaches no
+        # correlator read, so no blanked copy is made (a whole-rail noise
+        # draw or a blanked copy measured 3.2 to 4.2 streams)
         params, pn = uwb_params(), gen_mseq([5, 2, 0])
         cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
         pipeline = SweepPipeline(params, pn, rx_config=cfg)

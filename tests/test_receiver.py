@@ -330,6 +330,18 @@ class TestPulseTrainCorrelator:
         got = uwb_correlate(rx, train, lags, blank_samples=blank)
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(_correlator_case(), st.data())
+    def test_a_streams_samples_give_its_values(self, case, data):
+        # the pipeline passes each row's samples, checked finite as a block
+        rx, train, lags = case
+        blank = data.draw(st.integers(0, train.period - 1))
+        got = uwb_correlate(rx.samples, train, lags, blank)
+        assert got.tobytes() == \
+            uwb_correlate(rx, train, lags, blank).tobytes()
+        with pytest.raises(ValueError, match="lags"):
+            uwb_correlate(rx.samples, train, range(0, len(rx) + 1))
+
     def test_blank_of_a_whole_slot_rejected(self):
         train = PulseTrain(SampleStream(np.ones(4), 1.0), [1.0, -1.0], 5)
         rx = SampleStream(np.ones(20), 1.0)

@@ -1,6 +1,7 @@
 """Scenario loading, validation, CLI runs, artifact determinism, and the
 manifest round trip."""
 
+import codecs
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ from pnradar import Mode, NoDetections, ScanImage, cli, imaging
 from pnradar.cli import _write_manifest, main, run, write_image_csv
 from pnradar.imaging import Calibration
 from pnradar.scenario import (_F, _List, _SCHEMA, ExperimentKind,
-                              _UniqueKeyLoader,
+                              _UniqueKeyLoader, _reader_mark,
                               ScenarioError, load_scenario,
                               read_calibration_csv, resolve_scenario,
                               write_calibration_csv)
@@ -258,6 +259,26 @@ class TestLoadScenario:
                           "  noise_psd_w_per_hz: 0.0\n",
             "line 2, column 20: duplicate key 'mode'":
                 MINIMAL.replace("{mode: uwb}", "{mode: uwb, mode: nb}")})
+
+    @pytest.mark.parametrize("bad, problem", [
+        (b"\x01", "unacceptable character #x0001: control characters are "
+                   "not allowed"),
+        (b"\xff", "unacceptable character #x00ff: invalid leading UTF-8 "
+                   "octet")], ids=["control", "not-utf8"])
+    def test_reader_error_names_line_and_column(self, tmp_path, capsys, bad,
+                                                problem):
+        # the bad character follows two characters of two bytes each, so
+        # a column counted in bytes would be two too far
+        head = MINIMAL.encode() + b"output:\n"
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(head + b'  directory: "\xc3\xa9\xc3\xa9' + bad
+                         + b'"\n')
+        out = tmp_path / "out"
+        assert main([str(path), "--out", str(out)]) == 2
+        line = head.count(b"\n") + 1
+        assert capsys.readouterr().err == (
+            f"error: parse error at line {line}, column 17: {problem}\n")
+        assert not out.exists()
 
     def test_merged_keys_may_be_overridden(self, tmp_path):
         text = MINIMAL.replace("- {sigma_m2", "- &p {sigma_m2") + \
@@ -799,13 +820,18 @@ class TestCliEntry:
     def test_memory_error_in_a_pool_worker_exits_three(self, tmp_path,
                                                         capsys, monkeypatch):
         propagate = imaging.propagate
+        failed = threading.Event()
 
         def failing(tx, scene, params, pol, sweep_index=0, n_samples=None):
-            # a UWB sweep runs on the pool as a block of one
-            if sweep_index == range(2, 3):
-                assert threading.current_thread() is not \
-                    threading.main_thread()
-                raise MemoryError
+            # the series' UWB sweeps (the noisy scene; the calibration's
+            # reference sphere is noiseless) run as blocks of one on the
+            # calling thread and one pool worker; the worker's first block
+            # fails, and the calling thread runs its own only after that
+            if scene.noise_psd:
+                if threading.current_thread() is not threading.main_thread():
+                    failed.set()
+                    raise MemoryError
+                assert failed.wait(timeout=60)
             return propagate(tx, scene, params, pol, sweep_index, n_samples)
 
         monkeypatch.setattr(imaging, "propagate", failing)
@@ -1328,6 +1354,29 @@ class TestYamlThroughLibyaml:
             marks.append((info.value.problem_mark.line,
                           info.value.problem_mark.column))
         assert marks[0] == marks[1]
+
+    @pytest.mark.parametrize("raw, mark", [
+        (b"a: 1\nb: \"\xc3\xa9\xc3\xa9a\x01b\"\n", (2, 8)),
+        (b"a: 1\nb: \xc3\xa9\xc3\xa9 \xff\n", (2, 7)),
+        (b"a: \xc3\xa9\xc3", (1, 5)),
+        (b"# \xc3\xa9\x01\n", (1, 4)),
+        (b"a: 1\r\nb: \xc3\xa9\x7f\r\n", (2, 5)),
+        (b"a: 1\rb: \x01\r", (2, 4)),
+        ("a: [1,\u0085 \x01]\n".encode(), (2, 2)),
+        (codecs.BOM_UTF8 + b"a: \x01\n", (1, 4)),
+        ("a: 1\nb: \xe9\x01\n".encode("utf-16"), (2, 5)),
+        (codecs.BOM_UTF16_BE + "a: \xe9\x01\n".encode("utf-16-be"), (1, 5))],
+        ids=["control", "not-utf8", "cut-utf8", "comment", "crlf", "cr",
+             "nel", "utf8-bom", "utf16", "utf16-be"])
+    def test_reader_errors_get_the_same_line_and_column(self, raw, mark):
+        # the position counts bytes from libyaml, and characters from the
+        # pure reader when it meets a character YAML does not allow
+        marks = []
+        for loader in (_UniqueKeyLoader, yaml.SafeLoader):
+            with pytest.raises(yaml.reader.ReaderError) as info:
+                yaml.load(raw, Loader=loader)
+            marks.append(_reader_mark(raw, info.value))
+        assert marks == [mark, mark]
 
     @staticmethod
     def _write_and_expect(path, scenario):
