@@ -19,7 +19,6 @@ from .imaging import (Calibration, Detection, NoDetections, RangeProfile,
                       RcsEstimate, ReceiverConfig, ScanImage, SweepPipeline,
                       calibrate, detect_scatterers, estimate_rcs,
                       make_waveform, matched_window_bins, pulse_volume_depth,
-                      range_profile, rcs_nb, rcs_uwb, scan_image,
-                      self_calibrate)
+                      rcs_nb, rcs_uwb, scan_image, self_calibrate)
 
 __version__ = "0.1.0"

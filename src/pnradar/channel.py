@@ -13,7 +13,6 @@ import cmath
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -170,13 +169,6 @@ class Scene:
         for a in arrays:
             a.flags.writeable = False
         return arrays
-
-    @cached_property
-    def _echo_memo(self) -> dict:
-        """Echo geometry by (pol, sample rate, carrier), filled by
-        _echo_geometry.  Not a field, so equality, repr and
-        dataclasses.replace do not see it."""
-        return {}
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
@@ -398,66 +390,14 @@ def check_unambiguous_range(ranges: np.ndarray, params: RadarParams) -> None:
             f"range {r_max:g} m set by the PRI")
 
 
-class _EchoGeometry(NamedTuple):
-    """What a scene's echoes keep from sweep to sweep, for the points of
-    nonzero scattering amplitude (``live``, indices into all_points):
-    sqrt(sigma) * S_pq / R^2 by parts, the two-way carrier phase
-    -2*pi*f_c*tau, and the distinct sample delays round(tau * fs) in
-    order of first appearance, with ``which`` the delay of each point."""
-
-    live: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
-    phase: np.ndarray
-    delays: tuple[int, ...]
-    which: np.ndarray
-
-
-def _echo_geometry(scene: Scene, pol: Pol, fs: float,
-                   carrier_hz: float) -> _EchoGeometry:
-    """The scene's echo geometry, built once per (pol, fs, carrier).
-
-    Two threads may both build a missing entry; they build equal arrays,
-    so either one may stay.
-    """
-    key = (pol, fs, carrier_hz)
-    geometry = scene._echo_memo.get(key)
-    if geometry is not None:
-        return geometry
-    ranges, root, pol_matrices = scene.point_arrays
-    r, c = _POL_INDEX[pol]
-    s_pq = pol_matrices[:, r, c]
-    r2 = np.float_power(ranges, 2.0)
-    re = root * s_pq.real / r2
-    im = root * s_pq.imag / r2
-    # points of zero amplitude add nothing; a unit rotation keeps the
-    # others nonzero
-    live = np.flatnonzero((re != 0.0) | (im != 0.0))
-    delay_s = 2.0 * ranges[live] / SPEED_OF_LIGHT
-    # np.rint rounds half to even, as round() does
-    distinct, first, which = np.unique(
-        np.rint(delay_s * fs).astype(np.int64), return_index=True,
-        return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    geometry = _EchoGeometry(live, re[live], im[live],
-                             -2.0 * np.pi * carrier_hz * delay_s,
-                             tuple(distinct[order].tolist()), rank[which])
-    for a in (geometry.live, geometry.re, geometry.im, geometry.phase,
-              geometry.which):
-        a.flags.writeable = False
-    scene._echo_memo[key] = geometry
-    return geometry
-
-
 def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
             jitter: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """The distinct sample delays of the scene's echoes, in order of first
-    appearance, and for each row of ``jitter`` (one sweep's per-point
-    phases) the summed complex amplitude at each delay: the amplitudes
-    sqrt(sigma) * S_pq / R^2 * exp(j(-2*pi*f_c*tau + jitter)) of the
-    points that share a delay, added in point order.
+    """The distinct sample delays round(tau * fs) of the scene's echoes, in
+    order of first appearance, and for each row of ``jitter`` (one sweep's
+    per-point phases) the summed complex amplitude at each delay: the
+    amplitudes sqrt(sigma) * S_pq / R^2 * exp(j(-2*pi*f_c*tau + jitter))
+    of the points that share a delay, added in point order.  Points of
+    zero amplitude add nothing and are left out.
 
     Each amplitude rounds exactly as the one-point expression
     ``complex(sqrt(sigma) * S_pq) / R**2 * np.exp(1j * phase)`` in Python
@@ -467,14 +407,31 @@ def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
     Every step is elementwise, so a row's amplitudes do not depend on the
     other rows.
     """
-    g = _echo_geometry(scene, pol, fs, params.carrier_hz)
-    rot = np.exp(1j * (g.phase + jitter[:, g.live]))
+    ranges, root, pol_matrices = scene.point_arrays
+    r, c = _POL_INDEX[pol]
+    s_pq = pol_matrices[:, r, c]
+    r2 = np.float_power(ranges, 2.0)
+    re = root * s_pq.real / r2
+    im = root * s_pq.imag / r2
+    # a unit rotation keeps a nonzero amplitude nonzero
+    live = np.flatnonzero((re != 0.0) | (im != 0.0))
+    delay_s = 2.0 * ranges[live] / SPEED_OF_LIGHT
+    # np.rint rounds half to even, as round() does
+    distinct, first, which = np.unique(
+        np.rint(delay_s * fs).astype(np.int64), return_index=True,
+        return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    re, im = re[live], im[live]
+    rot = np.exp(1j * (-2.0 * np.pi * params.carrier_hz * delay_s
+                       + jitter[:, live]))
     a = np.empty(rot.shape, dtype=np.complex128)
-    a.real = g.re * rot.real - g.im * rot.imag
-    a.imag = g.re * rot.imag + g.im * rot.real
-    h = np.zeros((jitter.shape[0], len(g.delays)), dtype=np.complex128)
-    np.add.at(h, (slice(None), g.which), a)
-    return g.delays, h
+    a.real = re * rot.real - im * rot.imag
+    a.imag = re * rot.imag + im * rot.real
+    h = np.zeros((jitter.shape[0], order.size), dtype=np.complex128)
+    np.add.at(h, (slice(None), rank[which]), a)
+    return tuple(distinct[order].tolist()), h
 
 
 def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,

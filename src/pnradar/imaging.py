@@ -172,15 +172,6 @@ def _bin_width_m(params: RadarParams) -> float:
     return SPEED_OF_LIGHT * (1.0 / params.sample_rate_hz) / 2.0
 
 
-def range_profile(values: np.ndarray, params: RadarParams, lags: range,
-                  sweep_index: int = 0) -> RangeProfile:
-    """Map correlation values at ``lags`` (see SweepPipeline.lags) to
-    two-way range; RangeProfile checks that they pair up."""
-    return RangeProfile(ranges_m=_lag_ranges_m(lags, params), values=values,
-                        bin_width_m=_bin_width_m(params),
-                        sweep_index=sweep_index)
-
-
 def _median(x: np.ndarray) -> np.ndarray:
     """np.median along the last axis of a nonempty array, from one
     np.partition: the middle element for odd n, (a + b) / 2.0 of the two
@@ -388,8 +379,10 @@ def _rcs(detections: list[Detection], cal: Calibration, mode: Mode,
 # ---------------------------------------------------------------------------
 
 def matched_window_bins(params: RadarParams) -> int:
-    """Peak-suppression window: the matched-filter mainlobe/sidelobe span."""
-    return 2 * params.pulse_samples
+    """Peak-suppression window: the half-span of the matched filter's
+    response to one point, pulse_samples - 1 bins either side of its
+    peak, so that two points more than a pulse apart are both found."""
+    return params.pulse_samples
 
 
 def _active_samples(params: RadarParams, pn: PnSequence) -> int:

@@ -176,7 +176,7 @@ _SCHEMA = {
         "taps_b": _F(None, "intlist", nullable=True),
         "gold_shift": _F(0, "int"),
         "seed_state": _F(1, "int"),
-        "chips_per_bit": _F(127, "int"),
+        "chips_per_bit": _F(None, "int", nullable=True),
     },
     "scene": {
         "target": {"points": _List(_POINT_SCHEMA)},
@@ -314,6 +314,8 @@ def resolve_scenario(data: dict) -> Scenario:
     cfg = _resolve_section(_SCHEMA, data, "")
 
     pn = _build_code(cfg["code"])
+    if cfg["code"]["chips_per_bit"] is None:  # the manifest carries the length
+        cfg["code"]["chips_per_bit"] = pn.length
     _named("code", pn.check_chips_per_bit, cfg["code"]["chips_per_bit"])
 
     seed = cfg["seed"]

@@ -72,27 +72,36 @@ def test_02_rcs_inequality_random_targets():
 
 
 def test_03_range_resolution_two_points():
-    with criterion(3, "0.5 m pair: 2 detections wideband, 1 narrowband"):
+    with criterion(3, "pairs 0.25 and 0.5 m apart, past the 0.20 m pulse "
+                      "support: 2 detections wideband, 1 narrowband; "
+                      "0.15 m apart: 1 wideband"):
         start = time.perf_counter()
-        scene = Scene(target=TargetModel(points=(
-            Scatterer(sigma_m2=1e-2, range_m=10.0),
-            Scatterer(sigma_m2=1e-2, range_m=10.5))))
-
         uparams = uwb_params()  # 0.33 ns monocycle at 100 GHz
         upipe = SweepPipeline(uparams, gen_mseq([7, 1, 0]),
                               rx_config=ReceiverConfig(max_range_m=20.0))
-        uprof = upipe.profile(scene)
-        udets = detect_scatterers(uprof, 10.0, matched_window_bins(uparams))
-        assert len(udets) == 2
-        for det, truth in zip(udets, (10.0, 10.5)):
-            assert abs(det.range_m - truth) <= uprof.bin_width_m
-
         nparams = nb_params(pulse_width_s=1e-6)
         npipe = SweepPipeline(nparams, gen_mseq([7, 1, 0]),
                               rx_config=ReceiverConfig(max_range_m=100.0))
-        nprof = npipe.profile(scene)
-        ndets = detect_scatterers(nprof, 10.0, matched_window_bins(nparams))
-        assert len(ndets) == 1
+        # the monocycle's matched-filter response spans pulse_samples - 1
+        # bins either side of its peak
+        support_m = uparams.pulse_samples * upipe.bin_width_m
+        assert support_m == pytest.approx(0.20, abs=0.005)
+        for spacing in (0.15, 0.25, 0.5):
+            truth = (10.0, 10.0 + spacing)
+            scene = Scene(target=TargetModel(points=tuple(
+                Scatterer(sigma_m2=1e-2, range_m=r) for r in truth)))
+            uprof = upipe.profile(scene)
+            udets = detect_scatterers(uprof, 10.0,
+                                      matched_window_bins(uparams))
+            resolved = spacing > support_m
+            assert len(udets) == (2 if resolved else 1)
+            for det, r in zip(udets, truth):
+                assert abs(det.range_m - r) <= uprof.bin_width_m
+
+            nprof = npipe.profile(scene)
+            ndets = detect_scatterers(nprof, 10.0,
+                                      matched_window_bins(nparams))
+            assert len(ndets) == 1
         assert time.perf_counter() - start < 60.0
 
 

@@ -44,4 +44,5 @@ def test_span_targets_absent_only_as_known():
     assert set(absent) == {"pnradar.cli.resolve_scenario",
                            "pnradar.imaging.ds_uwb_train",
                            "pnradar.imaging.gate_pulse",
+                           "pnradar.imaging.range_profile",
                            "pnradar.imaging.rx_gate"}

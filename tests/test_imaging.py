@@ -248,6 +248,80 @@ class TestRangeProfileAndDetection:
                 detect_scatterers(prof, threshold_db)
 
 
+class TestPulseResolution:
+    """The DS-UWB detector keeps a peak that is the maximum over
+    +/-pulse_samples bins: the 133 bins (0.20 m) either side that one
+    point's matched-filter response spans."""
+
+    @pytest.mark.parametrize("spacing_m, dbsm", [
+        (0.15, -30.0),   # within the pulse support: the pair merges
+        (0.25, -26.99),  # 167 bins apart: both spheres count
+        (0.35, -26.99),
+        (0.5, -26.99),
+    ])
+    def test_pair_table(self, uwb_setup, spacing_m, dbsm):
+        params, pn, _, _, cal = uwb_setup
+        pipeline = SweepPipeline(params, pn, rx_config=ReceiverConfig(
+            max_range_m=14.0, gate_m=(9.5, 10.8)))
+        scene = Scene(target=target((SIGMA_REF, R_REF),
+                                    (SIGMA_REF, R_REF + spacing_m)),
+                      noise_psd=1e-19, rng_seed=3)
+        for est in pipeline.estimate(scene, cal, Pol.VV, range(3)):
+            assert est.dbsm == pytest.approx(dbsm, abs=0.2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(range_m=st.floats(0.001, 14.0))
+    def test_one_sphere_one_detection(self, uwb_setup, range_m):
+        # the monocycle's own side lobes are local maxima well above a
+        # noiseless floor; the window must hold them all
+        params, _, cfg, pipeline, _ = uwb_setup
+        assert matched_window_bins(params) == params.pulse_samples == 133
+        prof = pipeline.profile(Scene(target=target((SIGMA_REF, range_m))))
+        dets = detect_scatterers(prof, cfg.threshold_db,
+                                 matched_window_bins(params))
+        assert len(dets) == 1
+
+
+class TestRangeGrid:
+    """A noiseless lone sphere calibrated at 10 m reads
+    sigma * (R_hat / R)**4 / (R_hat_ref / R_ref)**4, where R_hat is the
+    range of the sample its delay rounds to: 1.875 m steps at NB's 80 MHz,
+    1.5 mm at UWB's 100 GHz."""
+
+    RANGES_M = (3.0, 10.0, 12.0, 30.0)
+
+    def _errors_db(self, params, max_range_m):
+        pn = gen_mseq([3, 1, 0])
+        pipeline = SweepPipeline(params, pn, rx_config=ReceiverConfig(
+            max_range_m=max_range_m))
+        cal = self_calibrate(params, pn, SIGMA_REF, R_REF, pipeline=pipeline)
+        bin_m = SPEED_OF_LIGHT / (2.0 * params.sample_rate_hz)
+
+        def grid(r):
+            return round(2.0 * r / SPEED_OF_LIGHT * params.sample_rate_hz) \
+                * bin_m
+
+        errors = []
+        for r in self.RANGES_M:
+            (est,) = pipeline.estimate(Scene(target=target((SIGMA_REF, r))),
+                                       cal, Pol.VV, range(1))
+            error = est.dbsm - 10.0 * math.log10(SIGMA_REF)
+            formula = 40.0 * (math.log10(grid(r) / r)
+                              - math.log10(grid(R_REF) / R_REF))
+            assert error == pytest.approx(formula, abs=1e-9)
+            errors.append(error)
+        return errors
+
+    def test_nb_reads_the_grid(self):
+        errors = self._errors_db(nb_params(), 100.0)
+        assert [round(e, 2) for e in errors] == [5.0, 0.0, 0.0, 1.12]
+
+    def test_uwb_grid_is_fine(self):
+        # a 250 ns PRI reaches 37.5 m, past the farthest sphere
+        errors = self._errors_db(uwb_params(pri_s=2.5e-7), 35.0)
+        assert max(map(abs, errors)) <= 0.003
+
+
 def _detect_oracle(profile, threshold_db, window_bins):
     """Bin-by-bin reference for detect_scatterers: scan left to right,
     keep a bin that is the first maximum of its window, and merge the run
@@ -1163,8 +1237,8 @@ class TestSweepPool:
         assert set(started) <= {0, 1, 2, 3, rows, rows + 1}
 
     def test_stress_more_workers_than_cpus(self, monkeypatch):
-        # the lazily built shared state (transmit support, scene arrays,
-        # tone cache, image rows) is built and written under
+        # the lazily built shared state (transmit support, scene point
+        # arrays, tone cache, image rows) is built and written under
         # contention; a lost or torn update would change the image
         params, pn = uwb_params(), gen_mseq([3, 1, 0])
         cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
@@ -1197,8 +1271,8 @@ class TestSweepPool:
 
     def test_stress_nb_series_more_workers_than_cpus(self, monkeypatch):
         # NB blocks of the default size on 8 threads: the tone cache, the
-        # scene's point arrays and echo memo and the transmit support are
-        # built under contention, and the estimates are gathered from
+        # scene's point arrays and the transmit support are built under
+        # contention, and the estimates are gathered from
         # every thread; a lost or torn update would change an estimate
         params, pn = nb_params(), gen_mseq([7, 1, 0])
         cfg = ReceiverConfig(max_range_m=100.0)

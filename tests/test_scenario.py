@@ -748,6 +748,26 @@ class TestCliEntry:
         assert rc == 0
         assert (tmp_path / "out" / "profile.csv").exists()
 
+    def test_without_quiet_prints_each_artifact(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([str(_write(tmp_path, MINIMAL)), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in ("profile.csv",
+                                               "run_manifest.yaml")]
+
+    def test_chips_per_bit_defaults_to_the_code_length(self, tmp_path,
+                                                       capsys):
+        # a 31-chip code that leaves chips_per_bit out runs, and the
+        # manifest records the length it used
+        text = MINIMAL + ("code: {taps: [5, 2, 0]}\n"
+                          "receiver: {max_range_m: 14.0}\n"
+                          "experiment: {kind: profile}\n")
+        out = tmp_path / "out"
+        rc = main([str(_write(tmp_path, text)), "--out", str(out), "--quiet"])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        manifest = yaml.safe_load((out / "run_manifest.yaml").read_text())
+        assert manifest["scenario"]["code"]["chips_per_bit"] == 31
+
     def test_exit_two_on_validation_failure(self, tmp_path, capsys):
         cases = {
             "unknown key": MINIMAL + "volume: 11\n",
@@ -1307,6 +1327,23 @@ experiment: {kind: profile}
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
             "efd5ab0841c665110cd807059a52c33adc5693524a7b4154bdc30b37b729ae04")
 
+
+    def test_scan_default_span_covers_uwb_scan_as_pinned(self):
+        # a null azimuth_span_deg covers the widest point (4.78 deg) plus
+        # 3 beamwidths, 10.78 deg: the same 45 rows as uwb_scan's 11 deg
+        scenario = load_scenario(ROOT / "bench" / "scenarios" / "uwb_scan.yaml")
+        step, beamwidth, span = scenario.scan
+        assert span == 11.0
+        pipeline = scenario.pipelines[Mode.DS_UWB]
+        cal = Calibration(gain=1.0, reference_sigma_m2=1e-3,
+                          reference_range_m=10.0)
+        pinned, default = (
+            imaging.scan_image(pipeline, scenario.scene, cal, step, beamwidth,
+                               az_span)
+            for az_span in (span, None))
+        assert default.azimuths_deg.size == 45
+        assert np.array_equal(default.azimuths_deg, pinned.azimuths_deg)
+        assert np.array_equal(default.power, pinned.power)
 
 BUNDLED = {p.stem: p for p in sorted([*(ROOT / "scenarios").glob("*.yaml"),
                                       *(ROOT / "bench" / "scenarios")
