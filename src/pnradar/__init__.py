@@ -17,8 +17,7 @@ from .receiver import (despread, processing_gain, qpsk_demod, rx_gate,
                        uwb_correlate)
 from .imaging import (Calibration, Detection, NoDetections, RangeProfile,
                       RcsEstimate, ReceiverConfig, ScanImage, SweepPipeline,
-                      calibrate, detect_scatterers, estimate_rcs,
-                      make_waveform, matched_window_bins, pulse_volume_depth,
-                      rcs_nb, rcs_uwb, scan_image, self_calibrate)
+                      calibrate, make_waveform, pulse_volume_depth, rcs_nb,
+                      rcs_uwb, scan_image, self_calibrate)
 
 __version__ = "0.1.0"

@@ -37,11 +37,8 @@ _POL_TOL = 1e-9
 
 # A sweep's noise, its real rail and then the read part of its imaginary
 # one, is drawn in one call when it fits this many samples, else this many
-# at a time.  A block's rows are drawn into a scratch of at most
-# _NOISE_SCRATCH samples (or of one row), which bounds what each block in
-# flight holds: 3 rows of 8,908 draws in nb_dense_series.
+# at a time.
 _NOISE_CHUNK = 1 << 14
-_NOISE_SCRATCH = 1 << 15
 
 # A QPSK interferer keys a new symbol at this rate.
 _QPSK_SYMBOL_RATE_HZ = 1e6
@@ -390,7 +387,7 @@ def check_unambiguous_range(ranges: np.ndarray, params: RadarParams) -> None:
             f"range {r_max:g} m set by the PRI")
 
 
-def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
+def _echoes(scene: Scene, pol: Pol, params: RadarParams,
             jitter: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """The distinct sample delays round(tau * fs) of the scene's echoes, in
     order of first appearance, and for each row of ``jitter`` (one sweep's
@@ -418,8 +415,8 @@ def _echoes(scene: Scene, pol: Pol, params: RadarParams, fs: float,
     delay_s = 2.0 * ranges[live] / SPEED_OF_LIGHT
     # np.rint rounds half to even, as round() does
     distinct, first, which = np.unique(
-        np.rint(delay_s * fs).astype(np.int64), return_index=True,
-        return_inverse=True)
+        np.rint(delay_s * params.sample_rate_hz).astype(np.int64),
+        return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -529,7 +526,7 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
             row[:] = rng.normal(0.0, scene.sweep_phase_jitter_rad,
                                 size=n_points)
 
-    delays, h = _echoes(scene, pol, params, fs, jitter)
+    delays, h = _echoes(scene, pol, params, jitter)
     for j, d in enumerate(delays):
         k = int(np.searchsorted(support, m - d))
         out[:, delayed(k, d)] += h[:, j, None] * active[None, :k]
@@ -540,31 +537,23 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
                                    rngs[_RNG_INTERFERER, i], stop=m)
 
     if scene.noise_psd > 0:
-        sigma2 = scene.noise_psd * fs
-        scale = np.sqrt(sigma2 / 2.0)
+        scale = np.sqrt(scene.noise_psd * fs / 2.0)
         # each row's stream draws its whole real rail, then its imaginary
-        # one as far as m: draws 0 .. m-1 and n .. n+m-1 of n + m are
-        # added.  A row draws them in one call when they fit _NOISE_CHUNK,
-        # else _NOISE_CHUNK at a time; a generator's draws continue across
-        # calls, so the chunks hold exactly the values of one whole draw.
-        # Rows are drawn _NOISE_SCRATCH // width at a time, which bounds
-        # the scratch whatever the number of rows.
-        width = min(n + m, _NOISE_CHUNK)
-        group = max(1, _NOISE_SCRATCH // width)
-        z = np.empty((min(rows, group), width))
-        for first in range(0, rows, group):
-            gens = rngs[_RNG_NOISE,][first:first + group]
-            for start in range(0, n + m, width):
-                part = z[:len(gens), :min(width, n + m - start)]
-                for rng, draws in zip(gens, part):
-                    rng.standard_normal(out=draws)
-                stop = start + part.shape[1]
-                for rail, lo, hi in ((out.real, 0, m), (out.imag, n, n + m)):
-                    a, b = max(start, lo), min(stop, hi)
+        # one as far as m, into one scratch: draws 0 .. m-1 and n .. n+m-1
+        # of n + m are added.  A generator's draws continue across calls,
+        # so the _NOISE_CHUNK chunks hold exactly the values of one whole
+        # draw.
+        z = np.empty(min(n + m, _NOISE_CHUNK))
+        for row, rng in zip(out, rngs[_RNG_NOISE,]):
+            for start in range(0, n + m, z.size):
+                part = z[:n + m - start]
+                rng.standard_normal(out=part)
+                for rail, lo, hi in ((row.real, 0, m), (row.imag, n, n + m)):
+                    a, b = max(start, lo), min(start + part.size, hi)
                     if a < b:
-                        kept = part[:, a - start:b - start]
+                        kept = part[a - start:b - start]
                         kept *= scale
-                        rail[first:first + len(gens), a - lo:b - lo] += kept
+                        rail[a - lo:b - lo] += kept
 
     if isinstance(sweep_index, range):
         return out

@@ -211,14 +211,16 @@ def _centroid(ranges, weights) -> float:
 
 
 def _detect_rows(values: np.ndarray, ranges_m: np.ndarray,
-                 threshold_db_above_noise: float,
-                 window_bins: int = 1) -> list[list[Detection]]:
-    """detect_scatterers on a block of profiles that share ``ranges_m``,
-    one profile's complex values per row of ``values``.  The median, the
-    window maxima, the candidates and the ends of their runs are found
-    for all rows at once, each row from its own bins; then each
-    detection is built in row order."""
-    check_field("threshold_db_above_noise", threshold_db_above_noise, "> 0")
+                 threshold_db: float,
+                 window_bins: int) -> list[list[Detection]]:
+    """Local maxima more than the threshold above the noise median, in
+    each row of ``values`` (one profile's complex values over ``ranges_m``).
+
+    A bin qualifies when it holds the window maximum over +/-window_bins
+    neighbours; among equal-power bins the smaller range wins, and runs
+    of equal-power adjacent bins merge into one detection at their
+    power-weighted centroid.  All rows are searched at once, each from
+    its own bins; then each detection is built in row order."""
     power = np.abs(values) ** 2
     rows, n = power.shape
     if n == 0:
@@ -226,9 +228,9 @@ def _detect_rows(values: np.ndarray, ranges_m: np.ndarray,
     # Relative floor keeps float round-off in noiseless profiles (about
     # 300 dB down) from masquerading as scatterers.
     floor = np.maximum(_median(power), power.max(axis=1) * 1e-18)
-    thr = floor * 10.0 ** (threshold_db_above_noise / 10.0)
+    thr = floor * 10.0 ** (threshold_db / 10.0)
     # past n bins a window holds only padding, so clipping w changes nothing
-    w = min(max(1, int(window_bins)), n)
+    w = min(window_bins, n)
     # peak[:, k] is the maximum of padded[:, k .. k+w-1]: the w bins left of
     # bin i start at padded index i, the w bins right of it at i+w+1.
     padded = np.full((rows, n + 2 * w), -np.inf)
@@ -254,20 +256,6 @@ def _detect_rows(values: np.ndarray, ranges_m: np.ndarray,
             range_m=_centroid(ranges_m[run], power[r, run]), power=p,
             value=v))
     return detections
-
-
-def detect_scatterers(profile: RangeProfile, threshold_db_above_noise: float,
-                      window_bins: int = 1) -> list[Detection]:
-    """Pick local maxima more than the threshold above the noise median.
-
-    A bin qualifies when it holds the window maximum over +/-window_bins
-    neighbours; among equal-power bins the smaller range wins, and runs
-    of equal-power adjacent bins merge into one detection at their
-    power-weighted centroid.  One profile is the block of one of
-    _detect_rows.
-    """
-    return _detect_rows(profile.values[None], profile.ranges_m,
-                        threshold_db_above_noise, window_bins)[0]
 
 
 def calibrate(profile: RangeProfile, sigma_ref_m2: float,
@@ -302,8 +290,8 @@ def calibrate(profile: RangeProfile, sigma_ref_m2: float,
 
 @dataclass(frozen=True)
 class ReceiverConfig:
-    """Detection and gating settings shared by the experiment drivers; the
-    scenario schema and estimate_rcs take their defaults from here."""
+    """Detection and gating settings of a SweepPipeline; the scenario
+    schema takes its defaults from here."""
 
     blank_width_s: float = 0.0
     threshold_db: float = 10.0
@@ -332,28 +320,15 @@ class ReceiverConfig:
         return SPEED_OF_LIGHT * self.blank_width_s / 2.0, self.max_range_m
 
 
-def estimate_rcs(profile: RangeProfile, cal: Calibration, mode: Mode,
-                 threshold_db: float = ReceiverConfig.threshold_db,
-                 window_bins: int = 1,
-                 gate_m: tuple[float, float] | None = None,
-                 margin_bins: int = ReceiverConfig.margin_bins) -> RcsEstimate:
-    """Convert detected peaks into a calibrated cross section.
-
-    Narrowband: the complex peak values inside the target window are
-    summed coherently and the resulting power is calibrated once at the
-    power-weighted window range.  Wideband: per-peak powers are
-    calibrated individually and added.
-    """
-    return _rcs(detect_scatterers(profile, threshold_db, window_bins), cal,
-                mode, profile.sweep_index, profile.bin_width_m, gate_m,
-                margin_bins)
-
-
 def _rcs(detections: list[Detection], cal: Calibration, mode: Mode,
          sweep_index: int, bin_width_m: float,
          gate_m: tuple[float, float] | None,
          margin_bins: int) -> RcsEstimate:
-    """estimate_rcs of one sweep from its detections."""
+    """The calibrated cross section of one sweep from its detections.
+    Narrowband: the complex peak values inside the target window are
+    summed coherently and the resulting power is calibrated once at the
+    power-weighted window range.  Wideband: per-peak powers are
+    calibrated individually and added."""
     gated = [d for d in detections
              if gate_m is None or gate_m[0] <= d.range_m <= gate_m[1]]
     if not gated:
@@ -377,13 +352,6 @@ def _rcs(detections: list[Detection], cal: Calibration, mode: Mode,
 # ---------------------------------------------------------------------------
 # measurement pipeline
 # ---------------------------------------------------------------------------
-
-def matched_window_bins(params: RadarParams) -> int:
-    """Peak-suppression window: the half-span of the matched filter's
-    response to one point, pulse_samples - 1 bins either side of its
-    peak, so that two points more than a pulse apart are both found."""
-    return params.pulse_samples
-
 
 def _active_samples(params: RadarParams, pn: PnSequence) -> int:
     """Length of the active transmission: one PRI for the narrowband
@@ -472,7 +440,6 @@ class SweepPipeline:
         # lag's overlap with the template, and nothing past it (an empty
         # window still needs one template length)
         self.read_samples = max(self.lags.stop, 1) + len(self.template) - 1
-        self.window_bins = matched_window_bins(params)
 
     @property
     def block_rows(self) -> int:
@@ -502,13 +469,23 @@ class SweepPipeline:
                             bin_width_m=self.bin_width_m,
                             sweep_index=sweep_index)
 
+    def detect(self, scene: Scene, pol: Pol,
+               sweeps: range) -> list[list[Detection]]:
+        """Detections of a block of sweeps, one list per sweep in sweep
+        order: peaks rx_config.threshold_db above the noise median that top
+        the pulse_samples bins either side, the span of one point's
+        matched-filter response, so that its side lobes do not count and
+        points a pulse apart are both found."""
+        return _detect_rows(self._values(scene, pol, sweeps), self.ranges_m,
+                            self.rx_config.threshold_db,
+                            self.params.pulse_samples)
+
     def estimate(self, scene: Scene, cal: Calibration, pol: Pol,
                  sweeps: range) -> list[RcsEstimate]:
         """Calibrated cross sections of a block of sweeps, in sweep order:
         detected together, then estimated one sweep at a time."""
         cfg = self.rx_config
-        found = _detect_rows(self._values(scene, pol, sweeps), self.ranges_m,
-                             cfg.threshold_db, self.window_bins)
+        found = self.detect(scene, pol, sweeps)
         return [_rcs(detections, cal, self.params.mode, k, self.bin_width_m,
                      cfg.gate_m, cfg.margin_bins)
                 for k, detections in zip(sweeps, found)]

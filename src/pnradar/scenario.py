@@ -21,7 +21,7 @@ import yaml
 
 from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
     TargetModel, check_interferer_band, check_unambiguous_range, gen_clutter
-from .codes import PnSequence, gen_gold, gen_mseq
+from .codes import CodeKind, PnSequence, gen_gold, gen_mseq
 from .imaging import Calibration, ReceiverConfig, SweepPipeline, \
     check_scan, sweep_samples
 from .waveform import Mode, RadarParams, nb_params, uwb_params
@@ -139,7 +139,8 @@ _POINT_SCHEMA = {
 _INTERFERER_SCHEMA = {
     "freq_hz": _F(None, "float"),
     "power_w": _F(None, "float"),
-    "kind": _F("cw", "str", choices={"cw", "qpsk"}),
+    "kind": _F(Interferer.kind.value, "str",
+               choices={k.value for k in InterfererKind}),
 }
 
 # receiver.nb and receiver.uwb share the receiver section's fields, so a
@@ -153,25 +154,28 @@ _RX_SCHEMA = {
     "margin_bins": _F(ReceiverConfig.margin_bins, "int"),
 }
 
+_NB, _UWB = nb_params(), uwb_params()
+
 _SCHEMA = {
     "seed": _F(0, "int", minimum=0, maximum=2 ** 64 - 1),
     "radar": {
-        "mode": _F("nb", "str", choices={"nb", "uwb"}),
+        "mode": _F(Mode.NB_DSSS.value, "str", choices={m.value for m in Mode}),
         "nb": {
-            "carrier_hz": _F(1.0e9, "float"),
-            "chip_rate_hz": _F(10.0e6, "float"),
-            "samples_per_chip": _F(8, "int"),
-            "pulse_width_s": _F(10.0e-6, "float"),
-            "pri_s": _F(100.0e-6, "float"),
+            "carrier_hz": _F(_NB.carrier_hz, "float"),
+            "chip_rate_hz": _F(_NB.chip_rate_hz, "float"),
+            "samples_per_chip": _F(_NB.samples_per_chip, "int"),
+            "pulse_width_s": _F(_NB.pulse_width_s, "float"),
+            "pri_s": _F(_NB.pri_s, "float"),
         },
         "uwb": {
-            "monocycle_width_s": _F(0.33e-9, "float"),
-            "pri_s": _F(100.0e-9, "float"),
-            "sample_rate_hz": _F(100.0e9, "float"),
+            "monocycle_width_s": _F(_UWB.monocycle_width_s, "float"),
+            "pri_s": _F(_UWB.pri_s, "float"),
+            "sample_rate_hz": _F(_UWB.sample_rate_hz, "float"),
         },
     },
     "code": {
-        "family": _F("msequence", "str", choices={"msequence", "gold"}),
+        "family": _F(CodeKind.MSEQUENCE.value, "str",
+                     choices={k.value for k in CodeKind}),
         "taps": _F([7, 1, 0], "intlist"),
         "taps_b": _F(None, "intlist", nullable=True),
         "gold_shift": _F(0, "int"),
@@ -197,7 +201,8 @@ _SCHEMA = {
         "kind": _F("profile", "str",
                    choices={k.value for k in ExperimentKind}),
         "sweeps": _F(10, "int", minimum=1),
-        "polarization": _F("vv", "str", choices={"vv", "hh", "vh", "hv"}),
+        "polarization": _F(Pol.VV.value, "str",
+                           choices={p.value for p in Pol}),
         "azimuth_step_deg": _F(1.0, "float"),
         "beamwidth_deg": _F(2.0, "float"),
         "azimuth_span_deg": _F(None, "float", nullable=True),
@@ -286,7 +291,7 @@ def _named(where: str, build, *args, renamed: dict | None = None, **kwargs):
 
 
 def _build_code(cfg: dict) -> PnSequence:
-    if cfg["family"] == "msequence":
+    if CodeKind(cfg["family"]) is CodeKind.MSEQUENCE:
         return _named("code", gen_mseq, cfg["taps"], cfg["seed_state"],
                       renamed={"seed": "seed_state"})
     if cfg["taps_b"] is None:

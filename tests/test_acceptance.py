@@ -15,9 +15,8 @@ import pytest
 
 from pnradar import (InterfererKind, PREFERRED_PAIRS, Pol, ReceiverConfig,
                      SampleStream, Scatterer, Scene, SweepPipeline, TargetModel,
-                     add_interferer, despread, detect_scatterers, estimate_rcs,
-                     gen_clutter, gen_gold, gen_mseq,
-                     make_waveform, matched_window_bins, nb_params,
+                     add_interferer, despread, gen_clutter, gen_gold,
+                     gen_mseq, make_waveform, nb_params,
                      processing_gain, propagate, pulse_volume_depth,
                      qpsk_baseband, qpsk_demod, rcs_nb, rcs_uwb, rx_gate,
                      self_calibrate, spread, uwb_correlate,
@@ -90,17 +89,13 @@ def test_03_range_resolution_two_points():
             truth = (10.0, 10.0 + spacing)
             scene = Scene(target=TargetModel(points=tuple(
                 Scatterer(sigma_m2=1e-2, range_m=r) for r in truth)))
-            uprof = upipe.profile(scene)
-            udets = detect_scatterers(uprof, 10.0,
-                                      matched_window_bins(uparams))
+            (udets,) = upipe.detect(scene, Pol.VV, range(1))
             resolved = spacing > support_m
             assert len(udets) == (2 if resolved else 1)
             for det, r in zip(udets, truth):
-                assert abs(det.range_m - r) <= uprof.bin_width_m
+                assert abs(det.range_m - r) <= upipe.bin_width_m
 
-            nprof = npipe.profile(scene)
-            ndets = detect_scatterers(nprof, 10.0,
-                                      matched_window_bins(nparams))
+            (ndets,) = npipe.detect(scene, Pol.VV, range(1))
             assert len(ndets) == 1
         assert time.perf_counter() - start < 60.0
 
@@ -219,12 +214,11 @@ def test_06_calibration_identity():
                 (nb_params(), gen_mseq([7, 1, 0]),
                  ReceiverConfig(max_range_m=100.0))):
             pipeline = SweepPipeline(params, pn, rx_config=cfg)
-            prof = pipeline.profile(Scene(target=TargetModel(points=(
-                Scatterer(sigma_m2=sigma_ref, range_m=r_ref),))))
+            scene = Scene(target=TargetModel(points=(
+                Scatterer(sigma_m2=sigma_ref, range_m=r_ref),)))
             from pnradar import calibrate
-            cal = calibrate(prof, sigma_ref, r_ref)
-            est = estimate_rcs(prof, cal, params.mode,
-                               window_bins=matched_window_bins(params))
+            cal = calibrate(pipeline.profile(scene), sigma_ref, r_ref)
+            (est,) = pipeline.estimate(scene, cal, Pol.VV, range(1))
             assert abs(est.dbsm - (-30.0)) <= 1e-6
 
 

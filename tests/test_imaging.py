@@ -18,9 +18,8 @@ from pnradar import (Calibration, CodeKind, Detection, Interferer,
                      InterfererKind, Mode, NoDetections, PnSequence, Pol,
                      RangeProfile, RcsEstimate, ReceiverConfig, SampleStream,
                      Scatterer, Scene, SweepPipeline,
-                     TargetModel, calibrate, detect_scatterers, estimate_rcs,
-                     gen_clutter, gen_mseq, make_waveform,
-                     matched_window_bins, nb_params,
+                     TargetModel, calibrate, gen_clutter, gen_mseq,
+                     make_waveform, nb_params,
                      propagate, pulse_volume_depth, rcs_nb, rcs_uwb,
                      rx_gate, scan_image, self_calibrate, uwb_correlate,
                      uwb_params, SPEED_OF_LIGHT)
@@ -181,25 +180,21 @@ class TestRangeProfileAndDetection:
             SPEED_OF_LIGHT / (2 * params.sample_rate_hz))
 
     def test_noise_only_profile_has_no_detection(self, nb_setup):
-        params, _, cfg, pipeline, _ = nb_setup
+        _, _, _, pipeline, _ = nb_setup
         scene = Scene(target=target((0.0, R_REF)), noise_psd=1e-15, rng_seed=3)
-        prof = pipeline.profile(scene)
-        assert detect_scatterers(prof, cfg.threshold_db,
-                                 matched_window_bins(params)) == []
+        assert pipeline.detect(scene, Pol.VV, range(1)) == [[]]
 
     def test_silent_profile_empty_detections(self, uwb_setup):
-        params, _, _, pipeline, _ = uwb_setup
-        prof = pipeline.profile(Scene(target=target((0.0, R_REF))))
-        assert detect_scatterers(prof, 10.0, matched_window_bins(params)) == []
+        _, _, _, pipeline, _ = uwb_setup
+        scene = Scene(target=target((0.0, R_REF)))
+        assert pipeline.detect(scene, Pol.VV, range(1)) == [[]]
 
     def test_five_point_sigma_ranks_recovered(self, uwb_setup):
-        params, _, cfg, pipeline, cal = uwb_setup
+        _, _, _, pipeline, cal = uwb_setup
         sigmas = [5e-3, 1e-3, 8e-3, 3e-4, 2e-3]
         ranges = [3.0, 5.0, 7.0, 9.0, 11.0]
         scene = Scene(target=target(*zip(sigmas, ranges)))
-        prof = pipeline.profile(scene)
-        dets = detect_scatterers(prof, cfg.threshold_db,
-                                 matched_window_bins(params))
+        (dets,) = pipeline.detect(scene, Pol.VV, range(1))
         assert len(dets) == 5
         est = {round(d.range_m): cal.gain * d.power * d.range_m ** 4
                for d in dets}
@@ -210,9 +205,7 @@ class TestRangeProfileAndDetection:
     def test_adjacent_equal_bins_merge_to_centroid(self):
         values = np.zeros(32, dtype=complex)
         values[10] = values[11] = 2.0
-        prof = RangeProfile(ranges_m=np.arange(32) * 0.5, values=values,
-                            bin_width_m=0.5)
-        dets = detect_scatterers(prof, 10.0)
+        (dets,) = _detect_rows(values[None], np.arange(32) * 0.5, 10.0, 1)
         assert len(dets) == 1
         assert dets[0].range_m == pytest.approx((5.0 + 5.5) / 2)
 
@@ -241,11 +234,13 @@ class TestRangeProfileAndDetection:
                              bin_width_m=0.1)
 
     def test_threshold_must_be_positive(self, uwb_setup):
-        _, _, _, pipeline, _ = uwb_setup
-        prof = pipeline.profile(Scene(target=target((SIGMA_REF, R_REF))))
+        # the detector's threshold comes only from the pipeline's
+        # ReceiverConfig, which rejects these
+        params, pn, cfg, _, _ = uwb_setup
         for threshold_db in (0.0, math.nan):
-            with pytest.raises(ValueError, match="threshold"):
-                detect_scatterers(prof, threshold_db)
+            with pytest.raises(ValueError, match="threshold_db must be > 0"):
+                SweepPipeline(params, pn, rx_config=dataclasses.replace(
+                    cfg, threshold_db=threshold_db))
 
 
 class TestPulseResolution:
@@ -274,11 +269,10 @@ class TestPulseResolution:
     def test_one_sphere_one_detection(self, uwb_setup, range_m):
         # the monocycle's own side lobes are local maxima well above a
         # noiseless floor; the window must hold them all
-        params, _, cfg, pipeline, _ = uwb_setup
-        assert matched_window_bins(params) == params.pulse_samples == 133
-        prof = pipeline.profile(Scene(target=target((SIGMA_REF, range_m))))
-        dets = detect_scatterers(prof, cfg.threshold_db,
-                                 matched_window_bins(params))
+        params, _, _, pipeline, _ = uwb_setup
+        assert params.pulse_samples == 133
+        (dets,) = pipeline.detect(Scene(target=target((SIGMA_REF, range_m))),
+                                  Pol.VV, range(1))
         assert len(dets) == 1
 
 
@@ -323,9 +317,9 @@ class TestRangeGrid:
 
 
 def _detect_oracle(profile, threshold_db, window_bins):
-    """Bin-by-bin reference for detect_scatterers: scan left to right,
-    keep a bin that is the first maximum of its window, and merge the run
-    of equal-power bins that follows it."""
+    """Bin-by-bin reference for _detect_rows on one profile: scan left to
+    right, keep a bin that is the first maximum of its window, and merge
+    the run of equal-power bins that follows it."""
     power = profile.power
     n = power.size
     if n == 0:
@@ -390,8 +384,9 @@ class TestDetectOracle:
     @given(_plateau_profile(), st.integers(1, 2000),
            st.sampled_from([0.5, 3.0, 10.0]))
     def test_matches_bin_by_bin_scan(self, profile, window, threshold_db):
-        assert detect_scatterers(profile, threshold_db, window) == \
-            _detect_oracle(profile, threshold_db, window)
+        assert _detect_rows(profile.values[None], profile.ranges_m,
+                            threshold_db, window) == \
+            [_detect_oracle(profile, threshold_db, window)]
 
     @settings(max_examples=300, deadline=None)
     @given(_plateau_block(), st.integers(1, 400),
@@ -403,20 +398,24 @@ class TestDetectOracle:
         for row, detections in zip(values, found):
             profile = RangeProfile(ranges_m=ranges.copy(), values=row,
                                    bin_width_m=0.0015)
-            assert detections == detect_scatterers(profile, threshold_db,
-                                                   window)
+            assert [detections] == _detect_rows(row[None], ranges,
+                                                threshold_db, window)
             assert detections == _detect_oracle(profile, threshold_db,
                                                 window)
 
     def test_noisy_uwb_sweep_matches(self, uwb_setup):
+        # a block's detections are each sweep's, detected alone
         params, _, cfg, pipeline, _ = uwb_setup
         scene = Scene(target=target((SIGMA_REF, R_REF), (2e-3, 6.0)),
                       noise_psd=1e-19, sweep_phase_jitter_rad=0.3, rng_seed=4)
-        w = matched_window_bins(params)
-        for k in range(3):
+        block = pipeline.detect(scene, Pol.VV, range(3))
+        assert len(block) == 3
+        for k, dets in enumerate(block):
             prof = pipeline.profile(scene, sweep_index=k)
-            dets = detect_scatterers(prof, cfg.threshold_db, w)
-            assert dets and dets == _detect_oracle(prof, cfg.threshold_db, w)
+            assert dets
+            assert [dets] == pipeline.detect(scene, Pol.VV, range(k, k + 1))
+            assert dets == _detect_oracle(prof, cfg.threshold_db,
+                                          params.pulse_samples)
 
 
 def _centroid_reference(ranges, weights):
@@ -843,18 +842,18 @@ class TestMedian:
 
 class TestCalibration:
     def test_identity_uwb(self, uwb_setup):
-        params, _, cfg, pipeline, cal = uwb_setup
-        prof = pipeline.profile(Scene(target=target((SIGMA_REF, R_REF))))
-        est = estimate_rcs(prof, cal, Mode.DS_UWB,
-                           window_bins=matched_window_bins(params))
+        _, _, _, pipeline, cal = uwb_setup
+        (est,) = pipeline.estimate(Scene(target=target((SIGMA_REF, R_REF))),
+                                   cal, Pol.VV, range(1))
+        assert est.mode is Mode.DS_UWB
         assert abs(est.dbsm - (-30.0)) < 1e-6
         assert est.sigma_m2 == pytest.approx(SIGMA_REF, rel=1e-9)
 
     def test_identity_nb(self, nb_setup):
-        params, _, cfg, pipeline, cal = nb_setup
-        prof = pipeline.profile(Scene(target=target((SIGMA_REF, R_REF))))
-        est = estimate_rcs(prof, cal, Mode.NB_DSSS,
-                           window_bins=matched_window_bins(params))
+        _, _, _, pipeline, cal = nb_setup
+        (est,) = pipeline.estimate(Scene(target=target((SIGMA_REF, R_REF))),
+                                   cal, Pol.VV, range(1))
+        assert est.mode is Mode.NB_DSSS
         assert abs(est.dbsm - (-30.0)) < 1e-6
 
     def test_gain_linear_in_reference_sigma(self, uwb_setup):
@@ -907,10 +906,8 @@ class TestEstimateRcs:
         estimates = []
         for delta in np.linspace(0.0, lam / 2.0, 17):
             scene = Scene(target=target((1.0, 10.0), (1.0, 10.5 + delta)))
-            prof = pipeline.profile(scene)
             try:
-                est = estimate_rcs(prof, cal, Mode.NB_DSSS,
-                                   window_bins=matched_window_bins(params))
+                (est,) = pipeline.estimate(scene, cal, Pol.VV, range(1))
                 estimates.append(est.sigma_m2)
             except NoDetections:
                 estimates.append(0.0)
@@ -927,9 +924,7 @@ class TestEstimateRcs:
         dbsm = []
         for delta in np.linspace(0.0, lam / 2.0, 17):
             scene = Scene(target=target((1.0, 10.0), (1.0, 10.5 + delta)))
-            prof = pipeline.profile(scene)
-            est = estimate_rcs(prof, cal, Mode.DS_UWB,
-                               window_bins=matched_window_bins(params))
+            (est,) = pipeline.estimate(scene, cal, Pol.VV, range(1))
             dbsm.append(est.dbsm)
         dbsm = np.array(dbsm)
         assert dbsm.max() - dbsm.min() < 0.5
@@ -952,27 +947,24 @@ class TestEstimateRcs:
             total = sum(s for s, _ in pts)
             if oracle < 0.1 * total:
                 continue  # deep fade: envelope mismatch dominates
-            prof = pipeline.profile(Scene(target=target(*pts)))
-            est = estimate_rcs(prof, cal, Mode.NB_DSSS,
-                               window_bins=matched_window_bins(params))
+            (est,) = pipeline.estimate(Scene(target=target(*pts)), cal, Pol.VV,
+                                       range(1))
             assert abs(10 * math.log10(est.sigma_m2 / oracle)) < 0.5
             checked += 1
         assert checked >= 3
 
     def test_no_detection_raises_distinct_error(self, uwb_setup):
-        params, _, cfg, pipeline, cal = uwb_setup
-        prof = pipeline.profile(Scene(target=target((SIGMA_REF, R_REF))))
+        params, pn, cfg, _, cal = uwb_setup
+        pipeline = SweepPipeline(params, pn, rx_config=dataclasses.replace(
+            cfg, gate_m=(1.0, 2.0)))
+        scene = Scene(target=target((SIGMA_REF, R_REF)))
         with pytest.raises(NoDetections, match="gate"):
-            estimate_rcs(prof, cal, Mode.DS_UWB,
-                         window_bins=matched_window_bins(params),
-                         gate_m=(1.0, 2.0))
+            pipeline.estimate(scene, cal, Pol.VV, range(1))
 
     def test_estimate_carries_sweep_index_and_mode(self, uwb_setup):
-        params, _, cfg, pipeline, cal = uwb_setup
-        prof = pipeline.profile(Scene(target=target((SIGMA_REF, R_REF))),
-                                sweep_index=7)
-        est = estimate_rcs(prof, cal, Mode.DS_UWB,
-                           window_bins=matched_window_bins(params))
+        _, _, _, pipeline, cal = uwb_setup
+        (est,) = pipeline.estimate(Scene(target=target((SIGMA_REF, R_REF))),
+                                   cal, Pol.VV, range(7, 8))
         assert est.sweep_index == 7
         assert est.mode is Mode.DS_UWB
         assert est.dbsm == pytest.approx(10 * math.log10(est.sigma_m2))
