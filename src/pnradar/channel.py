@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .codes import check_field, read_only
-from .waveform import RadarParams, SampleStream, SPEED_OF_LIGHT
+from .waveform import PulseTrain, RadarParams, SampleStream, SPEED_OF_LIGHT
 
 # RNG purpose tags (third entry of the derived seed sequence).
 _RNG_PHASE = 1
@@ -431,10 +431,10 @@ def _echoes(scene: Scene, pol: Pol, params: RadarParams,
     return tuple(distinct[order].tolist()), h
 
 
-def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
+def propagate(tx: PulseTrain, scene: Scene, params: RadarParams, pol: Pol,
               sweep_index: int | range = 0, n_samples: int | None = None
               ) -> SampleStream | np.ndarray:
-    """Propagate a transmit stream through the scene for one sweep, or for
+    """Propagate a transmit train through the scene for one sweep, or for
     a block of sweeps.
 
     Each scattering center contributes a delayed copy of tx scaled by
@@ -443,8 +443,8 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
     a per-point phase drawn fresh every sweep when jitter is enabled.
     Delays round to the nearest sample (half to even).  The amplitudes
     of points that share a delay are summed in point order, and each
-    distinct delay adds one scaled copy of tx, over its nonzero samples
-    only, in order of first appearance; points of zero scattering
+    distinct delay adds, in order of first appearance, its amplitude
+    times each chip's pulse, chip by chip; points of zero scattering
     amplitude are skipped.  Direct-path leakage, external interferers
     and thermal noise are added on top, in that order.
 
@@ -505,20 +505,31 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
         + ([(_RNG_NOISE,)] if scene.noise_psd > 0 else [])
     rngs = _stream_rngs(scene.rng_seed, sweeps, tags)
 
-    # tx is zero off its support: direct path and echoes are added there
-    # only, in place through a slice where the support is one run (the NB
-    # pulse), which numpy adds faster than through an index array
-    support = tx.support[:np.searchsorted(tx.support, m)]
-    active = tx.samples[support]
-    one_run = support.size and support[-1] - support[0] + 1 == support.size
+    # shaped[j] is chip j's pulse, sent from sample j*period.  windows[r, s]
+    # is the width samples of row r from sample s, so the chips of a delay
+    # d land in windows[:, d + j*period]: one strided (rows, chips, width)
+    # view of out, whose windows do not overlap
+    shaped = tx.chips[:, None] * tx.pulse.samples[None, :]
+    chips, width = shaped.shape
+    period = tx.period
+    windows = np.lib.stride_tricks.as_strided(
+        out, (rows, max(m - width + 1, 0), width),
+        out.strides + out.strides[1:])
 
-    def delayed(k: int, d: int):
-        """The first k samples of the support, delayed by d samples."""
-        return (slice(support[0] + d, support[0] + d + k) if one_run
-                else support[:k] + d)
+    def add(amp: np.ndarray, d: int):
+        """Add amp[r] * shaped[j] at sample d + j*period of row r, over
+        the first m samples: the chips that end inside them whole, then
+        the first samples of the one that crosses sample m."""
+        whole = min(chips, max(0, (m - width - d) // period + 1))
+        if whole:
+            windows[:, d:d + whole * period:period] += \
+                amp[:, :, None] * shaped[None, :whole]
+        start = d + whole * period
+        if whole < chips and start < m:
+            out[:, start:] += amp * shaped[None, whole, :m - start]
 
     if scene.direct_path_gain:
-        out[:, delayed(support.size, 0)] += scene.direct_path_gain * active
+        add(np.full((1, 1), scene.direct_path_gain), 0)
 
     jitter = np.zeros((rows, n_points))
     if jittered:
@@ -528,8 +539,7 @@ def propagate(tx: SampleStream, scene: Scene, params: RadarParams, pol: Pol,
 
     delays, h = _echoes(scene, pol, params, jitter)
     for j, d in enumerate(delays):
-        k = int(np.searchsorted(support, m - d))
-        out[:, delayed(k, d)] += h[:, j, None] * active[None, :k]
+        add(h[:, j, None], d)
 
     for i in emitting:
         out += _interferer_samples(scene.interferers[i], n, fs,

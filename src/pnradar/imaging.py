@@ -25,9 +25,8 @@ import numpy as np
 from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence, check_field, read_only
 from .receiver import check_blank_width, uwb_correlate
-from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
-                       SPEED_OF_LIGHT, check_finite, qpsk_baseband, spread,
-                       uwb_pulse_train)
+from .waveform import (Mode, PulseTrain, RadarParams, SPEED_OF_LIGHT,
+                       check_finite, qpsk_baseband, spread, uwb_pulse_train)
 
 # Sweeps run in blocks of consecutive sweeps: one propagate and one
 # detection per block, on arrays with one row per sweep, so that numpy's
@@ -74,7 +73,6 @@ class RangeProfile:
     ranges_m: np.ndarray
     values: np.ndarray
     bin_width_m: float
-    sweep_index: int = 0
 
     def __post_init__(self):
         ranges = np.asarray(self.ranges_m, dtype=np.float64)
@@ -363,18 +361,17 @@ def _active_samples(params: RadarParams, pn: PnSequence) -> int:
 def make_waveform(params: RadarParams, pn: PnSequence,
                   chips_per_bit: int | None = None,
                   n_samples: int | None = None
-                  ) -> tuple[SampleStream, PulseTrain]:
-    """Build (transmit stream, matched-filter template).
+                  ) -> tuple[PulseTrain, PulseTrain]:
+    """Build (transmit, matched-filter template).
 
     Narrowband: spread all-zero data over the code and hold it on I and
     Q for pulse_samples; that pulse is the template, a train of one
     chip per PRI.  Wideband: the transmission is the polarity-coded
     monocycle train and the template is the same train, described as
     monocycle, chips and PRI (trailing silence trimmed).  The transmit
-    stream is the template's train written straight into n_samples
-    zeros (default: the active transmission).
+    is the template's train padded to n_samples (default: the active
+    transmission); no sample of it is written out.
     """
-    fs = params.sample_rate_hz
     cpb = pn.length if chips_per_bit is None else chips_per_bit
     pn.check_chips_per_bit(cpb)  # before cpb divides the chips
     if params.mode is Mode.NB_DSSS:
@@ -388,8 +385,7 @@ def make_waveform(params: RadarParams, pn: PnSequence,
         template = uwb_pulse_train(pn, params)
     if n_samples is None:
         n_samples = _active_samples(params, pn)
-    tx = SampleStream(template.samples(n_samples), fs, params.carrier_hz)
-    return tx, template
+    return replace(template, length=n_samples), template
 
 
 def sweep_samples(params: RadarParams, pn: PnSequence,
@@ -422,7 +418,7 @@ class SweepPipeline:
                  rx_config: ReceiverConfig | None = None):
         self.params, self.pn = params, pn
         self.rx_config = cfg = rx_config or ReceiverConfig()
-        # checked before the streams are allocated
+        # checked before any array is built
         self.blank_samples = check_blank_width(params, cfg.blank_width_s)
         self.tx, self.template = make_waveform(
             params, pn, chips_per_bit,
@@ -466,8 +462,7 @@ class SweepPipeline:
         """Range profile of one sweep, the block of one."""
         row = self._values(scene, pol, range(sweep_index, sweep_index + 1))[0]
         return RangeProfile(ranges_m=self.ranges_m, values=row,
-                            bin_width_m=self.bin_width_m,
-                            sweep_index=sweep_index)
+                            bin_width_m=self.bin_width_m)
 
     def detect(self, scene: Scene, pol: Pol,
                sweeps: range) -> list[list[Detection]]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -62,14 +61,6 @@ class SampleStream:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        """Indices of the nonzero samples, computed once: the samples are
-        read-only, and so is the result."""
-        idx = np.flatnonzero(self.samples != 0)
-        idx.flags.writeable = False
-        return idx
 
     def with_samples(self, samples: np.ndarray) -> "SampleStream":
         return SampleStream(samples, self.sample_rate, self.carrier_hz)
@@ -238,33 +229,52 @@ def gaussian_monocycle(params: RadarParams) -> SampleStream:
 @dataclass(frozen=True)
 class PulseTrain:
     """One pulse shape repeated every ``period`` samples, copy j weighted
-    by the real chip ``chips[j]``: sum_j chips[j] * pulse[n - j*period].
+    by the real chip ``chips[j]``: sum_j chips[j] * pulse[n - j*period],
+    zero-padded to ``length`` samples.
 
-    A single pulse is a train of one chip.  The train ends with the last
-    pulse, so ``len(train)`` is (chips - 1) * period + len(pulse).
+    A single pulse is a train of one chip, and so is a dense stream s, as
+    PulseTrain(s).  The pulses of a longer train do not overlap: period is
+    at least len(pulse).  By default the train ends with the last pulse,
+    so ``len(train)`` is (chips - 1) * period + len(pulse).
     """
 
     pulse: SampleStream
     chips: np.ndarray = field(default_factory=lambda: np.ones(1))
     period: int = 1
+    length: int | None = None
 
     def __post_init__(self):
         chips = np.array(self.chips, dtype=np.float64)
         if chips.ndim != 1 or chips.size == 0:
             raise ValueError("chips must be a nonempty 1-D array")
-        if len(self.pulse) == 0:
+        if not np.isfinite(chips).all():
+            raise ValueError("chips must be finite")
+        width = len(self.pulse)
+        if width == 0:
             raise ValueError("pulse must be nonempty")
         if self.period < 1:
             raise ValueError(f"period must be >= 1 sample, got {self.period}")
+        if chips.size > 1 and self.period < width:
+            raise ValueError(f"pulses of {width} samples overlap at a "
+                             f"period of {self.period}")
+        end = (chips.size - 1) * self.period + width
+        length = end if self.length is None else self.length
+        if length < end:
+            raise ValueError(f"{length} samples cannot hold a train of {end}")
         chips.flags.writeable = False
         object.__setattr__(self, "chips", chips)
+        object.__setattr__(self, "length", int(length))
 
     def __len__(self) -> int:
-        return (self.chips.size - 1) * self.period + len(self.pulse)
+        return self.length
 
     @property
     def sample_rate(self) -> float:
         return self.pulse.sample_rate
+
+    @property
+    def carrier_hz(self) -> float:
+        return self.pulse.carrier_hz
 
     def samples(self, n: int | None = None) -> np.ndarray:
         """The train as n samples (default: len(self)), zero-padded."""

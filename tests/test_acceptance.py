@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import dataclasses
 import hashlib
 import math
 import time
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from pnradar import (InterfererKind, PREFERRED_PAIRS, Pol, ReceiverConfig,
-                     SampleStream, Scatterer, Scene, SweepPipeline, TargetModel,
+                     Scatterer, Scene, SweepPipeline, TargetModel,
                      add_interferer, despread, gen_clutter, gen_gold,
                      gen_mseq, make_waveform, nb_params,
                      processing_gain, propagate, pulse_volume_depth,
@@ -227,9 +228,7 @@ def test_07_direct_path_suppression():
         params = nb_params()
         pn = gen_mseq([7, 1, 0])
         active, template = make_waveform(params, pn)
-        tail = np.zeros(64, dtype=complex)
-        tx = SampleStream(np.concatenate([active.samples, tail]),
-                          params.sample_rate_hz, params.carrier_hz)
+        tx = dataclasses.replace(active, length=len(active) + 64)
         scene = Scene(target=TargetModel(points=(
             Scatterer(sigma_m2=0.0, range_m=10.0),)), direct_path_gain=0.5)
         rx = propagate(tx, scene, params, Pol.VV)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnradar import (Interferer, InterfererKind, Pol, SampleStream, Scatterer,
-                     Scene, TargetModel, add_interferer, gen_clutter, gen_mseq,
+from pnradar import (Interferer, InterfererKind, Pol, PulseTrain,
+                     SampleStream, Scatterer, Scene, TargetModel,
+                     add_interferer, gen_clutter, gen_mseq,
                      identity_pol_matrix, make_waveform, nb_params, propagate,
                      uwb_params, SPEED_OF_LIGHT)
 from pnradar import channel
@@ -33,17 +34,22 @@ def _mean_power(stream):
     return float(np.mean(np.abs(stream.samples) ** 2))
 
 
+def _dense_tx(samples, params):
+    """A dense transmit stream, as the train of one chip it is."""
+    return PulseTrain(SampleStream(samples, params.sample_rate_hz,
+                                   params.carrier_hz))
+
+
 def _tone_stream(params, n_pri=1):
     n = int(round(n_pri * params.pri_s * params.sample_rate_hz))
-    return SampleStream(np.ones(n, dtype=complex), params.sample_rate_hz,
-                        params.carrier_hz)
+    return _dense_tx(np.ones(n, dtype=complex), params)
 
 
 def _noise_stream(params, seed=0, n_pri=1):
     rng = np.random.default_rng(seed)
     n = int(round(n_pri * params.pri_s * params.sample_rate_hz))
-    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
+    return _dense_tx(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                     params)
 
 
 def _single_point_scene(sigma=1.0, range_m=30.0, **kwargs):
@@ -59,9 +65,8 @@ class TestScatteringAmplitude:
         params = nb_params()
         impulse = np.zeros(params.pri_samples, dtype=complex)
         impulse[0] = 1.0
-        tx = SampleStream(impulse, params.sample_rate_hz, params.carrier_hz)
-        rx = propagate(tx, Scene(target=TargetModel(points=(point,))),
-                       params, pol)
+        rx = propagate(_dense_tx(impulse, params),
+                       Scene(target=TargetModel(points=(point,))), params, pol)
         return np.abs(rx.samples).max() * point.range_m ** 2
 
     def test_vv_unit(self):
@@ -140,14 +145,14 @@ class TestGenClutter:
 
 class TestPropagate:
     def test_echoes_match_dense_delayed_copies(self):
-        # echoes are added over the nonzero samples of tx only; the skipped
-        # terms are a*0, so the result equals the dense sum exactly
+        # a dense stream is a train of one chip: each echo adds a * samples
+        # over its zeros too, and those terms leave the dense sum as it is
         params = nb_params()
         rng = np.random.default_rng(6)
         n = int(round(params.pri_s * params.sample_rate_hz))
         samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         samples[rng.random(n) < 0.7] = 0.0
-        tx = SampleStream(samples, params.sample_rate_hz, params.carrier_hz)
+        tx = _dense_tx(samples, params)
         points = tuple(Scatterer(sigma_m2=s, range_m=r) for s, r in
                        ((1.0, 30.0), (0.5, 31.0), (2.0, 700.0), (1.5, 2000.0)))
         scene = Scene(target=TargetModel(points=points))
@@ -179,7 +184,7 @@ class TestPropagate:
         amp = (np.sqrt(4.0) / r ** 2
                * np.exp(-2j * np.pi * params.carrier_hz * 2 * r / SPEED_OF_LIGHT))
         assert np.all(rx.samples[:d] == 0)
-        assert np.allclose(rx.samples[d:], amp * tx.samples[:len(tx) - d])
+        assert np.allclose(rx.samples[d:], amp * tx.samples()[:len(tx) - d])
 
     def test_two_point_destructive_cancellation(self):
         params = nb_params()
@@ -202,8 +207,7 @@ class TestPropagate:
 
     def test_stream_must_cover_pri(self):
         params = nb_params()
-        short = SampleStream(np.ones(10, dtype=complex),
-                             params.sample_rate_hz, params.carrier_hz)
+        short = _dense_tx(np.ones(10, dtype=complex), params)
         with pytest.raises(ValueError, match="PRI"):
             propagate(short, _single_point_scene(), params, Pol.VV)
 
@@ -212,8 +216,9 @@ class TestPropagate:
         # an nb stream tagged with another carrier
         uwb_tx = make_waveform(uwb_params(), gen_mseq([5, 2, 0]))[0]
         params = nb_params()
-        off_carrier = SampleStream(_tone_stream(params).samples,
-                                   params.sample_rate_hz, 2e9)
+        off_carrier = PulseTrain(SampleStream(
+            np.ones(params.pri_samples, dtype=complex),
+            params.sample_rate_hz, 2e9))
         for tx in (uwb_tx, off_carrier):
             with pytest.raises(ValueError, match="but the chain runs at "
                                "8e[+]07 Hz on 1e[+]09 Hz"):
@@ -228,7 +233,7 @@ class TestPropagate:
             Scatterer(sigma_m2=0.5, range_m=35.0),)),
             sweep_phase_jitter_rad=0.4, rng_seed=11)
         a, b = 0.7 - 0.2j, -1.3 + 0.4j
-        mixed = s.with_samples(a * s.samples + b * u.samples)
+        mixed = _dense_tx(a * s.samples() + b * u.samples(), params)
         lhs = propagate(mixed, scene, params, Pol.VV, sweep_index=2).samples
         rhs = (a * propagate(s, scene, params, Pol.VV, sweep_index=2).samples
                + b * propagate(u, scene, params, Pol.VV, sweep_index=2).samples)
@@ -321,7 +326,7 @@ class TestPropagate:
         tx = _noise_stream(params, seed=10)
         scene = _single_point_scene(sigma=0.0, direct_path_gain=0.25)
         rx = propagate(tx, scene, params, Pol.VV)
-        assert np.allclose(rx.samples, 0.25 * tx.samples)
+        assert np.allclose(rx.samples, 0.25 * tx.samples())
 
 
 def _propagate_oracle(tx, scene, params, pol, sweep_index=0):
@@ -330,18 +335,19 @@ def _propagate_oracle(tx, scene, params, pol, sweep_index=0):
     seeds itself from the stream's key."""
     fs = tx.sample_rate
     n = len(tx)
+    samples = tx.samples()
     points = scene.all_points
     seed = scene.rng_seed & _U64
     out = np.zeros(n, dtype=np.complex128)
     if scene.direct_path_gain:
-        out += scene.direct_path_gain * tx.samples
+        out += scene.direct_path_gain * samples
     if scene.sweep_phase_jitter_rad > 0 and points:
         rng = np.random.default_rng([seed, sweep_index, _RNG_PHASE])
         jitter = rng.normal(0.0, scene.sweep_phase_jitter_rad, size=len(points))
     else:
         jitter = np.zeros(len(points))
-    support = np.flatnonzero(tx.samples != 0)
-    active = tx.samples[support]
+    support = np.flatnonzero(samples != 0)
+    active = samples[support]
     for k, p in enumerate(points):
         amp = scattering_amplitude(p, pol)
         if amp == 0:
@@ -365,8 +371,9 @@ def _propagate_oracle(tx, scene, params, pol, sweep_index=0):
 
 def _oracle_streams():
     """(params, tx) pairs: the NB pulse, a 7-chip UWB train (its last echoes
-    run past the stream end) and a sparse random NB stream with support up
-    to its last sample, so that every echo is truncated."""
+    run past the stream end) and a sparse random NB stream, a train of one
+    chip, with support up to its last sample, so that every echo is
+    truncated."""
     pn = gen_mseq([3, 1, 0])
     nb, uwb = nb_params(), uwb_params()
     rng = np.random.default_rng(21)
@@ -374,7 +381,7 @@ def _oracle_streams():
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     samples[rng.random(n) < 0.8] = 0.0
     return [(nb, make_waveform(nb, pn)[0]), (uwb, make_waveform(uwb, pn)[0]),
-            (nb, SampleStream(samples, nb.sample_rate_hz, nb.carrier_hz))]
+            (nb, _dense_tx(samples, nb))]
 
 
 _STREAMS = _oracle_streams()
@@ -451,7 +458,7 @@ class TestPropagateOracle:
         # samples added before or after them round at most an ulp apart
         sum_a = sum(abs(scattering_amplitude(p, pol)) / p.range_m ** 2
                     for p in live)
-        max_tx = np.max(np.abs(tx.samples))
+        max_tx = np.max(np.abs(tx.samples()))
         tol = 1e-12 * ((scene.direct_path_gain + sum_a) * max_tx
                        + np.max(np.abs(ref)))
         assert np.max(np.abs(rx - ref)) <= tol
@@ -488,7 +495,7 @@ class TestPropagateBuffers:
     def test_chunked_noise_equals_whole_rail_draw(self, n):
         params = uwb_params()
         fs = params.sample_rate_hz
-        tx = SampleStream(np.ones(n, dtype=complex), fs)
+        tx = _dense_tx(np.ones(n, dtype=complex), params)
         scene = _single_point_scene(sigma=0.0, range_m=1.0, noise_psd=1e-19,
                                     rng_seed=31)
         rx = propagate(tx, scene, params, Pol.VV, sweep_index=4).samples
@@ -514,7 +521,7 @@ class TestPropagateBuffers:
         n = 10_000
         params = uwb_params()
         fs = params.sample_rate_hz
-        tx = SampleStream(np.ones(n, dtype=complex), fs)
+        tx = _dense_tx(np.ones(n, dtype=complex), params)
         scene = _single_point_scene(sigma=0.0, range_m=1.0, noise_psd=1e-19,
                                     rng_seed=31)
         sweeps = range(4, 18)
@@ -559,7 +566,8 @@ def _prefix_lengths(n):
 def _support_edges(tx):
     """Prefix lengths at and around the first and last nonzero sample."""
     n = len(tx)
-    lo, hi = int(tx.support[0]), int(tx.support[-1])
+    support = np.flatnonzero(tx.samples())
+    lo, hi = int(support[0]), int(support[-1])
     return st.sampled_from([m for m in (lo, lo + 1, lo + 2, hi, hi + 1,
                                         hi + 2) if 1 <= m <= n])
 
@@ -603,6 +611,85 @@ class TestPropagateBlock:
         params, tx = _STREAMS[0]
         with pytest.raises(ValueError, match="at least one sweep"):
             propagate(tx, _single_point_scene(), params, Pol.VV, range(3, 3))
+
+
+# an 80-sample PRI at 80 MHz, so that a short train reaches every delay
+_SHORT_PRI = nb_params(pulse_width_s=0.4e-6, pri_s=1e-6)
+
+
+@st.composite
+def _train_case(draw):
+    """A random train of 1-5 real chips on _SHORT_PRI, pulses a period or
+    more apart, padded to at least one PRI; a scene whose first echo
+    crosses the drawn prefix; and a single sweep or a block."""
+    params = _SHORT_PRI
+    fs = params.sample_rate_hz
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 40))
+    pulse = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    # exact zeros inside the pulse, as at the monocycle's center
+    pulse[rng.random(width) < 0.2] = 0.0
+    chips = draw(st.one_of(
+        st.lists(st.sampled_from([1.0, -1.0]), min_size=1, max_size=5),
+        st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5)))
+    period = draw(st.integers(width, width + 30))
+    end = (len(chips) - 1) * period + width
+    length = max(end, params.pri_samples) + draw(st.integers(0, 40))
+    train = PulseTrain(SampleStream(pulse, fs, params.carrier_hz), chips,
+                       period, length)
+    max_delay = int(params.unambiguous_range_m * 2.0 / SPEED_OF_LIGHT * fs)
+    delays = [draw(st.integers(1, max_delay))
+              for _ in range(draw(st.integers(1, 6)))]
+    # the prefix ends inside the first echo's train, or anywhere
+    lo = min(delays[0] + 1, length)
+    hi = max(lo, min(delays[0] + end - 1, length))
+    m = draw(st.one_of(st.integers(lo, hi), st.integers(1, length)))
+    points = tuple(
+        Scatterer(sigma_m2=draw(st.floats(1e-6, 10.0)),
+                  range_m=min(d * SPEED_OF_LIGHT / (2.0 * fs),
+                              params.unambiguous_range_m),
+                  pol_matrix=np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+                  * np.ones((2, 2)))
+        for d in delays)
+    scene = Scene(target=TargetModel(points=points[:1]), clutter=points[1:],
+                  direct_path_gain=draw(st.sampled_from([0.0, 0.25])),
+                  sweep_phase_jitter_rad=draw(st.sampled_from([0.0, 0.3])),
+                  noise_psd=draw(st.sampled_from([0.0, 1e-19])),
+                  rng_seed=draw(st.integers(0, _U64)))
+    first = draw(st.integers(0, 50))
+    sweep = draw(st.one_of(st.just(first),
+                           st.builds(range, st.just(first),
+                                     st.integers(first + 1, first + 5))))
+    return params, train, scene, sweep, m
+
+
+class TestPropagateTrain:
+    """A train is propagated chip by chip, bit for bit as its dense stream,
+    the train of one chip."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_train_case())
+    def test_train_equals_its_dense_stream(self, case):
+        params, train, scene, sweep, m = case
+        dense = PulseTrain(SampleStream(train.samples(), train.sample_rate,
+                                        train.carrier_hz))
+        assert len(dense) == len(train)
+        got = propagate(train, scene, params, Pol.VV, sweep, n_samples=m)
+        want = propagate(dense, scene, params, Pol.VV, sweep, n_samples=m)
+        if isinstance(sweep, range):
+            assert got.shape == (len(sweep), m)
+        else:
+            got, want = got.samples, want.samples
+        assert got.tobytes() == want.tobytes()
+
+    def test_overlapping_pulses_are_rejected(self):
+        pulse = SampleStream(np.ones(5, dtype=complex), 1.0)
+        with pytest.raises(ValueError, match="overlap"):
+            PulseTrain(pulse, [1.0, -1.0], period=4)
+        # one pulse has nothing to overlap, and a period of its width
+        # leaves no gap
+        assert len(PulseTrain(pulse, [1.0], period=1)) == 5
+        assert len(PulseTrain(pulse, [1.0, -1.0], period=5)) == 10
 
 
 _PURPOSES = (_RNG_PHASE, _RNG_NOISE, _RNG_INTERFERER)

@@ -782,9 +782,22 @@ class TestSweepSamples:
                          * params.sample_rate_hz) + 1
         assert len(pipeline.tx) == len(active) + tail == \
             sweep_samples(params, pn, cfg.max_range_m)
-        assert np.array_equal(pipeline.tx.samples[:len(active)],
-                              active.samples)
-        assert not pipeline.tx.samples[len(active):].any()
+        tx = pipeline.tx.samples()
+        assert np.array_equal(tx[:len(active)], active.samples())
+        assert not tx[len(active):].any()
+
+    def test_a_pipeline_holds_no_dense_transmit(self):
+        # the 319,341-sample UWB transmit, written out, would hold 5.1 MB
+        cfg = ReceiverConfig(max_range_m=14.0)
+        tracemalloc.start()
+        try:
+            pipeline = SweepPipeline(uwb_params(), gen_mseq([5, 2, 0]),
+                                     rx_config=cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(pipeline.tx) == 319_341
+        assert held < 1_000_000
 
 
 class TestChipsPerBit:
@@ -795,7 +808,7 @@ class TestChipsPerBit:
         (tx, template), *others = (make_waveform(params, pn, cpb)
                                    for cpb in (1, 7, 31))
         for other_tx, other_template in others:
-            assert other_tx.samples.tobytes() == tx.samples.tobytes()
+            assert other_tx.samples().tobytes() == tx.samples().tobytes()
             assert other_template.samples().tobytes() == \
                 template.samples().tobytes()
 
@@ -1063,7 +1076,6 @@ class TestSweepBlocks:
             assert [est] == pipeline.estimate(busy_scene, cal, Pol.HH,
                                               range(k, k + 1))
             prof = pipeline.profile(busy_scene, Pol.HH, sweep_index=k)
-            assert prof.sweep_index == k
             assert prof.values.tobytes() == row.tobytes()
             assert prof.ranges_m is pipeline.ranges_m
 

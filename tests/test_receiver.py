@@ -32,8 +32,8 @@ class TestRxGate:
         # one pulse at the head of each of two PRI slots
         pulse = np.zeros(params.pri_samples, dtype=complex)
         pulse[:params.pulse_samples] = rng.standard_normal(params.pulse_samples)
-        tx = SampleStream(np.tile(pulse, 2), params.sample_rate_hz,
-                          params.carrier_hz)
+        tx = PulseTrain(SampleStream(np.tile(pulse, 2),
+                                     params.sample_rate_hz, params.carrier_hz))
         scene = Scene(target=TargetModel(points=(
             Scatterer(sigma_m2=0.0, range_m=10.0),)), direct_path_gain=0.5)
         rx = propagate(tx, scene, params, Pol.VV)
@@ -287,7 +287,8 @@ def _correlator_case(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n_pulse = draw(st.integers(1, 24))
     n_chips = draw(st.integers(1, 8))
-    period = draw(st.integers(1, 40))  # may be shorter than the pulse
+    # the pulses of a train of several chips do not overlap
+    period = draw(st.integers(n_pulse if n_chips > 1 else 1, 40))
     pulse = rng.standard_normal(n_pulse) + 1j * rng.standard_normal(n_pulse)
     chips = rng.choice([-1.0, 1.0], n_chips) * draw(
         st.sampled_from([1.0, 0.5, 3.0]))

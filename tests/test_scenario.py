@@ -1130,11 +1130,12 @@ class TestCliEntry:
                 text})
 
     def test_out_of_memory_exits_three(self, tmp_path):
-        # a 31-chip train at 10 THz needs 31.9 M samples (487 MiB) per
-        # stream; under a 1 GiB address-space limit it cannot be built
+        # a 31-chip train at 20 THz needs 63.8 M samples (974 MiB) per
+        # received stream; under a 1 GiB address-space limit it cannot be
+        # built
         path = _write(tmp_path, MINIMAL.replace(
             "radar: {mode: uwb}",
-            "radar: {mode: uwb, uwb: {sample_rate_hz: 1.0e+13}}\n"
+            "radar: {mode: uwb, uwb: {sample_rate_hz: 2.0e+13}}\n"
             "code: {family: msequence, taps: [5, 2, 0], chips_per_bit: 31}"))
         proc = _run_child(
             "import resource, sys\n"
@@ -1145,7 +1146,7 @@ class TestCliEntry:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith(
             "error [profile]: out of memory: the uwb sweep stream holds "
-            "31,900,001 complex samples (487 MiB)")
+            "63,800,001 complex samples (974 MiB)")
         assert "Traceback" not in proc.stderr
         assert not list((tmp_path / "out").glob("*.csv"))
 

@@ -1,6 +1,8 @@
 """Waveform synthesis tests: spreading identities, QPSK normalization,
 pulse rules, monocycle shape/spectrum, coded pulse trains."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -135,22 +137,26 @@ class TestPulseGrid:
         check_blank_width(params, pulse / fs)
 
 
-class TestSampleStream:
-    def test_support_is_cached_read_only_nonzero_indices(self):
-        s = SampleStream(np.array([0.0, 1.0, 0.0, -0.0, 2j, 0.0]), 1.0)
-        assert np.array_equal(s.support, [1, 4])
-        assert s.support is s.support
-        assert not s.support.flags.writeable
-
-
 class TestPulseTrain:
     def test_expansion_sums_weighted_shifted_pulses(self):
         pulse = SampleStream(np.array([1.0, 2.0, 3.0]), 1.0)
-        train = PulseTrain(pulse, [1.0, -1.0, 2.0], period=2)
-        assert len(train) == 7
+        train = PulseTrain(pulse, [1.0, -1.0, 2.0], period=4)
+        assert len(train) == 11
         assert np.array_equal(train.samples(),
-                              [1.0, 2.0, 3.0 - 1.0, -2.0, -3.0 + 2.0, 4.0, 6.0])
-        assert np.array_equal(train.samples(9)[7:], [0.0, 0.0])
+                              [1.0, 2.0, 3.0, 0.0, -1.0, -2.0, -3.0, 0.0,
+                               2.0, 4.0, 6.0])
+        assert np.array_equal(train.samples(13)[11:], [0.0, 0.0])
+
+    def test_length_pads_the_train(self):
+        pulse = SampleStream(np.array([1.0, 2.0, 3.0]), 1.0)
+        train = PulseTrain(pulse, [1.0, -1.0], period=3, length=9)
+        assert len(train) == 9
+        assert np.array_equal(train.samples(),
+                              [1.0, 2.0, 3.0, -1.0, -2.0, -3.0, 0.0, 0.0, 0.0])
+        assert len(dataclasses.replace(train, length=None)) == 6
+        with pytest.raises(ValueError, match="5 samples cannot hold a "
+                                             "train of 6"):
+            PulseTrain(pulse, [1.0, -1.0], period=3, length=5)
 
     def test_invalid_trains_rejected(self):
         pulse = SampleStream(np.ones(3), 1.0)
@@ -160,15 +166,21 @@ class TestPulseTrain:
             PulseTrain(pulse, [1.0, 1.0], period=0)
         with pytest.raises(ValueError, match="cannot hold"):
             PulseTrain(pulse, [1.0, 1.0], period=4).samples(6)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="chips must be finite"):
+                PulseTrain(pulse, [1.0, bad])
 
     def test_uwb_train_is_the_transmitted_train(self):
         p = uwb_params()
         code = gen_mseq([3, 1, 0])
         train = uwb_pulse_train(code, p)
-        tx = make_waveform(p, code)[0].samples
-        nz = np.flatnonzero(tx)
+        tx = make_waveform(p, code)[0]
+        assert (tx.period, tx.chips.tobytes(), tx.pulse.samples.tobytes()) \
+            == (train.period, train.chips.tobytes(),
+                train.pulse.samples.tobytes())
+        nz = np.flatnonzero(tx.samples())
         assert len(train) == nz[-1] + 1
-        assert np.array_equal(train.samples(tx.size), tx)
+        assert np.array_equal(train.samples(len(tx)), tx.samples())
 
 
 class TestMonocycle:
