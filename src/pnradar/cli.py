@@ -25,7 +25,8 @@ from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
                       ScanImage, SweepPipeline, calibrate, scan_image,
                       self_calibrate)
 from .scenario import (ExperimentKind, OutOfMemory, Scenario, ScenarioError,
-                       load_scenario, write_calibration_csv)
+                       load_scenario, waveform_fingerprint,
+                       write_calibration_csv)
 from .waveform import Mode
 
 
@@ -183,12 +184,12 @@ def _write_manifest(path: Path, scenario: Scenario) -> None:
 
 def _calibration_for(scenario: Scenario,
                      pipeline: SweepPipeline) -> Calibration:
-    """The scenario's calibration file, or a self-calibration on the
-    experiment's own pipeline."""
+    """The scenario's calibration file, or a self-calibration on the chain
+    of the experiment's pipeline."""
     if scenario.calibration is not None:
         return scenario.calibration
     return self_calibrate(pipeline.params, scenario.pn, *scenario.reference,
-                          pipeline=pipeline)
+                          rx_config=pipeline.rx_config)
 
 
 def _series(scenario: Scenario, pipeline: SweepPipeline) -> list[RcsEstimate]:
@@ -230,7 +231,8 @@ def _artifacts(scenario: Scenario):
     elif kind is ExperimentKind.CALIBRATE:
         profile = pipeline.profile(scenario.scene, scenario.pol)
         yield ("calibration.csv", write_calibration_csv,
-               calibrate(profile, *scenario.reference))
+               (calibrate(profile, *scenario.reference),
+                waveform_fingerprint(pipeline.params, scenario.pn)))
     elif kind is ExperimentKind.RCS_SWEEP_SERIES:
         yield "series.csv", write_series_csv, _series(scenario, pipeline)
     elif kind is ExperimentKind.POLARIMETRIC:

@@ -26,7 +26,7 @@ from .channel import Pol, Scatterer, Scene, TargetModel, propagate
 from .codes import PnSequence, check_field, read_only
 from .receiver import check_blank_width, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SPEED_OF_LIGHT,
-                       check_finite, qpsk_baseband, spread, uwb_pulse_train)
+                       check_finite, qpsk_baseband, uwb_pulse_train)
 
 # Sweeps run in blocks of consecutive sweeps: one propagate and one
 # detection per block, on arrays with one row per sweep, so that numpy's
@@ -359,25 +359,22 @@ def _active_samples(params: RadarParams, pn: PnSequence) -> int:
 
 
 def make_waveform(params: RadarParams, pn: PnSequence,
-                  chips_per_bit: int | None = None,
                   n_samples: int | None = None
                   ) -> tuple[PulseTrain, PulseTrain]:
-    """Build (transmit, matched-filter template).
+    """Build (transmit, matched-filter template) from the radar parameters
+    and the code alone.
 
-    Narrowband: spread all-zero data over the code and hold it on I and
-    Q for pulse_samples; that pulse is the template, a train of one
-    chip per PRI.  Wideband: the transmission is the polarity-coded
-    monocycle train and the template is the same train, described as
-    monocycle, chips and PRI (trailing silence trimmed).  The transmit
-    is the template's train padded to n_samples (default: the active
-    transmission); no sample of it is written out.
+    Narrowband: the code's chips, repeated as far as the pulse reaches,
+    held on I and Q for pulse_samples; that pulse is the template, a
+    train of one chip per PRI.  Wideband: the transmission is the
+    polarity-coded monocycle train and the template is the same train,
+    described as monocycle, chips and PRI (trailing silence trimmed).  The
+    transmit is the template's train padded to n_samples (default: the
+    active transmission); no sample of it is written out.
     """
-    cpb = pn.length if chips_per_bit is None else chips_per_bit
-    pn.check_chips_per_bit(cpb)  # before cpb divides the chips
     if params.mode is Mode.NB_DSSS:
         n_chips = math.ceil(params.pulse_samples / params.samples_per_chip)
-        chips = spread(np.zeros(math.ceil(n_chips / cpb), dtype=np.int64),
-                       pn, cpb)
+        chips = pn.chips[np.arange(n_chips) % pn.length]
         stream = qpsk_baseband(chips, chips, params)
         pulse = stream.with_samples(stream.samples[:params.pulse_samples])
         template = PulseTrain(pulse, period=params.pri_samples)
@@ -410,19 +407,22 @@ class SweepPipeline:
     One instance owns the waveform for a given (params, code) pair and
     runs the propagate / correlate / profile chain on blocks of sweeps.
     The correlator computes only the lags the profile keeps and blanks the
-    samples it reads.
+    samples it reads.  ``chips_per_bit`` is checked against the code and
+    otherwise unused, as the waveform carries no data bits; it stays while
+    the benchmark's set-up passes it by position (ROADMAP item 5).
     """
 
     def __init__(self, params: RadarParams, pn: PnSequence,
                  chips_per_bit: int | None = None,
                  rx_config: ReceiverConfig | None = None):
-        self.params, self.pn = params, pn
+        if chips_per_bit is not None:
+            pn.check_chips_per_bit(chips_per_bit)
+        self.params = params
         self.rx_config = cfg = rx_config or ReceiverConfig()
         # checked before any array is built
         self.blank_samples = check_blank_width(params, cfg.blank_width_s)
         self.tx, self.template = make_waveform(
-            params, pn, chips_per_bit,
-            sweep_samples(params, pn, cfg.max_range_m))
+            params, pn, sweep_samples(params, pn, cfg.max_range_m))
         # the lags whose ranges fall in the kept window form one run
         near, far = cfg.range_window_m
         ranges = _lag_ranges_m(
@@ -552,22 +552,12 @@ class SweepPipeline:
 def self_calibrate(params: RadarParams, pn: PnSequence,
                    sigma_ref_m2: float, range_ref_m: float,
                    chips_per_bit: int | None = None,
-                   rx_config: ReceiverConfig | None = None, *,
-                   pipeline: SweepPipeline | None = None) -> Calibration:
-    """Calibrate against a clean reference sphere (no clutter, no noise).
-
-    Pass the experiment's own ``pipeline`` to reuse its waveform, receiver
-    settings and chips_per_bit; it must have been built for ``params`` and
-    a code of ``pn``'s chips.
-    """
-    if pipeline is None:
-        pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
-    elif chips_per_bit is not None or rx_config is not None:
-        raise ValueError("pass chips_per_bit and rx_config to the pipeline")
-    elif pipeline.params != params:
-        raise ValueError("pipeline was built for other radar parameters")
-    elif not np.array_equal(pipeline.pn.chips, pn.chips):
-        raise ValueError("pipeline was built for another code")
+                   rx_config: ReceiverConfig | None = None) -> Calibration:
+    """Calibrate against a clean reference sphere (no clutter, no noise) on
+    the SweepPipeline of ``params``, ``pn`` and ``rx_config``, the chain an
+    experiment with them runs; chips_per_bit is checked as that pipeline
+    checks it."""
+    pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
     reference = Scene(target=TargetModel(points=(
         Scatterer(sigma_m2=sigma_ref_m2, range_m=range_ref_m),)))
     return calibrate(pipeline.profile(reference), sigma_ref_m2, range_ref_m)

@@ -387,10 +387,6 @@ def resolve_scenario(data: dict) -> Scenario:
         raise ScenarioError(
             "experiment.calibration_file: compare_modes runs the nb and uwb "
             "chains, and one calibration file cannot calibrate two waveforms")
-    calibration = None
-    if consumes_cal and exp["calibration_file"] is not None:
-        calibration = read_calibration_csv(exp["calibration_file"])
-
     # check each chain the run uses, then build its pipeline and check the
     # window that pipeline keeps, all before synthesis
     mode = Mode(cfg["radar"]["mode"])
@@ -410,6 +406,11 @@ def resolve_scenario(data: dict) -> Scenario:
         for i, itf in enumerate(interferers):
             _named(f"scene.interferers[{i}] {where}", check_interferer_band,
                    itf.freq_hz, params.carrier_hz, params.sample_rate_hz)
+    calibration = None
+    if consumes_cal and exp["calibration_file"] is not None:
+        # compare_modes takes no file, so the run has the one chain
+        calibration = read_calibration_csv(exp["calibration_file"],
+                                           chains[mode][0], pn)
     self_calibrates = kind is ExperimentKind.CALIBRATE or (
         consumes_cal and calibration is None)
     calibrates_on = reference[1] if self_calibrates else None
@@ -424,7 +425,7 @@ def resolve_scenario(data: dict) -> Scenario:
         for chain, (params, rx_cfg) in chains.items():
             pipelines[chain] = _named(
                 f"receiver.blank_width_s ({chain.value} chain)", SweepPipeline,
-                params, pn, cfg["code"]["chips_per_bit"], rx_cfg)
+                params, pn, rx_config=rx_cfg)
             _check_kept_window(pipelines[chain], calibrates_on, gated)
     except MemoryError:
         raise OutOfMemory(kind, streams) from None
@@ -471,15 +472,46 @@ def _check_kept_window(pipeline: SweepPipeline, reference_m: float | None,
                 f"at {nearest} m")
 
 
-def write_calibration_csv(path: str | Path, cal: Calibration) -> None:
-    """Write ``cal`` as read_calibration_csv reads it: a header of
-    Calibration's field names and one row of their values as "%.12g"."""
-    Path(path).write_text(",".join(vars(cal)) + "\n" + ",".join(
-        "%.12g" % v for v in vars(cal).values()) + "\n", newline="")
+def waveform_fingerprint(params: RadarParams,
+                         pn: PnSequence) -> dict[str, str]:
+    """The waveform a calibration belongs to, as the text of its
+    calibration.csv cells: the chain, the code's generator, the sample grid
+    and the pulse parameters, empty where the chain has none.
+    chips_per_bit is part of no waveform, so it is not among them."""
+    nb = params.mode is Mode.NB_DSSS
+    # taps=[5 2 0];seed=1: no comma, as a CSV cell
+    generator = ";".join(f"{k}={v}" for k, v in pn.generator.items())
+    values = {"mode": params.mode.value, "code_kind": pn.kind.value,
+              "code_generator": generator.replace(",", ""),
+              "sample_rate_hz": params.sample_rate_hz,
+              "pri_samples": params.pri_samples,
+              "pulse_samples": params.pulse_samples,
+              "carrier_hz": params.carrier_hz,
+              "chip_rate_hz": params.chip_rate_hz,
+              "samples_per_chip": params.samples_per_chip,
+              "pulse_width_s": params.pulse_width_s,
+              "monocycle_width_s": None if nb else params.monocycle_width_s}
+    return {name: "" if v is None else "%.12g" % v if isinstance(v, float)
+            else str(v) for name, v in values.items()}
 
 
-def read_calibration_csv(path: str | Path) -> Calibration:
-    """Read a calibration written by the calibrate experiment."""
+def write_calibration_csv(path: str | Path,
+                          data: tuple[Calibration, dict[str, str]]) -> None:
+    """Write a calibration and the waveform_fingerprint of the chain it was
+    made on, as read_calibration_csv reads them: a header of Calibration's
+    field names and the fingerprint's, and one row of their values, the
+    calibration's as "%.12g"."""
+    cal, waveform = data
+    cells = {name: "%.12g" % v for name, v in vars(cal).items()} | waveform
+    Path(path).write_text(",".join(cells) + "\n" + ",".join(cells.values())
+                          + "\n", newline="")
+
+
+def read_calibration_csv(path: str | Path, params: RadarParams,
+                         pn: PnSequence) -> Calibration:
+    """Read a calibration written by the calibrate experiment, for the
+    chain of ``params`` and ``pn``: the file's waveform fingerprint must be
+    that chain's."""
     path = Path(path)
     where = f"experiment.calibration_file: {path}"
     try:
@@ -487,11 +519,26 @@ def read_calibration_csv(path: str | Path) -> Calibration:
     except OSError as exc:
         raise ScenarioError(f"{where}: {exc.strerror}") from exc
     names = [f.name for f in fields(Calibration)]
-    if len(lines) < 2 or lines[0] != ",".join(names):
+    header, row = ([line.split(",") for line in lines] + [[], []])[:2]
+    if header[:len(names)] != names or len(row) != len(header):
         raise ScenarioError(f"{where}: not a calibration file")
+    expected = waveform_fingerprint(params, pn)
+    chain = f"the {params.mode.value} chain this run uses"
+    if header[len(names):] != list(expected):
+        raise ScenarioError(f"{where}: the file records no waveform "
+                            f"fingerprint, so it cannot be checked against "
+                            f"{chain}")
+    cells = dict(zip(header, row))
+    wrong = [k for k in expected if cells[k] != expected[k]]
+    if wrong:
+        # a chain of another mode differs in the fields that follow the mode
+        shown = wrong[:1] if wrong[0] == "mode" else wrong
+        raise ScenarioError(
+            f"{where}: made on another waveform than {chain}: " + "; ".join(
+                f"{k} {cells[k]} in the file, {expected[k]} here"
+                for k in shown))
     try:
-        values = (float(v) for v in lines[1].split(","))
-        return Calibration(**dict(zip(names, values, strict=True)))
+        return Calibration(*(float(cells[name]) for name in names))
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 

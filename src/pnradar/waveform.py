@@ -2,9 +2,10 @@
 
 Everything is complex baseband: RF and IF carriers exist only as a
 frequency tag on the stream plus explicit phase rotations applied in the
-channel.  The narrowband chain sends one pulse of spread QPSK per
-PRI; the wideband chain builds a polarity-coded train of Gaussian
-monocycles.
+channel.  The narrowband chain sends one QPSK pulse of the code's chips
+per PRI; the wideband chain builds a polarity-coded train of Gaussian
+monocycles.  Neither sends data bits; ``spread`` spreads them for the
+despreading receiver.
 """
 
 from __future__ import annotations
@@ -276,13 +277,10 @@ class PulseTrain:
     def carrier_hz(self) -> float:
         return self.pulse.carrier_hz
 
-    def samples(self, n: int | None = None) -> np.ndarray:
-        """The train as n samples (default: len(self)), zero-padded."""
-        n = len(self) if n is None else n
-        if n < len(self):
-            raise ValueError(f"{n} samples cannot hold a train of {len(self)}")
+    def samples(self) -> np.ndarray:
+        """The train as its len(self) samples, zero-padded."""
         pulse = self.pulse.samples
-        out = np.zeros(n, dtype=np.complex128)
+        out = np.zeros(len(self), dtype=np.complex128)
         for j, chip in enumerate(self.chips):
             start = j * self.period
             out[start:start + pulse.size] += chip * pulse

@@ -47,4 +47,5 @@ def test_span_targets_absent_only_as_known():
                            "pnradar.imaging.estimate_rcs",
                            "pnradar.imaging.gate_pulse",
                            "pnradar.imaging.range_profile",
-                           "pnradar.imaging.rx_gate"}
+                           "pnradar.imaging.rx_gate",
+                           "pnradar.imaging.spread"}

@@ -20,14 +20,16 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pnradar
-from pnradar import Mode, NoDetections, ScanImage, cli, imaging
+from pnradar import (Mode, NoDetections, ScanImage, cli, gen_gold,
+                     gen_mseq, imaging, nb_params, uwb_params)
 from pnradar.cli import _write_manifest, main, run, write_image_csv
-from pnradar.imaging import Calibration
+from pnradar.channel import Scatterer, Scene, TargetModel
+from pnradar.imaging import Calibration, calibrate
 from pnradar.scenario import (_F, _List, _SCHEMA, ExperimentKind,
                               _UniqueKeyLoader, _reader_mark,
                               ScenarioError, load_scenario,
                               read_calibration_csv, resolve_scenario,
-                              write_calibration_csv)
+                              waveform_fingerprint, write_calibration_csv)
 
 MINIMAL = """
 radar: {mode: uwb}
@@ -243,9 +245,12 @@ class TestLoadScenario:
             f"{field}: must be finite": MINIMAL + text})
 
     def test_non_finite_calibration_file_rejected(self, tmp_path, capsys):
+        # a file of the series' own waveform, so that only its values fail
         cal = tmp_path / "calibration.csv"
-        cal.write_text("gain,reference_sigma_m2,reference_range_m\n"
-                       "inf,nan,-5\n")
+        waveform = waveform_fingerprint(uwb_params(), gen_mseq([5, 2, 0]))
+        cal.write_text("gain,reference_sigma_m2,reference_range_m,"
+                       + ",".join(waveform) + "\ninf,nan,-5,"
+                       + ",".join(waveform.values()) + "\n")
         _assert_rejected_before_synthesis(tmp_path, capsys, {
             f"experiment.calibration_file: {cal}: calibration gain must be "
             "finite and positive": SERIES + f"  calibration_file: {cal}\n"})
@@ -569,7 +574,7 @@ class TestRunExperiments:
             f"output: {{directory: {tmp_path / 'cal'}}}\n")
         run(load_scenario(_write(tmp_path, cal_text, "cal.yaml")), quiet=True)
         cal_file = tmp_path / "cal" / "calibration.csv"
-        cal = read_calibration_csv(cal_file)
+        cal = read_calibration_csv(cal_file, uwb_params(), gen_mseq([5, 2, 0]))
         assert cal.reference_sigma_m2 == pytest.approx(1e-3)
         series_text = SERIES + (
             f"output: {{directory: {tmp_path / 'out'}}}\n")
@@ -582,24 +587,114 @@ class TestRunExperiments:
         assert all(abs(v + 30.0) < 1.0 for v in dbsm)
 
     def test_calibration_file_reads_back_equal(self, tmp_path):
-        # each value to 12 significant digits, as every CSV cell is written
+        # each value to 12 significant digits, as every CSV cell is written,
+        # after the fingerprint of the waveform it calibrates
+        params, pn = nb_params(), gen_mseq([5, 2, 0])
+        waveform = waveform_fingerprint(params, pn)
         path = tmp_path / "calibration.csv"
         cal = Calibration(gain=3.0517578125e-05, reference_sigma_m2=1e-3,
                           reference_range_m=10.0)
-        write_calibration_csv(path, cal)
-        assert path.read_bytes() == (b"gain,reference_sigma_m2,"
-                                     b"reference_range_m\n"
-                                     b"3.0517578125e-05,0.001,10\n")
-        assert read_calibration_csv(path) == cal
+        write_calibration_csv(path, (cal, waveform))
+        assert path.read_bytes() == (
+            b"gain,reference_sigma_m2,reference_range_m,mode,code_kind,"
+            b"code_generator,sample_rate_hz,pri_samples,pulse_samples,"
+            b"carrier_hz,chip_rate_hz,samples_per_chip,pulse_width_s,"
+            b"monocycle_width_s\n"
+            b"3.0517578125e-05,0.001,10,nb,msequence,taps=[5 2 0];seed=1,"
+            b"80000000,8000,800,1000000000,10000000,8,1e-05,\n")
+        assert read_calibration_csv(path, params, pn) == cal
         drawn = Calibration(gain=1 / 3, reference_sigma_m2=2 / 3,
                             reference_range_m=10 / 3)
-        write_calibration_csv(path, drawn)
-        assert read_calibration_csv(path) == Calibration(
+        write_calibration_csv(path, (drawn, waveform))
+        assert read_calibration_csv(path, params, pn) == Calibration(
             *(float("%.12g" % v) for v in (1 / 3, 2 / 3, 10 / 3)))
         # a row of the wrong width is not a calibration
-        path.write_text("gain,reference_sigma_m2,reference_range_m\n1,2\n")
-        with pytest.raises(ScenarioError, match="calibration_file"):
-            read_calibration_csv(path)
+        header = path.read_text().splitlines()[0]
+        path.write_text(header + "\n1,2\n")
+        with pytest.raises(ScenarioError,
+                           match="calibration_file: .*: not a "
+                                 "calibration file"):
+            read_calibration_csv(path, params, pn)
+
+    @pytest.mark.parametrize("params, pn", [
+        (nb_params(), gen_mseq([5, 2, 0])),
+        (uwb_params(), gen_gold([5, 2, 0], [5, 4, 3, 2, 0], 3))],
+        ids=["nb", "uwb"])
+    def test_calibration_file_names_every_waveform_field(self, params, pn):
+        # the fingerprint tells apart any two chains that differ in a field
+        # of the waveform, and an empty cell stands for a field the chain
+        # does not have
+        waveform = waveform_fingerprint(params, pn)
+        assert list(waveform)[:3] == ["mode", "code_kind", "code_generator"]
+        assert all("," not in cell for cell in waveform.values())
+        nb = params.mode is Mode.NB_DSSS
+        assert (waveform["samples_per_chip"] == "") is not nb
+        assert (waveform["monocycle_width_s"] == "") is nb
+        others = ([nb_params(samples_per_chip=4), nb_params(carrier_hz=2e9),
+                   nb_params(pulse_width_s=12e-6), nb_params(pri_s=90e-6)]
+                  if nb else
+                  [uwb_params(monocycle_width_s=0.4e-9),
+                   uwb_params(sample_rate_hz=50e9), uwb_params(pri_s=90e-9)])
+        for other in others:
+            assert waveform_fingerprint(other, pn) != waveform
+        for code in (gen_mseq([5, 2, 0], 2), gen_mseq([5, 4, 3, 2, 0]),
+                     gen_gold([5, 2, 0], [5, 4, 3, 2, 0], 4)):
+            assert waveform_fingerprint(params, code) != waveform
+
+    def test_calibration_file_of_another_waveform_exits_two(self, tmp_path,
+                                                             capsys):
+        # an nb calibration of a sphere once fed a uwb series, which read
+        # -25.1 dBsm for the -30 dBsm sphere and exited 0
+        cal_text = """
+seed: 7
+radar: {mode: nb}
+code: {family: msequence, taps: [5, 2, 0]}
+scene:
+  target:
+    points:
+      - {sigma_m2: 1.0e-3, range_m: 10.0}
+experiment: {kind: calibrate}
+"""
+        cal_path = _write(tmp_path, cal_text, "cal.yaml")
+        assert main([str(cal_path), "--out", str(tmp_path / "cal"),
+                     "--quiet"]) == 0
+        cal_file = tmp_path / "cal" / "calibration.csv"
+        series = SERIES.replace("seed: 77", "seed: 7").replace(
+            "sweeps: 4", f"sweeps: 3\n  calibration_file: {cal_file}") + (
+            "receiver: {gate_min_m: 9.5, gate_max_m: 10.5, "
+            "max_range_m: 14.0}\n")
+        where = f"experiment.calibration_file: {cal_file}: "
+        old_file = tmp_path / "old.csv"
+        old_file.write_text("gain,reference_sigma_m2,reference_range_m\n"
+                            "2.02832305723e-06,0.001,10\n")
+        nb_series = series.replace("{mode: uwb}", "{mode: nb}").replace(
+            "gate_min_m: 9.5, gate_max_m: 10.5, max_range_m: 14.0",
+            "gate_min_m: 5.0, gate_max_m: 15.0, max_range_m: 100.0")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            where + "made on another waveform than the uwb chain this run "
+            "uses: mode nb in the file, uwb here": series,
+            where + "made on another waveform than the nb chain this run "
+            "uses: code_generator taps=[5 2 0];seed=1 in the file, "
+            "taps=[5 2 0];seed=3 here": nb_series.replace(
+                "taps: [5, 2, 0]", "taps: [5, 2, 0], seed_state: 3"),
+            # the same sample grid, chips twice as short
+            where + "made on another waveform than the nb chain this run "
+            "uses: chip_rate_hz 10000000 in the file, 20000000 here; "
+            "samples_per_chip 8 in the file, 4 here": nb_series.replace(
+                "{mode: nb}", "{mode: nb, nb: {chip_rate_hz: 2.0e+7, "
+                "samples_per_chip: 4}}"),
+            # a file written before the fingerprint cannot be checked
+            f"experiment.calibration_file: {old_file}: the file records no "
+            "waveform fingerprint, so it cannot be checked against the nb "
+            "chain this run uses": nb_series.replace(str(cal_file),
+                                                     str(old_file))})
+        # the chain that made the file reads it, at any chips_per_bit
+        out = tmp_path / "nb_out"
+        nb_path = _write(tmp_path, nb_series.replace(
+            "chips_per_bit: 31", "chips_per_bit: 5"), "nb_series.yaml")
+        assert main([str(nb_path), "--out", str(out), "--quiet"]) == 0
+        rows = (out / "series.csv").read_text().splitlines()[1:]
+        assert all(abs(float(r.split(",")[3]) + 30.0) < 0.01 for r in rows)
 
     def test_polarimetric_run(self, tmp_path):
         text = MINIMAL + (
@@ -665,8 +760,11 @@ experiment: {kind: compare_modes, sweeps: 1}
         for row in rows[1:]:
             assert row.split(",")[2] == ""
 
-    def test_waveform_built_once_per_chain(self, tmp_path, monkeypatch):
-        # calibration runs on the experiment's own pipeline
+    def test_waveform_built_at_load_and_to_calibrate(self, tmp_path,
+                                                     monkeypatch):
+        # each chain is built once when the scenario loads, and once more
+        # for its self-calibration, from the same parameters, code and
+        # receiver settings
         built = []
         make_waveform = imaging.make_waveform
 
@@ -681,7 +779,28 @@ experiment: {kind: compare_modes, sweeps: 1}
         data["experiment"]["sweeps"] = 2
         path = _write(tmp_path, yaml.safe_dump(data))
         assert main([str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-        assert built == ["nb", "uwb"]
+        assert built == ["nb", "uwb", "nb", "uwb"]
+
+    def test_self_calibration_is_the_run_pipelines_reference_profile(
+            self, tmp_path):
+        # the cli calibrates each chain on the calibrate() of its run
+        # pipeline's noiseless reference-sphere profile, bit for bit, with
+        # the chain's own receiver settings
+        text = MINIMAL + (
+            "  noise_psd_w_per_hz: 1.0e-19\n"
+            "receiver: {max_range_m: 12.0, nb: {max_range_m: 60.0},\n"
+            "           uwb: {blank_width_s: 2.0e-9}}\n"
+            "experiment: {kind: compare_modes, sweeps: 2}\n")
+        scenario = load_scenario(_write(tmp_path, text))
+        reference = Scene(target=TargetModel(points=(
+            Scatterer(sigma_m2=1e-3, range_m=10.0),)))
+        for mode, pipeline in scenario.pipelines.items():
+            expected = calibrate(pipeline.profile(reference),
+                                 *scenario.reference)
+            got = cli._calibration_for(scenario, pipeline)
+            assert vars(got) == vars(expected), mode
+        assert [p.rx_config.max_range_m
+                for p in scenario.pipelines.values()] == [60.0, 12.0]
 
     @pytest.mark.parametrize("jitter, verdict", [(0.0, "false"),
                                                   (0.3, "true")])
@@ -972,7 +1091,8 @@ class TestCliEntry:
         path = _write(tmp_path, text)
         out = tmp_path / "out"
         assert main([str(path), "--out", str(out), "--quiet"]) == 0
-        # each chain run is built once, at load, and the run reuses it
+        # a uwb run builds no nb chain, and a profile builds its chain once,
+        # at load
         assert built == ["uwb"]
         manifest = yaml.safe_load((out / "run_manifest.yaml").read_text())
         receiver = manifest["scenario"]["receiver"]
@@ -989,7 +1109,9 @@ class TestCliEntry:
                              "experiment: {kind: compare_modes, sweeps: 2}\n")
         assert main([str(_write(tmp_path, compare, "compare.yaml")), "--out",
                      str(tmp_path / "compare"), "--quiet"]) == 0
-        assert built == ["nb", "uwb"]
+        # compare_modes builds both chains at load, and each self-calibrates
+        # on a chain of its own
+        assert built == ["nb", "uwb", "nb", "uwb"]
 
     def test_azimuth_step_checked_only_for_scan_image(self, tmp_path, capsys):
         wide = ("experiment: {kind: %s, azimuth_step_deg: 3.0, "
