@@ -22,8 +22,7 @@ import yaml
 from . import __version__
 from .channel import Pol
 from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
-                      ScanImage, SweepPipeline, calibrate, scan_image,
-                      self_calibrate)
+                      ScanImage, SweepPipeline, calibrate, scan_image)
 from .scenario import (ExperimentKind, OutOfMemory, Scenario, ScenarioError,
                        load_scenario, waveform_fingerprint,
                        write_calibration_csv)
@@ -184,12 +183,11 @@ def _write_manifest(path: Path, scenario: Scenario) -> None:
 
 def _calibration_for(scenario: Scenario,
                      pipeline: SweepPipeline) -> Calibration:
-    """The scenario's calibration file, or a self-calibration on the chain
-    of the experiment's pipeline."""
+    """The scenario's calibration file, or a self-calibration on the
+    experiment's pipeline."""
     if scenario.calibration is not None:
         return scenario.calibration
-    return self_calibrate(pipeline.params, scenario.pn, *scenario.reference,
-                          rx_config=pipeline.rx_config)
+    return pipeline.self_calibrate(*scenario.reference)
 
 
 def _series(scenario: Scenario, pipeline: SweepPipeline) -> list[RcsEstimate]:

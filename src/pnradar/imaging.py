@@ -495,6 +495,14 @@ class SweepPipeline:
         return self._each_block(
             lambda sweeps: self.estimate(scene, cal, pol, sweeps), m_sweeps)
 
+    def self_calibrate(self, sigma_ref_m2: float,
+                       range_ref_m: float) -> Calibration:
+        """Calibrate this chain on its own profile of a clean reference
+        sphere (no clutter, no noise), so it scales the waveform it saw."""
+        reference = Scene(target=TargetModel(points=(
+            Scatterer(sigma_m2=sigma_ref_m2, range_m=range_ref_m),)))
+        return calibrate(self.profile(reference), sigma_ref_m2, range_ref_m)
+
     def _each_block(self, run, count: int) -> list:
         """run(sweeps) over consecutive blocks of block_rows sweeps that
         cover sweeps 0 .. count-1; the lists it returns, joined in sweep
@@ -553,14 +561,10 @@ def self_calibrate(params: RadarParams, pn: PnSequence,
                    sigma_ref_m2: float, range_ref_m: float,
                    chips_per_bit: int | None = None,
                    rx_config: ReceiverConfig | None = None) -> Calibration:
-    """Calibrate against a clean reference sphere (no clutter, no noise) on
-    the SweepPipeline of ``params``, ``pn`` and ``rx_config``, the chain an
-    experiment with them runs; chips_per_bit is checked as that pipeline
-    checks it."""
-    pipeline = SweepPipeline(params, pn, chips_per_bit, rx_config)
-    reference = Scene(target=TargetModel(points=(
-        Scatterer(sigma_m2=sigma_ref_m2, range_m=range_ref_m),)))
-    return calibrate(pipeline.profile(reference), sigma_ref_m2, range_ref_m)
+    """SweepPipeline.self_calibrate on a pipeline built for the call, kept
+    only for bench/child.py, which calls it by position (ROADMAP item 5)."""
+    return SweepPipeline(params, pn, chips_per_bit,
+                         rx_config).self_calibrate(sigma_ref_m2, range_ref_m)
 
 
 @dataclass(frozen=True)

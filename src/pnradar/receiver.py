@@ -81,14 +81,13 @@ def qpsk_demod(s: SampleStream, params: RadarParams,
     return i_bits, q_bits
 
 
-def uwb_correlate(rx: SampleStream | np.ndarray, template: PulseTrain,
-                  lags: range | None = None,
+def uwb_correlate(rx: np.ndarray, template: PulseTrain, lags: range,
                   blank_samples: int = 0) -> np.ndarray:
     """Sliding inner product <rx[n+k], template[k]> for each lag n in
-    ``lags`` (default: every full overlap, from lag 0), with the first
-    ``blank_samples`` of each ``template.period``-sample slot of rx zeroed.
-    ``rx`` is a stream, or the samples of one at the template's rate, which
-    are taken as finite (a SweepPipeline checks its block of rows at once).
+    ``lags``, with the first ``blank_samples`` of each
+    ``template.period``-sample slot of rx zeroed.  ``rx`` is the samples of
+    a stream at the template's rate, taken as finite (a SweepPipeline
+    checks its block of rows at once).
 
     The correlator follows the train's structure: it despreads the lag
     window over the chip lattice, z = sum_j chips[j] * rx[j*period +
@@ -100,13 +99,7 @@ def uwb_correlate(rx: SampleStream | np.ndarray, template: PulseTrain,
         raise ValueError(
             f"template ({len(template)} samples) longer than the received "
             f"stream ({len(rx)} samples)")
-    if isinstance(rx, SampleStream):
-        if template.sample_rate != rx.sample_rate:
-            raise ValueError("rx and template sample rates differ")
-        rx = rx.samples
     n_lags = len(rx) - len(template) + 1
-    if lags is None:
-        lags = range(n_lags)
     if lags.step != 1 or (lags and not 0 <= lags.start < lags.stop <= n_lags):
         raise ValueError(
             f"lags {lags} must be a contiguous window of [0, {n_lags})")

@@ -515,9 +515,12 @@ def read_calibration_csv(path: str | Path, params: RadarParams,
     path = Path(path)
     where = f"experiment.calibration_file: {path}"
     try:
-        lines = path.read_text().strip().splitlines()
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
     except OSError as exc:
         raise ScenarioError(f"{where}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"{where}: not a calibration file: not UTF-8") from exc
     names = [f.name for f in fields(Calibration)]
     header, row = ([line.split(",") for line in lines] + [[], []])[:2]
     if header[:len(names)] != names or len(row) != len(header):

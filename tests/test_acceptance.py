@@ -20,7 +20,7 @@ from pnradar import (InterfererKind, PREFERRED_PAIRS, Pol, ReceiverConfig,
                      gen_mseq, make_waveform, nb_params,
                      processing_gain, propagate, pulse_volume_depth,
                      qpsk_baseband, qpsk_demod, rcs_nb, rcs_uwb, rx_gate,
-                     self_calibrate, spread, uwb_correlate,
+                     spread, uwb_correlate,
                      uwb_params)
 from pnradar.cli import main
 
@@ -178,29 +178,26 @@ def test_05_sweep_to_sweep_stability():
                 clutter=clutter, noise_psd=noise_psd,
                 sweep_phase_jitter_rad=0.3, rng_seed=2026)
 
-        def noise_for(params, pn):
+        def noise_for(pipeline):
             # sphere echo 40 dB above the matched-filter noise floor
             amp = math.sqrt(sigma_ref) / r_sphere ** 2
-            energy = float(np.sum(np.abs(make_waveform(params, pn)[1].samples()) ** 2))
-            return amp * amp * energy / (1e4 * params.sample_rate_hz)
+            energy = float(np.sum(np.abs(pipeline.template.samples()) ** 2))
+            return (amp * amp * energy
+                    / (1e4 * pipeline.params.sample_rate_hz))
 
-        uparams = uwb_params()
-        upn = gen_mseq([5, 2, 0])
-        ucfg = ReceiverConfig(max_range_m=14.0, gate_m=(9.5, 10.5))
-        ucal = self_calibrate(uparams, upn, sigma_ref, r_sphere, rx_config=ucfg)
-        u_series = SweepPipeline(uparams, upn, rx_config=ucfg).series(
-            scene_with(noise_for(uparams, upn)), ucal, 100)
-        u_dbsm = np.array([e.dbsm for e in u_series])
+        def series(params, pn, cfg):
+            pipeline = SweepPipeline(params, pn, rx_config=cfg)
+            return [e.dbsm for e in pipeline.series(
+                scene_with(noise_for(pipeline)),
+                pipeline.self_calibrate(sigma_ref, r_sphere), 100)]
 
-        nparams = nb_params()
-        npn = gen_mseq([7, 1, 0])
-        ncfg = ReceiverConfig(max_range_m=100.0)
-        ncal = self_calibrate(nparams, npn, sigma_ref, r_sphere, rx_config=ncfg)
-        n_series = SweepPipeline(nparams, npn, rx_config=ncfg).series(
-            scene_with(noise_for(nparams, npn)), ncal, 100)
-        n_dbsm = np.array([e.dbsm for e in n_series])
+        u_dbsm = np.array(series(
+            uwb_params(), gen_mseq([5, 2, 0]),
+            ReceiverConfig(max_range_m=14.0, gate_m=(9.5, 10.5))))
+        n_dbsm = np.array(series(nb_params(), gen_mseq([7, 1, 0]),
+                                 ReceiverConfig(max_range_m=100.0)))
 
-        assert len(u_series) == len(n_series) == 100
+        assert len(u_dbsm) == len(n_dbsm) == 100
         assert np.std(n_dbsm) > 2.0 * np.std(u_dbsm)
         assert abs(np.mean(u_dbsm) - (-30.0)) < 1.0
         assert time.perf_counter() - start < 300.0
@@ -233,8 +230,10 @@ def test_07_direct_path_suppression():
             Scatterer(sigma_m2=0.0, range_m=10.0),)), direct_path_gain=0.5)
         rx = propagate(tx, scene, params, Pol.VV)
         gated = rx_gate(rx, params, blank_width_s=params.pulse_width_s)
-        raw_profile = np.abs(uwb_correlate(rx, template)) ** 2
-        gated_profile = np.abs(uwb_correlate(gated, template)) ** 2
+        lags = range(len(rx) - len(template) + 1)
+        raw_profile = np.abs(uwb_correlate(rx.samples, template, lags)) ** 2
+        gated_profile = np.abs(
+            uwb_correlate(gated.samples, template, lags)) ** 2
         assert raw_profile.sum() > 0
         assert gated_profile.sum() <= 1e-12 * raw_profile.sum()
 

@@ -42,6 +42,7 @@ def test_span_targets_absent_only_as_known():
     assert proc.returncode == 0, proc.stderr
     absent = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(absent) == {"pnradar.cli.resolve_scenario",
+                           "pnradar.cli.self_calibrate",
                            "pnradar.imaging.detect_scatterers",
                            "pnradar.imaging.ds_uwb_train",
                            "pnradar.imaging.estimate_rcs",

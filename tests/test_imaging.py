@@ -21,7 +21,7 @@ from pnradar import (PREFERRED_PAIRS, Calibration, CodeKind, Detection,
                      SweepPipeline, TargetModel, calibrate, gen_clutter,
                      gen_gold, gen_mseq, make_waveform, nb_params,
                      propagate, pulse_volume_depth, qpsk_baseband, rcs_nb,
-                     rcs_uwb, rx_gate, scan_image, self_calibrate, spread,
+                     rcs_uwb, rx_gate, scan_image, spread,
                      uwb_correlate, uwb_params, SPEED_OF_LIGHT)
 from pnradar import imaging
 from pnradar.cli import main
@@ -43,8 +43,7 @@ def uwb_setup():
     pn = gen_mseq([3, 1, 0])
     cfg = ReceiverConfig(max_range_m=14.0)
     pipeline = SweepPipeline(params, pn, rx_config=cfg)
-    cal = self_calibrate(params, pn, SIGMA_REF, R_REF, rx_config=cfg)
-    return params, pn, cfg, pipeline, cal
+    return params, pn, cfg, pipeline, pipeline.self_calibrate(SIGMA_REF, R_REF)
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +52,7 @@ def nb_setup():
     pn = gen_mseq([7, 1, 0])
     cfg = ReceiverConfig(max_range_m=100.0)
     pipeline = SweepPipeline(params, pn, rx_config=cfg)
-    cal = self_calibrate(params, pn, SIGMA_REF, R_REF, rx_config=cfg)
-    return params, pn, cfg, pipeline, cal
+    return params, pn, cfg, pipeline, pipeline.self_calibrate(SIGMA_REF, R_REF)
 
 
 class TestClosedFormModels:
@@ -289,7 +287,7 @@ class TestRangeGrid:
         pn = gen_mseq([3, 1, 0])
         cfg = ReceiverConfig(max_range_m=max_range_m)
         pipeline = SweepPipeline(params, pn, rx_config=cfg)
-        cal = self_calibrate(params, pn, SIGMA_REF, R_REF, rx_config=cfg)
+        cal = pipeline.self_calibrate(SIGMA_REF, R_REF)
         bin_m = SPEED_OF_LIGHT / (2.0 * params.sample_rate_hz)
 
         def grid(r):
@@ -547,6 +545,35 @@ class TestDetectAndEstimateReference:
                 (want.sigma_m2.hex(), want.mode, want.sweep_index)
 
 
+class TestDetectionSpacing:
+    @settings(max_examples=300, deadline=None)
+    @given(_detect_block(), st.integers(1, 60),
+           st.sampled_from([0.5, 3.0, 10.0]))
+    def test_starts_more_than_a_window_apart(self, block, window,
+                                             threshold_db):
+        # a start tops the window_bins bins left of it and ties none, and
+        # no bin of the window_bins right of it tops it; so no start lies
+        # within the window of another.  A one-bin detection, as in any
+        # noisy profile, sits at its start's range, so in _rcs a target
+        # window margin of at most window_bins bins reaches no other one
+        values, ranges = block
+        power = np.abs(values) ** 2
+        found = _detect_rows(values, ranges, threshold_db, window)
+        for row, detections in zip(power, found):
+            starts = []
+            for d in detections:
+                # the bin nearest the centroid lies in its run of equal
+                # power, which begins at the detection's start
+                k = int(np.argmin(np.abs(ranges - d.range_m)))
+                while k and row[k - 1] == row[k]:
+                    k -= 1
+                assert row[k] == d.power
+                starts.append(k)
+            if len(starts) > 1:
+                event("several detections in a row")
+            assert all(np.diff(starts) > window)
+
+
 class TestKeptLags:
     """The pipeline correlates exactly the lags its profile keeps."""
 
@@ -613,7 +640,7 @@ class TestReadPrefix:
             rx = propagate(pipeline.tx, scene, params, Pol.HH, sweep)
             if cfg.blank_width_s:
                 rx = rx_gate(rx, params, cfg.blank_width_s)
-            ref = uwb_correlate(rx, pipeline.template, pipeline.lags)
+            ref = uwb_correlate(rx.samples, pipeline.template, pipeline.lags)
             assert prof.values.tobytes() == ref.tobytes()
         read = pipeline.lags.stop + len(pipeline.template) - 1
         assert lengths == [read, read] and pipeline.read_samples == read
@@ -632,7 +659,7 @@ class TestOneCorrelatorPerSweep:
     def _record(monkeypatch):
         calls = []
 
-        def recording(rx, template, lags=None, blank_samples=0):
+        def recording(rx, template, lags, blank_samples=0):
             values = uwb_correlate(rx, template, lags, blank_samples)
             calls.append((len(rx), template, lags, blank_samples,
                           len(values)))
@@ -735,10 +762,10 @@ class TestBlankDecision:
                       rng_seed=9)
         prof = pipeline.profile(scene, sweep_index=sweep)
         rx = propagate(pipeline.tx, scene, params, Pol.VV, sweep)
-        ref = uwb_correlate(rx_gate(rx, params, cfg.blank_width_s),
+        ref = uwb_correlate(rx_gate(rx, params, cfg.blank_width_s).samples,
                             pipeline.template, pipeline.lags)
         assert prof.values.tobytes() == ref.tobytes()
-        ungated = uwb_correlate(rx, pipeline.template, pipeline.lags)
+        ungated = uwb_correlate(rx.samples, pipeline.template, pipeline.lags)
         event(f"{params.mode.value} blank "
               f"{'read' if ungated.tobytes() != ref.tobytes() else 'skipped'}")
 
@@ -968,9 +995,8 @@ class TestEstimateRcs:
         assert estimates.max() > 10 * max(estimates.min(), 1e-12)
 
     def test_uwb_same_sweep_stays_flat(self, uwb_setup):
-        params, _, cfg, pipeline, _ = uwb_setup
-        cal = self_calibrate(params, gen_mseq([3, 1, 0]), 1.0, 10.0,
-                             rx_config=cfg)
+        pipeline = uwb_setup[3]
+        cal = pipeline.self_calibrate(1.0, 10.0)
         lam = SPEED_OF_LIGHT / 1e9
         dbsm = []
         for delta in np.linspace(0.0, lam / 2.0, 17):
@@ -1045,19 +1071,19 @@ class TestSweepSeries:
         uparams = uwb_params()
         upn = gen_mseq([3, 1, 0])
         ucfg = ReceiverConfig(max_range_m=14.0, gate_m=(9.5, 10.5))
-        ucal = self_calibrate(uparams, upn, SIGMA_REF, R_REF, rx_config=ucfg)
+        upipe = SweepPipeline(uparams, upn, rx_config=ucfg)
+        ucal = upipe.self_calibrate(SIGMA_REF, R_REF)
         scene = Scene(target=target((SIGMA_REF, R_REF)), clutter=clutter,
                       noise_psd=1e-19, sweep_phase_jitter_rad=0.3,
                       rng_seed=2026)
-        u_dbsm = np.array([e.dbsm for e in SweepPipeline(
-            uparams, upn, rx_config=ucfg).series(scene, ucal, 12)])
+        u_dbsm = np.array([e.dbsm for e in upipe.series(scene, ucal, 12)])
 
         nparams = nb_params()
         npn = gen_mseq([7, 1, 0])
         ncfg = ReceiverConfig(max_range_m=100.0)
-        ncal = self_calibrate(nparams, npn, SIGMA_REF, R_REF, rx_config=ncfg)
-        n_dbsm = np.array([e.dbsm for e in SweepPipeline(
-            nparams, npn, rx_config=ncfg).series(scene, ncal, 12)])
+        npipe = SweepPipeline(nparams, npn, rx_config=ncfg)
+        ncal = npipe.self_calibrate(SIGMA_REF, R_REF)
+        n_dbsm = np.array([e.dbsm for e in npipe.series(scene, ncal, 12)])
 
         assert n_dbsm.std() > u_dbsm.std()
         assert abs(u_dbsm.mean() - (-30.0)) < 1.0
@@ -1155,7 +1181,7 @@ class TestSweepPool:
         params, pn = uwb_params(), gen_mseq([3, 1, 0])
         cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
         pipeline = SweepPipeline(params, pn, rx_config=cfg)
-        cal = self_calibrate(params, pn, SIGMA_REF, R_REF, rx_config=cfg)
+        cal = pipeline.self_calibrate(SIGMA_REF, R_REF)
         scene = Scene(target=TargetModel(points=(
             Scatterer(sigma_m2=1e-3, range_m=10.0),
             Scatterer(sigma_m2=1e-3, range_m=10.5, cross_range_m=0.6))),
@@ -1365,7 +1391,7 @@ class TestSweepPool:
         params, pn = uwb_params(), gen_mseq([5, 2, 0])
         cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
         pipeline = SweepPipeline(params, pn, rx_config=cfg)
-        cal = self_calibrate(params, pn, SIGMA_REF, R_REF, rx_config=cfg)
+        cal = pipeline.self_calibrate(SIGMA_REF, R_REF)
         scene = Scene(target=TargetModel(points=(
             Scatterer(sigma_m2=1e-3, range_m=10.0),
             Scatterer(sigma_m2=1e-3, range_m=10.5, cross_range_m=0.6))),
@@ -1429,9 +1455,10 @@ class TestScanImage:
         params = uwb_params()
         pn = gen_mseq([3, 1, 0])
         cfg = ReceiverConfig(max_range_m=14.0)
-        cal = self_calibrate(params, pn, SIGMA_REF, R_REF, rx_config=cfg)
+        pipeline = SweepPipeline(params, pn, rx_config=cfg)
         scene = Scene(target=TargetModel(points=points))
-        return scan_image(SweepPipeline(params, pn, rx_config=cfg), scene, cal,
+        return scan_image(pipeline, scene,
+                          pipeline.self_calibrate(SIGMA_REF, R_REF),
                           step, bw, az_span_deg=span)
 
     def test_on_axis_point_peaks_at_zero_azimuth(self):

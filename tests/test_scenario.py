@@ -760,27 +760,6 @@ experiment: {kind: compare_modes, sweeps: 1}
         for row in rows[1:]:
             assert row.split(",")[2] == ""
 
-    def test_waveform_built_at_load_and_to_calibrate(self, tmp_path,
-                                                     monkeypatch):
-        # each chain is built once when the scenario loads, and once more
-        # for its self-calibration, from the same parameters, code and
-        # receiver settings
-        built = []
-        make_waveform = imaging.make_waveform
-
-        def counting(params, *args, **kwargs):
-            built.append(params.mode.value)
-            return make_waveform(params, *args, **kwargs)
-
-        monkeypatch.setattr(imaging, "make_waveform", counting)
-        scenario = Path(__file__).resolve().parents[1] / "scenarios" / \
-            "sphere_compare.yaml"
-        data = yaml.safe_load(scenario.read_text())
-        data["experiment"]["sweeps"] = 2
-        path = _write(tmp_path, yaml.safe_dump(data))
-        assert main([str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-        assert built == ["nb", "uwb", "nb", "uwb"]
-
     def test_self_calibration_is_the_run_pipelines_reference_profile(
             self, tmp_path):
         # the cli calibrates each chain on the calibrate() of its run
@@ -1073,8 +1052,9 @@ class TestCliEntry:
         # the carrierless uwb chain samples at 100 GHz
         load_scenario(_write(tmp_path, itf, "uwb_only.yaml"))
 
-    def test_only_the_chains_run_are_built(self, tmp_path, capsys,
-                                           monkeypatch):
+    @staticmethod
+    def _count_builds(monkeypatch) -> list[str]:
+        """The mode of each SweepPipeline built from now on, in order."""
         built = []
         init = imaging.SweepPipeline.__init__
 
@@ -1083,6 +1063,11 @@ class TestCliEntry:
             init(pipeline, params, *args, **kwargs)
 
         monkeypatch.setattr(imaging.SweepPipeline, "__init__", counting)
+        return built
+
+    def test_only_the_chains_run_are_built(self, tmp_path, capsys,
+                                           monkeypatch):
+        built = self._count_builds(monkeypatch)
         # an nb pulse longer than the nb PRI is no fault of a uwb run
         text = MINIMAL.replace("{mode: uwb}",
                                "{mode: uwb, nb: {pulse_width_s: 2.0e-4}}")
@@ -1104,14 +1089,23 @@ class TestCliEntry:
         assert not nb_out.exists()
         _assert_rejected_before_synthesis(tmp_path, capsys, {
             message: text + "experiment: {kind: compare_modes}\n"})
-        built.clear()
-        compare = MINIMAL + ("code: {taps: [5, 2, 0], chips_per_bit: 31}\n"
-                             "experiment: {kind: compare_modes, sweeps: 2}\n")
-        assert main([str(_write(tmp_path, compare, "compare.yaml")), "--out",
-                     str(tmp_path / "compare"), "--quiet"]) == 0
-        # compare_modes builds both chains at load, and each self-calibrates
-        # on a chain of its own
-        assert built == ["nb", "uwb", "nb", "uwb"]
+
+    @pytest.mark.parametrize("kind", [k.value for k in ExperimentKind])
+    def test_a_run_builds_each_chain_once(self, kind, tmp_path, monkeypatch):
+        # each chain a run uses is built when the scenario loads, and the
+        # run, its self-calibration included, reuses it
+        built = self._count_builds(monkeypatch)
+        path = _write(tmp_path, MINIMAL + (
+            "code: {taps: [5, 2, 0]}\n"
+            f"experiment: {{kind: {kind}, sweeps: 2, azimuth_step_deg: 1.0,"
+            " beamwidth_deg: 2.0, azimuth_span_deg: 1.0}\n"))
+        runs = ({"uwb": ["nb", "uwb"]} if kind == "compare_modes"
+                else {mode: [mode] for mode in ("nb", "uwb")})
+        for mode, chains in runs.items():
+            built.clear()
+            assert main([str(path), "--mode", mode, "--out",
+                         str(tmp_path / mode), "--quiet"]) == 0
+            assert built == chains, mode
 
     def test_azimuth_step_checked_only_for_scan_image(self, tmp_path, capsys):
         wide = ("experiment: {kind: %s, azimuth_step_deg: 3.0, "
@@ -1187,6 +1181,19 @@ class TestCliEntry:
             "experiment.calibration_file: " f"{tmp_path / 'missing.csv'}":
                 SERIES + f"  calibration_file: {tmp_path / 'missing.csv'}\n",
         })
+
+    def test_calibration_file_not_utf8_exits_two(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark does not decode as UTF-8; the error
+        # names the file, on one line, instead of a traceback
+        cal = tmp_path / "utf16.csv"
+        cal.write_bytes(b"\xff\xfe\x00" + "gain".encode("utf-16-le"))
+        nb = SERIES.replace("{mode: uwb}", "{mode: nb}")
+        message = (f"experiment.calibration_file: {cal}: not a calibration "
+                   f"file: not UTF-8")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            message: nb + f"  calibration_file: {cal}\n"})
+        assert main([str(tmp_path / "case0.yaml"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_kept_window_reaches_reference_and_gate(self, tmp_path, capsys):
         nb = MINIMAL.replace("{mode: uwb}", "{mode: nb}")
