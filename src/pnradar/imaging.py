@@ -289,27 +289,28 @@ def calibrate(profile: RangeProfile, sigma_ref_m2: float,
 @dataclass(frozen=True)
 class ReceiverConfig:
     """Detection and gating settings of a SweepPipeline; the scenario
-    schema takes its defaults from here."""
+    schema takes its defaults from here, but for max_range_m, which a
+    scenario leaves at 100 m (nb) or 0.9*c*PRI/2 (uwb)."""
 
     blank_width_s: float = 0.0
     threshold_db: float = 10.0
     max_range_m: float = 20.0
     gate_m: tuple[float, float] | None = None
-    margin_bins: int = 2
 
     def __post_init__(self):
         check_field("blank_width_s", self.blank_width_s, "finite and >= 0")
         check_field("threshold_db", self.threshold_db, "> 0")
+        with np.errstate(over="ignore"):  # the detector's floor factor
+            factor = np.float64(10.0) ** (self.threshold_db / 10.0)
+        if not np.isfinite(factor):
+            raise ValueError(f"threshold_db must give a finite power ratio "
+                             f"10**(threshold_db/10), got {self.threshold_db}")
         check_field("max_range_m", self.max_range_m, "finite and > 0")
         if self.gate_m is not None:
             lo, hi = self.gate_m
             if not 0 <= lo < hi:  # NaN fails too
                 raise ValueError(f"gate_m must be (min, max) with "
                                  f"0 <= min < max, got {self.gate_m}")
-        margin = self.margin_bins
-        if not (isinstance(margin, (int, np.integer)) and margin >= 0):
-            raise ValueError(
-                f"margin_bins must be an integer >= 0, got {margin}")
 
     @property
     def range_window_m(self) -> tuple[float, float]:
@@ -319,30 +320,24 @@ class ReceiverConfig:
 
 
 def _rcs(detections: list[Detection], cal: Calibration, mode: Mode,
-         sweep_index: int, bin_width_m: float,
-         gate_m: tuple[float, float] | None,
-         margin_bins: int) -> RcsEstimate:
-    """The calibrated cross section of one sweep from its detections.
-    Narrowband: the complex peak values inside the target window are
-    summed coherently and the resulting power is calibrated once at the
-    power-weighted window range.  Wideband: per-peak powers are
-    calibrated individually and added."""
+         sweep_index: int, gate_m: tuple[float, float] | None) -> RcsEstimate:
+    """The calibrated cross section of one sweep from its detections in the
+    gate, or from all of them when there is no gate.  Narrowband: their
+    complex values are summed coherently and the resulting power is
+    calibrated once at their power-weighted range.  Wideband: their powers
+    are calibrated individually and added."""
     gated = [d for d in detections
              if gate_m is None or gate_m[0] <= d.range_m <= gate_m[1]]
     if not gated:
         where = f" in gate [{gate_m[0]:g}, {gate_m[1]:g}] m" if gate_m else ""
         raise NoDetections(f"{mode.value} sweep {sweep_index}: "
                            f"no scatterer detected{where}")
-    margin = margin_bins * bin_width_m
-    w_lo = min(d.range_m for d in gated) - margin
-    w_hi = max(d.range_m for d in gated) + margin
-    peaks = [d for d in detections if w_lo <= d.range_m <= w_hi]
     if mode is Mode.DS_UWB:
-        sigma = math.fsum(cal.gain * d.power * d.range_m ** 4 for d in peaks)
+        sigma = math.fsum(cal.gain * d.power * d.range_m ** 4 for d in gated)
     else:
-        z = sum(d.value for d in peaks)
-        r_mean = _centroid([d.range_m for d in peaks],
-                           [d.power for d in peaks])
+        z = sum(d.value for d in gated)
+        r_mean = _centroid([d.range_m for d in gated],
+                           [d.power for d in gated])
         sigma = cal.gain * abs(z) ** 2 * r_mean ** 4
     return RcsEstimate(sigma_m2=sigma, mode=mode, sweep_index=sweep_index)
 
@@ -479,10 +474,9 @@ class SweepPipeline:
                  sweeps: range) -> list[RcsEstimate]:
         """Calibrated cross sections of a block of sweeps, in sweep order:
         detected together, then estimated one sweep at a time."""
-        cfg = self.rx_config
         found = self.detect(scene, pol, sweeps)
-        return [_rcs(detections, cal, self.params.mode, k, self.bin_width_m,
-                     cfg.gate_m, cfg.margin_bins)
+        return [_rcs(detections, cal, self.params.mode, k,
+                     self.rx_config.gate_m)
                 for k, detections in zip(sweeps, found)]
 
     def series(self, scene: Scene, cal: Calibration, m_sweeps: int,

@@ -151,7 +151,6 @@ _RX_SCHEMA = {
     "max_range_m": _F(None, "float", nullable=True),
     "gate_min_m": _F(None, "float", nullable=True),
     "gate_max_m": _F(None, "float", nullable=True),
-    "margin_bins": _F(ReceiverConfig.margin_bins, "int"),
 }
 
 _NB, _UWB = nb_params(), uwb_params()
@@ -308,7 +307,7 @@ def _rx_config(section: dict, where: str) -> ReceiverConfig:
         raise ScenarioError(
             f"{where}.gate_min_m and {where}.gate_max_m must be set together")
     values = {key: section[key] for key in ("blank_width_s", "threshold_db",
-              "max_range_m", "margin_bins") if section[key] is not None}
+              "max_range_m") if section[key] is not None}
     return _named(where, ReceiverConfig, **values,
                   gate_m=None if lo is None else (lo, hi),
                   renamed={"gate_m": "(gate_min_m, gate_max_m)"})
@@ -387,6 +386,9 @@ def resolve_scenario(data: dict) -> Scenario:
         raise ScenarioError(
             "experiment.calibration_file: compare_modes runs the nb and uwb "
             "chains, and one calibration file cannot calibrate two waveforms")
+    self_calibrates = kind is ExperimentKind.CALIBRATE or (
+        consumes_cal and exp["calibration_file"] is None)
+    calibrates_on = reference[1] if self_calibrates else None
     # check each chain the run uses, then build its pipeline and check the
     # window that pipeline keeps, all before synthesis
     mode = Mode(cfg["radar"]["mode"])
@@ -403,6 +405,9 @@ def resolve_scenario(data: dict) -> Scenario:
         where = f"({chain.value} chain)"
         _named(f"scene {where}", check_unambiguous_range,
                scene.point_arrays[0], params)
+        if self_calibrates:
+            _named(f"experiment.reference {where}", check_unambiguous_range,
+                   np.array([calibrates_on]), params)
         for i, itf in enumerate(interferers):
             _named(f"scene.interferers[{i}] {where}", check_interferer_band,
                    itf.freq_hz, params.carrier_hz, params.sample_rate_hz)
@@ -411,9 +416,6 @@ def resolve_scenario(data: dict) -> Scenario:
         # compare_modes takes no file, so the run has the one chain
         calibration = read_calibration_csv(exp["calibration_file"],
                                            chains[mode][0], pn)
-    self_calibrates = kind is ExperimentKind.CALIBRATE or (
-        consumes_cal and calibration is None)
-    calibrates_on = reference[1] if self_calibrates else None
     gated = kind in (ExperimentKind.RCS_SWEEP_SERIES,
                      ExperimentKind.COMPARE_MODES)
     streams = {chain: sweep_samples(params, pn, rx_cfg.max_range_m)

@@ -340,9 +340,17 @@ class TestLoadScenario:
             "receiver.uwb: expected a mapping": MINIMAL + "receiver: {uwb: 3}\n",
             "receiver.nb.foo: unknown key":
                 MINIMAL + "receiver: {nb: {foo: 1}}\n",
-            "receiver.uwb: margin_bins must be an integer >= 0, got -1":
-                MINIMAL + "receiver: {uwb: {margin_bins: -1}}\n",
+            "receiver.uwb: threshold_db must be > 0, got -1.0":
+                MINIMAL + "receiver: {uwb: {threshold_db: -1.0}}\n",
         })
+
+    def test_target_window_margin_is_an_unknown_key(self, tmp_path, capsys):
+        # a sweep is estimated from its gated detections alone, so no
+        # receiver section takes a margin around them
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            f"{where}.margin_bins: unknown key":
+                _minimal_with({f"{where}.margin_bins": 2}, "uwb")
+            for where in ("receiver", "receiver.nb", "receiver.uwb")})
 
     def test_receiver_override_keeps_the_other_base_keys(self, tmp_path):
         text = MINIMAL + ("receiver:\n  blank_width_s: 2.0e-9\n"
@@ -403,15 +411,16 @@ class TestLoadScenario:
                                      "receiver.uwb.gate_max_m": -1e-3},
          "uwb", "receiver.uwb: (gate_min_m, gate_max_m) must be (min, max) "
                 "with 0 <= min < max, got (0.0, -0.001)"),
-        ("receiver.nb.margin_bins", {"receiver.nb.margin_bins": -1},
-         "nb", "receiver.nb: margin_bins must be an integer >= 0, got -1"),
+        ("receiver.nb.threshold_db", {"receiver.nb.threshold_db": 4000.0},
+         "nb", "receiver.nb: threshold_db must give a finite power ratio "
+               "10**(threshold_db/10), got 4000.0"),
         # a value the shared section sets is checked there, once, even when
         # every chain the run uses sets its own
-        ("receiver.margin_bins", {"receiver.margin_bins": -1},
-         "nb", "receiver: margin_bins must be an integer >= 0, got -1"),
-        ("receiver.margin_bins", {"receiver.margin_bins": -1,
-                                  "receiver.nb.margin_bins": 1},
-         "nb", "receiver: margin_bins must be an integer >= 0, got -1"),
+        ("receiver.threshold_db", {"receiver.threshold_db": -1.0},
+         "nb", "receiver: threshold_db must be > 0, got -1.0"),
+        ("receiver.threshold_db", {"receiver.threshold_db": -1.0,
+                                   "receiver.nb.threshold_db": 3.0},
+         "nb", "receiver: threshold_db must be > 0, got -1.0"),
         ("receiver.max_range_m", {"receiver.max_range_m": 0.0,
                                   "receiver.uwb.max_range_m": 12.0},
          "uwb", "receiver: max_range_m must be finite and > 0, got 0.0"),
@@ -502,7 +511,7 @@ class TestLoadScenario:
     def test_unused_chain_is_checked_by_type_only(self, tmp_path, capsys):
         # a uwb profile builds neither the nb radar nor the nb receiver
         text = _minimal_with({"radar.nb.chip_rate_hz": 0.0,
-                              "receiver.nb.margin_bins": -1}, "uwb")
+                              "receiver.nb.threshold_db": -1.0}, "uwb")
         path = _write(tmp_path, text)
         assert main([str(path), "--out", str(tmp_path / "uwb"),
                      "--quiet"]) == 0
@@ -513,8 +522,8 @@ class TestLoadScenario:
         assert not nb_out.exists()
         # a value of the wrong type is rejected in any section
         _assert_rejected_before_synthesis(tmp_path, capsys, {
-            "receiver.nb.margin_bins: expected an integer, got 'x'":
-                _minimal_with({"receiver.nb.margin_bins": "x"}, "uwb")})
+            "receiver.nb.threshold_db: expected a number, got 'x'":
+                _minimal_with({"receiver.nb.threshold_db": "x"}, "uwb")})
 
 
 class TestRunExperiments:
@@ -1036,6 +1045,21 @@ class TestCliEntry:
         # the nb chain's 100 us PRI reaches 15 km
         load_scenario(_write(tmp_path, far.replace("{mode: uwb}", "{mode: nb}"),
                              "nb.yaml"))
+
+    def test_reference_beyond_unambiguous_range_exits_two(self, tmp_path,
+                                                          capsys):
+        # the run self-calibrates on a sphere past c*PRI/2 (14.99 m)
+        far = SERIES + ("  reference: {sigma_m2: 1.0e-3, range_m: 15.5}\n"
+                        "receiver: {max_range_m: 20.0}\n")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "experiment.reference (uwb chain): scatterer 0 at 15.5 m exceeds "
+            "the unambiguous range 14.9896 m": far,
+            # compare_modes calibrates both chains; nb reaches 15 km
+            "experiment.reference (uwb chain): scatterer 0 at 15.5 m":
+                far.replace("rcs_sweep_series", "compare_modes")})
+        # a profile run calibrates on nothing
+        load_scenario(_write(tmp_path, far.replace("rcs_sweep_series",
+                                                   "profile"), "profile.yaml"))
 
     def test_interferer_outside_the_nyquist_band_exits_two(self, tmp_path,
                                                            capsys):

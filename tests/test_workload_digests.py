@@ -37,7 +37,7 @@ DIGESTS = {
         "compare_uwb.csv":
             "d24fd6f8532168c0911b672cc6e48fab849678e5319e4522e00d1e778bae82d3",
         "run_manifest.yaml":
-            "6494c96881159305993038c413a813445daae570d2a7f44e8fc8769fb0d6e436",
+            "3ce018e551f7099c7953623bd6944cfa1ce10cfa9278d2b3aecd42a28f1e0d58",
     },
     ("sphere_compare", 5150): {
         "compare_nb.csv":
@@ -47,31 +47,31 @@ DIGESTS = {
         "compare_uwb.csv":
             "c66e54e1d8dbbb5e250ba0f71af5b5cacf4588e595ce84bf8e1b0f43de81fcf8",
         "run_manifest.yaml":
-            "58182827cc1f214f2c2e5f5474894abdc338eb3085f8fbb98c6acff6abccff6d",
+            "516050c6d4de2c84783bece3391414b9386dde71272e7de709ab7da456235e84",
     },
     ("nb_dense_series", 2026): {
         "series.csv":
             "a8c40d9fac7dff5cd97bca48939c66900bbb807460a27c256ff04c7f5047f6b0",
         "run_manifest.yaml":
-            "5cba6ca7ef58b96bf179f017b9be266b236b4864d36e3269ae02775289e8c2c7",
+            "8251c4ff2690d2ade915c4ec622bf9add905335d2915cac3340e428551d8e91d",
     },
     ("nb_dense_series", 5150): {
         "series.csv":
             "260d1e9126b9f32cad21c7c3b4e921d9b1bd845013fc4c8aafe7e579b955fa61",
         "run_manifest.yaml":
-            "3da519b798ae7369283a4df7ce5274bd4a796062654a08b64dab19c5872b8e1e",
+            "2effdb503cc265705fd39caaa802918aa255bd65c7a775d7e90bc0983e104271",
     },
     ("uwb_scan", 2026): {
         "image.csv":
             "2bb210da247e25177d598000fbd8a735911ab293e6f18e3773c64c44c89fac92",
         "run_manifest.yaml":
-            "4392f42a88ef38387844d5eba0fb3d5983001919a0d55b33e3703bc3f61e84fe",
+            "4dbacf95dc85b27f0673ff5041935d087ba7ef06ed22916eeece9e2f3044f1ef",
     },
     ("uwb_scan", 5150): {
         "image.csv":
             "7adbdd6c19be1542d1ba4dc3b96cf93ca0331f5f9ed923f2699a4ef0e06cd678",
         "run_manifest.yaml":
-            "931ecb7c9d0531d9baa11f1e90c9f9dbc594e027b9977189cbf644ad7538fa67",
+            "45f337a226d42f8463e0b2dfedf3d12f8d7623d5683436ee0d525be44e28f471",
     },
 }
 
