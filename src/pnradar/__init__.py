@@ -11,8 +11,8 @@ from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
                        SPEED_OF_LIGHT, gaussian_monocycle, nb_params,
                        qpsk_baseband, spread, uwb_params, uwb_pulse_train)
 from .channel import (Interferer, InterfererKind, Pol, Scatterer, Scene,
-                      TargetModel, add_interferer, gen_clutter,
-                      identity_pol_matrix, propagate)
+                      TargetModel, add_interferer, despread_windows,
+                      gen_clutter, identity_pol_matrix, propagate)
 from .receiver import (despread, processing_gain, qpsk_demod, rx_gate,
                        uwb_correlate)
 from .imaging import (Calibration, Detection, NoDetections, RangeProfile,

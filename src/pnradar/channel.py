@@ -35,11 +35,6 @@ _XSHIFT = np.uint32(16)
 
 _POL_TOL = 1e-9
 
-# A sweep's noise, its real rail and then the read part of its imaginary
-# one, is drawn in one call when it fits this many samples, else this many
-# at a time.
-_NOISE_CHUNK = 1 << 14
-
 # A QPSK interferer keys a new symbol at this rate.
 _QPSK_SYMBOL_RATE_HZ = 1e6
 
@@ -337,31 +332,30 @@ def check_interferer_band(freq_hz: float, carrier_hz: float,
             f"around {carrier_hz:g} Hz (fs {fs:g})")
 
 
-def _interferer_samples(itf: Interferer, n: int, fs: float, carrier_hz: float,
-                        rngs, stop: int | None = None) -> np.ndarray:
-    """Baseband samples of one interferer at its carrier offset, one row
-    per generator in ``rngs``: the first ``stop`` (default all) of the n
-    samples of a stream, from that row's own draws."""
-    df = itf.freq_hz - carrier_hz
-    if stop is None:
-        stop = n
+def _interferer(itf: Interferer, n: int, fs: float, carrier_hz: float, rngs):
+    """One interferer's baseband stream of n samples at its carrier offset,
+    one row per generator in ``rngs``, from that row's own draws, which are
+    made here: returns samples(a, b), every row's samples a .. b-1."""
     amp = np.sqrt(itf.power_w)
-    tone = _tone(df, n, fs)[:stop]
+    tone = _tone(itf.freq_hz - carrier_hz, n, fs)
     if itf.kind is InterfererKind.CW:
         coef = np.array([amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
                          for rng in rngs], dtype=np.complex128)
-        return coef[:, None] * tone[None, :]
+        return lambda a, b: coef[:, None] * tone[None, a:b]
     # random QPSK stream, rectangular chips at the symbol rate; the symbols
-    # of all n samples are drawn, as a whole-stream call draws them
+    # of all n samples are drawn
     sps = max(1, int(round(fs / _QPSK_SYMBOL_RATE_HZ)))
-    n_sym = -(-n // sps)
     points = (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0))
-    draws = np.array([rng.integers(0, 4, size=n_sym)[:-(-stop // sps)]
-                      for rng in rngs], dtype=np.int64)
-    # the repeated symbols are dropped once scaled, so that no more than
-    # two stream-sized products are held at once
-    chips = amp * np.repeat(points[draws], sps, axis=1)[:, :stop]
-    return chips * tone[None, :]
+    symbols = points[np.array([rng.integers(0, 4, size=-(-n // sps))
+                               for rng in rngs], dtype=np.int64)]
+
+    def samples(a: int, b: int) -> np.ndarray:
+        # the repeated symbols are dropped once scaled, so that no more
+        # than two products of b - a samples are held at once
+        chips = amp * np.repeat(symbols[:, a // sps:-(-b // sps)], sps,
+                                axis=1)[:, a % sps:a % sps + b - a]
+        return chips * tone[None, a:b]
+    return samples
 
 
 def add_interferer(s: SampleStream, freq_hz: float, power_w: float,
@@ -371,8 +365,8 @@ def add_interferer(s: SampleStream, freq_hz: float, power_w: float,
     itf = Interferer(freq_hz=freq_hz, power_w=power_w, kind=kind)
     check_interferer_band(freq_hz, s.carrier_hz, s.sample_rate)
     rng = np.random.default_rng(int(seed))
-    extra = _interferer_samples(itf, len(s), s.sample_rate, s.carrier_hz,
-                                [rng])[0]
+    extra = _interferer(itf, len(s), s.sample_rate, s.carrier_hz,
+                        [rng])(0, len(s))[0]
     return s.with_samples(s.samples + extra)
 
 
@@ -431,11 +425,58 @@ def _echoes(scene: Scene, pol: Pol, params: RadarParams,
     return tuple(distinct[order].tolist()), h
 
 
+def _block_terms(tx: PulseTrain, scene: Scene, params: RadarParams,
+                 pol: Pol, sweeps: range):
+    """What each sweep of a block adds to its received stream, after
+    propagate's checks: the scene's terms (amp, d), each adding amp[r] *
+    chip j's pulse at sample d + j*period of row r (the direct path, then
+    each distinct echo delay, as _echoes orders them), the interferers'
+    samples(a, b) functions (see _interferer) and the noise generators,
+    one per row (none without noise), all drawn as propagate draws them."""
+    if (tx.sample_rate, tx.carrier_hz) != (params.sample_rate_hz,
+                                           params.carrier_hz):
+        raise ValueError(
+            f"tx sampled at {tx.sample_rate:g} Hz on carrier "
+            f"{tx.carrier_hz:g} Hz, but the chain runs at "
+            f"{params.sample_rate_hz:g} Hz on {params.carrier_hz:g} Hz")
+    if len(tx) < params.pri_samples:
+        raise ValueError("transmit stream must cover at least one PRI")
+    if not sweeps:
+        raise ValueError("a block needs at least one sweep")
+    fs = params.sample_rate_hz
+    ranges = scene.point_arrays[0]
+    check_unambiguous_range(ranges, params)
+    for itf in scene.interferers:
+        check_interferer_band(itf.freq_hz, params.carrier_hz, fs)
+    n_points = ranges.size
+    jittered = scene.sweep_phase_jitter_rad > 0 and n_points
+    # a silent interferer draws nothing and adds nothing
+    emitting = [i for i, itf in enumerate(scene.interferers) if itf.power_w]
+    tags = ([(_RNG_PHASE,)] if jittered else []) \
+        + [(_RNG_INTERFERER, i) for i in emitting] \
+        + ([(_RNG_NOISE,)] if scene.noise_psd > 0 else [])
+    rngs = _stream_rngs(scene.rng_seed, sweeps, tags)
+
+    jitter = np.zeros((len(sweeps), n_points))
+    if jittered:
+        for row, rng in zip(jitter, rngs[_RNG_PHASE,]):
+            row[:] = rng.normal(0.0, scene.sweep_phase_jitter_rad,
+                                size=n_points)
+    delays, h = _echoes(scene, pol, params, jitter)
+    terms = [(np.full((len(sweeps), 1), scene.direct_path_gain), 0)] \
+        if scene.direct_path_gain else []
+    terms += [(h[:, j, None], d) for j, d in enumerate(delays)]
+    interferers = [_interferer(scene.interferers[i], len(tx), fs,
+                               params.carrier_hz, rngs[_RNG_INTERFERER, i])
+                   for i in emitting]
+    return terms, interferers, rngs.get((_RNG_NOISE,), [])
+
+
 def propagate(tx: PulseTrain, scene: Scene, params: RadarParams, pol: Pol,
-              sweep_index: int | range = 0, n_samples: int | None = None
-              ) -> SampleStream | np.ndarray:
-    """Propagate a transmit train through the scene for one sweep, or for
-    a block of sweeps.
+              sweep_index: int = 0) -> SampleStream:
+    """Propagate a transmit train through the scene for one sweep: the
+    whole received stream, the reference despread_windows is checked
+    against.
 
     Each scattering center contributes a delayed copy of tx scaled by
     sqrt(sigma) * S_pq / R^2 (absolute link constants are absorbed by
@@ -455,56 +496,16 @@ def propagate(tx: PulseTrain, scene: Scene, params: RadarParams, pol: Pol,
     the streams of its sweeps in one pass that reproduces numpy's
     SeedSequence word for word, so the draws are those of the
     default_rng calls.  An interferer of zero power draws nothing and
-    adds nothing.
-
-    Only the first ``n_samples`` (default len(tx)) of the received stream
-    are built, bit for bit those of a whole-stream call, so a caller can
-    build only the samples it reads.  The noise's imaginary rail follows
-    its whole real rail in one RNG stream, so the real rail is still
-    drawn over len(tx) samples.
-
-    An int ``sweep_index`` returns that sweep's stream.  A range of sweep
-    indices returns a block: a (len(range), n_samples) array whose row r
-    holds, bit for bit, the samples of sweep ``sweep_index[r]``.  Every
-    row makes its own draws from its own RNG streams and each term is
-    added elementwise, so a row does not depend on the others; one sweep
-    is the block of one.  (Complex products are taken out of place, on
+    adds nothing.  The noise stream draws the whole real rail, then the
+    whole imaginary one.  (Complex products are taken out of place, on
     operands of equal dimension: numpy rounds a lone broadcast or
     in-place complex product through its scalar loop, which differs in
     the last bit from the vector loop every other product takes.)
     """
-    if (tx.sample_rate, tx.carrier_hz) != (params.sample_rate_hz,
-                                           params.carrier_hz):
-        raise ValueError(
-            f"tx sampled at {tx.sample_rate:g} Hz on carrier "
-            f"{tx.carrier_hz:g} Hz, but the chain runs at "
-            f"{params.sample_rate_hz:g} Hz on {params.carrier_hz:g} Hz")
-    if len(tx) < params.pri_samples:
-        raise ValueError("transmit stream must cover at least one PRI")
-    fs = params.sample_rate_hz
+    terms, interferers, noise = _block_terms(
+        tx, scene, params, pol, range(sweep_index, sweep_index + 1))
     n = len(tx)
-    m = n if n_samples is None else n_samples
-    if not 1 <= m <= n:
-        raise ValueError(f"n_samples must lie in [1, {n}], got {m}")
-    sweeps = (sweep_index if isinstance(sweep_index, range)
-              else range(sweep_index, sweep_index + 1))
-    rows = len(sweeps)
-    if not rows:
-        raise ValueError("a block needs at least one sweep")
-    out = np.zeros((rows, m), dtype=np.complex128)
-    ranges = scene.point_arrays[0]
-    check_unambiguous_range(ranges, params)
-    for itf in scene.interferers:
-        check_interferer_band(itf.freq_hz, params.carrier_hz, fs)
-    n_points = ranges.size
-    jittered = scene.sweep_phase_jitter_rad > 0 and n_points
-    # a silent interferer draws nothing and adds nothing
-    emitting = [i for i, itf in enumerate(scene.interferers) if itf.power_w]
-    tags = ([(_RNG_PHASE,)] if jittered else []) \
-        + [(_RNG_INTERFERER, i) for i in emitting] \
-        + ([(_RNG_NOISE,)] if scene.noise_psd > 0 else [])
-    rngs = _stream_rngs(scene.rng_seed, sweeps, tags)
-
+    out = np.zeros((1, n), dtype=np.complex128)
     # shaped[j] is chip j's pulse, sent from sample j*period.  windows[r, s]
     # is the width samples of row r from sample s, so the chips of a delay
     # d land in windows[:, d + j*period]: one strided (rows, chips, width)
@@ -513,58 +514,158 @@ def propagate(tx: PulseTrain, scene: Scene, params: RadarParams, pol: Pol,
     chips, width = shaped.shape
     period = tx.period
     windows = np.lib.stride_tricks.as_strided(
-        out, (rows, max(m - width + 1, 0), width),
+        out, (1, max(n - width + 1, 0), width),
         out.strides + out.strides[1:])
-
-    def add(amp: np.ndarray, d: int):
-        """Add amp[r] * shaped[j] at sample d + j*period of row r, over
-        the first m samples: the chips that end inside them whole, then
-        the first samples of the one that crosses sample m."""
-        whole = min(chips, max(0, (m - width - d) // period + 1))
+    for amp, d in terms:
+        # the chips that end inside the stream whole, then the first
+        # samples of the one that crosses its end
+        whole = min(chips, max(0, (n - width - d) // period + 1))
         if whole:
             windows[:, d:d + whole * period:period] += \
                 amp[:, :, None] * shaped[None, :whole]
         start = d + whole * period
-        if whole < chips and start < m:
-            out[:, start:] += amp * shaped[None, whole, :m - start]
+        if whole < chips and start < n:
+            out[:, start:] += amp * shaped[None, whole, :n - start]
+    for samples in interferers:
+        out += samples(0, n)
+    scale = np.sqrt(scene.noise_psd * params.sample_rate_hz / 2.0)
+    for row, rng in zip(out, noise):
+        z = rng.standard_normal(2 * n)
+        z *= scale
+        row.real += z[:n]
+        row.imag += z[n:]
+    return SampleStream(out[0], params.sample_rate_hz, params.carrier_hz)
 
-    if scene.direct_path_gain:
-        add(np.full((1, 1), scene.direct_path_gain), 0)
 
-    jitter = np.zeros((rows, n_points))
-    if jittered:
-        for row, rng in zip(jitter, rngs[_RNG_PHASE,]):
-            row[:] = rng.normal(0.0, scene.sweep_phase_jitter_rad,
-                                size=n_points)
+def despread_windows(tx: PulseTrain, scene: Scene, params: RadarParams,
+                     pol: Pol, sweeps: range, window: range) -> np.ndarray:
+    """The despread windows of a block of sweeps, without their received
+    streams: row r is, bit for bit,
+    ``sum_j tx.chips[j] * rx[window.start + j*period : window.stop +
+    j*period]`` over the chips j of the train, summed in chip order, for
+    ``rx = propagate(tx, scene, params, pol, sweeps[r]).samples``.  Every
+    chip's window must end inside the stream.
 
-    delays, h = _echoes(scene, pol, params, jitter)
-    for j, d in enumerate(delays):
-        add(h[:, j, None], d)
+    Each chip's window adds what propagate adds to its samples, in the
+    same order and from the same products: the scene's terms, then the
+    interferers' samples, then the noise.  The noise streams are read as
+    propagate draws them, the whole real rail and then the imaginary one,
+    so the real part of the sum is despread first, then the imaginary
+    one; for real chips that gives exactly the parts of the complex sum.
+    The scene's terms are built once for all the windows that the same
+    chips reach at the same offsets (once for a +-1 code when no echo and
+    no window crosses a PRI slot, the opposite chip's being their
+    negation); the draws between windows are made and dropped, and
+    overlapping windows share theirs.  A block holds a few arrays of rows
+    x len(window) samples.
+    """
+    n, period, chips = len(tx), tx.period, tx.chips.tolist()
+    start, width = window.start, len(window)
+    if window.step != 1 or start < 0 \
+            or start + width + (len(chips) - 1) * period > n:
+        raise ValueError(f"chip windows of samples {window} every "
+                         f"{period} samples must lie in the {n}-sample "
+                         f"stream")
+    terms, interferers, noise = _block_terms(tx, scene, params, pol, sweeps)
+    rows = len(sweeps)
+    shaped = tx.chips[:, None] * tx.pulse.samples[None, :]
+    pulse = shaped.shape[1]
+    # term (amp, d) reaches chip j's window with its chips j + q, q in
+    # reach[t]: those whose pulse overlaps it
+    reach = [range((start - pulse - d) // period + 1,
+                   (start + width - d - 1) // period + 1) for _, d in terms]
+    offsets = range(min((q.start for q in reach if q), default=0),
+                    max((q.stop for q in reach if q), default=0))
+    # the chips that reach each window: windows of one key hold the same
+    # terms, and windows of negated keys opposite ones
+    keys = [tuple(chips[j + q] if 0 <= j + q < len(chips) else None
+                  for q in offsets) for j in range(len(chips))]
+    last = {key: j for j, key in enumerate(keys)}
+    memo = {}  # key: the parts of its terms that a later window reads
 
-    for i in emitting:
-        out += _interferer_samples(scene.interferers[i], n, fs,
-                                   params.carrier_hz,
-                                   rngs[_RNG_INTERFERER, i], stop=m)
+    def terms_in(j: int, part: str) -> np.ndarray:
+        """The real or imaginary part of the scene's terms in chip j's
+        window, built with the other part and kept while a later window
+        reads it.  Negating an entry gives the opposite key's terms, but
+        for the signs of zeros, which cannot change a sum that starts at
+        +0."""
+        key = keys[j]
+        negated = memo.get(tuple(None if c is None else -c for c in key))
+        if key not in memo and negated \
+                and all(x is not None for x in negated.values()):
+            memo[key] = {p: -x for p, x in negated.items()}
+        elif memo.get(key, {}).get(part) is None:
+            memo[key] = {p: np.zeros((rows, width)) for p in ("real", "imag")}
+            product = np.empty((rows, 1, pulse), dtype=np.complex128)
+            for (amp, d), qs in zip(terms, reach):
+                for k in range(max(j + qs.start, 0),
+                               min(j + qs.stop, len(chips))):
+                    o = d + (k - j) * period - start
+                    a, b = max(o, 0), min(o + pulse, width)
+                    np.multiply(amp[:, :, None], shaped[None, k:k + 1],
+                                out=product)
+                    for p, x in memo[key].items():
+                        x[:, a:b] += getattr(product, p)[:, 0, a - o:b - o]
+        found = memo[key][part]
+        if last[key] == j:  # no later window of this pass reads it
+            memo[key][part] = None
+        return found
 
-    if scene.noise_psd > 0:
-        scale = np.sqrt(scene.noise_psd * fs / 2.0)
-        # each row's stream draws its whole real rail, then its imaginary
-        # one as far as m, into one scratch: draws 0 .. m-1 and n .. n+m-1
-        # of n + m are added.  A generator's draws continue across calls,
-        # so the _NOISE_CHUNK chunks hold exactly the values of one whole
-        # draw.
-        z = np.empty(min(n + m, _NOISE_CHUNK))
-        for row, rng in zip(out, rngs[_RNG_NOISE,]):
-            for start in range(0, n + m, z.size):
-                part = z[:n + m - start]
-                rng.standard_normal(out=part)
-                for rail, lo, hi in ((row.real, 0, m), (row.imag, n, n + m)):
-                    a, b = max(start, lo), min(start + part.size, hi)
-                    if a < b:
-                        kept = part[a - start:b - start]
-                        kept *= scale
-                        rail[a - lo:b - lo] += kept
+    def add_window(j: int, part: str, base: int, acc, add=np.add):
+        """add(acc, x, out=acc) for each of chip j's window's terms, in
+        propagate's order: the scene's, the interferers', then the noise,
+        whose rail for this part starts with draw ``base``.  Without acc,
+        the window's sum, which may be the memo's entry when the scene's
+        terms are all it holds."""
+        nonlocal drawn, draws
+        s = start + j * period
+        # without acc, the first addition copies the scene's terms
+        owned = acc is not None
+        if owned:
+            add(acc, terms_in(j, part), out=acc)
+        else:
+            acc = terms_in(j, part)
+        for samples in interferers:
+            x = getattr(samples(s, s + width), part)
+            acc, owned = add(acc, x, out=acc if owned else None), True
+            del x  # before the next interferer's samples are made
+        if noise:
+            gap = base + s - drawn  # > 0 only where a pass starts
+            keep = max(-gap, 0)  # the draws of the last window it reads
+            # the draws up to the pass's next window are made with these
+            # and dropped
+            tail = max(period - width, 0) if j + 1 < len(chips) else 0
+            carried, draws = draws, np.empty((rows, width + tail))
+            if keep:
+                draws[:, :keep] = carried[:, width - keep:width]
+            for row, rng in zip(draws[:, keep:], noise):
+                if gap > 0:
+                    rng.standard_normal(gap)
+                rng.standard_normal(out=row)
+            drawn = base + s + width + tail
+            draws[:, keep:width] *= scale
+            acc = add(acc, draws[:, :width], out=acc if owned else None)
+            if width <= period:  # no later window shares them
+                draws = None
+        return acc
 
-    if isinstance(sweep_index, range):
-        return out
-    return SampleStream(out[0], fs, params.carrier_hz)
+    scale = np.sqrt(scene.noise_psd * params.sample_rate_hz / 2.0)
+    drawn, draws = 0, None  # how far the noise streams have drawn, and
+    # the last window's draws while the next one may overlap them
+    sums = {}
+    for part, base in (("real", 0), ("imag", n)):
+        out = sums[part] = np.zeros((rows, width))
+        for j, chip in enumerate(chips):
+            # a chip of +-1 adds or subtracts exactly what its product
+            # would, and the first window can do so term by term into the
+            # sum itself, which starts at +0
+            sign = {1.0: np.add, -1.0: np.subtract}.get(chip)
+            if sign and j == 0:
+                add_window(j, part, base, out, sign)
+            elif sign:
+                sign(out, add_window(j, part, base, None), out=out)
+            else:
+                out += chip * add_window(j, part, base, None)
+    z = np.empty((rows, width), dtype=np.complex128)
+    z.real, z.imag = sums["real"], sums["imag"]
+    return z

@@ -308,7 +308,8 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         error = OutOfMemory(scenario.experiment, {
-            mode: len(p.tx) for mode, p in scenario.pipelines.items()})
+            mode: (p.block_rows, len(p.window))
+            for mode, p in scenario.pipelines.items()})
         print(f"error [{scenario.experiment.value}]: {error}", file=sys.stderr)
         return 3
     return 0

@@ -22,39 +22,34 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import Pol, Scatterer, Scene, TargetModel, propagate
+from .channel import Pol, Scatterer, Scene, TargetModel, despread_windows
 from .codes import PnSequence, check_field, read_only
 from .receiver import check_blank_width, uwb_correlate
 from .waveform import (Mode, PulseTrain, RadarParams, SPEED_OF_LIGHT,
                        check_finite, qpsk_baseband, uwb_pulse_train)
 
-# Sweeps run in blocks of consecutive sweeps: one propagate and one
+# Sweeps run in blocks of consecutive sweeps: one synthesis and one
 # detection per block, on arrays with one row per sweep, so that numpy's
 # per-call cost, which dominates a short sweep, is paid once per block;
 # each sweep of a block is correlated on its own.  A block holds as many
-# sweeps as fit this many read samples, and at least one: 19 narrowband
-# sweeps of 853 read samples, or one DS-UWB sweep of 309,472.  Measured on
-# 2 CPUs with the blocks on two threads (two processes, each the median of
-# 10 interleaved runs), the 600 sweeps of the nb_dense_series benchmark
-# took 377-421, 277-356, 234-311 and 222-258 ms in blocks of 4, 9, 19 and
-# 38, and a run's peak RSS was 41.3, 41.8-42.3 and 43.4-44.3 MB in blocks
-# of 9, 19 and 38 (41.4 MB on one thread in blocks of 19): each block in
-# flight holds about 40 KB per sweep at its peak, so in blocks of 19 the
-# second thread adds under 1 MB.
+# sweeps as fit this many despread-window samples, and at least one: 19
+# narrowband sweeps of 853 window samples, or one DS-UWB sweep of 9,472.
+# Measured on 2 CPUs with the blocks on two threads (medians of 6 runs of
+# one process each), the 600 sweeps of the nb_dense_series benchmark took
+# 0.22, 0.19 and 0.17 s in blocks of 9, 19 and 38, at a peak RSS of 41.3,
+# 42.2 and 44.2 MB: a block of 19 peaks at about 1 MB of traced
+# allocation, so in blocks of 19 the second thread adds about 1 MB.
 _BLOCK_SAMPLES = 1 << 14
 
 # The blocks run on at most this many threads, the calling thread and
 # _MAX_POOL_WORKERS - 1 helpers, so that numpy work that releases the GIL
-# (the noise draws above all) overlaps.  Measured on 2 CPUs: two threads
-# took the sphere_compare benchmark from 0.80 to 0.49 s (medians of 10
-# runs each), and the nb_dense_series series above from 257-331 to
-# 200-218 ms (medians of 10 interleaved runs in each of three processes);
-# in blocks of 9, two pool workers beside an idle calling thread ran as
-# fast at a peak RSS 0.6 MB higher.  Each block in flight holds its own receive streams (the
-# read prefix, about 4.95 MB for a UWB sweep) plus its temporaries, so
-# peak memory grows with the width; the UWB gain and the peak RSS it cost
-# (53.1 -> 55.4 MB on sphere_compare, 60.1 -> 61.1 MB on uwb_scan) were
-# measured at 2 threads, and wider pools are not.
+# (the noise draws above all) overlaps.  Measured on 2 CPUs (medians of 6
+# runs of one process each): two threads took the sphere_compare benchmark
+# from 0.78 to 0.48 s and nb_dense_series from 0.28 to 0.20 s, at a peak
+# RSS 0.9-1.1 MB higher.  Each block in flight holds its own despread
+# windows and their temporaries, under 1 MB for a DS-UWB sweep or a
+# narrowband block of 19, so peak memory grows with the width; wider pools
+# were not measured.
 _MAX_POOL_WORKERS = 2
 
 
@@ -389,6 +384,53 @@ def sweep_samples(params: RadarParams, pn: PnSequence,
     return _active_samples(params, pn) + tail
 
 
+def _first(n: int, pred) -> int:
+    """The least k in [0, n) with pred(k), or n, for a pred that once true
+    stays true: a bisection, so no array of the n candidates is built."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def kept_lags(params: RadarParams, pn: PnSequence,
+              rx_config: ReceiverConfig) -> range:
+    """The correlation lags of a sweep whose two-way ranges, those of
+    _lag_ranges_m, fall in rx_config's range window.  A lag's range grows
+    with the lag, so they form one run (range(0) if none)."""
+    inv = 1.0 / params.sample_rate_hz
+    near, far = rx_config.range_window_m
+    # the template, one pulse per chip, is a PRI less one pulse shorter
+    # than the active transmission
+    n_lags = (sweep_samples(params, pn, rx_config.max_range_m)
+              - _active_samples(params, pn) + params.pri_samples
+              - params.pulse_samples + 1)
+    lo = _first(n_lags, lambda k: SPEED_OF_LIGHT * (k * inv) / 2.0 >= near)
+    hi = _first(n_lags, lambda k: SPEED_OF_LIGHT * (k * inv) / 2.0 > far)
+    return range(lo, hi) if lo < hi else range(0)
+
+
+def _block_rows(window: int) -> int:
+    """Sweeps per block: as many as fit _BLOCK_SAMPLES window samples, and
+    at least one."""
+    return max(1, _BLOCK_SAMPLES // max(window, 1))
+
+
+def block_shape(params: RadarParams, pn: PnSequence,
+                rx_config: ReceiverConfig) -> tuple[int, int]:
+    """(sweeps, window samples) of a block of the pipeline these build: a
+    sweep's despread window holds its kept lags plus one pulse, less one
+    sample."""
+    lags = kept_lags(params, pn, rx_config)
+    # len() of a range cannot pass sys.maxsize
+    window = lags.stop - lags.start + params.pulse_samples - 1
+    return _block_rows(window), window
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -418,36 +460,30 @@ class SweepPipeline:
         self.blank_samples = check_blank_width(params, cfg.blank_width_s)
         self.tx, self.template = make_waveform(
             params, pn, sweep_samples(params, pn, cfg.max_range_m))
-        # the lags whose ranges fall in the kept window form one run
-        near, far = cfg.range_window_m
-        ranges = _lag_ranges_m(
-            range(len(self.tx) - len(self.template) + 1), params)
-        kept = np.flatnonzero((ranges >= near) & (ranges <= far))
-        self.lags = range(kept[0], kept[-1] + 1) if kept.size else range(0)
+        self.lags = kept_lags(params, pn, cfg)
         # increasing, and shared read-only by every profile
-        self.ranges_m = read_only(ranges[self.lags.start:self.lags.stop])
+        self.ranges_m = read_only(_lag_ranges_m(self.lags, params))
         self.bin_width_m = _bin_width_m(params)
-        # the correlator reads the received stream up to the last kept
-        # lag's overlap with the template, and nothing past it (an empty
-        # window still needs one template length)
-        self.read_samples = max(self.lags.stop, 1) + len(self.template) - 1
+        # the samples of chip 0's slot the correlator reads: the kept lags'
+        # overlaps with one pulse
+        self.window = range(self.lags.start, self.lags.start + len(self.lags)
+                            + len(self.template.pulse) - 1)
 
     @property
     def block_rows(self) -> int:
-        """Sweeps per block: as many as fit _BLOCK_SAMPLES read samples,
-        and at least one."""
-        return max(1, _BLOCK_SAMPLES // self.read_samples)
+        """Sweeps per block (see _block_rows)."""
+        return _block_rows(len(self.window))
 
     def _values(self, scene: Scene, pol: Pol, sweeps: range) -> np.ndarray:
-        """Profile values of a block of sweeps, one row per sweep: one
-        propagate of the block's read prefix, checked finite as a whole,
-        and one uwb_correlate per sweep, over its row's samples."""
-        rx = propagate(self.tx, scene, self.params, pol, sweeps,
-                       n_samples=self.read_samples)
-        check_finite(rx)
+        """Profile values of a block of sweeps, one row per sweep: the
+        block's despread windows, checked finite as a whole, and one
+        uwb_correlate per sweep, which blanks and matches its row."""
+        z = despread_windows(self.tx, scene, self.params, pol, sweeps,
+                             self.window)
+        check_finite(z)
         values = np.empty((len(sweeps), len(self.lags)), dtype=np.complex128)
-        for row, samples in zip(values, rx):
-            row[:] = uwb_correlate(samples, self.template, self.lags,
+        for row, window in zip(values, z):
+            row[:] = uwb_correlate(window, self.template, self.lags,
                                    self.blank_samples)
         values.flags.writeable = False
         return values
@@ -505,7 +541,7 @@ class SweepPipeline:
         The blocks run on as many threads as there are usable CPUs, at
         most _MAX_POOL_WORKERS: the calling thread and a pool of helpers,
         each taking the next block not yet taken, in sweep order.  Each
-        block in flight holds its own receive streams.  Every sweep draws
+        block in flight holds its own despread windows.  Every sweep draws
         from its own RNG streams, so the results depend neither on the
         number of threads nor on the block size.  The first failing sweep
         in sweep order raises, as in a serial loop, and the blocks not yet

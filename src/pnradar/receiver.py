@@ -81,38 +81,33 @@ def qpsk_demod(s: SampleStream, params: RadarParams,
     return i_bits, q_bits
 
 
-def uwb_correlate(rx: np.ndarray, template: PulseTrain, lags: range,
+def uwb_correlate(z: np.ndarray, template: PulseTrain, lags: range,
                   blank_samples: int = 0) -> np.ndarray:
     """Sliding inner product <rx[n+k], template[k]> for each lag n in
     ``lags``, with the first ``blank_samples`` of each
-    ``template.period``-sample slot of rx zeroed.  ``rx`` is the samples of
-    a stream at the template's rate, taken as finite (a SweepPipeline
-    checks its block of rows at once).
+    ``template.period``-sample slot of rx zeroed, from the despread lag
+    window of a stream rx at the template's rate: z = sum_j chips[j] *
+    rx[j*period + lags.start :] over len(lags) + len(pulse) - 1 samples
+    (see channel.despread_windows), taken as finite (a SweepPipeline
+    checks its block of windows at once).
 
-    The correlator follows the train's structure: it despreads the lag
-    window over the chip lattice, z = sum_j chips[j] * rx[j*period +
-    lags.start :] over len(lags) + len(pulse) - 1 samples, zeroes z's
-    blanked samples (the same in every chip's slice) and matches z against
-    the conjugated pulse, so a matched template yields the echo amplitude.
+    The blanked positions are the same in every chip's slice, so they are
+    zeroed in z, in place; z is then matched against the conjugated
+    pulse, so a matched template yields the echo amplitude.
     """
-    if len(template) > len(rx):
-        raise ValueError(
-            f"template ({len(template)} samples) longer than the received "
-            f"stream ({len(rx)} samples)")
-    n_lags = len(rx) - len(template) + 1
-    if lags.step != 1 or (lags and not 0 <= lags.start < lags.stop <= n_lags):
-        raise ValueError(
-            f"lags {lags} must be a contiguous window of [0, {n_lags})")
+    if lags.step != 1 or lags.start < 0:
+        raise ValueError(f"lags {lags} must be a contiguous run of lags "
+                         f"from 0 on")
     if not 0 <= blank_samples < template.period:
         raise ValueError(f"blank of {blank_samples} samples must be shorter "
                          f"than the {template.period}-sample slot")
+    width = len(lags) + len(template.pulse) - 1
+    if len(z) != width:
+        raise ValueError(
+            f"a despread window of {len(z)} samples does not hold lags "
+            f"{lags} of a {len(template.pulse)}-sample pulse ({width})")
     if not lags:
         return np.zeros(0, dtype=np.complex128)
-    width = len(lags) + len(template.pulse) - 1
-    z = np.zeros(width, dtype=np.complex128)
-    for j, chip in enumerate(template.chips):
-        start = lags.start + j * template.period
-        z += chip * rx[start:start + width]
     if blank_samples:
         z[_slot_heads(lags.start, width, template.period,
                       blank_samples)] = 0.0

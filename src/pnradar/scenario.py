@@ -23,7 +23,7 @@ from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
     TargetModel, check_interferer_band, check_unambiguous_range, gen_clutter
 from .codes import CodeKind, PnSequence, gen_gold, gen_mseq
 from .imaging import Calibration, ReceiverConfig, SweepPipeline, \
-    check_scan, sweep_samples
+    block_shape, check_scan
 from .waveform import Mode, RadarParams, nb_params, uwb_params
 
 
@@ -41,12 +41,16 @@ class ExperimentKind(Enum):
 
 
 class OutOfMemory(MemoryError):
-    """Memory ran out; the message gives each chain's sweep stream length."""
+    """Memory ran out; the message gives what a block of each chain holds,
+    its (sweeps, window samples) from block_shape."""
 
-    def __init__(self, kind: ExperimentKind, streams: dict[Mode, int]):
+    def __init__(self, kind: ExperimentKind,
+                 blocks: dict[Mode, tuple[int, int]]):
         super().__init__("out of memory: " + "; ".join(
-            f"the {mode.value} sweep stream holds {n:,} complex samples "
-            f"({n * 16 / 2 ** 20:,.0f} MiB)" for mode, n in streams.items()))
+            f"a {mode.value} block holds {rows:,} sweep"
+            f"{'s' if rows > 1 else ''} of {window:,} complex window "
+            f"samples ({rows * window * 16 / 2 ** 20:,.1f} MiB)"
+            for mode, (rows, window) in blocks.items()))
         self.kind = kind
 
 
@@ -418,11 +422,12 @@ def resolve_scenario(data: dict) -> Scenario:
                                            chains[mode][0], pn)
     gated = kind in (ExperimentKind.RCS_SWEEP_SERIES,
                      ExperimentKind.COMPARE_MODES)
-    streams = {chain: sweep_samples(params, pn, rx_cfg.max_range_m)
-               for chain, (params, rx_cfg) in chains.items()}
+    blocks = {chain: block_shape(params, pn, rx_cfg)
+              for chain, (params, rx_cfg) in chains.items()}
     pipelines = {}
     try:
-        if max(streams.values()) * 16 > np.iinfo(np.intp).max:
+        if max(r * w for r, w in blocks.values()) * 16 \
+                > np.iinfo(np.intp).max:
             raise MemoryError  # numpy would raise ValueError for this size
         for chain, (params, rx_cfg) in chains.items():
             pipelines[chain] = _named(
@@ -430,7 +435,7 @@ def resolve_scenario(data: dict) -> Scenario:
                 params, pn, rx_config=rx_cfg)
             _check_kept_window(pipelines[chain], calibrates_on, gated)
     except MemoryError:
-        raise OutOfMemory(kind, streams) from None
+        raise OutOfMemory(kind, blocks) from None
 
     return Scenario(
         raw=cfg, seed=seed, mode=mode, pipelines=pipelines,

@@ -47,6 +47,7 @@ def test_span_targets_absent_only_as_known():
                            "pnradar.imaging.ds_uwb_train",
                            "pnradar.imaging.estimate_rcs",
                            "pnradar.imaging.gate_pulse",
+                           "pnradar.imaging.propagate",
                            "pnradar.imaging.range_profile",
                            "pnradar.imaging.rx_gate",
                            "pnradar.imaging.spread"}

@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from pnradar import (Interferer, InterfererKind, Pol, PulseTrain,
                      SampleStream, Scatterer, Scene, TargetModel,
-                     add_interferer, gen_clutter, gen_mseq,
+                     add_interferer, despread_windows, gen_clutter, gen_mseq,
                      identity_pol_matrix, make_waveform, nb_params, propagate,
                      uwb_params, SPEED_OF_LIGHT)
 from pnradar import channel
-from pnradar.channel import (_NOISE_CHUNK, _POL_INDEX, _RNG_INTERFERER,
-                             _RNG_NOISE, _RNG_PHASE, _interferer_samples,
-                             _stream_rngs, _stream_state, _tone)
+from pnradar.channel import (_POL_INDEX, _RNG_INTERFERER, _RNG_NOISE,
+                             _RNG_PHASE, _interferer, _stream_rngs,
+                             _stream_state, _tone)
+from stream_oracle import despread_stream
 
 _U64 = 2**64 - 1
 
@@ -360,7 +361,7 @@ def _propagate_oracle(tx, scene, params, pol, sweep_index=0):
         out[support[:m] + d] += a * active[:m]
     for i, itf in enumerate(scene.interferers):
         rng = np.random.default_rng([seed, sweep_index, _RNG_INTERFERER, i])
-        out += _interferer_samples(itf, n, fs, tx.carrier_hz, [rng])[0]
+        out += _interferer(itf, n, fs, tx.carrier_hz, [rng])(0, n)[0]
     if scene.noise_psd > 0:
         rng = np.random.default_rng([seed, sweep_index, _RNG_NOISE])
         scale = np.sqrt(scene.noise_psd * fs / 2.0)
@@ -489,100 +490,116 @@ class TestPropagateOracle:
         assert _tone(df, n, fs) is tone
 
 
+def _rail_windows(rail, train, window):
+    """sum_j chips[j] * rail[window.start + j*period : window.stop +
+    j*period] on one float rail, chip by chip."""
+    out = np.zeros(len(window))
+    for j, chip in enumerate(train.chips):
+        start = window.start + j * train.period
+        out += chip * rail[start:start + len(window)]
+    return out
+
+
+def _whole_rails(seed, sweep, n, scale):
+    """A sweep's noise as one whole draw of each rail: n real samples,
+    then n imaginary ones, scaled."""
+    rng = np.random.default_rng([seed, sweep, _RNG_NOISE])
+    re = rng.standard_normal(n)
+    re *= scale
+    im = rng.standard_normal(n)
+    im *= scale
+    return re, im
+
+
+def _impulse_train(params, chips, period, length):
+    """A train of one-sample pulses, so that only noise fills a window."""
+    return PulseTrain(SampleStream(np.ones(1, dtype=complex),
+                                   params.sample_rate_hz, params.carrier_hz),
+                      chips, period, length)
+
+
 class TestPropagateBuffers:
-    @pytest.mark.parametrize("n", [10_000, _NOISE_CHUNK, 2 * _NOISE_CHUNK,
-                                   3 * _NOISE_CHUNK + 7])
+    """A block of despread windows draws each row's noise window by window
+    into buffers one window wide: the draws between two windows are made
+    and dropped, and overlapping windows share theirs."""
+
+    @pytest.mark.parametrize("n", [10_000, 16_384, 32_768, 49_159])
     def test_chunked_noise_equals_whole_rail_draw(self, n):
         params = uwb_params()
-        fs = params.sample_rate_hz
-        tx = _dense_tx(np.ones(n, dtype=complex), params)
+        scale = np.sqrt(1e-19 * params.sample_rate_hz / 2.0)
+        period = n // 4
+        tx = _impulse_train(params, [1.0, -1.0, 0.5], period, n)
         scene = _single_point_scene(sigma=0.0, range_m=1.0, noise_psd=1e-19,
                                     rng_seed=31)
-        rx = propagate(tx, scene, params, Pol.VV, sweep_index=4).samples
-        # the expression propagate used before drawing in chunks
-        rng = np.random.default_rng([31, 4, _RNG_NOISE])
-        scale = np.sqrt(1e-19 * fs / 2.0)
-        expected = np.zeros(n, dtype=np.complex128)
-        z = rng.standard_normal(n)
-        z *= scale
-        expected.real += z
-        rng.standard_normal(out=z)
-        z *= scale
-        expected.imag += z
-        assert rx.tobytes() == expected.tobytes()
+        re, im = _whole_rails(31, 4, n, scale)
+        # windows with gaps between them, abutting, and overlapping
+        for window in (range(7, period - 3), range(0, period),
+                       range(5, period + 900)):
+            z = despread_windows(tx, scene, params, Pol.VV, range(4, 5),
+                                 window)[0]
+            assert z.real.tobytes() == _rail_windows(re, tx, window).tobytes()
+            assert z.imag.tobytes() == _rail_windows(im, tx, window).tobytes()
 
-    @pytest.mark.parametrize("m", [_NOISE_CHUNK - 10_001,
-                                   _NOISE_CHUNK - 10_000,
-                                   _NOISE_CHUNK - 9_999, 853],
+    @pytest.mark.parametrize("width", [6_383, 6_384, 6_385, 853],
                              ids=["below", "at", "above", "nb"])
-    def test_block_rows_draw_real_then_imaginary_rail(self, m):
-        # n + m just below, at and above the one-call limit, on a block
-        # of many rows, each drawn from its own stream into one scratch
-        n = 10_000
-        params = uwb_params()
-        fs = params.sample_rate_hz
-        tx = _dense_tx(np.ones(n, dtype=complex), params)
+    def test_block_rows_draw_real_then_imaginary_rail(self, width):
+        # windows narrower than, as wide as and wider than the period of a
+        # three-chip train, and a narrowband sweep's one window, on a block
+        # of many rows, each drawn from its own stream
+        if width == 853:
+            params = nb_params()
+            tx, window = make_waveform(params, gen_mseq([3, 1, 0]))[0], \
+                range(0, width)
+        else:
+            params = uwb_params()
+            tx = _impulse_train(params, [1.0, -1.0, 1.0], 6_384, 20_000)
+            window = range(100, 100 + width)
+        scale = np.sqrt(1e-19 * params.sample_rate_hz / 2.0)
         scene = _single_point_scene(sigma=0.0, range_m=1.0, noise_psd=1e-19,
                                     rng_seed=31)
         sweeps = range(4, 18)
-        block = propagate(tx, scene, params, Pol.VV, sweeps, n_samples=m)
-        scale = np.sqrt(1e-19 * fs / 2.0)
+        block = despread_windows(tx, scene, params, Pol.VV, sweeps, window)
+        assert block.shape == (len(sweeps), width)
         for k, row in zip(sweeps, block):
-            # the whole real rail, then the imaginary one as far as m
-            rng = np.random.default_rng([31, k, _RNG_NOISE])
-            expected = np.zeros(m, dtype=np.complex128)
-            re = rng.standard_normal(n)[:m]
-            re *= scale
-            expected.real += re
-            im = rng.standard_normal(m)
-            im *= scale
-            expected.imag += im
-            assert row.tobytes() == expected.tobytes()
+            re, im = _whole_rails(31, k, len(tx), scale)
+            assert row.real.tobytes() == _rail_windows(re, tx, window).tobytes()
+            assert row.imag.tobytes() == _rail_windows(im, tx, window).tobytes()
 
     def test_buffer_must_match_the_stream(self):
         params = nb_params()
         tx = make_waveform(params, gen_mseq([3, 1, 0]))[0]
         scene = _single_point_scene(range_m=10.0)
-        for m in (0, len(tx) + 1):
-            with pytest.raises(ValueError, match="n_samples must lie in"):
-                propagate(tx, scene, params, Pol.VV, n_samples=m)
-        # a shorter stream holds the first samples of the whole one
-        rx = propagate(tx, scene, params, Pol.VV, n_samples=len(tx) - 1)
-        assert len(rx) == len(tx) - 1
+        n = len(tx)
+        for window in (range(-1, 5), range(0, n + 1), range(0, 6, 2),
+                       range(n - 3, n + 1)):
+            with pytest.raises(ValueError, match="must lie in"):
+                despread_windows(tx, scene, params, Pol.VV, range(1), window)
+        # a one-chip window that ends with the stream holds its last samples
+        z = despread_windows(tx, scene, params, Pol.VV, range(1), range(1, n))
         full = propagate(tx, scene, params, Pol.VV).samples
-        assert rx.samples.tobytes() == full[:-1].tobytes()
+        assert z[0].tobytes() == full[1:].tobytes()
+        # a train's last chip window may end with the stream, not past it
+        uwb = uwb_params()
+        train = make_waveform(uwb, gen_mseq([3, 1, 0]))[0]
+        last = len(train) - 6 * train.period
+        despread_windows(train, scene, uwb, Pol.VV, range(1), range(0, last))
+        with pytest.raises(ValueError, match="must lie in"):
+            despread_windows(train, scene, uwb, Pol.VV, range(1),
+                             range(1, last + 1))
 
 
-def _prefix_lengths(n):
-    """Prefix lengths in [1, n], weighted toward the noise chunk
-    boundaries and the ends of the stream."""
-    edges = [1, 2, n - 1, n] + [k * _NOISE_CHUNK + e
-                                for k in range(1, n // _NOISE_CHUNK + 1)
-                                for e in (-1, 0, 1)]
-    return st.one_of(st.sampled_from([e for e in edges if 1 <= e <= n]),
-                     st.integers(1, n))
-
-
-def _support_edges(tx):
-    """Prefix lengths at and around the first and last nonzero sample."""
-    n = len(tx)
-    support = np.flatnonzero(tx.samples())
-    lo, hi = int(support[0]), int(support[-1])
-    return st.sampled_from([m for m in (lo, lo + 1, lo + 2, hi, hi + 1,
-                                        hi + 2) if 1 <= m <= n])
-
-
-class TestPropagatePrefix:
-    @settings(max_examples=200, deadline=None)
-    @given(_oracle_case(), st.data())
-    def test_prefix_equals_the_whole_stream_cut(self, case, data):
-        params, tx, scene, pol, sweep = case
-        m = data.draw(st.one_of(_prefix_lengths(len(tx)),
-                                _support_edges(tx)))
-        prefix = propagate(tx, scene, params, pol, sweep,
-                           n_samples=m).samples
-        full = propagate(tx, scene, params, pol, sweep).samples
-        assert prefix.tobytes() == full[:m].tobytes()
+@st.composite
+def _windows(draw, train):
+    """A window of chip 0's samples whose chip windows lie in the train's
+    stream: often one period wide or a sample either side, often at the
+    start or the end of the room the chips leave."""
+    room = len(train) - (len(train.chips) - 1) * train.period
+    widths = [w for w in (train.period - 1, train.period, train.period + 1)
+              if 0 <= w <= room] + [room]
+    width = draw(st.one_of(st.integers(0, room), st.sampled_from(widths)))
+    start = draw(st.one_of(st.integers(0, room - width),
+                           st.sampled_from([0, room - width])))
+    return range(start, start + width)
 
 
 class TestPropagateBlock:
@@ -598,19 +615,20 @@ class TestPropagateBlock:
                 dataclasses.replace(itf, power_w=data.draw(
                     st.sampled_from([0.0, itf.power_w])))
                 for itf in scene.interferers))
-        m = data.draw(st.one_of(st.just(len(tx)), _prefix_lengths(len(tx)),
-                                _support_edges(tx)))
         sweeps = range(first, first + data.draw(st.integers(1, 6)))
-        block = propagate(tx, scene, params, pol, sweeps, n_samples=m)
-        assert block.shape == (len(sweeps), m)
+        window = data.draw(_windows(tx))
+        block = despread_windows(tx, scene, params, pol, sweeps, window)
+        assert block.shape == (len(sweeps), len(window))
         for row, k in zip(block, sweeps):
-            one = propagate(tx, scene, params, pol, k, n_samples=m)
-            assert row.tobytes() == one.samples.tobytes()
+            one = despread_windows(tx, scene, params, pol, range(k, k + 1),
+                                   window)
+            assert row.tobytes() == one.tobytes()
 
     def test_empty_block_rejected(self):
         params, tx = _STREAMS[0]
         with pytest.raises(ValueError, match="at least one sweep"):
-            propagate(tx, _single_point_scene(), params, Pol.VV, range(3, 3))
+            despread_windows(tx, _single_point_scene(), params, Pol.VV,
+                             range(3, 3), range(0, 10))
 
 
 # an 80-sample PRI at 80 MHz, so that a short train reaches every delay
@@ -620,8 +638,9 @@ _SHORT_PRI = nb_params(pulse_width_s=0.4e-6, pri_s=1e-6)
 @st.composite
 def _train_case(draw):
     """A random train of 1-5 real chips on _SHORT_PRI, pulses a period or
-    more apart, padded to at least one PRI; a scene whose first echo
-    crosses the drawn prefix; and a single sweep or a block."""
+    more apart, padded to at least one PRI; a scene of echoes at any delay,
+    so that they cross PRI slots and the end of the stream, often with
+    interferers; and a single sweep or a block."""
     params = _SHORT_PRI
     fs = params.sample_rate_hz
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -640,10 +659,6 @@ def _train_case(draw):
     max_delay = int(params.unambiguous_range_m * 2.0 / SPEED_OF_LIGHT * fs)
     delays = [draw(st.integers(1, max_delay))
               for _ in range(draw(st.integers(1, 6)))]
-    # the prefix ends inside the first echo's train, or anywhere
-    lo = min(delays[0] + 1, length)
-    hi = max(lo, min(delays[0] + end - 1, length))
-    m = draw(st.one_of(st.integers(lo, hi), st.integers(1, length)))
     points = tuple(
         Scatterer(sigma_m2=draw(st.floats(1e-6, 10.0)),
                   range_m=min(d * SPEED_OF_LIGHT / (2.0 * fs),
@@ -651,7 +666,12 @@ def _train_case(draw):
                   pol_matrix=np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
                   * np.ones((2, 2)))
         for d in delays)
+    interferers = draw(st.sampled_from([(), (
+        Interferer(freq_hz=params.carrier_hz + 1e6, power_w=1e-9),
+        Interferer(freq_hz=params.carrier_hz - 2e6, power_w=1e-9,
+                   kind=InterfererKind.QPSK_MODULATED))]))
     scene = Scene(target=TargetModel(points=points[:1]), clutter=points[1:],
+                  interferers=interferers,
                   direct_path_gain=draw(st.sampled_from([0.0, 0.25])),
                   sweep_phase_jitter_rad=draw(st.sampled_from([0.0, 0.3])),
                   noise_psd=draw(st.sampled_from([0.0, 1e-19])),
@@ -660,7 +680,7 @@ def _train_case(draw):
     sweep = draw(st.one_of(st.just(first),
                            st.builds(range, st.just(first),
                                      st.integers(first + 1, first + 5))))
-    return params, train, scene, sweep, m
+    return params, train, scene, sweep
 
 
 class TestPropagateTrain:
@@ -670,17 +690,14 @@ class TestPropagateTrain:
     @settings(max_examples=300, deadline=None)
     @given(_train_case())
     def test_train_equals_its_dense_stream(self, case):
-        params, train, scene, sweep, m = case
+        params, train, scene, sweep = case
         dense = PulseTrain(SampleStream(train.samples(), train.sample_rate,
                                         train.carrier_hz))
         assert len(dense) == len(train)
-        got = propagate(train, scene, params, Pol.VV, sweep, n_samples=m)
-        want = propagate(dense, scene, params, Pol.VV, sweep, n_samples=m)
-        if isinstance(sweep, range):
-            assert got.shape == (len(sweep), m)
-        else:
-            got, want = got.samples, want.samples
-        assert got.tobytes() == want.tobytes()
+        for k in sweep if isinstance(sweep, range) else [sweep]:
+            got = propagate(train, scene, params, Pol.VV, k).samples
+            want = propagate(dense, scene, params, Pol.VV, k).samples
+            assert got.tobytes() == want.tobytes()
 
     def test_overlapping_pulses_are_rejected(self):
         pulse = SampleStream(np.ones(5, dtype=complex), 1.0)
@@ -690,6 +707,37 @@ class TestPropagateTrain:
         # leaves no gap
         assert len(PulseTrain(pulse, [1.0], period=1)) == 5
         assert len(PulseTrain(pulse, [1.0, -1.0], period=5)) == 10
+
+
+class TestDespreadWindows:
+    """A block's despread windows hold, row by row and bit for bit, the
+    chip-weighted sum of the windows of each sweep's whole stream."""
+
+    @staticmethod
+    def _assert_despread(train, scene, params, pol, sweep, window):
+        sweeps = (sweep if isinstance(sweep, range)
+                  else range(sweep, sweep + 1))
+        z = despread_windows(train, scene, params, pol, sweeps, window)
+        assert z.shape == (len(sweeps), len(window))
+        for row, k in zip(z, sweeps):
+            rx = propagate(train, scene, params, pol, k).samples
+            assert row.tobytes() == \
+                despread_stream(rx, train, window).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_train_case(), st.data())
+    def test_trains_equal_the_despread_stream(self, case, data):
+        params, train, scene, sweep = case
+        self._assert_despread(train, scene, params, Pol.VV, sweep,
+                              data.draw(_windows(train)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_oracle_case(), st.data())
+    def test_chains_equal_the_despread_stream(self, case, data):
+        params, tx, scene, pol, first = case
+        sweeps = range(first, first + data.draw(st.integers(1, 3)))
+        self._assert_despread(tx, scene, params, pol, sweeps,
+                              data.draw(_windows(tx)))
 
 
 _PURPOSES = (_RNG_PHASE, _RNG_NOISE, _RNG_INTERFERER)
@@ -781,10 +829,13 @@ class TestStreamSeeding:
             return _stream_rngs(seed, sweeps, tags)
 
         monkeypatch.setattr(channel, "_stream_rngs", recording)
-        block = propagate(tx, with_silent, params, Pol.VV, range(2, 5))
+        window = range(0, 500)
+        block = despread_windows(tx, with_silent, params, Pol.VV,
+                                 range(2, 5), window)
         assert (_RNG_INTERFERER, 1) not in seeded
         assert (_RNG_INTERFERER, 0) in seeded
-        expected = propagate(tx, base, params, Pol.VV, range(2, 5))
+        expected = despread_windows(tx, base, params, Pol.VV, range(2, 5),
+                                    window)
         assert block.tobytes() == expected.tobytes()
         # a silent emitter outside the band is still rejected
         far = dataclasses.replace(silent, freq_hz=tx.carrier_hz + 1e9)

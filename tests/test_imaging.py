@@ -19,7 +19,8 @@ from pnradar import (PREFERRED_PAIRS, Calibration, CodeKind, Detection,
                      Interferer, InterfererKind, Mode, NoDetections,
                      PnSequence, Pol, RangeProfile, RcsEstimate,
                      ReceiverConfig, SampleStream, Scatterer, Scene,
-                     SweepPipeline, TargetModel, calibrate, gen_clutter,
+                     SweepPipeline, TargetModel, calibrate,
+                     despread_windows, gen_clutter,
                      gen_gold, gen_mseq, make_waveform, nb_params,
                      propagate, pulse_volume_depth, qpsk_baseband, rcs_nb,
                      rcs_uwb, rx_gate, scan_image, spread,
@@ -27,8 +28,9 @@ from pnradar import (PREFERRED_PAIRS, Calibration, CodeKind, Detection,
 from pnradar import imaging
 from pnradar.cli import main
 from pnradar.channel import _tone
-from pnradar.imaging import _detect_rows, _median, sweep_samples
+from pnradar.imaging import _detect_rows, _median, kept_lags, sweep_samples
 from pnradar.scenario import load_scenario
+from stream_oracle import despread_stream, stream_profile
 
 SIGMA_REF = 1e-3  # -30 dBsm reference sphere
 R_REF = 10.0
@@ -634,10 +636,11 @@ class TestKeptLags:
 
 
 class TestReadPrefix:
-    """A sweep builds only the received samples its correlator reads."""
+    """A sweep builds only the despread windows its correlator reads, and
+    its profile is, bit for bit, that of the whole received stream."""
 
     @pytest.mark.parametrize("mode", ["nb", "uwb_blanked"])
-    def test_profile_matches_the_full_stream(self, mode, monkeypatch):
+    def test_profile_matches_the_full_stream(self, mode):
         if mode == "nb":
             params, pn = nb_params(), gen_mseq([7, 1, 0])
             cfg = ReceiverConfig(max_range_m=100.0)
@@ -655,40 +658,34 @@ class TestReadPrefix:
                            kind=InterfererKind.QPSK_MODULATED)),
             noise_psd=1e-19, direct_path_gain=0.5,
             sweep_phase_jitter_rad=0.3, rng_seed=17)
-        lengths = []
-
-        def recording(tx, scene, params, pol, sweep_index=0, n_samples=None):
-            lengths.append(n_samples)
-            return propagate(tx, scene, params, pol, sweep_index, n_samples)
-
-        monkeypatch.setattr(imaging, "propagate", recording)
         for sweep in (0, 5):
             prof = pipeline.profile(scene, Pol.HH, sweep_index=sweep)
             rx = propagate(pipeline.tx, scene, params, Pol.HH, sweep)
             if cfg.blank_width_s:
                 rx = rx_gate(rx, params, cfg.blank_width_s)
-            ref = uwb_correlate(rx.samples, pipeline.template, pipeline.lags)
+            ref = stream_profile(rx.samples, pipeline.template, pipeline.lags)
             assert prof.values.tobytes() == ref.tobytes()
-        read = pipeline.lags.stop + len(pipeline.template) - 1
-        assert lengths == [read, read] and pipeline.read_samples == read
-        assert read < len(pipeline.tx)
+        window = pipeline.window
+        assert window.start == pipeline.lags.start
+        assert len(window) == \
+            len(pipeline.lags) + len(pipeline.template.pulse) - 1
         if mode == "nb":
-            assert (len(pipeline.lags), read, len(pipeline.tx)) == \
+            assert (len(pipeline.lags), len(window), len(pipeline.tx)) == \
                 (54, 853, 8055)
 
 
 class TestOneCorrelatorPerSweep:
-    """Each sweep is correlated by one uwb_correlate call over the
-    pipeline's own template, kept lags and blank; bench/spans.py times
-    the correlator through that name."""
+    """Each sweep is correlated by one uwb_correlate call over its despread
+    window and the pipeline's own template, kept lags and blank;
+    bench/spans.py times the correlator through that name."""
 
     @staticmethod
     def _record(monkeypatch):
         calls = []
 
-        def recording(rx, template, lags, blank_samples=0):
-            values = uwb_correlate(rx, template, lags, blank_samples)
-            calls.append((len(rx), template, lags, blank_samples,
+        def recording(z, template, lags, blank_samples=0):
+            values = uwb_correlate(z, template, lags, blank_samples)
+            calls.append((len(z), template, lags, blank_samples,
                           len(values)))
             return values
 
@@ -697,10 +694,10 @@ class TestOneCorrelatorPerSweep:
 
     def _assert_each_sweep_once(self, calls, pipeline, sweeps):
         assert len(calls) == sweeps
-        for n_rx, template, lags, blank, n_values in calls:
+        for n_z, template, lags, blank, n_values in calls:
             assert template is pipeline.template
-            assert (n_rx, lags, blank, n_values) == (
-                pipeline.read_samples, pipeline.lags,
+            assert (n_z, lags, blank, n_values) == (
+                len(pipeline.window), pipeline.lags,
                 pipeline.blank_samples, len(pipeline.lags))
 
     def test_nb_series(self, nb_setup, monkeypatch):
@@ -771,6 +768,29 @@ def _blanked_receiver(draw):
     return _blanked(params, blank, lag)
 
 
+class TestLagSearch:
+    """kept_lags finds, without an array of every lag, the lags whose
+    ranges fall in the receiver's window."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_radar(), st.floats(0.0, 1.2), st.floats(0.0, 2.0))
+    def test_search_finds_the_lags_in_the_window(self, params, far, blank):
+        # every lag's range against the window, as one array
+        max_range = far * params.unambiguous_range_m + 1e-3
+        blank_s = blank * params.pulse_samples / params.sample_rate_hz
+        cfg = ReceiverConfig(blank_width_s=blank_s, max_range_m=max_range)
+        pn = gen_mseq([3, 1, 0])
+        tx, template = make_waveform(params, pn,
+                                     sweep_samples(params, pn, max_range))
+        fs = params.sample_rate_hz
+        ranges = SPEED_OF_LIGHT * (
+            np.arange(len(tx) - len(template) + 1) * (1.0 / fs)) / 2.0
+        near = SPEED_OF_LIGHT * blank_s / 2.0
+        kept = np.flatnonzero((ranges >= near) & (ranges <= max_range))
+        want = range(kept[0], kept[-1] + 1) if kept.size else range(0)
+        assert kept_lags(params, pn, cfg) == want
+
+
 class TestBlankDecision:
     @settings(max_examples=40, deadline=None)
     @given(_blanked_receiver(), st.integers(0, 3))
@@ -789,10 +809,10 @@ class TestBlankDecision:
                       rng_seed=9)
         prof = pipeline.profile(scene, sweep_index=sweep)
         rx = propagate(pipeline.tx, scene, params, Pol.VV, sweep)
-        ref = uwb_correlate(rx_gate(rx, params, cfg.blank_width_s).samples,
-                            pipeline.template, pipeline.lags)
+        ref = stream_profile(rx_gate(rx, params, cfg.blank_width_s).samples,
+                             pipeline.template, pipeline.lags)
         assert prof.values.tobytes() == ref.tobytes()
-        ungated = uwb_correlate(rx.samples, pipeline.template, pipeline.lags)
+        ungated = stream_profile(rx.samples, pipeline.template, pipeline.lags)
         event(f"{params.mode.value} blank "
               f"{'read' if ungated.tobytes() != ref.tobytes() else 'skipped'}")
 
@@ -820,6 +840,88 @@ class TestBlankDecision:
             SweepPipeline(uwb_params(), gen_mseq([3, 1, 0]),
                           rx_config=ReceiverConfig(blank_width_s=1e-10,
                                                    max_range_m=14.0))
+
+
+@st.composite
+def _synthesis_case(draw):
+    """A radar (see _radar), a receiver blanked or not whose kept window
+    runs as far as 1.1 * c*PRI/2, a scene of points anywhere in range, one
+    of them within one pulse of c*PRI/2, with or without each impairment,
+    and a block of one to three sweeps."""
+    params = draw(_radar())
+    fs = params.sample_rate_hz
+    blank = 0.0
+    if draw(st.booleans()):
+        blank = draw(st.floats(2e-9, 5e-9) if params.mode is Mode.DS_UWB
+                     else st.floats(params.pulse_width_s,
+                                    2 * params.pulse_width_s))
+    first, last = int(blank * fs) + 2, int(1.1 * params.pri_s * fs)
+    lag = draw(st.one_of(st.integers(first, last),
+                         st.integers(params.pri_samples - 2 * first,
+                                     params.pri_samples + first)))
+    _, cfg = _blanked(params, blank, lag)
+    r_max = params.unambiguous_range_m
+    pulse_m = SPEED_OF_LIGHT * params.pulse_samples / fs / 2.0
+    ranges = [r_max - draw(st.floats(0.0, pulse_m))] + draw(st.lists(
+        st.floats(1.0, r_max), min_size=0, max_size=4))
+    points = tuple(Scatterer(sigma_m2=draw(st.floats(1e-6, 1e-2)), range_m=r)
+                   for r in ranges)
+    interferers = tuple(draw(st.sampled_from([(), (
+        Interferer(freq_hz=params.carrier_hz + 3e6, power_w=1e-9),), (
+        Interferer(freq_hz=params.carrier_hz - 1e7, power_w=1e-9,
+                   kind=InterfererKind.QPSK_MODULATED),
+        Interferer(freq_hz=params.carrier_hz + 1e6, power_w=1e-9))])))
+    scene = Scene(target=TargetModel(points=points[:1]), clutter=points[1:],
+                  interferers=interferers,
+                  noise_psd=draw(st.sampled_from([0.0, 1e-19])),
+                  direct_path_gain=draw(st.sampled_from([0.0, 0.5])),
+                  sweep_phase_jitter_rad=draw(st.sampled_from([0.0, 0.3])),
+                  rng_seed=draw(st.integers(0, 2**64 - 1)))
+    start = draw(st.integers(0, 1000))
+    sweeps = range(start, start + draw(st.integers(1, 3)))
+    return params, cfg, scene, draw(st.sampled_from(list(Pol))), sweeps
+
+
+class TestWindowSynthesis:
+    """A pipeline synthesizes only each sweep's despread window, and both
+    it and the profile equal, bit for bit, those of the whole stream:
+    propagate, one sweep at a time, then rx_gate, then the despread and
+    match of test code."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_synthesis_case())
+    def test_block_equals_the_whole_stream_chain(self, case):
+        params, cfg, scene, pol, sweeps = case
+        pipeline = SweepPipeline(params, gen_mseq([3, 1, 0]), rx_config=cfg)
+        template = pipeline.template
+        z = despread_windows(pipeline.tx, scene, params, pol, sweeps,
+                             pipeline.window)
+        values = pipeline._values(scene, pol, sweeps)
+        for k, z_row, row in zip(sweeps, z, values):
+            rx = propagate(pipeline.tx, scene, params, pol, k)
+            assert z_row.tobytes() == despread_stream(
+                rx.samples, template, pipeline.window).tobytes()
+            gated = rx_gate(rx, params, cfg.blank_width_s).samples
+            assert row.tobytes() == \
+                stream_profile(gated, template, pipeline.lags).tobytes()
+        past = pipeline.window.stop > params.pri_samples
+        event(f"{params.mode.value} window {'past' if past else 'in'} a slot")
+
+    def test_a_uwb_sweep_holds_its_windows_not_its_stream(self):
+        # one sphere_compare sweep: its 9,472-sample despread window, the
+        # two signals its +-1 chips reach it with, and the noise buffers,
+        # not the 319,341-sample received stream (5.1 MB)
+        scenario = load_scenario(ROOT / "scenarios/sphere_compare.yaml")
+        pipeline = scenario.pipelines[Mode.DS_UWB]
+        cal = pipeline.self_calibrate(*scenario.reference)
+        pipeline.estimate(scenario.scene, cal, scenario.pol, range(1))
+        tracemalloc.start()
+        try:
+            pipeline.estimate(scenario.scene, cal, scenario.pol, range(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSweepSamples:
@@ -1409,12 +1511,10 @@ class TestSweepPool:
     @pytest.mark.parametrize("run", ["series", "scan"])
     def test_two_workers_hold_under_three_receive_streams(self, run,
                                                           monkeypatch):
-        # the calling thread and its one helper each hold the receive
-        # stream of the UWB sweep they run; a UWB sweep's noise, too long
-        # for one draw, is drawn a chunk at a time, which keeps every other
-        # whole-stream temporary short-lived, and this blank reaches no
-        # correlator read, so no blanked copy is made (a whole-rail noise
-        # draw or a blanked copy measured 3.2 to 4.2 streams)
+        # the calling thread and its one helper each hold the despread
+        # windows of the UWB sweep they run, not its receive stream; the
+        # bound was set when each held the stream (a whole-rail noise draw
+        # or a blanked copy of it measured 3.2 to 4.2 streams)
         params, pn = uwb_params(), gen_mseq([5, 2, 0])
         cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
         pipeline = SweepPipeline(params, pn, rx_config=cfg)

@@ -12,6 +12,7 @@ from pnradar import (InterfererKind, PREFERRED_PAIRS, Pol, PulseTrain,
                      gaussian_monocycle, gen_gold, gen_mseq,
                      nb_params, processing_gain, propagate, qpsk_baseband,
                      qpsk_demod, rx_gate, spread, uwb_correlate, uwb_params)
+from stream_oracle import despread_stream, lag_window
 
 
 def _symbol_stream(bits_i, bits_q, pn, params, cpb):
@@ -191,7 +192,8 @@ class TestQpskDemod:
 
 
 def _correlate_all(rx: np.ndarray, template: PulseTrain) -> np.ndarray:
-    """uwb_correlate over every full overlap of template and rx."""
+    """uwb_correlate over every full overlap of template and rx: a
+    template of one chip reads all of rx as its despread window."""
     return uwb_correlate(rx, template, range(len(rx) - len(template) + 1))
 
 
@@ -227,7 +229,7 @@ class TestUwbCorrelate:
     def test_template_longer_than_rx_rejected(self):
         params = uwb_params()
         long = SampleStream(np.ones(8, dtype=complex), params.sample_rate_hz)
-        with pytest.raises(ValueError, match="longer"):
+        with pytest.raises(ValueError, match="does not hold"):
             uwb_correlate(np.ones(4, dtype=complex), PulseTrain(long),
                           range(1))
 
@@ -312,7 +314,8 @@ class TestPulseTrainCorrelator:
         rx, train, lags = case
         full = signal.correlate(rx, train.samples(), mode="valid",
                                 method="fft")
-        got = uwb_correlate(rx, train, lags)
+        got = uwb_correlate(
+            despread_stream(rx, train, lag_window(train, lags)), train, lags)
         assert got.shape == (len(lags),)
         scale = np.linalg.norm(rx) * np.linalg.norm(train.samples())
         np.testing.assert_allclose(got, full[lags.start:lags.stop], rtol=0,
@@ -325,8 +328,11 @@ class TestPulseTrainCorrelator:
         blank = data.draw(st.integers(0, train.period - 1))
         blanked = rx.copy()
         blanked[np.arange(len(rx)) % train.period < blank] = 0.0
-        want = uwb_correlate(blanked, train, lags)
-        got = uwb_correlate(rx, train, lags, blank_samples=blank)
+        window = lag_window(train, lags)
+        want = uwb_correlate(despread_stream(blanked, train, window), train,
+                             lags)
+        got = uwb_correlate(despread_stream(rx, train, window), train, lags,
+                            blank_samples=blank)
         assert got.tobytes() == want.tobytes()
 
     def test_blank_of_a_whole_slot_rejected(self):
@@ -337,13 +343,13 @@ class TestPulseTrainCorrelator:
 
     def test_lag_window_outside_the_overlaps_rejected(self):
         train = PulseTrain(SampleStream(np.ones(4), 1.0))
-        rx = np.ones(10)
-        # the overlaps are lags 0 .. 6
+        z = np.ones(10)
+        # the overlaps of a 10-sample window are lags 0 .. 6
         for lags in (range(0, 8), range(-1, 3), range(0, 6, 2),
-                     range(0, len(rx) + 1)):
+                     range(0, len(z) + 1)):
             with pytest.raises(ValueError, match="lags"):
-                uwb_correlate(rx, train, lags)
-        assert uwb_correlate(rx, train, range(3, 3)).size == 0
+                uwb_correlate(z, train, lags)
+        assert uwb_correlate(z[:3], train, range(3, 3)).size == 0
 
 
 class TestProcessingGain:

@@ -946,10 +946,10 @@ class TestCliEntry:
 
     def test_memory_error_in_a_pool_worker_exits_three(self, tmp_path,
                                                         capsys, monkeypatch):
-        propagate = imaging.propagate
+        despread_windows = imaging.despread_windows
         failed = threading.Event()
 
-        def failing(tx, scene, params, pol, sweep_index=0, n_samples=None):
+        def failing(tx, scene, params, pol, sweeps, window):
             # the series' UWB sweeps (the noisy scene; the calibration's
             # reference sphere is noiseless) run as blocks of one on the
             # calling thread and one pool worker; the worker's first block
@@ -959,16 +959,16 @@ class TestCliEntry:
                     failed.set()
                     raise MemoryError
                 assert failed.wait(timeout=60)
-            return propagate(tx, scene, params, pol, sweep_index, n_samples)
+            return despread_windows(tx, scene, params, pol, sweeps, window)
 
-        monkeypatch.setattr(imaging, "propagate", failing)
+        monkeypatch.setattr(imaging, "despread_windows", failing)
         monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
         path = _write(tmp_path, SERIES)
         rc = main([str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error [rcs_sweep_series]: out of memory: "
-                              "the uwb sweep stream holds ")
+                              "a uwb block holds 1 sweep of ")
         assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_exit_three_on_unwritable_out(self, tmp_path, capsys):
@@ -1283,12 +1283,13 @@ class TestCliEntry:
                 text})
 
     def test_out_of_memory_exits_three(self, tmp_path):
-        # a 31-chip train at 20 THz needs 63.8 M samples (974 MiB) per
-        # received stream; under a 1 GiB address-space limit it cannot be
-        # built
+        # a 31-chip train at 350 THz reads a despread window of 32.0 M
+        # samples (488 MiB) per sweep, and a block builds more than one
+        # array that long; under a 1 GiB address-space limit the chains
+        # load, but the first sweep cannot be built
         path = _write(tmp_path, MINIMAL.replace(
             "radar: {mode: uwb}",
-            "radar: {mode: uwb, uwb: {sample_rate_hz: 2.0e+13}}\n"
+            "radar: {mode: uwb, uwb: {sample_rate_hz: 3.5e+14}}\n"
             "code: {family: msequence, taps: [5, 2, 0], chips_per_bit: 31}"))
         proc = _run_child(
             "import resource, sys\n"
@@ -1298,8 +1299,8 @@ class TestCliEntry:
             path, "--out", tmp_path / "out", "--quiet")
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith(
-            "error [profile]: out of memory: the uwb sweep stream holds "
-            "63,800,001 complex samples (974 MiB)")
+            "error [profile]: out of memory: a uwb block holds 1 sweep of "
+            "31,962,001 complex window samples (487.7 MiB)")
         assert "Traceback" not in proc.stderr
         assert not list((tmp_path / "out").glob("*.csv"))
 
@@ -1325,17 +1326,19 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert re.fullmatch(
             rf"error \[{kind}\]: out of memory: " + "; ".join(
-                rf"the {c} sweep stream holds [\d,]+ complex samples "
-                rf"\([\d,]+ MiB\)" for c in chains) + "\n", err), err
+                rf"a {c} block holds [\d,]+ sweeps? of [\d,]+ complex window "
+                rf"samples \([\d,]+\.\d MiB\)" for c in chains) + "\n",
+            err), err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("max_range, streams", [
         # cannot be allocated, let alone under a 1 GiB address-space limit
-        ("1.0e+9", "667,128,500,398 complex samples (10,179,573 MiB)"),
+        ("1.0e+9", "667,128,190,529 complex window samples "
+                   "(10,179,568.3 MiB)"),
         # past the largest array numpy can index, which it reports as a
         # ValueError
-        ("1.0e+20", "66,712,819,039,630,411,479,793 complex samples "
-                    "(1,017,956,833,490,454,272 MiB)")])
+        ("1.0e+20", "66,712,819,039,630,411,179,793 complex window samples "
+                    "(1,017,956,833,490,454,272.0 MiB)")])
     def test_huge_max_range_exits_three_while_loading(self, tmp_path,
                                                       max_range, streams):
         path = _write(tmp_path,
@@ -1348,7 +1351,7 @@ class TestCliEntry:
             path, "--out", tmp_path / "out", "--quiet")
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == ("error [rcs_sweep_series]: out of memory: "
-                               f"the uwb sweep stream holds {streams}\n")
+                               f"a uwb block holds 1 sweep of {streams}\n")
         assert not (tmp_path / "out").exists()
 
 
