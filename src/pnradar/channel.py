@@ -540,26 +540,28 @@ def propagate(tx: PulseTrain, scene: Scene, params: RadarParams, pol: Pol,
 def despread_windows(tx: PulseTrain, scene: Scene, params: RadarParams,
                      pol: Pol, sweeps: range, window: range) -> np.ndarray:
     """The despread windows of a block of sweeps, without their received
-    streams: row r is, bit for bit,
-    ``sum_j tx.chips[j] * rx[window.start + j*period : window.stop +
-    j*period]`` over the chips j of the train, summed in chip order, for
-    ``rx = propagate(tx, scene, params, pol, sweeps[r]).samples``.  Every
-    chip's window must end inside the stream.
+    streams: row r is ``sum_j tx.chips[j] * rx[window.start + j*period :
+    window.stop + j*period]`` over the chips j of the train, to rounding,
+    for ``rx = propagate(tx, scene, params, pol, sweeps[r]).samples``.
+    Every chip's window must end inside the stream.
 
-    Each chip's window adds what propagate adds to its samples, in the
-    same order and from the same products: the scene's terms, then the
-    interferers' samples, then the noise.  The noise streams are read as
-    propagate draws them, the whole real rail and then the imaginary one,
-    so the real part of the sum is despread first, then the imaginary
-    one; for real chips that gives exactly the parts of the complex sum.
-    The scene's terms are built once for all the windows that the same
-    chips reach at the same offsets (once for a +-1 code when no echo and
-    no window crosses a PRI slot, the opposite chip's being their
-    negation); the draws between windows are made and dropped, and
-    overlapping windows share theirs.  A block holds a few arrays of rows
-    x len(window) samples.
+    The sum is linear, so each thing propagate adds is despread on its
+    own, in propagate's order.  A term (amp, d) sends chip k's pulse to
+    sample d + k*period, which chip j's window reads at offset d +
+    (k-j)*period - start; summed over the chips, the pulse at offset
+    q*period is weighed by the code's aperiodic autocorrelation R(q) =
+    sum_j c_j * c_{j+q}.  So each term adds R(q) * amp * pulse once per q
+    whose pulse overlaps the window.  Each interferer adds its samples,
+    window by window, weighed by their chips.  Each row draws its noise as
+    propagate does, the whole real rail and then the imaginary one, in
+    chunks of one period from the window's start; a chunk adds to each
+    chip window it falls in, and the draws outside every window are made
+    and dropped, but for those past the last one.  For the one chip of
+    weight 1 of a narrowband pulse each sample adds what propagate adds,
+    in its order, so the window equals the stream's bit for bit.  A block
+    holds a few arrays of rows x len(window) samples and one chunk.
     """
-    n, period, chips = len(tx), tx.period, tx.chips.tolist()
+    n, period, chips = len(tx), tx.period, tx.chips
     start, width = window.start, len(window)
     if window.step != 1 or start < 0 \
             or start + width + (len(chips) - 1) * period > n:
@@ -567,105 +569,45 @@ def despread_windows(tx: PulseTrain, scene: Scene, params: RadarParams,
                          f"{period} samples must lie in the {n}-sample "
                          f"stream")
     terms, interferers, noise = _block_terms(tx, scene, params, pol, sweeps)
-    rows = len(sweeps)
-    shaped = tx.chips[:, None] * tx.pulse.samples[None, :]
-    pulse = shaped.shape[1]
-    # term (amp, d) reaches chip j's window with its chips j + q, q in
-    # reach[t]: those whose pulse overlaps it
-    reach = [range((start - pulse - d) // period + 1,
-                   (start + width - d - 1) // period + 1) for _, d in terms]
-    offsets = range(min((q.start for q in reach if q), default=0),
-                    max((q.stop for q in reach if q), default=0))
-    # the chips that reach each window: windows of one key hold the same
-    # terms, and windows of negated keys opposite ones
-    keys = [tuple(chips[j + q] if 0 <= j + q < len(chips) else None
-                  for q in offsets) for j in range(len(chips))]
-    last = {key: j for j, key in enumerate(keys)}
-    memo = {}  # key: the parts of its terms that a later window reads
-
-    def terms_in(j: int, part: str) -> np.ndarray:
-        """The real or imaginary part of the scene's terms in chip j's
-        window, built with the other part and kept while a later window
-        reads it.  Negating an entry gives the opposite key's terms, but
-        for the signs of zeros, which cannot change a sum that starts at
-        +0."""
-        key = keys[j]
-        negated = memo.get(tuple(None if c is None else -c for c in key))
-        if key not in memo and negated \
-                and all(x is not None for x in negated.values()):
-            memo[key] = {p: -x for p, x in negated.items()}
-        elif memo.get(key, {}).get(part) is None:
-            memo[key] = {p: np.zeros((rows, width)) for p in ("real", "imag")}
-            product = np.empty((rows, 1, pulse), dtype=np.complex128)
-            for (amp, d), qs in zip(terms, reach):
-                for k in range(max(j + qs.start, 0),
-                               min(j + qs.stop, len(chips))):
-                    o = d + (k - j) * period - start
-                    a, b = max(o, 0), min(o + pulse, width)
-                    np.multiply(amp[:, :, None], shaped[None, k:k + 1],
-                                out=product)
-                    for p, x in memo[key].items():
-                        x[:, a:b] += getattr(product, p)[:, 0, a - o:b - o]
-        found = memo[key][part]
-        if last[key] == j:  # no later window of this pass reads it
-            memo[key][part] = None
-        return found
-
-    def add_window(j: int, part: str, base: int, acc, add=np.add):
-        """add(acc, x, out=acc) for each of chip j's window's terms, in
-        propagate's order: the scene's, the interferers', then the noise,
-        whose rail for this part starts with draw ``base``.  Without acc,
-        the window's sum, which may be the memo's entry when the scene's
-        terms are all it holds."""
-        nonlocal drawn, draws
-        s = start + j * period
-        # without acc, the first addition copies the scene's terms
-        owned = acc is not None
-        if owned:
-            add(acc, terms_in(j, part), out=acc)
-        else:
-            acc = terms_in(j, part)
-        for samples in interferers:
-            x = getattr(samples(s, s + width), part)
-            acc, owned = add(acc, x, out=acc if owned else None), True
-            del x  # before the next interferer's samples are made
-        if noise:
-            gap = base + s - drawn  # > 0 only where a pass starts
-            keep = max(-gap, 0)  # the draws of the last window it reads
-            # the draws up to the pass's next window are made with these
-            # and dropped
-            tail = max(period - width, 0) if j + 1 < len(chips) else 0
-            carried, draws = draws, np.empty((rows, width + tail))
-            if keep:
-                draws[:, :keep] = carried[:, width - keep:width]
-            for row, rng in zip(draws[:, keep:], noise):
-                if gap > 0:
-                    rng.standard_normal(gap)
-                rng.standard_normal(out=row)
-            drawn = base + s + width + tail
-            draws[:, keep:width] *= scale
-            acc = add(acc, draws[:, :width], out=acc if owned else None)
-            if width <= period:  # no later window shares them
-                draws = None
-        return acc
-
+    pulse = tx.pulse.samples
+    corr = np.correlate(chips, chips, "full")  # R(q) at q + len(chips) - 1
+    z = np.zeros((len(sweeps), width), dtype=np.complex128)
+    # the terms share one product buffer and each interferer window is
+    # weighed in place: a short-lived array of a block's size re-faults
+    # its pages once freed
+    product = np.empty((len(sweeps), pulse.size), dtype=np.complex128)
+    for amp, d in terms:
+        # the slot offsets q whose pulse overlaps the window
+        for q in range(max((start - pulse.size - d) // period + 1,
+                           1 - len(chips)),
+                       min((start + width - d - 1) // period + 1, len(chips))):
+            o = d + q * period - start
+            a, b = max(o, 0), min(o + pulse.size, width)
+            z[:, a:b] += np.multiply(corr[q + len(chips) - 1] * amp,
+                                     pulse[None, a - o:b - o],
+                                     out=product[:, :b - a])
+    del product
+    for samples in interferers:
+        for j, chip in enumerate(chips.tolist()):
+            s = start + j * period
+            x = samples(s, s + width)
+            x *= chip
+            z += x
+            del x  # before the next window's samples are made
     scale = np.sqrt(scene.noise_psd * params.sample_rate_hz / 2.0)
-    drawn, draws = 0, None  # how far the noise streams have drawn, and
-    # the last window's draws while the next one may overlap them
-    sums = {}
-    for part, base in (("real", 0), ("imag", n)):
-        out = sums[part] = np.zeros((rows, width))
-        for j, chip in enumerate(chips):
-            # a chip of +-1 adds or subtracts exactly what its product
-            # would, and the first window can do so term by term into the
-            # sum itself, which starts at +0
-            sign = {1.0: np.add, -1.0: np.subtract}.get(chip)
-            if sign and j == 0:
-                add_window(j, part, base, out, sign)
-            elif sign:
-                sign(out, add_window(j, part, base, None), out=out)
-            else:
-                out += chip * add_window(j, part, base, None)
-    z = np.empty((rows, width), dtype=np.complex128)
-    z.real, z.imag = sums["real"], sums["imag"]
+    # chunk m holds the draws from start + m*slot on, which chip j's window
+    # reads at offset (m-j)*slot; a single chip reads one chunk
+    slot = period if len(chips) > 1 else n
+    end = start + (len(chips) - 1) * period + width
+    for row, rng in zip(z, noise):
+        # the imaginary rail starts n draws after the real one
+        for rail, skip in ((row.real, start), (row.imag, n - end + start)):
+            rng.standard_normal(skip)
+            for m, a in enumerate(range(start, end, slot)):
+                chunk = rng.standard_normal(min(slot, end - a))
+                chunk *= scale
+                for j in range(max(m - (width - 1) // slot, 0),
+                               min(m + 1, len(chips))):
+                    o = (m - j) * slot
+                    rail[o:o + slot] += chips[j] * chunk[:width - o]
     return z

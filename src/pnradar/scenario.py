@@ -454,7 +454,9 @@ def _check_kept_window(pipeline: SweepPipeline, reference_m: float | None,
     near, far = pipeline.rx_config.range_window_m
     window = f"the kept range window [{near:g}, {far:g}] m"
     if not pipeline.lags:
-        raise ScenarioError(f"receiver.max_range_m {chain}: {window} is empty")
+        # a blank that ends past max_range_m leaves no range to keep
+        where = "blank_width_s" if near > far else "max_range_m"
+        raise ScenarioError(f"receiver.{where} {chain}: {window} is empty")
     gate = pipeline.rx_config.gate_m if gated else None
     needed = {} if reference_m is None else {
         f"the calibration reference at {reference_m:g} m": (reference_m,

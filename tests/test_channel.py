@@ -17,7 +17,7 @@ from pnradar import channel
 from pnradar.channel import (_POL_INDEX, _RNG_INTERFERER, _RNG_NOISE,
                              _RNG_PHASE, _interferer, _stream_rngs,
                              _stream_state, _tone)
-from stream_oracle import despread_stream
+from stream_oracle import assert_rounding_close, despread_stream
 
 _U64 = 2**64 - 1
 
@@ -710,7 +710,7 @@ class TestPropagateTrain:
 
 
 class TestDespreadWindows:
-    """A block's despread windows hold, row by row and bit for bit, the
+    """A block's despread windows hold, row by row and to rounding, the
     chip-weighted sum of the windows of each sweep's whole stream."""
 
     @staticmethod
@@ -721,8 +721,8 @@ class TestDespreadWindows:
         assert z.shape == (len(sweeps), len(window))
         for row, k in zip(z, sweeps):
             rx = propagate(train, scene, params, pol, k).samples
-            assert row.tobytes() == \
-                despread_stream(rx, train, window).tobytes()
+            assert_rounding_close(row, despread_stream(rx, train, window),
+                                  train, scene, params, pol, k, window)
 
     @settings(max_examples=200, deadline=None)
     @given(_train_case(), st.data())
@@ -738,6 +738,59 @@ class TestDespreadWindows:
         sweeps = range(first, first + data.draw(st.integers(1, 3)))
         self._assert_despread(tx, scene, params, pol, sweeps,
                               data.draw(_windows(tx)))
+
+
+class TestDespreadingGain:
+    """An echo despread against its own code is weighed by the code's
+    aperiodic autocorrelation: R(0) = 31 for a 31-chip m-sequence where
+    its pulse lies in its own slot, and R(-1) = sum_j c_j * c_{j-1} for
+    the tail it sends into the next chip's slot."""
+
+    @staticmethod
+    def _echo(params, pn, slot_offset):
+        """The one-point DS-UWB chain whose echo starts slot_offset samples
+        into a PRI slot: its train, scene, sample delay and amplitude, as
+        the one-point expression rounds it."""
+        tx = make_waveform(params, pn)[0]
+        fs = params.sample_rate_hz
+        range_m = slot_offset * SPEED_OF_LIGHT / (2.0 * fs)
+        scene = _single_point_scene(sigma=1e-3, range_m=range_m)
+        tau = 2.0 * range_m / SPEED_OF_LIGHT
+        amp = complex(np.sqrt(1e-3)) / range_m ** 2 \
+            * np.exp(-2j * np.pi * params.carrier_hz * tau)
+        return tx, scene, int(round(tau * fs)), amp
+
+    def test_echo_in_its_slot_gains_the_code_length(self):
+        params, pn = uwb_params(), gen_mseq([5, 2, 0])
+        tx, scene, d, amp = self._echo(params, pn, 2_000)
+        pulse = tx.pulse.samples
+        assert (tx.chips.size, float(tx.chips @ tx.chips)) == (31, 31.0)
+        window = range(d - 40, d + pulse.size + 40)
+        want = np.zeros(len(window), dtype=np.complex128)
+        want[40:40 + pulse.size] = 31.0 * amp * pulse
+        z = despread_windows(tx, scene, params, Pol.VV, range(1), window)
+        assert_rounding_close(z[0], want, tx, scene, params, Pol.VV, 0,
+                              window)
+
+    def test_echo_past_its_slot_reaches_the_next_chip(self):
+        # windows from the start of each slot, and a point 5 samples short
+        # of c*PRI/2: chip j's echo starts at the end of slot j and ends in
+        # slot j + 1, which chip j + 1's window reads with weight
+        # c_{j+1} * c_j.  The 31-chip
+        # m-sequences have R(-1) = 0, the 7-chip one R(-1) = -2
+        params, pn = uwb_params(), gen_mseq([3, 1, 0])
+        period = params.pri_samples
+        tx, scene, d, amp = self._echo(params, pn, period - 5)
+        assert d == period - 5
+        chips, pulse = tx.chips, tx.pulse.samples
+        assert float(chips[1:] @ chips[:-1]) == -2.0
+        window = range(0, period)
+        want = np.zeros(period, dtype=np.complex128)
+        want[:pulse.size - 5] = -2.0 * amp * pulse[5:]
+        want[d:] = 7.0 * amp * pulse[:5]
+        z = despread_windows(tx, scene, params, Pol.VV, range(1), window)
+        assert_rounding_close(z[0], want, tx, scene, params, Pol.VV, 0,
+                              window)
 
 
 _PURPOSES = (_RNG_PHASE, _RNG_NOISE, _RNG_INTERFERER)

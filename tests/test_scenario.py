@@ -1244,12 +1244,17 @@ class TestCliEntry:
                 MINIMAL + "  clutter: {count: 20, range_max_m: 40.0}\n",
         })
         # the blank ends at c*blank/2 = 0.3 m, past max_range_m, for runs
-        # that neither calibrate nor gate too
+        # that neither calibrate nor gate too; so does a blank of 95 ns,
+        # at 14.24 m, past the default max_range_m a file does not set
         for kind in ("profile", "polarimetric"):
             _assert_rejected_before_synthesis(tmp_path, capsys, {
-                "receiver.max_range_m (uwb chain): the kept range window "
+                "receiver.blank_width_s (uwb chain): the kept range window "
                 "[0.299792, 0.2] m is empty": MINIMAL + "receiver: "
                 "{blank_width_s: 2.0e-9, max_range_m: 0.2}\n"
+                f"experiment: {{kind: {kind}}}\n",
+                "receiver.blank_width_s (uwb chain): the kept range window "
+                "[14.2401, 13.4907] m is empty": MINIMAL + "receiver: "
+                "{blank_width_s: 95.0e-9}\n"
                 f"experiment: {{kind: {kind}}}\n"})
         # a profile neither calibrates nor gates
         load_scenario(_write(tmp_path, nb + "receiver: {max_range_m: 5.0}\n",
