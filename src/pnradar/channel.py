@@ -316,8 +316,10 @@ def _tone(df: float, n: int, fs: float) -> np.ndarray:
     Memoized: every sweep of a scene adds the same carrier-offset tone
     per interferer, so the returned array is read-only.
     """
-    t = np.arange(n) / fs
-    tone = np.exp(2j * np.pi * df * t)
+    # the tone is built in its argument's buffer, so that no time array
+    # is held beside the n complex samples
+    tone = 2j * np.pi * df * (np.arange(n) / fs)
+    np.exp(tone, out=tone)
     tone.flags.writeable = False
     return tone
 
@@ -384,45 +386,28 @@ def check_unambiguous_range(ranges: np.ndarray, params: RadarParams) -> None:
 def _echoes(scene: Scene, pol: Pol, params: RadarParams,
             jitter: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """The distinct sample delays round(tau * fs) of the scene's echoes, in
-    order of first appearance, and for each row of ``jitter`` (one sweep's
+    increasing order, and for each row of ``jitter`` (one sweep's
     per-point phases) the summed complex amplitude at each delay: the
     amplitudes sqrt(sigma) * S_pq / R^2 * exp(j(-2*pi*f_c*tau + jitter))
     of the points that share a delay, added in point order.  Points of
-    zero amplitude add nothing and are left out.
-
-    Each amplitude rounds exactly as the one-point expression
-    ``complex(sqrt(sigma) * S_pq) / R**2 * np.exp(1j * phase)`` in Python
-    scalars: R**2 goes through libm pow (``float_power``), the division by
-    R**2 is taken part by part, and the complex product is written out,
-    because numpy's complex multiply rounds differently from Python's.
-    Every step is elementwise, so a row's amplitudes do not depend on the
-    other rows.
+    zero amplitude add nothing and are left out.  Every step is
+    elementwise, so a row's amplitudes do not depend on the other rows.
     """
     ranges, root, pol_matrices = scene.point_arrays
     r, c = _POL_INDEX[pol]
-    s_pq = pol_matrices[:, r, c]
-    r2 = np.float_power(ranges, 2.0)
-    re = root * s_pq.real / r2
-    im = root * s_pq.imag / r2
+    scatter = root * pol_matrices[:, r, c] / ranges ** 2
     # a unit rotation keeps a nonzero amplitude nonzero
-    live = np.flatnonzero((re != 0.0) | (im != 0.0))
+    live = np.flatnonzero(scatter)
     delay_s = 2.0 * ranges[live] / SPEED_OF_LIGHT
     # np.rint rounds half to even, as round() does
-    distinct, first, which = np.unique(
+    delays, which = np.unique(
         np.rint(delay_s * params.sample_rate_hz).astype(np.int64),
-        return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    re, im = re[live], im[live]
-    rot = np.exp(1j * (-2.0 * np.pi * params.carrier_hz * delay_s
-                       + jitter[:, live]))
-    a = np.empty(rot.shape, dtype=np.complex128)
-    a.real = re * rot.real - im * rot.imag
-    a.imag = re * rot.imag + im * rot.real
-    h = np.zeros((jitter.shape[0], order.size), dtype=np.complex128)
-    np.add.at(h, (slice(None), rank[which]), a)
-    return tuple(distinct[order].tolist()), h
+        return_inverse=True)
+    a = scatter[live] * np.exp(1j * (-2.0 * np.pi * params.carrier_hz
+                                     * delay_s + jitter[:, live]))
+    h = np.zeros((jitter.shape[0], delays.size), dtype=np.complex128)
+    np.add.at(h, (slice(None), which), a)
+    return tuple(delays.tolist()), h
 
 
 def _block_terms(tx: PulseTrain, scene: Scene, params: RadarParams,
@@ -430,7 +415,7 @@ def _block_terms(tx: PulseTrain, scene: Scene, params: RadarParams,
     """What each sweep of a block adds to its received stream, after
     propagate's checks: the scene's terms (amp, d), each adding amp[r] *
     chip j's pulse at sample d + j*period of row r (the direct path, then
-    each distinct echo delay, as _echoes orders them), the interferers'
+    each distinct echo delay in increasing order), the interferers'
     samples(a, b) functions (see _interferer) and the noise generators,
     one per row (none without noise), all drawn as propagate draws them."""
     if (tx.sample_rate, tx.carrier_hz) != (params.sample_rate_hz,
@@ -484,10 +469,10 @@ def propagate(tx: PulseTrain, scene: Scene, params: RadarParams, pol: Pol,
     a per-point phase drawn fresh every sweep when jitter is enabled.
     Delays round to the nearest sample (half to even).  The amplitudes
     of points that share a delay are summed in point order, and each
-    distinct delay adds, in order of first appearance, its amplitude
-    times each chip's pulse, chip by chip; points of zero scattering
-    amplitude are skipped.  Direct-path leakage, external interferers
-    and thermal noise are added on top, in that order.
+    distinct delay adds, in increasing order, its amplitude times each
+    chip's pulse, chip by chip, as far as the stream reaches; points of
+    zero scattering amplitude are skipped.  Direct-path leakage, external
+    interferers and thermal noise are added on top, in that order.
 
     Sweep k's phase jitter, interferer i and noise each draw from their
     own RNG stream, the generator
@@ -506,26 +491,11 @@ def propagate(tx: PulseTrain, scene: Scene, params: RadarParams, pol: Pol,
         tx, scene, params, pol, range(sweep_index, sweep_index + 1))
     n = len(tx)
     out = np.zeros((1, n), dtype=np.complex128)
-    # shaped[j] is chip j's pulse, sent from sample j*period.  windows[r, s]
-    # is the width samples of row r from sample s, so the chips of a delay
-    # d land in windows[:, d + j*period]: one strided (rows, chips, width)
-    # view of out, whose windows do not overlap
+    # shaped[j] is chip j's pulse, sent from sample j*period
     shaped = tx.chips[:, None] * tx.pulse.samples[None, :]
-    chips, width = shaped.shape
-    period = tx.period
-    windows = np.lib.stride_tricks.as_strided(
-        out, (1, max(n - width + 1, 0), width),
-        out.strides + out.strides[1:])
     for amp, d in terms:
-        # the chips that end inside the stream whole, then the first
-        # samples of the one that crosses its end
-        whole = min(chips, max(0, (n - width - d) // period + 1))
-        if whole:
-            windows[:, d:d + whole * period:period] += \
-                amp[:, :, None] * shaped[None, :whole]
-        start = d + whole * period
-        if whole < chips and start < n:
-            out[:, start:] += amp * shaped[None, whole, :n - start]
+        for pulse, s in zip(shaped, range(d, n, tx.period)):
+            out[:, s:s + pulse.size] += amp * pulse[None, :n - s]
     for samples in interferers:
         out += samples(0, n)
     scale = np.sqrt(scene.noise_psd * params.sample_rate_hz / 2.0)
@@ -595,19 +565,18 @@ def despread_windows(tx: PulseTrain, scene: Scene, params: RadarParams,
             z += x
             del x  # before the next window's samples are made
     scale = np.sqrt(scene.noise_psd * params.sample_rate_hz / 2.0)
-    # chunk m holds the draws from start + m*slot on, which chip j's window
-    # reads at offset (m-j)*slot; a single chip reads one chunk
-    slot = period if len(chips) > 1 else n
+    # chunk m holds the draws from start + m*period on, which chip j's
+    # window reads at offset (m-j)*period
     end = start + (len(chips) - 1) * period + width
     for row, rng in zip(z, noise):
         # the imaginary rail starts n draws after the real one
         for rail, skip in ((row.real, start), (row.imag, n - end + start)):
             rng.standard_normal(skip)
-            for m, a in enumerate(range(start, end, slot)):
-                chunk = rng.standard_normal(min(slot, end - a))
+            for m, a in enumerate(range(start, end, period)):
+                chunk = rng.standard_normal(min(period, end - a))
                 chunk *= scale
-                for j in range(max(m - (width - 1) // slot, 0),
+                for j in range(max(m - (width - 1) // period, 0),
                                min(m + 1, len(chips))):
-                    o = (m - j) * slot
-                    rail[o:o + slot] += chips[j] * chunk[:width - o]
+                    o = (m - j) * period
+                    rail[o:o + period] += chips[j] * chunk[:width - o]
     return z

@@ -442,11 +442,13 @@ class SweepPipeline:
     """Precomputed transmit/template pair for repeated sweeps.
 
     One instance owns the waveform for a given (params, code) pair and
-    runs the propagate / correlate / profile chain on blocks of sweeps.
-    The correlator computes only the lags the profile keeps and blanks the
-    samples it reads.  ``chips_per_bit`` is checked against the code and
-    otherwise unused, as the waveform carries no data bits; it stays while
-    the benchmark's set-up passes it by position (ROADMAP item 5).
+    runs the despread_windows / correlate / profile chain on blocks of
+    sweeps, which share its transmit train, template, kept lags and
+    window.  The correlator computes only the lags the profile keeps and
+    blanks the samples it reads.  ``chips_per_bit`` is checked against
+    the code and otherwise unused, as the waveform carries no data bits;
+    it stays while the benchmark's set-up passes it by position (ROADMAP
+    item 5).
     """
 
     def __init__(self, params: RadarParams, pn: PnSequence,

@@ -24,8 +24,7 @@ _U64 = 2**64 - 1
 
 def scattering_amplitude(point, pol):
     """Complex scattered amplitude sqrt(sigma) * S_pq for a tx/rx pair, as
-    one Python complex: the scalar the channel's echo amplitudes round
-    like."""
+    one Python complex."""
     r, c = _POL_INDEX[pol]
     return complex(np.sqrt(point.sigma_m2) * point.pol_matrix[r, c])
 
@@ -446,19 +445,11 @@ class TestPropagateOracle:
         params, tx, scene, pol, sweep = case
         rx = propagate(tx, scene, params, pol, sweep).samples
         ref = _propagate_oracle(tx, scene, params, pol, sweep).samples
-        fs = tx.sample_rate
-        live = [p for p in scene.all_points
-                if scattering_amplitude(p, pol) != 0]
-        delays = [int(round(2.0 * p.range_m / SPEED_OF_LIGHT * fs))
-                  for p in live]
-        if len(set(delays)) == len(delays):
-            # one point per delay: the same adds in the same order
-            assert np.array_equal(rx, ref)
-            return
-        # shared delays are summed first, which reassociates the echo sums;
-        # samples added before or after them round at most an ulp apart
+        # the amplitudes round as numpy's arrays do, not as the oracle's
+        # Python scalars, and shared delays are summed first, which
+        # reassociates the echo sums
         sum_a = sum(abs(scattering_amplitude(p, pol)) / p.range_m ** 2
-                    for p in live)
+                    for p in scene.all_points)
         max_tx = np.max(np.abs(tx.samples()))
         tol = 1e-12 * ((scene.direct_path_gain + sum_a) * max_tx
                        + np.max(np.abs(ref)))
@@ -476,6 +467,35 @@ class TestPropagateOracle:
         rx = propagate(tx, scene, params, Pol.VV).samples
         assert np.array_equal(
             rx, _propagate_oracle(tx, scene, params, Pol.VV).samples)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_oracle_case(), st.integers(1, 4))
+    def test_echoes_sum_one_point_amplitudes(self, case, rows):
+        # _echoes' delays increase strictly, a delay is kept only for a
+        # point of nonzero amplitude, and each column is the sum of the
+        # one-point amplitudes of its points in every row of jitter
+        params, tx, scene, pol, sweep = case
+        points = scene.all_points
+        jitter = np.random.default_rng(sweep).normal(
+            0.0, scene.sweep_phase_jitter_rad, (rows, len(points)))
+        delays, h = channel._echoes(scene, pol, params, jitter)
+        assert h.shape == (rows, len(delays))
+        assert all(a < b for a, b in zip(delays, delays[1:]))
+        fs = tx.sample_rate
+        want = {d: np.zeros(rows, dtype=complex) for d in delays}
+        scale = {d: 0.0 for d in delays}
+        for k, p in enumerate(points):
+            amp = scattering_amplitude(p, pol) / p.range_m ** 2
+            if amp == 0:
+                continue
+            tau = 2.0 * p.range_m / SPEED_OF_LIGHT
+            d = int(round(tau * fs))
+            want[d] += amp * np.exp(1j * (-2.0 * np.pi * params.carrier_hz
+                                          * tau + jitter[:, k]))
+            scale[d] += abs(amp)
+        assert all(scale.values())
+        for j, d in enumerate(delays):
+            assert np.abs(h[:, j] - want[d]).max() <= 1e-12 * scale[d]
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-39e6, 39e6), st.integers(1, 5000),

@@ -641,11 +641,14 @@ class TestReadPrefix:
     its profile is that of the whole received stream: bit for bit for the
     narrowband pulse of one chip, to rounding for a train."""
 
-    @pytest.mark.parametrize("mode", ["nb", "uwb_blanked"])
+    @pytest.mark.parametrize("mode", ["nb", "nb_past_slot", "uwb_blanked"])
     def test_profile_matches_the_full_stream(self, mode):
-        if mode == "nb":
+        if mode.startswith("nb"):
             params, pn = nb_params(), gen_mseq([7, 1, 0])
-            cfg = ReceiverConfig(max_range_m=100.0)
+            # out to 14 km the window is wider than the PRI, so its noise
+            # is drawn in two chunks
+            cfg = ReceiverConfig(
+                max_range_m=100.0 if mode == "nb" else 14_000.0)
             clutter = gen_clutter((2.0, 8.0), 40, 5e-4, seed=6)
         else:
             params, pn = uwb_params(), gen_mseq([3, 1, 0])
@@ -666,7 +669,7 @@ class TestReadPrefix:
             if cfg.blank_width_s:
                 rx = rx_gate(rx, params, cfg.blank_width_s)
             ref = stream_profile(rx.samples, pipeline.template, pipeline.lags)
-            if mode == "nb":
+            if params.mode is Mode.NB_DSSS:
                 assert prof.values.tobytes() == ref.tobytes()
             else:
                 assert_rounding_close(prof.values, ref, pipeline.tx, scene,
@@ -679,6 +682,8 @@ class TestReadPrefix:
         if mode == "nb":
             assert (len(pipeline.lags), len(window), len(pipeline.tx)) == \
                 (54, 853, 8055)
+        if mode == "nb_past_slot":
+            assert (len(window), pipeline.tx.period) == (8_271, 8_000)
 
 
 class TestOneCorrelatorPerSweep:
@@ -1446,9 +1451,9 @@ class TestSweepPool:
         assert set(started) <= {0, 1, 2, 3, rows, rows + 1}
 
     def test_stress_more_workers_than_cpus(self, monkeypatch):
-        # the lazily built shared state (transmit support, scene point
-        # arrays, tone cache, image rows) is built and written under
-        # contention; a lost or torn update would change the image
+        # the lazily built shared state (scene point arrays, tone cache,
+        # image rows) is built and written under contention; a lost or
+        # torn update would change the image
         params, pn = uwb_params(), gen_mseq([3, 1, 0])
         cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
         cal = Calibration(gain=1.0, reference_sigma_m2=SIGMA_REF,
@@ -1479,10 +1484,10 @@ class TestSweepPool:
         assert np.array_equal(result["power"], serial)
 
     def test_stress_nb_series_more_workers_than_cpus(self, monkeypatch):
-        # NB blocks of the default size on 8 threads: the tone cache, the
-        # scene's point arrays and the transmit support are built under
-        # contention, and the estimates are gathered from
-        # every thread; a lost or torn update would change an estimate
+        # NB blocks of the default size on 8 threads: the tone cache and
+        # the scene's point arrays are built under contention, and the
+        # estimates are gathered from every thread; a lost or torn update
+        # would change an estimate
         params, pn = nb_params(), gen_mseq([7, 1, 0])
         cfg = ReceiverConfig(max_range_m=100.0)
         cal = Calibration(gain=1.0, reference_sigma_m2=SIGMA_REF,
