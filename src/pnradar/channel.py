@@ -403,8 +403,12 @@ def _echoes(scene: Scene, pol: Pol, params: RadarParams,
     delays, which = np.unique(
         np.rint(delay_s * params.sample_rate_hz).astype(np.int64),
         return_inverse=True)
-    a = scatter[live] * np.exp(1j * (-2.0 * np.pi * params.carrier_hz
-                                     * delay_s + jitter[:, live]))
+    s, e = scatter[live], np.exp(1j * (-2.0 * np.pi * params.carrier_hz
+                                       * delay_s + jitter[:, live]))
+    # s * e, written out in real parts (see propagate)
+    a = np.empty_like(e)
+    a.real = s.real * e.real - s.imag * e.imag
+    a.imag = s.real * e.imag + s.imag * e.real
     h = np.zeros((jitter.shape[0], delays.size), dtype=np.complex128)
     np.add.at(h, (slice(None), which), a)
     return tuple(delays.tolist()), h
@@ -482,10 +486,11 @@ def propagate(tx: PulseTrain, scene: Scene, params: RadarParams, pol: Pol,
     SeedSequence word for word, so the draws are those of the
     default_rng calls.  An interferer of zero power draws nothing and
     adds nothing.  The noise stream draws the whole real rail, then the
-    whole imaginary one.  (Complex products are taken out of place, on
-    operands of equal dimension: numpy rounds a lone broadcast or
-    in-place complex product through its scalar loop, which differs in
-    the last bit from the vector loop every other product takes.)
+    whole imaginary one.  (numpy rounds a complex product of one element
+    whose operands differ in dimension without the fused multiply-add of
+    its other complex products.  So each complex product on a block's rows
+    has a real operand, or operands of equal dimension, or is written out
+    in real parts, and a row rounds alike in a block of any size.)
     """
     terms, interferers, noise = _block_terms(
         tx, scene, params, pol, range(sweep_index, sweep_index + 1))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,13 +42,12 @@ _BLOCK_SAMPLES = 1 << 14
 
 # The blocks run on at most this many threads, the calling thread and
 # _MAX_POOL_WORKERS - 1 helpers, so that numpy work that releases the GIL
-# (the noise draws above all) overlaps.  Measured on 2 CPUs (medians of 6
-# runs of one process each): two threads took the sphere_compare benchmark
-# from 0.78 to 0.48 s and nb_dense_series from 0.28 to 0.20 s, at a peak
-# RSS 0.9-1.1 MB higher.  Each block in flight holds its own despread
-# windows and their temporaries, under 1 MB for a DS-UWB sweep or a
-# narrowband block of 19, so peak memory grows with the width; wider pools
-# were not measured.
+# (the noise draws above all) overlaps.  Measured on 2 CPUs (in-process
+# medians of 5 runs): two threads took sphere_compare from 0.51 to 0.28 s,
+# nb_dense_series from 0.16 to 0.12 s and uwb_scan from 0.48 to 0.30 s.
+# Each block in flight holds its own despread windows and their
+# temporaries, under 1 MB for a DS-UWB sweep or a narrowband block of 19,
+# so peak memory grows with the width; wider pools were not measured.
 _MAX_POOL_WORKERS = 2
 
 
@@ -158,11 +156,6 @@ def _lag_ranges_m(lags: range, params: RadarParams) -> np.ndarray:
     """Two-way range of correlation lags of one sample each."""
     return SPEED_OF_LIGHT * (np.arange(lags.start, lags.stop)
                              * (1.0 / params.sample_rate_hz)) / 2.0
-
-
-def _bin_width_m(params: RadarParams) -> float:
-    """Two-way range of one lag."""
-    return SPEED_OF_LIGHT * (1.0 / params.sample_rate_hz) / 2.0
 
 
 def _median(x: np.ndarray) -> np.ndarray:
@@ -439,16 +432,16 @@ def _usable_cpus() -> int:
 
 
 class SweepPipeline:
-    """Precomputed transmit/template pair for repeated sweeps.
+    """One transmit train for repeated sweeps.
 
     One instance owns the waveform for a given (params, code) pair and
     runs the despread_windows / correlate / profile chain on blocks of
-    sweeps, which share its transmit train, template, kept lags and
-    window.  The correlator computes only the lags the profile keeps and
-    blanks the samples it reads.  ``chips_per_bit`` is checked against
-    the code and otherwise unused, as the waveform carries no data bits;
-    it stays while the benchmark's set-up passes it by position (ROADMAP
-    item 5).
+    sweeps, which share its one transmit train, kept lags and window; the
+    correlator matches the train's own pulse, the template's, over only
+    the lags the profile keeps, and blanks the samples it reads.
+    ``chips_per_bit`` is checked against the code and otherwise unused, as
+    the waveform carries no data bits; it stays while the benchmark's
+    set-up passes it by position (ROADMAP item 5).
     """
 
     def __init__(self, params: RadarParams, pn: PnSequence,
@@ -460,16 +453,16 @@ class SweepPipeline:
         self.rx_config = cfg = rx_config or ReceiverConfig()
         # checked before any array is built
         self.blank_samples = check_blank_width(params, cfg.blank_width_s)
-        self.tx, self.template = make_waveform(
-            params, pn, sweep_samples(params, pn, cfg.max_range_m))
+        self.tx = make_waveform(
+            params, pn, sweep_samples(params, pn, cfg.max_range_m))[0]
         self.lags = kept_lags(params, pn, cfg)
         # increasing, and shared read-only by every profile
         self.ranges_m = read_only(_lag_ranges_m(self.lags, params))
-        self.bin_width_m = _bin_width_m(params)
+        self.bin_width_m = SPEED_OF_LIGHT * (1.0 / params.sample_rate_hz) / 2.0
         # the samples of chip 0's slot the correlator reads: the kept lags'
         # overlaps with one pulse
         self.window = range(self.lags.start, self.lags.start + len(self.lags)
-                            + len(self.template.pulse) - 1)
+                            + len(self.tx.pulse) - 1)
 
     @property
     def block_rows(self) -> int:
@@ -485,7 +478,7 @@ class SweepPipeline:
         check_finite(z)
         values = np.empty((len(sweeps), len(self.lags)), dtype=np.complex128)
         for row, window in zip(values, z):
-            row[:] = uwb_correlate(window, self.template, self.lags,
+            row[:] = uwb_correlate(window, self.tx, self.lags,
                                    self.blank_samples)
         values.flags.writeable = False
         return values
@@ -540,21 +533,20 @@ class SweepPipeline:
         cover sweeps 0 .. count-1; the lists it returns, joined in sweep
         order.
 
-        The blocks run on as many threads as there are usable CPUs, at
-        most _MAX_POOL_WORKERS: the calling thread and a pool of helpers,
-        each taking the next block not yet taken, in sweep order.  Each
-        block in flight holds its own despread windows.  Every sweep draws
-        from its own RNG streams, so the results depend neither on the
-        number of threads nor on the block size.  The first failing sweep
-        in sweep order raises, as in a serial loop, and the blocks not yet
-        started are not run.
+        The blocks run on the calling thread and threads - 1 helpers, none
+        on one CPU, for the usable CPUs up to _MAX_POOL_WORKERS; each thread
+        takes the next block not yet taken, in sweep order, and holds its
+        own despread windows.  Every sweep draws from its own RNG streams,
+        and its arithmetic does not change with the rows beside it (see
+        channel.propagate), so the results depend neither on the number of
+        threads nor on the block size.  The first failing sweep in sweep
+        order raises, as in a serial loop, and the blocks not yet started
+        are not run.
         """
         rows = self.block_rows
         blocks = [range(k, min(k + rows, count))
                   for k in range(0, count, rows)]
         threads = min(_MAX_POOL_WORKERS, _usable_cpus(), len(blocks))
-        if threads <= 1:
-            return [x for block in blocks for x in run(block)]
         # per block, the list run returned or the exception it raised
         results = [None] * len(blocks)
         order = iter(range(len(blocks)))
@@ -573,14 +565,15 @@ class SweepPipeline:
                     results[i] = exc
                     stop.set()
 
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            helpers = [pool.submit(drain) for _ in range(threads - 1)]
-            try:
-                drain()
-            finally:
-                stop.set()
+        helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
+            drain()
+        finally:
+            stop.set()
             for helper in helpers:
-                helper.result()
+                helper.join()
         # blocks are taken in order, so every block before a failed one
         # has run
         for result in results:
@@ -613,15 +606,14 @@ class ScanImage:
 
 
 def check_scan(azimuth_step_deg: float, beamwidth_deg: float,
-               azimuth_span_deg: float | None) -> None:
-    """Step, beamwidth and span (or None) finite and > 0, step <= beamwidth."""
+               azimuth_span_deg: float) -> None:
+    """Step, beamwidth and span finite and > 0, step <= beamwidth."""
     check_field("azimuth_step_deg", azimuth_step_deg, "finite and > 0")
     check_field("beamwidth_deg", beamwidth_deg, "finite and > 0")
     if azimuth_step_deg > beamwidth_deg:
         raise ValueError(f"azimuth_step_deg ({azimuth_step_deg:g}) must not "
                          f"exceed beamwidth_deg ({beamwidth_deg:g})")
-    if azimuth_span_deg is not None:
-        check_field("azimuth_span_deg", azimuth_span_deg, "finite and > 0")
+    check_field("azimuth_span_deg", azimuth_span_deg, "finite and > 0")
 
 
 def _beam_weight(delta_deg: np.ndarray, beamwidth_deg: float) -> np.ndarray:
@@ -631,14 +623,11 @@ def _beam_weight(delta_deg: np.ndarray, beamwidth_deg: float) -> np.ndarray:
 
 def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
                azimuth_step_deg: float, beamwidth_deg: float,
-               az_span_deg: float | None = None,
-               pol: Pol = Pol.VV) -> ScanImage:
-    """Mechanical azimuth raster: weight the scene by the beam, profile,
-    and stack rows into a calibrated image (see check_scan)."""
+               az_span_deg: float, pol: Pol = Pol.VV) -> ScanImage:
+    """Mechanical azimuth raster over +-az_span_deg: weight the scene by
+    the beam, profile, and stack rows into a calibrated image (see
+    check_scan)."""
     check_scan(azimuth_step_deg, beamwidth_deg, az_span_deg)
-    if az_span_deg is None:
-        az_pts = [math.degrees(p.azimuth_rad) for p in scene.all_points]
-        az_span_deg = max(abs(a) for a in az_pts) + 3.0 * beamwidth_deg
     n_steps = int(math.ceil(az_span_deg / azimuth_step_deg))
     azimuths = np.arange(-n_steps, n_steps + 1) * azimuth_step_deg
 

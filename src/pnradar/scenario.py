@@ -11,6 +11,7 @@ the returned scenario so no hidden default exists downstream.
 from __future__ import annotations
 
 import codecs
+import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -269,7 +270,7 @@ class Scenario:
     experiment: ExperimentKind
     sweeps: int
     pol: Pol
-    scan: tuple[float, float, float | None]  # step, beamwidth, span (deg)
+    scan: tuple[float, float, float] | None  # a scan's step, beamwidth, span
     reference: tuple[float, float] | None
     calibration: Calibration | None  # read from experiment.calibration_file
     out_dir: Path
@@ -359,9 +360,13 @@ def resolve_scenario(data: dict) -> Scenario:
     if kind is ExperimentKind.RCS_SWEEP_SERIES and exp["sweeps"] < 2:
         raise ScenarioError(
             "experiment.sweeps: a sweep series needs at least 2 sweeps")
-    scan = (exp["azimuth_step_deg"], exp["beamwidth_deg"],
-            exp["azimuth_span_deg"])
+    scan = None
     if kind is ExperimentKind.SCAN_IMAGE:
+        if exp["azimuth_span_deg"] is None:  # the widest point + 3 beams
+            exp["azimuth_span_deg"] = 3.0 * exp["beamwidth_deg"] + max(
+                abs(math.degrees(p.azimuth_rad)) for p in scene.all_points)
+        scan = (exp["azimuth_step_deg"], exp["beamwidth_deg"],
+                exp["azimuth_span_deg"])
         _named("experiment", check_scan, *scan)
 
     ref_cfg = exp["reference"]

@@ -181,7 +181,7 @@ def test_05_sweep_to_sweep_stability():
         def noise_for(pipeline):
             # sphere echo 40 dB above the matched-filter noise floor
             amp = math.sqrt(sigma_ref) / r_sphere ** 2
-            energy = float(np.sum(np.abs(pipeline.template.samples()) ** 2))
+            energy = float(np.sum(np.abs(pipeline.tx.samples()) ** 2))
             return (amp * amp * energy
                     / (1e4 * pipeline.params.sample_rate_hz))
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnradar import (Interferer, InterfererKind, Pol, PulseTrain,
-                     SampleStream, Scatterer, Scene, TargetModel,
+                     ReceiverConfig, SampleStream, Scatterer, Scene,
+                     SweepPipeline, TargetModel,
                      add_interferer, despread_windows, gen_clutter, gen_mseq,
                      identity_pol_matrix, make_waveform, nb_params, propagate,
                      uwb_params, SPEED_OF_LIGHT)
@@ -35,9 +36,12 @@ def _mean_power(stream):
 
 
 def _dense_tx(samples, params):
-    """A dense transmit stream, as the train of one chip it is."""
+    """A dense transmit stream, as the train of one chip it is.  Its period
+    sets only the train's noise chunk and its blank slot, so it is the
+    stream's length: despread_windows then draws the noise in one chunk,
+    not one sample per call."""
     return PulseTrain(SampleStream(samples, params.sample_rate_hz,
-                                   params.carrier_hz))
+                                   params.carrier_hz), period=len(samples))
 
 
 def _tone_stream(params, n_pri=1):
@@ -644,6 +648,26 @@ class TestPropagateBlock:
                                    window)
             assert row.tobytes() == one.tobytes()
 
+    def test_one_complex_point_rounds_alike_in_any_block(self):
+        # one point whose S_pq is complex: numpy 2.4 rounds its (1,) x
+        # (1, 1) amplitude product in a block of one through another loop
+        # than the (1,) x (2, 1) product in a block of two, which differ in
+        # the last bit for 7 of these 40 sweeps, unless the product is
+        # written out in real arithmetic
+        params = nb_params()
+        tx = make_waveform(params, gen_mseq([3, 1, 0]))[0]
+        scene = Scene(target=TargetModel(points=(Scatterer(
+            1.0, 1.8737028625, pol_matrix=np.full((2, 2), np.exp(1j))),)),
+            sweep_phase_jitter_rad=0.3, rng_seed=0)
+        window = range(1, 9)
+        for k in range(40):
+            block = despread_windows(tx, scene, params, Pol.VV,
+                                     range(k, k + 2), window)
+            for row, sweep in zip(block, (k, k + 1)):
+                one = despread_windows(tx, scene, params, Pol.VV,
+                                       range(sweep, sweep + 1), window)
+                assert row.tobytes() == one[0].tobytes(), sweep
+
     def test_empty_block_rejected(self):
         params, tx = _STREAMS[0]
         with pytest.raises(ValueError, match="at least one sweep"):
@@ -758,6 +782,27 @@ class TestDespreadWindows:
         sweeps = range(first, first + data.draw(st.integers(1, 3)))
         self._assert_despread(tx, scene, params, pol, sweeps,
                               data.draw(_windows(tx)))
+
+    @pytest.mark.parametrize("kind", list(InterfererKind))
+    @pytest.mark.parametrize("freq_hz", [1.003e9, 40e9])
+    def test_tones_far_off_the_carrier_on_the_31_chip_train(self, kind,
+                                                            freq_hz):
+        # sphere_compare's DS-UWB train and 9,472-sample window, with one
+        # interferer on the monocycle's spectral peak or near the band's
+        # edge, far from the 1-10 MHz offsets of the other cases, where a
+        # tone barely turns within a PRI: a CW tone added as its window
+        # times the chip sum of e^(j*2*pi*df*j*period/fs), with no tone
+        # memo, passes there and breaks the bound here
+        params = uwb_params()
+        pipeline = SweepPipeline(params, gen_mseq([5, 2, 0]),
+                                 rx_config=ReceiverConfig(max_range_m=14.0))
+        assert len(pipeline.tx.chips) == 31
+        assert len(pipeline.window) == 9_472
+        scene = Scene(target=TargetModel(points=(
+            Scatterer(sigma_m2=1e-3, range_m=10.0),)),
+            interferers=(Interferer(freq_hz, 1e-6, kind),), rng_seed=3)
+        self._assert_despread(pipeline.tx, scene, params, Pol.VV,
+                              range(2, 4), pipeline.window)
 
 
 class TestDespreadingGain:

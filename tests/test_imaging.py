@@ -598,7 +598,7 @@ class TestNoiseFloor:
         power = np.concatenate([
             np.abs(pipeline.profile(scene, sweep_index=k).values) ** 2
             for k in range(self.SWEEPS[mode])])
-        energy = np.sum(np.abs(pipeline.template.samples()) ** 2)
+        energy = np.sum(np.abs(pipeline.tx.samples()) ** 2)
         predicted = (math.log(2) * self.NOISE_PSD
                      * pipeline.params.sample_rate_hz * energy)
         assert abs(np.median(power) / predicted - 1.0) <= self.BOUND
@@ -624,7 +624,8 @@ class TestKeptLags:
         rx = propagate(pipeline.tx, scene, params, Pol.VV, 2)
         if cfg.blank_width_s:
             rx = rx_gate(rx, params, cfg.blank_width_s)
-        full = signal.correlate(rx.samples, pipeline.template.samples(),
+        template = make_waveform(params, pn)[1]
+        full = signal.correlate(rx.samples, template.samples(),
                                 mode="valid", method="fft")
         lag_s = 1.0 / params.sample_rate_hz
         ranges = SPEED_OF_LIGHT * (np.arange(full.size) * lag_s) / 2.0
@@ -668,17 +669,17 @@ class TestReadPrefix:
             rx = propagate(pipeline.tx, scene, params, Pol.HH, sweep)
             if cfg.blank_width_s:
                 rx = rx_gate(rx, params, cfg.blank_width_s)
-            ref = stream_profile(rx.samples, pipeline.template, pipeline.lags)
+            ref = stream_profile(rx.samples, pipeline.tx, pipeline.lags)
             if params.mode is Mode.NB_DSSS:
                 assert prof.values.tobytes() == ref.tobytes()
             else:
                 assert_rounding_close(prof.values, ref, pipeline.tx, scene,
                                       params, Pol.HH, sweep, pipeline.window,
-                                      pipeline.template.pulse)
+                                      pipeline.tx.pulse)
         window = pipeline.window
         assert window.start == pipeline.lags.start
         assert len(window) == \
-            len(pipeline.lags) + len(pipeline.template.pulse) - 1
+            len(pipeline.lags) + len(pipeline.tx.pulse) - 1
         if mode == "nb":
             assert (len(pipeline.lags), len(window), len(pipeline.tx)) == \
                 (54, 853, 8055)
@@ -688,7 +689,7 @@ class TestReadPrefix:
 
 class TestOneCorrelatorPerSweep:
     """Each sweep is correlated by one uwb_correlate call over its despread
-    window and the pipeline's own template, kept lags and blank;
+    window and the pipeline's own transmit train, kept lags and blank;
     bench/spans.py times the correlator through that name."""
 
     @staticmethod
@@ -707,7 +708,7 @@ class TestOneCorrelatorPerSweep:
     def _assert_each_sweep_once(self, calls, pipeline, sweeps):
         assert len(calls) == sweeps
         for n_z, template, lags, blank, n_values in calls:
-            assert template is pipeline.template
+            assert template is pipeline.tx
             assert (n_z, lags, blank, n_values) == (
                 len(pipeline.window), pipeline.lags,
                 pipeline.blank_samples, len(pipeline.lags))
@@ -822,11 +823,11 @@ class TestBlankDecision:
         prof = pipeline.profile(scene, sweep_index=sweep)
         rx = propagate(pipeline.tx, scene, params, Pol.VV, sweep)
         ref = stream_profile(rx_gate(rx, params, cfg.blank_width_s).samples,
-                             pipeline.template, pipeline.lags)
+                             pipeline.tx, pipeline.lags)
         assert_rounding_close(prof.values, ref, pipeline.tx, scene, params,
                               Pol.VV, sweep, pipeline.window,
-                              pipeline.template.pulse)
-        ungated = stream_profile(rx.samples, pipeline.template, pipeline.lags)
+                              pipeline.tx.pulse)
+        ungated = stream_profile(rx.samples, pipeline.tx, pipeline.lags)
         event(f"{params.mode.value} blank "
               f"{'read' if ungated.tobytes() != ref.tobytes() else 'skipped'}")
 
@@ -907,20 +908,20 @@ class TestWindowSynthesis:
     def test_block_equals_the_whole_stream_chain(self, case):
         params, cfg, scene, pol, sweeps = case
         pipeline = SweepPipeline(params, gen_mseq([3, 1, 0]), rx_config=cfg)
-        template = pipeline.template
-        z = despread_windows(pipeline.tx, scene, params, pol, sweeps,
+        tx = pipeline.tx
+        z = despread_windows(tx, scene, params, pol, sweeps,
                              pipeline.window)
         values = pipeline._values(scene, pol, sweeps)
         for k, z_row, row in zip(sweeps, z, values):
-            rx = propagate(pipeline.tx, scene, params, pol, k)
+            rx = propagate(tx, scene, params, pol, k)
             assert_rounding_close(
-                z_row, despread_stream(rx.samples, template, pipeline.window),
-                pipeline.tx, scene, params, pol, k, pipeline.window)
+                z_row, despread_stream(rx.samples, tx, pipeline.window),
+                tx, scene, params, pol, k, pipeline.window)
             gated = rx_gate(rx, params, cfg.blank_width_s).samples
             assert_rounding_close(
-                row, stream_profile(gated, template, pipeline.lags),
-                pipeline.tx, scene, params, pol, k, pipeline.window,
-                template.pulse)
+                row, stream_profile(gated, tx, pipeline.lags),
+                tx, scene, params, pol, k, pipeline.window,
+                tx.pulse)
         past = pipeline.window.stop > params.pri_samples
         event(f"{params.mode.value} window {'past' if past else 'in'} a slot")
 
@@ -1291,8 +1292,8 @@ class TestSweepBlocks:
 
 
 def _force_workers(monkeypatch, workers):
-    """Run every series and scan as blocks of one sweep on a pool of
-    exactly ``workers`` threads, whatever the stream length and the CPU
+    """Run every series and scan as blocks of one sweep on exactly
+    ``workers`` threads, whatever the stream length and the CPU
     count."""
     monkeypatch.setattr(imaging, "_BLOCK_SAMPLES", 0)
     monkeypatch.setattr(imaging, "_MAX_POOL_WORKERS", workers)
@@ -1342,24 +1343,41 @@ class TestSweepPool:
         assert np.array_equal(images[1].ranges_m, images[3].ranges_m)
         assert np.array_equal(images[1].power, images[3].power)
 
+    @staticmethod
+    def _record_threads(pipeline, monkeypatch, barrier=None):
+        """The ident of the thread that runs each block, in the order they
+        start; with a barrier, each thread's first block waits there."""
+        threads = []
+        estimate = pipeline.estimate
+
+        def recording(*args):
+            first = threading.get_ident() not in threads
+            threads.append(threading.get_ident())
+            if barrier is not None and first:
+                barrier.wait()
+            return estimate(*args)
+
+        monkeypatch.setattr(pipeline, "estimate", recording)
+        return threads
+
     def test_pool_width_is_capped_whatever_the_cpu_count(self, nb_setup,
                                                           monkeypatch):
         _, _, _, pipeline, cal = nb_setup
-        widths = []
-
-        class Recording(imaging.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                widths.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(imaging, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 16)
         scene = Scene(target=target((SIGMA_REF, R_REF)))
-        pipeline.series(scene, cal, 6 * pipeline.block_rows)
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 16)
+        # the first block of each thread waits for a second thread's, so the
+        # series fails unless exactly two threads run blocks
+        with monkeypatch.context() as patch:
+            threads = self._record_threads(
+                pipeline, patch, threading.Barrier(2, timeout=60))
+            pipeline.series(scene, cal, 6 * pipeline.block_rows)
+        assert len(threads) == 6
+        assert threading.get_ident() in threads
+        assert len(set(threads)) == imaging._MAX_POOL_WORKERS == 2
+        # a single block runs on the calling thread alone
+        threads = self._record_threads(pipeline, monkeypatch)
         pipeline.series(scene, cal, pipeline.block_rows)
-        # the calling thread runs blocks too, beside one helper; a single
-        # block runs on the caller alone
-        assert widths == [imaging._MAX_POOL_WORKERS - 1] == [1]
+        assert threads == [threading.get_ident()]
 
     def test_one_usable_cpu_runs_the_blocks_serially(self, nb_setup,
                                                     monkeypatch):
@@ -1369,22 +1387,16 @@ class TestSweepPool:
         count = 4 * pipeline.block_rows + 1
         monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
         pooled = [e.sigma_m2.hex() for e in pipeline.series(scene, cal, count)]
-        threads = set()
-        estimate = pipeline.estimate
-
-        def recording(*args):
-            threads.add(threading.get_ident())
-            return estimate(*args)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a pool was started on one CPU")
-
-        monkeypatch.setattr(pipeline, "estimate", recording)
-        monkeypatch.setattr(imaging, "ThreadPoolExecutor", refuse)
         monkeypatch.setattr(imaging, "_usable_cpus", lambda: 1)
+        started = []
+        # a helper would be recorded here, and not started
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread))
+        threads = self._record_threads(pipeline, monkeypatch)
         serial = [e.sigma_m2.hex() for e in pipeline.series(scene, cal, count)]
         assert serial == pooled
-        assert threads == {threading.get_ident()}
+        assert threads == [threading.get_ident()] * 5
+        assert started == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failing_sweep_raises_and_the_rest_are_cancelled(
@@ -1415,8 +1427,8 @@ class TestSweepPool:
             pipeline.series(Scene(target=target((SIGMA_REF, R_REF))), cal,
                             count)
         assert sorted(started)[:4] == [0, 1, 2, 3]
-        # the serial loop stops at the failure, inside its block; the pool
-        # starts no block after a failure, so far fewer than all sweeps run
+        # one thread stops at the failure, inside its block; two start no
+        # block after a failure, so far fewer than all sweeps run
         if workers == 1:
             assert len(started) == 4
         else:

@@ -565,6 +565,30 @@ class TestRunExperiments:
         h2 = _hashes(run(replay2, quiet=True))
         assert h1 == h2
 
+    def test_scan_span_settled_at_load_replays_from_the_manifest(
+            self, tmp_path):
+        # a null span becomes the widest point's azimuth plus 3 beamwidths
+        # when the scenario loads, and the manifest records that number
+        text = (SCAN_5_ROWS.replace("azimuth_step_deg: 0.5",
+                                    "azimuth_step_deg: 1.0")
+                .replace("beamwidth_deg: 2.0", "beamwidth_deg: 1.0")
+                .replace("azimuth_span_deg: 1.0", "azimuth_span_deg: null"))
+        widest = Scatterer(sigma_m2=5e-4, range_m=12.0, cross_range_m=1.0)
+        span = math.degrees(widest.azimuth_rad) + 3.0
+        assert load_scenario(_write(tmp_path, text)).scan == (1.0, 1.0, span)
+        out1, out2 = tmp_path / "out1", tmp_path / "out2"
+        assert main([str(tmp_path / "scenario.yaml"), "--out", str(out1),
+                     "--quiet"]) == 0
+        manifest = out1 / "run_manifest.yaml"
+        recorded = yaml.safe_load(manifest.read_text())["scenario"]
+        assert recorded["experiment"]["azimuth_span_deg"] == span
+        assert main([str(manifest), "--out", str(out2), "--quiet"]) == 0
+        image = (out1 / "image.csv").read_bytes()
+        # 2 * ceil(7.78) + 1 azimuth rows, a degree apart
+        assert {line.split(b",")[0] for line in image.splitlines()[1:]} \
+            == {b"%d" % az for az in range(-8, 9)}
+        assert (out2 / "image.csv").read_bytes() == image
+
     @pytest.mark.parametrize(
         "path", sorted(ROOT.glob("scenarios/*.yaml"))
         + sorted(ROOT.glob("bench/scenarios/*.yaml")), ids=lambda p: p.name)
@@ -952,7 +976,7 @@ class TestCliEntry:
         def failing(tx, scene, params, pol, sweeps, window):
             # the series' UWB sweeps (the noisy scene; the calibration's
             # reference sphere is noiseless) run as blocks of one on the
-            # calling thread and one pool worker; the worker's first block
+            # calling thread and one helper thread; the helper's first block
             # fails, and the calling thread runs its own only after that
             if scene.noise_psd:
                 if threading.current_thread() is not threading.main_thread():
@@ -1491,18 +1515,21 @@ experiment: {kind: profile}
 
 
     def test_scan_default_span_covers_uwb_scan_as_pinned(self):
-        # a null azimuth_span_deg covers the widest point (4.78 deg) plus
-        # 3 beamwidths, 10.78 deg: the same 45 rows as uwb_scan's 11 deg
-        scenario = load_scenario(ROOT / "bench" / "scenarios" / "uwb_scan.yaml")
-        step, beamwidth, span = scenario.scan
-        assert span == 11.0
+        # a null azimuth_span_deg is settled at load to the widest point
+        # (4.78 deg) plus 3 beamwidths, 10.78 deg: the same 45 rows as
+        # uwb_scan's 11 deg
+        path = ROOT / "bench" / "scenarios" / "uwb_scan.yaml"
+        scenario = load_scenario(path)
+        loaded = load_scenario(path, {"experiment.azimuth_span_deg": None})
+        assert scenario.scan[2] == 11.0
+        assert loaded.scan[:2] == scenario.scan[:2]
+        assert 10.78 < loaded.scan[2] < 10.79
         pipeline = scenario.pipelines[Mode.DS_UWB]
         cal = Calibration(gain=1.0, reference_sigma_m2=1e-3,
                           reference_range_m=10.0)
         pinned, default = (
-            imaging.scan_image(pipeline, scenario.scene, cal, step, beamwidth,
-                               az_span)
-            for az_span in (span, None))
+            imaging.scan_image(pipeline, scenario.scene, cal, *s.scan)
+            for s in (scenario, loaded))
         assert default.azimuths_deg.size == 45
         assert np.array_equal(default.azimuths_deg, pinned.azimuths_deg)
         assert np.array_equal(default.power, pinned.power)

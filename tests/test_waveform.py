@@ -133,7 +133,7 @@ class TestPulseGrid:
         params = build()
         assert (params.pulse_samples, params.pri_samples) == (pulse, slot)
         pipeline = SweepPipeline(params, gen_mseq([3, 1, 0]))
-        assert len(pipeline.template.pulse) == pulse
+        assert len(pipeline.tx.pulse) == pulse
         check_blank_width(params, pulse / fs)
 
 

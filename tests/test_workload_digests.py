@@ -61,11 +61,11 @@ DIGESTS = {
             "8251c4ff2690d2ade915c4ec622bf9add905335d2915cac3340e428551d8e91d",
     },
     ("nb_dense_series", 5150): {
-        # echo amplitudes formed by numpy's complex arithmetic round one
-        # cell, sweep 290's sigma, in its 12th digit: 0.0264959062559 ->
-        # 0.026495906256
+        # echo amplitudes formed by numpy's complex product rounded one
+        # cell, sweep 290's sigma, to 0.026495906256 in its 12th digit;
+        # written out in real arithmetic they give 0.0264959062559 again
         "series.csv":
-            "efbe82d09f5771333e1e00bacb775f06a24abbf4fd5c78e0fa7dc7fef0e50e6f",
+            "260d1e9126b9f32cad21c7c3b4e921d9b1bd845013fc4c8aafe7e579b955fa61",
         "run_manifest.yaml":
             "2effdb503cc265705fd39caaa802918aa255bd65c7a775d7e90bc0983e104271",
     },
