@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,17 +38,18 @@ from .waveform import (Mode, PulseTrain, RadarParams, SPEED_OF_LIGHT,
 # one process each), the 600 sweeps of the nb_dense_series benchmark took
 # 0.22, 0.19 and 0.17 s in blocks of 9, 19 and 38, at a peak RSS of 41.3,
 # 42.2 and 44.2 MB: a block of 19 peaks at about 1 MB of traced
-# allocation, so in blocks of 19 the second thread adds about 1 MB.
+# allocation.
 _BLOCK_SAMPLES = 1 << 14
 
-# The blocks run on at most this many threads, the calling thread and
-# _MAX_POOL_WORKERS - 1 helpers, so that numpy work that releases the GIL
-# (the noise draws above all) overlaps.  Measured on 2 CPUs (in-process
-# medians of 5 runs): two threads took sphere_compare from 0.51 to 0.28 s,
-# nb_dense_series from 0.16 to 0.12 s and uwb_scan from 0.48 to 0.30 s.
-# Each block in flight holds its own despread windows and their
-# temporaries, under 1 MB for a DS-UWB sweep or a narrowband block of 19,
-# so peak memory grows with the width; wider pools were not measured.
+# The blocks run in at most this many processes: the calling process and
+# _MAX_POOL_WORKERS - 1 forked workers (see SweepPipeline._each_block).  A
+# block's work is mostly interpreter time between short numpy calls, so
+# helper threads took turns at the GIL; processes run at once.  Measured
+# on 2 CPUs (medians of 10 fresh-process runs of the whole CLI run; one
+# process, two threads, one forked worker): nb_dense_series 0.152, 0.117
+# and 0.092 s, sphere_compare 0.50, 0.29 and 0.27 s, uwb_scan 0.46, 0.29
+# and 0.29 s.  A worker's pages are the caller's until either writes
+# them; it dirtied 3-4.5 MB of its own.  Wider pools were not measured.
 _MAX_POOL_WORKERS = 2
 
 
@@ -517,8 +519,8 @@ class SweepPipeline:
         Sweep k uses RNG streams derived from (scene seed, k), so phase
         jitter and noise refresh per sweep while the scene stays fixed.
         """
-        return self._each_block(
-            lambda sweeps: self.estimate(scene, cal, pol, sweeps), m_sweeps)
+        return list(self._each_block(
+            lambda sweeps: self.estimate(scene, cal, pol, sweeps), m_sweeps))
 
     def self_calibrate(self, sigma_ref_m2: float,
                        range_ref_m: float) -> Calibration:
@@ -528,58 +530,87 @@ class SweepPipeline:
             Scatterer(sigma_m2=sigma_ref_m2, range_m=range_ref_m),)))
         return calibrate(self.profile(reference), sigma_ref_m2, range_ref_m)
 
-    def _each_block(self, run, count: int) -> list:
+    def _each_block(self, run, count: int):
         """run(sweeps) over consecutive blocks of block_rows sweeps that
-        cover sweeps 0 .. count-1; the lists it returns, joined in sweep
-        order.
+        cover sweeps 0 .. count-1; yields the items of the lists it
+        returns, in sweep order, as they arrive.
 
-        The blocks run on the calling thread and threads - 1 helpers, none
-        on one CPU, for the usable CPUs up to _MAX_POOL_WORKERS; each thread
-        takes the next block not yet taken, in sweep order, and holds its
-        own despread windows.  Every sweep draws from its own RNG streams,
-        and its arithmetic does not change with the rows beside it (see
-        channel.propagate), so the results depend neither on the number of
-        threads nor on the block size.  The first failing sweep in sweep
-        order raises, as in a serial loop, and the blocks not yet started
-        are not run.
+        With W = min(_MAX_POOL_WORKERS, usable CPUs, blocks) above 1 and
+        os.fork at hand, W - 1 workers are forked: worker w runs blocks w,
+        w + W, ... and pickles each block's list, or the exception it
+        raised, into its own pipe as soon as the block is done, and stops
+        after an exception; the calling process runs blocks 0, W, ... and
+        reads the workers' results in sweep order.  Otherwise the calling
+        process runs every block.  Every sweep draws from its own RNG
+        streams, and its arithmetic does not change with the rows beside
+        it (see channel.propagate), so the results depend neither on W nor
+        on the block size.  The first failing sweep in sweep order raises,
+        as in a serial loop.  However the generator ends, every worker is
+        SIGKILLed and reaped, so none outlives it; a worker does not wait
+        for its results to be read, so it may have begun blocks after the
+        failure, whose results are never read.
         """
         rows = self.block_rows
         blocks = [range(k, min(k + rows, count))
                   for k in range(0, count, rows)]
-        threads = min(_MAX_POOL_WORKERS, _usable_cpus(), len(blocks))
-        # per block, the list run returned or the exception it raised
-        results = [None] * len(blocks)
-        order = iter(range(len(blocks)))
-        take = threading.Lock()
-        stop = threading.Event()  # a block failed, or the caller left
-
-        def drain():
-            while not stop.is_set():
-                with take:
-                    i = next(order, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = run(blocks[i])
-                except BaseException as exc:  # re-raised below, in order
-                    results[i] = exc
-                    stop.set()
-
-        helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
-        for helper in helpers:
-            helper.start()
+        width = (min(_MAX_POOL_WORKERS, _usable_cpus(), len(blocks))
+                 if hasattr(os, "fork") else 1)
+        pids, pipes = [], [None]  # pipes[w]: worker w's read end
         try:
-            drain()
+            for w in range(1, width):
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(run, blocks[w::width], read_fd, write_fd)
+                os.close(write_fd)
+                pids.append(pid)
+                pipes.append(os.fdopen(read_fd, "rb"))
+            for i, block in enumerate(blocks):
+                w = i % width
+                yield from _receive(pipes[w], block) if w else run(block)
         finally:
-            stop.set()
-            for helper in helpers:
-                helper.join()
-        # blocks are taken in order, so every block before a failed one
-        # has run
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return [x for result in results for x in result]
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for pipe in pipes[1:]:
+                pipe.close()
+
+
+def _serve(run, blocks: list[range], read_fd: int, write_fd: int) -> None:
+    """A forked worker's life: run each block and pickle its list, or the
+    exception it raised, into write_fd, stopping after an exception; then
+    exit the process, whatever happened, so that it never returns into
+    the caller's frames.  It drops its copy of the pipe's read end, so a
+    write fails once the calling process is gone."""
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as out:
+            for block in blocks:
+                try:
+                    result = run(block)
+                except BaseException as exc:  # raised by the caller, in order
+                    result = exc
+                out.write(pickle.dumps(result))
+                out.flush()
+                if isinstance(result, BaseException):
+                    break
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe, block: range) -> list:
+    """The list a worker's block returned, read from the worker's pipe;
+    the exception the block raised is raised here."""
+    try:
+        result = pickle.load(pipe)
+    except Exception as exc:  # the worker died, or its result cannot load
+        raise RuntimeError(
+            f"the worker process running sweeps {block.start}-"
+            f"{block.stop - 1} gave no readable result "
+            f"({type(exc).__name__}: {exc})") from exc
+    if isinstance(result, BaseException):
+        raise result
+    return result
 
 
 def self_calibrate(params: RadarParams, pn: PnSequence,
@@ -652,7 +683,9 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
         pointed = replace(scene, target=TargetModel(points=row_points),
                           clutter=())
         prof = pipeline.profile(pointed, pol, sweep_index=row_idx)
-        power[row_idx] = cal.gain * prof.power * r4
+        return cal.gain * prof.power * r4
 
-    pipeline._each_block(lambda rows: [row(k) for k in rows], azimuths.size)
+    for row_idx, values in enumerate(pipeline._each_block(
+            lambda rows: [row(k) for k in rows], azimuths.size)):
+        power[row_idx] = values
     return ScanImage(azimuths_deg=azimuths, ranges_m=ranges, power=power)

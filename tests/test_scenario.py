@@ -9,7 +9,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -872,6 +871,40 @@ class TestDenseSeries:
         assert dbsm == pytest.approx(self.GOLDEN_DBSM, rel=1e-9)
 
 
+# simulate with a fault in the forked worker's blocks of the noisy series
+# (the calibration's reference sphere is noiseless), named by argv[1]; it
+# exits 4 if a worker process is left
+WORKER_FAULT = """
+import os, sys
+from pnradar import imaging
+from pnradar.cli import main
+
+class Unloadable(Exception):
+    # pickled as its class and one message, but its constructor takes two
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+despread_windows = imaging.despread_windows
+caller = os.getpid()
+
+def failing(tx, scene, params, pol, sweeps, window):
+    if scene.noise_psd and os.getpid() != caller:
+        if sys.argv[1] == "exit":
+            os._exit(1)
+        raise Unloadable("no", "way")
+    return despread_windows(tx, scene, params, pol, sweeps, window)
+
+imaging.despread_windows = failing
+imaging._usable_cpus = lambda: 2
+rc = main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    sys.exit(4)
+except ChildProcessError:
+    sys.exit(rc)
+"""
+
+
 class TestCliEntry:
     def test_exit_zero_on_success(self, tmp_path, capsys):
         path = _write(tmp_path, MINIMAL)
@@ -971,18 +1004,16 @@ class TestCliEntry:
     def test_memory_error_in_a_pool_worker_exits_three(self, tmp_path,
                                                         capsys, monkeypatch):
         despread_windows = imaging.despread_windows
-        failed = threading.Event()
+        caller = os.getpid()
 
         def failing(tx, scene, params, pol, sweeps, window):
             # the series' UWB sweeps (the noisy scene; the calibration's
-            # reference sphere is noiseless) run as blocks of one on the
-            # calling thread and one helper thread; the helper's first block
-            # fails, and the calling thread runs its own only after that
-            if scene.noise_psd:
-                if threading.current_thread() is not threading.main_thread():
-                    failed.set()
-                    raise MemoryError
-                assert failed.wait(timeout=60)
+            # reference sphere is noiseless) run as blocks of one in the
+            # calling process and one forked worker; the worker's first
+            # block fails, and the calling process raises it when it reads
+            # it, after its own first block
+            if scene.noise_psd and os.getpid() != caller:
+                raise MemoryError
             return despread_windows(tx, scene, params, pol, sweeps, window)
 
         monkeypatch.setattr(imaging, "despread_windows", failing)
@@ -993,6 +1024,24 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.startswith("error [rcs_sweep_series]: out of memory: "
                               "a uwb block holds 1 sweep of ")
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("fault", ["exit", "unloadable"])
+    def test_a_worker_fault_exits_three(self, fault, tmp_path):
+        # the worker's first block, sweep 1 of the series, dies without a
+        # result or raises an exception that pickles but does not unpickle;
+        # simulate runs in its own interpreter, so a hang times out
+        path = _write(tmp_path, SERIES)
+        proc = _run_child(WORKER_FAULT, fault, path, "--out",
+                          tmp_path / "out", "--quiet", timeout=60)
+        assert proc.returncode == 3
+        cause = {"exit": "EOFError: Ran out of input",
+                 "unloadable": "TypeError: "}[fault]
+        assert proc.stderr.startswith(
+            "error [rcs_sweep_series]: the worker process running sweeps "
+            f"1-1 gave no readable result ({cause}")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
         assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_exit_three_on_unwritable_out(self, tmp_path, capsys):
