@@ -12,9 +12,8 @@ from .waveform import (Mode, PulseTrain, RadarParams, SampleStream,
                        qpsk_baseband, spread, uwb_params, uwb_pulse_train)
 from .channel import (Interferer, InterfererKind, Pol, Scatterer, Scene,
                       TargetModel, add_interferer, despread_windows,
-                      gen_clutter, identity_pol_matrix, propagate)
-from .receiver import (despread, processing_gain, qpsk_demod, rx_gate,
-                       uwb_correlate)
+                      gen_clutter, identity_pol_matrix)
+from .receiver import despread, processing_gain, qpsk_demod, uwb_correlate
 from .imaging import (Calibration, Detection, NoDetections, RangeProfile,
                       RcsEstimate, ReceiverConfig, ScanImage, SweepPipeline,
                       calibrate, make_waveform, pulse_volume_depth, rcs_nb,

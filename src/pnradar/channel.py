@@ -405,7 +405,10 @@ def _echoes(scene: Scene, pol: Pol, params: RadarParams,
         return_inverse=True)
     s, e = scatter[live], np.exp(1j * (-2.0 * np.pi * params.carrier_hz
                                        * delay_s + jitter[:, live]))
-    # s * e, written out in real parts (see propagate)
+    # s * e, written out in real parts: numpy rounds a complex product of
+    # one element whose operands differ in dimension without the fused
+    # multiply-add of its other complex products, and a row must round
+    # alike in a block of any size
     a = np.empty_like(e)
     a.real = s.real * e.real - s.imag * e.imag
     a.imag = s.real * e.imag + s.imag * e.real
@@ -416,12 +419,14 @@ def _echoes(scene: Scene, pol: Pol, params: RadarParams,
 
 def _block_terms(tx: PulseTrain, scene: Scene, params: RadarParams,
                  pol: Pol, sweeps: range):
-    """What each sweep of a block adds to its received stream, after
-    propagate's checks: the scene's terms (amp, d), each adding amp[r] *
-    chip j's pulse at sample d + j*period of row r (the direct path, then
-    each distinct echo delay in increasing order), the interferers'
+    """What each sweep of a block adds to its received stream, in this
+    order: the scene's terms (amp, d), each adding amp[r] * chip j's pulse
+    at sample d + j*period of row r (the direct path, then each distinct
+    echo delay in increasing order; see _echoes), the interferers'
     samples(a, b) functions (see _interferer) and the noise generators,
-    one per row (none without noise), all drawn as propagate draws them."""
+    one per row (none without noise), each drawing a whole real rail and
+    then a whole imaginary one.  tests/stream_oracle.propagate adds them
+    up into a sweep's whole stream, the reference of despread_windows."""
     if (tx.sample_rate, tx.carrier_hz) != (params.sample_rate_hz,
                                            params.carrier_hz):
         raise ValueError(
@@ -461,88 +466,37 @@ def _block_terms(tx: PulseTrain, scene: Scene, params: RadarParams,
     return terms, interferers, rngs.get((_RNG_NOISE,), [])
 
 
-def propagate(tx: PulseTrain, scene: Scene, params: RadarParams, pol: Pol,
-              sweep_index: int = 0) -> SampleStream:
-    """Propagate a transmit train through the scene for one sweep: the
-    whole received stream, the reference despread_windows is checked
-    against.
-
-    Each scattering center contributes a delayed copy of tx scaled by
-    sqrt(sigma) * S_pq / R^2 (absolute link constants are absorbed by
-    calibration), rotated by the two-way carrier phase, and perturbed by
-    a per-point phase drawn fresh every sweep when jitter is enabled.
-    Delays round to the nearest sample (half to even).  The amplitudes
-    of points that share a delay are summed in point order, and each
-    distinct delay adds, in increasing order, its amplitude times each
-    chip's pulse, chip by chip, as far as the stream reaches; points of
-    zero scattering amplitude are skipped.  Direct-path leakage, external
-    interferers and thermal noise are added on top, in that order.
-
-    Sweep k's phase jitter, interferer i and noise each draw from their
-    own RNG stream, the generator
-    ``np.random.default_rng([rng_seed mod 2**64, k, purpose(, i)])`` with
-    purpose 1 = phase, 2 = noise and 3 = interferer.  A call seeds all
-    the streams of its sweeps in one pass that reproduces numpy's
-    SeedSequence word for word, so the draws are those of the
-    default_rng calls.  An interferer of zero power draws nothing and
-    adds nothing.  The noise stream draws the whole real rail, then the
-    whole imaginary one.  (numpy rounds a complex product of one element
-    whose operands differ in dimension without the fused multiply-add of
-    its other complex products.  So each complex product on a block's rows
-    has a real operand, or operands of equal dimension, or is written out
-    in real parts, and a row rounds alike in a block of any size.)
-    """
-    terms, interferers, noise = _block_terms(
-        tx, scene, params, pol, range(sweep_index, sweep_index + 1))
-    n = len(tx)
-    out = np.zeros((1, n), dtype=np.complex128)
-    # shaped[j] is chip j's pulse, sent from sample j*period
-    shaped = tx.chips[:, None] * tx.pulse.samples[None, :]
-    for amp, d in terms:
-        for pulse, s in zip(shaped, range(d, n, tx.period)):
-            out[:, s:s + pulse.size] += amp * pulse[None, :n - s]
-    for samples in interferers:
-        out += samples(0, n)
-    scale = np.sqrt(scene.noise_psd * params.sample_rate_hz / 2.0)
-    for row, rng in zip(out, noise):
-        z = rng.standard_normal(2 * n)
-        z *= scale
-        row.real += z[:n]
-        row.imag += z[n:]
-    return SampleStream(out[0], params.sample_rate_hz, params.carrier_hz)
-
-
 def despread_windows(tx: PulseTrain, scene: Scene, params: RadarParams,
                      pol: Pol, sweeps: range, window: range) -> np.ndarray:
     """The despread windows of a block of sweeps, without their received
     streams: row r is ``sum_j tx.chips[j] * rx[window.start + j*period :
     window.stop + j*period]`` over the chips j of the train, to rounding,
-    for ``rx = propagate(tx, scene, params, pol, sweeps[r]).samples``.
-    Every chip's window must end inside the stream.
+    for rx the whole received stream of sweep sweeps[r], what _block_terms
+    adds up to (tests/stream_oracle.propagate).  The window may be at most
+    one period wide, and every chip's window must end inside the stream.
 
-    The sum is linear, so each thing propagate adds is despread on its
-    own, in propagate's order.  A term (amp, d) sends chip k's pulse to
+    The sum is linear, so each thing the stream adds is despread on its
+    own, in the stream's order.  A term (amp, d) sends chip k's pulse to
     sample d + k*period, which chip j's window reads at offset d +
     (k-j)*period - start; summed over the chips, the pulse at offset
     q*period is weighed by the code's aperiodic autocorrelation R(q) =
     sum_j c_j * c_{j+q}.  So each term adds R(q) * amp * pulse once per q
     whose pulse overlaps the window.  Each interferer adds its samples,
-    window by window, weighed by their chips.  Each row draws its noise as
-    propagate does, the whole real rail and then the imaginary one, in
-    chunks of one period from the window's start; a chunk adds to each
-    chip window it falls in, and the draws outside every window are made
-    and dropped, but for those past the last one.  For the one chip of
-    weight 1 of a narrowband pulse each sample adds what propagate adds,
-    in its order, so the window equals the stream's bit for bit.  A block
-    holds a few arrays of rows x len(window) samples and one chunk.
+    window by window, weighed by their chips.  Each row draws its noise
+    rails in chunks of one period from the window's start; chunk m adds
+    to chip m's window, and the draws outside every window are made and
+    dropped, but for those past the last one.  For the one chip of weight
+    1 of a narrowband pulse each sample adds what the stream adds, in its
+    order, so the window equals the stream's bit for bit.  A block holds
+    a few arrays of rows x len(window) samples and one chunk.
     """
     n, period, chips = len(tx), tx.period, tx.chips
     start, width = window.start, len(window)
-    if window.step != 1 or start < 0 \
+    if window.step != 1 or start < 0 or width > period \
             or start + width + (len(chips) - 1) * period > n:
         raise ValueError(f"chip windows of samples {window} every "
-                         f"{period} samples must lie in the {n}-sample "
-                         f"stream")
+                         f"{period} samples must be at most a period wide "
+                         f"and must lie in the {n}-sample stream")
     terms, interferers, noise = _block_terms(tx, scene, params, pol, sweeps)
     pulse = tx.pulse.samples
     corr = np.correlate(chips, chips, "full")  # R(q) at q + len(chips) - 1
@@ -570,18 +524,15 @@ def despread_windows(tx: PulseTrain, scene: Scene, params: RadarParams,
             z += x
             del x  # before the next window's samples are made
     scale = np.sqrt(scene.noise_psd * params.sample_rate_hz / 2.0)
-    # chunk m holds the draws from start + m*period on, which chip j's
-    # window reads at offset (m-j)*period
+    # chunk m holds the draws from start + m*period on, of which chip m's
+    # window reads the first width
     end = start + (len(chips) - 1) * period + width
     for row, rng in zip(z, noise):
         # the imaginary rail starts n draws after the real one
         for rail, skip in ((row.real, start), (row.imag, n - end + start)):
             rng.standard_normal(skip)
-            for m, a in enumerate(range(start, end, period)):
+            for chip, a in zip(chips, range(start, end, period)):
                 chunk = rng.standard_normal(min(period, end - a))
                 chunk *= scale
-                for j in range(max(m - (width - 1) // period, 0),
-                               min(m + 1, len(chips))):
-                    o = (m - j) * period
-                    rail[o:o + period] += chips[j] * chunk[:width - o]
+                rail += chip * chunk[:width]
     return z

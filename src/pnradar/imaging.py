@@ -440,7 +440,9 @@ class SweepPipeline:
     runs the despread_windows / correlate / profile chain on blocks of
     sweeps, which share its one transmit train, kept lags and window; the
     correlator matches the train's own pulse, the template's, over only
-    the lags the profile keeps, and blanks the samples it reads.
+    the lags the profile keeps.  The window must end inside chip 0's PRI
+    slot, past which its far bins would read range-aliased echoes and the
+    next slot's blank; so the blank is only the window's near edge.
     ``chips_per_bit`` is checked against the code and otherwise unused, as
     the waveform carries no data bits; it stays while the benchmark's
     set-up passes it by position (ROADMAP item 5).
@@ -453,8 +455,7 @@ class SweepPipeline:
             pn.check_chips_per_bit(chips_per_bit)
         self.params = params
         self.rx_config = cfg = rx_config or ReceiverConfig()
-        # checked before any array is built
-        self.blank_samples = check_blank_width(params, cfg.blank_width_s)
+        check_blank_width(params, cfg.blank_width_s)  # before any array
         self.tx = make_waveform(
             params, pn, sweep_samples(params, pn, cfg.max_range_m))[0]
         self.lags = kept_lags(params, pn, cfg)
@@ -465,6 +466,14 @@ class SweepPipeline:
         # overlaps with one pulse
         self.window = range(self.lags.start, self.lags.start + len(self.lags)
                             + len(self.tx.pulse) - 1)
+        # checked once the arrays are built, so that a window too large
+        # to build is reported as out of memory
+        if self.window.stop > params.pri_samples:
+            last = params.pri_samples - len(self.tx.pulse)
+            raise ValueError(
+                f"{cfg.max_range_m:g} m reads past the {params.pri_samples}"
+                f"-sample PRI slot; the kept lags must end by lag {last}, "
+                f"{_lag_ranges_m(range(last, last + 1), params)[0]:.7g} m")
 
     @property
     def block_rows(self) -> int:
@@ -474,14 +483,13 @@ class SweepPipeline:
     def _values(self, scene: Scene, pol: Pol, sweeps: range) -> np.ndarray:
         """Profile values of a block of sweeps, one row per sweep: the
         block's despread windows, checked finite as a whole, and one
-        uwb_correlate per sweep, which blanks and matches its row."""
+        uwb_correlate per sweep, which matches its row."""
         z = despread_windows(self.tx, scene, self.params, pol, sweeps,
                              self.window)
         check_finite(z)
         values = np.empty((len(sweeps), len(self.lags)), dtype=np.complex128)
         for row, window in zip(values, z):
-            row[:] = uwb_correlate(window, self.tx, self.lags,
-                                   self.blank_samples)
+            row[:] = uwb_correlate(window, self.tx, self.lags)
         values.flags.writeable = False
         return values
 
@@ -543,7 +551,7 @@ class SweepPipeline:
         reads the workers' results in sweep order.  Otherwise the calling
         process runs every block.  Every sweep draws from its own RNG
         streams, and its arithmetic does not change with the rows beside
-        it (see channel.propagate), so the results depend neither on W nor
+        it (see channel._echoes), so the results depend neither on W nor
         on the block size.  The first failing sweep in sweep order raises,
         as in a serial loop.  However the generator ends, every worker is
         SIGKILLed and reaped, so none outlives it; a worker does not wait

@@ -1,5 +1,5 @@
-"""Receive chains: blanking gate, despreading, QPSK demodulation, and the
-despread-then-pulse sliding correlator.
+"""Receive chains: the receive blank's rule, despreading, QPSK
+demodulation, and the despread-then-pulse sliding correlator.
 
 Synchronization is genie-aided: chip, symbol and sweep timing are taken
 from the common simulation clock, which matches an instrument that
@@ -29,22 +29,6 @@ def check_blank_width(params: RadarParams, blank_width_s: float) -> int:
             f"blank width {blank_width_s:g} s covers the whole PRI "
             f"{params.pri_s:g} s; the receiver would never open")
     return blank
-
-
-def _slot_heads(start: int, n: int, period: int, blank: int) -> np.ndarray:
-    """Mask of the samples start .. start+n-1 the receive blank zeroes:
-    the first ``blank`` samples of each ``period``-sample slot."""
-    slot = np.arange(period) < blank
-    return np.resize(np.roll(slot, -start), n)
-
-
-def rx_gate(s: SampleStream, params: RadarParams,
-            blank_width_s: float) -> SampleStream:
-    """Blank the receiver while the transmitter fires: zero the first
-    to_samples(blank) samples of each PRI slot (see check_blank_width)."""
-    blanked = _slot_heads(0, len(s), params.pri_samples,
-                          check_blank_width(params, blank_width_s))
-    return s.with_samples(np.where(blanked, 0.0, s.samples))
 
 
 def despread(s: SampleStream, pn: PnSequence, params: RadarParams,
@@ -81,26 +65,19 @@ def qpsk_demod(s: SampleStream, params: RadarParams,
     return i_bits, q_bits
 
 
-def uwb_correlate(z: np.ndarray, template: PulseTrain, lags: range,
-                  blank_samples: int = 0) -> np.ndarray:
+def uwb_correlate(z: np.ndarray, template: PulseTrain,
+                  lags: range) -> np.ndarray:
     """Sliding inner product <rx[n+k], template[k]> for each lag n in
-    ``lags``, with the first ``blank_samples`` of each
-    ``template.period``-sample slot of rx zeroed, from the despread lag
-    window of a stream rx at the template's rate: z = sum_j chips[j] *
-    rx[j*period + lags.start :] over len(lags) + len(pulse) - 1 samples
-    (see channel.despread_windows), taken as finite (a SweepPipeline
-    checks its block of windows at once).
-
-    The blanked positions are the same in every chip's slice, so they are
-    zeroed in z, in place; z is then matched against the conjugated
-    pulse, so a matched template yields the echo amplitude.
+    ``lags``, from the despread lag window of a stream rx at the
+    template's rate: z = sum_j chips[j] * rx[j*period + lags.start :] over
+    len(lags) + len(pulse) - 1 samples (see channel.despread_windows),
+    taken as finite (a SweepPipeline checks its block of windows at once).
+    z is matched against the conjugated pulse, so a matched template
+    yields the echo amplitude.
     """
     if lags.step != 1 or lags.start < 0:
         raise ValueError(f"lags {lags} must be a contiguous run of lags "
                          f"from 0 on")
-    if not 0 <= blank_samples < template.period:
-        raise ValueError(f"blank of {blank_samples} samples must be shorter "
-                         f"than the {template.period}-sample slot")
     width = len(lags) + len(template.pulse) - 1
     if len(z) != width:
         raise ValueError(
@@ -108,9 +85,6 @@ def uwb_correlate(z: np.ndarray, template: PulseTrain, lags: range,
             f"{lags} of a {len(template.pulse)}-sample pulse ({width})")
     if not lags:
         return np.zeros(0, dtype=np.complex128)
-    if blank_samples:
-        z[_slot_heads(lags.start, width, template.period,
-                      blank_samples)] = 0.0
     return np.correlate(z, template.pulse.samples, mode="valid")
 
 

@@ -25,6 +25,7 @@ from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
 from .codes import CodeKind, PnSequence, gen_gold, gen_mseq
 from .imaging import Calibration, ReceiverConfig, SweepPipeline, \
     block_shape, check_scan
+from .receiver import check_blank_width
 from .waveform import Mode, RadarParams, nb_params, uwb_params
 
 
@@ -435,9 +436,13 @@ def resolve_scenario(data: dict) -> Scenario:
                 > np.iinfo(np.intp).max:
             raise MemoryError  # numpy would raise ValueError for this size
         for chain, (params, rx_cfg) in chains.items():
-            pipelines[chain] = _named(
-                f"receiver.blank_width_s ({chain.value} chain)", SweepPipeline,
-                params, pn, rx_config=rx_cfg)
+            # the blank's rule, then the window's, which the pipeline owns
+            where = f"({chain.value} chain)"
+            _named(f"receiver.blank_width_s {where}", check_blank_width,
+                   params, rx_cfg.blank_width_s)
+            pipelines[chain] = _named(f"receiver.max_range_m {where}",
+                                      SweepPipeline, params, pn,
+                                      rx_config=rx_cfg)
             _check_kept_window(pipelines[chain], calibrates_on, gated)
     except MemoryError:
         raise OutOfMemory(kind, blocks) from None

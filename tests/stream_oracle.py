@@ -1,20 +1,56 @@
-"""The correlator's despread on a whole received stream, kept in test code
-as an oracle: a SweepPipeline never builds the stream, but reads only the
-despread windows that channel.despread_windows builds.  Those sum the same
-terms in another order, so they equal the oracle to rounding, within the
-bound that assert_rounding_close checks."""
+"""A sweep's whole received stream, its receive blank and the correlator's
+despread on it, kept in test code as an oracle: a SweepPipeline never
+builds the stream, but reads only the despread windows that
+channel.despread_windows builds.  Those sum the same terms in another
+order, so they equal the oracle to rounding, within the bound that
+assert_rounding_close checks."""
 
 import dataclasses
 
 import numpy as np
 
+from pnradar import SampleStream
 from pnradar.channel import _block_terms
+from pnradar.receiver import check_blank_width
 
 # The largest |window - oracle| / (eps * S + tiny) seen was 4.95, and 2.46
 # for profiles, over 40 Hypothesis seeds of the tests that call
 # assert_rounding_close (about 14,000 examples); the bound leaves a factor
 # of 6.
 ROUNDING_ULPS = 32
+
+
+def propagate(tx, scene, params, pol, sweep_index=0):
+    """One sweep's whole received stream: what channel._block_terms gives,
+    added in its order.  Each term adds its amplitude times each chip's
+    pulse, chip by chip, as far as the stream reaches; each noise rail is
+    one whole draw."""
+    terms, interferers, noise = _block_terms(
+        tx, scene, params, pol, range(sweep_index, sweep_index + 1))
+    n = len(tx)
+    out = np.zeros((1, n), dtype=np.complex128)
+    # shaped[j] is chip j's pulse, sent from sample j*period
+    shaped = tx.chips[:, None] * tx.pulse.samples[None, :]
+    for amp, d in terms:
+        for pulse, s in zip(shaped, range(d, n, tx.period)):
+            out[:, s:s + pulse.size] += amp * pulse[None, :n - s]
+    for samples in interferers:
+        out += samples(0, n)
+    scale = np.sqrt(scene.noise_psd * params.sample_rate_hz / 2.0)
+    for row, rng in zip(out, noise):
+        z = rng.standard_normal(2 * n)
+        z *= scale
+        row.real += z[:n]
+        row.imag += z[n:]
+    return SampleStream(out[0], params.sample_rate_hz, params.carrier_hz)
+
+
+def rx_gate(s, params, blank_width_s):
+    """Blank the receiver while the transmitter fires: zero the first
+    to_samples(blank) samples of each PRI slot (see check_blank_width)."""
+    blank = check_blank_width(params, blank_width_s)
+    blanked = np.arange(len(s)) % params.pri_samples < blank
+    return s.with_samples(np.where(blanked, 0.0, s.samples))
 
 
 def despread_stream(rx, train, window):

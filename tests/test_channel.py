@@ -12,13 +12,13 @@ from pnradar import (Interferer, InterfererKind, Pol, PulseTrain,
                      ReceiverConfig, SampleStream, Scatterer, Scene,
                      SweepPipeline, TargetModel,
                      add_interferer, despread_windows, gen_clutter, gen_mseq,
-                     identity_pol_matrix, make_waveform, nb_params, propagate,
+                     identity_pol_matrix, make_waveform, nb_params,
                      uwb_params, SPEED_OF_LIGHT)
 from pnradar import channel
 from pnradar.channel import (_POL_INDEX, _RNG_INTERFERER, _RNG_NOISE,
                              _RNG_PHASE, _interferer, _stream_rngs,
                              _stream_state, _tone)
-from stream_oracle import assert_rounding_close, despread_stream
+from stream_oracle import assert_rounding_close, despread_stream, propagate
 
 _U64 = 2**64 - 1
 
@@ -545,7 +545,8 @@ def _impulse_train(params, chips, period, length):
 class TestPropagateBuffers:
     """A block of despread windows draws each row's noise window by window
     into buffers one window wide: the draws between two windows are made
-    and dropped, and overlapping windows share theirs."""
+    and dropped.  A window is at most a period wide, so no two windows
+    overlap."""
 
     @pytest.mark.parametrize("n", [10_000, 16_384, 32_768, 49_159])
     def test_chunked_noise_equals_whole_rail_draw(self, n):
@@ -556,20 +557,23 @@ class TestPropagateBuffers:
         scene = _single_point_scene(sigma=0.0, range_m=1.0, noise_psd=1e-19,
                                     rng_seed=31)
         re, im = _whole_rails(31, 4, n, scale)
-        # windows with gaps between them, abutting, and overlapping
-        for window in (range(7, period - 3), range(0, period),
-                       range(5, period + 900)):
+        # windows with gaps between them, and abutting
+        for window in (range(7, period - 3), range(0, period)):
             z = despread_windows(tx, scene, params, Pol.VV, range(4, 5),
                                  window)[0]
             assert z.real.tobytes() == _rail_windows(re, tx, window).tobytes()
             assert z.imag.tobytes() == _rail_windows(im, tx, window).tobytes()
+        with pytest.raises(ValueError, match="at most a period wide"):
+            despread_windows(tx, scene, params, Pol.VV, range(4, 5),
+                             range(5, period + 900))
 
     @pytest.mark.parametrize("width", [6_383, 6_384, 6_385, 853],
                              ids=["below", "at", "above", "nb"])
     def test_block_rows_draw_real_then_imaginary_rail(self, width):
-        # windows narrower than, as wide as and wider than the period of a
-        # three-chip train, and a narrowband sweep's one window, on a block
-        # of many rows, each drawn from its own stream
+        # windows narrower than and as wide as the period of a three-chip
+        # train, and a narrowband sweep's one window, on a block of many
+        # rows, each drawn from its own stream; a window wider than the
+        # period is rejected
         if width == 853:
             params = nb_params()
             tx, window = make_waveform(params, gen_mseq([3, 1, 0]))[0], \
@@ -582,6 +586,10 @@ class TestPropagateBuffers:
         scene = _single_point_scene(sigma=0.0, range_m=1.0, noise_psd=1e-19,
                                     rng_seed=31)
         sweeps = range(4, 18)
+        if width > tx.period:
+            with pytest.raises(ValueError, match="at most a period wide"):
+                despread_windows(tx, scene, params, Pol.VV, sweeps, window)
+            return
         block = despread_windows(tx, scene, params, Pol.VV, sweeps, window)
         assert block.shape == (len(sweeps), width)
         for k, row in zip(sweeps, block):
@@ -614,13 +622,14 @@ class TestPropagateBuffers:
 
 @st.composite
 def _windows(draw, train):
-    """A window of chip 0's samples whose chip windows lie in the train's
-    stream: often one period wide or a sample either side, often at the
-    start or the end of the room the chips leave."""
+    """A window of chip 0's samples, at most a period wide, whose chip
+    windows lie in the train's stream: often one period wide or a sample
+    less, often at the start or the end of the room the chips leave."""
     room = len(train) - (len(train.chips) - 1) * train.period
-    widths = [w for w in (train.period - 1, train.period, train.period + 1)
-              if 0 <= w <= room] + [room]
-    width = draw(st.one_of(st.integers(0, room), st.sampled_from(widths)))
+    widest = min(room, train.period)
+    widths = [w for w in (train.period - 1, train.period)
+              if 0 <= w <= widest] + [widest]
+    width = draw(st.one_of(st.integers(0, widest), st.sampled_from(widths)))
     start = draw(st.one_of(st.integers(0, room - width),
                            st.sampled_from([0, room - width])))
     return range(start, start + width)

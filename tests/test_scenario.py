@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pnradar
-from pnradar import (Mode, NoDetections, ScanImage, cli, gen_gold,
-                     gen_mseq, imaging, nb_params, uwb_params)
+from pnradar import (Mode, NoDetections, SPEED_OF_LIGHT, ScanImage, cli,
+                     gen_gold, gen_mseq, imaging, nb_params, uwb_params)
 from pnradar.cli import _write_manifest, main, run, write_image_csv
 from pnradar.channel import Scatterer, Scene, TargetModel
 from pnradar.imaging import Calibration, calibrate
@@ -53,8 +53,9 @@ experiment:
 """
 
 
-# direct-path leakage and a blanked receiver whose kept lags read the blank
-# (past about 14.8 m), gated where nothing scatters
+# direct-path leakage and a blanked receiver whose kept lags run to 14.75 m,
+# near the far end of chip 0's PRI slot (14.79 m), gated where nothing
+# scatters
 LEAKY = """
 seed: 1
 radar: {mode: uwb}
@@ -62,7 +63,7 @@ code: {family: msequence, taps: [5, 2, 0], chips_per_bit: 31}
 scene:
   target: {points: [{sigma_m2: 1.0e-3, range_m: 10.0}]}
   direct_path_gain: 0.5
-receiver: {blank_width_s: 2.0e-9, max_range_m: 14.95, gate_min_m: 14.5, gate_max_m: 14.95}
+receiver: {blank_width_s: 2.0e-9, max_range_m: 14.75, gate_min_m: 14.5, gate_max_m: 14.75}
 experiment:
   kind: rcs_sweep_series
   sweeps: 2
@@ -978,15 +979,48 @@ class TestCliEntry:
         assert rc == 3
         assert capsys.readouterr().err == (
             "error [rcs_sweep_series]: uwb sweep 0: no scatterer detected "
-            "in gate [14.5, 14.95] m\n")
+            "in gate [14.5, 14.75] m\n")
         assert not (tmp_path / "out" / "series.csv").exists()
+
+    @pytest.mark.parametrize("radar", [
+        "{mode: nb}",
+        "{mode: uwb}",
+        # 10,000.5 samples per PRI
+        "{mode: uwb, uwb: {pri_s: 1.00005e-7}}"])
+    def test_window_past_its_pri_slot_exits_two(self, tmp_path, capsys,
+                                                radar):
+        # the correlator reads one pulse past the last kept lag, so that
+        # lag may be pri_samples - pulse_samples, where the window ends
+        # with chip 0's slot; one lag more exits 2, as LEAKY does at 14.95 m
+        text = MINIMAL.replace("{mode: uwb}", radar) \
+            + "experiment: {kind: profile}\n"
+        scenario = load_scenario(_write(tmp_path, text, "probe.yaml"))
+        params, chain = scenario.params_for(scenario.mode), scenario.mode
+        last = params.pri_samples - params.pulse_samples
+        fs = params.sample_rate_hz
+        at, past = (SPEED_OF_LIGHT * (lag * (1.0 / fs)) / 2.0
+                    for lag in (last, last + 1))
+        pipeline = load_scenario(_write(
+            tmp_path, text + f"receiver: {{max_range_m: {at!r}}}\n",
+            "limit.yaml")).pipelines[chain]
+        assert (pipeline.lags.stop - 1, pipeline.window.stop) == \
+            (last, params.pri_samples)
+        where = f"receiver.max_range_m ({chain.value} chain): "
+        cases = {
+            f"{where}{past:g} m reads past the {params.pri_samples}-sample "
+            f"PRI slot; the kept lags must end by lag {last}, {at:.7g} m":
+                text + f"receiver: {{max_range_m: {past!r}}}\n"}
+        if chain is Mode.DS_UWB:
+            cases[f"{where}14.95 m reads past"] = LEAKY.replace(
+                "{mode: uwb}", radar).replace("14.75", "14.95")
+        _assert_rejected_before_synthesis(tmp_path, capsys, cases)
 
     def test_blank_shorter_than_the_monocycle_exits_two(self, tmp_path,
                                                         capsys):
         # the monocycle spans 133 samples, one more than pulse_width_s * fs
         text = LEAKY.replace(
-            "blank_width_s: 2.0e-9, max_range_m: 14.95, gate_min_m: 14.5, "
-            "gate_max_m: 14.95", "blank_width_s: 1.32e-9, max_range_m: 14.0, "
+            "blank_width_s: 2.0e-9, max_range_m: 14.75, gate_min_m: 14.5, "
+            "gate_max_m: 14.75", "blank_width_s: 1.32e-9, max_range_m: 14.0, "
             "gate_min_m: 0.15, gate_max_m: 1.0")
         _assert_rejected_before_synthesis(tmp_path, capsys, {
             "receiver.blank_width_s (uwb chain): blank width 1.32e-09 s is "
@@ -1123,7 +1157,7 @@ class TestCliEntry:
                                                           capsys):
         # the run self-calibrates on a sphere past c*PRI/2 (14.99 m)
         far = SERIES + ("  reference: {sigma_m2: 1.0e-3, range_m: 15.5}\n"
-                        "receiver: {max_range_m: 20.0}\n")
+                        "receiver: {max_range_m: 14.0}\n")
         _assert_rejected_before_synthesis(tmp_path, capsys, {
             "experiment.reference (uwb chain): scatterer 0 at 15.5 m exceeds "
             "the unambiguous range 14.9896 m": far,
@@ -1526,29 +1560,6 @@ class TestNumpyOnlyRuntime:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
-
-    def test_blank_read_profile_digest_is_pinned(self, tmp_path):
-        # the kept lags run past about 14.8 m, where the correlator reads
-        # the blank that heads the next PRI; the digest was recorded when
-        # the pipeline blanked the whole read prefix before correlating
-        # (numpy 2.4.6, x86-64)
-        path = _write(tmp_path, """
-seed: 1
-radar: {mode: uwb}
-code: {family: msequence, taps: [5, 2, 0], chips_per_bit: 31}
-scene:
-  target: {points: [{sigma_m2: 1.0e-3, range_m: 10.0}]}
-  noise_psd_w_per_hz: 1.0e-19
-  direct_path_gain: 0.5
-receiver: {blank_width_s: 2.0e-9, max_range_m: 14.95}
-experiment: {kind: profile}
-""")
-        assert main([str(path), "--out", str(tmp_path / "out"),
-                     "--quiet"]) == 0
-        csv = (tmp_path / "out" / "profile.csv").read_bytes()
-        assert csv.count(b"\n") == 9774
-        assert hashlib.sha256(csv).hexdigest() == (
-            "882fca43631daa63e37d859f1005fd6322da1015412efdd3b59612e4115f9b9f")
 
     def test_scan_image_csv_digest_is_pinned(self, tmp_path):
         # uwb_scan's geometry over 5 rows; the digest was recorded before

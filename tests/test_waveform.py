@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pnradar import (CodeKind, Mode, PnSequence, PulseTrain, SampleStream,
+from pnradar import (CodeKind, Mode, PnSequence, PulseTrain,
+                     ReceiverConfig, SampleStream, SPEED_OF_LIGHT,
                      SweepPipeline, gaussian_monocycle, gen_mseq,
                      make_waveform, nb_params, qpsk_baseband, spread,
                      uwb_params, uwb_pulse_train)
@@ -132,7 +133,10 @@ class TestPulseGrid:
             return
         params = build()
         assert (params.pulse_samples, params.pri_samples) == (pulse, slot)
-        pipeline = SweepPipeline(params, gen_mseq([3, 1, 0]))
+        # the kept lags run as far as the window stays in the slot
+        far = SPEED_OF_LIGHT * ((slot - pulse) * (1.0 / fs)) / 2.0
+        pipeline = SweepPipeline(params, gen_mseq([3, 1, 0]),
+                                 rx_config=ReceiverConfig(max_range_m=far))
         assert len(pipeline.tx.pulse) == pulse
         check_blank_width(params, pulse / fs)
 
