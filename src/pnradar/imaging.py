@@ -198,10 +198,21 @@ def _centroid(ranges, weights) -> float:
     return float((ranges * weights).sum() / weights.sum())
 
 
-def _detect_rows(values: np.ndarray, ranges_m: np.ndarray,
-                 threshold_db: float,
+# The chance that noise alone is detected among `cells` bins: each bin's
+# power is exponential with median ln 2 * mean, so it tops k medians with
+# chance 2**-k, and the union bound cells * 2**-k is P_FA at the factor k.
+P_FA = 1e-3
+
+
+def detection_factor(cells: int) -> float:
+    """The power over a profile's median that is detectable among ``cells``
+    bins searched (at least one): ln(cells / P_FA) / ln 2."""
+    return math.log(max(cells, 1) / P_FA) / math.log(2.0)
+
+
+def _detect_rows(values: np.ndarray, ranges_m: np.ndarray, factor: float,
                  window_bins: int) -> list[list[Detection]]:
-    """Local maxima more than the threshold above the noise median, in
+    """Local maxima more than ``factor`` times the noise median in power, in
     each row of ``values`` (one profile's complex values over ``ranges_m``).
 
     A bin qualifies when it holds the window maximum over +/-window_bins
@@ -216,7 +227,7 @@ def _detect_rows(values: np.ndarray, ranges_m: np.ndarray,
     # Relative floor keeps float round-off in noiseless profiles (about
     # 300 dB down) from masquerading as scatterers.
     floor = np.maximum(_median(power), power.max(axis=1) * 1e-18)
-    thr = floor * 10.0 ** (threshold_db / 10.0)
+    thr = floor * factor
     # past n bins a window holds only padding, so clipping w changes nothing
     w = min(window_bins, n)
     # peak[:, k] is the maximum of padded[:, k .. k+w-1]: the w bins left of
@@ -261,11 +272,10 @@ def calibrate(profile: RangeProfile, sigma_ref_m2: float,
         raise ValueError("reference profile is empty")
     peak_idx = int(np.argmax(power))
     peak = float(power[peak_idx])
-    floor = _median(power)
-    if peak <= 0 or (floor > 0 and peak < 10.0 * floor):
-        raise ValueError(
-            "reference peak is not detectable (needs >= 10 dB above the "
-            "profile median)")
+    factor = detection_factor(power.size)
+    if peak <= 0 or peak < factor * _median(power):
+        raise ValueError(f"reference peak is not detectable (needs >= "
+                         f"{10 * math.log10(factor):.3g} dB over the median)")
     peak_range = float(profile.ranges_m[peak_idx])
     if abs(peak_range - range_ref_m) > 4.0 * profile.bin_width_m + 0.5:
         raise ValueError(
@@ -278,34 +288,33 @@ def calibrate(profile: RangeProfile, sigma_ref_m2: float,
 
 @dataclass(frozen=True)
 class ReceiverConfig:
-    """Detection and gating settings of a SweepPipeline; the scenario
-    schema takes its defaults from here, but for max_range_m, which a
-    scenario leaves at 100 m (nb) or 0.9*c*PRI/2 (uwb)."""
+    """Gating settings of a SweepPipeline; the scenario schema takes its
+    defaults from here.  An unset max_range_m is the chain's (for_chain)."""
 
     blank_width_s: float = 0.0
-    threshold_db: float = 10.0
-    max_range_m: float = 20.0
+    max_range_m: float | None = None
     gate_m: tuple[float, float] | None = None
 
     def __post_init__(self):
         check_field("blank_width_s", self.blank_width_s, "finite and >= 0")
-        check_field("threshold_db", self.threshold_db, "> 0")
-        with np.errstate(over="ignore"):  # the detector's floor factor
-            factor = np.float64(10.0) ** (self.threshold_db / 10.0)
-        if not np.isfinite(factor):
-            raise ValueError(f"threshold_db must give a finite power ratio "
-                             f"10**(threshold_db/10), got {self.threshold_db}")
-        check_field("max_range_m", self.max_range_m, "finite and > 0")
+        if self.max_range_m is not None:
+            check_field("max_range_m", self.max_range_m, "finite and > 0")
         if self.gate_m is not None:
             lo, hi = self.gate_m
             if not 0 <= lo < hi:  # NaN fails too
                 raise ValueError(f"gate_m must be (min, max) with "
                                  f"0 <= min < max, got {self.gate_m}")
 
+    def for_chain(self, params: RadarParams) -> ReceiverConfig:
+        """This config with max_range_m set, by default to 100 m (nb) or
+        0.9*c*PRI/2 (uwb)."""
+        return self if self.max_range_m is not None else replace(
+            self, max_range_m=100.0 if params.mode is Mode.NB_DSSS
+            else 0.9 * params.unambiguous_range_m)
+
     @property
     def range_window_m(self) -> tuple[float, float]:
-        """The two-way ranges a profile keeps: from the end of the receive
-        blank, c*blank/2, to max_range_m."""
+        """The two-way ranges a profile keeps: c*blank/2 to max_range_m."""
         return SPEED_OF_LIGHT * self.blank_width_s / 2.0, self.max_range_m
 
 
@@ -401,7 +410,7 @@ def kept_lags(params: RadarParams, pn: PnSequence,
     near, far = rx_config.range_window_m
     # the template, one pulse per chip, is a PRI less one pulse shorter
     # than the active transmission
-    n_lags = (sweep_samples(params, pn, rx_config.max_range_m)
+    n_lags = (sweep_samples(params, pn, far)
               - _active_samples(params, pn) + params.pri_samples
               - params.pulse_samples + 1)
     lo = _first(n_lags, lambda k: SPEED_OF_LIGHT * (k * inv) / 2.0 >= near)
@@ -415,15 +424,31 @@ def _block_rows(window: int) -> int:
     return max(1, _BLOCK_SAMPLES // max(window, 1))
 
 
+def despread_window(params: RadarParams, pn: PnSequence,
+                    rx_config: ReceiverConfig) -> tuple[range, range]:
+    """(kept lags, window) of a sweep under rx_config.for_chain: the
+    window of chip 0's slot that the correlator reads must end inside the
+    slot, past which it would read range-aliased echoes and the next
+    slot's blank.  Checked from integers, before any array is built."""
+    cfg = rx_config.for_chain(params)
+    lags = kept_lags(params, pn, cfg)
+    window = range(lags.start, lags.stop + params.pulse_samples - 1)
+    if window.stop > params.pri_samples:
+        last = params.pri_samples - params.pulse_samples
+        raise ValueError(
+            f"{cfg.max_range_m:g} m reads past the {params.pri_samples}"
+            f"-sample PRI slot; the kept lags must end by lag {last}, "
+            f"{_lag_ranges_m(range(last, last + 1), params)[0]:.7g} m")
+    return lags, window
+
+
 def block_shape(params: RadarParams, pn: PnSequence,
                 rx_config: ReceiverConfig) -> tuple[int, int]:
-    """(sweeps, window samples) of a block of the pipeline these build: a
-    sweep's despread window holds its kept lags plus one pulse, less one
-    sample."""
-    lags = kept_lags(params, pn, rx_config)
-    # len() of a range cannot pass sys.maxsize
-    window = lags.stop - lags.start + params.pulse_samples - 1
-    return _block_rows(window), window
+    """(sweeps, window samples) of a block of the pipeline these build,
+    whose despread_window rules it checks."""
+    window = despread_window(params, pn, rx_config)[1]
+    samples = window.stop - window.start  # len() cannot pass sys.maxsize
+    return _block_rows(samples), samples
 
 
 def _usable_cpus() -> int:
@@ -438,14 +463,12 @@ class SweepPipeline:
 
     One instance owns the waveform for a given (params, code) pair and
     runs the despread_windows / correlate / profile chain on blocks of
-    sweeps, which share its one transmit train, kept lags and window; the
-    correlator matches the train's own pulse, the template's, over only
-    the lags the profile keeps.  The window must end inside chip 0's PRI
-    slot, past which its far bins would read range-aliased echoes and the
-    next slot's blank; so the blank is only the window's near edge.
-    ``chips_per_bit`` is checked against the code and otherwise unused, as
-    the waveform carries no data bits; it stays while the benchmark's
-    set-up passes it by position (ROADMAP item 5).
+    sweeps, which share its transmit train, whose pulse the correlator
+    matches over the kept lags, its window (see despread_window) and its
+    detection_factor, that of the kept bins in the gate (all of them with
+    no gate).  ``chips_per_bit`` is checked against the code and otherwise
+    unused, as the waveform carries no data bits; it stays while the
+    benchmark's set-up passes it by position (ROADMAP item 5).
     """
 
     def __init__(self, params: RadarParams, pn: PnSequence,
@@ -454,31 +477,18 @@ class SweepPipeline:
         if chips_per_bit is not None:
             pn.check_chips_per_bit(chips_per_bit)
         self.params = params
-        self.rx_config = cfg = rx_config or ReceiverConfig()
+        self.rx_config = cfg = (rx_config or ReceiverConfig()).for_chain(params)
         check_blank_width(params, cfg.blank_width_s)  # before any array
+        self.lags, self.window = despread_window(params, pn, cfg)
+        self.block_rows = _block_rows(len(self.window))
         self.tx = make_waveform(
             params, pn, sweep_samples(params, pn, cfg.max_range_m))[0]
-        self.lags = kept_lags(params, pn, cfg)
         # increasing, and shared read-only by every profile
         self.ranges_m = read_only(_lag_ranges_m(self.lags, params))
         self.bin_width_m = SPEED_OF_LIGHT * (1.0 / params.sample_rate_hz) / 2.0
-        # the samples of chip 0's slot the correlator reads: the kept lags'
-        # overlaps with one pulse
-        self.window = range(self.lags.start, self.lags.start + len(self.lags)
-                            + len(self.tx.pulse) - 1)
-        # checked once the arrays are built, so that a window too large
-        # to build is reported as out of memory
-        if self.window.stop > params.pri_samples:
-            last = params.pri_samples - len(self.tx.pulse)
-            raise ValueError(
-                f"{cfg.max_range_m:g} m reads past the {params.pri_samples}"
-                f"-sample PRI slot; the kept lags must end by lag {last}, "
-                f"{_lag_ranges_m(range(last, last + 1), params)[0]:.7g} m")
-
-    @property
-    def block_rows(self) -> int:
-        """Sweeps per block (see _block_rows)."""
-        return _block_rows(len(self.window))
+        lo, hi = cfg.gate_m or (0.0, math.inf)
+        self.detection_factor = detection_factor(np.count_nonzero(
+            (self.ranges_m >= lo) & (self.ranges_m <= hi)))
 
     def _values(self, scene: Scene, pol: Pol, sweeps: range) -> np.ndarray:
         """Profile values of a block of sweeps, one row per sweep: the
@@ -503,13 +513,12 @@ class SweepPipeline:
     def detect(self, scene: Scene, pol: Pol,
                sweeps: range) -> list[list[Detection]]:
         """Detections of a block of sweeps, one list per sweep in sweep
-        order: peaks rx_config.threshold_db above the noise median that top
+        order: peaks over detection_factor times the noise median that top
         the pulse_samples bins either side, the span of one point's
         matched-filter response, so that its side lobes do not count and
         points a pulse apart are both found."""
         return _detect_rows(self._values(scene, pol, sweeps), self.ranges_m,
-                            self.rx_config.threshold_db,
-                            self.params.pulse_samples)
+                            self.detection_factor, self.params.pulse_samples)
 
     def estimate(self, scene: Scene, cal: Calibration, pol: Pol,
                  sweeps: range) -> list[RcsEstimate]:

@@ -153,8 +153,7 @@ _INTERFERER_SCHEMA = {
 # field one of them leaves out takes the receiver section's value.
 _RX_SCHEMA = {
     "blank_width_s": _F(ReceiverConfig.blank_width_s, "float"),
-    "threshold_db": _F(ReceiverConfig.threshold_db, "float"),
-    "max_range_m": _F(None, "float", nullable=True),
+    "max_range_m": _F(ReceiverConfig.max_range_m, "float", nullable=True),
     "gate_min_m": _F(None, "float", nullable=True),
     "gate_max_m": _F(None, "float", nullable=True),
 }
@@ -306,16 +305,13 @@ def _build_code(cfg: dict) -> PnSequence:
 
 
 def _rx_config(section: dict, where: str) -> ReceiverConfig:
-    """The ReceiverConfig of the receiver section at ``where``, checked by
-    its rules; a null max_range_m keeps ReceiverConfig's default."""
+    """The ReceiverConfig of the receiver section at ``where``, checked."""
     lo, hi = section["gate_min_m"], section["gate_max_m"]
     if (lo is None) != (hi is None):
         raise ScenarioError(
             f"{where}.gate_min_m and {where}.gate_max_m must be set together")
-    values = {key: section[key] for key in ("blank_width_s", "threshold_db",
-              "max_range_m") if section[key] is not None}
-    return _named(where, ReceiverConfig, **values,
-                  gate_m=None if lo is None else (lo, hi),
+    return _named(where, ReceiverConfig, section["blank_width_s"],
+                  section["max_range_m"], None if lo is None else (lo, hi),
                   renamed={"gate_m": "(gate_min_m, gate_max_m)"})
 
 
@@ -399,19 +395,18 @@ def resolve_scenario(data: dict) -> Scenario:
     self_calibrates = kind is ExperimentKind.CALIBRATE or (
         consumes_cal and exp["calibration_file"] is None)
     calibrates_on = reference[1] if self_calibrates else None
-    # check each chain the run uses, then build its pipeline and check the
-    # window that pipeline keeps, all before synthesis
+    # check each chain the run uses, its blank's and window's rules from
+    # integers, then build its pipeline and check the window it keeps
     mode = Mode(cfg["radar"]["mode"])
-    chains = {}
+    chains, blocks = {}, {}
     for chain in (list(Mode) if kind is ExperimentKind.COMPARE_MODES
                   else [mode]):
         build = nb_params if chain is Mode.NB_DSSS else uwb_params
         params = _named(f"radar.{chain.value}", build, **cfg["radar"][chain.value])
         rx = cfg["receiver"][chain.value]
-        if rx["max_range_m"] is None:  # the manifest carries the window used
-            rx["max_range_m"] = (100.0 if chain is Mode.NB_DSSS
-                                 else 0.9 * params.unambiguous_range_m)
-        chains[chain] = params, _rx_config(rx, f"receiver.{chain.value}")
+        rx_cfg = _rx_config(rx, f"receiver.{chain.value}").for_chain(params)
+        rx["max_range_m"] = rx_cfg.max_range_m  # the manifest's, as used
+        chains[chain] = params, rx_cfg
         where = f"({chain.value} chain)"
         _named(f"scene {where}", check_unambiguous_range,
                scene.point_arrays[0], params)
@@ -421,6 +416,10 @@ def resolve_scenario(data: dict) -> Scenario:
         for i, itf in enumerate(interferers):
             _named(f"scene.interferers[{i}] {where}", check_interferer_band,
                    itf.freq_hz, params.carrier_hz, params.sample_rate_hz)
+        _named(f"receiver.blank_width_s {where}", check_blank_width,
+               params, rx_cfg.blank_width_s)
+        blocks[chain] = _named(f"receiver.max_range_m {where}", block_shape,
+                               params, pn, rx_cfg)
     calibration = None
     if consumes_cal and exp["calibration_file"] is not None:
         # compare_modes takes no file, so the run has the one chain
@@ -428,21 +427,13 @@ def resolve_scenario(data: dict) -> Scenario:
                                            chains[mode][0], pn)
     gated = kind in (ExperimentKind.RCS_SWEEP_SERIES,
                      ExperimentKind.COMPARE_MODES)
-    blocks = {chain: block_shape(params, pn, rx_cfg)
-              for chain, (params, rx_cfg) in chains.items()}
     pipelines = {}
     try:
         if max(r * w for r, w in blocks.values()) * 16 \
                 > np.iinfo(np.intp).max:
             raise MemoryError  # numpy would raise ValueError for this size
         for chain, (params, rx_cfg) in chains.items():
-            # the blank's rule, then the window's, which the pipeline owns
-            where = f"({chain.value} chain)"
-            _named(f"receiver.blank_width_s {where}", check_blank_width,
-                   params, rx_cfg.blank_width_s)
-            pipelines[chain] = _named(f"receiver.max_range_m {where}",
-                                      SweepPipeline, params, pn,
-                                      rx_config=rx_cfg)
+            pipelines[chain] = SweepPipeline(params, pn, rx_config=rx_cfg)
             _check_kept_window(pipelines[chain], calibrates_on, gated)
     except MemoryError:
         raise OutOfMemory(kind, blocks) from None

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
-from scipy import signal
+from scipy import signal, stats
 
 from pnradar import (PREFERRED_PAIRS, Calibration, CodeKind, Detection,
                      Interferer, InterfererKind, Mode, NoDetections,
@@ -28,7 +28,8 @@ from pnradar import (PREFERRED_PAIRS, Calibration, CodeKind, Detection,
 from pnradar import imaging
 from pnradar.cli import main
 from pnradar.channel import _tone
-from pnradar.imaging import _detect_rows, _median, kept_lags, sweep_samples
+from pnradar.imaging import (P_FA, _detect_rows, _median, detection_factor,
+                             kept_lags, sweep_samples)
 from pnradar.scenario import load_scenario
 from stream_oracle import (assert_rounding_close, despread_stream,
                            propagate, rx_gate, stream_profile)
@@ -36,6 +37,9 @@ from stream_oracle import (assert_rounding_close, despread_stream,
 SIGMA_REF = 1e-3  # -30 dBsm reference sphere
 R_REF = 10.0
 ROOT = Path(__file__).resolve().parents[1]
+# power factors over the median for the detector's property tests: 0.5, 3
+# and 10 dB, and sphere_compare's UWB gate factor, 12.87 dB over 667 bins
+FACTORS = [10.0 ** 0.05, 10.0 ** 0.3, 10.0, detection_factor(667)]
 
 
 def target(*pairs):
@@ -138,16 +142,14 @@ class TestRcsEstimate:
 
 class TestReceiverConfig:
     @pytest.mark.parametrize("field, value, match", [
-        ("threshold_db", math.nan, "threshold_db must be > 0"),
-        ("threshold_db", 0.0, "threshold_db must be > 0"),
-        ("threshold_db", 4000.0, "threshold_db must give a finite power "
-                                 "ratio"),
-        ("threshold_db", math.inf, "threshold_db must give a finite power "
-                                   "ratio"),
         ("max_range_m", -1.0, "max_range_m must be finite and > 0"),
         ("max_range_m", math.nan, "max_range_m must be finite and > 0"),
         ("blank_width_s", math.nan, "blank_width_s must be finite and >= 0"),
         ("blank_width_s", -1e-9, "blank_width_s must be finite and >= 0"),
+        ("max_range_m", 0.0, "max_range_m must be finite and > 0"),
+        ("max_range_m", math.inf, "max_range_m must be finite and > 0"),
+        ("blank_width_s", math.inf, "blank_width_s must be finite and >= 0"),
+        ("blank_width_s", -math.inf, "blank_width_s must be finite and >= 0"),
         ("gate_m", (5.0, 1.0), re.escape(
             "gate_m must be (min, max) with 0 <= min < max, got (5.0, 1.0)")),
         ("gate_m", (-1.0, 1.0), "gate_m"),
@@ -158,9 +160,18 @@ class TestReceiverConfig:
             ReceiverConfig(**{field: value})
 
     def test_edges_accepted(self):
-        cfg = ReceiverConfig(blank_width_s=0.0, gate_m=(0.0, 1e-9),
-                             threshold_db=3082.0)
+        cfg = ReceiverConfig(blank_width_s=0.0, gate_m=(0.0, 1e-9))
         assert cfg.gate_m == (0.0, 1e-9)
+
+    def test_unset_max_range_is_the_chains_default(self):
+        # 100 m on nb; on uwb, 0.9*c*PRI/2 lies inside the 14.79 m slot
+        assert [f.name for f in dataclasses.fields(ReceiverConfig)] == [
+            "blank_width_s", "max_range_m", "gate_m"]
+        pn = gen_mseq([5, 2, 0])
+        for params, want in ((nb_params(), 100.0), (uwb_params(), 13.4906606)):
+            pipeline = SweepPipeline(params, pn)
+            assert pipeline.rx_config.max_range_m == pytest.approx(want)
+            assert pipeline.rx_config == ReceiverConfig().for_chain(params)
 
 
 class TestPulseVolumeDepth:
@@ -208,7 +219,9 @@ class TestRangeProfileAndDetection:
             SPEED_OF_LIGHT / (2 * params.sample_rate_hz))
 
     def test_noise_only_profile_has_no_detection(self, nb_setup):
+        # with no gate, the detector searches all 54 kept bins
         _, _, _, pipeline, _ = nb_setup
+        assert pipeline.detection_factor == detection_factor(54)
         scene = Scene(target=target((0.0, R_REF)), noise_psd=1e-15, rng_seed=3)
         assert pipeline.detect(scene, Pol.VV, range(1)) == [[]]
 
@@ -261,14 +274,44 @@ class TestRangeProfileAndDetection:
                 RangeProfile(ranges_m=ranges, values=np.ones(3),
                              bin_width_m=0.1)
 
-    def test_threshold_must_be_positive(self, uwb_setup):
-        # the detector's threshold comes only from the pipeline's
-        # ReceiverConfig, which rejects these
-        params, pn, cfg, _, _ = uwb_setup
-        for threshold_db in (0.0, math.nan):
-            with pytest.raises(ValueError, match="threshold_db must be > 0"):
-                SweepPipeline(params, pn, rx_config=dataclasses.replace(
-                    cfg, threshold_db=threshold_db))
+
+class TestFalseAlarms:
+    """Sweeps of noise alone at sphere_compare's density, counted when
+    they have a detection where a run estimates: in the gate, or anywhere
+    with no gate."""
+
+    @staticmethod
+    def _alarms(pipeline, sweeps, seed):
+        scene = Scene(target=target((0.0, R_REF)), noise_psd=1e-19,
+                      rng_seed=seed)
+        lo, hi = pipeline.rx_config.gate_m or (0.0, math.inf)
+        return sum(any(lo <= d.range_m <= hi for d in dets)
+                   for dets in pipeline._each_block(
+                       lambda block: pipeline.detect(scene, Pol.VV, block),
+                       sweeps))
+
+    def test_uwb_gate_alarms_at_most_p_fa(self):
+        # sphere_compare's gate holds 667 bins: 12.87 dB over the median.
+        # A sweep alarms with chance at most P_FA, so 200 sweeps alarm
+        # more often than Binomial(200, P_FA)'s 1 - 1e-4 quantile, 3, with
+        # chance 1e-4; a 10 dB threshold alarmed in 10 to 18 of them at
+        # seeds 0 to 3
+        pipeline = SweepPipeline(uwb_params(), gen_mseq([3, 1, 0]),
+                                 rx_config=ReceiverConfig(
+                                     max_range_m=14.0, gate_m=(9.5, 10.5)))
+        assert 10.0 * math.log10(pipeline.detection_factor) == \
+            pytest.approx(12.87, abs=0.005)
+        bound = stats.binom.ppf(1.0 - 1e-4, 200, P_FA)
+        assert bound == 3
+        assert self._alarms(pipeline, 200, seed=0) <= bound
+
+    def test_nb_alarms_at_a_measured_rate(self, nb_setup):
+        # NB's 54 kept bins span about 7 chip-wide cells, whose median is
+        # no noise estimate, so its rate exceeds P_FA: over seeds 0 to 11,
+        # 7 to 15 of 2,000 sweeps alarmed (0.56 % pooled).  The bound,
+        # 1.5 %, is 2.7 times that; a 10 dB threshold alarmed in 5.7 %
+        _, _, _, pipeline, _ = nb_setup
+        assert self._alarms(pipeline, 2000, seed=3) <= 30
 
 
 class TestPulseResolution:
@@ -344,7 +387,7 @@ class TestRangeGrid:
         assert max(map(abs, errors)) <= 0.003
 
 
-def _detect_oracle(profile, threshold_db, window_bins):
+def _detect_oracle(profile, factor, window_bins):
     """Bin-by-bin reference for _detect_rows on one profile: scan left to
     right, keep a bin that is the first maximum of its window, and merge
     the run of equal-power bins that follows it."""
@@ -352,8 +395,7 @@ def _detect_oracle(profile, threshold_db, window_bins):
     n = power.size
     if n == 0:
         return []
-    floor = max(float(np.median(power)), float(power.max()) * 1e-18)
-    thr = floor * 10.0 ** (threshold_db / 10.0)
+    thr = max(float(np.median(power)), float(power.max()) * 1e-18) * factor
     w = max(1, int(window_bins))
     detections = []
     i = 0
@@ -410,25 +452,25 @@ def _plateau_block(draw):
 class TestDetectOracle:
     @settings(max_examples=400, deadline=None)
     @given(_plateau_profile(), st.integers(1, 2000),
-           st.sampled_from([0.5, 3.0, 10.0]))
-    def test_matches_bin_by_bin_scan(self, profile, window, threshold_db):
+           st.sampled_from(FACTORS))
+    def test_matches_bin_by_bin_scan(self, profile, window, factor):
         assert _detect_rows(profile.values[None], profile.ranges_m,
-                            threshold_db, window) == \
-            [_detect_oracle(profile, threshold_db, window)]
+                            factor, window) == \
+            [_detect_oracle(profile, factor, window)]
 
     @settings(max_examples=300, deadline=None)
     @given(_plateau_block(), st.integers(1, 400),
-           st.sampled_from([0.5, 3.0, 10.0]))
-    def test_block_matches_each_row_alone(self, block, window, threshold_db):
+           st.sampled_from(FACTORS))
+    def test_block_matches_each_row_alone(self, block, window, factor):
         values, ranges = block
-        found = _detect_rows(values, ranges, threshold_db, window)
+        found = _detect_rows(values, ranges, factor, window)
         assert len(found) == len(values)
         for row, detections in zip(values, found):
             profile = RangeProfile(ranges_m=ranges.copy(), values=row,
                                    bin_width_m=0.0015)
             assert [detections] == _detect_rows(row[None], ranges,
-                                                threshold_db, window)
-            assert detections == _detect_oracle(profile, threshold_db,
+                                                factor, window)
+            assert detections == _detect_oracle(profile, factor,
                                                 window)
 
     def test_noisy_uwb_sweep_matches(self, uwb_setup):
@@ -442,7 +484,7 @@ class TestDetectOracle:
             prof = pipeline.profile(scene, sweep_index=k)
             assert dets
             assert [dets] == pipeline.detect(scene, Pol.VV, range(k, k + 1))
-            assert dets == _detect_oracle(prof, cfg.threshold_db,
+            assert dets == _detect_oracle(prof, pipeline.detection_factor,
                                           params.pulse_samples)
 
 
@@ -452,7 +494,7 @@ def _centroid_reference(ranges, weights):
     return float((ranges * weights).sum() / weights.sum())
 
 
-def _detect_rows_reference(values, ranges_m, threshold_db, window_bins):
+def _detect_rows_reference(values, ranges_m, factor, window_bins):
     """Reference for imaging._detect_rows: the same floor, window maxima
     and candidates, then each row's runs and centroids row by row, in
     numpy."""
@@ -460,8 +502,7 @@ def _detect_rows_reference(values, ranges_m, threshold_db, window_bins):
     rows, n = power.shape
     if n == 0:
         return [[] for _ in range(rows)]
-    floor = np.maximum(_median(power), power.max(axis=1) * 1e-18)
-    thr = floor * 10.0 ** (threshold_db / 10.0)
+    thr = np.maximum(_median(power), power.max(axis=1) * 1e-18) * factor
     w = min(max(1, int(window_bins)), n)
     padded = np.full((rows, n + 2 * w), -np.inf)
     padded[:, w:w + n] = power
@@ -534,13 +575,13 @@ class TestDetectAndEstimateReference:
 
     @settings(max_examples=400, deadline=None)
     @given(_detect_block(), st.integers(1, 400),
-           st.sampled_from([0.5, 3.0, 10.0]), st.sampled_from(list(Mode)),
+           st.sampled_from(FACTORS), st.sampled_from(list(Mode)),
            st.data())
-    def test_matches_reference(self, block, window, threshold_db, mode,
+    def test_matches_reference(self, block, window, factor, mode,
                                data):
         values, ranges = block
-        found = _detect_rows(values, ranges, threshold_db, window)
-        reference = _detect_rows_reference(values, ranges, threshold_db,
+        found = _detect_rows(values, ranges, factor, window)
+        reference = _detect_rows_reference(values, ranges, factor,
                                            window)
         assert [_bits(row) for row in found] == \
             [_bits(row) for row in reference]
@@ -572,15 +613,15 @@ class TestDetectAndEstimateReference:
 class TestDetectionSpacing:
     @settings(max_examples=300, deadline=None)
     @given(_detect_block(), st.integers(1, 60),
-           st.sampled_from([0.5, 3.0, 10.0]))
+           st.sampled_from(FACTORS))
     def test_starts_more_than_a_window_apart(self, block, window,
-                                             threshold_db):
+                                             factor):
         # a start tops the window_bins bins left of it and ties none, and
         # no bin of the window_bins right of it tops it; so no start lies
         # within the window of another
         values, ranges = block
         power = np.abs(values) ** 2
-        found = _detect_rows(values, ranges, threshold_db, window)
+        found = _detect_rows(values, ranges, factor, window)
         for row, detections in zip(power, found):
             starts = []
             for d in detections:
@@ -1142,6 +1183,22 @@ class TestCalibration:
         prof = pipeline.profile(scene)
         with pytest.raises(ValueError, match="detectable"):
             calibrate(prof, SIGMA_REF, R_REF)
+
+    def test_reference_held_to_the_detection_factor(self):
+        # the detector's rule over the profile's 101 bins: 12.2 dB
+        ranges = R_REF + (np.arange(101) - 50) * 0.01
+        factor = detection_factor(101)
+        for scale in (0.999, 1.001):
+            power = np.ones(101)
+            power[50] = scale * factor
+            prof = RangeProfile(ranges_m=ranges, values=np.sqrt(power),
+                                bin_width_m=0.01)
+            if scale > 1:
+                assert calibrate(prof, SIGMA_REF, R_REF).gain > 0
+                continue
+            with pytest.raises(ValueError, match=re.escape(
+                    "reference peak is not detectable (needs >= 12.2 dB")):
+                calibrate(prof, SIGMA_REF, R_REF)
 
     def test_gain_must_be_positive(self):
         with pytest.raises(ValueError, match="gain"):

@@ -340,8 +340,6 @@ class TestLoadScenario:
             "receiver.uwb: expected a mapping": MINIMAL + "receiver: {uwb: 3}\n",
             "receiver.nb.foo: unknown key":
                 MINIMAL + "receiver: {nb: {foo: 1}}\n",
-            "receiver.uwb: threshold_db must be > 0, got -1.0":
-                MINIMAL + "receiver: {uwb: {threshold_db: -1.0}}\n",
         })
 
     def test_target_window_margin_is_an_unknown_key(self, tmp_path, capsys):
@@ -350,6 +348,14 @@ class TestLoadScenario:
         _assert_rejected_before_synthesis(tmp_path, capsys, {
             f"{where}.margin_bins: unknown key":
                 _minimal_with({f"{where}.margin_bins": 2}, "uwb")
+            for where in ("receiver", "receiver.nb", "receiver.uwb")})
+
+    def test_threshold_db_is_an_unknown_key(self, tmp_path, capsys):
+        # the detector derives its threshold from the bins it searches
+        # (imaging.detection_factor), so no receiver section sets one
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            f"{where}.threshold_db: unknown key":
+                _minimal_with({f"{where}.threshold_db": 10.0}, "uwb")
             for where in ("receiver", "receiver.nb", "receiver.uwb")})
 
     def test_receiver_override_keeps_the_other_base_keys(self, tmp_path):
@@ -399,8 +405,6 @@ class TestLoadScenario:
         ("receiver.uwb.blank_width_s", {"receiver.uwb.blank_width_s": -1e-12},
          "uwb", "receiver.uwb: blank_width_s must be finite and >= 0, got "
                 "-1e-12"),
-        ("receiver.uwb.threshold_db", {"receiver.uwb.threshold_db": 0.0},
-         "uwb", "receiver.uwb: threshold_db must be > 0, got 0.0"),
         ("receiver.nb.max_range_m", {"receiver.nb.max_range_m": 0.0},
          "nb", "receiver.nb: max_range_m must be finite and > 0, got 0.0"),
         ("receiver.uwb.gate_min_m", {"receiver.uwb.gate_min_m": -1e-3,
@@ -411,16 +415,8 @@ class TestLoadScenario:
                                      "receiver.uwb.gate_max_m": -1e-3},
          "uwb", "receiver.uwb: (gate_min_m, gate_max_m) must be (min, max) "
                 "with 0 <= min < max, got (0.0, -0.001)"),
-        ("receiver.nb.threshold_db", {"receiver.nb.threshold_db": 4000.0},
-         "nb", "receiver.nb: threshold_db must give a finite power ratio "
-               "10**(threshold_db/10), got 4000.0"),
         # a value the shared section sets is checked there, once, even when
         # every chain the run uses sets its own
-        ("receiver.threshold_db", {"receiver.threshold_db": -1.0},
-         "nb", "receiver: threshold_db must be > 0, got -1.0"),
-        ("receiver.threshold_db", {"receiver.threshold_db": -1.0,
-                                   "receiver.nb.threshold_db": 3.0},
-         "nb", "receiver: threshold_db must be > 0, got -1.0"),
         ("receiver.max_range_m", {"receiver.max_range_m": 0.0,
                                   "receiver.uwb.max_range_m": 12.0},
          "uwb", "receiver: max_range_m must be finite and > 0, got 0.0"),
@@ -511,7 +507,7 @@ class TestLoadScenario:
     def test_unused_chain_is_checked_by_type_only(self, tmp_path, capsys):
         # a uwb profile builds neither the nb radar nor the nb receiver
         text = _minimal_with({"radar.nb.chip_rate_hz": 0.0,
-                              "receiver.nb.threshold_db": -1.0}, "uwb")
+                              "receiver.nb.max_range_m": -1.0}, "uwb")
         path = _write(tmp_path, text)
         assert main([str(path), "--out", str(tmp_path / "uwb"),
                      "--quiet"]) == 0
@@ -522,8 +518,8 @@ class TestLoadScenario:
         assert not nb_out.exists()
         # a value of the wrong type is rejected in any section
         _assert_rejected_before_synthesis(tmp_path, capsys, {
-            "receiver.nb.threshold_db: expected a number, got 'x'":
-                _minimal_with({"receiver.nb.threshold_db": "x"}, "uwb")})
+            "receiver.nb.max_range_m: expected a number, got 'x'":
+                _minimal_with({"receiver.nb.max_range_m": "x"}, "uwb")})
 
 
 class TestRunExperiments:
@@ -957,15 +953,16 @@ class TestCliEntry:
         _assert_rejected_before_synthesis(tmp_path, capsys, cases)
 
     def test_exit_three_on_model_error(self, tmp_path, capsys):
+        # nothing scatters in the gate, so its noise is no cross section:
+        # the message names the chain and the first sweep that failed
         text = SERIES + "receiver: {gate_min_m: 1.0, gate_max_m: 2.0}\n"
         path = _write(tmp_path, text)
         rc = main([str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 3
-        # the message names the chain and the first sweep that failed
-        found = re.match(r"error \[rcs_sweep_series\]: uwb sweep (\d+): no "
-                         r"scatterer detected in gate \[1, 2\] m$",
-                         capsys.readouterr().err)
-        assert found and int(found[1]) in range(4)
+        assert capsys.readouterr().err == (
+            "error [rcs_sweep_series]: uwb sweep 0: no scatterer detected "
+            "in gate [1, 2] m\n")
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     @pytest.mark.parametrize("radar", [
         "{mode: uwb}",
@@ -1443,27 +1440,43 @@ class TestCliEntry:
             err), err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("max_range, streams", [
-        # cannot be allocated, let alone under a 1 GiB address-space limit
-        ("1.0e+9", "667,128,190,529 complex window samples "
-                   "(10,179,568.3 MiB)"),
-        # past the largest array numpy can index, which it reports as a
-        # ValueError
-        ("1.0e+20", "66,712,819,039,630,411,179,793 complex window samples "
-                    "(1,017,956,833,490,454,272.0 MiB)")])
-    def test_huge_max_range_exits_three_while_loading(self, tmp_path,
-                                                      max_range, streams):
+    # a 1 GiB address-space limit, under which no window of these sizes
+    # could be built
+    LIMITED = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+               "from pnradar.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+
+    @pytest.mark.parametrize("max_range", ["1.0e+9", "1.0e+20"])
+    def test_huge_max_range_exits_two_while_loading(self, tmp_path,
+                                                    max_range):
+        # the window's PRI-slot rule is checked from integers, before the
+        # 667,128,190,529 (1e9 m) or 6.7e22 (1e20 m) window samples that a
+        # block would hold are built
         path = _write(tmp_path,
                       SERIES + f"receiver: {{max_range_m: {max_range}}}\n")
-        proc = _run_child(
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from pnradar.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n",
-            path, "--out", tmp_path / "out", "--quiet")
+        proc = _run_child(self.LIMITED, path, "--out", tmp_path / "out",
+                          "--quiet")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"error: receiver.max_range_m (uwb chain): {float(max_range):g} m "
+            f"reads past the 10000-sample PRI slot; the kept lags must end "
+            f"by lag 9867, 14.79026 m\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_long_nb_pulse_exits_three_while_loading(self, tmp_path):
+        # a window inside its PRI slot, past the largest array numpy can
+        # index, which it reports as a ValueError
+        path = _write(tmp_path, SERIES.replace(
+            "{mode: uwb}",
+            "{mode: nb, nb: {pulse_width_s: 1.0e+10, pri_s: 1.0e+11}}"))
+        proc = _run_child(self.LIMITED, path, "--out", tmp_path / "out",
+                          "--quiet")
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr == ("error [rcs_sweep_series]: out of memory: "
-                               f"a uwb block holds 1 sweep of {streams}\n")
+        assert proc.stderr == (
+            "error [rcs_sweep_series]: out of memory: a nb block holds 1 "
+            "sweep of 800,000,000,000,000,053 complex window samples "
+            "(12,207,031,250,000.0 MiB)\n")
         assert not (tmp_path / "out").exists()
 
 

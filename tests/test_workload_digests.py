@@ -42,7 +42,7 @@ DIGESTS = {
         "compare_uwb.csv":
             "d24fd6f8532168c0911b672cc6e48fab849678e5319e4522e00d1e778bae82d3",
         "run_manifest.yaml":
-            "3ce018e551f7099c7953623bd6944cfa1ce10cfa9278d2b3aecd42a28f1e0d58",
+            "c3f6f7302faf894f4d47ff01b7258cc1980f92fb5957d571b238a28970c96dad",
     },
     ("sphere_compare", 5150): {
         "compare_nb.csv":
@@ -52,13 +52,13 @@ DIGESTS = {
         "compare_uwb.csv":
             "c66e54e1d8dbbb5e250ba0f71af5b5cacf4588e595ce84bf8e1b0f43de81fcf8",
         "run_manifest.yaml":
-            "516050c6d4de2c84783bece3391414b9386dde71272e7de709ab7da456235e84",
+            "d159c405552777f31d7c6459855037dfe2bfefc17581d3b89dd264f13d93b384",
     },
     ("nb_dense_series", 2026): {
         "series.csv":
             "a8c40d9fac7dff5cd97bca48939c66900bbb807460a27c256ff04c7f5047f6b0",
         "run_manifest.yaml":
-            "8251c4ff2690d2ade915c4ec622bf9add905335d2915cac3340e428551d8e91d",
+            "74fa66cf4b96549735eaa9be6ded32bc445afaf7b7cf2825a13e01318917b6ff",
     },
     ("nb_dense_series", 5150): {
         # echo amplitudes formed by numpy's complex product rounded one
@@ -67,13 +67,13 @@ DIGESTS = {
         "series.csv":
             "260d1e9126b9f32cad21c7c3b4e921d9b1bd845013fc4c8aafe7e579b955fa61",
         "run_manifest.yaml":
-            "2effdb503cc265705fd39caaa802918aa255bd65c7a775d7e90bc0983e104271",
+            "1aa331cde9533a0e37dd16e2a54177cbc42c0e4801d7f664dd5aac166f4cb641",
     },
     ("uwb_scan", 2026): {
         "image.csv":
             "2bb210da247e25177d598000fbd8a735911ab293e6f18e3773c64c44c89fac92",
         "run_manifest.yaml":
-            "4dbacf95dc85b27f0673ff5041935d087ba7ef06ed22916eeece9e2f3044f1ef",
+            "54f42a422da4f201392d0370dfc70f54ab1af03e727c5294a7783e51de9804d4",
     },
     ("uwb_scan", 5150): {
         # despreading through the code's autocorrelation rounds one cell,
@@ -81,7 +81,7 @@ DIGESTS = {
         "image.csv":
             "06176dfa1d1558cafcaa36d4316caa0ec626b13c05c4d938966fcc1c0470625a",
         "run_manifest.yaml":
-            "45f337a226d42f8463e0b2dfedf3d12f8d7623d5683436ee0d525be44e28f471",
+            "1b9d56d3f5b68ee36d82b601af05934838ad4ac0bd196028207ea6fa1ea587c8",
     },
 }
 
