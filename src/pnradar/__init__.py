@@ -15,8 +15,9 @@ from .channel import (Interferer, InterfererKind, Pol, Scatterer, Scene,
                       gen_clutter, identity_pol_matrix)
 from .receiver import despread, processing_gain, qpsk_demod, uwb_correlate
 from .imaging import (Calibration, Detection, NoDetections, RangeProfile,
-                      RcsEstimate, ReceiverConfig, ScanImage, SweepPipeline,
-                      calibrate, make_waveform, pulse_volume_depth, rcs_nb,
-                      rcs_uwb, scan_image, self_calibrate)
+                      RcsEstimate, ReceiverConfig, ScanImage, ScanRows,
+                      SweepPipeline, calibrate, make_waveform,
+                      pulse_volume_depth, rcs_nb, rcs_uwb, scan_image,
+                      scan_rows, self_calibrate)
 
 __version__ = "0.1.0"

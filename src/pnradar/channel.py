@@ -527,12 +527,21 @@ def despread_windows(tx: PulseTrain, scene: Scene, params: RadarParams,
     # chunk m holds the draws from start + m*period on, of which chip m's
     # window reads the first width
     end = start + (len(chips) - 1) * period + width
+    # every chunk and skip is drawn into one buffer; a window's draws are
+    # weighed in it, scale first, and added into a contiguous copy of the
+    # rail, with the same roundings as chip * (chunk * scale)
+    chunk = np.empty(period)
     for row, rng in zip(z, noise):
         # the imaginary rail starts n draws after the real one
         for rail, skip in ((row.real, start), (row.imag, n - end + start)):
-            rng.standard_normal(skip)
-            for chip, a in zip(chips, range(start, end, period)):
-                chunk = rng.standard_normal(min(period, end - a))
-                chunk *= scale
-                rail += chip * chunk[:width]
+            for a in range(0, skip, period):
+                rng.standard_normal(out=chunk[:min(period, skip - a)])
+            total = rail.copy()
+            for chip, a in zip(chips.tolist(), range(start, end, period)):
+                rng.standard_normal(out=chunk[:min(period, end - a)])
+                drawn = chunk[:width]
+                drawn *= scale
+                drawn *= chip
+                total += drawn
+            rail[:] = total
     return z

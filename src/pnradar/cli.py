@@ -22,7 +22,7 @@ import yaml
 from . import __version__
 from .channel import Pol
 from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
-                      ScanImage, SweepPipeline, calibrate, scan_image)
+                      ScanImage, ScanRows, SweepPipeline, calibrate, scan_rows)
 from .scenario import (ExperimentKind, OutOfMemory, Scenario, ScenarioError,
                        load_scenario, waveform_fingerprint,
                        write_calibration_csv)
@@ -139,14 +139,15 @@ def _put_db_text(field: np.ndarray, power: np.ndarray,
                                    for p in power[cells].tolist()])
 
 
-def write_image_csv(path: Path, image: ScanImage) -> None:
+def write_scan_csv(path: Path, scan: ScanRows) -> None:
+    """Write image.csv, formatting each row as it is read from scan.rows."""
     # Each line is a fixed-width record of NUL-padded fields, one per range
     # cell: "az," | "range," | power_db | "\n".  The range fields are set
     # once per image and the az field once per row; a row's NULs are
     # dropped as it is written.
     words = _digit_words()
-    azs = _text_rows([b"%.12g," % a for a in image.azimuths_deg.tolist()])
-    ranges = _text_rows([b"%.12g," % r for r in image.ranges_m.tolist()])
+    azs = _text_rows([b"%.12g," % a for a in scan.azimuths_deg.tolist()])
+    ranges = _text_rows([b"%.12g," % r for r in scan.ranges_m.tolist()])
     az_end = azs.shape[1]
     db_at = az_end + ranges.shape[1]
     rec = np.zeros((len(ranges), db_at + 19), np.uint8)
@@ -154,10 +155,18 @@ def write_image_csv(path: Path, image: ScanImage) -> None:
     rec[:, -1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(b"az_deg,range_m,power_db\n")
-        for az, row in zip(azs, image.power):
+        # the rows first, so that zip reads them to their end
+        for row, az in zip(scan.rows, azs):
             rec[:, :az_end] = az
             _put_db_text(rec[:, db_at:-1], row, words)
             fh.write(rec.tobytes().translate(None, b"\0"))
+
+
+def write_image_csv(path: Path, image: ScanImage) -> None:
+    """write_scan_csv of an image already computed."""
+    write_scan_csv(path, ScanRows(azimuths_deg=image.azimuths_deg,
+                                  ranges_m=image.ranges_m,
+                                  rows=iter(image.power)))
 
 
 def write_summary_csv(path: Path, rows) -> None:
@@ -240,7 +249,7 @@ def _artifacts(scenario: Scenario):
             yield (f"profile_{pol.value}.csv", write_profile_csv,
                    pipeline.profile(scenario.scene, pol))
     elif kind is ExperimentKind.SCAN_IMAGE:
-        yield "image.csv", write_image_csv, scan_image(
+        yield "image.csv", write_scan_csv, scan_rows(
             pipeline, scenario.scene, _calibration_for(scenario, pipeline),
             *scenario.scan, pol=scenario.pol)
 

@@ -17,7 +17,10 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import select
 import signal
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -160,6 +163,11 @@ def _lag_ranges_m(lags: range, params: RadarParams) -> np.ndarray:
                              * (1.0 / params.sample_rate_hz)) / 2.0
 
 
+def lag_range_m(lag: int, params: RadarParams) -> float:
+    """The float _lag_ranges_m gives one lag, from Python floats."""
+    return SPEED_OF_LIGHT * (lag * (1.0 / params.sample_rate_hz)) / 2.0
+
+
 def _median(x: np.ndarray) -> np.ndarray:
     """np.median along the last axis of a nonempty array, from one
     np.partition: the middle element for odd n, (a + b) / 2.0 of the two
@@ -207,7 +215,7 @@ P_FA = 1e-3
 def detection_factor(cells: int) -> float:
     """The power over a profile's median that is detectable among ``cells``
     bins searched (at least one): ln(cells / P_FA) / ln 2."""
-    return math.log(max(cells, 1) / P_FA) / math.log(2.0)
+    return math.log(cells / P_FA) / math.log(2.0)
 
 
 def _detect_rows(values: np.ndarray, ranges_m: np.ndarray, factor: float,
@@ -406,16 +414,31 @@ def kept_lags(params: RadarParams, pn: PnSequence,
     """The correlation lags of a sweep whose two-way ranges, those of
     _lag_ranges_m, fall in rx_config's range window.  A lag's range grows
     with the lag, so they form one run (range(0) if none)."""
-    inv = 1.0 / params.sample_rate_hz
     near, far = rx_config.range_window_m
     # the template, one pulse per chip, is a PRI less one pulse shorter
     # than the active transmission
     n_lags = (sweep_samples(params, pn, far)
               - _active_samples(params, pn) + params.pri_samples
               - params.pulse_samples + 1)
-    lo = _first(n_lags, lambda k: SPEED_OF_LIGHT * (k * inv) / 2.0 >= near)
-    hi = _first(n_lags, lambda k: SPEED_OF_LIGHT * (k * inv) / 2.0 > far)
+    lo = _first(n_lags, lambda k: lag_range_m(k, params) >= near)
+    hi = _first(n_lags, lambda k: lag_range_m(k, params) > far)
     return range(lo, hi) if lo < hi else range(0)
+
+
+def gate_lags(params: RadarParams, lags: range,
+              gate_m: tuple[float, float] | None) -> range:
+    """The lags of ``lags`` whose two-way ranges fall in gate_m, all of
+    them with no gate: one run, found from integers.  Empty, it starts at
+    the first of ``lags`` at or past the gate's near edge."""
+    if gate_m is None:
+        return lags
+
+    def first(past) -> int:
+        return lags.start + _first(
+            len(lags), lambda j: past(lag_range_m(lags.start + j, params)))
+
+    return range(first(lambda r: r >= gate_m[0]),
+                 first(lambda r: r > gate_m[1]))
 
 
 def _block_rows(window: int) -> int:
@@ -438,7 +461,7 @@ def despread_window(params: RadarParams, pn: PnSequence,
         raise ValueError(
             f"{cfg.max_range_m:g} m reads past the {params.pri_samples}"
             f"-sample PRI slot; the kept lags must end by lag {last}, "
-            f"{_lag_ranges_m(range(last, last + 1), params)[0]:.7g} m")
+            f"{lag_range_m(last, params):.7g} m")
     return lags, window
 
 
@@ -466,9 +489,11 @@ class SweepPipeline:
     sweeps, which share its transmit train, whose pulse the correlator
     matches over the kept lags, its window (see despread_window) and its
     detection_factor, that of the kept bins in the gate (all of them with
-    no gate).  ``chips_per_bit`` is checked against the code and otherwise
-    unused, as the waveform carries no data bits; it stays while the
-    benchmark's set-up passes it by position (ROADMAP item 5).
+    no gate), which must hold one; both rules are checked from integers,
+    before any array is built.  ``chips_per_bit`` is checked against the
+    code and otherwise unused, as the waveform carries no data bits; it
+    stays while the benchmark's set-up passes it by position (ROADMAP
+    item 5).
     """
 
     def __init__(self, params: RadarParams, pn: PnSequence,
@@ -480,15 +505,17 @@ class SweepPipeline:
         self.rx_config = cfg = (rx_config or ReceiverConfig()).for_chain(params)
         check_blank_width(params, cfg.blank_width_s)  # before any array
         self.lags, self.window = despread_window(params, pn, cfg)
+        cells = len(gate_lags(params, self.lags, cfg.gate_m))
+        if not cells:  # a scenario names the field at fault before this
+            raise ValueError(f"no kept range bin to detect in: kept lags "
+                             f"{self.lags}, gate_m {cfg.gate_m}")
+        self.detection_factor = detection_factor(cells)
         self.block_rows = _block_rows(len(self.window))
         self.tx = make_waveform(
             params, pn, sweep_samples(params, pn, cfg.max_range_m))[0]
         # increasing, and shared read-only by every profile
         self.ranges_m = read_only(_lag_ranges_m(self.lags, params))
         self.bin_width_m = SPEED_OF_LIGHT * (1.0 / params.sample_rate_hz) / 2.0
-        lo, hi = cfg.gate_m or (0.0, math.inf)
-        self.detection_factor = detection_factor(np.count_nonzero(
-            (self.ranges_m >= lo) & (self.ranges_m <= hi)))
 
     def _values(self, scene: Scene, pol: Pol, sweeps: range) -> np.ndarray:
         """Profile values of a block of sweeps, one row per sweep: the
@@ -553,61 +580,187 @@ class SweepPipeline:
         returns, in sweep order, as they arrive.
 
         With W = min(_MAX_POOL_WORKERS, usable CPUs, blocks) above 1 and
-        os.fork at hand, W - 1 workers are forked: worker w runs blocks w,
-        w + W, ... and pickles each block's list, or the exception it
-        raised, into its own pipe as soon as the block is done, and stops
-        after an exception; the calling process runs blocks 0, W, ... and
-        reads the workers' results in sweep order.  Otherwise the calling
-        process runs every block.  Every sweep draws from its own RNG
-        streams, and its arithmetic does not change with the rows beside
-        it (see channel._echoes), so the results depend neither on W nor
-        on the block size.  The first failing sweep in sweep order raises,
-        as in a serial loop.  However the generator ends, every worker is
-        SIGKILLed and reaped, so none outlives it; a worker does not wait
-        for its results to be read, so it may have begun blocks after the
-        failure, whose results are never read.
+        os.fork at hand, W - 1 workers are forked, and each process takes
+        the next undealt block when it is free (see _deal).  Otherwise the
+        calling process runs every block.  Every sweep draws from its own
+        RNG streams, and its arithmetic does not change with the rows
+        beside it (see channel._echoes), so the results depend neither on
+        W, nor on which process ran a block, nor on the block size.  The
+        first failing sweep in sweep order raises, as in a serial loop.
         """
         rows = self.block_rows
         blocks = [range(k, min(k + rows, count))
                   for k in range(0, count, rows)]
         width = (min(_MAX_POOL_WORKERS, _usable_cpus(), len(blocks))
                  if hasattr(os, "fork") else 1)
-        pids, pipes = [], [None]  # pipes[w]: worker w's read end
-        try:
-            for w in range(1, width):
-                read_fd, write_fd = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _serve(run, blocks[w::width], read_fd, write_fd)
-                os.close(write_fd)
-                pids.append(pid)
-                pipes.append(os.fdopen(read_fd, "rb"))
-            for i, block in enumerate(blocks):
-                w = i % width
-                yield from _receive(pipes[w], block) if w else run(block)
-        finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            for pipe in pipes[1:]:
-                pipe.close()
-
-
-def _serve(run, blocks: list[range], read_fd: int, write_fd: int) -> None:
-    """A forked worker's life: run each block and pickle its list, or the
-    exception it raised, into write_fd, stopping after an exception; then
-    exit the process, whatever happened, so that it never returns into
-    the caller's frames.  It drops its copy of the pipe's read end, so a
-    write fails once the calling process is gone."""
-    try:
-        os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as out:
+        if width == 1:
             for block in blocks:
+                yield from run(block)
+        else:
+            yield from _deal(run, blocks, width)
+
+
+# Blocks dealt to a worker whose results are not yet read, at most: the
+# second keeps it busy while the calling process, which deals only between
+# its own blocks, is running one.
+_OUTSTANDING = 2
+
+
+@dataclass
+class _Worker:
+    """A forked worker as the calling process sees it: its pid, the write
+    end of its ticket pipe, the read end of its result pipe, and the
+    blocks dealt to it whose results are not yet read, in deal order."""
+
+    pid: int
+    tickets: int
+    results: int
+    blocks: deque = field(default_factory=deque)
+
+
+def _deal(run, blocks: list[range], width: int):
+    """run(block) for each block in the calling process and width - 1
+    forked workers, yielding the items of each block's list in sweep order.
+
+    The calling process takes block 0 and deals the next block indices to
+    each worker through the worker's own ticket pipe, _OUTSTANDING to a
+    worker while at least width blocks are left undealt and one after, so
+    that the last blocks go to whichever process is free first.  Then it runs
+    the next undealt block whenever the block due next in sweep order has
+    no result yet; between its blocks it reads, without waiting, every
+    result a worker has piped back and deals that worker its next block.
+    With nothing left to run it waits for a result.  Results are buffered
+    by block and yielded in sweep order.  A block that fails stops the
+    dealing, so no block after it starts anywhere; its exception is raised
+    when its turn comes, once every earlier block has given its list, so
+    the first failing sweep in sweep order raises.  However the generator
+    ends, every worker is SIGKILLed and reaped, so none outlives it.
+    """
+    undealt = deque(range(len(blocks)))
+    done = {}  # block index -> its list, or the exception it raised
+    workers: list[_Worker] = []
+
+    def settle(i: int, result) -> None:
+        done[i] = result
+        if isinstance(result, BaseException):
+            undealt.clear()
+
+    def deal(worker: _Worker) -> None:
+        # a second block only while each process can still take one
+        while undealt and len(worker.blocks) < (
+                _OUTSTANDING if len(undealt) >= width else 1):
+            worker.blocks.append(undealt.popleft())
+            try:
+                os.write(worker.tickets, worker.blocks[-1].to_bytes(4, "little"))
+            except BrokenPipeError:  # it has exited: its result pipe says why
+                pass
+
+    try:
+        for _ in range(1, width):
+            workers.append(_fork(run, blocks, workers))
+        mine = undealt.popleft()
+        for worker in workers:
+            deal(worker)
+        settle(mine, _attempt(run, blocks[mine]))
+        for head in range(len(blocks)):
+            while head not in done:
+                busy = {w.results: w for w in workers if w.blocks}
+                poller = select.poll()  # select would fail past fd 1023
+                for fd in busy:
+                    poller.register(fd, select.POLLIN)
+                for fd, _ in poller.poll(0 if undealt else None):
+                    worker = busy[fd]
+                    i = worker.blocks.popleft()
+                    settle(i, _receive(fd, blocks[i]))
+                    deal(worker)
+                if head not in done and undealt:
+                    i = undealt.popleft()
+                    settle(i, _attempt(run, blocks[i]))
+            result = done.pop(head)
+            if isinstance(result, BaseException):
+                raise result
+            yield from result
+    finally:
+        for worker in workers:
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+            os.close(worker.tickets)
+            os.close(worker.results)
+
+
+def _attempt(run, block: range):
+    """run(block)'s list, or the exception it raised."""
+    try:
+        return run(block)
+    except Exception as exc:  # raised in sweep order, by _deal
+        return exc
+
+
+def _fork(run, blocks: list[range], workers: list[_Worker]) -> _Worker:
+    """Fork a worker that serves run over blocks (see _serve); workers are
+    those forked before it, whose pipe ends it closes."""
+    ends = os.pipe() + os.pipe()
+    try:
+        _widen(ends[2])
+        pid = os.fork()
+    except BaseException:
+        for fd in ends:
+            os.close(fd)
+        raise
+    tickets_r, tickets_w, results_r, results_w = ends
+    if pid == 0:
+        _serve(run, blocks, tickets_r, results_w,
+               [tickets_w, results_r]
+               + [fd for w in workers for fd in (w.tickets, w.results)])
+    os.close(tickets_r)
+    os.close(results_w)
+    return _Worker(pid, tickets_w, results_r)
+
+
+# A result pipe's capacity: room for several of a worker's results, such
+# as a 75 kB uwb_scan row, so that a worker does not wait for the calling
+# process to read one before it runs its next block.  With Linux's default
+# of 64 kB, a whole uwb_scan run was slower than with the static split
+# this dealing replaced in 8 of 10 alternating fresh-process pairs, and
+# with 1 MB, Linux's default cap, faster in 10 of 10 (2 CPUs).
+_RESULT_PIPE_BYTES = 1 << 20
+
+
+def _widen(fd: int) -> None:
+    """Grow a pipe to _RESULT_PIPE_BYTES where the platform allows it."""
+    import fcntl  # POSIX only, as is os.fork
+    if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux only
+        try:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _RESULT_PIPE_BYTES)
+        except OSError:  # past the system's limit: the default works too
+            pass
+
+
+def _serve(run, blocks: list[range], tickets: int, results: int,
+           inherited: list[int]) -> None:
+    """A forked worker's life: for each block index read from tickets, run
+    the block and pipe its list, or the exception it raised, into results
+    as a length and a pickle, stopping after an exception or when the
+    ticket pipe closes; then exit the process, whatever happened, so that
+    it never returns into the caller's frames.  It first closes the
+    calling process's pipe ends, its own and those of earlier workers,
+    inherited by the fork, so that its pipes close with the caller."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with os.fdopen(results, "wb") as out:
+            while True:
                 try:
-                    result = run(block)
+                    i = int.from_bytes(_read(tickets, 4), "little")
+                except EOFError:
+                    break
+                try:
+                    result = run(blocks[i])
                 except BaseException as exc:  # raised by the caller, in order
                     result = exc
-                out.write(pickle.dumps(result))
+                data = pickle.dumps(result)
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
                 out.flush()
                 if isinstance(result, BaseException):
                     break
@@ -615,19 +768,32 @@ def _serve(run, blocks: list[range], read_fd: int, write_fd: int) -> None:
         os._exit(0)
 
 
-def _receive(pipe, block: range) -> list:
-    """The list a worker's block returned, read from the worker's pipe;
-    the exception the block raised is raised here."""
+def _read(fd: int, n: int) -> bytes:
+    """Exactly n bytes from fd, read without a buffer, so that poll sees
+    what is left; EOFError if it closes first."""
+    chunks = []
+    while n:
+        chunk = os.read(fd, n)
+        if not chunk:
+            raise EOFError("Ran out of input")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _receive(fd: int, block: range):
+    """The list a worker's block returned, or the exception it raised, read
+    from the worker's result pipe; a RuntimeError if the worker died
+    without a result or its result cannot load."""
     try:
-        result = pickle.load(pipe)
-    except Exception as exc:  # the worker died, or its result cannot load
-        raise RuntimeError(
+        return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+    except Exception as exc:
+        error = RuntimeError(
             f"the worker process running sweeps {block.start}-"
             f"{block.stop - 1} gave no readable result "
-            f"({type(exc).__name__}: {exc})") from exc
-    if isinstance(result, BaseException):
-        raise result
-    return result
+            f"({type(exc).__name__}: {exc})")
+        error.__cause__ = exc
+        return error
 
 
 def self_calibrate(params: RadarParams, pn: PnSequence,
@@ -653,6 +819,16 @@ class ScanImage:
             raise ValueError("image shape mismatch")
 
 
+@dataclass(frozen=True)
+class ScanRows:
+    """A ScanImage whose power rows, one per azimuth in order, are
+    computed as they are read: they can be read once."""
+
+    azimuths_deg: np.ndarray
+    ranges_m: np.ndarray
+    rows: Iterator[np.ndarray]
+
+
 def check_scan(azimuth_step_deg: float, beamwidth_deg: float,
                azimuth_span_deg: float) -> None:
     """Step, beamwidth and span finite and > 0, step <= beamwidth."""
@@ -669,12 +845,13 @@ def _beam_weight(delta_deg: np.ndarray, beamwidth_deg: float) -> np.ndarray:
     return np.exp(-4.0 * np.log(2.0) * (delta_deg / beamwidth_deg) ** 2)
 
 
-def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
-               azimuth_step_deg: float, beamwidth_deg: float,
-               az_span_deg: float, pol: Pol = Pol.VV) -> ScanImage:
+def scan_rows(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
+              azimuth_step_deg: float, beamwidth_deg: float,
+              az_span_deg: float, pol: Pol = Pol.VV) -> ScanRows:
     """Mechanical azimuth raster over +-az_span_deg: weight the scene by
-    the beam, profile, and stack rows into a calibrated image (see
-    check_scan)."""
+    the beam and profile, row by row, into calibrated power (see
+    check_scan, checked here).  The rows are computed as they are read,
+    by the pipeline's blocks (SweepPipeline._each_block)."""
     check_scan(azimuth_step_deg, beamwidth_deg, az_span_deg)
     n_steps = int(math.ceil(az_span_deg / azimuth_step_deg))
     azimuths = np.arange(-n_steps, n_steps + 1) * azimuth_step_deg
@@ -682,7 +859,6 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
     points = scene.all_points
     ranges = pipeline.ranges_m
     r4 = ranges ** 4
-    power = np.empty((azimuths.size, ranges.size))
 
     def row(row_idx):
         az = azimuths[row_idx]
@@ -702,7 +878,19 @@ def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
         prof = pipeline.profile(pointed, pol, sweep_index=row_idx)
         return cal.gain * prof.power * r4
 
-    for row_idx, values in enumerate(pipeline._each_block(
-            lambda rows: [row(k) for k in rows], azimuths.size)):
+    return ScanRows(azimuths_deg=azimuths, ranges_m=ranges,
+                    rows=pipeline._each_block(
+                        lambda rows: [row(k) for k in rows], azimuths.size))
+
+
+def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
+               azimuth_step_deg: float, beamwidth_deg: float,
+               az_span_deg: float, pol: Pol = Pol.VV) -> ScanImage:
+    """scan_rows' raster, its rows stacked into one image."""
+    scan = scan_rows(pipeline, scene, cal, azimuth_step_deg, beamwidth_deg,
+                     az_span_deg, pol)
+    power = np.empty((scan.azimuths_deg.size, scan.ranges_m.size))
+    for row_idx, values in enumerate(scan.rows):
         power[row_idx] = values
-    return ScanImage(azimuths_deg=azimuths, ranges_m=ranges, power=power)
+    return ScanImage(azimuths_deg=scan.azimuths_deg, ranges_m=scan.ranges_m,
+                     power=power)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import codecs
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -24,7 +24,7 @@ from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
     TargetModel, check_interferer_band, check_unambiguous_range, gen_clutter
 from .codes import CodeKind, PnSequence, gen_gold, gen_mseq
 from .imaging import Calibration, ReceiverConfig, SweepPipeline, \
-    block_shape, check_scan
+    block_shape, check_scan, gate_lags, kept_lags, lag_range_m
 from .receiver import check_blank_width
 from .waveform import Mode, RadarParams, nb_params, uwb_params
 
@@ -395,8 +395,11 @@ def resolve_scenario(data: dict) -> Scenario:
     self_calibrates = kind is ExperimentKind.CALIBRATE or (
         consumes_cal and exp["calibration_file"] is None)
     calibrates_on = reference[1] if self_calibrates else None
-    # check each chain the run uses, its blank's and window's rules from
-    # integers, then build its pipeline and check the window it keeps
+    # only a run that estimates has a gate
+    gated = kind in (ExperimentKind.RCS_SWEEP_SERIES,
+                     ExperimentKind.COMPARE_MODES)
+    # check each chain the run uses, its blank's and window's rules and the
+    # window it keeps from integers, then build its pipeline
     mode = Mode(cfg["radar"]["mode"])
     chains, blocks = {}, {}
     for chain in (list(Mode) if kind is ExperimentKind.COMPARE_MODES
@@ -406,6 +409,8 @@ def resolve_scenario(data: dict) -> Scenario:
         rx = cfg["receiver"][chain.value]
         rx_cfg = _rx_config(rx, f"receiver.{chain.value}").for_chain(params)
         rx["max_range_m"] = rx_cfg.max_range_m  # the manifest's, as used
+        if not gated:
+            rx_cfg = replace(rx_cfg, gate_m=None)
         chains[chain] = params, rx_cfg
         where = f"({chain.value} chain)"
         _named(f"scene {where}", check_unambiguous_range,
@@ -425,8 +430,9 @@ def resolve_scenario(data: dict) -> Scenario:
         # compare_modes takes no file, so the run has the one chain
         calibration = read_calibration_csv(exp["calibration_file"],
                                            chains[mode][0], pn)
-    gated = kind in (ExperimentKind.RCS_SWEEP_SERIES,
-                     ExperimentKind.COMPARE_MODES)
+    for params, rx_cfg in chains.values():
+        _check_kept_window(params, kept_lags(params, pn, rx_cfg), rx_cfg,
+                           calibrates_on)
     pipelines = {}
     try:
         if max(r * w for r, w in blocks.values()) * 16 \
@@ -434,7 +440,6 @@ def resolve_scenario(data: dict) -> Scenario:
             raise MemoryError  # numpy would raise ValueError for this size
         for chain, (params, rx_cfg) in chains.items():
             pipelines[chain] = SweepPipeline(params, pn, rx_config=rx_cfg)
-            _check_kept_window(pipelines[chain], calibrates_on, gated)
     except MemoryError:
         raise OutOfMemory(kind, blocks) from None
 
@@ -446,19 +451,20 @@ def resolve_scenario(data: dict) -> Scenario:
         calibration=calibration, out_dir=Path(cfg["output"]["directory"]))
 
 
-def _check_kept_window(pipeline: SweepPipeline, reference_m: float | None,
-                       gated: bool) -> None:
-    """The range window a pipeline keeps must hold a range bin and reach
-    the reference the run calibrates on; the gate the run estimates in
-    must hold one of its bins."""
-    chain = f"({pipeline.params.mode.value} chain)"
-    near, far = pipeline.rx_config.range_window_m
+def _check_kept_window(params: RadarParams, lags: range,
+                       rx_cfg: ReceiverConfig,
+                       reference_m: float | None) -> None:
+    """The range window a chain keeps, its lags, must hold a range bin and
+    reach the reference the run calibrates on; the gate the run estimates
+    in must hold one of its bins.  Checked from integers."""
+    chain = f"({params.mode.value} chain)"
+    near, far = rx_cfg.range_window_m
     window = f"the kept range window [{near:g}, {far:g}] m"
-    if not pipeline.lags:
+    if not lags:
         # a blank that ends past max_range_m leaves no range to keep
         where = "blank_width_s" if near > far else "max_range_m"
         raise ScenarioError(f"receiver.{where} {chain}: {window} is empty")
-    gate = pipeline.rx_config.gate_m if gated else None
+    gate = rx_cfg.gate_m
     needed = {} if reference_m is None else {
         f"the calibration reference at {reference_m:g} m": (reference_m,
                                                             reference_m)}
@@ -469,17 +475,17 @@ def _check_kept_window(pipeline: SweepPipeline, reference_m: float | None,
             where = "blank_width_s" if hi < near else "max_range_m"
             raise ScenarioError(
                 f"receiver.{where} {chain}: {window} excludes {what}")
-    if gate is not None:
-        # the first kept bin at or past the gate's near edge
-        ranges = pipeline.ranges_m
-        i = int(np.searchsorted(ranges, gate[0]))
-        if i == ranges.size or ranges[i] > gate[1]:
-            nearest = " and ".join(f"{r:.7g}"
-                                   for r in ranges[max(i - 1, 0):i + 1])
-            raise ScenarioError(
-                f"receiver.gate_min_m {chain}: the gate [{gate[0]:g}, "
-                f"{gate[1]:g}] m holds no range bin; the nearest bins lie "
-                f"at {nearest} m")
+    in_gate = gate_lags(params, lags, gate)
+    if not in_gate:
+        # the kept bins either side of the gate's near edge
+        i = in_gate.start
+        nearest = " and ".join(
+            f"{lag_range_m(k, params):.7g}"
+            for k in range(max(i - 1, lags.start), min(i + 1, lags.stop)))
+        raise ScenarioError(
+            f"receiver.gate_min_m {chain}: the gate [{gate[0]:g}, "
+            f"{gate[1]:g}] m holds no range bin; the nearest bins lie "
+            f"at {nearest} m")
 
 
 def waveform_fingerprint(params: RadarParams,

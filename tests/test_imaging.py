@@ -225,6 +225,28 @@ class TestRangeProfileAndDetection:
         scene = Scene(target=target((0.0, R_REF)), noise_psd=1e-15, rng_seed=3)
         assert pipeline.detect(scene, Pol.VV, range(1)) == [[]]
 
+    def test_gate_counts_its_kept_bins_from_integers(self, monkeypatch):
+        # the detector's cells are the kept bins in the gate, counted from
+        # the lags; a gate between two bins stops the pipeline before it
+        # builds its transmit train
+        params, pn = uwb_params(), gen_mseq([3, 1, 0])
+        cfg = ReceiverConfig(max_range_m=14.0, gate_m=(9.5, 10.5))
+        pipeline = SweepPipeline(params, pn, rx_config=cfg)
+        ranges = pipeline.ranges_m
+        cells = np.count_nonzero((ranges >= 9.5) & (ranges <= 10.5))
+        assert len(imaging.gate_lags(params, pipeline.lags, cfg.gate_m)) \
+            == cells == 667
+        assert pipeline.detection_factor == detection_factor(cells)
+
+        def no_waveform(*args, **kwargs):
+            raise AssertionError("a waveform was built")
+
+        monkeypatch.setattr(imaging, "make_waveform", no_waveform)
+        with pytest.raises(ValueError, match="^no kept range bin to detect "
+                                             "in: kept lags range"):
+            SweepPipeline(params, pn, rx_config=dataclasses.replace(
+                cfg, gate_m=(10.0001, 10.0002)))
+
     def test_silent_profile_empty_detections(self, uwb_setup):
         _, _, _, pipeline, _ = uwb_setup
         scene = Scene(target=target((0.0, R_REF)))
@@ -1461,23 +1483,80 @@ class TestSweepPool:
             patch.setattr(pipeline, "estimate", lambda *args: [
                 (os.getpid(), e) for e in estimate(*args)])
             tagged = pipeline.series(scene, cal, count)
-        assert len(tagged) == count
+        assert [e.sweep_index for _, e in tagged] == list(range(count))
         return [pid for pid, _ in tagged[::pipeline.block_rows]]
 
+    @staticmethod
+    def _logged_blocks(pipeline, monkeypatch, log, worker_delay_s=0.0):
+        """Make each block of the pipeline's series add (pid, first sweep,
+        end) to log, in whichever process runs it, and take worker_delay_s
+        longer in a forked worker."""
+        estimate, caller = pipeline.estimate, os.getpid()
+
+        def logged(scene, cal, pol, sweeps):
+            log.add(os.getpid(), sweeps.start, sweeps.stop)
+            if os.getpid() != caller:
+                time.sleep(worker_delay_s)
+            return estimate(scene, cal, pol, sweeps)
+
+        monkeypatch.setattr(pipeline, "estimate", logged)
+
     def test_pool_width_is_capped_whatever_the_cpu_count(self, nb_setup,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          tmp_path):
+        # 16 usable CPUs, 6 blocks: _MAX_POOL_WORKERS processes, the
+        # calling one among them, share the blocks; each block runs once,
+        # and the estimates come back in sweep order
         _, _, _, pipeline, cal = nb_setup
         scene = Scene(target=target((SIGMA_REF, R_REF)))
         monkeypatch.setattr(imaging, "_usable_cpus", lambda: 16)
-        pids = self._block_pids(pipeline, scene, cal,
-                                6 * pipeline.block_rows, monkeypatch)
-        # the calling process runs blocks 0, 2 and 4, one worker the rest
-        assert len(pids) == 6
-        assert pids[0::2] == [os.getpid()] * 3
-        assert len(set(pids)) == imaging._MAX_POOL_WORKERS == 2
+        rows, count = pipeline.block_rows, 6 * pipeline.block_rows
+        log = _SharedLog(tmp_path / "blocks")
+        with monkeypatch.context() as patch:
+            self._logged_blocks(pipeline, patch, log)
+            estimates = pipeline.series(scene, cal, count)
+        assert [e.sweep_index for e in estimates] == list(range(count))
+        runs = log.read()
+        assert sorted((start, stop) for _, start, stop in runs) == [
+            (k, k + rows) for k in range(0, count, rows)]
+        pids = {pid for pid, _, _ in runs}
+        assert os.getpid() in pids
+        assert len(pids) == imaging._MAX_POOL_WORKERS == 2
         # a single block runs in the calling process alone
-        assert self._block_pids(pipeline, scene, cal, pipeline.block_rows,
+        assert self._block_pids(pipeline, scene, cal, rows,
                                 monkeypatch) == [os.getpid()]
+
+    def test_a_slow_worker_leaves_the_calling_process_most_blocks(
+            self, nb_setup, monkeypatch, tmp_path):
+        # 12 blocks in two processes, each of the worker's 0.1 s slower: a
+        # static split would give each process half; dealing gives each
+        # free process the next block
+        _, _, _, pipeline, cal = nb_setup
+        rows, count = pipeline.block_rows, 12 * pipeline.block_rows
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
+        log = _SharedLog(tmp_path / "blocks")
+        self._logged_blocks(pipeline, monkeypatch, log, worker_delay_s=0.1)
+        estimates = pipeline.series(Scene(target=target((SIGMA_REF, R_REF))),
+                                    cal, count)
+        assert [e.sweep_index for e in estimates] == list(range(count))
+        runs = log.read()
+        assert sorted(start for _, start, _ in runs) == list(range(0, count,
+                                                                  rows))
+        assert sum(pid == os.getpid() for pid, _, _ in runs) > 12 / 2
+        _assert_no_child_process()
+
+    def test_twenty_thousand_blocks_leave_no_process_or_fd(self, nb_setup,
+                                                            monkeypatch):
+        # more block indices than a pipe holds (64 KiB of 4-byte tickets is
+        # 16,384): they are dealt as the processes get free, not queued
+        _, _, _, pipeline, _ = nb_setup
+        _force_workers(monkeypatch, 2)
+        fds = os.listdir("/proc/self/fd")
+        items = list(pipeline._each_block(lambda sweeps: list(sweeps),
+                                          20_000))
+        assert items == list(range(20_000))
+        _assert_no_child_process()
+        assert os.listdir("/proc/self/fd") == fds
 
     def _assert_serial(self, pipeline, cal, monkeypatch, limit):
         """After limit(), a series runs its blocks in the calling process
@@ -1515,9 +1594,10 @@ class TestSweepPool:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_failing_sweep_raises_and_the_rest_are_cancelled(
             self, workers, nb_setup, monkeypatch, tmp_path):
-        # one CPU runs the NB chain's own blocks of several sweeps one
-        # after another, the failing sweep inside the first; two run
-        # blocks of one sweep, the odd ones in a forked worker
+        # one CPU runs the NB chain's own blocks of 19 sweeps one after
+        # another, the failing sweep inside the first; two deal them
+        # between the calling process and a forked worker (the fixture's
+        # pipeline keeps its blocks: block_rows is set when it is built)
         _, _, _, pipeline, cal = nb_setup
         count = 40
         started = _SharedLog(tmp_path / "started")
@@ -1543,9 +1623,9 @@ class TestSweepPool:
         started = sorted(k for k, in started.read())
         assert started[:4] == [0, 1, 2, 3]
         # one process stops at the failure, inside its block; with two,
-        # the worker stops after its failing sweep 3, and the calling
-        # process raises it when it reads it, after its own sweep 2, so
-        # far fewer than all sweeps run
+        # the calling process raises sweep 3 from its own first block and
+        # kills the worker inside its slow second, so far fewer than all
+        # sweeps run
         if workers == 1:
             assert len(started) == 4
         else:
@@ -1554,11 +1634,11 @@ class TestSweepPool:
     def test_first_failing_sweep_in_pooled_blocks_raises(self, nb_setup,
                                                          monkeypatch,
                                                          tmp_path):
-        # NB blocks of several sweeps in two processes: the worker's block,
-        # the second, fails at once, the calling process's first block
-        # only after its slow sweeps, yet the first in sweep order raises,
-        # the worker runs nothing after its failure, and the third block
-        # is never started
+        # three NB blocks of several sweeps in two processes: the calling
+        # process takes the first, the worker the second, which fails at
+        # once, the calling process's only after its slow sweeps, yet the
+        # first in sweep order raises; a failure stops the dealing, so the
+        # third block is never started
         _, _, _, pipeline, cal = nb_setup
         rows, count = pipeline.block_rows, 3 * pipeline.block_rows
         assert rows > 4
@@ -1585,30 +1665,36 @@ class TestSweepPool:
     @pytest.mark.parametrize("fails", [None, "caller", "worker"])
     def test_no_worker_outlives_a_series(self, fails, nb_setup,
                                          monkeypatch):
-        # blocks of one sweep in two processes: the calling process runs
-        # the even sweeps, its worker the odd ones
+        # four blocks in two processes: every sweep the failing process
+        # runs raises, so the first to fail is the first of the first
+        # block it is dealt, the first block in the calling process or the
+        # second in the worker; when the calling process fails, each
+        # sweep of the worker takes 0.05 s, so it has about 2 s of sweeps
+        # dealt at the failure
         _, _, _, pipeline, cal = nb_setup
-        failing_sweep = {None: None, "caller": 2, "worker": 3}[fails]
+        rows, caller = pipeline.block_rows, os.getpid()
+        failing_sweep = {None: None, "caller": 0, "worker": rows}[fails]
         rcs = imaging._rcs
 
         def failing(detections, cal, mode, k, *args):
-            if k == failing_sweep:
+            here = "caller" if os.getpid() == caller else "worker"
+            if here == fails:
                 raise NoDetections(f"sweep {k}")
-            if fails == "caller" and k % 2:
-                time.sleep(0.3)  # the worker has 3.3 s left at the failure
+            if fails == "caller":
+                time.sleep(0.05)
             return rcs(detections, cal, mode, k, *args)
 
         monkeypatch.setattr(imaging, "_rcs", failing)
-        _force_workers(monkeypatch, 2)
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
         scene = Scene(target=target((SIGMA_REF, R_REF)))
         t0 = time.monotonic()
         if fails is None:
-            assert len(pipeline.series(scene, cal, 24)) == 24
+            assert len(pipeline.series(scene, cal, 4 * rows)) == 4 * rows
         else:
             with pytest.raises(NoDetections, match=f"^sweep {failing_sweep}$"):
-                pipeline.series(scene, cal, 24)
+                pipeline.series(scene, cal, 4 * rows)
         # the worker is killed, not waited for
-        assert time.monotonic() - t0 < 2.0
+        assert time.monotonic() - t0 < 0.9
         _assert_no_child_process()
 
     def test_stress_more_workers_than_cpus(self, monkeypatch):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -1285,6 +1286,28 @@ class TestCliEntry:
         assert main([str(path), "--out", str(out), "--quiet"]) == 0
         assert len((out / "series.csv").read_text().splitlines()) == 5
 
+    def test_gate_without_a_range_bin_exits_two_before_any_waveform(
+            self, tmp_path, capsys, monkeypatch):
+        # the gate is checked from the kept lags, before any pipeline
+        # builds its transmit train; a run that does not estimate has no
+        # gate, so the same gate does not stop a profile
+        def no_waveform(*args, **kwargs):
+            raise AssertionError("a waveform was built")
+
+        gate = "receiver: {gate_min_m: 10.0001, gate_max_m: 10.0002}\n"
+        path = _write(tmp_path, SERIES + gate)
+        with monkeypatch.context() as patch:
+            patch.setattr(imaging, "make_waveform", no_waveform)
+            assert main([str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: receiver.gate_min_m (uwb chain): the gate [10.0001, "
+            "10.0002] m holds no range bin; the nearest bins lie at "
+            "9.999577 and 10.00108 m\n")
+        path = _write(tmp_path, MINIMAL + gate, "profile.yaml")
+        assert load_scenario(path).rx_for(Mode.DS_UWB).gate_m is None
+        assert main([str(path), "--out", str(tmp_path / "profile"),
+                     "--quiet"]) == 0
+
     def test_flags_apply_before_validation(self, tmp_path, capsys):
         # each file is invalid as written but valid for the run the flags
         # select, so it must not exit 2
@@ -1606,6 +1629,61 @@ class TestNumpyOnlyRuntime:
         assert default.azimuths_deg.size == 45
         assert np.array_equal(default.azimuths_deg, pinned.azimuths_deg)
         assert np.array_equal(default.power, pinned.power)
+
+class TestStreamedImage:
+    """simulate writes a scan's image.csv row by row as the rows arrive,
+    in azimuth order, from the calling process and its forked worker."""
+
+    def test_streamed_bytes_equal_the_image_writer(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
+        path = _write(tmp_path, SCAN_5_ROWS)
+        assert main([str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        scenario = load_scenario(path)
+        pipeline = scenario.pipelines[Mode.DS_UWB]
+        image = imaging.scan_image(
+            pipeline, scenario.scene,
+            pipeline.self_calibrate(*scenario.reference), *scenario.scan)
+        write_image_csv(tmp_path / "image.csv", image)
+        assert (tmp_path / "image.csv").read_bytes() == \
+            (tmp_path / "out" / "image.csv").read_bytes()
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_a_failing_row_exits_three_and_leaves_no_image(
+            self, where, tmp_path, capsys, monkeypatch):
+        # SCAN_5_ROWS's 5 rows in two processes (the calibration's
+        # reference sphere is noiseless, the rows are not).  The worker's
+        # rows fail, the first of them row 1, after the calling process has
+        # written row 0; or the worker's rows are slow, and a row from 1 on
+        # fails in the calling process, which writes the worker's earlier
+        # rows before it raises
+        despread_windows = imaging.despread_windows
+        caller = os.getpid()
+
+        def failing(tx, scene, params, pol, sweeps, window):
+            here = "caller" if os.getpid() == caller else "worker"
+            if scene.noise_psd and sweeps.start >= 1:
+                if here == where:
+                    raise ValueError(f"row {sweeps.start} failed in the "
+                                     f"{here}")
+                time.sleep(0.2)
+            return despread_windows(tx, scene, params, pol, sweeps, window)
+
+        monkeypatch.setattr(imaging, "despread_windows", failing)
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
+        path = _write(tmp_path, SCAN_5_ROWS)
+        out = tmp_path / "out"
+        assert main([str(path), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        first = {"caller": "[34]", "worker": "1"}[where]
+        assert re.fullmatch(rf"error \[scan_image\]: row {first} failed in "
+                            rf"the {where}\n", err)
+        assert not (out / "image.csv").exists()
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 BUNDLED = {p.stem: p for p in sorted([*(ROOT / "scenarios").glob("*.yaml"),
                                       *(ROOT / "bench" / "scenarios")
