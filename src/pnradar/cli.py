@@ -22,7 +22,7 @@ import yaml
 from . import __version__
 from .channel import Pol
 from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
-                      ScanImage, ScanRows, SweepPipeline, calibrate, scan_rows)
+                      ScanRows, SweepPipeline, calibrate, scan_rows)
 from .scenario import (ExperimentKind, OutOfMemory, Scenario, ScenarioError,
                        load_scenario, waveform_fingerprint,
                        write_calibration_csv)
@@ -160,13 +160,6 @@ def write_scan_csv(path: Path, scan: ScanRows) -> None:
             rec[:, :az_end] = az
             _put_db_text(rec[:, db_at:-1], row, words)
             fh.write(rec.tobytes().translate(None, b"\0"))
-
-
-def write_image_csv(path: Path, image: ScanImage) -> None:
-    """write_scan_csv of an image already computed."""
-    write_scan_csv(path, ScanRows(azimuths_deg=image.azimuths_deg,
-                                  ranges_m=image.ranges_m,
-                                  rows=iter(image.power)))
 
 
 def write_summary_csv(path: Path, rows) -> None:

@@ -44,18 +44,6 @@ from .waveform import (Mode, PulseTrain, RadarParams, SPEED_OF_LIGHT,
 # allocation.
 _BLOCK_SAMPLES = 1 << 14
 
-# The blocks run in at most this many processes: the calling process and
-# _MAX_POOL_WORKERS - 1 forked workers (see SweepPipeline._each_block).  A
-# block's work is mostly interpreter time between short numpy calls, so
-# helper threads took turns at the GIL; processes run at once.  Measured
-# on 2 CPUs (medians of 10 fresh-process runs of the whole CLI run; one
-# process, two threads, one forked worker): nb_dense_series 0.152, 0.117
-# and 0.092 s, sphere_compare 0.50, 0.29 and 0.27 s, uwb_scan 0.46, 0.29
-# and 0.29 s.  A worker's pages are the caller's until either writes
-# them; it dirtied 3-4.5 MB of its own.  Wider pools were not measured.
-_MAX_POOL_WORKERS = 2
-
-
 class NoDetections(RuntimeError):
     """Raised when an estimate is requested but no peak exists in the gate."""
 
@@ -579,100 +567,82 @@ class SweepPipeline:
         cover sweeps 0 .. count-1; yields the items of the lists it
         returns, in sweep order, as they arrive.
 
-        With W = min(_MAX_POOL_WORKERS, usable CPUs, blocks) above 1 and
-        os.fork at hand, W - 1 workers are forked, and each process takes
-        the next undealt block when it is free (see _deal).  Otherwise the
+        With more than one block, a second usable CPU and os.fork at hand,
+        one worker is forked, and each of the two processes takes the next
+        undealt block when it is free (see _deal).  A block's work is
+        mostly interpreter time between short numpy calls, so threads took
+        turns at the GIL where two processes run at once.  Otherwise the
         calling process runs every block.  Every sweep draws from its own
         RNG streams, and its arithmetic does not change with the rows
         beside it (see channel._echoes), so the results depend neither on
-        W, nor on which process ran a block, nor on the block size.  The
-        first failing sweep in sweep order raises, as in a serial loop.
+        which process ran a block nor on the block size.  The first
+        failing sweep in sweep order raises, as in a serial loop.
         """
         rows = self.block_rows
         blocks = [range(k, min(k + rows, count))
                   for k in range(0, count, rows)]
-        width = (min(_MAX_POOL_WORKERS, _usable_cpus(), len(blocks))
-                 if hasattr(os, "fork") else 1)
-        if width == 1:
+        if len(blocks) > 1 and _usable_cpus() > 1 and hasattr(os, "fork"):
+            yield from _deal(run, blocks)
+        else:
             for block in blocks:
                 yield from run(block)
-        else:
-            yield from _deal(run, blocks, width)
 
 
-# Blocks dealt to a worker whose results are not yet read, at most: the
+# Blocks dealt to the worker whose results are not yet read, at most: the
 # second keeps it busy while the calling process, which deals only between
 # its own blocks, is running one.
 _OUTSTANDING = 2
 
 
-@dataclass
-class _Worker:
-    """A forked worker as the calling process sees it: its pid, the write
-    end of its ticket pipe, the read end of its result pipe, and the
-    blocks dealt to it whose results are not yet read, in deal order."""
-
-    pid: int
-    tickets: int
-    results: int
-    blocks: deque = field(default_factory=deque)
-
-
-def _deal(run, blocks: list[range], width: int):
-    """run(block) for each block in the calling process and width - 1
-    forked workers, yielding the items of each block's list in sweep order.
+def _deal(run, blocks: list[range]):
+    """run(block) for each block in the calling process and one forked
+    worker, yielding the items of each block's list in sweep order.
 
     The calling process takes block 0 and deals the next block indices to
-    each worker through the worker's own ticket pipe, _OUTSTANDING to a
-    worker while at least width blocks are left undealt and one after, so
-    that the last blocks go to whichever process is free first.  Then it runs
-    the next undealt block whenever the block due next in sweep order has
-    no result yet; between its blocks it reads, without waiting, every
-    result a worker has piped back and deals that worker its next block.
-    With nothing left to run it waits for a result.  Results are buffered
-    by block and yielded in sweep order.  A block that fails stops the
-    dealing, so no block after it starts anywhere; its exception is raised
-    when its turn comes, once every earlier block has given its list, so
-    the first failing sweep in sweep order raises.  However the generator
-    ends, every worker is SIGKILLed and reaped, so none outlives it.
+    the worker through its ticket pipe, _OUTSTANDING while at least two
+    blocks are left undealt and one after, so that the last blocks go to
+    whichever process is free first.  Then it runs the next undealt block
+    whenever the block due next in sweep order has no result yet; between
+    its blocks it reads, without waiting, each result the worker has piped
+    back and deals the worker its next block.  With nothing left to run it
+    waits for a result.  Results are buffered by block and yielded in
+    sweep order.  A block that fails stops the dealing, so no block after
+    it starts anywhere; its exception is raised when its turn comes, once
+    every earlier block has given its list, so the first failing sweep in
+    sweep order raises.  However the generator ends, the worker is
+    SIGKILLed and reaped, so it does not outlive it.
     """
-    undealt = deque(range(len(blocks)))
+    undealt = deque(range(1, len(blocks)))
+    dealt = deque()  # the worker's blocks whose results are not yet read
     done = {}  # block index -> its list, or the exception it raised
-    workers: list[_Worker] = []
 
     def settle(i: int, result) -> None:
         done[i] = result
         if isinstance(result, BaseException):
             undealt.clear()
 
-    def deal(worker: _Worker) -> None:
+    def deal() -> None:
         # a second block only while each process can still take one
-        while undealt and len(worker.blocks) < (
-                _OUTSTANDING if len(undealt) >= width else 1):
-            worker.blocks.append(undealt.popleft())
+        while undealt and len(dealt) < (
+                _OUTSTANDING if len(undealt) >= 2 else 1):
+            dealt.append(undealt.popleft())
             try:
-                os.write(worker.tickets, worker.blocks[-1].to_bytes(4, "little"))
+                os.write(tickets, dealt[-1].to_bytes(4, "little"))
             except BrokenPipeError:  # it has exited: its result pipe says why
                 pass
 
+    pid, tickets, results = _fork(run, blocks)
     try:
-        for _ in range(1, width):
-            workers.append(_fork(run, blocks, workers))
-        mine = undealt.popleft()
-        for worker in workers:
-            deal(worker)
-        settle(mine, _attempt(run, blocks[mine]))
+        deal()
+        settle(0, _attempt(run, blocks[0]))
+        poller = select.poll()  # select would fail past fd 1023
+        poller.register(results, select.POLLIN)
         for head in range(len(blocks)):
             while head not in done:
-                busy = {w.results: w for w in workers if w.blocks}
-                poller = select.poll()  # select would fail past fd 1023
-                for fd in busy:
-                    poller.register(fd, select.POLLIN)
-                for fd, _ in poller.poll(0 if undealt else None):
-                    worker = busy[fd]
-                    i = worker.blocks.popleft()
-                    settle(i, _receive(fd, blocks[i]))
-                    deal(worker)
+                if dealt and poller.poll(0 if undealt else None):
+                    i = dealt.popleft()
+                    settle(i, _receive(results, blocks[i]))
+                    deal()
                 if head not in done and undealt:
                     i = undealt.popleft()
                     settle(i, _attempt(run, blocks[i]))
@@ -681,11 +651,10 @@ def _deal(run, blocks: list[range], width: int):
                 raise result
             yield from result
     finally:
-        for worker in workers:
-            os.kill(worker.pid, signal.SIGKILL)
-            os.waitpid(worker.pid, 0)
-            os.close(worker.tickets)
-            os.close(worker.results)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(tickets)
+        os.close(results)
 
 
 def _attempt(run, block: range):
@@ -696,9 +665,10 @@ def _attempt(run, block: range):
         return exc
 
 
-def _fork(run, blocks: list[range], workers: list[_Worker]) -> _Worker:
-    """Fork a worker that serves run over blocks (see _serve); workers are
-    those forked before it, whose pipe ends it closes."""
+def _fork(run, blocks: list[range]) -> tuple[int, int, int]:
+    """Fork the worker that serves run over blocks (see _serve); returns
+    its pid, the write end of its ticket pipe and the read end of its
+    result pipe."""
     ends = os.pipe() + os.pipe()
     try:
         _widen(ends[2])
@@ -709,12 +679,10 @@ def _fork(run, blocks: list[range], workers: list[_Worker]) -> _Worker:
         raise
     tickets_r, tickets_w, results_r, results_w = ends
     if pid == 0:
-        _serve(run, blocks, tickets_r, results_w,
-               [tickets_w, results_r]
-               + [fd for w in workers for fd in (w.tickets, w.results)])
+        _serve(run, blocks, tickets_r, results_w, (tickets_w, results_r))
     os.close(tickets_r)
     os.close(results_w)
-    return _Worker(pid, tickets_w, results_r)
+    return pid, tickets_w, results_r
 
 
 # A result pipe's capacity: room for several of a worker's results, such
@@ -737,14 +705,14 @@ def _widen(fd: int) -> None:
 
 
 def _serve(run, blocks: list[range], tickets: int, results: int,
-           inherited: list[int]) -> None:
+           inherited: tuple[int, int]) -> None:
     """A forked worker's life: for each block index read from tickets, run
     the block and pipe its list, or the exception it raised, into results
     as a length and a pickle, stopping after an exception or when the
     ticket pipe closes; then exit the process, whatever happened, so that
     it never returns into the caller's frames.  It first closes the
-    calling process's pipe ends, its own and those of earlier workers,
-    inherited by the fork, so that its pipes close with the caller."""
+    calling process's ends of its pipes, inherited by the fork, so that
+    its pipes close with the caller."""
     try:
         for fd in inherited:
             os.close(fd)
@@ -807,22 +775,10 @@ def self_calibrate(params: RadarParams, pn: PnSequence,
 
 
 @dataclass(frozen=True)
-class ScanImage:
-    """Azimuth x range raster of calibrated power."""
-
-    azimuths_deg: np.ndarray
-    ranges_m: np.ndarray
-    power: np.ndarray  # shape (n_az, n_range), linear, RCS-calibrated
-
-    def __post_init__(self):
-        if self.power.shape != (self.azimuths_deg.size, self.ranges_m.size):
-            raise ValueError("image shape mismatch")
-
-
-@dataclass(frozen=True)
 class ScanRows:
-    """A ScanImage whose power rows, one per azimuth in order, are
-    computed as they are read: they can be read once."""
+    """Azimuth x range raster of calibrated power (linear, RCS-calibrated),
+    whose rows, one per azimuth in order, are computed as they are read:
+    they can be read once."""
 
     azimuths_deg: np.ndarray
     ranges_m: np.ndarray
@@ -882,15 +838,3 @@ def scan_rows(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
                     rows=pipeline._each_block(
                         lambda rows: [row(k) for k in rows], azimuths.size))
 
-
-def scan_image(pipeline: SweepPipeline, scene: Scene, cal: Calibration,
-               azimuth_step_deg: float, beamwidth_deg: float,
-               az_span_deg: float, pol: Pol = Pol.VV) -> ScanImage:
-    """scan_rows' raster, its rows stacked into one image."""
-    scan = scan_rows(pipeline, scene, cal, azimuth_step_deg, beamwidth_deg,
-                     az_span_deg, pol)
-    power = np.empty((scan.azimuths_deg.size, scan.ranges_m.size))
-    for row_idx, values in enumerate(scan.rows):
-        power[row_idx] = values
-    return ScanImage(azimuths_deg=scan.azimuths_deg, ranges_m=scan.ranges_m,
-                     power=power)

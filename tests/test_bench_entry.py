@@ -42,10 +42,12 @@ def test_span_targets_absent_only_as_known():
     assert proc.returncode == 0, proc.stderr
     absent = json.loads(proc.stdout.strip().splitlines()[-1])
     # the CLI writes a scan's rows as they arrive (cli.write_scan_csv of
-    # imaging.scan_rows), so it no longer imports scan_image
+    # imaging.scan_rows), the one scan path, so it no longer has
+    # scan_image or write_image_csv
     assert set(absent) == {"pnradar.cli.resolve_scenario",
                            "pnradar.cli.scan_image",
                            "pnradar.cli.self_calibrate",
+                           "pnradar.cli.write_image_csv",
                            "pnradar.imaging.detect_scatterers",
                            "pnradar.imaging.ds_uwb_train",
                            "pnradar.imaging.estimate_rcs",

@@ -23,7 +23,7 @@ from pnradar import (PREFERRED_PAIRS, Calibration, CodeKind, Detection,
                      despread_windows, gen_clutter,
                      gen_gold, gen_mseq, make_waveform, nb_params,
                      pulse_volume_depth, qpsk_baseband, rcs_nb, rcs_uwb,
-                     scan_image, spread, uwb_correlate, uwb_params,
+                     scan_rows, spread, uwb_correlate, uwb_params,
                      SPEED_OF_LIGHT)
 from pnradar import imaging
 from pnradar.cli import main
@@ -1394,13 +1394,18 @@ class TestSweepBlocks:
             assert prof.ranges_m is pipeline.ranges_m
 
 
-def _force_workers(monkeypatch, workers):
-    """Run every series and scan as blocks of one sweep in exactly
-    ``workers`` processes, the calling one and ``workers`` - 1 forked
-    workers, whatever the stream length and the CPU count."""
-    monkeypatch.setattr(imaging, "_BLOCK_SAMPLES", 0)
-    monkeypatch.setattr(imaging, "_MAX_POOL_WORKERS", workers)
+def _force_workers(monkeypatch, pipeline, workers):
+    """Run pipeline's series and scans as blocks of one sweep in exactly
+    ``workers`` processes, 1 or 2: the calling one, and with 2 a forked
+    worker, whatever the stream length and the CPU count."""
+    monkeypatch.setattr(pipeline, "block_rows", 1)
     monkeypatch.setattr(imaging, "_usable_cpus", lambda: workers)
+
+
+def _scan(*args, **kwargs):
+    """scan_rows' raster with its rows stacked: (azimuths, ranges, power)."""
+    scan = scan_rows(*args, **kwargs)
+    return scan.azimuths_deg, scan.ranges_m, np.array(list(scan.rows))
 
 
 def _assert_no_child_process():
@@ -1410,8 +1415,8 @@ def _assert_no_child_process():
 
 
 class TestSweepPool:
-    """Series and scans give the same arrays for any number of workers and
-    any block size."""
+    """Series and scans give the same arrays in one process as in two, the
+    calling one and one forked worker, and for any block size."""
 
     @pytest.mark.parametrize("chain", ["nb", "uwb"])
     def test_series_independent_of_worker_count(self, chain, nb_setup,
@@ -1426,12 +1431,15 @@ class TestSweepPool:
         # the default blocks: several NB sweeps run together, one UWB sweep
         runs = {0: [(e.sweep_index, e.sigma_m2)
                     for e in pipeline.series(scene, cal, 7)]}
-        for workers in (1, 3):
-            _force_workers(monkeypatch, workers)
+        for workers in (1, 2):
+            _force_workers(monkeypatch, pipeline, workers)
             runs[workers] = [(e.sweep_index, e.sigma_m2)
                              for e in pipeline.series(scene, cal, 7)]
-        assert runs[0] == runs[1] == runs[3]
-        assert [k for k, _ in runs[3]] == list(range(7))
+        assert runs[0] == runs[1] == runs[2]
+        assert [k for k, _ in runs[2]] == list(range(7))
+        # blocks of one sweep in two processes: the worker ran some
+        pids = self._block_pids(pipeline, scene, cal, 7, monkeypatch)
+        assert len(set(pids)) == 2 and pids[0] == os.getpid()
 
     def test_scan_image_independent_of_worker_count(self, monkeypatch):
         params, pn = uwb_params(), gen_mseq([3, 1, 0])
@@ -1444,20 +1452,18 @@ class TestSweepPool:
             noise_psd=1e-20, direct_path_gain=0.5,
             sweep_phase_jitter_rad=0.3, rng_seed=5)
         images = {}
-        for workers in (1, 3):
-            _force_workers(monkeypatch, workers)
-            images[workers] = scan_image(pipeline, scene, cal, 1.0, 2.0,
-                                         az_span_deg=4.0)
-        assert np.array_equal(images[1].azimuths_deg, images[3].azimuths_deg)
-        assert np.array_equal(images[1].ranges_m, images[3].ranges_m)
-        assert np.array_equal(images[1].power, images[3].power)
+        for workers in (1, 2):
+            _force_workers(monkeypatch, pipeline, workers)
+            images[workers] = _scan(pipeline, scene, cal, 1.0, 2.0,
+                                    az_span_deg=4.0)
+        for one, two in zip(images[1], images[2]):
+            assert np.array_equal(one, two)
 
     @pytest.mark.parametrize("chain", ["nb", "uwb"])
     def test_uneven_blocks_match_one_worker(self, chain, nb_setup,
                                             uwb_setup, monkeypatch):
-        # the default blocks, 5 of them on 3 processes: the calling process
-        # runs two, each worker runs one or two, and the last NB block is
-        # short
+        # the default blocks, 5 of them on 2 processes, each of which runs
+        # one or more; the last NB block is short
         _, _, _, pipeline, cal = nb_setup if chain == "nb" else uwb_setup
         scene = Scene(target=target((SIGMA_REF, R_REF)),
                       clutter=gen_clutter((2.0, 8.0), 6, 1e-2, seed=8),
@@ -1466,13 +1472,12 @@ class TestSweepPool:
         rows = pipeline.block_rows
         count = 4 * rows + (rows + 1) // 2
         runs = {}
-        for workers in (1, 3):
-            monkeypatch.setattr(imaging, "_MAX_POOL_WORKERS", workers)
+        for workers in (1, 2):
             monkeypatch.setattr(imaging, "_usable_cpus", lambda: workers)
             runs[workers] = [(e.sweep_index, e.sigma_m2.hex())
                              for e in pipeline.series(scene, cal, count)]
-        assert [k for k, _ in runs[3]] == list(range(count))
-        assert runs[1] == runs[3]
+        assert [k for k, _ in runs[2]] == list(range(count))
+        assert runs[1] == runs[2]
 
     @staticmethod
     def _block_pids(pipeline, scene, cal, count, monkeypatch):
@@ -1504,9 +1509,9 @@ class TestSweepPool:
     def test_pool_width_is_capped_whatever_the_cpu_count(self, nb_setup,
                                                           monkeypatch,
                                                           tmp_path):
-        # 16 usable CPUs, 6 blocks: _MAX_POOL_WORKERS processes, the
-        # calling one among them, share the blocks; each block runs once,
-        # and the estimates come back in sweep order
+        # 16 usable CPUs, 6 blocks: two processes, the calling one and one
+        # forked worker, share the blocks; each block runs once, and the
+        # estimates come back in sweep order
         _, _, _, pipeline, cal = nb_setup
         scene = Scene(target=target((SIGMA_REF, R_REF)))
         monkeypatch.setattr(imaging, "_usable_cpus", lambda: 16)
@@ -1521,7 +1526,7 @@ class TestSweepPool:
             (k, k + rows) for k in range(0, count, rows)]
         pids = {pid for pid, _, _ in runs}
         assert os.getpid() in pids
-        assert len(pids) == imaging._MAX_POOL_WORKERS == 2
+        assert len(pids) == 2
         # a single block runs in the calling process alone
         assert self._block_pids(pipeline, scene, cal, rows,
                                 monkeypatch) == [os.getpid()]
@@ -1550,7 +1555,7 @@ class TestSweepPool:
         # more block indices than a pipe holds (64 KiB of 4-byte tickets is
         # 16,384): they are dealt as the processes get free, not queued
         _, _, _, pipeline, _ = nb_setup
-        _force_workers(monkeypatch, 2)
+        _force_workers(monkeypatch, pipeline, 2)
         fds = os.listdir("/proc/self/fd")
         items = list(pipeline._each_block(lambda sweeps: list(sweeps),
                                           20_000))
@@ -1595,9 +1600,8 @@ class TestSweepPool:
     def test_first_failing_sweep_raises_and_the_rest_are_cancelled(
             self, workers, nb_setup, monkeypatch, tmp_path):
         # one CPU runs the NB chain's own blocks of 19 sweeps one after
-        # another, the failing sweep inside the first; two deal them
-        # between the calling process and a forked worker (the fixture's
-        # pipeline keeps its blocks: block_rows is set when it is built)
+        # another, the failing sweep inside the first; two deal blocks of
+        # one sweep between the calling process and a forked worker
         _, _, _, pipeline, cal = nb_setup
         count = 40
         started = _SharedLog(tmp_path / "started")
@@ -1616,16 +1620,15 @@ class TestSweepPool:
             assert pipeline.block_rows > 4
             monkeypatch.setattr(imaging, "_usable_cpus", lambda: 1)
         else:
-            _force_workers(monkeypatch, workers)
+            _force_workers(monkeypatch, pipeline, workers)
         with pytest.raises(NoDetections, match="^sweep 3$"):
             pipeline.series(Scene(target=target((SIGMA_REF, R_REF))), cal,
                             count)
         started = sorted(k for k, in started.read())
         assert started[:4] == [0, 1, 2, 3]
         # one process stops at the failure, inside its block; with two,
-        # the calling process raises sweep 3 from its own first block and
-        # kills the worker inside its slow second, so far fewer than all
-        # sweeps run
+        # sweep 3's block stops the dealing, and the worker is killed inside
+        # a slow later block, so far fewer than all sweeps run
         if workers == 1:
             assert len(started) == 4
         else:
@@ -1698,9 +1701,9 @@ class TestSweepPool:
         _assert_no_child_process()
 
     def test_stress_more_workers_than_cpus(self, monkeypatch):
-        # eight processes on blocks of one scan row, most of them waiting
-        # for a CPU, each building the scene's point arrays and tone cache
-        # on its own; the rows are gathered in order from every worker
+        # two processes on blocks of one scan row, each building the
+        # scene's point arrays and tone cache on its own, against one; the
+        # rows are gathered in order from both
         params, pn = uwb_params(), gen_mseq([3, 1, 0])
         cfg = ReceiverConfig(blank_width_s=2e-9, max_range_m=14.0)
         cal = Calibration(gain=1.0, reference_sigma_m2=SIGMA_REF,
@@ -1712,17 +1715,17 @@ class TestSweepPool:
 
         def image(workers):
             _tone.cache_clear()
-            _force_workers(monkeypatch, workers)
-            return scan_image(SweepPipeline(params, pn, rx_config=cfg),
-                              scene, cal, 0.5, 2.0, az_span_deg=3.0).power
+            pipeline = SweepPipeline(params, pn, rx_config=cfg)
+            _force_workers(monkeypatch, pipeline, workers)
+            return _scan(pipeline, scene, cal, 0.5, 2.0, az_span_deg=3.0)[2]
 
-        assert np.array_equal(image(8), image(1))
+        assert np.array_equal(image(2), image(1))
         _assert_no_child_process()
 
     def test_stress_nb_series_more_workers_than_cpus(self, monkeypatch):
-        # NB blocks of the default size in eight processes, each building
-        # the tone cache and the scene's point arrays on its own; the
-        # estimates are gathered in order from every worker
+        # NB blocks of the default size in two processes, each building
+        # the tone cache and the scene's point arrays on its own, against
+        # one; the estimates are gathered in order from both
         params, pn = nb_params(), gen_mseq([7, 1, 0])
         cfg = ReceiverConfig(max_range_m=100.0)
         cal = Calibration(gain=1.0, reference_sigma_m2=SIGMA_REF,
@@ -1730,7 +1733,6 @@ class TestSweepPool:
 
         def series(workers):
             _tone.cache_clear()
-            monkeypatch.setattr(imaging, "_MAX_POOL_WORKERS", workers)
             monkeypatch.setattr(imaging, "_usable_cpus", lambda: workers)
             scene = Scene(
                 target=target((SIGMA_REF, R_REF)),
@@ -1746,7 +1748,7 @@ class TestSweepPool:
             return [(e.sweep_index, e.sigma_m2)
                     for e in pipeline.series(scene, cal, 3 * 8 * 9 + 4)]
 
-        assert series(8) == series(1)
+        assert series(2) == series(1)
         _assert_no_child_process()
 
     # peak traced allocation in receive streams of len(tx) * 16 bytes,
@@ -1778,7 +1780,7 @@ class TestSweepPool:
             if run == "series":
                 pipeline.series(scene, cal, 6)
             else:
-                scan_image(pipeline, scene, cal, 1.0, 2.0, az_span_deg=2.0)
+                _scan(pipeline, scene, cal, 1.0, 2.0, az_span_deg=2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1832,31 +1834,32 @@ class TestScanImage:
         cfg = ReceiverConfig(max_range_m=14.0)
         pipeline = SweepPipeline(params, pn, rx_config=cfg)
         scene = Scene(target=TargetModel(points=points))
-        return scan_image(pipeline, scene,
-                          pipeline.self_calibrate(SIGMA_REF, R_REF),
-                          step, bw, az_span_deg=span)
+        return _scan(pipeline, scene,
+                     pipeline.self_calibrate(SIGMA_REF, R_REF),
+                     step, bw, az_span_deg=span)
 
     def test_on_axis_point_peaks_at_zero_azimuth(self):
-        image = self._image((Scatterer(sigma_m2=1e-3, range_m=10.0),))
-        i, j = np.unravel_index(np.argmax(image.power), image.power.shape)
-        assert image.azimuths_deg[i] == 0.0
-        assert abs(image.ranges_m[j] - 10.0) < 0.01
+        azimuths, ranges, power = self._image(
+            (Scatterer(sigma_m2=1e-3, range_m=10.0),))
+        i, j = np.unravel_index(np.argmax(power), power.shape)
+        assert azimuths[i] == 0.0
+        assert abs(ranges[j] - 10.0) < 0.01
 
     def test_offset_point_attenuated_on_axis(self):
         x = 10.0 * math.sin(math.radians(5.0))
-        image = self._image((Scatterer(sigma_m2=1e-3, range_m=10.0,
-                                       cross_range_m=x),))
-        row0 = image.power[list(image.azimuths_deg).index(0.0)]
-        row5 = image.power[list(image.azimuths_deg).index(5.0)]
+        azimuths, _, power = self._image((Scatterer(
+            sigma_m2=1e-3, range_m=10.0, cross_range_m=x),))
+        row0 = power[list(azimuths).index(0.0)]
+        row5 = power[list(azimuths).index(5.0)]
         assert row0.max() <= 0.1 * row5.max()
 
     def test_two_points_three_beamwidths_apart(self):
         x = 10.0 * math.sin(math.radians(6.0))
-        image = self._image(
+        power = self._image(
             (Scatterer(sigma_m2=1e-3, range_m=10.0, cross_range_m=-x),
              Scatterer(sigma_m2=1e-3, range_m=10.0, cross_range_m=x)),
-            step=1.0, bw=2.0, span=10.0)
-        row_peaks = image.power.max(axis=1)
+            step=1.0, bw=2.0, span=10.0)[2]
+        row_peaks = power.max(axis=1)
         bright = row_peaks > 0.1 * row_peaks.max()
         groups = np.count_nonzero(np.diff(bright.astype(int)) == 1) + int(bright[0])
         assert groups == 2
@@ -1885,13 +1888,13 @@ class TestScanImage:
         quiet = Scene(target=target((SIGMA_REF, R_REF)))
         jammed = dataclasses.replace(
             quiet, interferers=(Interferer(freq_hz=1.003e9, power_w=1.0),))
-        clean, noisy = (scan_image(pipeline, scene, cal, 1.0, 2.0,
-                                   az_span_deg=2.0)
-                        for scene in (quiet, jammed))
-        for row_clean, row_noisy in zip(clean.power, noisy.power):
+        (azimuths, _, clean), (_, _, noisy) = (
+            _scan(pipeline, scene, cal, 1.0, 2.0, az_span_deg=2.0)
+            for scene in (quiet, jammed))
+        for row_clean, row_noisy in zip(clean, noisy):
             assert not np.array_equal(row_clean, row_noisy)
         # the on-axis row is the jammed scene's own profile, calibrated
-        i0 = list(noisy.azimuths_deg).index(0.0)
+        i0 = list(azimuths).index(0.0)
         prof = pipeline.profile(jammed, Pol.VV, sweep_index=i0)
-        assert np.array_equal(noisy.power[i0],
+        assert np.array_equal(noisy[i0],
                               cal.gain * prof.power * prof.ranges_m ** 4)

@@ -20,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pnradar
-from pnradar import (Mode, NoDetections, SPEED_OF_LIGHT, ScanImage, cli,
+from pnradar import (Mode, NoDetections, SPEED_OF_LIGHT, ScanRows, cli,
                      gen_gold, gen_mseq, imaging, nb_params, uwb_params)
-from pnradar.cli import _write_manifest, main, run, write_image_csv
+from pnradar.cli import _write_manifest, main, run, write_scan_csv
 from pnradar.channel import Scatterer, Scene, TargetModel
 from pnradar.imaging import Calibration, calibrate
 from pnradar.scenario import (_F, _List, _SCHEMA, ExperimentKind,
@@ -125,12 +125,14 @@ def _readme_example():
     return section.split("```yaml\n", 1)[1].split("```", 1)[0]
 
 
-def _image_lines(image):
-    """image.csv's lines, each field formatted by itself."""
-    return ["az_deg,range_m,power_db"] + [
+def _assert_image_csv(path, azimuths, ranges, power):
+    """write_scan_csv writes power's rows to path as image.csv lines whose
+    every field is formatted by itself."""
+    write_scan_csv(path, ScanRows(azimuths, ranges, rows=iter(power)))
+    assert path.read_text().splitlines() == ["az_deg,range_m,power_db"] + [
         "%.12g,%.12g,%.12g" % (az, r, 10.0 * math.log10(max(p, 1e-30)))
-        for az, row in zip(image.azimuths_deg.tolist(), image.power.tolist())
-        for r, p in zip(image.ranges_m.tolist(), row)]
+        for az, row in zip(azimuths.tolist(), power.tolist())
+        for r, p in zip(ranges.tolist(), row)]
 
 
 SCAN_5_ROWS = """
@@ -1522,6 +1524,33 @@ class TestNumpyOnlyRuntime:
         assert json.loads(proc.stdout) == [0, [], False]
         assert (tmp_path / "out" / "compare_summary.csv").exists()
 
+    def test_the_sweep_pool_forks_and_loads_no_process_library(self,
+                                                               tmp_path):
+        # the second process is one os.fork, not a multiprocessing or
+        # concurrent.futures pool: after numpy and yaml, `python3 -X
+        # importtime` read 17.8 ms to import concurrent.futures.process
+        # and 12.4 ms for multiprocessing.pool, against a whole
+        # nb_dense_series run of about 0.11 s (2 CPUs)
+        proc = _run_child(
+            "import json, os, sys\n"
+            "from pnradar import imaging\n"
+            "from pnradar.cli import main\n"
+            "imaging._usable_cpus = lambda: 2\n"
+            "forks, fork = [], os.fork\n"
+            "def counted():\n"
+            "    pid = fork()\n"
+            "    forks.append(pid)\n"
+            "    return pid\n"
+            "os.fork = counted\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(json.dumps([rc, len(forks), sorted(\n"
+            "    m for m in sys.modules\n"
+            "    if m.split('.')[0] in ('multiprocessing', 'concurrent'))]))\n",
+            ROOT / "bench" / "scenarios" / "nb_dense_series.yaml",
+            "--out", tmp_path / "out", "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 1, []]
+
     def test_image_csv_matches_value_by_value_format(self, tmp_path):
         # every cell prints what "%.12g" of each field and
         # 10*log10(max(p, 1e-30)) print, on cells chosen to trip a
@@ -1560,13 +1589,9 @@ class TestNumpyOnlyRuntime:
             random, special, edges, np.nextafter(edges, 0.0),
             np.nextafter(edges, math.inf), flips, near_unity, log_differs])
         power = np.resize(cells, (6, -(-cells.size // 6)))
-        image = ScanImage(azimuths_deg=np.linspace(-2.5, 2.5, 6),
-                          ranges_m=np.linspace(0.3, 1.0 / 3.0 + 2.0,
-                                               power.shape[1]),
-                          power=power)
-        path = tmp_path / "image.csv"
-        write_image_csv(path, image)
-        assert path.read_text().splitlines() == _image_lines(image)
+        _assert_image_csv(tmp_path / "image.csv", np.linspace(-2.5, 2.5, 6),
+                          np.linspace(0.3, 1.0 / 3.0 + 2.0, power.shape[1]),
+                          power)
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
@@ -1575,23 +1600,21 @@ class TestNumpyOnlyRuntime:
                                          st.just(math.nan))))
     def test_image_csv_matches_format_on_drawn_powers(self, tmp_path_factory,
                                                        power):
-        image = ScanImage(azimuths_deg=np.arange(power.shape[0]) - 0.5,
-                          ranges_m=np.arange(power.shape[1]) * 0.15,
-                          power=power)
-        path = tmp_path_factory.mktemp("image") / "image.csv"
-        write_image_csv(path, image)
-        assert path.read_text().splitlines() == _image_lines(image)
+        _assert_image_csv(tmp_path_factory.mktemp("image") / "image.csv",
+                          np.arange(power.shape[0]) - 0.5,
+                          np.arange(power.shape[1]) * 0.15, power)
 
     def test_image_csv_memory_is_bounded_by_a_row(self, tmp_path):
         # uwb_scan's image size; a byte matrix of the whole image (about
         # 16 MB) or a list of its lines would break the bound
         rng = np.random.default_rng(5)
         power = rng.exponential(1e-9, (45, 9139))
-        image = ScanImage(azimuths_deg=np.arange(-11.0, 11.5, 0.5),
-                          ranges_m=np.linspace(0.3, 14.0, 9139), power=power)
+        scan = ScanRows(azimuths_deg=np.arange(-11.0, 11.5, 0.5),
+                        ranges_m=np.linspace(0.3, 14.0, 9139),
+                        rows=iter(power))
         tracemalloc.start()
         try:
-            write_image_csv(tmp_path / "image.csv", image)
+            write_scan_csv(tmp_path / "image.csv", scan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1624,11 +1647,11 @@ class TestNumpyOnlyRuntime:
         cal = Calibration(gain=1.0, reference_sigma_m2=1e-3,
                           reference_range_m=10.0)
         pinned, default = (
-            imaging.scan_image(pipeline, scenario.scene, cal, *s.scan)
+            imaging.scan_rows(pipeline, scenario.scene, cal, *s.scan)
             for s in (scenario, loaded))
         assert default.azimuths_deg.size == 45
         assert np.array_equal(default.azimuths_deg, pinned.azimuths_deg)
-        assert np.array_equal(default.power, pinned.power)
+        assert np.array_equal(list(default.rows), list(pinned.rows))
 
 class TestStreamedImage:
     """simulate writes a scan's image.csv row by row as the rows arrive,
@@ -1636,18 +1659,15 @@ class TestStreamedImage:
 
     def test_streamed_bytes_equal_the_image_writer(self, tmp_path,
                                                     monkeypatch):
-        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
+        # the rows streamed from two processes give the bytes that the
+        # writer gives on one CPU, where the calling process runs every row
         path = _write(tmp_path, SCAN_5_ROWS)
-        assert main([str(path), "--out", str(tmp_path / "out"),
-                     "--quiet"]) == 0
-        scenario = load_scenario(path)
-        pipeline = scenario.pipelines[Mode.DS_UWB]
-        image = imaging.scan_image(
-            pipeline, scenario.scene,
-            pipeline.self_calibrate(*scenario.reference), *scenario.scan)
-        write_image_csv(tmp_path / "image.csv", image)
-        assert (tmp_path / "image.csv").read_bytes() == \
-            (tmp_path / "out" / "image.csv").read_bytes()
+        for cpus in (1, 2):
+            monkeypatch.setattr(imaging, "_usable_cpus", lambda: cpus)
+            assert main([str(path), "--out", str(tmp_path / f"out{cpus}"),
+                         "--quiet"]) == 0
+        assert (tmp_path / "out1" / "image.csv").read_bytes() == \
+            (tmp_path / "out2" / "image.csv").read_bytes()
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_a_failing_row_exits_three_and_leaves_no_image(
