@@ -433,7 +433,7 @@ def _block_terms(tx: PulseTrain, scene: Scene, params: RadarParams,
             f"tx sampled at {tx.sample_rate:g} Hz on carrier "
             f"{tx.carrier_hz:g} Hz, but the chain runs at "
             f"{params.sample_rate_hz:g} Hz on {params.carrier_hz:g} Hz")
-    if len(tx) < params.pri_samples:
+    if tx.length < params.pri_samples:
         raise ValueError("transmit stream must cover at least one PRI")
     if not sweeps:
         raise ValueError("a block needs at least one sweep")
@@ -460,7 +460,7 @@ def _block_terms(tx: PulseTrain, scene: Scene, params: RadarParams,
     terms = [(np.full((len(sweeps), 1), scene.direct_path_gain), 0)] \
         if scene.direct_path_gain else []
     terms += [(h[:, j, None], d) for j, d in enumerate(delays)]
-    interferers = [_interferer(scene.interferers[i], len(tx), fs,
+    interferers = [_interferer(scene.interferers[i], tx.length, fs,
                                params.carrier_hz, rngs[_RNG_INTERFERER, i])
                    for i in emitting]
     return terms, interferers, rngs.get((_RNG_NOISE,), [])
@@ -490,7 +490,7 @@ def despread_windows(tx: PulseTrain, scene: Scene, params: RadarParams,
     order, so the window equals the stream's bit for bit.  A block holds
     a few arrays of rows x len(window) samples and one chunk.
     """
-    n, period, chips = len(tx), tx.period, tx.chips
+    n, period, chips = tx.length, tx.period, tx.chips
     start, width = window.start, len(window)
     if window.step != 1 or start < 0 or width > period \
             or start + width + (len(chips) - 1) * period > n:

@@ -21,8 +21,8 @@ import yaml
 
 from . import __version__
 from .channel import Pol
-from .imaging import (Calibration, NoDetections, RangeProfile, RcsEstimate,
-                      ScanRows, SweepPipeline, calibrate, scan_rows)
+from .imaging import (Calibration, RangeProfile, RcsEstimate, ScanRows,
+                      SweepPipeline, block_shape, calibrate, scan_rows)
 from .scenario import (ExperimentKind, OutOfMemory, Scenario, ScenarioError,
                        load_scenario, waveform_fingerprint,
                        write_calibration_csv)
@@ -274,6 +274,13 @@ def run(scenario: Scenario, quiet: bool = False) -> list[Path]:
     return written
 
 
+def _fault(stage: str, exc: Exception) -> int:
+    """Report a fault of a stage, "load" or the run's experiment: exit 3."""
+    print(f"error [{stage}]: {str(exc) or type(exc).__name__}",
+          file=sys.stderr)
+    return 3
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="simulate",
@@ -299,21 +306,17 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OutOfMemory as exc:  # while building the pipelines
-        print(f"error [{exc.kind.value}]: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:  # OutOfMemory, or a fault no rule foresaw
+        return _fault("load", exc)
 
     try:
         run(scenario, quiet=args.quiet)
-    except (NoDetections, ValueError, RuntimeError, OSError) as exc:
-        print(f"error [{scenario.experiment.value}]: {exc}", file=sys.stderr)
-        return 3
     except MemoryError:
-        error = OutOfMemory(scenario.experiment, {
-            mode: (p.block_rows, len(p.window))
-            for mode, p in scenario.pipelines.items()})
-        print(f"error [{scenario.experiment.value}]: {error}", file=sys.stderr)
-        return 3
+        return _fault(scenario.experiment.value, OutOfMemory({
+            mode: block_shape(p.window, p.params.pri_samples)
+            for mode, p in scenario.pipelines.items()}))
+    except Exception as exc:  # every other fault of a run
+        return _fault(scenario.experiment.value, exc)
     return 0
 
 

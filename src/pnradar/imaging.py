@@ -37,11 +37,9 @@ from .waveform import (Mode, PulseTrain, RadarParams, SPEED_OF_LIGHT,
 # each sweep of a block is correlated on its own.  A block holds as many
 # sweeps as fit this many despread-window samples, and at least one: 19
 # narrowband sweeps of 853 window samples, or one DS-UWB sweep of 9,472.
-# Measured on 2 CPUs with the blocks on two threads (medians of 6 runs of
-# one process each), the 600 sweeps of the nb_dense_series benchmark took
-# 0.22, 0.19 and 0.17 s in blocks of 9, 19 and 38, at a peak RSS of 41.3,
-# 42.2 and 44.2 MB: a block of 19 peaks at about 1 MB of traced
-# allocation.
+# Measured with one forked worker on 2 CPUs (medians of 8 alternating
+# fresh-process runs), nb_dense_series's 600 sweeps took 0.125, 0.120 and
+# 0.122 s in blocks of 9, 19 and 38 (peak RSS 40.5, 40.9, 41.8 MB): a tie.
 _BLOCK_SAMPLES = 1 << 14
 
 class NoDetections(RuntimeError):
@@ -277,6 +275,9 @@ def calibrate(profile: RangeProfile, sigma_ref_m2: float,
         raise ValueError(
             f"reference peak found at {peak_range:g} m, expected near "
             f"{range_ref_m:g} m")
+    if peak_range == 0:
+        raise ValueError("reference peak found in the 0 m range bin; a "
+                         "calibration needs it at a positive range")
     gain = sigma_ref_m2 / (peak * peak_range ** 4)
     return Calibration(gain=gain, reference_sigma_m2=sigma_ref_m2,
                        reference_range_m=range_ref_m)
@@ -429,37 +430,29 @@ def gate_lags(params: RadarParams, lags: range,
                  first(lambda r: r > gate_m[1]))
 
 
-def _block_rows(window: int) -> int:
-    """Sweeps per block: as many as fit _BLOCK_SAMPLES window samples, and
-    at least one."""
-    return max(1, _BLOCK_SAMPLES // max(window, 1))
-
-
 def despread_window(params: RadarParams, pn: PnSequence,
                     rx_config: ReceiverConfig) -> tuple[range, range]:
-    """(kept lags, window) of a sweep under rx_config.for_chain: the
-    window of chip 0's slot that the correlator reads must end inside the
-    slot, past which it would read range-aliased echoes and the next
-    slot's blank.  Checked from integers, before any array is built."""
-    cfg = rx_config.for_chain(params)
-    lags = kept_lags(params, pn, cfg)
+    """(kept lags, window) of a sweep under rx_config, as for_chain gives
+    it: the window of chip 0's slot that the correlator reads must end
+    inside the slot, past which it would read range-aliased echoes and the
+    next slot's blank.  Checked from integers, before any array is built."""
+    lags = kept_lags(params, pn, rx_config)
     window = range(lags.start, lags.stop + params.pulse_samples - 1)
     if window.stop > params.pri_samples:
         last = params.pri_samples - params.pulse_samples
         raise ValueError(
-            f"{cfg.max_range_m:g} m reads past the {params.pri_samples}"
+            f"{rx_config.max_range_m:g} m reads past the {params.pri_samples}"
             f"-sample PRI slot; the kept lags must end by lag {last}, "
             f"{lag_range_m(last, params):.7g} m")
     return lags, window
 
 
-def block_shape(params: RadarParams, pn: PnSequence,
-                rx_config: ReceiverConfig) -> tuple[int, int]:
-    """(sweeps, window samples) of a block of the pipeline these build,
-    whose despread_window rules it checks."""
-    window = despread_window(params, pn, rx_config)[1]
+def block_shape(window: range, period: int) -> tuple[int, int, int]:
+    """(sweeps, window samples, noise-chunk samples) of a block: as many
+    sweeps as fit _BLOCK_SAMPLES samples of the despread window, at least
+    one, and the PRI period despread_windows draws each noise chunk of."""
     samples = window.stop - window.start  # len() cannot pass sys.maxsize
-    return _block_rows(samples), samples
+    return max(1, _BLOCK_SAMPLES // max(samples, 1)), samples, period
 
 
 def _usable_cpus() -> int:
@@ -498,7 +491,7 @@ class SweepPipeline:
             raise ValueError(f"no kept range bin to detect in: kept lags "
                              f"{self.lags}, gate_m {cfg.gate_m}")
         self.detection_factor = detection_factor(cells)
-        self.block_rows = _block_rows(len(self.window))
+        self.block_rows = block_shape(self.window, params.pri_samples)[0]
         self.tx = make_waveform(
             params, pn, sweep_samples(params, pn, cfg.max_range_m))[0]
         # increasing, and shared read-only by every profile
@@ -618,7 +611,7 @@ def _deal(run, blocks: list[range]):
 
     def settle(i: int, result) -> None:
         done[i] = result
-        if isinstance(result, BaseException):
+        if isinstance(result, Exception):
             undealt.clear()
 
     def deal() -> None:
@@ -647,7 +640,7 @@ def _deal(run, blocks: list[range]):
                     i = undealt.popleft()
                     settle(i, _attempt(run, blocks[i]))
             result = done.pop(head)
-            if isinstance(result, BaseException):
+            if isinstance(result, Exception):
                 raise result
             yield from result
     finally:
@@ -706,13 +699,13 @@ def _widen(fd: int) -> None:
 
 def _serve(run, blocks: list[range], tickets: int, results: int,
            inherited: tuple[int, int]) -> None:
-    """A forked worker's life: for each block index read from tickets, run
-    the block and pipe its list, or the exception it raised, into results
-    as a length and a pickle, stopping after an exception or when the
-    ticket pipe closes; then exit the process, whatever happened, so that
-    it never returns into the caller's frames.  It first closes the
-    calling process's ends of its pipes, inherited by the fork, so that
-    its pipes close with the caller."""
+    """A forked worker's life: for each block index read from tickets, pipe
+    the block's _attempt into results as a length and a pickle, stopping
+    after an exception or when the ticket pipe closes; then exit the
+    process, whatever happened, so that it never returns into the
+    caller's frames.  It first closes the calling process's ends of its
+    pipes, inherited by the fork, so that its pipes close with the
+    caller."""
     try:
         for fd in inherited:
             os.close(fd)
@@ -722,15 +715,12 @@ def _serve(run, blocks: list[range], tickets: int, results: int,
                     i = int.from_bytes(_read(tickets, 4), "little")
                 except EOFError:
                     break
-                try:
-                    result = run(blocks[i])
-                except BaseException as exc:  # raised by the caller, in order
-                    result = exc
+                result = _attempt(run, blocks[i])
                 data = pickle.dumps(result)
                 out.write(len(data).to_bytes(8, "little"))
                 out.write(data)
                 out.flush()
-                if isinstance(result, BaseException):
+                if isinstance(result, Exception):
                     break
     finally:
         os._exit(0)

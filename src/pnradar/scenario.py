@@ -24,9 +24,10 @@ from .channel import Interferer, InterfererKind, Pol, Scatterer, Scene, \
     TargetModel, check_interferer_band, check_unambiguous_range, gen_clutter
 from .codes import CodeKind, PnSequence, gen_gold, gen_mseq
 from .imaging import Calibration, ReceiverConfig, SweepPipeline, \
-    block_shape, check_scan, gate_lags, kept_lags, lag_range_m
+    block_shape, check_scan, despread_window, gate_lags, lag_range_m
 from .receiver import check_blank_width
-from .waveform import Mode, RadarParams, nb_params, uwb_params
+from .waveform import Mode, RadarParams, SPEED_OF_LIGHT, nb_params, \
+    uwb_params
 
 
 class ScenarioError(ValueError):
@@ -44,16 +45,15 @@ class ExperimentKind(Enum):
 
 class OutOfMemory(MemoryError):
     """Memory ran out; the message gives what a block of each chain holds,
-    its (sweeps, window samples) from block_shape."""
+    its (sweeps, window samples, noise-chunk samples) from block_shape."""
 
-    def __init__(self, kind: ExperimentKind,
-                 blocks: dict[Mode, tuple[int, int]]):
+    def __init__(self, blocks: dict[Mode, tuple[int, int, int]]):
         super().__init__("out of memory: " + "; ".join(
             f"a {mode.value} block holds {rows:,} sweep"
             f"{'s' if rows > 1 else ''} of {window:,} complex window "
-            f"samples ({rows * window * 16 / 2 ** 20:,.1f} MiB)"
-            for mode, (rows, window) in blocks.items()))
-        self.kind = kind
+            f"samples ({rows * window * 16 / 2 ** 20:,.1f} MiB) and a noise "
+            f"chunk of {chunk:,} real samples ({chunk * 8 / 2 ** 20:,.1f} MiB)"
+            for mode, (rows, window, chunk) in blocks.items()))
 
 
 # --- schema -----------------------------------------------------------------
@@ -401,7 +401,7 @@ def resolve_scenario(data: dict) -> Scenario:
     # check each chain the run uses, its blank's and window's rules and the
     # window it keeps from integers, then build its pipeline
     mode = Mode(cfg["radar"]["mode"])
-    chains, blocks = {}, {}
+    chains, lags, blocks = {}, {}, {}
     for chain in (list(Mode) if kind is ExperimentKind.COMPARE_MODES
                   else [mode]):
         build = nb_params if chain is Mode.NB_DSSS else uwb_params
@@ -423,25 +423,25 @@ def resolve_scenario(data: dict) -> Scenario:
                    itf.freq_hz, params.carrier_hz, params.sample_rate_hz)
         _named(f"receiver.blank_width_s {where}", check_blank_width,
                params, rx_cfg.blank_width_s)
-        blocks[chain] = _named(f"receiver.max_range_m {where}", block_shape,
-                               params, pn, rx_cfg)
+        lags[chain], window = _named(f"receiver.max_range_m {where}",
+                                     despread_window, params, pn, rx_cfg)
+        blocks[chain] = block_shape(window, params.pri_samples)
     calibration = None
     if consumes_cal and exp["calibration_file"] is not None:
         # compare_modes takes no file, so the run has the one chain
         calibration = read_calibration_csv(exp["calibration_file"],
                                            chains[mode][0], pn)
-    for params, rx_cfg in chains.values():
-        _check_kept_window(params, kept_lags(params, pn, rx_cfg), rx_cfg,
-                           calibrates_on)
+    for chain, (params, rx_cfg) in chains.items():
+        _check_kept_window(params, lags[chain], rx_cfg, calibrates_on)
     pipelines = {}
     try:
-        if max(r * w for r, w in blocks.values()) * 16 \
+        if max(max(r * w * 16, c * 8) for r, w, c in blocks.values()) \
                 > np.iinfo(np.intp).max:
             raise MemoryError  # numpy would raise ValueError for this size
         for chain, (params, rx_cfg) in chains.items():
             pipelines[chain] = SweepPipeline(params, pn, rx_config=rx_cfg)
     except MemoryError:
-        raise OutOfMemory(kind, blocks) from None
+        raise OutOfMemory(blocks) from None
 
     return Scenario(
         raw=cfg, seed=seed, mode=mode, pipelines=pipelines,
@@ -455,8 +455,9 @@ def _check_kept_window(params: RadarParams, lags: range,
                        rx_cfg: ReceiverConfig,
                        reference_m: float | None) -> None:
     """The range window a chain keeps, its lags, must hold a range bin and
-    reach the reference the run calibrates on; the gate the run estimates
-    in must hold one of its bins.  Checked from integers."""
+    reach the reference the run calibrates on, whose echo must not round to
+    delay 0, the 0 m bin; the gate the run estimates in must hold one of
+    its bins.  Checked from integers."""
     chain = f"({params.mode.value} chain)"
     near, far = rx_cfg.range_window_m
     window = f"the kept range window [{near:g}, {far:g}] m"
@@ -475,6 +476,11 @@ def _check_kept_window(params: RadarParams, lags: range,
             where = "blank_width_s" if hi < near else "max_range_m"
             raise ScenarioError(
                 f"receiver.{where} {chain}: {window} excludes {what}")
+    if reference_m is not None and round(  # as channel._echoes rounds
+            2.0 * reference_m / SPEED_OF_LIGHT * params.sample_rate_hz) == 0:
+        raise ScenarioError(f"experiment.reference {chain}: the reference at "
+                            f"{reference_m:g} m echoes in the 0 m range bin, "
+                            "which calibrates no cross section")
     in_gate = gate_lags(params, lags, gate)
     if not in_gate:
         # the kept bins either side of the gate's near edge

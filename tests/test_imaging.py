@@ -6,6 +6,7 @@ import dataclasses
 import math
 import os
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -1061,6 +1062,17 @@ class TestSweepSamples:
         assert len(pipeline.tx) == 319_341
         assert held < 1_000_000
 
+    def test_a_stream_past_sys_maxsize_samples_is_read_by_its_length(self):
+        # a 1e30 s PRI: len() of the 1e41-sample stream would raise
+        # OverflowError; despread_windows reads tx.length and gets as far
+        # as its one-PRI noise chunk, which numpy cannot index
+        params = uwb_params(pri_s=1e30)
+        pipeline = SweepPipeline(params, gen_mseq([3, 1, 0]),
+                                 rx_config=ReceiverConfig(max_range_m=14.0))
+        assert pipeline.tx.length > sys.maxsize
+        with pytest.raises(ValueError):
+            pipeline.profile(Scene(target=target((SIGMA_REF, R_REF))))
+
 
 def _spread_zeros_pulse(params, pn, cpb):
     """The narrowband pulse as it was once built: all-zero data spread over
@@ -1225,6 +1237,23 @@ class TestCalibration:
     def test_gain_must_be_positive(self):
         with pytest.raises(ValueError, match="gain"):
             Calibration(gain=0.0, reference_sigma_m2=1.0, reference_range_m=1.0)
+
+    def test_reference_peak_in_the_zero_bin_rejected(self):
+        # near enough to a 0.5 m reference, but range ** 4 is 0 there: a
+        # noisy scene's peak may land in the 0 m bin at run time
+        power = np.ones(101)
+        power[0] = 1e6
+        for first_bin_m in (0.0, 1.875):
+            prof = RangeProfile(
+                ranges_m=first_bin_m + np.arange(101) * 1.875,
+                values=np.sqrt(power), bin_width_m=1.875)
+            if first_bin_m:
+                assert calibrate(prof, 1.0, 0.5).gain == \
+                    1.0 / (1e6 * 1.875 ** 4)
+                continue
+            with pytest.raises(ValueError, match="reference peak found in "
+                                                 "the 0 m range bin"):
+                calibrate(prof, 1.0, 0.5)
 
 
 class TestEstimateRcs:

@@ -25,6 +25,7 @@ from pnradar import (Mode, NoDetections, SPEED_OF_LIGHT, ScanRows, cli,
 from pnradar.cli import _write_manifest, main, run, write_scan_csv
 from pnradar.channel import Scatterer, Scene, TargetModel
 from pnradar.imaging import Calibration, calibrate
+from pnradar import scenario as scenario_module
 from pnradar.scenario import (_F, _List, _SCHEMA, ExperimentKind,
                               _UniqueKeyLoader, _reader_mark,
                               ScenarioError, load_scenario,
@@ -1453,15 +1454,15 @@ class TestCliEntry:
             return make_waveform(params, *args, **kwargs)
 
         monkeypatch.setattr(imaging, "make_waveform", failing)
-        kind = yaml.safe_load(text)["experiment"]["kind"]
         rc = main([str(_write(tmp_path, text)), "--out",
                    str(tmp_path / "out"), "--quiet"])
         assert rc == 3
         err = capsys.readouterr().err
         assert re.fullmatch(
-            rf"error \[{kind}\]: out of memory: " + "; ".join(
+            r"error \[load\]: out of memory: " + "; ".join(
                 rf"a {c} block holds [\d,]+ sweeps? of [\d,]+ complex window "
-                rf"samples \([\d,]+\.\d MiB\)" for c in chains) + "\n",
+                r"samples \([\d,]+\.\d MiB\) and a noise chunk of [\d,]+ "
+                r"real samples \([\d,]+\.\d MiB\)" for c in chains) + "\n",
             err), err
         assert not (tmp_path / "out").exists()
 
@@ -1499,9 +1500,85 @@ class TestCliEntry:
                           "--quiet")
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == (
-            "error [rcs_sweep_series]: out of memory: a nb block holds 1 "
-            "sweep of 800,000,000,000,000,053 complex window samples "
-            "(12,207,031,250,000.0 MiB)\n")
+            "error [load]: out of memory: a nb block holds 1 sweep of "
+            "800,000,000,000,000,053 complex window samples "
+            "(12,207,031,250,000.0 MiB) and a noise chunk of "
+            "8,000,000,000,000,000,000 real samples "
+            "(61,035,156,250,000.0 MiB)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("pri_s, stage, chunk", [
+        # one PRI of normals, 1.6 TB, fails as the first sweep runs
+        ("2", "rcs_sweep_series", "200,000,000,000 real samples "
+                                  "(1,525,878.9 MiB)"),
+        # past numpy's largest array: the pre-check fails it at load
+        ("1.0e+30", "load",
+         "100,000,000,000,000,000,620,008,645,040,778,319,495,168 real "
+         "samples (762,939,453,125,000,004,730,290,565,801,836,544.0 MiB)")])
+    def test_long_pri_names_the_noise_chunk(self, tmp_path, pri_s, stage,
+                                            chunk):
+        # the kept window is the usual 9,472 samples; the noise is drawn
+        # into chunks of one PRI
+        path = _write(tmp_path, SERIES.replace(
+            "{mode: uwb}", f"{{mode: uwb, uwb: {{pri_s: {pri_s}}}}}")
+            + "receiver: {max_range_m: 14.0}\n")
+        proc = _run_child(self.LIMITED, path, "--out", tmp_path / "out",
+                          "--quiet")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            f"error [{stage}]: out of memory: a uwb block holds 1 sweep of "
+            f"9,472 complex window samples (0.1 MiB) and a noise chunk of "
+            f"{chunk}\n")
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("kind", ["calibrate", "rcs_sweep_series"])
+    def test_reference_in_the_zero_bin_exits_two(self, tmp_path, capsys,
+                                                 kind):
+        # the 0.5 m echo rounds to delay 0 at 80 MHz, the bin where
+        # range ** 4, and so the calibration's gain, is undefined
+        text = ("radar: {mode: nb}\n"
+                "scene: {target: {points: [{sigma_m2: 1.0, range_m: 0.5}]}}\n"
+                f"experiment: {{kind: {kind}}}\n")
+        _assert_rejected_before_synthesis(tmp_path, capsys, {
+            "experiment.reference (nb chain): the reference at 0.5 m echoes "
+            "in the 0 m range bin, which calibrates no cross section": text})
+
+    @pytest.mark.parametrize("where, raised, text", [
+        ("caller", ArithmeticError(), "ArithmeticError"),
+        ("worker", ArithmeticError("sweep 1 overflowed"),
+         "sweep 1 overflowed")])
+    def test_any_fault_of_a_block_exits_three(self, tmp_path, capsys,
+                                              monkeypatch, where, raised,
+                                              text):
+        # the series' four one-sweep UWB blocks: block 0 runs in the calling
+        # process, block 1 first in the forked worker
+        rcs, caller = imaging._rcs, os.getpid()
+
+        def failing(detections, cal, mode, sweep_index, gate_m):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise raised
+            return rcs(detections, cal, mode, sweep_index, gate_m)
+
+        monkeypatch.setattr(imaging, "_rcs", failing)
+        monkeypatch.setattr(imaging, "_usable_cpus", lambda: 2)
+        rc = main([str(_write(tmp_path, SERIES)), "--out",
+                   str(tmp_path / "out"), "--quiet"])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            f"error [rcs_sweep_series]: {text}\n"
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_any_fault_while_loading_exits_three(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def failing(data):
+            return 1 / 0
+
+        monkeypatch.setattr(scenario_module, "resolve_scenario", failing)
+        rc = main([str(_write(tmp_path, SERIES)), "--out",
+                   str(tmp_path / "out"), "--quiet"])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            "error [load]: division by zero\n"
         assert not (tmp_path / "out").exists()
 
 
